@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels, poly
+from . import poly
 from .mesh import AfState1D, AfState2D, simpson_edge_average
 from .problems import NumericalFluxSpec, ProblemSpec
 
@@ -377,18 +377,12 @@ def _rhs_from_flux_projection(state, ops, dx, fp: FluxProjection1D) -> AfState1D
 
 def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
                         alpha: tuple[float, float] = None,
-                        beta: tuple[float, float] = None,
-                        impl: str = "auto") -> AfState2D:
+                        beta: tuple[float, float] = None) -> AfState2D:
     """Tensorial AF update for 2-d linear advection, any K >= 1.
 
     alpha/beta are the one-sided weights of the point updates per axis;
     omitted weights mean pure upwinding by the sign of the speed.  A
-    zero-speed axis contributes nothing.  ``impl`` selects the cell-loop
-    kernel of :mod:`afdg.kernels` ('kernel'), the vectorized reference path
-    ('numpy'), or the kernel when numba compiles it and numpy otherwise
-    ('auto').  Without numba 'kernel' still runs the loops, interpreted and
-    slowly, which is meant for parity checks; both paths produce the same
-    numbers.
+    zero-speed axis contributes nothing.
     """
     if state.variant != "tensorial":
         raise ValueError("tensorial right-hand side needs a tensorial state")
@@ -402,20 +396,6 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     _check_weights(beta)
 
     ops = af_ops(state.K)
-
-    if impl not in ("auto", "kernel", "numpy"):
-        raise ValueError(f"unknown impl {impl!r}")
-    if impl == "kernel" or (impl == "auto" and kernels.HAVE_NUMBA):
-        dN = np.empty_like(state.node_values)
-        dEx = np.empty_like(state.x_edge)
-        dEy = np.empty_like(state.y_edge)
-        dMo = np.empty_like(state.cell_moments)
-        kernels.af_rhs_2d_kernel(
-            state.node_values, state.x_edge, state.y_edge,
-            state.cell_moments, ops.d_plus, ops.d_minus, ops.mom_w,
-            float(ux), float(uy), alpha[0], alpha[1], beta[0], beta[1],
-            state.grid.dx, state.grid.dy, dN, dEx, dEy, dMo)
-        return state.with_arrays([dN, dEx, dEy, dMo])
 
     dx, dy = state.grid.dx, state.grid.dy
     K = state.K

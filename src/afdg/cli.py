@@ -54,8 +54,7 @@ def cmd_run(args) -> int:
             ("dt_rule", "cfl_override * dx" if cfg.cfl_override is not None
              else "catalog C_CFL * dx"),
             ("steps", b.steps), ("boundary", cfg.boundary),
-            ("seed", cfg.seed), ("threads", cfg.threads),
-            ("rk", cfg.rk)]
+            ("seed", cfg.seed), ("rk", cfg.rk)]
     driver.write_csv(cfg.out + ".meta.csv", ["key", "value"], meta)
     print(f"{b.method}: e_dofs={driver.fmt(res.errors.e_dofs)} "
           f"tau={b.tau:.3g}s steps={b.steps}")
@@ -153,7 +152,11 @@ def main(argv=None) -> int:
     sub.set_defaults(fn=cmd_equiv_check)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except driver.ConfigError as exc:
+        print(f"afdg {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

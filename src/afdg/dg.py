@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels, poly
+from . import poly
 from .mesh import AF_N_INT, DG_N_INT, DgState1D, DgState2D
 from .problems import NumericalFluxSpec, ProblemSpec, numerical_flux
 
@@ -284,36 +284,18 @@ def qhat_interfaces_2d(state: DgState2D, alpha: tuple[float, float],
 
 
 def dg_rhs_2d(state: DgState2D, ux: float, uy: float,
-              flux_x: NumericalFluxSpec, flux_y: NumericalFluxSpec,
-              impl: str = "auto") -> DgState2D:
+              flux_x: NumericalFluxSpec, flux_y: NumericalFluxSpec
+              ) -> DgState2D:
     """Tensor-modal update for 2-d linear advection.
 
     A zero-speed axis contributes nothing (its flux terms carry the factor
-    u).  Nonlinear problems are out of scope here.  ``impl`` selects the
-    cell-loop kernel ('kernel', interpreted when numba is missing), the
-    vectorized reference path ('numpy'), or the kernel only when it is
-    compiled ('auto'); see the AF counterpart.
+    u).  Nonlinear problems are out of scope here.
     """
     if not state.periodic:
         raise NotImplementedError("use the padded driver path for Dirichlet runs")
     basis = dg_basis(state.K)
     dx, dy = state.grid.dx, state.grid.dy
     c = state.coeffs
-
-    if impl not in ("auto", "kernel", "numpy"):
-        raise ValueError(f"unknown impl {impl!r}")
-    if impl == "kernel" or (impl == "auto" and kernels.HAVE_NUMBA):
-        alpha = flux_x.advection_weights(ux) if ux != 0 else (1.0, 0.0)
-        beta = flux_y.advection_weights(uy) if uy != 0 else (1.0, 0.0)
-        nm = state.K + 1
-        nx, ny = c.shape[:2]
-        dc = np.empty_like(c)
-        kernels.dg_rhs_2d_kernel(
-            c, basis.stiffness, basis.mass, basis.value_right,
-            basis.value_left, float(ux), float(uy),
-            alpha[0], alpha[1], beta[0], beta[1], dx, dy,
-            np.empty((nx, ny, nm)), np.empty((nx, ny, nm)), dc)
-        return state.with_arrays([dc])
 
     dc = np.zeros_like(c)
 

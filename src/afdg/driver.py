@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -23,9 +24,10 @@ from .mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid1D, Grid2D,
 from .problems import NumericalFluxSpec, builtin_problems
 
 __all__ = [
-    "RunConfig", "parse_config", "ErrorReport", "BenchRecord", "RunResult",
-    "run_simulation", "run_convergence_study", "run_superconvergence_probe",
-    "run_benchmark", "emit_dof_table", "eoc", "write_csv", "fmt",
+    "ConfigError", "RunConfig", "parse_config", "ErrorReport", "BenchRecord",
+    "RunResult", "run_simulation", "run_convergence_study",
+    "run_superconvergence_probe", "run_benchmark", "emit_dof_table", "eoc",
+    "write_csv", "fmt",
 ]
 
 
@@ -55,6 +57,10 @@ def eoc(err_coarse: float, err_fine: float) -> float:
 # configuration
 
 
+class ConfigError(ValueError):
+    """A config key with a value no run can honour."""
+
+
 @dataclass
 class RunConfig:
     experiment: str = "run"
@@ -76,7 +82,6 @@ class RunConfig:
     cfl_override: float | None = None
     boundary: str = "periodic"
     seed: int = 0
-    threads: int = 1
     tolerance: float = 1e-11
     out: str = "out.csv"
 
@@ -87,8 +92,28 @@ class RunConfig:
         return self.order - 2 if self.method == "af" else self.order - 1
 
     def method_id(self) -> str:
-        rk_order = {"ssprk3": 3, "ssprk33": 3, "ssprk54": 4, "ssprk5_4": 4}
-        return f"{self.method.upper()}{self.order}{rk_order[self.rk]}"
+        rk_order = timeint.schemes_by_name()[self.rk].order
+        return f"{self.method.upper()}{self.order}{rk_order}"
+
+    def validate(self) -> None:
+        """Reject settings no run can honour, naming the key at fault."""
+        def bad(key, why):
+            raise ConfigError(f"config key {key!r} {why}, got "
+                              f"{getattr(self, key)!r}")
+
+        if self.method not in ("af", "dg"):
+            bad("method", "must be 'af' or 'dg'")
+        if self.rk not in timeint.schemes_by_name():
+            bad("rk", "must be one of "
+                + ", ".join(sorted(timeint.schemes_by_name())))
+        if not _positive(self.t_final):
+            bad("t_final", "must be a positive number")
+        if self.cfl_override is not None and not _positive(self.cfl_override):
+            bad("cfl_override", "must be a positive number or none")
+
+
+def _positive(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and x > 0
 
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False}
@@ -119,14 +144,15 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"bad config line (expected key=value): {line!r}")
+            raise ConfigError(
+                f"bad config line (expected key=value): {line!r}")
         key, raw = line.split("=", 1)
         items[key.strip()] = raw
     for key, raw in (overrides or {}).items():
         items[key] = raw
     for key, raw in items.items():
         if not hasattr(cfg, key):
-            raise ValueError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
         value = _parse_value(key, raw) if isinstance(raw, str) else raw
         setattr(cfg, key, value)
     return cfg
@@ -190,103 +216,43 @@ def make_flux(cfg: RunConfig, problem=None, state_values=None) -> NumericalFluxS
 # Dirichlet ghost padding (exact-solution traces)
 
 
-def _pad_dg_2d(state: DgState2D, exact, t: float) -> DgState2D:
+def _pad_2d(state, fill, exact, t: float):
     """Embed the state in a one-cell ghost ring projected from the exact
     solution; the periodic stencil code then runs unchanged and the ring
-    derivatives are discarded."""
+    derivatives are discarded.
+
+    Cell (i, j) of the padded periodic grid owns entry [i, j] of every
+    state array: a DG cell its modes, an AF cell its lower-left node, left
+    edge, bottom edge and moments.  Each ring strip is therefore
+    ``fill(strip_grid, f)``, a non-periodic state of the strip, cut to its
+    cells.  The state goes in last, so its own right and top boundary
+    dofs win over the ring's.
+    """
     g = state.grid
     nx, ny = g.n_cells_x, g.n_cells_y
-    K = state.K
     gpad = Grid2D(g.x_min - g.dx, g.x_max + g.dx, nx + 2,
                   g.y_min - g.dy, g.y_max + g.dy, ny + 2)
-    coeffs = np.zeros((nx + 2, ny + 2, K + 1, K + 1))
-    coeffs[1:-1, 1:-1] = state.coeffs
+    padded = [np.empty((nx + 2, ny + 2) + a.shape[2:]) for a in state.arrays()]
 
     def fill_strip(x0, x1, ncx, y0, y1, ncy, si, sj):
-        strip = mesh.fill_dg_2d(Grid2D(x0, x1, ncx, y0, y1, ncy), K,
-                                lambda x, y: exact(t, x, y))
-        coeffs[si:si + ncx, sj:sj + ncy] = strip.coeffs
+        strip = fill(Grid2D(x0, x1, ncx, y0, y1, ncy),
+                     lambda x, y: exact(t, x, y))
+        for a, s in zip(padded, strip.arrays()):
+            a[si:si + ncx, sj:sj + ncy] = s[:ncx, :ncy]
 
     fill_strip(gpad.x_min, gpad.x_max, nx + 2, gpad.y_min, g.y_min, 1, 0, 0)
     fill_strip(gpad.x_min, gpad.x_max, nx + 2, g.y_max, gpad.y_max, 1, 0, ny + 1)
     fill_strip(gpad.x_min, g.x_min, 1, g.y_min, g.y_max, ny, 0, 1)
     fill_strip(g.x_max, gpad.x_max, 1, g.y_min, g.y_max, ny, nx + 1, 1)
-    return DgState2D(gpad, K, coeffs, periodic=True)
+    for a, s in zip(padded, state.arrays()):
+        a[1:1 + s.shape[0], 1:1 + s.shape[1]] = s
+    return replace(state, grid=gpad, periodic=True).with_arrays(padded)
 
 
-def _pad_af_2d(state: AfState2D, exact, t: float) -> AfState2D:
-    """Same ghost-ring embedding for tensorial AF dofs."""
-    g = state.grid
-    nx, ny = g.n_cells_x, g.n_cells_y
-    K = state.K
-    gpad = Grid2D(g.x_min - g.dx, g.x_max + g.dx, nx + 2,
-                  g.y_min - g.dy, g.y_max + g.dy, ny + 2)
-    f = lambda x, y: exact(t, x, y)
-    rule = poly.gauss_legendre_rule(12)
-    nodes, weights = rule.nodes, rule.weights
-    bws = [poly.moment_normalization(k) * poly.moment_weight(k)(nodes) * weights
-           for k in range(K)]
-
-    xs_if = gpad.gx.interfaces(True)          # length nx+2
-    ys_if = gpad.gy.interfaces(True)
-    xc = gpad.gx.centers()
-    yc = gpad.gy.centers()
-
-    N = np.zeros((nx + 2, ny + 2))
-    N[1:, 1:] = state.node_values             # real nodes at interfaces 1..nx+1
-    N[0, :] = f(xs_if[0], ys_if)
-    N[:, 0] = f(xs_if, ys_if[0])
-
-    Ex = np.zeros((nx + 2, ny + 2, K))
-    Ex[1:, 1:-1] = state.x_edge
-    for j in (0, ny + 1):
-        vals = f(xs_if[:, None, None], yc[j] + gpad.dy * nodes[None, None, :])
-        for k in range(K):
-            Ex[:, j, k] = np.tensordot(vals[:, 0, :], bws[k], axes=(1, 0))
-    vals = f(xs_if[0], yc[None, :, None] + gpad.dy * nodes[None, None, :])
-    for k in range(K):
-        Ex[0, :, k] = np.tensordot(vals[0], bws[k], axes=(1, 0))
-
-    Ey = np.zeros((nx + 2, ny + 2, K))
-    Ey[1:-1, 1:] = state.y_edge
-    for i in (0, nx + 1):
-        vals = f(xc[i] + gpad.dx * nodes[None, None, :], ys_if[None, :, None])
-        for k in range(K):
-            Ey[i, :, k] = np.tensordot(vals[0], bws[k], axes=(1, 0))
-    vals = f(xc[:, None, None] + gpad.dx * nodes[None, None, :], ys_if[0])
-    for k in range(K):
-        Ey[:, 0, k] = np.tensordot(vals[:, 0, :], bws[k], axes=(1, 0))
-
-    Mo = np.zeros((nx + 2, ny + 2, K, K))
-    Mo[1:-1, 1:-1] = state.cell_moments
-    for idx in range(4):
-        if idx == 0:
-            xin, yin, si, sj = xc, yc[:1], slice(0, nx + 2), slice(0, 1)
-        elif idx == 1:
-            xin, yin, si, sj = xc, yc[-1:], slice(0, nx + 2), slice(ny + 1, ny + 2)
-        elif idx == 2:
-            xin, yin, si, sj = xc[:1], yc[1:-1], slice(0, 1), slice(1, ny + 1)
-        else:
-            xin, yin, si, sj = xc[-1:], yc[1:-1], slice(nx + 1, nx + 2), slice(1, ny + 1)
-        fq = f(xin[:, None, None, None] + gpad.dx * nodes[None, None, :, None],
-               yin[None, :, None, None] + gpad.dy * nodes[None, None, None, :])
-        for m in range(K):
-            for n in range(K):
-                Mo[si, sj, m, n] = np.einsum("ijab,a,b->ij", fq, bws[m], bws[n])
-    return AfState2D(gpad, K, N, Ex, Ey, Mo, "tensorial", periodic=True)
-
-
-def _slice_dg_pad(dpad: DgState2D, state: DgState2D) -> DgState2D:
-    return replace(state, coeffs=dpad.coeffs[1:-1, 1:-1])
-
-
-def _slice_af_pad(dpad: AfState2D, state: AfState2D) -> AfState2D:
-    nx, ny = state.grid.n_cells_x, state.grid.n_cells_y
-    return replace(state,
-                   node_values=dpad.node_values[1:nx + 2, 1:ny + 2],
-                   x_edge=dpad.x_edge[1:nx + 2, 1:ny + 1],
-                   y_edge=dpad.y_edge[1:nx + 1, 1:ny + 2],
-                   cell_moments=dpad.cell_moments[1:nx + 1, 1:ny + 1])
+def _slice_pad(dpad, state):
+    """The state-shaped part of a padded derivative (see ``_pad_2d``)."""
+    return state.with_arrays([d[1:1 + s.shape[0], 1:1 + s.shape[1]]
+                              for d, s in zip(dpad.arrays(), state.arrays())])
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +286,21 @@ def make_rhs(cfg: RunConfig, problem, flux: NumericalFluxSpec):
     exact = exact_solution(cfg) if dirichlet else None
 
     if cfg.problem.endswith("2d"):
-        ux, uy = cfg.ux, cfg.uy
+        ux, uy, K = cfg.ux, cfg.uy, cfg.K
         if cfg.method == "dg":
-            def rhs(state, t):
-                if dirichlet:
-                    dpad = dg.dg_rhs_2d(_pad_dg_2d(state, exact, t), ux, uy,
-                                        flux, flux)
-                    return _slice_dg_pad(dpad, state)
-                return dg.dg_rhs_2d(state, ux, uy, flux, flux)
-            return rhs
-
-        alpha = flux.advection_weights(ux) if ux != 0 else (1.0, 0.0)
-        beta = flux.advection_weights(uy) if uy != 0 else (1.0, 0.0)
-
-        def rhs(state, t):
-            if dirichlet:
-                dpad = af.af_rhs_2d_tensorial(_pad_af_2d(state, exact, t),
-                                              ux, uy, alpha, beta)
-                return _slice_af_pad(dpad, state)
-            return af.af_rhs_2d_tensorial(state, ux, uy, alpha, beta)
-        return rhs
+            op = lambda state: dg.dg_rhs_2d(state, ux, uy, flux, flux)
+            fill = lambda grid, f: mesh.fill_dg_2d(grid, K, f, periodic=False)
+        else:
+            alpha = flux.advection_weights(ux) if ux != 0 else (1.0, 0.0)
+            beta = flux.advection_weights(uy) if uy != 0 else (1.0, 0.0)
+            op = lambda state: af.af_rhs_2d_tensorial(state, ux, uy,
+                                                      alpha, beta)
+            fill = lambda grid, f: mesh.fill_af_2d(grid, K, f,
+                                                   periodic=False)
+        if not dirichlet:
+            return lambda state, t: op(state)
+        return lambda state, t: _slice_pad(op(_pad_2d(state, fill, exact, t)),
+                                           state)
 
     if cfg.method == "dg":
         return lambda state, t: dg.dg_rhs_1d(state, problem, flux)
@@ -432,13 +393,6 @@ class RunResult:
     bench: BenchRecord
 
 
-def _scheme(cfg: RunConfig) -> timeint.RkScheme:
-    try:
-        return timeint.schemes_by_name()[cfg.rk]
-    except KeyError:
-        raise ValueError(f"unknown RK scheme {cfg.rk!r}") from None
-
-
 def default_dt(cfg: RunConfig, dx: float) -> float:
     """CFL-coupled step size.
 
@@ -447,16 +401,15 @@ def default_dt(cfg: RunConfig, dx: float) -> float:
     limit is the DG catalog value at order K+1; the larger catalog CFL of
     the AF column belongs to the reduced-dof variant we do not evolve.
     """
-    if cfg.cfl_override is not None:
-        return cfg.cfl_override * dx
     if cfg.method == "af" and cfg.problem.endswith("2d"):
-        return timeint.dt_from_cfl("dg", cfg.K + 1, dx)
-    return timeint.dt_from_cfl(cfg.method, cfg.order, dx)
+        return timeint.dt_from_cfl("dg", cfg.K + 1, dx, cfg.cfl_override)
+    return timeint.dt_from_cfl(cfg.method, cfg.order, dx, cfg.cfl_override)
 
 
 def run_simulation(cfg: RunConfig, n: int | None = None,
                    timed_repeats: int = 1) -> RunResult:
     """Integrate one grid to t_final; timing excludes setup and errors."""
+    cfg.validate()
     if not cfg.problem.startswith("advection"):
         raise ValueError("error measurement needs the advected exact "
                          "solution; simulations run advection problems")
@@ -465,7 +418,7 @@ def run_simulation(cfg: RunConfig, n: int | None = None,
     state0 = build_state(cfg, n)
     flux = make_flux(cfg, problem, state0.arrays()[0])
     rhs = make_rhs(cfg, problem, flux)
-    scheme = _scheme(cfg)
+    scheme = timeint.schemes_by_name()[cfg.rk]
     dx = state0.grid.dx
     dt = default_dt(cfg, dx)
     steps = int(np.ceil(cfg.t_final / dt - 1e-12))

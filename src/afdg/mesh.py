@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -286,16 +287,27 @@ def fill_af_1d(grid: Grid1D, K: int, init: Callable, n_components: int = 1,
     return AfState1D(grid, K, pts, moments, periodic)
 
 
+@lru_cache(maxsize=None)
+def _dg_projection_weights(K: int) -> np.ndarray:
+    """Row n: the fill rule's weights of the L2 projection onto mode n."""
+    nodes, weights = _FILL_RULE.nodes, _FILL_RULE.weights
+    rows = []
+    for n in range(K + 1):
+        phi = poly.legendre(n)
+        rows.append(phi(nodes) * weights / (phi * phi).cell_integral())
+    w = np.array(rows)
+    w.flags.writeable = False
+    return w
+
+
 def fill_dg_1d(grid: Grid1D, K: int, init: Callable, n_components: int = 1,
                periodic: bool = True) -> DgState1D:
     """Cell-wise L2 projection onto the endpoint-normalized Legendre basis."""
-    nodes, weights = _FILL_RULE.nodes, _FILL_RULE.weights
+    nodes = _FILL_RULE.nodes
     xq = grid.centers()[:, None] + grid.dx * nodes[None, :]
     fq = _as_components(init(xq), n_components)
     coeffs = np.empty((grid.n_cells, K + 1, n_components))
-    for n in range(K + 1):
-        phi = poly.legendre(n)
-        w = phi(nodes) * weights / (phi * phi).cell_integral()
+    for n, w in enumerate(_dg_projection_weights(K)):
         coeffs[:, n, :] = np.tensordot(fq, w, axes=(1, 0))
     return DgState1D(grid, K, coeffs, periodic)
 
@@ -357,18 +369,15 @@ def _cell_averages_2d(grid: Grid2D, f: Callable) -> np.ndarray:
 
 def fill_dg_2d(grid: Grid2D, K: int, init: Callable,
                periodic: bool = True) -> DgState2D:
-    nodes, weights = _FILL_RULE.nodes, _FILL_RULE.weights
+    nodes = _FILL_RULE.nodes
     xq = grid.gx.centers()[:, None, None, None] + grid.dx * nodes[None, None, :, None]
     yq = grid.gy.centers()[None, :, None, None] + grid.dy * nodes[None, None, None, :]
     fq = np.asarray(init(xq, yq), dtype=float)
     coeffs = np.empty((grid.n_cells_x, grid.n_cells_y, K + 1, K + 1))
+    w = _dg_projection_weights(K)
     for m in range(K + 1):
-        phm = poly.legendre(m)
-        wm = phm(nodes) * weights / (phm * phm).cell_integral()
         for n in range(K + 1):
-            phn = poly.legendre(n)
-            wn = phn(nodes) * weights / (phn * phn).cell_integral()
-            coeffs[:, :, m, n] = np.einsum("ijab,a,b->ij", fq, wm, wn)
+            coeffs[:, :, m, n] = np.einsum("ijab,a,b->ij", fq, w[m], w[n])
     return DgState2D(grid, K, coeffs, periodic)
 
 

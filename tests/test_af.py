@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from afdg import af, dg, kernels, mesh, poly
+from afdg import af, dg, mesh, poly
 from afdg.af import PointUpdateVariant
 from afdg.mesh import AfState1D, Grid1D, Grid2D
 from afdg.problems import (NumericalFluxSpec, acoustics2x2, advection1d,
@@ -200,12 +200,11 @@ def test_2d_constant_zero():
 
 
 @pytest.mark.parametrize("K", [1, 2])
-@pytest.mark.parametrize("impl", ["numpy", "kernel"])
-def test_2d_zero_y_speed_reduces_to_1d(K, impl):
+def test_2d_zero_y_speed_reduces_to_1d(K):
     """Each x-interface row behaves like the 1-d method with edge data
     playing the role of point values."""
     state = smooth_state_2d(K, seed=K)
-    d2 = af.af_rhs_2d_tensorial(state, 1.4, 0.0, impl=impl)
+    d2 = af.af_rhs_2d_tensorial(state, 1.4, 0.0)
     prob = advection1d(u=1.4)
     n = state.grid.n_cells_x
     for j in range(3):
@@ -254,35 +253,6 @@ def test_2d_conservation():
     d = af.af_rhs_2d_tensorial(state, 1.1, 0.7, (0.6, 0.4), (0.3, 0.7))
     total = np.sum(d.cell_moments[:, :, 0, 0])
     assert abs(total) < 1e-10
-
-
-@pytest.mark.parametrize("K", [1, 2])
-def test_2d_kernel_matches_numpy(K):
-    state = smooth_state_2d(K, seed=K + 5)
-    da = af.af_rhs_2d_tensorial(state, 1.3, 0.8, (0.7, 0.3), (0.4, 0.6),
-                                impl="numpy")
-    db = af.af_rhs_2d_tensorial(state, 1.3, 0.8, (0.7, 0.3), (0.4, 0.6),
-                                impl="kernel")
-    for x, y in zip(da.arrays(), db.arrays()):
-        assert np.max(np.abs(x - y)) <= 1e-13 * max(1.0, np.max(np.abs(x)))
-
-
-def test_2d_auto_without_numba_takes_numpy_path(monkeypatch):
-    """Without numba, 'auto' must not run the interpreted loops: it gives
-    the numpy result bit for bit.  An unknown impl is still rejected."""
-    state = smooth_state_2d(2, seed=9)
-    want = af.af_rhs_2d_tensorial(state, 1.3, -0.8, impl="numpy")
-
-    def refuse(*args):
-        raise AssertionError("the cell-loop kernel was called")
-
-    monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
-    monkeypatch.setattr(kernels, "af_rhs_2d_kernel", refuse)
-    got = af.af_rhs_2d_tensorial(state, 1.3, -0.8, impl="auto")
-    for x, y in zip(want.arrays(), got.arrays()):
-        assert np.array_equal(x, y)
-    with pytest.raises(ValueError, match="unknown impl"):
-        af.af_rhs_2d_tensorial(state, 1.3, -0.8, impl="compiled")
 
 
 def test_2d_global_continuity_after_rk_stage():

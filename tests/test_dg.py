@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from afdg import dg, kernels, mesh, poly
+from afdg import dg, mesh, poly
 from afdg.mesh import DgState1D, DgState2D, Grid1D, Grid2D
 from afdg.problems import (NumericalFluxSpec, acoustics2x2, advection1d,
                            builtin_problems, burgers)
@@ -235,11 +235,10 @@ def test_2d_constant_zero():
     assert np.max(np.abs(d.coeffs)) < 1e-12
 
 
-@pytest.mark.parametrize("impl", ["numpy", "kernel"])
-def test_2d_zero_y_speed_reduces_to_rowwise_1d(impl):
+def test_2d_zero_y_speed_reduces_to_rowwise_1d():
     K = 2
     state = random_state_2d(K, seed=3)
-    d2 = dg.dg_rhs_2d(state, 1.3, 0.0, UP, UP, impl=impl).coeffs
+    d2 = dg.dg_rhs_2d(state, 1.3, 0.0, UP, UP).coeffs
     prob = advection1d(u=1.3)
     for j in range(state.coeffs.shape[1]):
         for n_mode in range(K + 1):
@@ -265,31 +264,3 @@ def test_2d_conservation():
                      NumericalFluxSpec.central()).coeffs
     total = np.sum(d[:, :, 0, 0])
     assert abs(total) < 1e-11
-
-
-@pytest.mark.parametrize("K", [1, 2, 3])
-def test_2d_kernel_matches_numpy(K):
-    state = random_state_2d(K, seed=K + 20)
-    fx = NumericalFluxSpec.alpha(0.7, 0.3)
-    fy = NumericalFluxSpec.alpha(0.4, 0.6)
-    a = dg.dg_rhs_2d(state, 1.3, -0.8, fx, fy, impl="numpy").coeffs
-    b = dg.dg_rhs_2d(state, 1.3, -0.8, fx, fy, impl="kernel").coeffs
-    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
-
-
-def test_2d_auto_without_numba_takes_numpy_path(monkeypatch):
-    """Without numba, 'auto' must not run the interpreted loops: it gives
-    the numpy result bit for bit.  An unknown impl is still rejected."""
-    state = random_state_2d(2, seed=23)
-    fx = NumericalFluxSpec.alpha(0.7, 0.3)
-    want = dg.dg_rhs_2d(state, 1.3, -0.8, fx, UP, impl="numpy").coeffs
-
-    def refuse(*args):
-        raise AssertionError("the cell-loop kernel was called")
-
-    monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
-    monkeypatch.setattr(kernels, "dg_rhs_2d_kernel", refuse)
-    got = dg.dg_rhs_2d(state, 1.3, -0.8, fx, UP, impl="auto").coeffs
-    assert np.array_equal(want, got)
-    with pytest.raises(ValueError, match="unknown impl"):
-        dg.dg_rhs_2d(state, 1.3, -0.8, fx, UP, impl="compiled")

@@ -8,8 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from afdg import cli, driver, mesh
+from afdg import af, cli, dg, driver, mesh, timeint
 from afdg.driver import RunConfig
+from afdg.mesh import Grid2D
+from afdg.problems import NumericalFluxSpec
+
+UPWIND = NumericalFluxSpec.upwind()
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +49,28 @@ def test_parse_config_overrides_win():
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ValueError):
         driver.parse_config("not_a_key = 1")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("t_final", "0"), ("t_final", "-1"), ("cfl_override", "0"),
+    ("cfl_override", "-0.1"), ("method", "xx"), ("rk", "rk4"),
+])
+def test_invalid_config_rejected_before_any_step(key, value, tmp_path,
+                                                 capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a time step was taken")
+
+    monkeypatch.setattr(timeint, "rk_step", refuse)
+    cfg = driver.parse_config("grids = 8", {key: value})
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        driver.run_simulation(cfg)
+    capsys.readouterr()
+    code = cli.main(["run", "--set", "grids=8", "--set", f"{key}={value}",
+                     "--out", str(tmp_path / "state.csv")])
+    err = capsys.readouterr().err
+    assert code != 0
+    assert err.count("\n") == 1 and f"config key '{key}'" in err
+    assert not (tmp_path / "state.csv").exists()
 
 
 def test_method_ids():
@@ -142,23 +168,52 @@ def test_dirichlet_af_matches_periodic_for_compact_data():
     assert errs["dirichlet"] == pytest.approx(errs["periodic"], rel=1e-6)
 
 
-def test_af_ghost_padding_is_exact():
+PAD_FAMILIES = {
+    "af": (lambda g, K, f, periodic: mesh.fill_af_2d(g, K, f, "tensorial",
+                                                     periodic),
+           lambda s, ux, uy: af.af_rhs_2d_tensorial(s, ux, uy)),
+    "dg": (lambda g, K, f, periodic: mesh.fill_dg_2d(g, K, f, periodic),
+           lambda s, ux, uy: dg.dg_rhs_2d(s, ux, uy, UPWIND, UPWIND)),
+}
+
+UPPER_INFLOW_AF = pytest.mark.xfail(strict=True, reason=(
+    "known defect: the AF dofs on the right/top boundary are owned by ring "
+    "cells, and with inflow there their upwind stencil needs a node beyond "
+    "the one-cell ring; the periodic wrap supplies the opposite ring's"))
+
+
+@pytest.mark.parametrize("inflow", ["lower", "upper"])
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("family", ["af", "dg"])
+def test_ghost_padding_is_exact(family, K, inflow, request):
     # for periodic-compatible data the ghost ring equals the wrapped data,
-    # so the padded non-periodic rhs must reproduce the periodic one
-    from afdg import af
-    from afdg.mesh import Grid2D
-    cfg = RunConfig(method="af", order=3, problem="advection2d",
-                    ux=1.0, uy=1.0, init="sine", boundary="dirichlet")
+    # so the padded non-periodic rhs must reproduce the periodic one,
+    # boundary dofs included; "lower" has inflow through the left and
+    # bottom ring strips, "upper" through the right and top ones
+    if (family, inflow) == ("af", "upper"):
+        request.applymarker(UPPER_INFLOW_AF)
+    ux, uy = {"lower": (1.0, 0.6), "upper": (-0.7, -1.0)}[inflow]
+    fill, rhs = PAD_FAMILIES[family]
+    cfg = RunConfig(method=family, problem="advection2d", init="sine",
+                    boundary="dirichlet")
     exact = driver.exact_solution(cfg)
     q0 = lambda x, y: exact(0.0, x, y)
-    sp = mesh.fill_af_2d(Grid2D.square(8), 1, q0, periodic=True)
-    dp = af.af_rhs_2d_tensorial(sp, 1.0, 1.0)
-    sd = mesh.fill_af_2d(Grid2D.square(8), 1, q0, periodic=False)
-    dpad = af.af_rhs_2d_tensorial(driver._pad_af_2d(sd, exact, 0.0), 1.0, 1.0)
-    dd = driver._slice_af_pad(dpad, sd)
-    assert np.max(np.abs(dd.node_values[:-1, :-1] - dp.node_values)) < 1e-13
-    assert np.max(np.abs(dd.x_edge[:-1] - dp.x_edge)) < 1e-13
-    assert np.max(np.abs(dd.cell_moments - dp.cell_moments)) < 1e-13
+    sp = fill(Grid2D.square(8), K, q0, True)
+    sd = fill(Grid2D.square(8), K, q0, False)
+    strip_fill = lambda g, f: fill(g, K, f, False)
+    # the embedding keeps every state dof, boundary ones included
+    noisy = sd.with_arrays([a + 0.1 for a in sd.arrays()])
+    back = driver._slice_pad(driver._pad_2d(noisy, strip_fill, exact, 0.0),
+                             noisy)
+    for a, b in zip(noisy.arrays(), back.arrays()):
+        assert np.array_equal(a, b)
+    padded = driver._pad_2d(sd, strip_fill, exact, 0.0)
+    dp = rhs(sp, ux, uy)
+    dd = driver._slice_pad(rhs(padded, ux, uy), sd)
+    for p, d in zip(dp.arrays(), dd.arrays()):
+        wrapped = np.take(np.take(p, range(d.shape[0]), 0, mode="wrap"),
+                          range(d.shape[1]), 1, mode="wrap")
+        assert np.max(np.abs(d - wrapped)) < 1e-12 * np.max(np.abs(p))
 
 
 def test_dirichlet_transports_inflow_data():
@@ -328,4 +383,3 @@ def test_cli_run_emits_metadata(tmp_path):
               "--set", "t_final=0.05", "--out", str(out)])
     meta = (tmp_path / "state.csv.meta.csv").read_text()
     assert "dt_rule,catalog C_CFL * dx" in meta
-    assert "threads,1" in meta
