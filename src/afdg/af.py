@@ -6,10 +6,12 @@ flux-projection update that mirrors a two-point numerical flux).  Moments
 update centrally through integration by parts; no Riemann fluxes enter.
 
 2-d: the tensorial variant stores node values, edge moments (k = 0 is the
-edge average) and interior tensor moments.  Its update decomposes exactly
-into 1-d pieces: one-sided derivative stencils act along either edge
-traces or moment rows, and the moment stencil acts along the transverse
-direction.  K = 1 reproduces the edge-average/node/cell-average updates
+edge average) and interior tensor moments.  It is the tensor product of
+the 1-d method, so its linear-advection update is the Kronecker sum
+ux (A (x) I) + uy (I (x) B) of periodic 1-d operators.  Each 1-d operator
+is block-circulant with three (K+1)x(K+1) blocks (``af_stencil_1d``,
+built from ``af_ops`` alone) and ``mesh.kron_sum_apply`` applies it along
+its axis.  K = 1 reproduces the edge-average/node/cell-average updates
 with Simpson-exact edge integrals; K = 2 gives the fourth-order method.
 The classical variant (edge midpoints instead of averages) is kept for
 the midpoint-vs-average comparison and is upwind-only.
@@ -23,14 +25,15 @@ from functools import lru_cache
 import numpy as np
 
 from . import poly
-from .mesh import AfState1D, AfState2D, simpson_edge_average
+from .mesh import (AfState1D, AfState2D, kron_sum_apply,
+                   simpson_edge_average)
 from .problems import NumericalFluxSpec, ProblemSpec
 
 __all__ = [
     "AfOps", "af_ops", "PointUpdateVariant",
     "af_reconstruct", "af_eval_1d", "af_eval_2d", "reconstruction_matrix_2d",
     "af_rhs_1d", "af_rhs_1d_dg_inspired_point", "FluxProjection1D",
-    "af_rhs_2d_tensorial", "af_rhs_2d_classical",
+    "af_stencil_1d", "af_rhs_2d_tensorial", "af_rhs_2d_classical",
 ]
 
 
@@ -375,14 +378,43 @@ def _rhs_from_flux_projection(state, ops, dx, fp: FluxProjection1D) -> AfState1D
 # 2-d tensorial right-hand side
 
 
+# bounded: flux weights are floats, data-dependent for Lax-Friedrichs
+@lru_cache(maxsize=64)
+def af_stencil_1d(K: int, ap: float, am: float) -> np.ndarray:
+    """Block row [L | D | R] of the periodic 1-d AF operator at u = dx = 1.
+
+    Cell i owns its left point value and its K moments, U_i = (p_i, m_i);
+    the derivative is L U_{i-1} + D U_i + R U_{i+1}.  Row 0 is the point
+    update with one-sided weights (ap, am), rows 1..K the moment update;
+    the right point value of cell i is entry 0 of U_{i+1}.
+    """
+    ops = af_ops(K)
+    m = K + 1
+    S = np.zeros((m, 3 * m))
+    L, D, R = S[:, :m], S[:, m:2 * m], S[:, 2 * m:]
+    L[0, :] = -ap * ops.d_plus[:m]
+    D[0, 0] = -ap * ops.d_plus[m] - am * ops.d_minus[0]
+    D[0, 1:] = -am * ops.d_minus[1:m]
+    R[0, 0] = -am * ops.d_minus[m]
+    D[1:, :] = -ops.mom_w[:, :m]
+    R[1:, 0] = -ops.mom_w[:, m]
+    S.flags.writeable = False
+    return S
+
+
 def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
                         alpha: tuple[float, float] = None,
                         beta: tuple[float, float] = None) -> AfState2D:
     """Tensorial AF update for 2-d linear advection, any K >= 1.
 
-    alpha/beta are the one-sided weights of the point updates per axis;
-    omitted weights mean pure upwinding by the sign of the speed.  A
-    zero-speed axis contributes nothing.
+    The update is the Kronecker sum ux (A (x) I) + uy (I (x) B) of the
+    periodic 1-d operators (``af_stencil_1d``) acting on the state read as
+    one (nx, K+1, ny, K+1) tensor: per axis, index 0 is the point value
+    and 1..K the moments, so point x point are the nodes, point x moment
+    the x-edge moments, moment x point the y-edge moments and moment x
+    moment the cell moments.  alpha/beta are the one-sided weights of the
+    point updates per axis; omitted weights mean pure upwinding by the
+    sign of the speed.  A zero-speed axis contributes nothing.
     """
     if state.variant != "tensorial":
         raise ValueError("tensorial right-hand side needs a tensorial state")
@@ -395,55 +427,20 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     _check_weights(alpha)
     _check_weights(beta)
 
-    ops = af_ops(state.K)
-
-    dx, dy = state.grid.dx, state.grid.dy
     K = state.K
-    N, Ex, Ey, Mo = state.node_values, state.x_edge, state.y_edge, state.cell_moments
+    nx, ny = state.node_values.shape
+    U = np.empty((nx, K + 1, ny, K + 1))
+    U[:, 0, :, 0] = state.node_values
+    U[:, 0, :, 1:] = state.x_edge
+    U[:, 1:, :, 0] = np.swapaxes(state.y_edge, 1, 2)
+    U[:, 1:, :, 1:] = np.swapaxes(state.cell_moments, 1, 2)
 
-    # trace bundles along interfaces and moment rows inside cells:
-    # TX[a, j] are the 1-d dofs of vertical interface a over y-cell j,
-    # XR[i, j, :, n] the x-direction dofs of cell (i, j)'s n-th moment row.
-    TX = np.concatenate([N[:, :, None], Ex,
-                         np.roll(N, -1, axis=1)[:, :, None]], axis=2)
-    TY = np.concatenate([N[:, :, None], Ey,
-                         np.roll(N, -1, axis=0)[:, :, None]], axis=2)
-    XR = np.concatenate([Ex[:, :, None, :], Mo,
-                         np.roll(Ex, -1, axis=0)[:, :, None, :]], axis=2)
-    YR = np.concatenate([Ey[:, :, None, :], np.swapaxes(Mo, 2, 3),
-                         np.roll(Ey, -1, axis=1)[:, :, None, :]], axis=2)
-
-    dN = np.zeros_like(N)
-    dEx = np.zeros_like(Ex)
-    dEy = np.zeros_like(Ey)
-    dMo = np.zeros_like(Mo)
-
-    if ux != 0.0:
-        ap, am = alpha
-        # nodes: one-sided x-derivatives of the horizontal-interface traces
-        dty_p = np.einsum("ibp,p->ib", TY, ops.d_plus) / dx
-        dty_m = np.einsum("ibp,p->ib", TY, ops.d_minus) / dx
-        dN -= ux * (ap * np.roll(dty_p, 1, axis=0) + am * dty_m)
-        # x-edge moments: one-sided x-derivatives of the moment rows
-        dxr_p = np.einsum("ijpk,p->ijk", XR, ops.d_plus) / dx
-        dxr_m = np.einsum("ijpk,p->ijk", XR, ops.d_minus) / dx
-        dEx -= ux * (ap * np.roll(dxr_p, 1, axis=0) + am * dxr_m)
-        # y-edge moments and interior moments: transverse moment stencil
-        dEy -= (ux / dx) * np.einsum("kp,ibp->ibk", ops.mom_w, TY)
-        dMo -= (ux / dx) * np.einsum("mp,ijpn->ijmn", ops.mom_w, XR)
-
-    if uy != 0.0:
-        bp, bm = beta
-        dtx_p = np.einsum("ajp,p->aj", TX, ops.d_plus) / dy
-        dtx_m = np.einsum("ajp,p->aj", TX, ops.d_minus) / dy
-        dN -= uy * (bp * np.roll(dtx_p, 1, axis=1) + bm * dtx_m)
-        dyr_p = np.einsum("ijpk,p->ijk", YR, ops.d_plus) / dy
-        dyr_m = np.einsum("ijpk,p->ijk", YR, ops.d_minus) / dy
-        dEy -= uy * (bp * np.roll(dyr_p, 1, axis=1) + bm * dyr_m)
-        dEx -= (uy / dy) * np.einsum("kp,ajp->ajk", ops.mom_w, TX)
-        dMo -= (uy / dy) * np.einsum("np,ijpm->ijmn", ops.mom_w, YR)
-
-    return state.with_arrays([dN, dEx, dEy, dMo])
+    sx = (ux / state.grid.dx) * af_stencil_1d(K, *alpha) if ux != 0.0 else None
+    sy = (uy / state.grid.dy) * af_stencil_1d(K, *beta) if uy != 0.0 else None
+    dU = kron_sum_apply(U, sx, sy)
+    return state.with_arrays([np.ascontiguousarray(a) for a in (
+        dU[:, 0, :, 0], dU[:, 0, :, 1:], np.swapaxes(dU[:, 1:, :, 0], 1, 2),
+        np.swapaxes(dU[:, 1:, :, 1:], 1, 2))])
 
 
 def _check_weights(w):

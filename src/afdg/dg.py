@@ -11,8 +11,11 @@ agree to roundoff:
                    single continuous field.  This is the form the
                    equivalence verifier instruments.
 
-The 2-d assembly is tensor-modal for linear advection; closed-form
-stiffness/trace coefficients make every integral exact.
+The 2-d assembly is tensor-modal for linear advection: the update is the
+Kronecker sum ux (A (x) I) + uy (I (x) B) of periodic 1-d operators, each
+block-circulant with three (K+1)x(K+1) blocks (``dg_stencil_1d``, built
+from the closed-form ``dg_basis`` coefficients alone, so every integral
+is exact), applied along its axis by ``mesh.kron_sum_apply``.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import poly
-from .mesh import AF_N_INT, DG_N_INT, DgState1D, DgState2D
+from .mesh import AF_N_INT, DG_N_INT, DgState1D, DgState2D, kron_sum_apply
 from .problems import NumericalFluxSpec, ProblemSpec, numerical_flux
 
 __all__ = [
-    "DgBasis", "dg_basis", "dg_rhs_1d", "dg_rhs_2d",
+    "DgBasis", "dg_basis", "dg_rhs_1d", "dg_stencil_1d", "dg_rhs_2d",
     "traces", "trace_values_1d",
     "RieszEndpointFunctionals", "riesz_endpoint_functionals",
     "quad_rule_for_order",
@@ -283,38 +286,45 @@ def qhat_interfaces_2d(state: DgState2D, alpha: tuple[float, float],
     return qhat_x, qhat_y
 
 
+# bounded: flux weights are floats, data-dependent for Lax-Friedrichs
+@lru_cache(maxsize=64)
+def dg_stencil_1d(K: int, ap: float, am: float) -> np.ndarray:
+    """Block row [L | D | R] of the periodic 1-d DG operator at u = dx = 1.
+
+    With the weighted interface trace qhat = ap q^+_{left} + am q^-_{right},
+    the modal derivative of cell i is L c_{i-1} + D c_i + R c_{i+1}, each
+    row divided by its mass entry.
+    """
+    b = dg_basis(K)
+    vr, vl = b.value_right, b.value_left
+    S = np.hstack([ap * np.outer(vl, vr),
+                   b.stiffness - ap * np.outer(vr, vr) + am * np.outer(vl, vl),
+                   -am * np.outer(vr, vl)]) / b.mass[:, None]
+    S.flags.writeable = False
+    return S
+
+
 def dg_rhs_2d(state: DgState2D, ux: float, uy: float,
               flux_x: NumericalFluxSpec, flux_y: NumericalFluxSpec
               ) -> DgState2D:
     """Tensor-modal update for 2-d linear advection.
 
-    A zero-speed axis contributes nothing (its flux terms carry the factor
+    The update is the Kronecker sum ux (A (x) I) + uy (I (x) B) of the
+    periodic 1-d operators (``dg_stencil_1d`` with each flux's advection
+    weights) acting on coeffs[i, j, m, n] read as U[i, m, j, n].  A
+    zero-speed axis contributes nothing (its flux terms carry the factor
     u).  Nonlinear problems are out of scope here.
     """
     if not state.periodic:
         raise NotImplementedError("use the padded driver path for Dirichlet runs")
-    basis = dg_basis(state.K)
-    dx, dy = state.grid.dx, state.grid.dy
-    c = state.coeffs
-
-    dc = np.zeros_like(c)
-
+    K = state.K
+    sx = sy = None
     if ux != 0.0:
-        alpha = flux_x.advection_weights(ux)
-        qhat_x, _ = qhat_interfaces_2d(state, alpha, (1.0, 0.0))
-        qhat_x_right = np.roll(qhat_x, -1, axis=0)
-        term = np.einsum("am,ijmn->ijan", basis.stiffness, c)
-        term -= np.einsum("a,ijn->ijan", basis.value_right, qhat_x_right)
-        term += np.einsum("a,ijn->ijan", basis.value_left, qhat_x)
-        dc += (ux / dx) * term / basis.mass[None, None, :, None]
-
+        sx = (ux / state.grid.dx) * dg_stencil_1d(
+            K, *flux_x.advection_weights(ux))
     if uy != 0.0:
-        beta = flux_y.advection_weights(uy)
-        _, qhat_y = qhat_interfaces_2d(state, (1.0, 0.0), beta)
-        qhat_y_top = np.roll(qhat_y, -1, axis=1)
-        term = np.einsum("bn,ijmn->ijmb", basis.stiffness, c)
-        term -= np.einsum("b,ijm->ijmb", basis.value_right, qhat_y_top)
-        term += np.einsum("b,ijm->ijmb", basis.value_left, qhat_y)
-        dc += (uy / dy) * term / basis.mass[None, None, None, :]
-
-    return state.with_arrays([dc])
+        sy = (uy / state.grid.dy) * dg_stencil_1d(
+            K, *flux_y.advection_weights(uy))
+    U = np.ascontiguousarray(np.swapaxes(state.coeffs, 1, 2))
+    dU = kron_sum_apply(U, sx, sy)
+    return state.with_arrays([np.ascontiguousarray(np.swapaxes(dU, 1, 2))])

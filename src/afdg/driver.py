@@ -21,7 +21,8 @@ import numpy as np
 from . import af, dg, mesh, poly, timeint
 from .mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid1D, Grid2D,
                    dof_counts)
-from .problems import NumericalFluxSpec, builtin_problems
+from .problems import (NumericalFluxSpec, builtin_problems,
+                       lax_friedrichs_speed)
 
 __all__ = [
     "ConfigError", "RunConfig", "parse_config", "ErrorReport", "BenchRecord",
@@ -110,6 +111,20 @@ class RunConfig:
             bad("t_final", "must be a positive number")
         if self.cfl_override is not None and not _positive(self.cfl_override):
             bad("cfl_override", "must be a positive number or none")
+        # errors are measured against the advected exact solution
+        problems = sorted(p for p in builtin_problems()
+                          if p.startswith("advection"))
+        if self.problem not in problems:
+            bad("problem", "must be one of " + ", ".join(problems))
+        two_d = self.problem.endswith("2d")
+        boundaries = ("periodic", "dirichlet") if two_d else ("periodic",)
+        if self.boundary not in boundaries:
+            bad("boundary", "must be one of " + ", ".join(boundaries))
+        inits = _INIT_2D if two_d else _INIT_1D
+        if self.init not in inits:
+            bad("init", "must be one of " + ", ".join(inits))
+        if self.flux not in _FLUXES:
+            bad("flux", "must be one of " + ", ".join(_FLUXES))
 
 
 def _positive(x) -> bool:
@@ -162,21 +177,24 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 # initial data and exact solutions
 
 
+_INIT_2D = {
+    "gauss": lambda x, y: 0.8 + np.exp(-((x - 0.5) / 0.05) ** 2
+                                       - ((y - 0.5) / 0.05) ** 2),
+    "sine": lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y),
+}
+_INIT_1D = {
+    "sine": lambda x: np.sin(2 * np.pi * x),
+    "gauss": lambda x: 0.8 + np.exp(-((x - 0.5) / 0.05) ** 2),
+    "const": lambda x: np.ones_like(np.asarray(x, dtype=float)),
+}
+
+
 def initial_condition(cfg: RunConfig):
-    if cfg.problem.endswith("2d"):
-        if cfg.init == "gauss":
-            return lambda x, y: 0.8 + np.exp(-((x - 0.5) / 0.05) ** 2
-                                             - ((y - 0.5) / 0.05) ** 2)
-        if cfg.init == "sine":
-            return lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
-        raise ValueError(f"unknown 2-d initial data {cfg.init!r}")
-    if cfg.init in ("sine", "gauss"):
-        if cfg.init == "sine":
-            return lambda x: np.sin(2 * np.pi * x)
-        return lambda x: 0.8 + np.exp(-((x - 0.5) / 0.05) ** 2)
-    if cfg.init == "const":
-        return lambda x: np.ones_like(np.asarray(x, dtype=float))
-    raise ValueError(f"unknown initial data {cfg.init!r}")
+    inits = _INIT_2D if cfg.problem.endswith("2d") else _INIT_1D
+    if cfg.init not in inits:
+        raise ConfigError(f"config key 'init' must be one of "
+                          f"{', '.join(inits)}, got {cfg.init!r}")
+    return inits[cfg.init]
 
 
 def exact_solution(cfg: RunConfig):
@@ -198,18 +216,21 @@ def make_problem(cfg: RunConfig):
     return factory()
 
 
+_FLUXES = {
+    "upwind": lambda cfg, problem, values: NumericalFluxSpec.upwind(),
+    "central": lambda cfg, problem, values: NumericalFluxSpec.central(),
+    "alpha": lambda cfg, problem, values: NumericalFluxSpec.alpha(
+        cfg.alpha_plus, 1.0 - cfg.alpha_plus),
+    "lax_friedrichs": lambda cfg, problem, values:
+        NumericalFluxSpec.lax_friedrichs(lax_friedrichs_speed(problem, values)),
+}
+
+
 def make_flux(cfg: RunConfig, problem=None, state_values=None) -> NumericalFluxSpec:
-    if cfg.flux == "upwind":
-        return NumericalFluxSpec.upwind()
-    if cfg.flux == "central":
-        return NumericalFluxSpec.central()
-    if cfg.flux == "alpha":
-        return NumericalFluxSpec.alpha(cfg.alpha_plus, 1.0 - cfg.alpha_plus)
-    if cfg.flux == "lax_friedrichs":
-        from .problems import lax_friedrichs_speed
-        return NumericalFluxSpec.lax_friedrichs(
-            lax_friedrichs_speed(problem, state_values))
-    raise ValueError(f"unknown flux {cfg.flux!r}")
+    if cfg.flux not in _FLUXES:
+        raise ConfigError(f"config key 'flux' must be one of "
+                          f"{', '.join(_FLUXES)}, got {cfg.flux!r}")
+    return _FLUXES[cfg.flux](cfg, problem, state_values)
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +431,6 @@ def run_simulation(cfg: RunConfig, n: int | None = None,
                    timed_repeats: int = 1) -> RunResult:
     """Integrate one grid to t_final; timing excludes setup and errors."""
     cfg.validate()
-    if not cfg.problem.startswith("advection"):
-        raise ValueError("error measurement needs the advected exact "
-                         "solution; simulations run advection problems")
     n = n or cfg.grids[0]
     problem = make_problem(cfg)
     state0 = build_state(cfg, n)
@@ -445,11 +463,14 @@ def run_simulation(cfg: RunConfig, n: int | None = None,
 
 def run_convergence_study(cfg: RunConfig):
     """Rows (method, dx, e_dofs, eoc) over the config's grid list."""
+    cfg.validate()
     if len(cfg.grids) < 2:
-        raise ValueError("a convergence study needs at least two grids")
+        raise ConfigError(f"config key 'grids' needs at least two grids for "
+                          f"a convergence study, got {cfg.grids!r}")
     for a, b in zip(cfg.grids[:-1], cfg.grids[1:]):
         if b != 2 * a:
-            raise ValueError("grids must refine by factors of 2")
+            raise ConfigError(f"config key 'grids' must refine by factors "
+                              f"of 2, got {cfg.grids!r}")
     rows = []
     prev = None
     for n in cfg.grids:

@@ -1,4 +1,5 @@
-"""Cartesian grids, dof containers for AF and DG, and dof bookkeeping.
+"""Cartesian grids, dof containers for AF and DG, dof bookkeeping, and the
+periodic tensor-product apply shared by both 2-d right-hand sides.
 
 States are plain value containers around numpy arrays; right-hand-side
 evaluation treats them as immutable.  Interface point values are stored
@@ -23,7 +24,7 @@ __all__ = [
     "DofCounts", "dof_counts", "AF_N_INT", "DG_N_INT", "AF_CFL", "DG_CFL",
     "simpson_edge_average", "simpson_midpoint",
     "fill_af_1d", "fill_dg_1d", "fill_af_2d", "fill_dg_2d",
-    "state_rows", "save_state_csv",
+    "kron_sum_apply", "state_rows", "save_state_csv",
 ]
 
 # Method catalog: quadrature exactness degree and CFL number per order,
@@ -379,6 +380,47 @@ def fill_dg_2d(grid: Grid2D, K: int, init: Callable,
         for n in range(K + 1):
             coeffs[:, :, m, n] = np.einsum("ijab,a,b->ij", fq, w[m], w[n])
     return DgState2D(grid, K, coeffs, periodic)
+
+
+# ---------------------------------------------------------------------------
+# tensor-product operators on periodic grids
+
+
+def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
+                   sy: np.ndarray | None) -> np.ndarray:
+    """Apply ``Sx (x) I + I (x) Sy`` to a periodic tensor-product state.
+
+    U has shape (nx, m, ny, m): cell i, x-dof a, cell j, y-dof b.  A
+    stencil is the (m, 3m) block row [L | D | R] of a block-circulant 1-d
+    operator, out_i = L U_{i-1} + D U_i + R U_{i+1}; it acts along its
+    axis as one matmul against the stacked neighbours.  ``None`` skips the
+    axis.  Both matmuls are batches of small products (one per x-cell, or
+    per x-cell and x-dof), so BLAS runs them on the calling thread.
+    """
+    nx, m, ny, _ = U.shape
+    if sx is None:
+        out = np.zeros_like(U)
+    else:
+        W = _with_neighbours(U.reshape(nx, m, ny * m), 0)
+        out = np.matmul(sx, W).reshape(U.shape)
+    if sy is not None:
+        W = _with_neighbours(U.reshape(nx * m, ny, m), 1)
+        out += np.matmul(W, sy.T).reshape(U.shape)
+    return out
+
+
+def _with_neighbours(V: np.ndarray, axis: int) -> np.ndarray:
+    """[V_{i-1}; V_i; V_{i+1}], periodic in i along ``axis``, stacked on
+    the axis after it (which grows from m to 3m)."""
+    W = np.empty(V.shape[:axis + 1] + (3,) + V.shape[axis + 1:])
+    src = np.moveaxis(V, axis, 0)
+    dst = np.moveaxis(W, (axis, axis + 1), (0, 1))
+    dst[1:, 0], dst[0, 0] = src[:-1], src[-1]
+    dst[:, 1] = src
+    dst[:-1, 2], dst[-1, 2] = src[1:], src[0]
+    shape = list(V.shape)
+    shape[axis + 1] *= 3
+    return W.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

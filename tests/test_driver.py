@@ -73,6 +73,30 @@ def test_invalid_config_rejected_before_any_step(key, value, tmp_path,
     assert not (tmp_path / "state.csv").exists()
 
 
+@pytest.mark.parametrize("command,key,value,extra", [
+    ("run", "boundary", "bogus", []),
+    ("run", "boundary", "dirichlet", ["problem=advection1d"]),
+    ("run", "init", "foo", []),
+    ("run", "flux", "bogus", []),
+    ("run", "problem", "burgers", []),
+    ("convergence", "grids", "20,30", []),
+])
+def test_cli_names_bad_key_before_any_step(command, key, value, extra,
+                                           tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a time step was taken")
+
+    monkeypatch.setattr(timeint, "rk_step", refuse)
+    argv = [command, "--set", "grids=8", "--set", f"{key}={value}"]
+    for item in extra:
+        argv += ["--set", item]
+    code = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and f"config key '{key}'" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_method_ids():
     assert RunConfig(method="af", order=3, rk="ssprk3").method_id() == "AF33"
     assert RunConfig(method="dg", order=5, rk="ssprk54").method_id() == "DG54"

@@ -1,0 +1,245 @@
+"""The 2-d right-hand sides as Kronecker sums of 1-d three-block stencils.
+
+``einsum_af_rhs_2d`` and ``einsum_dg_rhs_2d`` are the trace-bundle einsum
+assemblies that ``af.af_rhs_2d_tensorial`` and ``dg.dg_rhs_2d`` used
+before the Kronecker-sum apply, kept here unchanged as an independent
+reference.  The row-wise tests check the other defining property: with
+one speed zero, every grid line evolves under the 1-d operator.
+"""
+
+import numpy as np
+import pytest
+
+from afdg import af, dg
+from afdg.af import PointUpdateVariant, af_ops
+from afdg.dg import dg_basis, qhat_interfaces_2d
+from afdg.mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid2D,
+                       kron_sum_apply)
+from afdg.problems import NumericalFluxSpec, advection1d
+
+
+def einsum_af_rhs_2d(state, ux, uy, alpha, beta):
+    ops = af_ops(state.K)
+
+    dx, dy = state.grid.dx, state.grid.dy
+    K = state.K
+    N, Ex, Ey, Mo = state.node_values, state.x_edge, state.y_edge, state.cell_moments
+
+    # trace bundles along interfaces and moment rows inside cells:
+    # TX[a, j] are the 1-d dofs of vertical interface a over y-cell j,
+    # XR[i, j, :, n] the x-direction dofs of cell (i, j)'s n-th moment row.
+    TX = np.concatenate([N[:, :, None], Ex,
+                         np.roll(N, -1, axis=1)[:, :, None]], axis=2)
+    TY = np.concatenate([N[:, :, None], Ey,
+                         np.roll(N, -1, axis=0)[:, :, None]], axis=2)
+    XR = np.concatenate([Ex[:, :, None, :], Mo,
+                         np.roll(Ex, -1, axis=0)[:, :, None, :]], axis=2)
+    YR = np.concatenate([Ey[:, :, None, :], np.swapaxes(Mo, 2, 3),
+                         np.roll(Ey, -1, axis=1)[:, :, None, :]], axis=2)
+
+    dN = np.zeros_like(N)
+    dEx = np.zeros_like(Ex)
+    dEy = np.zeros_like(Ey)
+    dMo = np.zeros_like(Mo)
+
+    if ux != 0.0:
+        ap, am = alpha
+        # nodes: one-sided x-derivatives of the horizontal-interface traces
+        dty_p = np.einsum("ibp,p->ib", TY, ops.d_plus) / dx
+        dty_m = np.einsum("ibp,p->ib", TY, ops.d_minus) / dx
+        dN -= ux * (ap * np.roll(dty_p, 1, axis=0) + am * dty_m)
+        # x-edge moments: one-sided x-derivatives of the moment rows
+        dxr_p = np.einsum("ijpk,p->ijk", XR, ops.d_plus) / dx
+        dxr_m = np.einsum("ijpk,p->ijk", XR, ops.d_minus) / dx
+        dEx -= ux * (ap * np.roll(dxr_p, 1, axis=0) + am * dxr_m)
+        # y-edge moments and interior moments: transverse moment stencil
+        dEy -= (ux / dx) * np.einsum("kp,ibp->ibk", ops.mom_w, TY)
+        dMo -= (ux / dx) * np.einsum("mp,ijpn->ijmn", ops.mom_w, XR)
+
+    if uy != 0.0:
+        bp, bm = beta
+        dtx_p = np.einsum("ajp,p->aj", TX, ops.d_plus) / dy
+        dtx_m = np.einsum("ajp,p->aj", TX, ops.d_minus) / dy
+        dN -= uy * (bp * np.roll(dtx_p, 1, axis=1) + bm * dtx_m)
+        dyr_p = np.einsum("ijpk,p->ijk", YR, ops.d_plus) / dy
+        dyr_m = np.einsum("ijpk,p->ijk", YR, ops.d_minus) / dy
+        dEy -= uy * (bp * np.roll(dyr_p, 1, axis=1) + bm * dyr_m)
+        dEx -= (uy / dy) * np.einsum("kp,ajp->ajk", ops.mom_w, TX)
+        dMo -= (uy / dy) * np.einsum("np,ijpm->ijmn", ops.mom_w, YR)
+
+    return state.with_arrays([dN, dEx, dEy, dMo])
+
+
+def einsum_dg_rhs_2d(state, ux, uy, flux_x, flux_y):
+    basis = dg_basis(state.K)
+    dx, dy = state.grid.dx, state.grid.dy
+    c = state.coeffs
+
+    dc = np.zeros_like(c)
+
+    if ux != 0.0:
+        alpha = flux_x.advection_weights(ux)
+        qhat_x, _ = qhat_interfaces_2d(state, alpha, (1.0, 0.0))
+        qhat_x_right = np.roll(qhat_x, -1, axis=0)
+        term = np.einsum("am,ijmn->ijan", basis.stiffness, c)
+        term -= np.einsum("a,ijn->ijan", basis.value_right, qhat_x_right)
+        term += np.einsum("a,ijn->ijan", basis.value_left, qhat_x)
+        dc += (ux / dx) * term / basis.mass[None, None, :, None]
+
+    if uy != 0.0:
+        beta = flux_y.advection_weights(uy)
+        _, qhat_y = qhat_interfaces_2d(state, (1.0, 0.0), beta)
+        qhat_y_top = np.roll(qhat_y, -1, axis=1)
+        term = np.einsum("bn,ijmn->ijmb", basis.stiffness, c)
+        term -= np.einsum("b,ijm->ijmb", basis.value_right, qhat_y_top)
+        term += np.einsum("b,ijm->ijmb", basis.value_left, qhat_y)
+        dc += (uy / dy) * term / basis.mass[None, None, None, :]
+
+    return state.with_arrays([dc])
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def random_states(K, nx, ny, rng):
+    """Random periodic AF and DG states on [0, 1] x [0, 1.5]."""
+    grid = Grid2D(0.0, 1.0, nx, 0.0, 1.5, ny)
+    r = lambda *shape: rng.uniform(-1.0, 1.0, shape)
+    af_state = AfState2D(grid, K, r(nx, ny), r(nx, ny, K), r(nx, ny, K),
+                         r(nx, ny, K, K))
+    return af_state, DgState2D(grid, K, r(nx, ny, K + 1, K + 1))
+
+
+def assert_same(got, want, rel):
+    for g, w in zip(got.arrays(), want.arrays()):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w), initial=0.0) \
+            <= rel * np.max(np.abs(w), initial=0.0)
+
+
+# ---------------------------------------------------------------------------
+# stencils and the apply
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_stencils_are_cached_and_read_only(K):
+    for stencil in (af.af_stencil_1d, dg.dg_stencil_1d):
+        S = stencil(K, 0.7, 0.3)
+        assert S.shape == (K + 1, 3 * (K + 1))
+        assert stencil(K, 0.7, 0.3) is S
+        assert not S.flags.writeable
+
+
+def test_kron_sum_apply_is_the_dense_kronecker_sum():
+    rng = np.random.default_rng(5)
+    nx, ny, m = 4, 3, 2
+    sx, sy = rng.normal(size=(m, 3 * m)), rng.normal(size=(m, 3 * m))
+    U = rng.normal(size=(nx, m, ny, m))
+
+    def circulant(S, n):
+        A = np.zeros((n * m, n * m))
+        for i in range(n):
+            for block, shift in enumerate((-1, 0, 1)):
+                k = (i + shift) % n
+                A[i * m:(i + 1) * m, k * m:(k + 1) * m] += \
+                    S[:, block * m:(block + 1) * m]
+        return A
+
+    dense = (np.kron(circulant(sx, nx), np.eye(ny * m))
+             + np.kron(np.eye(nx * m), circulant(sy, ny)))
+    want = (dense @ U.ravel()).reshape(U.shape)
+    assert np.allclose(kron_sum_apply(U, sx, sy), want, atol=1e-13)
+    assert np.allclose(kron_sum_apply(U, sx, None),
+                       (np.kron(circulant(sx, nx), np.eye(ny * m))
+                        @ U.ravel()).reshape(U.shape), atol=1e-13)
+    assert not np.any(kron_sum_apply(U, None, None))
+
+
+@pytest.mark.parametrize("weights", [None, (0.7, 0.3), (0.5, 0.5)])
+@pytest.mark.parametrize("ux,uy", [(1.0, -0.5), (-0.7, 1.0), (1.0, 0.0),
+                                   (0.0, -1.3), (-1.0, -1.0), (0.3, 0.9),
+                                   (0.0, 0.0)])
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_kron_sum_matches_einsum_reference(K, ux, uy, weights):
+    """Both families, both axis orders of the weights, grids n x (n+1)."""
+    rng = np.random.default_rng(K)
+    for n in (3, 7):
+        af_state, dg_state = random_states(K, n, n + 1, rng)
+        if weights is None:
+            alpha = (1.0, 0.0) if ux >= 0 else (0.0, 1.0)
+            beta = (1.0, 0.0) if uy >= 0 else (0.0, 1.0)
+            flux_x = flux_y = NumericalFluxSpec.upwind()
+        else:
+            alpha, beta = weights, weights[::-1]
+            flux_x = NumericalFluxSpec.alpha(*alpha)
+            flux_y = NumericalFluxSpec.alpha(*beta)
+        assert_same(af.af_rhs_2d_tensorial(af_state, ux, uy, alpha, beta),
+                    einsum_af_rhs_2d(af_state, ux, uy, alpha, beta), 1e-13)
+        assert_same(dg.dg_rhs_2d(dg_state, ux, uy, flux_x, flux_y),
+                    einsum_dg_rhs_2d(dg_state, ux, uy, flux_x, flux_y), 1e-13)
+
+
+# ---------------------------------------------------------------------------
+# row-wise reduction to the 1-d operators
+
+
+def af_lines(state, axis):
+    """(point values, moments) of every grid line along ``axis``."""
+    K = state.K
+    if axis == "x":
+        for j in range(state.node_values.shape[1]):
+            yield state.node_values[:, j], state.y_edge[:, j, :]
+            for k in range(K):
+                yield state.x_edge[:, j, k], state.cell_moments[:, j, :, k]
+    else:
+        for i in range(state.node_values.shape[0]):
+            yield state.node_values[i, :], state.x_edge[i, :, :]
+            for k in range(K):
+                yield state.y_edge[i, :, k], state.cell_moments[i, :, k, :]
+
+
+def dg_lines(state, axis):
+    """Modal blocks of every grid line along ``axis``."""
+    c = state.coeffs
+    if axis == "x":
+        return [c[:, j, :, n] for j in range(c.shape[1])
+                for n in range(c.shape[3])]
+    return [c[i, :, m, :] for i in range(c.shape[0])
+            for m in range(c.shape[2])]
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("draw", range(8))
+def test_rows_reduce_to_1d_operators(draw, axis):
+    rng = np.random.default_rng(100 + draw)
+    K = int(rng.integers(1, 5))
+    ap = float(rng.uniform(0.0, 1.0))
+    weights = (ap, 1.0 - ap)
+    u = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5))
+    af_state, dg_state = random_states(K, 5, 4, rng)
+    grid = af_state.grid
+    line_grid = grid.gx if axis == "x" else grid.gy
+    ux, uy = (u, 0.0) if axis == "x" else (0.0, u)
+    problem = advection1d(u=u)
+
+    d_af = af.af_rhs_2d_tensorial(af_state, ux, uy, weights, weights)
+    variant = PointUpdateVariant.alpha(*weights)
+    scale = max(np.max(np.abs(a)) for a in d_af.arrays())
+    for (pts, mom), (dpts, dmom) in zip(af_lines(af_state, axis),
+                                        af_lines(d_af, axis)):
+        line = AfState1D(line_grid, K, pts[:, None], mom[:, :, None])
+        d1 = af.af_rhs_1d(line, problem, variant)
+        assert np.allclose(dpts, d1.point_values[:, 0], rtol=0,
+                           atol=1e-13 * scale)
+        assert np.allclose(dmom, d1.moments[:, :, 0], rtol=0,
+                           atol=1e-13 * scale)
+
+    flux = NumericalFluxSpec.alpha(*weights)
+    d_dg = dg.dg_rhs_2d(dg_state, ux, uy, flux, flux)
+    scale = np.max(np.abs(d_dg.coeffs))
+    for c, dc in zip(dg_lines(dg_state, axis), dg_lines(d_dg, axis)):
+        d1 = dg.dg_rhs_1d(DgState1D(line_grid, K, c[:, :, None]), problem,
+                          flux)
+        assert np.allclose(dc, d1.coeffs[:, :, 0], rtol=0,
+                           atol=1e-13 * scale)
