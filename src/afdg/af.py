@@ -438,6 +438,8 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     sx = (ux / state.grid.dx) * af_stencil_1d(K, *alpha) if ux != 0.0 else None
     sy = (uy / state.grid.dy) * af_stencil_1d(K, *beta) if uy != 0.0 else None
     dU = kron_sum_apply(U, sx, sy)
+    # contiguous copies: the RK stage sums read each derivative once, and
+    # strided reads there cost more than one copy here
     return state.with_arrays([np.ascontiguousarray(a) for a in (
         dU[:, 0, :, 0], dU[:, 0, :, 1:], np.swapaxes(dU[:, 1:, :, 0], 1, 2),
         np.swapaxes(dU[:, 1:, :, 1:], 1, 2))])

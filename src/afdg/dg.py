@@ -327,4 +327,5 @@ def dg_rhs_2d(state: DgState2D, ux: float, uy: float,
             K, *flux_y.advection_weights(uy))
     U = np.ascontiguousarray(np.swapaxes(state.coeffs, 1, 2))
     dU = kron_sum_apply(U, sx, sy)
+    # contiguous, like the input: the RK stage sums read it (see af.py)
     return state.with_arrays([np.ascontiguousarray(np.swapaxes(dU, 1, 2))])

@@ -493,8 +493,11 @@ def _dg_sample_errors_1d(state: DgState1D, exact, t, points) -> float:
 def run_superconvergence_probe(cfg: RunConfig):
     """DG error sampled at Radau/uniform/average (1-d) or crossing points
     (2-d); rows (point_set, dx, error, eoc)."""
-    if cfg.method != "dg" or cfg.flux != "upwind":
-        raise ValueError("the superconvergence probe runs upwind DG")
+    for key, want in (("method", "dg"), ("flux", "upwind")):
+        if getattr(cfg, key) != want:
+            raise ConfigError(f"config key {key!r} must be {want!r} for the "
+                              f"superconvergence probe, got "
+                              f"{getattr(cfg, key)!r}")
     exact = exact_solution(cfg)
     rows = []
     if not cfg.problem.endswith("2d"):
@@ -513,7 +516,10 @@ def run_superconvergence_probe(cfg: RunConfig):
                 (state.coeffs[:, 0, :] - exact_state.coeffs[:, 0, :]) ** 2))))
     else:
         if cfg.K != 1:
-            raise ValueError("the 2-d crossing-point probe is built for K=1")
+            key = "order" if cfg.k is None else "k"
+            raise ConfigError(f"config key {key!r} must give K = 1 for the "
+                              f"2-d crossing-point probe, got "
+                              f"{getattr(cfg, key)!r}")
         cross_x = poly.radau_points(1, "left" if cfg.ux > 0 else "right")
         cross_y = poly.radau_points(1, "left" if cfg.uy > 0 else "right")
         errs = {"crossing_points": []}
@@ -548,7 +554,8 @@ def run_benchmark(cfg: RunConfig, methods=None, min_time: float = 0.05,
     RK schemes and grids.
     """
     if len(cfg.grids) < 3:
-        raise ValueError("scaling fits need at least three grid sizes")
+        raise ConfigError(f"config key 'grids' needs at least three grids "
+                          f"for a scaling fit, got {cfg.grids!r}")
     methods = methods or [("af", 3), ("dg", 3)]
     records = []
     slopes = []

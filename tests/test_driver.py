@@ -80,6 +80,9 @@ def test_invalid_config_rejected_before_any_step(key, value, tmp_path,
     ("run", "flux", "bogus", []),
     ("run", "problem", "burgers", []),
     ("convergence", "grids", "20,30", []),
+    ("superconvergence", "method", "af", []),
+    ("superconvergence", "order", "3", []),
+    ("bench", "grids", "20,40", []),
 ])
 def test_cli_names_bad_key_before_any_step(command, key, value, extra,
                                            tmp_path, capsys, monkeypatch):
