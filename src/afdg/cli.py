@@ -13,6 +13,7 @@ import sys
 
 from . import driver, equiv
 from .mesh import save_state_csv
+from .problems import builtin_problems
 
 
 def _load_config(args) -> driver.RunConfig:
@@ -82,6 +83,7 @@ def cmd_superconvergence(args) -> int:
 def cmd_equiv_check(args) -> int:
     cfg = _load_config(args)
     dimension = 2 if cfg.problem.endswith("2d") else 1
+    _check_equiv_keys(cfg, dimension)
     setting = equiv.EquivSetting(
         dimension=dimension, problem=cfg.problem,
         problem_params=_problem_params(cfg), flux=cfg.flux,
@@ -97,6 +99,22 @@ def cmd_equiv_check(args) -> int:
         print("metadata:", ", ".join(f"{k}={v}" for k, v in
                                      sorted(report.metadata.items()) if v != ""))
     return 0 if report.passed else 1
+
+
+def _check_equiv_keys(cfg: driver.RunConfig, dimension: int) -> None:
+    """Reject the keys ``equiv.verify_equivalence`` cannot run with."""
+    problems = sorted(builtin_problems())
+    fluxes = ["upwind", "central", "alpha"] + ["lax_friedrichs"] * (dimension == 1)
+    k_key = "order" if cfg.k is None else "k"
+    for key, ok, why in (
+            ("problem", cfg.problem in problems,
+             f"must be one of {', '.join(problems)}"),
+            ("flux", cfg.flux in fluxes,
+             f"must be one of {', '.join(fluxes)} in {dimension}-d"),
+            (k_key, cfg.K >= 1, "must give K >= 1")):
+        if not ok:
+            raise driver.ConfigError(f"config key {key!r} {why}, got "
+                                     f"{getattr(cfg, key)!r}")
 
 
 def _problem_params(cfg: driver.RunConfig) -> dict:

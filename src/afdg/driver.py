@@ -15,6 +15,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -237,35 +238,33 @@ def make_flux(cfg: RunConfig, problem=None, state_values=None) -> NumericalFluxS
 # Dirichlet ghost padding (exact-solution traces)
 
 
-def _pad_2d(state, fill, exact, t: float):
-    """Embed the state in a one-cell ghost ring projected from the exact
-    solution; the periodic stencil code then runs unchanged and the ring
-    derivatives are discarded.
+def _pad_2d(state, project, exact, t: float):
+    """Embed the state in a ghost ring projected from the exact solution;
+    the periodic stencil code then runs unchanged and the ring derivatives
+    are discarded.
 
     Cell (i, j) of the padded periodic grid owns entry [i, j] of every
     state array: a DG cell its modes, an AF cell its lower-left node, left
-    edge, bottom edge and moments.  Each ring strip is therefore
-    ``fill(strip_grid, f)``, a non-periodic state of the strip, cut to its
-    cells.  The state goes in last, so its own right and top boundary
-    dofs win over the ring's.
+    edge, bottom edge and moments.  The ring is every padded cell outside
+    the state's cells, projected by one ``project(f, x0, y0, dx, dy)``
+    call.  The padding reaches one cell beyond every state array, because
+    an AF state's right and top boundary dofs need the cell beyond them
+    for inflow from that side.  The state goes in last, so its own
+    boundary dofs win over the ring's.
     """
     g = state.grid
-    nx, ny = g.n_cells_x, g.n_cells_y
-    gpad = Grid2D(g.x_min - g.dx, g.x_max + g.dx, nx + 2,
-                  g.y_min - g.dy, g.y_max + g.dy, ny + 2)
-    padded = [np.empty((nx + 2, ny + 2) + a.shape[2:]) for a in state.arrays()]
-
-    def fill_strip(x0, x1, ncx, y0, y1, ncy, si, sj):
-        strip = fill(Grid2D(x0, x1, ncx, y0, y1, ncy),
-                     lambda x, y: exact(t, x, y))
-        for a, s in zip(padded, strip.arrays()):
-            a[si:si + ncx, sj:sj + ncy] = s[:ncx, :ncy]
-
-    fill_strip(gpad.x_min, gpad.x_max, nx + 2, gpad.y_min, g.y_min, 1, 0, 0)
-    fill_strip(gpad.x_min, gpad.x_max, nx + 2, g.y_max, gpad.y_max, 1, 0, ny + 1)
-    fill_strip(gpad.x_min, g.x_min, 1, g.y_min, g.y_max, ny, 0, 1)
-    fill_strip(g.x_max, gpad.x_max, 1, g.y_min, g.y_max, ny, nx + 1, 1)
-    for a, s in zip(padded, state.arrays()):
+    arrays = state.arrays()
+    npx, npy = (2 + max(a.shape[k] for a in arrays) for k in (0, 1))
+    gpad = Grid2D(g.x_min - g.dx, g.x_min + (npx - 1) * g.dx, npx,
+                  g.y_min - g.dy, g.y_min + (npy - 1) * g.dy, npy)
+    ring = np.ones((npx, npy), dtype=bool)
+    ring[1:1 + g.n_cells_x, 1:1 + g.n_cells_y] = False
+    i, j = np.nonzero(ring)
+    ghosts = project(lambda x, y: exact(t, x, y), g.x_min + (i - 1) * g.dx,
+                     g.y_min + (j - 1) * g.dy, g.dx, g.dy)
+    padded = [np.empty((npx, npy) + a.shape[2:]) for a in arrays]
+    for a, r, s in zip(padded, ghosts, arrays):
+        a[ring] = r
         a[1:1 + s.shape[0], 1:1 + s.shape[1]] = s
     return replace(state, grid=gpad, periodic=True).with_arrays(padded)
 
@@ -284,21 +283,24 @@ def build_state(cfg: RunConfig, n: int):
     """Initial state; AF moments are integrated with the catalog rule of
     the selected order (matching the solver's integration order), DG uses
     the plain high-accuracy projection."""
-    q0 = initial_condition(cfg)
+    if not cfg.problem.endswith("2d") and cfg.boundary != "periodic":
+        raise ValueError("1-d runs are periodic")
+    rule = dg.quad_rule_for_order("af", cfg.order) if cfg.method == "af" else None
+    return _fill(cfg, n, initial_condition(cfg), rule)
+
+
+def _fill(cfg: RunConfig, n: int, f, rule=None):
+    """The method's state of f on the unit square or interval, n cells per
+    axis; ``rule`` integrates the AF moments (default: the fill rule)."""
     periodic = cfg.boundary == "periodic"
     if cfg.problem.endswith("2d"):
         grid = Grid2D.square(n)
         if cfg.method == "dg":
-            return mesh.fill_dg_2d(grid, cfg.K, q0, periodic)
-        rule = dg.quad_rule_for_order("af", cfg.order)
-        return mesh.fill_af_2d(grid, cfg.K, q0, "tensorial", periodic, rule)
-    grid = Grid1D(0.0, 1.0, n)
-    if not periodic:
-        raise ValueError("1-d runs are periodic")
+            return mesh.fill_dg_2d(grid, cfg.K, f, periodic)
+        return mesh.fill_af_2d(grid, cfg.K, f, "tensorial", periodic, rule)
     if cfg.method == "dg":
-        return mesh.fill_dg_1d(grid, cfg.K, q0)
-    return mesh.fill_af_1d(grid, cfg.K, q0,
-                           rule=dg.quad_rule_for_order("af", cfg.order))
+        return mesh.fill_dg_1d(Grid1D(0.0, 1.0, n), cfg.K, f)
+    return mesh.fill_af_1d(Grid1D(0.0, 1.0, n), cfg.K, f, rule=rule)
 
 
 def make_rhs(cfg: RunConfig, problem, flux: NumericalFluxSpec):
@@ -310,18 +312,17 @@ def make_rhs(cfg: RunConfig, problem, flux: NumericalFluxSpec):
         ux, uy, K = cfg.ux, cfg.uy, cfg.K
         if cfg.method == "dg":
             op = lambda state: dg.dg_rhs_2d(state, ux, uy, flux, flux)
-            fill = lambda grid, f: mesh.fill_dg_2d(grid, K, f, periodic=False)
+            project = partial(mesh.dg_cell_dofs_2d, K)
         else:
             alpha = flux.advection_weights(ux) if ux != 0 else (1.0, 0.0)
             beta = flux.advection_weights(uy) if uy != 0 else (1.0, 0.0)
             op = lambda state: af.af_rhs_2d_tensorial(state, ux, uy,
                                                       alpha, beta)
-            fill = lambda grid, f: mesh.fill_af_2d(grid, K, f,
-                                                   periodic=False)
+            project = partial(mesh.af_cell_dofs_2d, K)
         if not dirichlet:
             return lambda state, t: op(state)
-        return lambda state, t: _slice_pad(op(_pad_2d(state, fill, exact, t)),
-                                           state)
+        return lambda state, t: _slice_pad(
+            op(_pad_2d(state, project, exact, t)), state)
 
     if cfg.method == "dg":
         return lambda state, t: dg.dg_rhs_1d(state, problem, flux)
@@ -369,18 +370,7 @@ def _family_arrays(state, exact_state):
 
 def exact_state_at(cfg: RunConfig, n: int, t: float):
     exact = exact_solution(cfg)
-    periodic = cfg.boundary == "periodic"
-    if cfg.problem.endswith("2d"):
-        grid = Grid2D.square(n)
-        f = lambda x, y: exact(t, x, y)
-        if cfg.method == "dg":
-            return mesh.fill_dg_2d(grid, cfg.K, f, periodic)
-        return mesh.fill_af_2d(grid, cfg.K, f, "tensorial", periodic)
-    grid = Grid1D(0.0, 1.0, n)
-    f = lambda x: exact(t, x)
-    if cfg.method == "dg":
-        return mesh.fill_dg_1d(grid, cfg.K, f)
-    return mesh.fill_af_1d(grid, cfg.K, f)
+    return _fill(cfg, n, lambda *x: exact(t, *x))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
-"""Cartesian grids, dof containers for AF and DG, dof bookkeeping, and the
-periodic tensor-product apply shared by both 2-d right-hand sides.
+"""Cartesian grids, dof containers for AF and DG, dof bookkeeping, the
+per-family cell projections, and the periodic tensor-product apply shared
+by both 2-d right-hand sides.
 
 States are plain value containers around numpy arrays; right-hand-side
 evaluation treats them as immutable.  Interface point values are stored
-once per interface (sharedness is structural).  Component-major layouts
-keep per-family norms and timing loops cache friendly.
+once per interface (sharedness is structural): in 2-d, cell (i, j) owns
+entry [i, j] of every state array, and ``af_cell_dofs_2d`` and
+``dg_cell_dofs_2d`` project data onto the dofs of any set of cells, for
+the 2-d fills and the Dirichlet ghost ring alike.  Component-major
+layouts keep per-family norms and timing loops cache friendly.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "DofCounts", "dof_counts", "AF_N_INT", "DG_N_INT", "AF_CFL", "DG_CFL",
     "simpson_edge_average", "simpson_midpoint",
     "fill_af_1d", "fill_dg_1d", "fill_af_2d", "fill_dg_2d",
+    "af_cell_dofs_2d", "dg_cell_dofs_2d",
     "kron_sum_apply", "state_rows", "save_state_csv",
 ]
 
@@ -153,14 +158,6 @@ class AfState1D:
     def n_components(self) -> int:
         return self.point_values.shape[1]
 
-    def cell_dofs(self, i: int) -> np.ndarray:
-        """Dofs of cell i in basis order: left point, moments, right point."""
-        n = self.grid.n_cells
-        right = (i + 1) % n if self.periodic else i + 1
-        return np.concatenate([self.point_values[None, i],
-                               self.moments[i],
-                               self.point_values[None, right]], axis=0)
-
     def copy(self) -> "AfState1D":
         return replace(self, point_values=self.point_values.copy(),
                        moments=self.moments.copy())
@@ -265,6 +262,12 @@ def _as_components(values, m: int) -> np.ndarray:
     return values
 
 
+def _af_moment_weights(K: int, rule: poly.QuadratureRule) -> np.ndarray:
+    """Row k: the rule's weights of the k-th AF moment."""
+    return np.array([poly.moment_normalization(k) * poly.moment_weight(k)(rule.nodes)
+                     * rule.weights for k in range(K)])
+
+
 def fill_af_1d(grid: Grid1D, K: int, init: Callable, n_components: int = 1,
                periodic: bool = True,
                rule: poly.QuadratureRule | None = None) -> AfState1D:
@@ -274,18 +277,11 @@ def fill_af_1d(grid: Grid1D, K: int, init: Callable, n_components: int = 1,
     production runs pass the method's catalog rule instead so the state
     preparation matches the solver's own integration order.
     """
-    xs_if = grid.interfaces(periodic)
-    pts = _as_components(init(xs_if), n_components)
-
+    pts = _as_components(init(grid.interfaces(periodic)), n_components)
     rule = rule or _FILL_RULE
-    nodes, weights = rule.nodes, rule.weights
-    xq = grid.centers()[:, None] + grid.dx * nodes[None, :]
-    fq = _as_components(init(xq), n_components)  # (n_cells, 12, m)
-    moments = np.empty((grid.n_cells, K, n_components))
-    for k in range(K):
-        bw = poly.moment_normalization(k) * poly.moment_weight(k)(nodes) * weights
-        moments[:, k, :] = np.tensordot(fq, bw, axes=(1, 0))
-    return AfState1D(grid, K, pts, moments, periodic)
+    xq = grid.centers()[:, None] + grid.dx * rule.nodes[None, :]
+    fq = _as_components(init(xq), n_components)  # (n_cells, nq, m)
+    return AfState1D(grid, K, pts, _af_moment_weights(K, rule) @ fq, periodic)
 
 
 @lru_cache(maxsize=None)
@@ -304,81 +300,77 @@ def _dg_projection_weights(K: int) -> np.ndarray:
 def fill_dg_1d(grid: Grid1D, K: int, init: Callable, n_components: int = 1,
                periodic: bool = True) -> DgState1D:
     """Cell-wise L2 projection onto the endpoint-normalized Legendre basis."""
-    nodes = _FILL_RULE.nodes
-    xq = grid.centers()[:, None] + grid.dx * nodes[None, :]
+    xq = grid.centers()[:, None] + grid.dx * _FILL_RULE.nodes[None, :]
     fq = _as_components(init(xq), n_components)
-    coeffs = np.empty((grid.n_cells, K + 1, n_components))
-    for n, w in enumerate(_dg_projection_weights(K)):
-        coeffs[:, n, :] = np.tensordot(fq, w, axes=(1, 0))
-    return DgState1D(grid, K, coeffs, periodic)
+    return DgState1D(grid, K, _dg_projection_weights(K) @ fq, periodic)
+
+
+def _points(x0, d: float, nodes: np.ndarray) -> np.ndarray:
+    """(..., q): the quadrature points of the cells that start at x0."""
+    return (np.asarray(x0, dtype=float) + 0.5 * d)[..., None] + d * nodes
+
+
+def _eval(f: Callable, x, y) -> np.ndarray:
+    """f(x, y) broadcast to the shape of x and y (constant data may be smaller)."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    return np.broadcast_to(np.asarray(f(x, y), dtype=float), shape)
+
+
+def af_cell_dofs_2d(K: int, f: Callable, x0, y0, dx: float, dy: float,
+                    rule: poly.QuadratureRule | None = None) -> list:
+    """In ``AfState2D.arrays()`` order, the lower-left node, left-edge and
+    bottom-edge moments and tensor moments of the cells with lower-left
+    corners (x0, y0), which broadcast (a grid passes a column and a row).
+    Edge moments are ``f @ B.T``, cell moments ``B @ f @ B.T``."""
+    rule = rule or _FILL_RULE
+    B = _af_moment_weights(K, rule)
+    xq, yq = _points(x0, dx, rule.nodes), _points(y0, dy, rule.nodes)
+    return [np.array(_eval(f, x0, y0)),
+            _eval(f, np.expand_dims(x0, -1), yq) @ B.T,
+            _eval(f, xq, np.expand_dims(y0, -1)) @ B.T,
+            B @ _eval(f, xq[..., :, None], yq[..., None, :]) @ B.T]
+
+
+def dg_cell_dofs_2d(K: int, f: Callable, x0, y0, dx: float,
+                    dy: float) -> list:
+    """``[W @ f @ W.T]``: the modes of the cells with lower-left corners
+    (x0, y0), as in ``af_cell_dofs_2d``."""
+    W = _dg_projection_weights(K)
+    xq, yq = _points(x0, dx, _FILL_RULE.nodes), _points(y0, dy, _FILL_RULE.nodes)
+    return [W @ _eval(f, xq[..., :, None], yq[..., None, :]) @ W.T]
 
 
 def fill_af_2d(grid: Grid2D, K: int, init: Callable,
                variant: str = "tensorial", periodic: bool = True,
                rule: poly.QuadratureRule | None = None) -> AfState2D:
-    """Sample nodes, quadrature edge and cell moments (tensorial variant),
-    or sample edge midpoints (classical variant)."""
+    """The tensorial dofs of every corner's cell, cut to the state's shapes
+    (a non-periodic grid has n+1 corners per axis), or sampled nodes and
+    edge midpoints and quadrature cell averages (classical variant)."""
     xs_if = grid.gx.interfaces(periodic)
     ys_if = grid.gy.interfaces(periodic)
-    xc, yc = grid.gx.centers(), grid.gy.centers()
-    rule = rule or _FILL_RULE
-    nodes, weights = rule.nodes, rule.weights
-
-    node_values = np.asarray(init(xs_if[:, None], ys_if[None, :]), dtype=float)
-
     if variant == "classical_midpoint":
         if K != 1:
             raise ValueError("classical variant is third order only (K=1)")
+        xc, yc = grid.gx.centers(), grid.gy.centers()
+        node_values = np.asarray(init(xs_if[:, None], ys_if[None, :]), dtype=float)
         x_edge = np.asarray(init(xs_if[:, None], yc[None, :]), dtype=float)[..., None]
         y_edge = np.asarray(init(xc[:, None], ys_if[None, :]), dtype=float)[..., None]
-        avg = _cell_averages_2d(grid, init)
         return AfState2D(grid, 1, node_values, x_edge, y_edge,
-                         avg[..., None, None], variant, periodic)
+                         fill_dg_2d(grid, 0, init).coeffs, variant, periodic)
 
     if variant != "tensorial":
         raise ValueError(f"unknown AF 2-d variant {variant!r}")
-
-    bws = [poly.moment_normalization(k) * poly.moment_weight(k)(nodes) * weights
-           for k in range(K)]
-
-    fx = init(xs_if[:, None, None], yc[None, :, None] + grid.dy * nodes[None, None, :])
-    x_edge = np.stack([np.tensordot(fx, bw, axes=(2, 0)) for bw in bws], axis=-1)
-
-    # horizontal edges: quadrature runs along x, axes (cell_x, interface_y, quad)
-    fy = init(xc[:, None, None] + grid.dx * nodes[None, None, :],
-              ys_if[None, :, None])
-    y_edge = np.stack([np.tensordot(fy, bw, axes=(2, 0)) for bw in bws], axis=-1)
-
-    xq2 = xc[:, None, None, None] + grid.dx * nodes[None, None, :, None]
-    yq2 = yc[None, :, None, None] + grid.dy * nodes[None, None, None, :]
-    fq = np.asarray(init(xq2, yq2), dtype=float)
-    cell_moments = np.empty((grid.n_cells_x, grid.n_cells_y, K, K))
-    for m in range(K):
-        for n in range(K):
-            cell_moments[:, :, m, n] = np.einsum("ijab,a,b->ij", fq, bws[m], bws[n])
-    return AfState2D(grid, K, node_values, x_edge, y_edge, cell_moments,
-                     variant, periodic)
-
-
-def _cell_averages_2d(grid: Grid2D, f: Callable) -> np.ndarray:
-    nodes, weights = _FILL_RULE.nodes, _FILL_RULE.weights
-    xq = grid.gx.centers()[:, None, None, None] + grid.dx * nodes[None, None, :, None]
-    yq = grid.gy.centers()[None, :, None, None] + grid.dy * nodes[None, None, None, :]
-    fq = np.asarray(f(xq, yq), dtype=float)
-    return np.einsum("ijab,a,b->ij", fq, weights, weights)
+    nx, ny = grid.n_cells_x, grid.n_cells_y
+    node_values, x_edge, y_edge, cell_moments = af_cell_dofs_2d(
+        K, init, xs_if[:, None], ys_if[None, :], grid.dx, grid.dy, rule)
+    return AfState2D(grid, K, node_values, x_edge[:, :ny], y_edge[:nx],
+                     cell_moments[:nx, :ny], variant, periodic)
 
 
 def fill_dg_2d(grid: Grid2D, K: int, init: Callable,
                periodic: bool = True) -> DgState2D:
-    nodes = _FILL_RULE.nodes
-    xq = grid.gx.centers()[:, None, None, None] + grid.dx * nodes[None, None, :, None]
-    yq = grid.gy.centers()[None, :, None, None] + grid.dy * nodes[None, None, None, :]
-    fq = np.asarray(init(xq, yq), dtype=float)
-    coeffs = np.empty((grid.n_cells_x, grid.n_cells_y, K + 1, K + 1))
-    w = _dg_projection_weights(K)
-    for m in range(K + 1):
-        for n in range(K + 1):
-            coeffs[:, :, m, n] = np.einsum("ijab,a,b->ij", fq, w[m], w[n])
+    coeffs, = dg_cell_dofs_2d(K, init, grid.gx.interfaces()[:, None],
+                              grid.gy.interfaces()[None, :], grid.dx, grid.dy)
     return DgState2D(grid, K, coeffs, periodic)
 
 

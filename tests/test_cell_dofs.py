@@ -1,0 +1,240 @@
+"""The sum-factorised cell projections behind the fills and the ghost ring.
+
+``loop_fill_*`` are the per-mode quadrature loops that the fills in
+``afdg.mesh`` used before ``af_cell_dofs_2d``/``dg_cell_dofs_2d``, and
+``strip_pad_2d`` the ghost ring assembled from four non-periodic strip
+fills that ``driver._pad_2d`` used before its one projection call.  They
+are kept here unchanged as an independent reference.
+"""
+
+import functools
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from afdg import dg, driver, mesh, poly
+from afdg.driver import RunConfig
+from afdg.mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid1D,
+                       Grid2D, _FILL_RULE, _as_components,
+                       _dg_projection_weights)
+
+
+def loop_fill_af_1d(grid, K, init, n_components=1, periodic=True, rule=None):
+    xs_if = grid.interfaces(periodic)
+    pts = _as_components(init(xs_if), n_components)
+
+    rule = rule or _FILL_RULE
+    nodes, weights = rule.nodes, rule.weights
+    xq = grid.centers()[:, None] + grid.dx * nodes[None, :]
+    fq = _as_components(init(xq), n_components)  # (n_cells, 12, m)
+    moments = np.empty((grid.n_cells, K, n_components))
+    for k in range(K):
+        bw = poly.moment_normalization(k) * poly.moment_weight(k)(nodes) * weights
+        moments[:, k, :] = np.tensordot(fq, bw, axes=(1, 0))
+    return AfState1D(grid, K, pts, moments, periodic)
+
+
+def loop_fill_dg_1d(grid, K, init, n_components=1, periodic=True):
+    nodes = _FILL_RULE.nodes
+    xq = grid.centers()[:, None] + grid.dx * nodes[None, :]
+    fq = _as_components(init(xq), n_components)
+    coeffs = np.empty((grid.n_cells, K + 1, n_components))
+    for n, w in enumerate(_dg_projection_weights(K)):
+        coeffs[:, n, :] = np.tensordot(fq, w, axes=(1, 0))
+    return DgState1D(grid, K, coeffs, periodic)
+
+
+def loop_fill_af_2d(grid, K, init, variant="tensorial", periodic=True,
+                    rule=None):
+    xs_if = grid.gx.interfaces(periodic)
+    ys_if = grid.gy.interfaces(periodic)
+    xc, yc = grid.gx.centers(), grid.gy.centers()
+    rule = rule or _FILL_RULE
+    nodes, weights = rule.nodes, rule.weights
+
+    node_values = np.asarray(init(xs_if[:, None], ys_if[None, :]), dtype=float)
+
+    if variant == "classical_midpoint":
+        if K != 1:
+            raise ValueError("classical variant is third order only (K=1)")
+        x_edge = np.asarray(init(xs_if[:, None], yc[None, :]), dtype=float)[..., None]
+        y_edge = np.asarray(init(xc[:, None], ys_if[None, :]), dtype=float)[..., None]
+        avg = loop_cell_averages_2d(grid, init)
+        return AfState2D(grid, 1, node_values, x_edge, y_edge,
+                         avg[..., None, None], variant, periodic)
+
+    if variant != "tensorial":
+        raise ValueError(f"unknown AF 2-d variant {variant!r}")
+
+    bws = [poly.moment_normalization(k) * poly.moment_weight(k)(nodes) * weights
+           for k in range(K)]
+
+    fx = init(xs_if[:, None, None], yc[None, :, None] + grid.dy * nodes[None, None, :])
+    x_edge = np.stack([np.tensordot(fx, bw, axes=(2, 0)) for bw in bws], axis=-1)
+
+    # horizontal edges: quadrature runs along x, axes (cell_x, interface_y, quad)
+    fy = init(xc[:, None, None] + grid.dx * nodes[None, None, :],
+              ys_if[None, :, None])
+    y_edge = np.stack([np.tensordot(fy, bw, axes=(2, 0)) for bw in bws], axis=-1)
+
+    xq2 = xc[:, None, None, None] + grid.dx * nodes[None, None, :, None]
+    yq2 = yc[None, :, None, None] + grid.dy * nodes[None, None, None, :]
+    fq = np.asarray(init(xq2, yq2), dtype=float)
+    cell_moments = np.empty((grid.n_cells_x, grid.n_cells_y, K, K))
+    for m in range(K):
+        for n in range(K):
+            cell_moments[:, :, m, n] = np.einsum("ijab,a,b->ij", fq, bws[m], bws[n])
+    return AfState2D(grid, K, node_values, x_edge, y_edge, cell_moments,
+                     variant, periodic)
+
+
+def loop_cell_averages_2d(grid, f):
+    nodes, weights = _FILL_RULE.nodes, _FILL_RULE.weights
+    xq = grid.gx.centers()[:, None, None, None] + grid.dx * nodes[None, None, :, None]
+    yq = grid.gy.centers()[None, :, None, None] + grid.dy * nodes[None, None, None, :]
+    fq = np.asarray(f(xq, yq), dtype=float)
+    return np.einsum("ijab,a,b->ij", fq, weights, weights)
+
+
+def loop_fill_dg_2d(grid, K, init, periodic=True):
+    nodes = _FILL_RULE.nodes
+    xq = grid.gx.centers()[:, None, None, None] + grid.dx * nodes[None, None, :, None]
+    yq = grid.gy.centers()[None, :, None, None] + grid.dy * nodes[None, None, None, :]
+    fq = np.asarray(init(xq, yq), dtype=float)
+    coeffs = np.empty((grid.n_cells_x, grid.n_cells_y, K + 1, K + 1))
+    w = _dg_projection_weights(K)
+    for m in range(K + 1):
+        for n in range(K + 1):
+            coeffs[:, :, m, n] = np.einsum("ijab,a,b->ij", fq, w[m], w[n])
+    return DgState2D(grid, K, coeffs, periodic)
+
+
+def strip_pad_2d(state, fill, exact, t):
+    g = state.grid
+    nx, ny = g.n_cells_x, g.n_cells_y
+    gpad = Grid2D(g.x_min - g.dx, g.x_max + g.dx, nx + 2,
+                  g.y_min - g.dy, g.y_max + g.dy, ny + 2)
+    padded = [np.empty((nx + 2, ny + 2) + a.shape[2:]) for a in state.arrays()]
+
+    def fill_strip(x0, x1, ncx, y0, y1, ncy, si, sj):
+        strip = fill(Grid2D(x0, x1, ncx, y0, y1, ncy),
+                     lambda x, y: exact(t, x, y))
+        for a, s in zip(padded, strip.arrays()):
+            a[si:si + ncx, sj:sj + ncy] = s[:ncx, :ncy]
+
+    fill_strip(gpad.x_min, gpad.x_max, nx + 2, gpad.y_min, g.y_min, 1, 0, 0)
+    fill_strip(gpad.x_min, gpad.x_max, nx + 2, g.y_max, gpad.y_max, 1, 0, ny + 1)
+    fill_strip(gpad.x_min, g.x_min, 1, g.y_min, g.y_max, ny, 0, 1)
+    fill_strip(g.x_max, gpad.x_max, 1, g.y_min, g.y_max, ny, nx + 1, 1)
+    for a, s in zip(padded, state.arrays()):
+        a[1:1 + s.shape[0], 1:1 + s.shape[1]] = s
+    return replace(state, grid=gpad, periodic=True).with_arrays(padded)
+
+
+# ---------------------------------------------------------------------------
+
+TOL = 1e-14
+GRIDS = {"3x4": Grid2D(0.0, 1.0, 3, 0.0, 1.5, 4),
+         "7x5": Grid2D(-0.25, 1.0, 7, 0.1, 0.9, 5)}
+
+
+def _exact(init, ux=0.7, uy=-0.4):
+    cfg = RunConfig(problem="advection2d", init=init, ux=ux, uy=uy)
+    return driver.exact_solution(cfg)
+
+
+# each entry: the data for the new fill, and the same data for the loop
+# reference, whose quadrature needs f in the full point shape
+DATA = {
+    "gauss": (lambda x, y: _exact("gauss")(0.03, x, y),) * 2,
+    "sine": (lambda x, y: _exact("sine")(0.03, x, y),) * 2,
+    "ones": (lambda x, y: np.ones_like(x), lambda x, y: np.ones_like(x + y)),
+}
+
+
+def assert_close(new, ref):
+    assert len(new) == len(ref)
+    for a, b in zip(new, ref):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= TOL * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("data", sorted(DATA))
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_2d_fills_match_loop_reference(K, grid, periodic, data):
+    g = GRIDS[grid]
+    f, f_ref = DATA[data]
+    assert_close(mesh.fill_dg_2d(g, K, f, periodic).arrays(),
+                 loop_fill_dg_2d(g, K, f_ref, periodic).arrays())
+    catalog = dg.quad_rule_for_order("af", K + 2)
+    for rule in (None, catalog):
+        assert_close(mesh.fill_af_2d(g, K, f, "tensorial", periodic,
+                                     rule).arrays(),
+                     loop_fill_af_2d(g, K, f_ref, "tensorial", periodic,
+                                     rule).arrays())
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_classical_fill_matches_loop_reference(periodic):
+    g = GRIDS["7x5"]
+    f = DATA["gauss"][0]
+    assert_close(mesh.fill_af_2d(g, 1, f, "classical_midpoint",
+                                 periodic).arrays(),
+                 loop_fill_af_2d(g, 1, f, "classical_midpoint",
+                                 periodic).arrays())
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_1d_fills_match_loop_reference(K):
+    g = Grid1D(-0.25, 1.0, 7)
+    f = lambda x: np.stack([np.sin(3 * x), np.exp(x)], axis=-1)
+    assert_close(mesh.fill_dg_1d(g, K, f, 2).arrays(),
+                 loop_fill_dg_1d(g, K, f, 2).arrays())
+    for rule in (None, dg.quad_rule_for_order("af", K + 2)):
+        assert_close(mesh.fill_af_1d(g, K, f, 2, rule=rule).arrays(),
+                     loop_fill_af_1d(g, K, f, 2, rule=rule).arrays())
+
+
+def test_cell_dofs_broadcast_over_any_cell_set():
+    # a flat list of cells gives the entries of the grid call at those cells
+    g = GRIDS["7x5"]
+    f = DATA["sine"][0]
+    i, j = np.array([0, 6, 3, 2]), np.array([4, 0, 2, 2])
+    x0, y0 = g.x_min + i * g.dx, g.y_min + j * g.dy
+    for cell_dofs, grid_dofs in (
+            (mesh.af_cell_dofs_2d(3, f, x0, y0, g.dx, g.dy),
+             mesh.fill_af_2d(g, 3, f).arrays()),
+            (mesh.dg_cell_dofs_2d(3, f, x0, y0, g.dx, g.dy),
+             mesh.fill_dg_2d(g, 3, f).arrays())):
+        assert_close(cell_dofs, [a[i, j] for a in grid_dofs])
+
+
+FAMILIES = {
+    "af": (lambda g, K, f: loop_fill_af_2d(g, K, f, periodic=False),
+           mesh.af_cell_dofs_2d),
+    "dg": (lambda g, K, f: loop_fill_dg_2d(g, K, f, periodic=False),
+           mesh.dg_cell_dofs_2d),
+}
+
+
+@pytest.mark.parametrize("data", ["gauss", "sine"])
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("family", ["af", "dg"])
+def test_ghost_ring_matches_strip_reference(family, K, grid, data):
+    loop_fill, cell_dofs = FAMILIES[family]
+    g = GRIDS[grid]
+    exact = _exact(data)
+    state = loop_fill(g, K, lambda x, y: exact(0.0, x, y))
+    new = driver._pad_2d(state, functools.partial(cell_dofs, K), exact, 0.02)
+    old = strip_pad_2d(state, lambda gs, f: loop_fill(gs, K, f), exact, 0.02)
+    # every padded cell the strips filled; an AF state's padding reaches
+    # one cell further right and up
+    assert_close([a[:b.shape[0], :b.shape[1]]
+                  for a, b in zip(new.arrays(), old.arrays())], old.arrays())
+    grow = 1 if family == "af" else 0
+    for a in new.arrays():
+        assert a.shape[:2] == (g.n_cells_x + 2 + grow, g.n_cells_y + 2 + grow)

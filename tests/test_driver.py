@@ -1,5 +1,6 @@
 """Experiment driver and command-line interface."""
 
+import functools
 import math
 import os
 import subprocess
@@ -83,6 +84,12 @@ def test_invalid_config_rejected_before_any_step(key, value, tmp_path,
     ("superconvergence", "method", "af", []),
     ("superconvergence", "order", "3", []),
     ("bench", "grids", "20,40", []),
+    ("equiv-check", "flux", "bogus", []),
+    ("equiv-check", "problem", "bogus", []),
+    ("equiv-check", "flux", "lax_friedrichs", ["problem=advection2d"]),
+    ("equiv-check", "k", "0", ["problem=advection1d"]),
+    ("equiv-check", "k", "0", ["problem=advection2d"]),
+    ("equiv-check", "order", "1", ["problem=advection1d"]),
 ])
 def test_cli_names_bad_key_before_any_step(command, key, value, extra,
                                            tmp_path, capsys, monkeypatch):
@@ -198,45 +205,56 @@ def test_dirichlet_af_matches_periodic_for_compact_data():
 PAD_FAMILIES = {
     "af": (lambda g, K, f, periodic: mesh.fill_af_2d(g, K, f, "tensorial",
                                                      periodic),
+           mesh.af_cell_dofs_2d,
            lambda s, ux, uy: af.af_rhs_2d_tensorial(s, ux, uy)),
     "dg": (lambda g, K, f, periodic: mesh.fill_dg_2d(g, K, f, periodic),
+           mesh.dg_cell_dofs_2d,
            lambda s, ux, uy: dg.dg_rhs_2d(s, ux, uy, UPWIND, UPWIND)),
 }
-
-UPPER_INFLOW_AF = pytest.mark.xfail(strict=True, reason=(
-    "known defect: the AF dofs on the right/top boundary are owned by ring "
-    "cells, and with inflow there their upwind stencil needs a node beyond "
-    "the one-cell ring; the periodic wrap supplies the opposite ring's"))
 
 
 @pytest.mark.parametrize("inflow", ["lower", "upper"])
 @pytest.mark.parametrize("K", [1, 2, 3])
 @pytest.mark.parametrize("family", ["af", "dg"])
-def test_ghost_padding_is_exact(family, K, inflow, request):
+def test_ghost_padding_is_exact(family, K, inflow):
+    # "lower" has inflow through the left and bottom ring strips, "upper"
+    # through the right and top ones
+    ux, uy = {"lower": (1.0, 0.6), "upper": (-0.7, -1.0)}[inflow]
+    fill, cell_dofs, rhs = PAD_FAMILIES[family]
+    assert_padding_exact(fill, cell_dofs, lambda s: rhs(s, ux, uy), K)
+
+
+@pytest.mark.parametrize("ux,uy", [(1.0, 0.6), (-0.7, -1.0)])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_af_ghost_padding_is_exact_with_downwind_weight(K, ux, uy):
+    # an alpha flux weights both sides, so the AF dofs on every boundary
+    # read the ring cells beyond them whatever the speeds' signs
+    flux = NumericalFluxSpec.alpha(0.7, 0.3)
+    alpha, beta = flux.advection_weights(ux), flux.advection_weights(uy)
+    fill, cell_dofs, _ = PAD_FAMILIES["af"]
+    assert_padding_exact(
+        fill, cell_dofs,
+        lambda s: af.af_rhs_2d_tensorial(s, ux, uy, alpha, beta), K)
+
+
+def assert_padding_exact(fill, cell_dofs, rhs, K):
     # for periodic-compatible data the ghost ring equals the wrapped data,
     # so the padded non-periodic rhs must reproduce the periodic one,
-    # boundary dofs included; "lower" has inflow through the left and
-    # bottom ring strips, "upper" through the right and top ones
-    if (family, inflow) == ("af", "upper"):
-        request.applymarker(UPPER_INFLOW_AF)
-    ux, uy = {"lower": (1.0, 0.6), "upper": (-0.7, -1.0)}[inflow]
-    fill, rhs = PAD_FAMILIES[family]
-    cfg = RunConfig(method=family, problem="advection2d", init="sine",
-                    boundary="dirichlet")
+    # boundary dofs included
+    cfg = RunConfig(problem="advection2d", init="sine", boundary="dirichlet")
     exact = driver.exact_solution(cfg)
     q0 = lambda x, y: exact(0.0, x, y)
     sp = fill(Grid2D.square(8), K, q0, True)
     sd = fill(Grid2D.square(8), K, q0, False)
-    strip_fill = lambda g, f: fill(g, K, f, False)
+    project = functools.partial(cell_dofs, K)
     # the embedding keeps every state dof, boundary ones included
     noisy = sd.with_arrays([a + 0.1 for a in sd.arrays()])
-    back = driver._slice_pad(driver._pad_2d(noisy, strip_fill, exact, 0.0),
+    back = driver._slice_pad(driver._pad_2d(noisy, project, exact, 0.0),
                              noisy)
     for a, b in zip(noisy.arrays(), back.arrays()):
         assert np.array_equal(a, b)
-    padded = driver._pad_2d(sd, strip_fill, exact, 0.0)
-    dp = rhs(sp, ux, uy)
-    dd = driver._slice_pad(rhs(padded, ux, uy), sd)
+    dp = rhs(sp)
+    dd = driver._slice_pad(rhs(driver._pad_2d(sd, project, exact, 0.0)), sd)
     for p, d in zip(dp.arrays(), dd.arrays()):
         wrapped = np.take(np.take(p, range(d.shape[0]), 0, mode="wrap"),
                           range(d.shape[1]), 1, mode="wrap")
@@ -251,6 +269,24 @@ def test_dirichlet_transports_inflow_data():
                     t_final=0.1, boundary="dirichlet")
     res = driver.run_simulation(cfg)
     assert res.errors.e_dofs < 5e-3
+
+
+@pytest.mark.parametrize("ux,uy", [(-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)])
+@pytest.mark.parametrize("order", [3, 4])
+def test_af_dirichlet_errors_are_sign_symmetric(order, ux, uy):
+    # sin(2 pi x) sin(2 pi y) on the unit square is odd under x -> 1 - x
+    # and y -> 1 - y, so reversing a speed mirrors the solution and must
+    # leave every error and EOC unchanged, inflow from the right or top
+    # included
+    def study(ux, uy):
+        cfg = RunConfig(method="af", order=order, problem="advection2d",
+                        ux=ux, uy=uy, init="sine", boundary="dirichlet",
+                        grids=(10, 20), t_final=0.1)
+        return driver.run_convergence_study(cfg)
+
+    for ref, row in zip(study(1.0, 1.0), study(ux, uy)):
+        assert row[2] == pytest.approx(ref[2], rel=1e-9)
+        assert math.isnan(ref[3]) or row[3] == pytest.approx(ref[3], abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
