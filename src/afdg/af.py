@@ -8,11 +8,12 @@ update centrally through integration by parts; no Riemann fluxes enter.
 2-d: the tensorial variant stores node values, edge moments (k = 0 is the
 edge average) and interior tensor moments.  It is the tensor product of
 the 1-d method, so its linear-advection update is the Kronecker sum
-ux (A (x) I) + uy (I (x) B) of periodic 1-d operators.  Each 1-d operator
-is block-circulant with three (K+1)x(K+1) blocks (``af_stencil_1d``,
-built from ``af_ops`` alone) and ``mesh.kron_sum_apply`` applies it along
-its axis.  K = 1 reproduces the edge-average/node/cell-average updates
-with Simpson-exact edge integrals; K = 2 gives the fourth-order method.
+ux (A (x) I) + uy (I (x) B) of 1-d operators, periodic or closed by
+Dirichlet ghost blocks.  Each is the block row of three (K+1)x(K+1)
+blocks (``af_stencil_1d``, built from ``af_ops`` alone) that
+``mesh.kron_sum_apply`` applies along its axis.  K = 1 reproduces the
+edge-average/node/cell-average updates with Simpson-exact edge
+integrals; K = 2 gives the fourth-order method.
 The classical variant (edge midpoints instead of averages) is kept for
 the midpoint-vs-average comparison and is upwind-only.
 """
@@ -149,22 +150,7 @@ def reconstruction_matrix_2d(state: AfState2D, i: int, j: int) -> np.ndarray:
     """Tensor dof matrix C with value(xi, eta) = Bx(xi)^T C By(eta)."""
     if state.variant != "tensorial":
         raise ValueError("tensor reconstruction requires the tensorial variant")
-    K = state.K
-    n = state.grid.n_cells_x
-    ny = state.grid.n_cells_y
-    ip = (i + 1) % n if state.periodic else i + 1
-    jp = (j + 1) % ny if state.periodic else j + 1
-    C = np.zeros((K + 2, K + 2))
-    C[0, 0] = state.node_values[i, j]
-    C[K + 1, 0] = state.node_values[ip, j]
-    C[0, K + 1] = state.node_values[i, jp]
-    C[K + 1, K + 1] = state.node_values[ip, jp]
-    C[0, 1:K + 1] = state.x_edge[i, j]
-    C[K + 1, 1:K + 1] = state.x_edge[ip, j]
-    C[1:K + 1, 0] = state.y_edge[i, j]
-    C[1:K + 1, K + 1] = state.y_edge[i, jp]
-    C[1:K + 1, 1:K + 1] = state.cell_moments[i, j]
-    return C
+    return _dof_tensor_2d(state)[i, j]
 
 
 def af_eval_2d(state: AfState2D, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -180,31 +166,19 @@ def af_eval_2d(state: AfState2D, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
 
 def _dof_tensor_2d(state: AfState2D) -> np.ndarray:
-    K = state.K
-    N, Ex, Ey, Mo = state.node_values, state.x_edge, state.y_edge, state.cell_moments
+    """(nx, ny, K+2, K+2): every cell's block closed by the point rows of
+    its right and top neighbours, which hold its right and top boundary
+    dofs; per axis the order is (left point, moments, right point)."""
+    V = state.U.swapaxes(1, 2)
     if state.periodic:
-        Nr = np.roll(N, -1, axis=0)
-        Nt = np.roll(N, -1, axis=1)
-        Nrt = np.roll(Nr, -1, axis=1)
-        Exr = np.roll(Ex, -1, axis=0)
-        Eyt = np.roll(Ey, -1, axis=1)
-        nx, ny = N.shape
-    else:
-        nx, ny = N.shape[0] - 1, N.shape[1] - 1
-        Nr, Nt, Nrt = N[1:, :-1], N[:-1, 1:], N[1:, 1:]
-        N = N[:-1, :-1]
-        Exr, Ex = Ex[1:, :], Ex[:-1, :]
-        Eyt, Ey = Ey[:, 1:], Ey[:, :-1]
-    C = np.zeros((nx, ny, K + 2, K + 2))
-    C[:, :, 0, 0] = N
-    C[:, :, K + 1, 0] = Nr
-    C[:, :, 0, K + 1] = Nt
-    C[:, :, K + 1, K + 1] = Nrt
-    C[:, :, 0, 1:K + 1] = Ex
-    C[:, :, K + 1, 1:K + 1] = Exr
-    C[:, :, 1:K + 1, 0] = Ey
-    C[:, :, 1:K + 1, K + 1] = Eyt
-    C[:, :, 1:K + 1, 1:K + 1] = Mo
+        V = np.concatenate([V, V[:1]], axis=0)
+        V = np.concatenate([V, V[:, :1]], axis=1)
+    m = state.K + 1
+    C = np.empty((V.shape[0] - 1, V.shape[1] - 1, m + 1, m + 1))
+    C[:, :, :m, :m] = V[:-1, :-1]
+    C[:, :, m, :m] = V[1:, :-1, 0]
+    C[:, :, :m, m] = V[:-1, 1:, :, 0]
+    C[:, :, m, m] = V[1:, 1:, 0, 0]
     return C
 
 
@@ -404,22 +378,29 @@ def af_stencil_1d(K: int, ap: float, am: float) -> np.ndarray:
 
 def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
                         alpha: tuple[float, float] = None,
-                        beta: tuple[float, float] = None) -> AfState2D:
+                        beta: tuple[float, float] = None,
+                        ghosts=None) -> AfState2D:
     """Tensorial AF update for 2-d linear advection, any K >= 1.
 
     The update is the Kronecker sum ux (A (x) I) + uy (I (x) B) of the
-    periodic 1-d operators (``af_stencil_1d``) acting on the state read as
-    one (nx, K+1, ny, K+1) tensor: per axis, index 0 is the point value
+    1-d operators (``af_stencil_1d``) applied by ``mesh.kron_sum_apply``
+    to the state tensor U[i, a, j, b]: per axis, index 0 is the point value
     and 1..K the moments, so point x point are the nodes, point x moment
     the x-edge moments, moment x point the y-edge moments and moment x
     moment the cell moments.  alpha/beta are the one-sided weights of the
     point updates per axis; omitted weights mean pure upwinding by the
     sign of the speed.  A zero-speed axis contributes nothing.
+
+    A non-periodic state needs ``ghosts``, the blocks of the cells one
+    beyond its tensor (see ``kron_sum_apply``), and its unused slots must
+    hold the data of the cells they belong to, because the point updates
+    of the right and top boundary dofs read them with a downwind weight.
+    The derivative is zero in those slots.
     """
     if state.variant != "tensorial":
         raise ValueError("tensorial right-hand side needs a tensorial state")
-    if not state.periodic:
-        raise NotImplementedError("use the padded driver path for Dirichlet runs")
+    if not state.periodic and ghosts is None:
+        raise ValueError("a non-periodic state needs ghost blocks")
     if alpha is None:
         alpha = (1.0, 0.0) if ux >= 0 else (0.0, 1.0)
     if beta is None:
@@ -428,21 +409,13 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     _check_weights(beta)
 
     K = state.K
-    nx, ny = state.node_values.shape
-    U = np.empty((nx, K + 1, ny, K + 1))
-    U[:, 0, :, 0] = state.node_values
-    U[:, 0, :, 1:] = state.x_edge
-    U[:, 1:, :, 0] = np.swapaxes(state.y_edge, 1, 2)
-    U[:, 1:, :, 1:] = np.swapaxes(state.cell_moments, 1, 2)
-
     sx = (ux / state.grid.dx) * af_stencil_1d(K, *alpha) if ux != 0.0 else None
     sy = (uy / state.grid.dy) * af_stencil_1d(K, *beta) if uy != 0.0 else None
-    dU = kron_sum_apply(U, sx, sy)
-    # contiguous copies: the RK stage sums read each derivative once, and
-    # strided reads there cost more than one copy here
-    return state.with_arrays([np.ascontiguousarray(a) for a in (
-        dU[:, 0, :, 0], dU[:, 0, :, 1:], np.swapaxes(dU[:, 1:, :, 0], 1, 2),
-        np.swapaxes(dU[:, 1:, :, 1:], 1, 2))])
+    dU = kron_sum_apply(state.U, sx, sy, ghosts)
+    if not state.periodic:
+        dU[-1, 1:] = 0.0
+        dU[:, :, -1, 1:] = 0.0
+    return state.with_arrays([dU])
 
 
 def _check_weights(w):
@@ -477,20 +450,13 @@ def classical_cell_values(state: AfState2D) -> np.ndarray:
     """
     if state.variant != "classical_midpoint":
         raise ValueError("expects the classical midpoint variant")
-    _, w = _lagrange_quadratic()
-    N, Ex, Ey = state.node_values, state.x_edge[..., 0], state.y_edge[..., 0]
-    avg = state.cell_moments[..., 0, 0]
     if not state.periodic:
         raise NotImplementedError("classical variant is periodic-only")
-    V = np.zeros(N.shape + (3, 3))
-    V[:, :, 0, 0] = N
-    V[:, :, 2, 0] = np.roll(N, -1, axis=0)
-    V[:, :, 0, 2] = np.roll(N, -1, axis=1)
-    V[:, :, 2, 2] = np.roll(np.roll(N, -1, axis=0), -1, axis=1)
-    V[:, :, 0, 1] = Ex
-    V[:, :, 2, 1] = np.roll(Ex, -1, axis=0)
-    V[:, :, 1, 0] = Ey
-    V[:, :, 1, 2] = np.roll(Ey, -1, axis=1)
+    _, w = _lagrange_quadratic()
+    # the K = 1 closed blocks are the point values, the average in the centre
+    V = _dof_tensor_2d(state)
+    avg = V[:, :, 1, 1].copy()
+    V[:, :, 1, 1] = 0.0
     # center value from the average: subtract the 8 boundary contributions
     partial = np.einsum("ijab,a,b->ij", V, w, w)
     V[:, :, 1, 1] = (avg - partial) / (w[1] * w[1])
@@ -543,5 +509,5 @@ def af_rhs_2d_classical(state: AfState2D, ux: float, uy: float) -> AfState2D:
     davg = -(ux * (np.roll(ex_avg, -1, axis=0) - ex_avg) / dx
              + uy * (np.roll(ey_avg, -1, axis=1) - ey_avg) / dy)
 
-    return state.with_arrays([dN, dEx[..., None], dEy[..., None],
-                              davg[..., None, None]])
+    return AfState2D(state.grid, 1, dN, dEx[..., None], dEy[..., None],
+                     davg[..., None, None], state.variant, state.periodic)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import driver, equiv
+from . import driver, equiv, timeint
 from .mesh import save_state_csv
 from .problems import builtin_problems
 
@@ -83,7 +83,7 @@ def cmd_superconvergence(args) -> int:
 def cmd_equiv_check(args) -> int:
     cfg = _load_config(args)
     dimension = 2 if cfg.problem.endswith("2d") else 1
-    _check_equiv_keys(cfg, dimension)
+    _check_equiv_keys(cfg, dimension, args.variant)
     setting = equiv.EquivSetting(
         dimension=dimension, problem=cfg.problem,
         problem_params=_problem_params(cfg), flux=cfg.flux,
@@ -101,20 +101,31 @@ def cmd_equiv_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _check_equiv_keys(cfg: driver.RunConfig, dimension: int) -> None:
+def _check_equiv_keys(cfg: driver.RunConfig, dimension: int,
+                      variant: str) -> None:
     """Reject the keys ``equiv.verify_equivalence`` cannot run with."""
     problems = sorted(builtin_problems())
     fluxes = ["upwind", "central", "alpha"] + ["lax_friedrichs"] * (dimension == 1)
     k_key = "order" if cfg.k is None else "k"
-    for key, ok, why in (
-            ("problem", cfg.problem in problems,
-             f"must be one of {', '.join(problems)}"),
-            ("flux", cfg.flux in fluxes,
-             f"must be one of {', '.join(fluxes)} in {dimension}-d"),
-            (k_key, cfg.K >= 1, "must give K >= 1")):
+    checks = [("problem", cfg.problem in problems,
+               f"must be one of {', '.join(problems)}"),
+              ("flux", cfg.flux in fluxes,
+               f"must be one of {', '.join(fluxes)} in {dimension}-d"),
+              (k_key, cfg.K >= 1, "must give K >= 1")]
+    if dimension == 2 and variant == "classical_midpoint":
+        why = f"for the {variant} variant"
+        checks += [(k_key, cfg.K == 1, f"must give K = 1 {why}"),
+                   ("flux", cfg.flux == "upwind", f"must be 'upwind' {why}"),
+                   ("ux", cfg.ux >= 0, f"must be >= 0 {why}"),
+                   ("uy", cfg.uy >= 0, f"must be >= 0 {why}")]
+    for key, ok, why in checks:
         if not ok:
             raise driver.ConfigError(f"config key {key!r} {why}, got "
                                      f"{getattr(cfg, key)!r}")
+    problem = builtin_problems()[cfg.problem](**_problem_params(cfg))
+    if problem.linear and not problem.is_scalar and cfg.flux != "upwind":
+        raise driver.ConfigError(f"config key 'flux' must be 'upwind' for "
+                                 f"the system {cfg.problem}, got {cfg.flux!r}")
 
 
 def _problem_params(cfg: driver.RunConfig) -> dict:
@@ -175,6 +186,9 @@ def main(argv=None) -> int:
     except driver.ConfigError as exc:
         print(f"afdg {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    except timeint.UnstableRunError as exc:
+        print(f"afdg {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,10 +12,11 @@ agree to roundoff:
                    equivalence verifier instruments.
 
 The 2-d assembly is tensor-modal for linear advection: the update is the
-Kronecker sum ux (A (x) I) + uy (I (x) B) of periodic 1-d operators, each
-block-circulant with three (K+1)x(K+1) blocks (``dg_stencil_1d``, built
-from the closed-form ``dg_basis`` coefficients alone, so every integral
-is exact), applied along its axis by ``mesh.kron_sum_apply``.
+Kronecker sum ux (A (x) I) + uy (I (x) B) of 1-d operators, periodic or
+closed by Dirichlet ghost blocks, each the block row of three
+(K+1)x(K+1) blocks (``dg_stencil_1d``, built from the closed-form
+``dg_basis`` coefficients alone, so every integral is exact) that
+``mesh.kron_sum_apply`` applies along its axis.
 """
 
 from __future__ import annotations
@@ -305,18 +306,20 @@ def dg_stencil_1d(K: int, ap: float, am: float) -> np.ndarray:
 
 
 def dg_rhs_2d(state: DgState2D, ux: float, uy: float,
-              flux_x: NumericalFluxSpec, flux_y: NumericalFluxSpec
-              ) -> DgState2D:
+              flux_x: NumericalFluxSpec, flux_y: NumericalFluxSpec,
+              ghosts=None) -> DgState2D:
     """Tensor-modal update for 2-d linear advection.
 
     The update is the Kronecker sum ux (A (x) I) + uy (I (x) B) of the
-    periodic 1-d operators (``dg_stencil_1d`` with each flux's advection
-    weights) acting on coeffs[i, j, m, n] read as U[i, m, j, n].  A
-    zero-speed axis contributes nothing (its flux terms carry the factor
-    u).  Nonlinear problems are out of scope here.
+    1-d operators (``dg_stencil_1d`` with each flux's advection weights)
+    applied by ``mesh.kron_sum_apply`` to the state tensor U[i, m, j, n]
+    (coeffs[i, j, m, n]).  A non-periodic state needs ``ghosts``, the
+    modal blocks of the cells one beyond it on each side.  A zero-speed
+    axis contributes nothing (its flux terms carry the factor u).
+    Nonlinear problems are out of scope here.
     """
-    if not state.periodic:
-        raise NotImplementedError("use the padded driver path for Dirichlet runs")
+    if not state.periodic and ghosts is None:
+        raise ValueError("a non-periodic state needs ghost blocks")
     K = state.K
     sx = sy = None
     if ux != 0.0:
@@ -325,7 +328,4 @@ def dg_rhs_2d(state: DgState2D, ux: float, uy: float,
     if uy != 0.0:
         sy = (uy / state.grid.dy) * dg_stencil_1d(
             K, *flux_y.advection_weights(uy))
-    U = np.ascontiguousarray(np.swapaxes(state.coeffs, 1, 2))
-    dU = kron_sum_apply(U, sx, sy)
-    # contiguous, like the input: the RK stage sums read it (see af.py)
-    return state.with_arrays([np.ascontiguousarray(np.swapaxes(dU, 1, 2))])
+    return state.with_arrays([kron_sum_apply(state.U, sx, sy, ghosts)])

@@ -15,7 +15,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -235,44 +235,42 @@ def make_flux(cfg: RunConfig, problem=None, state_values=None) -> NumericalFluxS
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet ghost padding (exact-solution traces)
+# Dirichlet ghost blocks (exact-solution traces)
 
 
-def _pad_2d(state, project, exact, t: float):
-    """Embed the state in a ghost ring projected from the exact solution;
-    the periodic stencil code then runs unchanged and the ring derivatives
-    are discarded.
-
-    Cell (i, j) of the padded periodic grid owns entry [i, j] of every
-    state array: a DG cell its modes, an AF cell its lower-left node, left
-    edge, bottom edge and moments.  The ring is every padded cell outside
-    the state's cells, projected by one ``project(f, x0, y0, dx, dy)``
-    call.  The padding reaches one cell beyond every state array, because
-    an AF state's right and top boundary dofs need the cell beyond them
-    for inflow from that side.  The state goes in last, so its own
-    boundary dofs win over the ring's.
-    """
+def _ghosts(state, project, exact, t: float):
+    """The ghost blocks of a 2-d state at time t for ``kron_sum_apply``,
+    projected from the exact solution by one ``project(f, x0, y0, dx, dy)``
+    call.  The same call projects the cells of an AF state's unused slots
+    (see ``AfState2D``), which its boundary point updates read, and writes
+    them into the state."""
     g = state.grid
-    arrays = state.arrays()
-    npx, npy = (2 + max(a.shape[k] for a in arrays) for k in (0, 1))
-    gpad = Grid2D(g.x_min - g.dx, g.x_min + (npx - 1) * g.dx, npx,
-                  g.y_min - g.dy, g.y_min + (npy - 1) * g.dy, npy)
-    ring = np.ones((npx, npy), dtype=bool)
-    ring[1:1 + g.n_cells_x, 1:1 + g.n_cells_y] = False
-    i, j = np.nonzero(ring)
-    ghosts = project(lambda x, y: exact(t, x, y), g.x_min + (i - 1) * g.dx,
-                     g.y_min + (j - 1) * g.dy, g.dx, g.dy)
-    padded = [np.empty((npx, npy) + a.shape[2:]) for a in arrays]
-    for a, r, s in zip(padded, ghosts, arrays):
-        a[ring] = r
-        a[1:1 + s.shape[0], 1:1 + s.shape[1]] = s
-    return replace(state, grid=gpad, periodic=True).with_arrays(padded)
+    nx, _, ny, _ = state.U.shape
+    slots = isinstance(state, AfState2D)
+    i, j = _ghost_cells(nx, ny, slots)
+    blocks = project(lambda x, y: exact(t, x, y), g.x_min + i * g.dx,
+                     g.y_min + j * g.dy, g.dx, g.dy)
+    sizes = (ny, ny, nx, nx) + (ny, nx) * slots
+    x_lo, x_hi, y_lo, y_hi, *last = np.split(blocks, np.cumsum(sizes)[:-1])
+    if slots:
+        state.U[-1, 1:] = last[0][:, 1:].swapaxes(0, 1)
+        state.U[:, :, -1, 1:] = last[1][:, :, 1:]
+    return x_lo, x_hi, y_lo, y_hi
 
 
-def _slice_pad(dpad, state):
-    """The state-shaped part of a padded derivative (see ``_pad_2d``)."""
-    return state.with_arrays([d[1:1 + s.shape[0], 1:1 + s.shape[1]]
-                              for d, s in zip(dpad.arrays(), state.arrays())])
+@lru_cache(maxsize=16)
+def _ghost_cells(nx: int, ny: int, slots: bool):
+    """Cell indices (i, j) of ``_ghosts``' blocks in its order: columns -1
+    and nx, rows -1 and ny, then (slots) the last column and row."""
+    rows, cols = np.arange(nx), np.arange(ny)
+    i = [np.full(ny, -1), np.full(ny, nx), rows, rows]
+    j = [cols, cols, np.full(nx, -1), np.full(nx, ny)]
+    if slots:
+        i += [np.full(ny, nx - 1), rows]
+        j += [cols, np.full(nx, ny - 1)]
+    i, j = np.concatenate(i), np.concatenate(j)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +309,18 @@ def make_rhs(cfg: RunConfig, problem, flux: NumericalFluxSpec):
     if cfg.problem.endswith("2d"):
         ux, uy, K = cfg.ux, cfg.uy, cfg.K
         if cfg.method == "dg":
-            op = lambda state: dg.dg_rhs_2d(state, ux, uy, flux, flux)
+            op = lambda state, ghosts: dg.dg_rhs_2d(state, ux, uy, flux, flux,
+                                                    ghosts)
             project = partial(mesh.dg_cell_dofs_2d, K)
         else:
             alpha = flux.advection_weights(ux) if ux != 0 else (1.0, 0.0)
             beta = flux.advection_weights(uy) if uy != 0 else (1.0, 0.0)
-            op = lambda state: af.af_rhs_2d_tensorial(state, ux, uy,
-                                                      alpha, beta)
+            op = lambda state, ghosts: af.af_rhs_2d_tensorial(
+                state, ux, uy, alpha, beta, ghosts)
             project = partial(mesh.af_cell_dofs_2d, K)
         if not dirichlet:
-            return lambda state, t: op(state)
-        return lambda state, t: _slice_pad(
-            op(_pad_2d(state, project, exact, t)), state)
+            return lambda state, t: op(state, None)
+        return lambda state, t: op(state, _ghosts(state, project, exact, t))
 
     if cfg.method == "dg":
         return lambda state, t: dg.dg_rhs_1d(state, problem, flux)
@@ -347,23 +345,25 @@ class ErrorReport:
 
     @classmethod
     def from_states(cls, state, exact_state) -> "ErrorReport":
-        fams = {}
-        for name, a, b in _family_arrays(state, exact_state):
-            fams[name] = float(np.sqrt(np.mean((a - b) ** 2)))
+        diff = state.with_arrays([a - b for a, b in zip(state.arrays(),
+                                                        exact_state.arrays())])
+        # the 2-d fields are strided views: sum in their own index order
+        fams = {name: float(np.sqrt(np.mean(np.ravel(d) ** 2)))
+                for name, d in _families(diff)}
         return cls(families=fams, e_dofs=max(fams.values()))
 
 
-def _family_arrays(state, exact_state):
+def _families(state):
     if isinstance(state, (DgState1D, DgState2D)):
-        yield "modal", state.coeffs, exact_state.coeffs
+        yield "modal", state.coeffs
     elif isinstance(state, AfState1D):
-        yield "point_values", state.point_values, exact_state.point_values
-        yield "moments", state.moments, exact_state.moments
+        yield "point_values", state.point_values
+        yield "moments", state.moments
     elif isinstance(state, AfState2D):
-        yield "node_values", state.node_values, exact_state.node_values
-        yield "x_edge", state.x_edge, exact_state.x_edge
-        yield "y_edge", state.y_edge, exact_state.y_edge
-        yield "moments", state.cell_moments, exact_state.cell_moments
+        yield "node_values", state.node_values
+        yield "x_edge", state.x_edge
+        yield "y_edge", state.y_edge
+        yield "moments", state.cell_moments
     else:
         raise TypeError(type(state).__name__)
 

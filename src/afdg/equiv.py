@@ -318,7 +318,15 @@ def dg_induced_af_derivative_2d(state: DgState2D, ux: float, uy: float,
     alpha = flux_x.advection_weights(ux) if ux != 0 else (1.0, 0.0)
     beta = flux_y.advection_weights(uy) if uy != 0 else (1.0, 0.0)
     dstate = dg.dg_rhs_2d(state, ux, uy, flux_x, flux_y)
+    dstate = _cell_major(state.grid, state.K, dstate.coeffs)
     return map_dg_to_af_2d(dstate, alpha, beta, check_consistency=False)
+
+
+def _cell_major(grid: Grid2D, K: int, coeffs: np.ndarray) -> DgState2D:
+    """A DG state around a cell-major copy of coeffs[i, j, m, n]: the
+    verifier's contractions read the modes of each cell contiguously."""
+    return DgState2D.from_tensor(
+        grid, K, np.ascontiguousarray(coeffs).swapaxes(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +703,7 @@ def _random_dg_state_2d(K, n, seed):
     rng = np.random.default_rng(seed)
     grid = Grid2D.square(n)
     coeffs = rng.uniform(-1.0, 1.0, (n, n, K + 1, K + 1))
-    return DgState2D(grid, K, coeffs)
+    return _cell_major(grid, K, coeffs)
 
 
 def _verify_2d(s: EquivSetting) -> EquivalenceReport:

@@ -1,21 +1,24 @@
 """Cartesian grids, dof containers for AF and DG, dof bookkeeping, the
-per-family cell projections, and the periodic tensor-product apply shared
-by both 2-d right-hand sides.
+per-family cell projections, and the tensor-product apply shared by both
+2-d right-hand sides.
 
 States are plain value containers around numpy arrays; right-hand-side
 evaluation treats them as immutable.  Interface point values are stored
-once per interface (sharedness is structural): in 2-d, cell (i, j) owns
-entry [i, j] of every state array, and ``af_cell_dofs_2d`` and
-``dg_cell_dofs_2d`` project data onto the dofs of any set of cells, for
-the 2-d fills and the Dirichlet ghost ring alike.  Component-major
-layouts keep per-family norms and timing loops cache friendly.
+once per interface (sharedness is structural).  A 2-d state is one tensor
+U[i, a, j, b] (cell i, x-dof a, cell j, y-dof b) whose family fields are
+views: cell (i, j) owns the block U[i, :, j, :].  ``af_cell_dofs_2d`` and
+``dg_cell_dofs_2d`` project data onto the blocks of any set of cells, for
+the 2-d fills and the Dirichlet ghost blocks alike, and
+``kron_sum_apply`` takes those ghost blocks in place of its periodic
+wrap.  Component-major 1-d layouts keep per-family norms and timing loops
+cache friendly.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -121,25 +124,6 @@ class DgState1D:
 
 
 @dataclass
-class DgState2D:
-    """Tensor modal blocks: coeffs[i, j, m, n] with m the x-mode index."""
-
-    grid: Grid2D
-    K: int
-    coeffs: np.ndarray
-    periodic: bool = True
-
-    def copy(self) -> "DgState2D":
-        return replace(self, coeffs=self.coeffs.copy())
-
-    def arrays(self):
-        return [self.coeffs]
-
-    def with_arrays(self, arrays) -> "DgState2D":
-        return DgState2D(self.grid, self.K, arrays[0], self.periodic)
-
-
-@dataclass
 class AfState1D:
     """Shared interface point values plus per-cell moments.
 
@@ -170,37 +154,94 @@ class AfState1D:
                          self.periodic)
 
 
-@dataclass
-class AfState2D:
-    """2-d AF dofs: node values, edge data, interior moments.
-
-    For the ``tensorial`` variant, x_edge[a, j, k] holds the k-th
-    moment-in-y along vertical interface a (k=0 is the edge average) and
-    cell_moments[i, j, m, n] the tensor moments (0,0 is the cell average).
-    The ``classical_midpoint`` variant reuses the containers with K=1 and
-    stores edge midpoint values in x_edge[..., 0] / y_edge[..., 0].
-    """
-
-    grid: Grid2D
-    K: int
-    node_values: np.ndarray
-    x_edge: np.ndarray
-    y_edge: np.ndarray
-    cell_moments: np.ndarray
-    variant: str = "tensorial"
-    periodic: bool = True
-
-    def copy(self) -> "AfState2D":
-        return replace(self, node_values=self.node_values.copy(),
-                       x_edge=self.x_edge.copy(), y_edge=self.y_edge.copy(),
-                       cell_moments=self.cell_moments.copy())
+class _TensorState2D:
+    """A 2-d state stored as one tensor U[i, a, j, b]: cell i, x-dof a,
+    cell j, y-dof b.  The family fields are views of U, built on first
+    access.  The constructors pack the fields into a new contiguous U;
+    ``from_tensor`` and ``with_arrays`` wrap a given tensor (or a view,
+    such as the transpose of cell-major blocks) without copying."""
 
     def arrays(self):
-        return [self.node_values, self.x_edge, self.y_edge, self.cell_moments]
+        return [self.U]
+
+    def copy(self):
+        return self.with_arrays([self.U.copy()])
+
+
+class DgState2D(_TensorState2D):
+    """Tensor modal blocks: coeffs[i, j, m, n] with m the x-mode index, a
+    view of U[i, m, j, n]."""
+
+    def __init__(self, grid: Grid2D, K: int, coeffs, periodic: bool = True):
+        nx, ny = np.shape(coeffs)[:2]
+        self.grid, self.K, self.periodic = grid, K, periodic
+        self.U = np.empty((nx, K + 1, ny, K + 1))
+        self.coeffs[...] = coeffs
+
+    @classmethod
+    def from_tensor(cls, grid: Grid2D, K: int, U: np.ndarray,
+                    periodic: bool = True) -> "DgState2D":
+        state = object.__new__(cls)
+        state.grid, state.K, state.U, state.periodic = grid, K, U, periodic
+        return state
+
+    def with_arrays(self, arrays) -> "DgState2D":
+        return DgState2D.from_tensor(self.grid, self.K, arrays[0],
+                                     self.periodic)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        return self.U.swapaxes(1, 2)
+
+
+class AfState2D(_TensorState2D):
+    """2-d AF dofs.  Per axis, index 0 of a cell's block is its lower-left
+    point value and 1..K its moments: block[0, 0] is the node, [0, 1:] the
+    left-edge moments in y (x_edge; k=0 is the edge average), [1:, 0] the
+    bottom-edge moments in x (y_edge), [1:, 1:] the tensor moments
+    (cell_moments).  A non-periodic state has n+1 cells per axis; the
+    moments of its last row and column, U[-1, 1:] and U[:, :, -1, 1:], are
+    unused slots that the fields leave out.  The ``classical_midpoint``
+    variant has K=1 and edge midpoint values in x_edge / y_edge.
+    """
+
+    def __init__(self, grid: Grid2D, K: int, node_values, x_edge, y_edge,
+                 cell_moments, variant: str = "tensorial",
+                 periodic: bool = True):
+        nx, ny = np.shape(node_values)
+        self.grid, self.K = grid, K
+        self.variant, self.periodic = variant, periodic
+        # a non-periodic state's unused slots stay zero
+        self.U = np.zeros((nx, K + 1, ny, K + 1))
+        for view, values in zip(self._fields, (node_values, x_edge, y_edge,
+                                               cell_moments)):
+            view[...] = values
+
+    @classmethod
+    def from_tensor(cls, grid: Grid2D, K: int, U: np.ndarray,
+                    variant: str = "tensorial",
+                    periodic: bool = True) -> "AfState2D":
+        state = object.__new__(cls)
+        state.grid, state.K, state.U = grid, K, U
+        state.variant, state.periodic = variant, periodic
+        return state
 
     def with_arrays(self, arrays) -> "AfState2D":
-        return AfState2D(self.grid, self.K, arrays[0], arrays[1], arrays[2],
-                         arrays[3], self.variant, self.periodic)
+        return AfState2D.from_tensor(self.grid, self.K, arrays[0],
+                                     self.variant, self.periodic)
+
+    @cached_property
+    def _fields(self) -> tuple:
+        """The family views of the cell blocks V[i, j, a, b] of U."""
+        V = self.U.swapaxes(1, 2)
+        nx, ny = self.grid.n_cells_x, self.grid.n_cells_y
+        return (V[:, :, 0, 0], V[:, :ny, 0, 1:], V[:nx, :, 1:, 0],
+                V[:nx, :ny, 1:, 1:])
+
+    node_values = property(lambda self: self._fields[0])
+    x_edge = property(lambda self: self._fields[1])
+    y_edge = property(lambda self: self._fields[2])
+    cell_moments = property(lambda self: self._fields[3])
 
 
 # ---------------------------------------------------------------------------
@@ -317,35 +358,44 @@ def _eval(f: Callable, x, y) -> np.ndarray:
 
 
 def af_cell_dofs_2d(K: int, f: Callable, x0, y0, dx: float, dy: float,
-                    rule: poly.QuadratureRule | None = None) -> list:
-    """In ``AfState2D.arrays()`` order, the lower-left node, left-edge and
-    bottom-edge moments and tensor moments of the cells with lower-left
-    corners (x0, y0), which broadcast (a grid passes a column and a row).
-    Edge moments are ``f @ B.T``, cell moments ``B @ f @ B.T``."""
+                    rule: poly.QuadratureRule | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """The (K+1, K+1) AF blocks (see ``AfState2D``) of the cells with
+    lower-left corners (x0, y0), which broadcast (a grid passes a column
+    and a row): the lower-left node, the left- and bottom-edge moments
+    ``f @ B.T`` and the tensor moments ``B @ f @ B.T``.  ``out`` may be a
+    view of a state tensor, such as ``U.swapaxes(1, 2)``."""
     rule = rule or _FILL_RULE
     B = _af_moment_weights(K, rule)
     xq, yq = _points(x0, dx, rule.nodes), _points(y0, dy, rule.nodes)
-    return [np.array(_eval(f, x0, y0)),
-            _eval(f, np.expand_dims(x0, -1), yq) @ B.T,
-            _eval(f, xq, np.expand_dims(y0, -1)) @ B.T,
-            B @ _eval(f, xq[..., :, None], yq[..., None, :]) @ B.T]
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(x0), np.shape(y0))
+                       + (K + 1, K + 1))
+    out[..., 0, 0] = _eval(f, x0, y0)
+    np.matmul(_eval(f, np.expand_dims(x0, -1), yq), B.T, out=out[..., 0, 1:])
+    out[..., 1:, 0] = _eval(f, xq, np.expand_dims(y0, -1)) @ B.T
+    np.matmul(B @ _eval(f, xq[..., :, None], yq[..., None, :]), B.T,
+              out=out[..., 1:, 1:])
+    return out
 
 
-def dg_cell_dofs_2d(K: int, f: Callable, x0, y0, dx: float,
-                    dy: float) -> list:
-    """``[W @ f @ W.T]``: the modes of the cells with lower-left corners
-    (x0, y0), as in ``af_cell_dofs_2d``."""
+def dg_cell_dofs_2d(K: int, f: Callable, x0, y0, dx: float, dy: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """``W @ f @ W.T``: the modal blocks of the cells with lower-left
+    corners (x0, y0), as in ``af_cell_dofs_2d``."""
     W = _dg_projection_weights(K)
     xq, yq = _points(x0, dx, _FILL_RULE.nodes), _points(y0, dy, _FILL_RULE.nodes)
-    return [W @ _eval(f, xq[..., :, None], yq[..., None, :]) @ W.T]
+    return np.matmul(W @ _eval(f, xq[..., :, None], yq[..., None, :]), W.T,
+                     out=out)
 
 
 def fill_af_2d(grid: Grid2D, K: int, init: Callable,
                variant: str = "tensorial", periodic: bool = True,
                rule: poly.QuadratureRule | None = None) -> AfState2D:
-    """The tensorial dofs of every corner's cell, cut to the state's shapes
-    (a non-periodic grid has n+1 corners per axis), or sampled nodes and
-    edge midpoints and quadrature cell averages (classical variant)."""
+    """The tensorial blocks of every corner's cell, projected into the
+    state tensor (a non-periodic grid has n+1 corners per axis, and the
+    unused slots stay zero), or sampled nodes and edge midpoints and
+    quadrature cell averages (classical variant)."""
     xs_if = grid.gx.interfaces(periodic)
     ys_if = grid.gy.interfaces(periodic)
     if variant == "classical_midpoint":
@@ -360,27 +410,31 @@ def fill_af_2d(grid: Grid2D, K: int, init: Callable,
 
     if variant != "tensorial":
         raise ValueError(f"unknown AF 2-d variant {variant!r}")
-    nx, ny = grid.n_cells_x, grid.n_cells_y
-    node_values, x_edge, y_edge, cell_moments = af_cell_dofs_2d(
-        K, init, xs_if[:, None], ys_if[None, :], grid.dx, grid.dy, rule)
-    return AfState2D(grid, K, node_values, x_edge[:, :ny], y_edge[:nx],
-                     cell_moments[:nx, :ny], variant, periodic)
+    U = np.empty((len(xs_if), K + 1, len(ys_if), K + 1))
+    af_cell_dofs_2d(K, init, xs_if[:, None], ys_if[None, :], grid.dx,
+                    grid.dy, rule, out=U.swapaxes(1, 2))
+    if not periodic:
+        U[-1, 1:] = 0.0
+        U[:, :, -1, 1:] = 0.0
+    return AfState2D.from_tensor(grid, K, U, variant, periodic)
 
 
 def fill_dg_2d(grid: Grid2D, K: int, init: Callable,
                periodic: bool = True) -> DgState2D:
-    coeffs, = dg_cell_dofs_2d(K, init, grid.gx.interfaces()[:, None],
-                              grid.gy.interfaces()[None, :], grid.dx, grid.dy)
-    return DgState2D(grid, K, coeffs, periodic)
+    U = np.empty((grid.n_cells_x, K + 1, grid.n_cells_y, K + 1))
+    dg_cell_dofs_2d(K, init, grid.gx.interfaces()[:, None],
+                    grid.gy.interfaces()[None, :], grid.dx, grid.dy,
+                    out=U.swapaxes(1, 2))
+    return DgState2D.from_tensor(grid, K, U, periodic)
 
 
 # ---------------------------------------------------------------------------
-# tensor-product operators on periodic grids
+# tensor-product operators
 
 
 def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
-                   sy: np.ndarray | None) -> np.ndarray:
-    """Apply ``Sx (x) I + I (x) Sy`` to a periodic tensor-product state.
+                   sy: np.ndarray | None, ghosts=None) -> np.ndarray:
+    """Apply ``Sx (x) I + I (x) Sy`` to a tensor-product state.
 
     U has shape (nx, m, ny, m): cell i, x-dof a, cell j, y-dof b.  A
     stencil is the (m, 3m) block row [L | D | R] of a block-circulant 1-d
@@ -388,28 +442,42 @@ def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
     axis as one matmul against the stacked neighbours.  ``None`` skips the
     axis.  Both matmuls are batches of small products (one per x-cell, or
     per x-cell and x-dof), so BLAS runs them on the calling thread.
+
+    The neighbours wrap periodically unless ``ghosts`` gives the cells one
+    beyond the tensor on each side, (x_lo, x_hi, y_lo, y_hi), as per-cell
+    (m, m) blocks like ``U.swapaxes(1, 2)``'s: x_lo[j] is cell (-1, j) and
+    x_hi[j] cell (nx, j), y_lo[i] is cell (i, -1) and y_hi[i] cell (i, ny).
     """
+    U = np.ascontiguousarray(U)       # one copy for a view, such as cell-major
     nx, m, ny, _ = U.shape
+    x_lo, x_hi, y_lo, y_hi = (None,) * 4 if ghosts is None else ghosts
     if sx is None:
         out = np.zeros_like(U)
     else:
-        W = _with_neighbours(U.reshape(nx, m, ny * m), 0)
+        # a ghost block row of the x-apply is (a, j, b), as U[i] is
+        W = _with_neighbours(U.reshape(nx, m, ny * m), 0,
+                             *(g if g is None else g.swapaxes(0, 1)
+                               for g in (x_lo, x_hi)))
         out = np.matmul(sx, W).reshape(U.shape)
     if sy is not None:
-        W = _with_neighbours(U.reshape(nx * m, ny, m), 1)
+        W = _with_neighbours(U.reshape(nx * m, ny, m), 1, y_lo, y_hi)
         out += np.matmul(W, sy.T).reshape(U.shape)
     return out
 
 
-def _with_neighbours(V: np.ndarray, axis: int) -> np.ndarray:
-    """[V_{i-1}; V_i; V_{i+1}], periodic in i along ``axis``, stacked on
-    the axis after it (which grows from m to 3m)."""
+def _with_neighbours(V: np.ndarray, axis: int, lo=None, hi=None) -> np.ndarray:
+    """[V_{i-1}; V_i; V_{i+1}] along ``axis``, stacked on the axis after it
+    (which grows from m to 3m); ``lo`` and ``hi`` are V_{-1} and V_n, the
+    periodic wrap when None."""
     W = np.empty(V.shape[:axis + 1] + (3,) + V.shape[axis + 1:])
-    src = np.moveaxis(V, axis, 0)
-    dst = np.moveaxis(W, (axis, axis + 1), (0, 1))
-    dst[1:, 0], dst[0, 0] = src[:-1], src[-1]
+    # the cell axis first (as np.moveaxis would, at a fraction of its cost)
+    src = V.swapaxes(0, axis)
+    dst = W.swapaxes(0, axis).swapaxes(1, axis + 1)
+    dst[1:, 0] = src[:-1]
+    dst[0, 0] = src[-1] if lo is None else np.reshape(lo, src.shape[1:])
     dst[:, 1] = src
-    dst[:-1, 2], dst[-1, 2] = src[1:], src[0]
+    dst[:-1, 2] = src[1:]
+    dst[-1, 2] = src[0] if hi is None else np.reshape(hi, src.shape[1:])
     shape = list(V.shape)
     shape[axis + 1] *= 3
     return W.reshape(shape)
@@ -426,12 +494,8 @@ def state_rows(state) -> Iterator[tuple]:
                 for c in range(state.coeffs.shape[2]):
                     yield (f"mode_{n}", i, 0, c, state.coeffs[i, n, c])
     elif isinstance(state, DgState2D):
-        nx, ny, km, kn = state.coeffs.shape
-        for i in range(nx):
-            for j in range(ny):
-                for m in range(km):
-                    for n in range(kn):
-                        yield (f"mode_{m}_{n}", i, j, 0, state.coeffs[i, j, m, n])
+        for i, j, m, n in np.ndindex(state.coeffs.shape):
+            yield (f"mode_{m}_{n}", i, j, 0, state.coeffs[i, j, m, n])
     elif isinstance(state, AfState1D):
         for a in range(state.point_values.shape[0]):
             for c in range(state.n_components):
@@ -441,24 +505,14 @@ def state_rows(state) -> Iterator[tuple]:
                 for c in range(state.n_components):
                     yield (f"moment_{k}", i, 0, c, state.moments[i, k, c])
     elif isinstance(state, AfState2D):
-        for a in range(state.node_values.shape[0]):
-            for b in range(state.node_values.shape[1]):
-                yield ("node_values", a, b, 0, state.node_values[a, b])
-        for k in range(state.x_edge.shape[2]):
-            for a in range(state.x_edge.shape[0]):
-                for j in range(state.x_edge.shape[1]):
-                    yield (f"x_edge_{k}", a, j, 0, state.x_edge[a, j, k])
-        for k in range(state.y_edge.shape[2]):
-            for i in range(state.y_edge.shape[0]):
-                for b in range(state.y_edge.shape[1]):
-                    yield (f"y_edge_{k}", i, b, 0, state.y_edge[i, b, k])
-        km, kn = state.cell_moments.shape[2:]
-        for m in range(km):
-            for n in range(kn):
-                for i in range(state.cell_moments.shape[0]):
-                    for j in range(state.cell_moments.shape[1]):
-                        yield (f"moment_{m}_{n}", i, j, 0,
-                               state.cell_moments[i, j, m, n])
+        # family by family, dof index by dof index, then cell by cell
+        for name, a in (("node_values", state.node_values),
+                        ("x_edge", state.x_edge), ("y_edge", state.y_edge),
+                        ("moment", state.cell_moments)):
+            for dof in np.ndindex(a.shape[2:]):
+                label = "_".join([name, *map(str, dof)])
+                for i, j in np.ndindex(a.shape[:2]):
+                    yield (label, i, j, 0, a[(i, j) + dof])
     else:
         raise TypeError(f"unknown state type {type(state).__name__}")
 

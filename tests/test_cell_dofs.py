@@ -3,12 +3,13 @@
 ``loop_fill_*`` are the per-mode quadrature loops that the fills in
 ``afdg.mesh`` used before ``af_cell_dofs_2d``/``dg_cell_dofs_2d``, and
 ``strip_pad_2d`` the ghost ring assembled from four non-periodic strip
-fills that ``driver._pad_2d`` used before its one projection call.  They
-are kept here unchanged as an independent reference.
+fills that the padded Dirichlet path used before its one projection call.
+They are kept here as an independent reference; the ring reads and
+writes each state's family fields (``fields``), every one indexed by cell
+first, as the states stored them then.
 """
 
 import functools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,26 +111,44 @@ def loop_fill_dg_2d(grid, K, init, periodic=True):
     return DgState2D(grid, K, coeffs, periodic)
 
 
+def fields(state):
+    if isinstance(state, DgState2D):
+        return [state.coeffs]
+    return [state.node_values, state.x_edge, state.y_edge, state.cell_moments]
+
+
 def strip_pad_2d(state, fill, exact, t):
+    """The padded fields (see ``fields``): cell (i, j) at [i + 1, j + 1]."""
     g = state.grid
     nx, ny = g.n_cells_x, g.n_cells_y
     gpad = Grid2D(g.x_min - g.dx, g.x_max + g.dx, nx + 2,
                   g.y_min - g.dy, g.y_max + g.dy, ny + 2)
-    padded = [np.empty((nx + 2, ny + 2) + a.shape[2:]) for a in state.arrays()]
+    padded = [np.empty((nx + 2, ny + 2) + a.shape[2:]) for a in fields(state)]
 
     def fill_strip(x0, x1, ncx, y0, y1, ncy, si, sj):
         strip = fill(Grid2D(x0, x1, ncx, y0, y1, ncy),
                      lambda x, y: exact(t, x, y))
-        for a, s in zip(padded, strip.arrays()):
+        for a, s in zip(padded, fields(strip)):
             a[si:si + ncx, sj:sj + ncy] = s[:ncx, :ncy]
 
     fill_strip(gpad.x_min, gpad.x_max, nx + 2, gpad.y_min, g.y_min, 1, 0, 0)
     fill_strip(gpad.x_min, gpad.x_max, nx + 2, g.y_max, gpad.y_max, 1, 0, ny + 1)
     fill_strip(gpad.x_min, g.x_min, 1, g.y_min, g.y_max, ny, 0, 1)
     fill_strip(g.x_max, gpad.x_max, 1, g.y_min, g.y_max, ny, nx + 1, 1)
-    for a, s in zip(padded, state.arrays()):
+    for a, s in zip(padded, fields(state)):
         a[1:1 + s.shape[0], 1:1 + s.shape[1]] = s
-    return replace(state, grid=gpad, periodic=True).with_arrays(padded)
+    return padded
+
+
+def as_blocks(fields):
+    """Per-cell (K+1, K+1) blocks of cell-first family fields."""
+    if len(fields) == 1:
+        return fields[0]
+    N, Ex, Ey, Mo = fields
+    blocks = np.empty(N.shape + (Ex.shape[2] + 1,) * 2)
+    blocks[..., 0, 0], blocks[..., 0, 1:] = N, Ex
+    blocks[..., 1:, 0], blocks[..., 1:, 1:] = Ey, Mo
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +223,12 @@ def test_cell_dofs_broadcast_over_any_cell_set():
     f = DATA["sine"][0]
     i, j = np.array([0, 6, 3, 2]), np.array([4, 0, 2, 2])
     x0, y0 = g.x_min + i * g.dx, g.y_min + j * g.dy
-    for cell_dofs, grid_dofs in (
+    for cell_dofs, grid_state in (
             (mesh.af_cell_dofs_2d(3, f, x0, y0, g.dx, g.dy),
-             mesh.fill_af_2d(g, 3, f).arrays()),
+             mesh.fill_af_2d(g, 3, f)),
             (mesh.dg_cell_dofs_2d(3, f, x0, y0, g.dx, g.dy),
-             mesh.fill_dg_2d(g, 3, f).arrays())):
-        assert_close(cell_dofs, [a[i, j] for a in grid_dofs])
+             mesh.fill_dg_2d(g, 3, f))):
+        assert_close([cell_dofs], [grid_state.U.swapaxes(1, 2)[i, j]])
 
 
 FAMILIES = {
@@ -229,12 +248,20 @@ def test_ghost_ring_matches_strip_reference(family, K, grid, data):
     g = GRIDS[grid]
     exact = _exact(data)
     state = loop_fill(g, K, lambda x, y: exact(0.0, x, y))
-    new = driver._pad_2d(state, functools.partial(cell_dofs, K), exact, 0.02)
-    old = strip_pad_2d(state, lambda gs, f: loop_fill(gs, K, f), exact, 0.02)
-    # every padded cell the strips filled; an AF state's padding reaches
-    # one cell further right and up
-    assert_close([a[:b.shape[0], :b.shape[1]]
-                  for a, b in zip(new.arrays(), old.arrays())], old.arrays())
-    grow = 1 if family == "af" else 0
-    for a in new.arrays():
-        assert a.shape[:2] == (g.n_cells_x + 2 + grow, g.n_cells_y + 2 + grow)
+    nx, _, ny, _ = state.U.shape
+    x_lo, x_hi, y_lo, y_hi = driver._ghosts(
+        state, functools.partial(cell_dofs, K), exact, 0.02)
+    ref = as_blocks(strip_pad_2d(
+        state, lambda gs, f: loop_fill(gs, K, f), exact, 0.02))
+    assert_close([x_lo, y_lo], [ref[0, 1:1 + ny], ref[1:1 + nx, 0]])
+    if family == "dg":
+        assert_close([x_hi, y_hi], [ref[nx + 1, 1:1 + ny],
+                                    ref[1:1 + nx, ny + 1]])
+    else:
+        # an AF tensor's last row and column are the strips' right and top
+        # cells, and its ghost blocks lie one cell beyond them
+        assert x_hi.shape == (ny, K + 1, K + 1)
+        assert y_hi.shape == (nx, K + 1, K + 1)
+        V = state.U.swapaxes(1, 2)
+        assert_close([V[-1, :, 1:], V[:, -1, :, 1:]],
+                     [ref[nx, 1:1 + ny, 1:], ref[1:1 + nx, ny, :, 1:]])

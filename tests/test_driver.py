@@ -11,7 +11,7 @@ import pytest
 
 from afdg import af, cli, dg, driver, mesh, timeint
 from afdg.driver import RunConfig
-from afdg.mesh import Grid2D
+from afdg.mesh import DgState2D, Grid2D
 from afdg.problems import NumericalFluxSpec
 
 UPWIND = NumericalFluxSpec.upwind()
@@ -90,6 +90,13 @@ def test_invalid_config_rejected_before_any_step(key, value, tmp_path,
     ("equiv-check", "k", "0", ["problem=advection1d"]),
     ("equiv-check", "k", "0", ["problem=advection2d"]),
     ("equiv-check", "order", "1", ["problem=advection1d"]),
+    ("equiv-check", "flux", "central", ["problem=acoustics2x2"]),
+    ("equiv-check", "order", "3",
+     ["problem=advection2d", "--variant=classical_midpoint"]),
+    ("equiv-check", "flux", "alpha",
+     ["problem=advection2d", "k=1", "--variant=classical_midpoint"]),
+    ("equiv-check", "ux", "-1",
+     ["problem=advection2d", "k=1", "--variant=classical_midpoint"]),
 ])
 def test_cli_names_bad_key_before_any_step(command, key, value, extra,
                                            tmp_path, capsys, monkeypatch):
@@ -99,12 +106,26 @@ def test_cli_names_bad_key_before_any_step(command, key, value, extra,
     monkeypatch.setattr(timeint, "rk_step", refuse)
     argv = [command, "--set", "grids=8", "--set", f"{key}={value}"]
     for item in extra:
-        argv += ["--set", item]
+        argv += [item] if item.startswith("--") else ["--set", item]
     code = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and f"config key '{key}'" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_unstable_run_ends_in_one_line(tmp_path, capsys):
+    # fifth-order AF at the catalog CFL blows up on this run
+    code = cli.main(["run", "--set", "method=af", "--set", "order=5",
+                     "--set", "problem=advection1d", "--set", "init=sine",
+                     "--set", "grids=40", "--set", "t_final=10",
+                     "--out", str(tmp_path / "state.csv")])
+    err = capsys.readouterr().err
+    assert code != 0
+    assert err.count("\n") == 1
+    assert err.startswith("afdg run: error: non-finite state at t=")
+    assert "(step " in err
+    assert not (tmp_path / "state.csv").exists()
 
 
 def test_method_ids():
@@ -206,10 +227,12 @@ PAD_FAMILIES = {
     "af": (lambda g, K, f, periodic: mesh.fill_af_2d(g, K, f, "tensorial",
                                                      periodic),
            mesh.af_cell_dofs_2d,
-           lambda s, ux, uy: af.af_rhs_2d_tensorial(s, ux, uy)),
+           lambda s, ux, uy, ghosts: af.af_rhs_2d_tensorial(
+               s, ux, uy, ghosts=ghosts)),
     "dg": (lambda g, K, f, periodic: mesh.fill_dg_2d(g, K, f, periodic),
            mesh.dg_cell_dofs_2d,
-           lambda s, ux, uy: dg.dg_rhs_2d(s, ux, uy, UPWIND, UPWIND)),
+           lambda s, ux, uy, ghosts: dg.dg_rhs_2d(s, ux, uy, UPWIND, UPWIND,
+                                                  ghosts)),
 }
 
 
@@ -217,45 +240,53 @@ PAD_FAMILIES = {
 @pytest.mark.parametrize("K", [1, 2, 3])
 @pytest.mark.parametrize("family", ["af", "dg"])
 def test_ghost_padding_is_exact(family, K, inflow):
-    # "lower" has inflow through the left and bottom ring strips, "upper"
+    # "lower" has inflow through the left and bottom ghost blocks, "upper"
     # through the right and top ones
     ux, uy = {"lower": (1.0, 0.6), "upper": (-0.7, -1.0)}[inflow]
     fill, cell_dofs, rhs = PAD_FAMILIES[family]
-    assert_padding_exact(fill, cell_dofs, lambda s: rhs(s, ux, uy), K)
+    assert_padding_exact(fill, cell_dofs,
+                         lambda s, ghosts: rhs(s, ux, uy, ghosts), K)
 
 
 @pytest.mark.parametrize("ux,uy", [(1.0, 0.6), (-0.7, -1.0)])
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_af_ghost_padding_is_exact_with_downwind_weight(K, ux, uy):
     # an alpha flux weights both sides, so the AF dofs on every boundary
-    # read the ring cells beyond them whatever the speeds' signs
+    # read the cells beyond them whatever the speeds' signs
     flux = NumericalFluxSpec.alpha(0.7, 0.3)
     alpha, beta = flux.advection_weights(ux), flux.advection_weights(uy)
     fill, cell_dofs, _ = PAD_FAMILIES["af"]
     assert_padding_exact(
         fill, cell_dofs,
-        lambda s: af.af_rhs_2d_tensorial(s, ux, uy, alpha, beta), K)
+        lambda s, ghosts: af.af_rhs_2d_tensorial(s, ux, uy, alpha, beta,
+                                                 ghosts), K)
+
+
+def fields(state):
+    if isinstance(state, DgState2D):
+        return [state.coeffs]
+    return [state.node_values, state.x_edge, state.y_edge, state.cell_moments]
 
 
 def assert_padding_exact(fill, cell_dofs, rhs, K):
-    # for periodic-compatible data the ghost ring equals the wrapped data,
-    # so the padded non-periodic rhs must reproduce the periodic one,
-    # boundary dofs included
+    # for periodic-compatible data the ghost blocks equal the wrapped data,
+    # so the non-periodic rhs must reproduce the periodic one, boundary
+    # dofs included
     cfg = RunConfig(problem="advection2d", init="sine", boundary="dirichlet")
     exact = driver.exact_solution(cfg)
     q0 = lambda x, y: exact(0.0, x, y)
     sp = fill(Grid2D.square(8), K, q0, True)
     sd = fill(Grid2D.square(8), K, q0, False)
     project = functools.partial(cell_dofs, K)
-    # the embedding keeps every state dof, boundary ones included
+    # the ghost write keeps every state dof, boundary ones included
     noisy = sd.with_arrays([a + 0.1 for a in sd.arrays()])
-    back = driver._slice_pad(driver._pad_2d(noisy, project, exact, 0.0),
-                             noisy)
-    for a, b in zip(noisy.arrays(), back.arrays()):
+    kept = [a.copy() for a in fields(noisy)]
+    driver._ghosts(noisy, project, exact, 0.0)
+    for a, b in zip(kept, fields(noisy)):
         assert np.array_equal(a, b)
-    dp = rhs(sp)
-    dd = driver._slice_pad(rhs(driver._pad_2d(sd, project, exact, 0.0)), sd)
-    for p, d in zip(dp.arrays(), dd.arrays()):
+    dp = rhs(sp, None)
+    dd = rhs(sd, driver._ghosts(sd, project, exact, 0.0))
+    for p, d in zip(fields(dp), fields(dd)):
         wrapped = np.take(np.take(p, range(d.shape[0]), 0, mode="wrap"),
                           range(d.shape[1]), 1, mode="wrap")
         assert np.max(np.abs(d - wrapped)) < 1e-12 * np.max(np.abs(p))

@@ -67,7 +67,7 @@ def einsum_af_rhs_2d(state, ux, uy, alpha, beta):
         dEx -= (uy / dy) * np.einsum("kp,ajp->ajk", ops.mom_w, TX)
         dMo -= (uy / dy) * np.einsum("np,ijpm->ijmn", ops.mom_w, YR)
 
-    return state.with_arrays([dN, dEx, dEy, dMo])
+    return AfState2D(state.grid, K, dN, dEx, dEy, dMo)
 
 
 def einsum_dg_rhs_2d(state, ux, uy, flux_x, flux_y):
@@ -95,7 +95,7 @@ def einsum_dg_rhs_2d(state, ux, uy, flux_x, flux_y):
         term += np.einsum("b,ijm->ijmb", basis.value_left, qhat_y)
         dc += (uy / dy) * term / basis.mass[None, None, None, :]
 
-    return state.with_arrays([dc])
+    return DgState2D(state.grid, state.K, dc)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +154,32 @@ def test_kron_sum_apply_is_the_dense_kronecker_sum():
                        (np.kron(circulant(sx, nx), np.eye(ny * m))
                         @ U.ravel()).reshape(U.shape), atol=1e-13)
     assert not np.any(kron_sum_apply(U, None, None))
+
+
+def test_kron_sum_apply_with_ghosts_is_the_dense_operator():
+    # one cell beyond each side: the banded 1-d operator over the tensor's
+    # cells plus the boundary columns of the ghost cells
+    rng = np.random.default_rng(6)
+    nx, ny, m = 4, 3, 2
+    sx, sy = rng.normal(size=(m, 3 * m)), rng.normal(size=(m, 3 * m))
+    U = rng.normal(size=(nx, m, ny, m))
+    x_lo, x_hi = rng.normal(size=(2, ny, m, m))
+    y_lo, y_hi = rng.normal(size=(2, nx, m, m))
+
+    def banded(S, n):
+        A = np.zeros((n * m, (n + 2) * m))
+        for i in range(n):
+            A[i * m:(i + 1) * m, i * m:(i + 3) * m] = S
+        return A
+
+    # the tensor extended by the ghost cells along x, and along y
+    Ux = np.concatenate([x_lo.swapaxes(0, 1)[None], U,
+                         x_hi.swapaxes(0, 1)[None]], axis=0)
+    Uy = np.concatenate([y_lo[:, :, None], U, y_hi[:, :, None]], axis=2)
+    want = (np.kron(banded(sx, nx), np.eye(ny * m)) @ Ux.ravel()
+            + np.kron(np.eye(nx * m), banded(sy, ny)) @ Uy.ravel())
+    got = kron_sum_apply(U, sx, sy, (x_lo, x_hi, y_lo, y_hi))
+    assert np.allclose(got, want.reshape(U.shape), atol=1e-13)
 
 
 @pytest.mark.parametrize("weights", [None, (0.7, 0.3), (0.5, 0.5)])
