@@ -13,14 +13,21 @@ compares, family by family,
 Both sides are independently implemented, so machine-precision agreement
 is a strong mutual oracle.  All transfer matrices are precomputed from
 exact polynomial integrals; the only inexactness is roundoff.
+
+The 2-d identity checks (``lemma_checks``) hold the corrected DG field
+q + r^x + r^y + corners as one coefficient block per cell over the 1-d
+basis (phi_0..phi_K, R_L, R_R) in each axis (``TensorReconstruction2D``).
+Evaluating it reads only DG and Radau data (``dg.dg_basis``,
+``poly.radau_pair``), never the AF operators it is compared against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from . import af, dg, poly
 from .mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid1D, Grid2D,
@@ -235,12 +242,23 @@ def _check_consistent(w):
         raise ValueError("flux weights must sum to 1 (consistency)")
 
 
+@lru_cache(maxsize=None)
+def _psi(K: int, d: int) -> np.ndarray:
+    """Monomial coefficients C[p, k] of the d-th derivative of the corrected
+    field's 1-d basis psi = (phi_0..phi_K, R_L, R_R), read-only."""
+    psi = (*dg.dg_basis(K).phi, *poly.radau_pair(K))
+    C = npp.polyder([np.pad(p.coefficients, (0, K + 1 - p.degree))
+                     for p in psi], d, axis=1)
+    C.flags.writeable = False
+    return C
+
+
 @dataclass(frozen=True)
 class TensorReconstruction2D:
     """Per-cell corrected DG fields: q + r^x + r^y + corner terms.
 
-    Stored as the pieces needed for evaluation: modal blocks, interface
-    trace polynomials, and corner constants C[i, j, (L/R)x, (L/R)y].
+    Built from the modal blocks, interface trace polynomials and corner
+    constants C[i, j, (L/R)x, (L/R)y]; evaluated through ``blocks``.
     """
 
     state: DgState2D
@@ -248,37 +266,37 @@ class TensorReconstruction2D:
     qhat_y: np.ndarray
     corners: np.ndarray       # (nx, ny, 2, 2)
 
-    def evaluate(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """Values on the tensor grid xi x eta, shape (nx, ny, nxi, neta)."""
-        st = self.state
-        basis = dg.dg_basis(st.K)
-        r_l, r_r = poly.radau_pair(st.K)
-        phx = np.array([p(xi) for p in basis.phi])       # (K+1, nxi)
-        phy = np.array([p(eta) for p in basis.phi])
-        rlx, rrx = r_l(xi), r_r(xi)
-        rly, rry = r_l(eta), r_r(eta)
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """D[i, j, p, q]: the field of cell (i, j) is sum D psi_p(xi) psi_q(eta)
+        over psi = (phi_0..phi_K, R_L, R_R).  q fills the modal block, r^x
+        (qhat minus the cell's own x-trace) the two Radau rows, r^y the two
+        Radau columns and the corner constants the 2 x 2 Radau corner."""
+        c = self.state.coeffs
+        basis = dg.dg_basis(self.state.K)
+        ends = np.stack([basis.value_left, basis.value_right])
+        r_x = (np.stack([self.qhat_x, np.roll(self.qhat_x, -1, axis=0)], axis=2)
+               - np.einsum("sm,ijmn->ijsn", ends, c))
+        r_y = (np.stack([self.qhat_y, np.roll(self.qhat_y, -1, axis=1)], axis=3)
+               - c @ ends.T)
+        return np.block([[c, r_y], [r_x, self.corners]])
 
-        vals = np.einsum("ijmn,ma,nb->ijab", st.coeffs, phx, phy)
-        # r^x: (qhat - own trace) against the x-Radau pair
-        tr_r = np.einsum("ijmn,m,nb->ijb", st.coeffs, basis.value_right, phy)
-        tr_l = np.einsum("ijmn,m,nb->ijb", st.coeffs, basis.value_left, phy)
-        qx_r = np.einsum("ajn,nb->ajb", np.roll(self.qhat_x, -1, axis=0), phy)
-        qx_l = np.einsum("ajn,nb->ajb", self.qhat_x, phy)
-        vals += np.einsum("ijb,a->ijab", qx_r - tr_r, rrx)
-        vals += np.einsum("ijb,a->ijab", qx_l - tr_l, rlx)
-        # r^y
-        tr_t = np.einsum("ijmn,ma,n->ija", st.coeffs, phx, basis.value_right)
-        tr_b = np.einsum("ijmn,ma,n->ija", st.coeffs, phx, basis.value_left)
-        qy_t = np.einsum("ibm,ma->iba", np.roll(self.qhat_y, -1, axis=1), phx)
-        qy_b = np.einsum("ibm,ma->iba", self.qhat_y, phx)
-        vals += np.einsum("ija,b->ijab", qy_t - tr_t, rry)
-        vals += np.einsum("ija,b->ijab", qy_b - tr_b, rly)
-        # corner corrections
-        for sx, rx in ((0, rlx), (1, rrx)):
-            for sy, ry in ((0, rly), (1, rry)):
-                vals += np.einsum("ij,a,b->ijab", self.corners[:, :, sx, sy],
-                                  rx, ry)
-        return vals
+    def evaluate(self, xi: np.ndarray, eta: np.ndarray, dxi: int = 0,
+                 deta: int = 0, parts: str = "xy") -> np.ndarray:
+        """The field differentiated dxi times in xi and deta times in eta on
+        the tensor grid xi x eta, shape (nx, ny, nxi, neta).
+
+        ``parts="x"`` evaluates q + r^x and ``parts="y"`` q + r^y: the
+        Radau columns, respectively rows, of the blocks are left out.
+        """
+        if parts not in ("x", "y", "xy"):
+            raise ValueError(f"parts must be 'x', 'y' or 'xy', got {parts!r}")
+        K = self.state.K
+        rows = K + 3 if "x" in parts else K + 1
+        cols = K + 3 if "y" in parts else K + 1
+        px = npp.polyval(xi, _psi(K, dxi).T)[:rows]
+        py = npp.polyval(eta, _psi(K, deta).T)[:cols]
+        return px.T @ self.blocks[:, :, :rows, :cols] @ py
 
 
 def reconstruct_af_2d_from_dg(state: DgState2D, alpha, beta
@@ -348,7 +366,6 @@ def lemma_checks(state: DgState2D, ux: float, uy: float,
         raise ValueError("identity checks are built for K = 1")
     alpha = flux_x.advection_weights(ux) if ux != 0 else (1.0, 0.0)
     beta = flux_y.advection_weights(uy) if uy != 0 else (1.0, 0.0)
-    basis = dg.dg_basis(state.K)
     scale = max(1e-300, float(np.max(np.abs(state.coeffs))))
     res: dict[str, float] = {}
 
@@ -360,9 +377,8 @@ def lemma_checks(state: DgState2D, ux: float, uy: float,
 
     # corrected field equals the AF reconstruction of the mapped dofs
     xi = np.linspace(-0.5, 0.5, n_samples)
-    eta = np.linspace(-0.5, 0.5, n_samples)
-    built = rec.evaluate(xi, eta)
-    direct = af.af_eval_2d(mapped, xi, eta)
+    built = rec.evaluate(xi, xi)
+    direct = af.af_eval_2d(mapped, xi, xi)
     res["reconstruction_match"] = float(np.max(np.abs(built - direct))) / scale
 
     # average match: cell mean of the corrected field equals the DG mean
@@ -387,75 +403,39 @@ def lemma_checks(state: DgState2D, ux: float, uy: float,
 
     # edge-trace combination identity (both sides along horizontal edges)
     res["edge_trace_combination"] = _edge_trace_identity_residual(
-        state, rec, mapped, alpha, beta, xi) / scale
+        rec, mapped, alpha, beta, xi) / scale
 
     # trace-derivative update identities with random weights
+    dc = dg.dg_rhs_2d(state, ux, uy, flux_x, flux_y).coeffs
     res.update({k: v / scale for k, v in _update_identity_residuals(
-        state, rec, ux, uy, flux_x, flux_y, alpha, beta).items()})
+        state, rec, dc, ux, uy, flux_x, flux_y).items()})
     return res
 
 
-def _edge_trace_identity_residual(state, rec, mapped, alpha, beta, xi):
+def _edge_trace_identity_residual(rec, mapped, alpha, beta, xi):
     """beta-weighted x-corrected traces along a horizontal interface equal
     the (continuous) mapped reconstruction trace; alpha-weighted mirror."""
     bp, bm = beta
     ap, am = alpha
-    worst = 0.0
-    top = rec.evaluate(xi, np.array([0.5]))
-    # q + r^x alone: subtract r^y and corner contributions
-    qrx_top = _q_plus_rx(state, rec, xi, 0.5)
-    qrx_bot = _q_plus_rx(state, rec, xi, -0.5)
+    edges = np.array([-0.5, 0.5])
+    qrx = rec.evaluate(xi, edges, parts="x")
     af_trace = af.af_eval_2d(mapped, xi, np.array([0.5]))[:, :, :, 0]
-    lhs = bp * qrx_top + bm * np.roll(qrx_bot, -1, axis=1)
-    worst = max(worst, float(np.max(np.abs(lhs - af_trace))))
+    lhs = bp * qrx[..., 1] + bm * np.roll(qrx[..., 0], -1, axis=1)
+    worst = float(np.max(np.abs(lhs - af_trace)))
 
-    eta = xi
-    qry_r = _q_plus_ry(state, rec, 0.5, eta)
-    qry_l = _q_plus_ry(state, rec, -0.5, eta)
-    af_trace_x = af.af_eval_2d(mapped, np.array([0.5]), eta)[:, :, 0, :]
-    lhs = ap * qry_r + am * np.roll(qry_l, -1, axis=0)
-    worst = max(worst, float(np.max(np.abs(lhs - af_trace_x))))
-    return worst
+    qry = rec.evaluate(edges, xi, parts="y")
+    af_trace_x = af.af_eval_2d(mapped, np.array([0.5]), xi)[:, :, 0, :]
+    lhs = ap * qry[:, :, 1] + am * np.roll(qry[:, :, 0], -1, axis=0)
+    return max(worst, float(np.max(np.abs(lhs - af_trace_x))))
 
 
-def _q_plus_rx(state, rec, xi, eta_val):
-    basis = dg.dg_basis(state.K)
-    r_l, r_r = poly.radau_pair(state.K)
-    phx = np.array([p(xi) for p in basis.phi])
-    phy = np.array([p(eta_val) for p in basis.phi])
-    q = np.einsum("ijmn,ma,n->ija", state.coeffs, phx, phy)
-    tr_r = np.einsum("ijmn,m,n->ij", state.coeffs, basis.value_right, phy)
-    tr_l = np.einsum("ijmn,m,n->ij", state.coeffs, basis.value_left, phy)
-    qx_r = np.einsum("ajn,n->aj", np.roll(rec.qhat_x, -1, axis=0), phy)
-    qx_l = np.einsum("ajn,n->aj", rec.qhat_x, phy)
-    q += np.einsum("ij,a->ija", qx_r - tr_r, r_r(xi))
-    q += np.einsum("ij,a->ija", qx_l - tr_l, r_l(xi))
-    return q
-
-
-def _q_plus_ry(state, rec, xi_val, eta):
-    basis = dg.dg_basis(state.K)
-    r_l, r_r = poly.radau_pair(state.K)
-    phx = np.array([p(xi_val) for p in basis.phi])
-    phy = np.array([p(eta) for p in basis.phi])
-    q = np.einsum("ijmn,m,nb->ijb", state.coeffs, phx, phy)
-    tr_t = np.einsum("ijmn,m,n->ij", state.coeffs, phx, basis.value_right)
-    tr_b = np.einsum("ijmn,m,n->ij", state.coeffs, phx, basis.value_left)
-    qy_t = np.einsum("ibm,m->ib", np.roll(rec.qhat_y, -1, axis=1), phx)
-    qy_b = np.einsum("ibm,m->ib", rec.qhat_y, phx)
-    q += np.einsum("ij,b->ijb", qy_t - tr_t, r_r(eta))
-    q += np.einsum("ij,b->ijb", qy_b - tr_b, r_l(eta))
-    return q
-
-
-def _update_identity_residuals(state, rec, ux, uy, flux_x, flux_y,
-                               alpha, beta):
-    """The three weighted trace-derivative identities on a random pair."""
+def _update_identity_residuals(state, rec, dc, ux, uy, flux_x, flux_y):
+    """The three weighted trace-derivative identities on a random pair;
+    dc holds the DG time derivative of the state's modes."""
     rng = np.random.default_rng(1234)
     a_w, b_w = rng.uniform(-1, 1, 2)
     out = {}
-    out["edge_update_identity_x"] = _x_edge_identity(
-        state, rec, ux, uy, flux_x, flux_y, a_w, b_w)
+    out["edge_update_identity_x"] = _x_edge_identity(rec, dc, ux, uy, a_w, b_w)
 
     # the perpendicular-edge identity is the same computation on the
     # transposed state with the axes and fluxes swapped
@@ -468,27 +448,25 @@ def _update_identity_residuals(state, rec, ux, uy, flux_x, flux_y,
     beta_t = flux_x.advection_weights(ux) if ux != 0 else (1.0, 0.0)
     rec_t = reconstruct_af_2d_from_dg(state_t, alpha_t, beta_t)
     out["edge_update_identity_y"] = _x_edge_identity(
-        state_t, rec_t, uy, ux, flux_y, flux_x, a_w, b_w)
+        rec_t, np.swapaxes(np.swapaxes(dc, 0, 1), 2, 3), uy, ux, a_w, b_w)
 
     out["corner_update_identity"] = _corner_identity(
-        state, rec, ux, uy, flux_x, flux_y, rng.uniform(-1, 1, 4))
+        rec, dc, ux, uy, rng.uniform(-1, 1, 4))
     return out
 
 
-def _x_edge_identity(state, rec, ux, uy, flux_x, flux_y, a_w, b_w) -> float:
+def _x_edge_identity(rec, dc, ux, uy, a_w, b_w) -> float:
+    state = rec.state
     basis = dg.dg_basis(state.K)
     rule = poly.gauss_legendre_rule(3)
-    dstate = dg.dg_rhs_2d(state, ux, uy, flux_x, flux_y)
-    dc = dstate.coeffs
     dx, dy = state.grid.dx, state.grid.dy
-    mean_mode = np.zeros(state.K + 1)
-    mean_mode[0] = 1.0
-    dtr_r = np.einsum("ijmn,m,n->ij", dc, basis.value_right, mean_mode)
-    dtr_l = np.einsum("ijmn,m,n->ij", dc, basis.value_left, mean_mode)
+    dtr_r = dc[:, :, :, 0] @ basis.value_right
+    dtr_l = dc[:, :, :, 0] @ basis.value_left
     lhs = a_w * dtr_r + b_w * np.roll(dtr_l, -1, axis=0)
-    mean_dqrx_r = _dx_q_plus_rx(state, rec, 0.5, rule) @ rule.weights / dx
-    mean_dqrx_l = _dx_q_plus_rx(state, rec, -0.5, rule) @ rule.weights / dx
-    lhs += ux * (a_w * mean_dqrx_r + b_w * np.roll(mean_dqrx_l, -1, axis=0))
+    mean_dqrx = rec.evaluate(np.array([-0.5, 0.5]), rule.nodes, dxi=1,
+                             parts="x") @ rule.weights / dx
+    lhs += ux * (a_w * mean_dqrx[:, :, 1]
+                 + b_w * np.roll(mean_dqrx[:, :, 0], -1, axis=0))
     qy_r = np.einsum("ibm,m->ib", rec.qhat_y, basis.value_right)
     qy_l = np.einsum("ibm,m->ib", rec.qhat_y, basis.value_left)
     jump = (a_w * (np.roll(qy_r, -1, axis=1) - qy_r)
@@ -497,68 +475,25 @@ def _x_edge_identity(state, rec, ux, uy, flux_x, flux_y, a_w, b_w) -> float:
     return float(np.max(np.abs(lhs)))
 
 
-def _corner_identity(state, rec, ux, uy, flux_x, flux_y, g) -> float:
+def _corner_identity(rec, dc, ux, uy, g) -> float:
     """d/dt of a weighted corner combination balances the weighted
     one-sided derivatives of the corrected fields at the shared node."""
-    basis = dg.dg_basis(state.K)
-    dstate = dg.dg_rhs_2d(state, ux, uy, flux_x, flux_y)
-    dc = dstate.coeffs
-    dx, dy = state.grid.dx, state.grid.dy
-    v_pp, v_mp, v_pm, v_mm = _corner_values(dc, basis)
-    lhs = (g[0] * v_pp + g[1] * np.roll(v_mp, -1, axis=0)
-           + g[2] * np.roll(v_pm, -1, axis=1)
-           + g[3] * np.roll(np.roll(v_mm, -1, axis=0), -1, axis=1))
-    dxq_pp = _dx_q_plus_rx_at(state, rec, 0.5, 0.5) / dx
-    dxq_mp = _dx_q_plus_rx_at(state, rec, -0.5, 0.5) / dx
-    dxq_pm = _dx_q_plus_rx_at(state, rec, 0.5, -0.5) / dx
-    dxq_mm = _dx_q_plus_rx_at(state, rec, -0.5, -0.5) / dx
-    lhs += ux * (g[0] * dxq_pp + g[1] * np.roll(dxq_mp, -1, axis=0)
-                 + g[2] * np.roll(dxq_pm, -1, axis=1)
-                 + g[3] * np.roll(np.roll(dxq_mm, -1, axis=0), -1, axis=1))
-    dyq_pp = _dy_q_plus_ry_at(state, rec, 0.5, 0.5) / dy
-    dyq_mp = _dy_q_plus_ry_at(state, rec, -0.5, 0.5) / dy
-    dyq_pm = _dy_q_plus_ry_at(state, rec, 0.5, -0.5) / dy
-    dyq_mm = _dy_q_plus_ry_at(state, rec, -0.5, -0.5) / dy
-    lhs += uy * (g[0] * dyq_pp + g[1] * np.roll(dyq_mp, -1, axis=0)
-                 + g[2] * np.roll(dyq_pm, -1, axis=1)
-                 + g[3] * np.roll(np.roll(dyq_mm, -1, axis=0), -1, axis=1))
+    dx, dy = rec.state.grid.dx, rec.state.grid.dy
+
+    def at_node(v):
+        """g-weighted values v[..., sx, sy] of the four cells at the node
+        they share, the upper-right corner of cell (i, j)."""
+        return (g[0] * v[:, :, 1, 1] + g[1] * np.roll(v[:, :, 0, 1], -1, axis=0)
+                + g[2] * np.roll(v[:, :, 1, 0], -1, axis=1)
+                + g[3] * np.roll(v[:, :, 0, 0], (-1, -1), axis=(0, 1)))
+
+    basis = dg.dg_basis(rec.state.K)
+    ends = np.stack([basis.value_left, basis.value_right])
+    corners = np.array([-0.5, 0.5])
+    lhs = at_node(np.einsum("ijmn,sm,tn->ijst", dc, ends, ends))
+    lhs += ux * at_node(rec.evaluate(corners, corners, dxi=1, parts="x") / dx)
+    lhs += uy * at_node(rec.evaluate(corners, corners, deta=1, parts="y") / dy)
     return float(np.max(np.abs(lhs)))
-
-
-def _dx_q_plus_rx(state, rec, xi_val, rule):
-    """d/dxi of (q + r^x) at xi_val, sampled at the rule's eta nodes."""
-    basis = dg.dg_basis(state.K)
-    r_l, r_r = poly.radau_pair(state.K)
-    dphx = np.array([p.derivative()(xi_val) for p in basis.phi])
-    phy = np.array([p(rule.nodes) for p in basis.phi])
-    dq = np.einsum("ijmn,m,nb->ijb", state.coeffs, dphx, phy)
-    tr_r = np.einsum("ijmn,m,nb->ijb", state.coeffs, basis.value_right, phy)
-    tr_l = np.einsum("ijmn,m,nb->ijb", state.coeffs, basis.value_left, phy)
-    qx_r = np.einsum("ajn,nb->ajb", np.roll(rec.qhat_x, -1, axis=0), phy)
-    qx_l = np.einsum("ajn,nb->ajb", rec.qhat_x, phy)
-    dq += (qx_r - tr_r) * r_r.derivative()(xi_val)
-    dq += (qx_l - tr_l) * r_l.derivative()(xi_val)
-    return dq
-
-
-def _dx_q_plus_rx_at(state, rec, xi_val, eta_val):
-    rule = poly.QuadratureRule(np.array([eta_val]), np.array([1.0]), 0)
-    return _dx_q_plus_rx(state, rec, xi_val, rule)[:, :, 0]
-
-
-def _dy_q_plus_ry_at(state, rec, xi_val, eta_val):
-    basis = dg.dg_basis(state.K)
-    r_l, r_r = poly.radau_pair(state.K)
-    phx = np.array([p(xi_val) for p in basis.phi])
-    dphy = np.array([p.derivative()(eta_val) for p in basis.phi])
-    dq = np.einsum("ijmn,m,n->ij", state.coeffs, phx, dphy)
-    tr_t = np.einsum("ijmn,m,n->ij", state.coeffs, phx, basis.value_right)
-    tr_b = np.einsum("ijmn,m,n->ij", state.coeffs, phx, basis.value_left)
-    qy_t = np.einsum("ibm,m->ib", np.roll(rec.qhat_y, -1, axis=1), phx)
-    qy_b = np.einsum("ibm,m->ib", rec.qhat_y, phx)
-    dq += (qy_t - tr_t) * r_r.derivative()(eta_val)
-    dq += (qy_b - tr_b) * r_l.derivative()(eta_val)
-    return dq
 
 
 # ---------------------------------------------------------------------------

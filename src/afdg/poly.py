@@ -143,6 +143,7 @@ def legendre(n: int) -> PolySpec:
     return PolySpec(np.array(_legendre_coeffs(n)))
 
 
+@lru_cache(maxsize=None)
 def radau_pair(K: int) -> tuple[PolySpec, PolySpec]:
     """Left/right Radau polynomials of degree K+1.
 
@@ -150,7 +151,8 @@ def radau_pair(K: int) -> tuple[PolySpec, PolySpec]:
     P^{K-1} on the cell.  Built as the half-sum/difference of the two
     top Legendre polynomials and cross-checked against the direct
     (K+2)-dimensional linear system; disagreement beyond 1e-13 is an
-    internal error.
+    internal error.  Cached: every caller shares the pair, whose
+    coefficient arrays are read-only.
     """
     if K < 1:
         raise ValueError("Radau pair requires K >= 1")
@@ -167,6 +169,7 @@ def radau_pair(K: int) -> tuple[PolySpec, PolySpec]:
     if gap > 1e-13:
         raise RuntimeError(
             f"Radau constructions disagree for K={K}: coefficient gap {gap:.3e}")
+    r_l.coefficients.flags.writeable = r_r.coefficients.flags.writeable = False
     return r_l, r_r
 
 

@@ -276,21 +276,39 @@ def test_lemma_checks_pass_on_random_state():
         assert val <= 1e-12, f"{name}: {val:.3e}"
 
 
-def test_lemma_checks_detect_perturbation():
+@pytest.mark.parametrize("block", ["qhat_x", "qhat_y", "corners"])
+def test_lemma_checks_detect_perturbation(block):
     """Negative control: breaking one correction coefficient must break
-    the edge-trace combination identity."""
+    the edge-trace combination identity (a corner constant, which no
+    edge trace sees, the match with the AF reconstruction)."""
     state = random_dg_2d(n=6, seed=21)
     fx = fy = NumericalFluxSpec.upwind()
     rec = equiv.reconstruct_af_2d_from_dg(state, (1.0, 0.0), (1.0, 0.0))
     mapped = equiv.map_dg_to_af_2d(state, (1.0, 0.0), (1.0, 0.0))
-    bad_qhat_x = rec.qhat_x.copy()
-    bad_qhat_x[2, 3, 0] += 0.1
-    bad = equiv.TensorReconstruction2D(state, bad_qhat_x, rec.qhat_y,
-                                       rec.corners)
     xi = np.linspace(-0.5, 0.5, 7)
-    resid = equiv._edge_trace_identity_residual(state, bad, mapped,
-                                                (1.0, 0.0), (1.0, 0.0), xi)
-    assert resid > 1e-3
+    if block == "qhat_x":
+        bad_qhat_x = rec.qhat_x.copy()
+        bad_qhat_x[2, 3, 0] += 0.1
+        bad = equiv.TensorReconstruction2D(state, bad_qhat_x, rec.qhat_y,
+                                           rec.corners)
+        resid = equiv._edge_trace_identity_residual(bad, mapped, (1.0, 0.0),
+                                                    (1.0, 0.0), xi)
+        assert resid > 1e-3
+    elif block == "qhat_y":
+        bad_qhat_y = rec.qhat_y.copy()
+        bad_qhat_y[2, 3, 0] += 0.1
+        bad = equiv.TensorReconstruction2D(state, rec.qhat_x, bad_qhat_y,
+                                           rec.corners)
+        resid = equiv._edge_trace_identity_residual(bad, mapped, (1.0, 0.0),
+                                                    (1.0, 0.0), xi)
+        assert resid > 1e-3
+    else:
+        bad_corners = rec.corners.copy()
+        bad_corners[2, 3, 1, 1] += 0.1
+        bad = equiv.TensorReconstruction2D(state, rec.qhat_x, rec.qhat_y,
+                                           bad_corners)
+        gap = np.max(np.abs(bad.evaluate(xi, xi) - af.af_eval_2d(mapped, xi, xi)))
+        assert gap > 1e-3
 
 
 @pytest.mark.parametrize("flux,a_p,b_p,ux,uy", [

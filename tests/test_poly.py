@@ -139,6 +139,19 @@ def test_radau_rejects_k0():
         poly.radau_pair(0)
 
 
+def test_radau_pair_is_cached_and_read_only():
+    """One shared pair per K (the cross-check solve runs once), so its
+    coefficients must not be writable; K = 0 still raises on every call."""
+    assert poly.radau_pair(2) is poly.radau_pair(2)
+    for p in poly.radau_pair(2):
+        assert not p.coefficients.flags.writeable
+        with pytest.raises(ValueError):
+            p.coefficients[0] = 1.0
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            poly.radau_pair(0)
+
+
 def test_radau_points_k1():
     left = poly.radau_points(1, "left")
     assert np.allclose(left, [-1.0 / 6.0, 0.5], atol=1e-13)
