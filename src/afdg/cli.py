@@ -55,6 +55,7 @@ def cmd_run(args) -> int:
             ("dt_rule", "cfl_override * dx" if cfg.cfl_override is not None
              else "catalog C_CFL * dx"),
             ("steps", b.steps), ("boundary", cfg.boundary),
+            ("ghost_sides", " ".join(res.ghost_sides) or "none"),
             ("seed", cfg.seed), ("rk", cfg.rk)]
     driver.write_csv(cfg.out + ".meta.csv", ["key", "value"], meta)
     print(f"{b.method}: e_dofs={driver.fmt(res.errors.e_dofs)} "

@@ -238,39 +238,73 @@ def make_flux(cfg: RunConfig, problem=None, state_values=None) -> NumericalFluxS
 # Dirichlet ghost blocks (exact-solution traces)
 
 
-def _ghosts(state, project, exact, t: float):
+_SIDES = ("x_lo", "x_hi", "y_lo", "y_hi")
+
+
+def _ghosts(state, project, exact, t: float, sides: tuple = _SIDES):
     """The ghost blocks of a 2-d state at time t for ``kron_sum_apply``,
     projected from the exact solution by one ``project(f, x0, y0, dx, dy)``
-    call.  The same call projects the cells of an AF state's unused slots
-    (see ``AfState2D``), which its boundary point updates read, and writes
-    them into the state."""
+    call; only the ``sides`` the stencils read (see ``ghost_sides``) are
+    projected, and every other block is zero.  With its high side, the same
+    call projects the cells of an AF state's unused slots on that axis (see
+    ``AfState2D``), which its boundary point updates read, and writes them
+    into the state."""
     g = state.grid
-    nx, _, ny, _ = state.U.shape
-    slots = isinstance(state, AfState2D)
-    i, j = _ghost_cells(nx, ny, slots)
+    nx, m, ny, _ = state.U.shape
+    i, j, names, sizes = _ghost_cells(nx, ny, isinstance(state, AfState2D),
+                                      sides)
     blocks = project(lambda x, y: exact(t, x, y), g.x_min + i * g.dx,
                      g.y_min + j * g.dy, g.dx, g.dy)
-    sizes = (ny, ny, nx, nx) + (ny, nx) * slots
-    x_lo, x_hi, y_lo, y_hi, *last = np.split(blocks, np.cumsum(sizes)[:-1])
-    if slots:
-        state.U[-1, 1:] = last[0][:, 1:].swapaxes(0, 1)
-        state.U[:, :, -1, 1:] = last[1][:, :, 1:]
-    return x_lo, x_hi, y_lo, y_hi
+    got = dict(zip(names, np.split(blocks, np.cumsum(sizes)[:-1])))
+    if "x_slot" in got:
+        state.U[-1, 1:] = got["x_slot"][:, 1:].swapaxes(0, 1)
+    if "y_slot" in got:
+        state.U[:, :, -1, 1:] = got["y_slot"][:, :, 1:]
+    zero = {"x": np.zeros((ny, m, m)), "y": np.zeros((nx, m, m))}
+    return tuple(got.get(side, zero[side[0]]) for side in _SIDES)
 
 
 @lru_cache(maxsize=16)
-def _ghost_cells(nx: int, ny: int, slots: bool):
-    """Cell indices (i, j) of ``_ghosts``' blocks in its order: columns -1
-    and nx, rows -1 and ny, then (slots) the last column and row."""
+def _ghost_cells(nx: int, ny: int, slots: bool, sides: tuple):
+    """Cell indices (i, j) of ``_ghosts``' projected blocks, with their
+    names and sizes: the ``sides`` in order (columns -1 and nx, rows -1
+    and ny), each high side followed (``slots``) by the last column or
+    row."""
     rows, cols = np.arange(nx), np.arange(ny)
-    i = [np.full(ny, -1), np.full(ny, nx), rows, rows]
-    j = [cols, cols, np.full(nx, -1), np.full(nx, ny)]
-    if slots:
-        i += [np.full(ny, nx - 1), rows]
-        j += [cols, np.full(nx, ny - 1)]
-    i, j = np.concatenate(i), np.concatenate(j)
+    cells = {"x_lo": (np.full(ny, -1), cols), "x_hi": (np.full(ny, nx), cols),
+             "y_lo": (rows, np.full(nx, -1)), "y_hi": (rows, np.full(nx, ny)),
+             "x_slot": (np.full(ny, nx - 1), cols),
+             "y_slot": (rows, np.full(nx, ny - 1))}
+    names = []
+    for side in sides:
+        names.append(side)
+        if slots and side.endswith("_hi"):
+            names.append(side[0] + "_slot")
+    i = np.concatenate([cells[n][0] for n in names] or [np.arange(0)])
+    j = np.concatenate([cells[n][1] for n in names] or [np.arange(0)])
     i.flags.writeable = j.flags.writeable = False
-    return i, j
+    return i, j, tuple(names), tuple(len(cells[n][0]) for n in names)
+
+
+def _axis_weights(flux: NumericalFluxSpec, u: float) -> tuple:
+    """The one-sided weights (ap, am) of the 2-d stencil along an axis of
+    speed u (a zero-speed axis has no stencil)."""
+    return flux.advection_weights(u) if u != 0 else (1.0, 0.0)
+
+
+def ghost_sides(cfg: RunConfig, flux: NumericalFluxSpec) -> tuple:
+    """The Dirichlet ghost sides the 2-d stencils read: along each axis of
+    nonzero speed, the low side if ap != 0 and the high side if am != 0
+    (the stencil's L block carries the factor ap, its R block am); none
+    for a periodic or 1-d run."""
+    if cfg.boundary != "dirichlet" or not cfg.problem.endswith("2d"):
+        return ()
+    sides = []
+    for axis, u in (("x", cfg.ux), ("y", cfg.uy)):
+        if u != 0:
+            ap, am = flux.advection_weights(u)
+            sides += [f"{axis}_lo"] * (ap != 0) + [f"{axis}_hi"] * (am != 0)
+    return tuple(sides)
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +342,20 @@ def make_rhs(cfg: RunConfig, problem, flux: NumericalFluxSpec):
 
     if cfg.problem.endswith("2d"):
         ux, uy, K = cfg.ux, cfg.uy, cfg.K
+        alpha, beta = _axis_weights(flux, ux), _axis_weights(flux, uy)
         if cfg.method == "dg":
             op = lambda state, ghosts: dg.dg_rhs_2d(state, ux, uy, flux, flux,
                                                     ghosts)
             project = partial(mesh.dg_cell_dofs_2d, K)
         else:
-            alpha = flux.advection_weights(ux) if ux != 0 else (1.0, 0.0)
-            beta = flux.advection_weights(uy) if uy != 0 else (1.0, 0.0)
             op = lambda state, ghosts: af.af_rhs_2d_tensorial(
                 state, ux, uy, alpha, beta, ghosts)
             project = partial(mesh.af_cell_dofs_2d, K)
         if not dirichlet:
             return lambda state, t: op(state, None)
-        return lambda state, t: op(state, _ghosts(state, project, exact, t))
+        sides = ghost_sides(cfg, flux)
+        return lambda state, t: op(state, _ghosts(state, project, exact, t,
+                                                  sides))
 
     if cfg.method == "dg":
         return lambda state, t: dg.dg_rhs_1d(state, problem, flux)
@@ -402,6 +437,7 @@ class RunResult:
     state: object
     errors: ErrorReport
     bench: BenchRecord
+    ghost_sides: tuple = ()         # the Dirichlet sides projected per stage
 
 
 def default_dt(cfg: RunConfig, dx: float) -> float:
@@ -448,7 +484,7 @@ def run_simulation(cfg: RunConfig, n: int | None = None,
                         tau_per_step=tau / steps, steps=steps,
                         e_dofs=errors.e_dofs,
                         metric=counts.n_dofs * errors.e_dofs * tau)
-    return RunResult(final, errors, bench)
+    return RunResult(final, errors, bench, ghost_sides(cfg, flux))
 
 
 def run_convergence_study(cfg: RunConfig):

@@ -113,13 +113,16 @@ class QuadratureRule:
             if vals.ndim > 1 else float(np.dot(self.weights, vals))
 
 
+@lru_cache(maxsize=None)
 def gauss_legendre_rule(n_points: int) -> QuadratureRule:
-    """Gauss-Legendre rule scaled from [-1, 1] to the reference cell."""
+    """Gauss-Legendre rule scaled from [-1, 1] to the reference cell;
+    cached, with read-only nodes and weights."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     x, w = np.polynomial.legendre.leggauss(n_points)
-    return QuadratureRule(nodes=x / 2.0, weights=w / 2.0,
-                          exactness_degree=2 * n_points - 1)
+    x, w = x / 2.0, w / 2.0
+    x.flags.writeable = w.flags.writeable = False
+    return QuadratureRule(nodes=x, weights=w, exactness_degree=2 * n_points - 1)
 
 
 @lru_cache(maxsize=None)

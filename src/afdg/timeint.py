@@ -100,8 +100,13 @@ def schemes_by_name() -> dict[str, RkScheme]:
 
 
 def rk_step(scheme: RkScheme, rhs, state, dt: float, t: float = 0.0):
-    """One step of the tableau; at most ``stages`` intermediate states."""
-    stages = [state]
+    """One step of the tableau; at most ``stages`` intermediate states.
+
+    Each stage's derivative is evaluated once and kept only until the last
+    stage that reads it (in SSPRK(5,4), L(u_3) serves stages 4 and 5)."""
+    last_read = {idx: s for s in range(scheme.stages)
+                 for idx, _ in scheme.rhs_w[s]}
+    stages, derivs = [state], {}
     for s in range(scheme.stages):
         (idx0, w0), *rest = scheme.combo[s]
         arrays = [w0 * a for a in stages[idx0].arrays()]
@@ -109,7 +114,9 @@ def rk_step(scheme: RkScheme, rhs, state, dt: float, t: float = 0.0):
             for a, b in zip(arrays, stages[idx].arrays()):
                 a += w * b
         for idx, w in scheme.rhs_w[s]:
-            deriv = rhs(stages[idx], t + scheme.c[idx] * dt)
+            if idx not in derivs:
+                derivs[idx] = rhs(stages[idx], t + scheme.c[idx] * dt)
+            deriv = derivs.pop(idx) if last_read[idx] == s else derivs[idx]
             dw = dt * w
             for a, b in zip(arrays, deriv.arrays()):
                 a += dw * b

@@ -477,3 +477,11 @@ def test_cli_run_emits_metadata(tmp_path):
               "--set", "t_final=0.05", "--out", str(out)])
     meta = (tmp_path / "state.csv.meta.csv").read_text()
     assert "dt_rule,catalog C_CFL * dx" in meta
+    assert "ghost_sides,none" in meta
+    # a Dirichlet run names the ghost sides its stencils read
+    cli.main(["run", "--set", "problem=advection2d", "--set", "method=af",
+              "--set", "order=3", "--set", "boundary=dirichlet",
+              "--set", "ux=-1", "--set", "uy=0.5", "--set", "grids=6",
+              "--set", "t_final=0.02", "--out", str(out)])
+    meta = (tmp_path / "state.csv.meta.csv").read_text()
+    assert "ghost_sides,x_hi y_lo" in meta

@@ -243,6 +243,17 @@ def test_gauss_rule_one_point():
     assert np.allclose(rule.nodes, [0.0]) and np.allclose(rule.weights, [1.0])
 
 
+def test_gauss_rule_is_cached_and_read_only():
+    rule = poly.gauss_legendre_rule(3)
+    assert poly.gauss_legendre_rule(3) is rule
+    assert not rule.nodes.flags.writeable
+    assert not rule.weights.flags.writeable
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        poly.gauss_legendre_rule(0)
+
+
 def test_gauss_rule_two_points():
     rule = poly.gauss_legendre_rule(2)
     assert np.allclose(sorted(rule.nodes), [-0.5 / np.sqrt(3), 0.5 / np.sqrt(3)])

@@ -122,3 +122,60 @@ def test_linear_stability_sanity_dg_k1():
         s = timeint.rk_step(timeint.SSPRK3,
                             lambda st, t: dg.dg_rhs_1d(st, prob, flux), s, dt)
     assert np.max(np.abs(s.coeffs)) <= 2.0 * init_max
+
+
+# ---------------------------------------------------------------------------
+# one RHS evaluation per stage
+
+
+def reference_rk_step(scheme, rhs, state, dt: float, t: float = 0.0):
+    """One step of the tableau; at most ``stages`` intermediate states."""
+    stages = [state]
+    for s in range(scheme.stages):
+        (idx0, w0), *rest = scheme.combo[s]
+        arrays = [w0 * a for a in stages[idx0].arrays()]
+        for idx, w in rest:
+            for a, b in zip(arrays, stages[idx].arrays()):
+                a += w * b
+        for idx, w in scheme.rhs_w[s]:
+            deriv = rhs(stages[idx], t + scheme.c[idx] * dt)
+            dw = dt * w
+            for a, b in zip(arrays, deriv.arrays()):
+                a += dw * b
+        stages.append(state.with_arrays(arrays))
+    return stages[-1]
+
+
+@pytest.mark.parametrize("scheme,calls", [(timeint.SSPRK3, 3),
+                                          (timeint.SSPRK54, 5)])
+def test_rk_step_evaluates_each_stage_once(scheme, calls):
+    times = []
+
+    def rhs(s, t):
+        times.append(t)
+        return ScalarState(-s.y)
+
+    timeint.rk_step(scheme, rhs, ScalarState([1.0]), 0.1, 2.0)
+    assert len(times) == calls
+    assert times == [2.0 + 0.1 * c for c in scheme.c[:calls]]
+
+
+@pytest.mark.parametrize("method,order,rk", [("af", 4, "ssprk54"),
+                                             ("dg", 3, "ssprk54"),
+                                             ("dg", 4, "ssprk3")])
+def test_rk_step_equals_the_reference_bit_for_bit(method, order, rk):
+    cfg = driver.RunConfig(method=method, order=order, rk=rk,
+                           problem="advection2d", ux=1.0, uy=-0.5,
+                           init="sine", boundary="dirichlet")
+    state = driver.build_state(cfg, 8)
+    problem = driver.make_problem(cfg)
+    rhs = driver.make_rhs(cfg, problem,
+                          driver.make_flux(cfg, problem, state.arrays()[0]))
+    scheme = timeint.schemes_by_name()[rk]
+    # the RHS writes an AF state's read slots in place: one copy per side
+    got, want = state.copy(), state.copy()
+    for step in range(3):
+        got = timeint.rk_step(scheme, rhs, got, 0.01, 0.01 * step)
+        want = reference_rk_step(scheme, rhs, want, 0.01, 0.01 * step)
+    assert np.array_equal(got.U, want.U)
+    assert not np.array_equal(got.U, state.U)
