@@ -11,9 +11,10 @@ the 1-d method, so its linear-advection update is the Kronecker sum
 ux (A (x) I) + uy (I (x) B) of 1-d operators, periodic or closed by
 Dirichlet ghost blocks.  Each is the block row of three (K+1)x(K+1)
 blocks (``af_stencil_1d``, built from ``af_ops`` alone) that
-``mesh.kron_sum_apply`` applies along its axis.  K = 1 reproduces the
-edge-average/node/cell-average updates with Simpson-exact edge
-integrals; K = 2 gives the fourth-order method.
+``mesh.kron_sum_apply`` applies along its axis, with the one-sided
+weights of each axis resolved by the caller (as ``dg.dg_rhs_2d``).
+K = 1 reproduces the edge-average/node/cell-average updates with
+Simpson-exact edge integrals; K = 2 gives the fourth-order method.
 The classical variant (edge midpoints instead of averages) is kept for
 the midpoint-vs-average comparison and is upwind-only.
 """
@@ -28,7 +29,7 @@ import numpy as np
 from . import poly
 from .mesh import (AfState1D, AfState2D, kron_sum_apply,
                    simpson_edge_average)
-from .problems import NumericalFluxSpec, ProblemSpec
+from .problems import NumericalFluxSpec, ProblemSpec, check_weights
 
 __all__ = [
     "AfOps", "af_ops", "PointUpdateVariant",
@@ -388,8 +389,9 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     and 1..K the moments, so point x point are the nodes, point x moment
     the x-edge moments, moment x point the y-edge moments and moment x
     moment the cell moments.  alpha/beta are the one-sided weights of the
-    point updates per axis; omitted weights mean pure upwinding by the
-    sign of the speed.  A zero-speed axis contributes nothing.
+    point updates in x and y (``NumericalFluxSpec.advection_weights``);
+    omitted weights are the upwind pair.  A zero-speed axis contributes
+    nothing.
 
     A non-periodic state needs ``ghosts``, the blocks of the cells one
     beyond its tensor (see ``kron_sum_apply``), and its unused slots must
@@ -402,11 +404,11 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     if not state.periodic and ghosts is None:
         raise ValueError("a non-periodic state needs ghost blocks")
     if alpha is None:
-        alpha = (1.0, 0.0) if ux >= 0 else (0.0, 1.0)
+        alpha = NumericalFluxSpec.upwind().advection_weights(ux)
     if beta is None:
-        beta = (1.0, 0.0) if uy >= 0 else (0.0, 1.0)
-    _check_weights(alpha)
-    _check_weights(beta)
+        beta = NumericalFluxSpec.upwind().advection_weights(uy)
+    check_weights(alpha)
+    check_weights(beta)
 
     K = state.K
     sx = (ux / state.grid.dx) * af_stencil_1d(K, *alpha) if ux != 0.0 else None
@@ -416,11 +418,6 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
         dU[-1, 1:] = 0.0
         dU[:, :, -1, 1:] = 0.0
     return state.with_arrays([dU])
-
-
-def _check_weights(w):
-    if abs(w[0] + w[1] - 1.0) > 1e-13:
-        raise ValueError("one-sided weights must sum to 1")
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import driver, equiv, timeint
 from .mesh import save_state_csv
-from .problems import builtin_problems
+from .problems import FLUX_NAMES, builtin_problems
 
 
 def _load_config(args) -> driver.RunConfig:
@@ -56,7 +58,9 @@ def cmd_run(args) -> int:
              else "catalog C_CFL * dx"),
             ("steps", b.steps), ("boundary", cfg.boundary),
             ("ghost_sides", " ".join(res.ghost_sides) or "none"),
-            ("seed", cfg.seed), ("rk", cfg.rk)]
+            ("weights", " ".join(f"{axis} {driver.fmt(ap)} {driver.fmt(am)}"
+                                 for axis, (ap, am) in zip("xy", res.weights))),
+            ("seed", cfg.seed), ("rk", cfg.rk), ("numpy", np.__version__)]
     driver.write_csv(cfg.out + ".meta.csv", ["key", "value"], meta)
     print(f"{b.method}: e_dofs={driver.fmt(res.errors.e_dofs)} "
           f"tau={b.tau:.3g}s steps={b.steps}")
@@ -87,7 +91,7 @@ def cmd_equiv_check(args) -> int:
     _check_equiv_keys(cfg, dimension, args.variant)
     setting = equiv.EquivSetting(
         dimension=dimension, problem=cfg.problem,
-        problem_params=_problem_params(cfg), flux=cfg.flux,
+        problem_params=driver.problem_params(cfg), flux=cfg.flux,
         alpha_plus=cfg.alpha_plus, beta_plus=cfg.beta_plus,
         K=cfg.K, n_cells=cfg.grids[0], seed=cfg.seed,
         tolerance=cfg.tolerance, variant=args.variant)
@@ -106,7 +110,7 @@ def _check_equiv_keys(cfg: driver.RunConfig, dimension: int,
                       variant: str) -> None:
     """Reject the keys ``equiv.verify_equivalence`` cannot run with."""
     problems = sorted(builtin_problems())
-    fluxes = ["upwind", "central", "alpha"] + ["lax_friedrichs"] * (dimension == 1)
+    fluxes = [f for f in FLUX_NAMES if dimension == 1 or f != "lax_friedrichs"]
     k_key = "order" if cfg.k is None else "k"
     checks = [("problem", cfg.problem in problems,
                f"must be one of {', '.join(problems)}"),
@@ -123,20 +127,10 @@ def _check_equiv_keys(cfg: driver.RunConfig, dimension: int,
         if not ok:
             raise driver.ConfigError(f"config key {key!r} {why}, got "
                                      f"{getattr(cfg, key)!r}")
-    problem = builtin_problems()[cfg.problem](**_problem_params(cfg))
+    problem = driver.make_problem(cfg)
     if problem.linear and not problem.is_scalar and cfg.flux != "upwind":
         raise driver.ConfigError(f"config key 'flux' must be 'upwind' for "
                                  f"the system {cfg.problem}, got {cfg.flux!r}")
-
-
-def _problem_params(cfg: driver.RunConfig) -> dict:
-    if cfg.problem == "advection1d":
-        return {"u": cfg.u}
-    if cfg.problem == "advection2d":
-        return {"ux": cfg.ux, "uy": cfg.uy}
-    if cfg.problem == "acoustics2x2":
-        return {"c": cfg.c_sound}
-    return {}
 
 
 def cmd_bench(args) -> int:

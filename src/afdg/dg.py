@@ -16,7 +16,8 @@ Kronecker sum ux (A (x) I) + uy (I (x) B) of 1-d operators, periodic or
 closed by Dirichlet ghost blocks, each the block row of three
 (K+1)x(K+1) blocks (``dg_stencil_1d``, built from the closed-form
 ``dg_basis`` coefficients alone, so every integral is exact) that
-``mesh.kron_sum_apply`` applies along its axis.
+``mesh.kron_sum_apply`` applies along its axis.  ``dg_rhs_2d`` takes each
+axis' resolved one-sided weights, as ``af.af_rhs_2d_tensorial`` does.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import numpy as np
 
 from . import poly
 from .mesh import AF_N_INT, DG_N_INT, DgState1D, DgState2D, kron_sum_apply
-from .problems import NumericalFluxSpec, ProblemSpec, numerical_flux
+from .problems import (NumericalFluxSpec, ProblemSpec, check_weights,
+                       numerical_flux)
 
 __all__ = [
     "DgBasis", "dg_basis", "dg_rhs_1d", "dg_stencil_1d", "dg_rhs_2d",
@@ -260,30 +262,19 @@ def riesz_endpoint_functionals(K: int) -> RieszEndpointFunctionals:
 # 2-d tensor assembly (linear advection)
 
 
-def interface_traces_2d(state: DgState2D):
-    """Modal tangential trace polynomials on each interface.
-
-    Returns (tx_L, tx_R, ty_B, ty_T): tx_L[a, j, n] is the trace of cell
-    (a, j) at its own left face, etc.  Periodic wrap pairs face a of cell
-    a with face a of cell a-1.
-    """
-    basis = dg_basis(state.K)
-    c = state.coeffs
-    tx_minus = np.einsum("ijmn,m->ijn", c, basis.value_left)
-    tx_plus = np.einsum("ijmn,m->ijn", c, basis.value_right)
-    ty_minus = np.einsum("ijmn,n->ijm", c, basis.value_left)
-    ty_plus = np.einsum("ijmn,n->ijm", c, basis.value_right)
-    return tx_minus, tx_plus, ty_minus, ty_plus
-
-
 def qhat_interfaces_2d(state: DgState2D, alpha: tuple[float, float],
                        beta: tuple[float, float]):
-    """Weighted interface traces qhat on x- and y-interfaces (periodic)."""
-    tx_minus, tx_plus, ty_minus, ty_plus = interface_traces_2d(state)
+    """Weighted interface traces (periodic): qhat_x[a, j] = ap q^+ + am q^-
+    with q^+ the trace of cell (a-1, j) at its right face and q^- that of
+    cell (a, j) at its left face (modal in y); qhat_y likewise with beta."""
+    b = dg_basis(state.K)
+    c, vr, vl = state.coeffs, b.value_right, b.value_left
     ap, am = alpha
     bp, bm = beta
-    qhat_x = ap * np.roll(tx_plus, 1, axis=0) + am * tx_minus
-    qhat_y = bp * np.roll(ty_plus, 1, axis=1) + bm * ty_minus
+    qhat_x = (ap * np.roll(np.einsum("ijmn,m->ijn", c, vr), 1, axis=0)
+              + am * np.einsum("ijmn,m->ijn", c, vl))
+    qhat_y = (bp * np.roll(np.einsum("ijmn,n->ijm", c, vr), 1, axis=1)
+              + bm * np.einsum("ijmn,n->ijm", c, vl))
     return qhat_x, qhat_y
 
 
@@ -306,13 +297,14 @@ def dg_stencil_1d(K: int, ap: float, am: float) -> np.ndarray:
 
 
 def dg_rhs_2d(state: DgState2D, ux: float, uy: float,
-              flux_x: NumericalFluxSpec, flux_y: NumericalFluxSpec,
+              alpha: tuple[float, float], beta: tuple[float, float],
               ghosts=None) -> DgState2D:
     """Tensor-modal update for 2-d linear advection.
 
     The update is the Kronecker sum ux (A (x) I) + uy (I (x) B) of the
-    1-d operators (``dg_stencil_1d`` with each flux's advection weights)
-    applied by ``mesh.kron_sum_apply`` to the state tensor U[i, m, j, n]
+    1-d operators (``dg_stencil_1d`` with the one-sided weights alpha in x
+    and beta in y, see ``NumericalFluxSpec.advection_weights``) applied by
+    ``mesh.kron_sum_apply`` to the state tensor U[i, m, j, n]
     (coeffs[i, j, m, n]).  A non-periodic state needs ``ghosts``, the
     modal blocks of the cells one beyond it on each side.  A zero-speed
     axis contributes nothing (its flux terms carry the factor u).
@@ -320,12 +312,9 @@ def dg_rhs_2d(state: DgState2D, ux: float, uy: float,
     """
     if not state.periodic and ghosts is None:
         raise ValueError("a non-periodic state needs ghost blocks")
+    check_weights(alpha)
+    check_weights(beta)
     K = state.K
-    sx = sy = None
-    if ux != 0.0:
-        sx = (ux / state.grid.dx) * dg_stencil_1d(
-            K, *flux_x.advection_weights(ux))
-    if uy != 0.0:
-        sy = (uy / state.grid.dy) * dg_stencil_1d(
-            K, *flux_y.advection_weights(uy))
+    sx = (ux / state.grid.dx) * dg_stencil_1d(K, *alpha) if ux != 0.0 else None
+    sy = (uy / state.grid.dy) * dg_stencil_1d(K, *beta) if uy != 0.0 else None
     return state.with_arrays([kron_sum_apply(state.U, sx, sy, ghosts)])

@@ -22,8 +22,8 @@ import numpy as np
 from . import af, dg, mesh, poly, timeint
 from .mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid1D, Grid2D,
                    dof_counts)
-from .problems import (NumericalFluxSpec, builtin_problems,
-                       lax_friedrichs_speed)
+from .problems import (FLUX_NAMES, NumericalFluxSpec, builtin_problems,
+                       flux_spec, lax_friedrichs_speed)
 
 __all__ = [
     "ConfigError", "RunConfig", "parse_config", "ErrorReport", "BenchRecord",
@@ -93,6 +93,11 @@ class RunConfig:
             return self.k
         return self.order - 2 if self.method == "af" else self.order - 1
 
+    @property
+    def speeds(self) -> tuple:
+        """The advection speed of each axis: (ux, uy) in 2-d, (u,) in 1-d."""
+        return (self.ux, self.uy) if self.problem.endswith("2d") else (self.u,)
+
     def method_id(self) -> str:
         rk_order = timeint.schemes_by_name()[self.rk].order
         return f"{self.method.upper()}{self.order}{rk_order}"
@@ -124,8 +129,10 @@ class RunConfig:
         inits = _INIT_2D if two_d else _INIT_1D
         if self.init not in inits:
             bad("init", "must be one of " + ", ".join(inits))
-        if self.flux not in _FLUXES:
-            bad("flux", "must be one of " + ", ".join(_FLUXES))
+        if self.flux not in FLUX_NAMES:
+            bad("flux", "must be one of " + ", ".join(FLUX_NAMES))
+        if self.flux == "lax_friedrichs" and not any(self.speeds):
+            bad("flux", "needs a nonzero speed for its constant")
 
 
 def _positive(x) -> bool:
@@ -206,32 +213,27 @@ def exact_solution(cfg: RunConfig):
     return lambda t, x: q0(x - cfg.u * t)
 
 
-def make_problem(cfg: RunConfig):
-    factory = builtin_problems()[cfg.problem]
+def problem_params(cfg: RunConfig) -> dict:
+    """The keyword arguments of the config's problem factory."""
     if cfg.problem == "advection1d":
-        return factory(u=cfg.u)
+        return {"u": cfg.u}
     if cfg.problem == "advection2d":
-        return factory(ux=cfg.ux, uy=cfg.uy)
+        return {"ux": cfg.ux, "uy": cfg.uy}
     if cfg.problem == "acoustics2x2":
-        return factory(c=cfg.c_sound)
-    return factory()
+        return {"c": cfg.c_sound}
+    return {}
 
 
-_FLUXES = {
-    "upwind": lambda cfg, problem, values: NumericalFluxSpec.upwind(),
-    "central": lambda cfg, problem, values: NumericalFluxSpec.central(),
-    "alpha": lambda cfg, problem, values: NumericalFluxSpec.alpha(
-        cfg.alpha_plus, 1.0 - cfg.alpha_plus),
-    "lax_friedrichs": lambda cfg, problem, values:
-        NumericalFluxSpec.lax_friedrichs(lax_friedrichs_speed(problem, values)),
-}
+def make_problem(cfg: RunConfig):
+    return builtin_problems()[cfg.problem](**problem_params(cfg))
 
 
 def make_flux(cfg: RunConfig, problem=None, state_values=None) -> NumericalFluxSpec:
-    if cfg.flux not in _FLUXES:
-        raise ConfigError(f"config key 'flux' must be one of "
-                          f"{', '.join(_FLUXES)}, got {cfg.flux!r}")
-    return _FLUXES[cfg.flux](cfg, problem, state_values)
+    """The config's flux; Lax-Friedrichs takes its constant from the
+    problem's wave speed over ``state_values``."""
+    a = (lax_friedrichs_speed(problem, state_values)
+         if cfg.flux == "lax_friedrichs" else 0.0)
+    return flux_spec(cfg.flux, cfg.alpha_plus, a)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +288,6 @@ def _ghost_cells(nx: int, ny: int, slots: bool, sides: tuple):
     return i, j, tuple(names), tuple(len(cells[n][0]) for n in names)
 
 
-def _axis_weights(flux: NumericalFluxSpec, u: float) -> tuple:
-    """The one-sided weights (ap, am) of the 2-d stencil along an axis of
-    speed u (a zero-speed axis has no stencil)."""
-    return flux.advection_weights(u) if u != 0 else (1.0, 0.0)
-
-
 def ghost_sides(cfg: RunConfig, flux: NumericalFluxSpec) -> tuple:
     """The Dirichlet ghost sides the 2-d stencils read: along each axis of
     nonzero speed, the low side if ap != 0 and the high side if am != 0
@@ -300,7 +296,7 @@ def ghost_sides(cfg: RunConfig, flux: NumericalFluxSpec) -> tuple:
     if cfg.boundary != "dirichlet" or not cfg.problem.endswith("2d"):
         return ()
     sides = []
-    for axis, u in (("x", cfg.ux), ("y", cfg.uy)):
+    for axis, u in zip("xy", cfg.speeds):
         if u != 0:
             ap, am = flux.advection_weights(u)
             sides += [f"{axis}_lo"] * (ap != 0) + [f"{axis}_hi"] * (am != 0)
@@ -341,31 +337,21 @@ def make_rhs(cfg: RunConfig, problem, flux: NumericalFluxSpec):
     exact = exact_solution(cfg) if dirichlet else None
 
     if cfg.problem.endswith("2d"):
-        ux, uy, K = cfg.ux, cfg.uy, cfg.K
-        alpha, beta = _axis_weights(flux, ux), _axis_weights(flux, uy)
-        if cfg.method == "dg":
-            op = lambda state, ghosts: dg.dg_rhs_2d(state, ux, uy, flux, flux,
-                                                    ghosts)
-            project = partial(mesh.dg_cell_dofs_2d, K)
-        else:
-            op = lambda state, ghosts: af.af_rhs_2d_tensorial(
-                state, ux, uy, alpha, beta, ghosts)
-            project = partial(mesh.af_cell_dofs_2d, K)
-        if not dirichlet:
-            return lambda state, t: op(state, None)
+        ux, uy = cfg.ux, cfg.uy
+        alpha, beta = flux.advection_weights(ux), flux.advection_weights(uy)
+        rhs, cell_dofs = ((dg.dg_rhs_2d, mesh.dg_cell_dofs_2d)
+                          if cfg.method == "dg" else
+                          (af.af_rhs_2d_tensorial, mesh.af_cell_dofs_2d))
+        project = partial(cell_dofs, cfg.K)
         sides = ghost_sides(cfg, flux)
-        return lambda state, t: op(state, _ghosts(state, project, exact, t,
-                                                  sides))
+        return lambda state, t: rhs(
+            state, ux, uy, alpha, beta,
+            _ghosts(state, project, exact, t, sides) if dirichlet else None)
 
     if cfg.method == "dg":
         return lambda state, t: dg.dg_rhs_1d(state, problem, flux)
-    if problem.linear and problem.is_scalar:
-        ap, am = flux.advection_weights(problem.advection_speed)
-        variant = af.PointUpdateVariant.alpha(ap, am)
-    elif cfg.flux == "lax_friedrichs":
-        variant = af.PointUpdateVariant("flux_vector_splitting", a=flux.a)
-    else:
-        variant = af.PointUpdateVariant.upwind()
+    ap, am = flux.advection_weights(problem.advection_speed)
+    variant = af.PointUpdateVariant.alpha(ap, am)
     return lambda state, t: af.af_rhs_1d(state, problem, variant)
 
 
@@ -438,6 +424,7 @@ class RunResult:
     errors: ErrorReport
     bench: BenchRecord
     ghost_sides: tuple = ()         # the Dirichlet sides projected per stage
+    weights: tuple = ()             # the (ap, am) pair of each axis
 
 
 def default_dt(cfg: RunConfig, dx: float) -> float:
@@ -484,7 +471,8 @@ def run_simulation(cfg: RunConfig, n: int | None = None,
                         tau_per_step=tau / steps, steps=steps,
                         e_dofs=errors.e_dofs,
                         metric=counts.n_dofs * errors.e_dofs * tau)
-    return RunResult(final, errors, bench, ghost_sides(cfg, flux))
+    weights = tuple(flux.advection_weights(u) for u in cfg.speeds)
+    return RunResult(final, errors, bench, ghost_sides(cfg, flux), weights)
 
 
 def run_convergence_study(cfg: RunConfig):

@@ -33,7 +33,8 @@ from . import af, dg, poly
 from .mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid1D, Grid2D,
                    simpson_edge_average, simpson_midpoint)
 from .problems import (NumericalFluxSpec, ProblemSpec, builtin_problems,
-                       flux_partials, invert_flux, lax_friedrichs_speed)
+                       check_weights, flux_partials, flux_spec, invert_flux,
+                       lax_friedrichs_speed)
 
 __all__ = [
     "moment_transfer_matrix", "map_dg_to_af_1d", "augment_reconstruction_1d",
@@ -172,8 +173,8 @@ def _corner_values(coeffs: np.ndarray, basis: dg.DgBasis):
 
 
 def map_dg_to_af_2d(state: DgState2D, alpha: tuple[float, float],
-                    beta: tuple[float, float],
-                    check_consistency: bool = True) -> AfState2D:
+                    beta: tuple[float, float], check_consistency: bool = True,
+                    qhat: tuple | None = None) -> AfState2D:
     """Corner/edge/average dofs of tensorial AF from the DG approximation.
 
     Corners combine the four one-sided corner traces with the alpha/beta
@@ -184,11 +185,12 @@ def map_dg_to_af_2d(state: DgState2D, alpha: tuple[float, float],
     error.  The identification is stated for K = 1; the tensor form here
     extends it verbatim to K >= 2 and the verifier confirms the update
     equations still agree (an open question answered numerically).
+    ``qhat`` is the caller's ``dg.qhat_interfaces_2d`` pair, if it has one.
     """
     if state.K < 1:
         raise ValueError("the 2-d identification needs K >= 1")
-    _check_consistent(alpha)
-    _check_consistent(beta)
+    check_weights(alpha)
+    check_weights(beta)
     ap, am = alpha
     bp, bm = beta
     basis = dg.dg_basis(state.K)
@@ -201,7 +203,7 @@ def map_dg_to_af_2d(state: DgState2D, alpha: tuple[float, float],
              + ap * bm * np.roll(v_pm, (1, 0), axis=(0, 1))
              + am * bm * v_mm)
 
-    qhat_x, qhat_y = dg.qhat_interfaces_2d(state, alpha, beta)
+    qhat_x, qhat_y = qhat or dg.qhat_interfaces_2d(state, alpha, beta)
     T = moment_transfer_matrix(K)
     x_edge = np.einsum("kn,ajn->ajk", T, qhat_x)
     y_edge = np.einsum("km,ibm->ibk", T, qhat_y)
@@ -211,19 +213,22 @@ def map_dg_to_af_2d(state: DgState2D, alpha: tuple[float, float],
     out = AfState2D(state.grid, K, nodes, x_edge, y_edge, cell_moments,
                     "tensorial", state.periodic)
     if check_consistency:
-        res = corner_consistency_residual(state, alpha, beta, nodes)
+        res = corner_consistency_residual(state, alpha, beta, nodes,
+                                          (qhat_x, qhat_y))
         if res > 1e-12:
             raise RuntimeError(f"corner consistency violated: {res:.3e}")
     return out
 
 
 def corner_consistency_residual(state: DgState2D, alpha, beta,
-                                nodes: np.ndarray | None = None) -> float:
-    """Max gap between the two weighted-trace expressions for the corner."""
+                                nodes: np.ndarray | None = None,
+                                qhat: tuple | None = None) -> float:
+    """Max gap between the two weighted-trace expressions for the corner
+    (and the mapped ``nodes``); ``qhat`` as in ``map_dg_to_af_2d``."""
     ap, am = alpha
     bp, bm = beta
     basis = dg.dg_basis(state.K)
-    qhat_x, qhat_y = dg.qhat_interfaces_2d(state, alpha, beta)
+    qhat_x, qhat_y = qhat or dg.qhat_interfaces_2d(state, alpha, beta)
     # evaluate qhat_y (an x-polynomial on horizontal interfaces) at x=+-1/2
     qy_r = np.einsum("ibm,m->ib", qhat_y, basis.value_right)
     qy_l = np.einsum("ibm,m->ib", qhat_y, basis.value_left)
@@ -235,11 +240,6 @@ def corner_consistency_residual(state: DgState2D, alpha, beta,
     if nodes is not None:
         res = max(res, np.max(np.abs(expr1 - nodes)))
     return float(res)
-
-
-def _check_consistent(w):
-    if abs(w[0] + w[1] - 1.0) > 1e-13:
-        raise ValueError("flux weights must sum to 1 (consistency)")
 
 
 @lru_cache(maxsize=None)
@@ -259,12 +259,14 @@ class TensorReconstruction2D:
 
     Built from the modal blocks, interface trace polynomials and corner
     constants C[i, j, (L/R)x, (L/R)y]; evaluated through ``blocks``.
+    ``mapped`` is the AF state the corners were built from.
     """
 
     state: DgState2D
     qhat_x: np.ndarray
     qhat_y: np.ndarray
     corners: np.ndarray       # (nx, ny, 2, 2)
+    mapped: AfState2D | None = None
 
     @cached_property
     def blocks(self) -> np.ndarray:
@@ -305,8 +307,8 @@ def reconstruct_af_2d_from_dg(state: DgState2D, alpha, beta
     if state.K != 1:
         raise ValueError("the 2-d reconstruction identity is built for K = 1")
     basis = dg.dg_basis(state.K)
-    mapped = map_dg_to_af_2d(state, alpha, beta, check_consistency=False)
     qhat_x, qhat_y = dg.qhat_interfaces_2d(state, alpha, beta)
+    mapped = map_dg_to_af_2d(state, alpha, beta, False, (qhat_x, qhat_y))
     v_pp, v_mp, v_pm, v_mm = _corner_values(state.coeffs, basis)
 
     qx_t = np.einsum("ajn,n->aj", qhat_x, basis.value_right)
@@ -326,16 +328,14 @@ def reconstruct_af_2d_from_dg(state: DgState2D, alpha, beta
     corners[:, :, 1, 0] = (np.roll(nodes, (-1, 0), axis=(0, 1))
                            - np.roll(qx_b, -1, axis=0) - qy_r + v_pm)
     corners[:, :, 0, 0] = nodes - qx_b - qy_l + v_mm
-    return TensorReconstruction2D(state, qhat_x, qhat_y, corners)
+    return TensorReconstruction2D(state, qhat_x, qhat_y, corners, mapped)
 
 
 def dg_induced_af_derivative_2d(state: DgState2D, ux: float, uy: float,
-                                flux_x: NumericalFluxSpec,
-                                flux_y: NumericalFluxSpec):
+                                alpha: tuple[float, float],
+                                beta: tuple[float, float]):
     """DG-induced time derivatives of the mapped tensorial dofs."""
-    alpha = flux_x.advection_weights(ux) if ux != 0 else (1.0, 0.0)
-    beta = flux_y.advection_weights(uy) if uy != 0 else (1.0, 0.0)
-    dstate = dg.dg_rhs_2d(state, ux, uy, flux_x, flux_y)
+    dstate = dg.dg_rhs_2d(state, ux, uy, alpha, beta)
     dstate = _cell_major(state.grid, state.K, dstate.coeffs)
     return map_dg_to_af_2d(dstate, alpha, beta, check_consistency=False)
 
@@ -364,16 +364,16 @@ def lemma_checks(state: DgState2D, ux: float, uy: float,
     """
     if state.K != 1:
         raise ValueError("identity checks are built for K = 1")
-    alpha = flux_x.advection_weights(ux) if ux != 0 else (1.0, 0.0)
-    beta = flux_y.advection_weights(uy) if uy != 0 else (1.0, 0.0)
+    alpha, beta = flux_x.advection_weights(ux), flux_y.advection_weights(uy)
     scale = max(1e-300, float(np.max(np.abs(state.coeffs))))
     res: dict[str, float] = {}
 
-    mapped = map_dg_to_af_2d(state, alpha, beta, check_consistency=False)
     rec = reconstruct_af_2d_from_dg(state, alpha, beta)
+    mapped = rec.mapped
 
     res["corner_consistency"] = corner_consistency_residual(
-        state, alpha, beta, mapped.node_values) / scale
+        state, alpha, beta, mapped.node_values,
+        (rec.qhat_x, rec.qhat_y)) / scale
 
     # corrected field equals the AF reconstruction of the mapped dofs
     xi = np.linspace(-0.5, 0.5, n_samples)
@@ -406,9 +406,9 @@ def lemma_checks(state: DgState2D, ux: float, uy: float,
         rec, mapped, alpha, beta, xi) / scale
 
     # trace-derivative update identities with random weights
-    dc = dg.dg_rhs_2d(state, ux, uy, flux_x, flux_y).coeffs
+    dc = dg.dg_rhs_2d(state, ux, uy, alpha, beta).coeffs
     res.update({k: v / scale for k, v in _update_identity_residuals(
-        state, rec, dc, ux, uy, flux_x, flux_y).items()})
+        state, rec, dc, ux, uy, alpha, beta).items()})
     return res
 
 
@@ -429,7 +429,7 @@ def _edge_trace_identity_residual(rec, mapped, alpha, beta, xi):
     return max(worst, float(np.max(np.abs(lhs - af_trace_x))))
 
 
-def _update_identity_residuals(state, rec, dc, ux, uy, flux_x, flux_y):
+def _update_identity_residuals(state, rec, dc, ux, uy, alpha, beta):
     """The three weighted trace-derivative identities on a random pair;
     dc holds the DG time derivative of the state's modes."""
     rng = np.random.default_rng(1234)
@@ -438,15 +438,13 @@ def _update_identity_residuals(state, rec, dc, ux, uy, flux_x, flux_y):
     out["edge_update_identity_x"] = _x_edge_identity(rec, dc, ux, uy, a_w, b_w)
 
     # the perpendicular-edge identity is the same computation on the
-    # transposed state with the axes and fluxes swapped
+    # transposed state with the axes and weights swapped
     grid_t = Grid2D(state.grid.y_min, state.grid.y_max, state.grid.n_cells_y,
                     state.grid.x_min, state.grid.x_max, state.grid.n_cells_x)
     state_t = DgState2D(grid_t, state.K,
                         np.swapaxes(np.swapaxes(state.coeffs, 0, 1), 2, 3),
                         state.periodic)
-    alpha_t = flux_y.advection_weights(uy) if uy != 0 else (1.0, 0.0)
-    beta_t = flux_x.advection_weights(ux) if ux != 0 else (1.0, 0.0)
-    rec_t = reconstruct_af_2d_from_dg(state_t, alpha_t, beta_t)
+    rec_t = reconstruct_af_2d_from_dg(state_t, beta, alpha)
     out["edge_update_identity_y"] = _x_edge_identity(
         rec_t, np.swapaxes(np.swapaxes(dc, 0, 1), 2, 3), uy, ux, a_w, b_w)
 
@@ -572,22 +570,6 @@ def _random_dg_state_1d(K, n_cells, n_components, seed, nonlinear: bool):
     return fill_dg_1d(grid, K, init, n_components)
 
 
-def _flux_spec_from_setting(s: EquivSetting, problem: ProblemSpec,
-                            state=None) -> NumericalFluxSpec:
-    if s.flux == "upwind":
-        return NumericalFluxSpec.upwind()
-    if s.flux == "central":
-        return NumericalFluxSpec.central()
-    if s.flux == "alpha":
-        return NumericalFluxSpec.alpha(s.alpha_plus, 1.0 - s.alpha_plus)
-    if s.flux == "lax_friedrichs":
-        a = s.lf_speed
-        if a is None and state is not None:
-            a = lax_friedrichs_speed(problem, state.coeffs[:, 0, :])
-        return NumericalFluxSpec.lax_friedrichs(a)
-    raise ValueError(f"unknown flux {s.flux!r}")
-
-
 def verify_equivalence(setting: EquivSetting) -> EquivalenceReport:
     """Run one equivalence comparison and report per-family mismatches."""
     if setting.dimension == 1:
@@ -602,7 +584,12 @@ def _verify_1d(s: EquivSetting) -> EquivalenceReport:
     nonlinear = not problem.linear
     state = _random_dg_state_1d(s.K, s.n_cells, problem.n_components, s.seed,
                                 nonlinear)
-    flux = _flux_spec_from_setting(s, problem, state)
+    a = s.lf_speed
+    if s.flux == "lax_friedrichs" and a is None:
+        a = lax_friedrichs_speed(problem, state.coeffs[:, 0, :])
+    flux = flux_spec(s.flux, s.alpha_plus, a)
+    if flux.kind == "lax_friedrichs" and problem.advection_speed == 0:
+        raise ValueError("Lax-Friedrichs at zero speed is no weighted flux")
 
     dpts_a, dmo_a = dg_induced_af_derivative_1d(state, problem, flux)
     mapped = map_dg_to_af_1d(state, flux, problem)
@@ -647,20 +634,13 @@ def _verify_2d(s: EquivSetting) -> EquivalenceReport:
     uy = problem.advection_speed_y
     if ux is None or uy is None:
         raise ValueError("2-d verification runs on advection2d")
-    state = _random_dg_state_2d(s.K, s.n_cells, s.seed)
-    if s.flux == "upwind":
-        fx = fy = NumericalFluxSpec.upwind()
-    elif s.flux == "central":
-        fx = fy = NumericalFluxSpec.central()
-    elif s.flux == "alpha":
-        fx = NumericalFluxSpec.alpha(s.alpha_plus, 1.0 - s.alpha_plus)
-        fy = NumericalFluxSpec.alpha(s.beta_plus, 1.0 - s.beta_plus)
-    else:
+    if s.flux == "lax_friedrichs":
         raise ValueError(f"unsupported 2-d flux {s.flux!r}")
-    alpha = fx.advection_weights(ux) if ux != 0 else (1.0, 0.0)
-    beta = fy.advection_weights(uy) if uy != 0 else (1.0, 0.0)
+    state = _random_dg_state_2d(s.K, s.n_cells, s.seed)
+    alpha = flux_spec(s.flux, s.alpha_plus).advection_weights(ux)
+    beta = flux_spec(s.flux, s.beta_plus).advection_weights(uy)
 
-    induced = dg_induced_af_derivative_2d(state, ux, uy, fx, fy)
+    induced = dg_induced_af_derivative_2d(state, ux, uy, alpha, beta)
     mapped = map_dg_to_af_2d(state, alpha, beta)
 
     metadata = {"seed": s.seed, "zero_speed_axis":

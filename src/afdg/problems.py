@@ -18,7 +18,8 @@ import numpy as np
 __all__ = [
     "ProblemSpec", "NumericalFluxSpec", "builtin_problems",
     "advection1d", "advection2d", "burgers", "expflux", "acoustics2x2",
-    "numerical_flux", "invert_flux", "FluxInversionError",
+    "numerical_flux", "invert_flux", "FluxInversionError", "FLUX_NAMES",
+    "flux_spec", "check_weights",
 ]
 
 
@@ -71,7 +72,8 @@ def advection2d(ux: float = 1.0, uy: float = 1.0) -> ProblemSpec:
                            f=lambda q: ux * q,
                            fprime=lambda q: ux * np.ones_like(np.asarray(q, float)),
                            linear=True, speed=ux)
-    return dataclasses.replace(spec, advection_speed_y=uy)
+    return dataclasses.replace(spec, advection_speed_y=uy,
+                               max_speed=lambda q: max(abs(ux), abs(uy)))
 
 
 def burgers() -> ProblemSpec:
@@ -184,18 +186,42 @@ class NumericalFluxSpec:
         return NumericalFluxSpec("lax_friedrichs", a=a)
 
     def advection_weights(self, u: float) -> tuple[float, float]:
-        """The (alpha+, alpha-) pair this flux induces for advection speed u."""
+        """The (alpha+, alpha-) pair this flux induces for advection speed u.
+
+        At u = 0 no flux crosses the axis, so every kind takes the upwind
+        pair (1, 0), which then only picks the trace the DG-to-AF map takes.
+        """
+        if u == 0 or self.kind == "upwind":
+            return (1.0, 0.0) if u >= 0 else (0.0, 1.0)
         if self.kind == "alpha_weighted":
             return self.alpha_plus, self.alpha_minus
         if self.kind == "central":
             return 0.5, 0.5
-        if self.kind == "upwind":
-            return (1.0, 0.0) if u >= 0 else (0.0, 1.0)
         if self.kind == "lax_friedrichs":
-            if u == 0:
-                raise ValueError("advection weights undefined for u = 0")
             return 0.5 * (1.0 + self.a / u), 0.5 * (1.0 - self.a / u)
         raise ValueError(f"unknown flux kind {self.kind!r}")
+
+
+def check_weights(w: tuple[float, float]) -> None:
+    """Reject a one-sided weight pair that does not sum to 1."""
+    if abs(w[0] + w[1] - 1.0) > 1e-13:
+        raise ValueError("one-sided weights must sum to 1")
+
+
+FLUX_NAMES = ("upwind", "central", "alpha", "lax_friedrichs")
+
+
+def flux_spec(name: str, alpha_plus: float = 1.0,
+              a: float = 0.0) -> NumericalFluxSpec:
+    """The flux a config or setting names: ``alpha`` weighs the sides
+    (alpha_plus, 1 - alpha_plus), ``lax_friedrichs`` takes its constant a."""
+    if name == "alpha":
+        return NumericalFluxSpec.alpha(alpha_plus, 1.0 - alpha_plus)
+    if name == "lax_friedrichs":
+        return NumericalFluxSpec.lax_friedrichs(a)
+    if name in ("upwind", "central"):
+        return NumericalFluxSpec(name)
+    raise ValueError(f"unknown flux {name!r}")
 
 
 def numerical_flux(spec: NumericalFluxSpec, problem: ProblemSpec, q_l, q_r):

@@ -1,5 +1,6 @@
 """Experiment driver and command-line interface."""
 
+import csv
 import functools
 import math
 import os
@@ -97,6 +98,8 @@ def test_invalid_config_rejected_before_any_step(key, value, tmp_path,
      ["problem=advection2d", "k=1", "--variant=classical_midpoint"]),
     ("equiv-check", "ux", "-1",
      ["problem=advection2d", "k=1", "--variant=classical_midpoint"]),
+    ("run", "flux", "lax_friedrichs", ["ux=0", "uy=0"]),
+    ("run", "flux", "lax_friedrichs", ["problem=advection1d", "u=0"]),
 ])
 def test_cli_names_bad_key_before_any_step(command, key, value, extra,
                                            tmp_path, capsys, monkeypatch):
@@ -231,8 +234,9 @@ PAD_FAMILIES = {
                s, ux, uy, ghosts=ghosts)),
     "dg": (lambda g, K, f, periodic: mesh.fill_dg_2d(g, K, f, periodic),
            mesh.dg_cell_dofs_2d,
-           lambda s, ux, uy, ghosts: dg.dg_rhs_2d(s, ux, uy, UPWIND, UPWIND,
-                                                  ghosts)),
+           lambda s, ux, uy, ghosts: dg.dg_rhs_2d(
+               s, ux, uy, UPWIND.advection_weights(ux),
+               UPWIND.advection_weights(uy), ghosts)),
 }
 
 
@@ -427,8 +431,12 @@ def test_cli_csv_byte_stability(tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports afdg from where this process does (pytest.ini's
+    # pythonpath does not reach a subprocess)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-m", "afdg.cli", "dof-table",
-                           "--out", os.devnull], capture_output=True, text=True)
+                           "--out", os.devnull], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0
     assert "af, 3" in proc.stdout
 
@@ -485,3 +493,41 @@ def test_cli_run_emits_metadata(tmp_path):
               "--set", "t_final=0.02", "--out", str(out)])
     meta = (tmp_path / "state.csv.meta.csv").read_text()
     assert "ghost_sides,x_hi y_lo" in meta
+    assert f"numpy,{np.__version__}" in meta
+    # a periodic 2-d run records the upwind pair of each axis
+    cli.main(["run", "--set", "problem=advection2d", "--set", "method=dg",
+              "--set", "ux=1", "--set", "uy=-0.5", "--set", "grids=6",
+              "--set", "t_final=0.02", "--out", str(out)])
+    meta = read_meta(tmp_path / "state.csv.meta.csv")
+    assert meta["ghost_sides"] == "none"
+    assert meta["weights"] == "x 1 0 y 0 1"
+    # Lax-Friedrichs weights (1 +- a/u)/2 with a = 1.1 max(|ux|, |uy|)
+    cli.main(["run", "--set", "problem=advection2d", "--set", "method=dg",
+              "--set", "flux=lax_friedrichs", "--set", "ux=0.5",
+              "--set", "uy=1", "--set", "grids=6", "--set", "t_final=0.02",
+              "--out", str(out)])
+    weights = read_meta(tmp_path / "state.csv.meta.csv")["weights"].split()
+    assert weights[0] == "x" and weights[3] == "y"
+    assert [float(w) for w in weights[1:3]] == pytest.approx([1.6, -0.6])
+    assert [float(w) for w in weights[4:]] == pytest.approx([1.05, -0.05])
+
+
+def read_meta(path) -> dict:
+    with open(path) as fh:
+        return dict(csv.reader(fh))
+
+
+@pytest.mark.parametrize("uy", [1.0, -1.0])
+def test_2d_lax_friedrichs_constant_reads_both_speeds(uy):
+    cfg = RunConfig(problem="advection2d", ux=0.5, uy=uy,
+                    flux="lax_friedrichs")
+    state = driver.build_state(cfg, 8)
+    flux = driver.make_flux(cfg, driver.make_problem(cfg), state.arrays()[0])
+    assert flux.a == 1.1
+
+
+def test_cli_runs_lax_friedrichs_with_a_zero_speed_axis(tmp_path):
+    code = cli.main(["run", "--set", "method=dg", "--set", "ux=0",
+                     "--set", "uy=1", "--set", "flux=lax_friedrichs",
+                     "--set", "grids=8", "--out", str(tmp_path / "s.csv")])
+    assert code == 0

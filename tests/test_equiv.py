@@ -276,6 +276,53 @@ def test_lemma_checks_pass_on_random_state():
         assert val <= 1e-12, f"{name}: {val:.3e}"
 
 
+def test_lemma_checks_map_and_qhat_once_per_orientation(monkeypatch):
+    """One DG-to-AF map and one qhat for the state and one each for its
+    transpose (the y identity is re-derived on the transposed state)."""
+    calls = {"qhat": 0, "map": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(dg, "qhat_interfaces_2d",
+                        counting("qhat", dg.qhat_interfaces_2d))
+    monkeypatch.setattr(equiv, "map_dg_to_af_2d",
+                        counting("map", equiv.map_dg_to_af_2d))
+    res = equiv.lemma_checks(random_dg_2d(n=12, seed=19), 1.1, -0.9,
+                             NumericalFluxSpec.alpha(0.8, 0.2),
+                             NumericalFluxSpec.alpha(0.6, 0.4))
+    assert calls["qhat"] <= 2 and calls["map"] <= 2, calls
+    for name, val in res.items():
+        assert val <= 1e-12, f"{name}: {val:.3e}"
+
+
+def test_reconstruction_keeps_its_mapped_state_and_qhat():
+    state = random_dg_2d(seed=23)
+    rec = equiv.reconstruct_af_2d_from_dg(state, (0.8, 0.2), (0.6, 0.4))
+    mapped = equiv.map_dg_to_af_2d(state, (0.8, 0.2), (0.6, 0.4))
+    qhat = dg.qhat_interfaces_2d(state, (0.8, 0.2), (0.6, 0.4))
+    assert all(np.array_equal(a, b)
+               for a, b in zip(rec.mapped.arrays(), mapped.arrays()))
+    assert np.array_equal(rec.qhat_x, qhat[0])
+    assert np.array_equal(rec.qhat_y, qhat[1])
+
+
+@pytest.mark.parametrize("rhs", ["af", "dg", "map"])
+def test_2d_weights_must_sum_to_one(rhs):
+    state = random_dg_2d(seed=25)
+    call = {"af": lambda w: af.af_rhs_2d_tensorial(
+                equiv.map_dg_to_af_2d(state, (1.0, 0.0), (1.0, 0.0)),
+                1.0, 1.0, (1.0, 0.0), w),
+            "dg": lambda w: dg.dg_rhs_2d(state, 1.0, 1.0, w, (1.0, 0.0)),
+            "map": lambda w: equiv.map_dg_to_af_2d(state, (1.0, 0.0), w)}[rhs]
+    call((0.6, 0.4))
+    with pytest.raises(ValueError, match="sum to 1"):
+        call((0.6, 0.5))
+
+
 @pytest.mark.parametrize("block", ["qhat_x", "qhat_y", "corners"])
 def test_lemma_checks_detect_perturbation(block):
     """Negative control: breaking one correction coefficient must break
@@ -422,6 +469,16 @@ def test_lax_friedrichs_is_a_linear_two_point_flux_for_advection():
                      flux="lax_friedrichs", lf_speed=2.0,
                      problem="advection1d", problem_params={"u": 1.25})
     assert verify_equivalence(s).passed
+
+
+def test_lax_friedrichs_at_zero_speed_is_refused():
+    """At u = 0 the LF flux -a (q_R - q_L) / 2 is no multiple of u, so the
+    weighted point update the mapped state gets cannot mirror it."""
+    s = EquivSetting(dimension=1, K=2, n_cells=16, seed=1,
+                     flux="lax_friedrichs", lf_speed=2.0,
+                     problem="advection1d", problem_params={"u": 0.0})
+    with pytest.raises(ValueError, match="zero speed"):
+        verify_equivalence(s)
 
 
 def test_zero_speed_advection_gives_zero_rhs():

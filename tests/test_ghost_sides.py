@@ -10,7 +10,6 @@ import pytest
 from afdg import af, dg, driver, mesh
 from afdg.driver import RunConfig
 from afdg.mesh import Grid2D
-from afdg.problems import NumericalFluxSpec
 
 SPEEDS = [(1.0, 0.6), (-0.7, 1.0), (1.0, -1.3), (-1.0, -0.5), (0.0, 1.0),
           (1.0, 0.0)]
@@ -31,16 +30,12 @@ def random_case(family, K, ux, uy, flux_name, seed=0):
     state.U[...] = rng.standard_normal(state.U.shape)
     nx, m, ny, _ = state.U.shape
     ghosts = tuple(rng.standard_normal((n, m, m)) for n in (ny, ny, nx, nx))
-    if flux_name == "lax_friedrichs":
-        # the run's 2-d constant reads ux only, so it fails at ux = 0
-        flux = NumericalFluxSpec.lax_friedrichs(1.1 * max(abs(ux), abs(uy)))
-    else:
-        flux = driver.make_flux(cfg)
-    alpha, beta = driver._axis_weights(flux, ux), driver._axis_weights(flux, uy)
+    flux = driver.make_flux(cfg, driver.make_problem(cfg), state.U)
+    alpha, beta = flux.advection_weights(ux), flux.advection_weights(uy)
     if family == "af":
         op = lambda s, g: af.af_rhs_2d_tensorial(s, ux, uy, alpha, beta, g)
     else:
-        op = lambda s, g: dg.dg_rhs_2d(s, ux, uy, flux, flux, g)
+        op = lambda s, g: dg.dg_rhs_2d(s, ux, uy, alpha, beta, g)
     return state, ghosts, op, driver.ghost_sides(cfg, flux)
 
 
@@ -147,5 +142,6 @@ def test_dirichlet_rhs_projects_the_read_sides(family, order):
         want = af.af_rhs_2d_tensorial(everything, -1.0, 0.5, (0.0, 1.0),
                                       (1.0, 0.0), ghosts).U
     else:
-        want = dg.dg_rhs_2d(everything, -1.0, 0.5, flux, flux, ghosts).U
+        want = dg.dg_rhs_2d(everything, -1.0, 0.5, (0.0, 1.0), (1.0, 0.0),
+                            ghosts).U
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))

@@ -202,7 +202,7 @@ def test_kron_sum_matches_einsum_reference(K, ux, uy, weights):
             flux_y = NumericalFluxSpec.alpha(*beta)
         assert_same(af.af_rhs_2d_tensorial(af_state, ux, uy, alpha, beta),
                     einsum_af_rhs_2d(af_state, ux, uy, alpha, beta), 1e-13)
-        assert_same(dg.dg_rhs_2d(dg_state, ux, uy, flux_x, flux_y),
+        assert_same(dg.dg_rhs_2d(dg_state, ux, uy, alpha, beta),
                     einsum_dg_rhs_2d(dg_state, ux, uy, flux_x, flux_y), 1e-13)
 
 
@@ -262,7 +262,7 @@ def test_rows_reduce_to_1d_operators(draw, axis):
                            atol=1e-13 * scale)
 
     flux = NumericalFluxSpec.alpha(*weights)
-    d_dg = dg.dg_rhs_2d(dg_state, ux, uy, flux, flux)
+    d_dg = dg.dg_rhs_2d(dg_state, ux, uy, weights, weights)
     scale = np.max(np.abs(d_dg.coeffs))
     for c, dc in zip(dg_lines(dg_state, axis), dg_lines(d_dg, axis)):
         d1 = dg.dg_rhs_1d(DgState1D(line_grid, K, c[:, :, None]), problem,

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from afdg.problems import (FluxInversionError, NumericalFluxSpec,
-                           builtin_problems, flux_partials, invert_flux,
-                           lax_friedrichs_speed, numerical_flux)
+                           builtin_problems, flux_partials,
+                           flux_spec, invert_flux, lax_friedrichs_speed,
+                           numerical_flux)
 
 
 def scalar_problems():
@@ -161,3 +162,21 @@ def test_lf_speed_safety_factor():
     prob = builtin_problems()["burgers"]()
     data = np.array([0.5, 1.0, 2.0])
     assert lax_friedrichs_speed(prob, data) == pytest.approx(2.2)
+
+
+# ---------------------------------------------------------------------------
+# advection weights and the flux names
+
+
+@pytest.mark.parametrize("spec", [
+    NumericalFluxSpec.upwind(), NumericalFluxSpec.central(),
+    NumericalFluxSpec.alpha(0.7, 0.3), NumericalFluxSpec.lax_friedrichs(2.0),
+], ids=lambda s: s.kind)
+def test_zero_speed_weights_are_the_upwind_pair(spec):
+    assert spec.advection_weights(0.0) == (1.0, 0.0)
+    assert spec.advection_weights(-0.0) == (1.0, 0.0)
+
+
+def test_flux_spec_rejects_unknown_names():
+    with pytest.raises(ValueError, match="unknown flux 'bogus'"):
+        flux_spec("bogus")
