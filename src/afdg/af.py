@@ -1,9 +1,12 @@
 """Semi-discrete Active Flux right-hand sides and reconstruction.
 
-1-d: arbitrary K with selectable point-value updates (Jacobian splitting,
-flux-vector splitting, slope-weighted/central for advection, and the
-flux-projection update that mirrors a two-point numerical flux).  Moments
-update centrally through integration by parts; no Riemann fluxes enter.
+1-d: arbitrary K.  A two-point numerical flux names the point-value
+update, the same ``NumericalFluxSpec`` the DG right-hand side takes: its
+partials with respect to the left and right trace weigh the one-sided
+reconstruction derivatives (upwind gives the Jacobian splitting,
+Lax-Friedrichs the flux-vector splitting).  A flux projection instead
+mirrors the DG update for nonlinear problems.  Moments update centrally
+through integration by parts; no Riemann fluxes enter.
 
 2-d: the tensorial variant stores node values, edge moments (k = 0 is the
 edge average) and interior tensor moments.  It is the tensor product of
@@ -29,12 +32,13 @@ import numpy as np
 from . import poly
 from .mesh import (AfState1D, AfState2D, kron_sum_apply,
                    simpson_edge_average)
-from .problems import NumericalFluxSpec, ProblemSpec, check_weights
+from .problems import (NumericalFluxSpec, ProblemSpec, check_weights,
+                       flux_partials)
 
 __all__ = [
-    "AfOps", "af_ops", "PointUpdateVariant",
+    "AfOps", "af_ops",
     "af_reconstruct", "af_eval_1d", "af_eval_2d", "reconstruction_matrix_2d",
-    "af_rhs_1d", "af_rhs_1d_dg_inspired_point", "FluxProjection1D",
+    "af_rhs_1d", "FluxProjection1D",
     "af_stencil_1d", "af_rhs_2d_tensorial", "af_rhs_2d_classical",
 ]
 
@@ -73,39 +77,6 @@ def af_ops(K: int) -> AfOps:
                                 - bk(-0.5) * vals_minus[p]
                                 - (db * f).cell_integral())
     return AfOps(K, basis, d_plus, d_minus, mom_w, vals_plus, vals_minus)
-
-
-@dataclass(frozen=True)
-class PointUpdateVariant:
-    """Point-value update selector.
-
-    kinds: jacobian_splitting, flux_vector_splitting, central,
-    alpha_weighted (advection only), dg_inspired (mirrors the two-point
-    numerical flux in ``flux`` through the flux projection).
-    """
-
-    kind: str
-    alpha_plus: float = 1.0
-    alpha_minus: float = 0.0
-    a: float = 0.0            # speed bound for flux_vector_splitting
-    flux: NumericalFluxSpec | None = None
-
-    def __post_init__(self):
-        if self.kind == "alpha_weighted" and \
-                abs(self.alpha_plus + self.alpha_minus - 1.0) > 1e-14:
-            raise ValueError("alpha weights must sum to 1")
-
-    @staticmethod
-    def upwind() -> "PointUpdateVariant":
-        return PointUpdateVariant("jacobian_splitting")
-
-    @staticmethod
-    def alpha(ap: float, am: float) -> "PointUpdateVariant":
-        return PointUpdateVariant("alpha_weighted", ap, am)
-
-    @staticmethod
-    def dg_inspired(flux: NumericalFluxSpec) -> "PointUpdateVariant":
-        return PointUpdateVariant("dg_inspired", flux=flux)
 
 
 # ---------------------------------------------------------------------------
@@ -203,70 +174,61 @@ class FluxProjection1D:
     dfdqr: np.ndarray
 
 
-def af_rhs_1d(state: AfState1D, problem: ProblemSpec,
-              variant: PointUpdateVariant,
+def af_rhs_1d(state: AfState1D, problem: ProblemSpec, flux: NumericalFluxSpec,
               quad: poly.QuadratureRule | None = None,
               flux_projection: FluxProjection1D | None = None) -> AfState1D:
     """Semi-discrete derivative of an AF state (periodic grids).
 
-    Moment integrals are closed-form for linear problems and quadrature
-    otherwise.  The ``dg_inspired`` variant routes everything through the
-    flux projection; linear scalar problems build it natively, nonlinear
-    ones must pass ``flux_projection`` (its interior moments involve the
-    broken flux profile, which the AF dofs alone do not determine).
+    The point update is -(d_L DQ_L + d_R DQ_R): the one-sided derivatives
+    DQ_L, DQ_R of the reconstructions left and right of each interface,
+    weighed by the partials (d_L, d_R) of the two-point ``flux`` with
+    respect to its left and right trace, both taken at the shared point
+    value (``flux_partials``; matrices for a system).  Upwind gives the
+    Jacobian splitting, Lax-Friedrichs the flux-vector splitting.  Moment
+    integrals are closed-form for linear problems and quadrature otherwise.
+
+    ``flux_projection`` replaces the reconstruction by the projected flux
+    (``equiv.project_flux_F``): the point update becomes
+    -(d_L DF_L + d_R DF_R) / f'(q) and the moments difference the
+    projection.  Nonlinear problems need it to mirror the DG update,
+    because the projection's interior moments involve the broken flux
+    profile, which the AF dofs alone do not determine.
     """
     if not state.periodic:
         raise NotImplementedError("1-d AF right-hand side is periodic-only")
     ops = af_ops(state.K)
     dx = state.grid.dx
+    fp = flux_projection
+    if fp is not None:
+        if np.any(np.abs(fp.A) < 1e-12):
+            raise ZeroDivisionError("sonic state: flux derivative vanishes at "
+                                    "an interface; the identification is "
+                                    "undefined")
+        dfl, dfr = _interface_derivatives(ops, fp.F_dofs, dx)
+        dpts = -(fp.dfdql[:, None] * dfl + fp.dfdqr[:, None] * dfr) \
+            / fp.A[:, None]
+        dmo = -(1.0 / dx) * np.einsum("kp,ipc->ikc", ops.mom_w, fp.F_dofs)
+        return state.with_arrays([dpts, dmo])
+
     dofs = cell_dof_tensor_1d(state)                     # (n, K+2, m)
-
-    if variant.kind == "dg_inspired":
-        if flux_projection is None:
-            flux_projection = _native_flux_projection(state, problem, dofs,
-                                                      variant.flux)
-        return _rhs_from_flux_projection(state, ops, dx, flux_projection)
-
-    # one-sided reconstruction derivatives at the interfaces
-    dq_plus = np.einsum("p,ipc->ic", ops.d_plus, dofs) / dx    # at right face
-    dq_minus = np.einsum("p,ipc->ic", ops.d_minus, dofs) / dx  # at left face
-    dql = np.roll(dq_plus, 1, axis=0)       # (DQ_{a-1})^+ at interface a
-    dqr = dq_minus                          # (DQ_a)^-   at interface a
+    dql, dqr = _interface_derivatives(ops, dofs, dx)
     pts = state.point_values
-
-    if variant.kind == "alpha_weighted":
-        if not (problem.linear and problem.is_scalar):
-            raise ValueError("alpha-weighted point update is defined for "
-                             "linear advection")
-        u = problem.advection_speed
-        dpts = -u * (variant.alpha_plus * dql + variant.alpha_minus * dqr)
-    elif variant.kind == "central":
-        if problem.is_scalar:
-            j = problem.jacobian(pts)
-            dpts = -0.5 * j * (dql + dqr)
-        else:
-            J = problem.jacobian(pts)
-            dpts = -0.5 * np.einsum("cd,ad->ac", J, dql + dqr)
-    elif variant.kind == "jacobian_splitting":
-        if problem.is_scalar:
-            jp, jm = problem.split(pts)
-            dpts = -(jp * dql + jm * dqr)
-        else:
-            Jp, Jm = problem.split(pts)
-            dpts = -(np.einsum("cd,ad->ac", Jp, dql)
-                     + np.einsum("cd,ad->ac", Jm, dqr))
-    elif variant.kind == "flux_vector_splitting":
-        if not problem.is_scalar:
-            raise ValueError("flux-vector splitting implemented for scalars")
-        if not variant.a > 0:
-            raise ValueError("flux-vector splitting needs a positive speed bound")
-        j = problem.jacobian(pts)
-        dpts = -(0.5 * (j + variant.a) * dql + 0.5 * (j - variant.a) * dqr)
-    else:
-        raise ValueError(f"unknown point update {variant.kind!r}")
-
+    d_l, d_r = flux_partials(flux, problem, pts, pts)
+    if problem.is_scalar:
+        dpts = -(d_l * dql + d_r * dqr)
+    else:   # one matrix for all interfaces, or one per interface
+        dpts = -(np.einsum("...cd,...d->...c", d_l, dql)
+                 + np.einsum("...cd,...d->...c", d_r, dqr))
     dmo = _moment_rhs_1d(state, problem, ops, dofs, quad)
     return state.with_arrays([dpts, dmo])
+
+
+def _interface_derivatives(ops, dofs, dx):
+    """At every interface a, the x-derivatives of the cell polynomials with
+    AF-basis dofs ``dofs`` from its left cell a-1 and its right cell a."""
+    d_plus = np.einsum("p,ipc->ic", ops.d_plus, dofs) / dx     # right faces
+    d_minus = np.einsum("p,ipc->ic", ops.d_minus, dofs) / dx   # left faces
+    return np.roll(d_plus, 1, axis=0), d_minus
 
 
 def _moment_rhs_1d(state, problem, ops, dofs, quad):
@@ -299,54 +261,6 @@ def _default_af_rule(K: int) -> poly.QuadratureRule:
     from .mesh import AF_N_INT
     n_int = AF_N_INT.get(K + 2, 2 * K + 5)
     return poly.gauss_legendre_rule((n_int + 2) // 2)
-
-
-def _native_flux_projection(state, problem, dofs,
-                            flux: NumericalFluxSpec | None) -> FluxProjection1D:
-    """For linear scalar problems the flux projection is u times the
-    reconstruction; nonlinear interior moments are not determined by the
-    AF dofs and must be supplied by the caller."""
-    if not (problem.linear and problem.is_scalar):
-        raise ValueError("the flux-mirroring update needs explicit flux "
-                         "projection data for nonlinear problems")
-    if flux is None:
-        raise ValueError("dg_inspired variant needs the mirrored flux spec")
-    u = problem.advection_speed
-    ap, am = flux.advection_weights(u)
-    n_if = state.point_values.shape[0]
-    return FluxProjection1D(F_dofs=u * dofs,
-                            A=np.full(n_if, float(u)),
-                            dfdql=np.full(n_if, ap * u),
-                            dfdqr=np.full(n_if, am * u))
-
-
-def af_rhs_1d_dg_inspired_point(state: AfState1D, problem: ProblemSpec,
-                                flux: NumericalFluxSpec,
-                                flux_projection: FluxProjection1D | None = None
-                                ) -> np.ndarray:
-    """Point-value derivatives of the flux-mirroring update only."""
-    ops = af_ops(state.K)
-    if flux_projection is None:
-        dofs = cell_dof_tensor_1d(state)
-        flux_projection = _native_flux_projection(state, problem, dofs, flux)
-    return _point_rhs_from_projection(state, ops, state.grid.dx, flux_projection)
-
-
-def _point_rhs_from_projection(state, ops, dx, fp: FluxProjection1D) -> np.ndarray:
-    if np.any(np.abs(fp.A) < 1e-12):
-        raise ZeroDivisionError("sonic state: flux derivative vanishes at an "
-                                "interface; the identification is undefined")
-    df_plus = np.einsum("p,ipc->ic", ops.d_plus, fp.F_dofs) / dx
-    df_minus = np.einsum("p,ipc->ic", ops.d_minus, fp.F_dofs) / dx
-    dfl = np.roll(df_plus, 1, axis=0)
-    dfr = df_minus
-    return -(fp.dfdql[:, None] * dfl + fp.dfdqr[:, None] * dfr) / fp.A[:, None]
-
-
-def _rhs_from_flux_projection(state, ops, dx, fp: FluxProjection1D) -> AfState1D:
-    dpts = _point_rhs_from_projection(state, ops, dx, fp)
-    dmo = -(1.0 / dx) * np.einsum("kp,ipc->ikc", ops.mom_w, fp.F_dofs)
-    return state.with_arrays([dpts, dmo])
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,9 @@ def cmd_run(args) -> int:
     driver.write_csv(cfg.out + ".bench.csv", driver.BENCH_HEADER, [b.row()])
     n = cfg.grids[0]
     dt = driver.default_dt(cfg, 1.0 / n)
+    state0 = driver.build_state(cfg, n)
+    drift = (driver.cell_mass(res.state) - driver.cell_mass(state0)
+             if cfg.boundary == "periodic" else "n/a")
     meta = [("method", b.method), ("grid", n), ("dt", dt),
             ("dt_rule", "cfl_override * dx" if cfg.cfl_override is not None
              else "catalog C_CFL * dx"),
@@ -60,7 +63,10 @@ def cmd_run(args) -> int:
             ("ghost_sides", " ".join(res.ghost_sides) or "none"),
             ("weights", " ".join(f"{axis} {driver.fmt(ap)} {driver.fmt(am)}"
                                  for axis, (ap, am) in zip("xy", res.weights))),
-            ("seed", cfg.seed), ("rk", cfg.rk), ("numpy", np.__version__)]
+            ("seed", cfg.seed), ("rk", cfg.rk), ("numpy", np.__version__),
+            ("norm_ratio",
+             driver.dof_norm(res.state) / driver.dof_norm(state0)),
+            ("mass_drift", drift)]
     driver.write_csv(cfg.out + ".meta.csv", ["key", "value"], meta)
     print(f"{b.method}: e_dofs={driver.fmt(res.errors.e_dofs)} "
           f"tau={b.tau:.3g}s steps={b.steps}")

@@ -29,7 +29,7 @@ __all__ = [
     "ConfigError", "RunConfig", "parse_config", "ErrorReport", "BenchRecord",
     "RunResult", "run_simulation", "run_convergence_study",
     "run_superconvergence_probe", "run_benchmark", "emit_dof_table", "eoc",
-    "write_csv", "fmt",
+    "write_csv", "fmt", "dof_norm", "cell_mass",
 ]
 
 
@@ -348,11 +348,8 @@ def make_rhs(cfg: RunConfig, problem, flux: NumericalFluxSpec):
             state, ux, uy, alpha, beta,
             _ghosts(state, project, exact, t, sides) if dirichlet else None)
 
-    if cfg.method == "dg":
-        return lambda state, t: dg.dg_rhs_1d(state, problem, flux)
-    ap, am = flux.advection_weights(problem.advection_speed)
-    variant = af.PointUpdateVariant.alpha(ap, am)
-    return lambda state, t: af.af_rhs_1d(state, problem, variant)
+    rhs = dg.dg_rhs_1d if cfg.method == "dg" else af.af_rhs_1d
+    return lambda state, t: rhs(state, problem, flux)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +384,21 @@ def _families(state):
         yield "moments", state.cell_moments
     else:
         raise TypeError(type(state).__name__)
+
+
+def dof_norm(state) -> float:
+    """The L2 norm of all dof fields of a state."""
+    return math.sqrt(sum(float(np.sum(d * d)) for _, d in _families(state)))
+
+
+def cell_mass(state) -> float:
+    """Sum of cell average times cell volume: DG mode 0, AF moment 0."""
+    fams = dict(_families(state))
+    c = fams.get("modal", fams.get("moments"))
+    g = state.grid
+    if isinstance(state, (DgState2D, AfState2D)):
+        return float(np.sum(c[:, :, 0, 0])) * g.dx * g.dy
+    return float(np.sum(c[:, 0])) * g.dx
 
 
 def exact_state_at(cfg: RunConfig, n: int, t: float):

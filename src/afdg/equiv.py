@@ -31,7 +31,7 @@ from numpy.polynomial import polynomial as npp
 
 from . import af, dg, poly
 from .mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid1D, Grid2D,
-                   simpson_edge_average, simpson_midpoint)
+                   _af_moment_weights, simpson_edge_average, simpson_midpoint)
 from .problems import (NumericalFluxSpec, ProblemSpec, builtin_problems,
                        check_weights, flux_partials, flux_spec, invert_flux,
                        lax_friedrichs_speed)
@@ -108,14 +108,9 @@ def project_flux_F(state: DgState1D, problem: ProblemSpec,
     phi_vals = np.array([p(rule.nodes) for p in basis.phi])      # (K+1, nq)
     qvals = np.einsum("inc,nq->iqc", state.coeffs, phi_vals)
     fvals = problem.flux(qvals)                                  # (n, nq, 1)
-    n_cells = state.grid.n_cells
-    F_dofs = np.empty((n_cells, K + 2, 1))
-    F_dofs[:, 0, :] = fhat
-    F_dofs[:, -1, :] = np.roll(fhat, -1, axis=0)
-    for k in range(K):
-        bw = poly.moment_normalization(k) * poly.moment_weight(k)(rule.nodes) \
-            * rule.weights
-        F_dofs[:, 1 + k, :] = np.einsum("iqc,q->ic", fvals, bw)
+    moments = np.einsum("kq,iqc->ikc", _af_moment_weights(K, rule), fvals)
+    F_dofs = np.concatenate([fhat[:, None], moments,
+                             np.roll(fhat, -1, axis=0)[:, None]], axis=1)
     return af.FluxProjection1D(F_dofs=F_dofs, A=A, dfdql=dfdql, dfdqr=dfdqr)
 
 
@@ -591,22 +586,13 @@ def _verify_1d(s: EquivSetting) -> EquivalenceReport:
     if flux.kind == "lax_friedrichs" and problem.advection_speed == 0:
         raise ValueError("Lax-Friedrichs at zero speed is no weighted flux")
 
+    if not (problem.is_scalar or flux.kind == "upwind"):
+        raise ValueError("system equivalence is verified with the upwind flux")
+
     dpts_a, dmo_a = dg_induced_af_derivative_1d(state, problem, flux)
     mapped = map_dg_to_af_1d(state, flux, problem)
-
-    if nonlinear:
-        fp = project_flux_F(state, problem, flux)
-        dmapped = af.af_rhs_1d(mapped, problem,
-                               af.PointUpdateVariant.dg_inspired(flux),
-                               flux_projection=fp)
-    elif problem.is_scalar:
-        ap, am = flux.advection_weights(problem.advection_speed)
-        dmapped = af.af_rhs_1d(mapped, problem, af.PointUpdateVariant.alpha(ap, am))
-    else:
-        if flux.kind != "upwind":
-            raise ValueError("system equivalence is verified with the "
-                             "upwind flux")
-        dmapped = af.af_rhs_1d(mapped, problem, af.PointUpdateVariant.upwind())
+    fp = project_flux_F(state, problem, flux) if nonlinear else None
+    dmapped = af.af_rhs_1d(mapped, problem, flux, flux_projection=fp)
     dpts_b, dmo_b = dmapped.point_values, dmapped.moments
     if s.flip_point_sign:
         dpts_b = -dpts_b

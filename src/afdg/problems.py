@@ -251,16 +251,18 @@ def numerical_flux(spec: NumericalFluxSpec, problem: ProblemSpec, q_l, q_r):
 def flux_partials(spec: NumericalFluxSpec, problem: ProblemSpec, q_l, q_r):
     """(d fhat / d q_L, d fhat / d q_R) at the given traces.
 
-    The Lax-Friedrichs partials (f'(q_L) + a)/2 and (f'(q_R) - a)/2 are a
-    particular nonnegative/nonpositive splitting of the Jacobian whenever
-    a bounds the wave speed.
+    The Lax-Friedrichs partials (f'(q_L) + a I)/2 and (f'(q_R) - a I)/2
+    are a particular nonnegative/nonpositive splitting of the Jacobian
+    whenever a bounds the wave speed.
     """
     q_l = np.asarray(q_l, dtype=float)
     q_r = np.asarray(q_r, dtype=float)
 
     if spec.kind == "lax_friedrichs":
-        return (0.5 * (problem.jacobian(q_l) + spec.a),
-                0.5 * (problem.jacobian(q_r) - spec.a))
+        a = spec.a * (1.0 if problem.is_scalar
+                      else np.eye(problem.n_components))
+        return (0.5 * (problem.jacobian(q_l) + a),
+                0.5 * (problem.jacobian(q_r) - a))
     if spec.kind == "central":
         return 0.5 * problem.jacobian(q_l), 0.5 * problem.jacobian(q_r)
     if spec.kind == "alpha_weighted":

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from afdg import af, dg, mesh, poly
-from afdg.af import PointUpdateVariant
-from afdg.mesh import AfState1D, Grid1D, Grid2D
+from afdg.mesh import AfState1D, DgState1D, Grid1D, Grid2D
 from afdg.problems import (NumericalFluxSpec, acoustics2x2, advection1d,
                            burgers)
 
-UP = PointUpdateVariant.upwind()
+UP = NumericalFluxSpec.upwind()
 
 
 def smooth_state_1d(K, n=16, lo=-1.0, hi=1.0, seed=0):
@@ -57,12 +56,11 @@ def test_adjacent_cells_share_interface_value():
 def test_constant_state_zero_all_variants():
     prob = advection1d(u=1.2)
     state = mesh.fill_af_1d(Grid1D(0, 1, 8), 2, lambda x: np.ones_like(x))
-    variants = [UP, PointUpdateVariant("central"),
-                PointUpdateVariant.alpha(0.7, 0.3),
-                PointUpdateVariant("flux_vector_splitting", a=2.0),
-                PointUpdateVariant.dg_inspired(NumericalFluxSpec.central())]
-    for variant in variants:
-        d = af.af_rhs_1d(state, prob, variant)
+    fluxes = [UP, NumericalFluxSpec.central(),
+              NumericalFluxSpec.alpha(0.7, 0.3),
+              NumericalFluxSpec.lax_friedrichs(2.0)]
+    for flux in fluxes:
+        d = af.af_rhs_1d(state, prob, flux)
         for arr in d.arrays():
             assert np.max(np.abs(arr)) < 1e-12
 
@@ -74,7 +72,8 @@ def test_k1_upwind_point_stencil():
     state = AfState1D(grid, 1, rng.uniform(-1, 1, (4, 1)),
                       rng.uniform(-1, 1, (4, 1, 1)))
     u = 1.5
-    d = af.af_rhs_1d(state, advection1d(u=u), PointUpdateVariant.alpha(1.0, 0.0))
+    d = af.af_rhs_1d(state, advection1d(u=u),
+                     NumericalFluxSpec.alpha(1.0, 0.0))
     p = state.point_values[:, 0]
     mo = state.moments[:, 0, 0]
     want = -(u / grid.dx) * (2 * np.roll(p, 1) - 6 * np.roll(mo, 1) + 4 * p)
@@ -94,8 +93,8 @@ def test_average_update_is_flux_difference():
 def test_conservation_periodic(K):
     prob = burgers()
     state = smooth_state_1d(K, lo=0.5, hi=2.0, seed=K)
-    for variant in (UP, PointUpdateVariant("flux_vector_splitting", a=2.5)):
-        d = af.af_rhs_1d(state, prob, variant)
+    for flux in (UP, NumericalFluxSpec.lax_friedrichs(2.5)):
+        d = af.af_rhs_1d(state, prob, flux)
         total = np.sum(d.moments[:, 0, 0]) * state.grid.dx
         assert abs(total) < 1e-12 * np.max(np.abs(state.point_values))
 
@@ -125,7 +124,8 @@ def test_point_update_exact_for_global_polynomial(K):
     u = 1.7
     grid = Grid1D(0, 1, 8)
     state = mesh.fill_af_1d(grid, K, q)
-    d = af.af_rhs_1d(state, advection1d(u=u), PointUpdateVariant.alpha(1.0, 0.0))
+    d = af.af_rhs_1d(state, advection1d(u=u),
+                     NumericalFluxSpec.alpha(1.0, 0.0))
     xs = grid.interfaces()
     # periodic wrap breaks the polynomial at interface 0; check the rest
     want = -u * dq(xs[1:])
@@ -136,20 +136,17 @@ def test_dg_inspired_linear_equals_alpha_weighted():
     prob = advection1d(u=1.3)
     state = smooth_state_1d(2, seed=9)
     flux = NumericalFluxSpec.alpha(0.7, 0.3)
-    d1 = af.af_rhs_1d(state, prob, PointUpdateVariant.dg_inspired(flux))
-    d2 = af.af_rhs_1d(state, prob, PointUpdateVariant.alpha(0.7, 0.3))
+    # the linear flux projection: u times the reconstruction
+    u, n = prob.advection_speed, state.grid.n_cells
+    fp = af.FluxProjection1D(F_dofs=u * af.cell_dof_tensor_1d(state),
+                             A=np.full(n, u), dfdql=np.full(n, 0.7 * u),
+                             dfdqr=np.full(n, 0.3 * u))
+    d1 = af.af_rhs_1d(state, prob, flux, flux_projection=fp)
+    d2 = af.af_rhs_1d(state, prob, flux)
     scale = np.max(np.abs(d2.point_values))
     assert np.max(np.abs(d1.point_values - d2.point_values)) <= 1e-13 * scale
     assert np.max(np.abs(d1.moments - d2.moments)) <= \
         1e-13 * np.max(np.abs(d2.moments))
-
-
-def test_dg_inspired_nonlinear_requires_projection_data():
-    state = smooth_state_1d(1, lo=0.5, hi=2.0, seed=2)
-    with pytest.raises(ValueError):
-        af.af_rhs_1d(state, burgers(),
-                     PointUpdateVariant.dg_inspired(
-                         NumericalFluxSpec.lax_friedrichs(3.0)))
 
 
 def test_sonic_state_rejected():
@@ -160,9 +157,7 @@ def test_sonic_state_rejected():
         dfdql=np.ones(state.grid.n_cells),
         dfdqr=np.ones(state.grid.n_cells))
     with pytest.raises(ZeroDivisionError):
-        af.af_rhs_1d(state, burgers(),
-                     PointUpdateVariant.dg_inspired(
-                         NumericalFluxSpec.lax_friedrichs(3.0)),
+        af.af_rhs_1d(state, burgers(), NumericalFluxSpec.lax_friedrichs(3.0),
                      flux_projection=fp)
 
 
@@ -176,8 +171,35 @@ def test_jacobian_splitting_system():
     assert d.point_values.shape == (12, 2)
     assert np.all(np.isfinite(d.point_values))
     # central variant averages the one-sided updates of the +/- splits
-    d_c = af.af_rhs_1d(state, prob, PointUpdateVariant("central"))
+    d_c = af.af_rhs_1d(state, prob, NumericalFluxSpec.central())
     assert np.all(np.isfinite(d_c.point_values))
+
+
+def test_lax_friedrichs_at_the_sound_speed_is_upwind_for_acoustics():
+    """|J| = c I for acoustics, so LF with a = c splits J as upwind does:
+    (J + c I)/2 = J+ and (J - c I)/2 = J-."""
+    c = 1.3
+    prob = acoustics2x2(c=c)
+    rng = np.random.default_rng(15)
+    grid = Grid1D(0, 1, 10)
+    lf, up = NumericalFluxSpec.lax_friedrichs(c), NumericalFluxSpec.upwind()
+    state = AfState1D(grid, 2, rng.uniform(-1, 1, (10, 2)),
+                      rng.uniform(-1, 1, (10, 2, 2)))
+    for got, want in zip(af.af_rhs_1d(state, prob, lf).arrays(),
+                         af.af_rhs_1d(state, prob, up).arrays()):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    dg_state = DgState1D(grid, 2, rng.uniform(-1, 1, (10, 3, 2)))
+    got = dg.dg_rhs_1d(dg_state, prob, lf).coeffs
+    want = dg.dg_rhs_1d(dg_state, prob, up).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_upwind_point_update_refuses_a_sonic_state():
+    """The upwind flux has no one-sided partials where the speed changes
+    sign between interfaces, so upwind AF raises as upwind DG does."""
+    state = smooth_state_1d(2, lo=-1.0, hi=1.0, seed=3)
+    with pytest.raises(ValueError, match="sonic"):
+        af.af_rhs_1d(state, burgers(), UP)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +234,7 @@ def test_2d_zero_y_speed_reduces_to_1d(K):
             line = AfState1D(Grid1D(0, 1, n), K,
                              state.x_edge[:, j, k][:, None],
                              state.cell_moments[:, j, :, k][:, :, None])
-            d1 = af.af_rhs_1d(line, prob, PointUpdateVariant.alpha(1.0, 0.0))
+            d1 = af.af_rhs_1d(line, prob, NumericalFluxSpec.alpha(1.0, 0.0))
             assert np.allclose(d2.x_edge[:, j, k], d1.point_values[:, 0],
                                atol=1e-11)
             assert np.allclose(d2.cell_moments[:, j, :, k],
@@ -328,15 +350,6 @@ def test_reconstruction_matrix_matches_tensor():
     assert np.allclose(C, full[3, 4], atol=0)
 
 
-def test_point_only_dg_inspired_update():
-    prob = advection1d(u=1.1)
-    state = smooth_state_1d(1, seed=27)
-    flux = NumericalFluxSpec.central()
-    dpts = af.af_rhs_1d_dg_inspired_point(state, prob, flux)
-    full = af.af_rhs_1d(state, prob, PointUpdateVariant.dg_inspired(flux))
-    assert np.array_equal(dpts, full.point_values)
-
-
 def test_classical_af_third_order_at_catalog_cfl():
     """The classical midpoint variant is the genuine third-order method:
     it converges at order 3 and tolerates the catalog CFL number 0.27
@@ -372,11 +385,11 @@ def _burgers_exact(t, x):
     return q
 
 
-@pytest.mark.parametrize("variant", [
-    PointUpdateVariant.upwind(),
-    PointUpdateVariant("flux_vector_splitting", a=1.5),
+@pytest.mark.parametrize("flux", [
+    NumericalFluxSpec.upwind(),
+    NumericalFluxSpec.lax_friedrichs(1.5),
 ], ids=["jacobian_splitting", "flux_vector_splitting"])
-def test_burgers_preshock_fourth_order(variant):
+def test_burgers_preshock_fourth_order(flux):
     import math
     from afdg import timeint
     prob = burgers()
@@ -385,7 +398,7 @@ def test_burgers_preshock_fourth_order(variant):
     def one(n):
         grid = Grid1D(0, 1, n)
         state = mesh.fill_af_1d(grid, 2, lambda x: _burgers_exact(0.0, x))
-        rhs = lambda s, t: af.af_rhs_1d(s, prob, variant)
+        rhs = lambda s, t: af.af_rhs_1d(s, prob, flux)
         final = timeint.integrate(state, rhs, timeint.SSPRK54,
                                   0.1 * grid.dx, T)
         ref = mesh.fill_af_1d(grid, 2, lambda x: _burgers_exact(T, x))

@@ -517,6 +517,40 @@ def read_meta(path) -> dict:
         return dict(csv.reader(fh))
 
 
+@pytest.mark.parametrize("method,order", [("af", 4), ("dg", 3)])
+def test_cli_run_records_periodic_mass_drift(tmp_path, method, order):
+    """AF43 and DG33 conserve the cell-mean mass on a periodic grid."""
+    sets = [f"method={method}", f"order={order}", "problem=advection2d",
+            "ux=1", "uy=-0.6", "grids=12", "t_final=0.05"]
+    out = tmp_path / "state.csv"
+    assert cli.main(["run", *[a for kv in sets for a in ("--set", kv)],
+                     "--out", str(out)]) == 0
+    meta = read_meta(tmp_path / "state.csv.meta.csv")
+    cfg = driver.parse_config("", dict(kv.split("=") for kv in sets))
+    m0 = driver.cell_mass(driver.build_state(cfg, 12))
+    assert abs(float(meta["mass_drift"])) <= 1e-12 * max(1.0, abs(m0))
+    assert float(meta["norm_ratio"]) == pytest.approx(1.0, abs=0.05)
+
+
+def test_cli_run_records_dirichlet_mass_drift_as_na(tmp_path):
+    out = tmp_path / "state.csv"
+    cli.main(["run", "--set", "method=dg", "--set", "boundary=dirichlet",
+              "--set", "grids=6", "--set", "t_final=0.02", "--out", str(out)])
+    assert read_meta(tmp_path / "state.csv.meta.csv")["mass_drift"] == "n/a"
+
+
+def test_cli_run_records_the_growth_of_an_unstable_run(tmp_path):
+    """AF5 under ssprk3 at the catalog CFL amplifies its highest modes;
+    the run exits 0 at t = 1, and ``norm_ratio`` shows the blow-up."""
+    out = tmp_path / "state.csv"
+    assert cli.main(["run", "--set", "method=af", "--set", "order=5",
+                     "--set", "problem=advection1d", "--set", "init=sine",
+                     "--set", "grids=40", "--set", "t_final=1",
+                     "--out", str(out)]) == 0
+    meta = read_meta(tmp_path / "state.csv.meta.csv")
+    assert float(meta["norm_ratio"]) > 1e10
+
+
 @pytest.mark.parametrize("uy", [1.0, -1.0])
 def test_2d_lax_friedrichs_constant_reads_both_speeds(uy):
     cfg = RunConfig(problem="advection2d", ux=0.5, uy=uy,

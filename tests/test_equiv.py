@@ -489,7 +489,7 @@ def test_zero_speed_advection_gives_zero_rhs():
     d = dg.dg_rhs_1d(state, prob, UP)
     assert np.max(np.abs(d.coeffs)) == 0.0
     afs = _mesh.fill_af_1d(Grid1D(0, 1, 8), 2, lambda x: np.sin(2 * np.pi * x))
-    da = af.af_rhs_1d(afs, prob, af.PointUpdateVariant.alpha(1.0, 0.0))
+    da = af.af_rhs_1d(afs, prob, UP)
     assert all(np.max(np.abs(a)) == 0.0 for a in da.arrays())
 
 

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from afdg import af, dg
-from afdg.af import PointUpdateVariant, af_ops
+from afdg.af import af_ops
 from afdg.dg import dg_basis, qhat_interfaces_2d
 from afdg.mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid2D,
                        kron_sum_apply)
-from afdg.problems import NumericalFluxSpec, advection1d
+from afdg.problems import (FLUX_NAMES, NumericalFluxSpec, advection1d,
+                           flux_spec)
 
 
 def einsum_af_rhs_2d(state, ux, uy, alpha, beta):
@@ -241,8 +242,11 @@ def test_rows_reduce_to_1d_operators(draw, axis):
     rng = np.random.default_rng(100 + draw)
     K = int(rng.integers(1, 5))
     ap = float(rng.uniform(0.0, 1.0))
-    weights = (ap, 1.0 - ap)
     u = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5))
+    # every flux kind twice; the 1-d sides read its trace partials, the
+    # 2-d side the weights it gives speed u
+    flux = flux_spec(FLUX_NAMES[draw % 4], ap, 1.1 * abs(u))
+    weights = flux.advection_weights(u)
     af_state, dg_state = random_states(K, 5, 4, rng)
     grid = af_state.grid
     line_grid = grid.gx if axis == "x" else grid.gy
@@ -250,18 +254,16 @@ def test_rows_reduce_to_1d_operators(draw, axis):
     problem = advection1d(u=u)
 
     d_af = af.af_rhs_2d_tensorial(af_state, ux, uy, weights, weights)
-    variant = PointUpdateVariant.alpha(*weights)
     scale = max(np.max(np.abs(a)) for a in d_af.arrays())
     for (pts, mom), (dpts, dmom) in zip(af_lines(af_state, axis),
                                         af_lines(d_af, axis)):
         line = AfState1D(line_grid, K, pts[:, None], mom[:, :, None])
-        d1 = af.af_rhs_1d(line, problem, variant)
+        d1 = af.af_rhs_1d(line, problem, flux)
         assert np.allclose(dpts, d1.point_values[:, 0], rtol=0,
                            atol=1e-13 * scale)
         assert np.allclose(dmom, d1.moments[:, :, 0], rtol=0,
                            atol=1e-13 * scale)
 
-    flux = NumericalFluxSpec.alpha(*weights)
     d_dg = dg.dg_rhs_2d(dg_state, ux, uy, weights, weights)
     scale = np.max(np.abs(d_dg.coeffs))
     for c, dc in zip(dg_lines(dg_state, axis), dg_lines(d_dg, axis)):
