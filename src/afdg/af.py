@@ -11,11 +11,10 @@ through integration by parts; no Riemann fluxes enter.
 2-d: the tensorial variant stores node values, edge moments (k = 0 is the
 edge average) and interior tensor moments.  It is the tensor product of
 the 1-d method, so its linear-advection update is the Kronecker sum
-ux (A (x) I) + uy (I (x) B) of 1-d operators, periodic or closed by
-Dirichlet ghost blocks.  Each is the block row of three (K+1)x(K+1)
-blocks (``af_stencil_1d``, built from ``af_ops`` alone) that
-``mesh.kron_sum_apply`` applies along its axis, with the one-sided
-weights of each axis resolved by the caller (as ``dg.dg_rhs_2d``).
+A (x) I + I (x) B of 1-d operators (u S_u + d_L S_L + d_R S_R) / h in
+each axis' speed and flux partials, periodic or closed by Dirichlet ghost
+blocks.  Three blocks per K (``af_stencil_1d``, built from ``af_ops``
+alone) give them, and ``mesh.kron_sum_apply`` applies them.
 K = 1 reproduces the edge-average/node/cell-average updates with
 Simpson-exact edge integrals; K = 2 gives the fourth-order method.
 The classical variant (edge midpoints instead of averages) is kept for
@@ -30,10 +29,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import poly
-from .mesh import (AfState1D, AfState2D, kron_sum_apply,
+from .mesh import (AfState1D, AfState2D, axis_stencil, kron_sum_apply,
                    simpson_edge_average)
-from .problems import (NumericalFluxSpec, ProblemSpec, check_weights,
-                       flux_partials)
+from .problems import NumericalFluxSpec, ProblemSpec, flux_partials
 
 __all__ = [
     "AfOps", "af_ops",
@@ -267,67 +265,54 @@ def _default_af_rule(K: int) -> poly.QuadratureRule:
 # 2-d tensorial right-hand side
 
 
-# bounded: flux weights are floats, data-dependent for Lax-Friedrichs
-@lru_cache(maxsize=64)
-def af_stencil_1d(K: int, ap: float, am: float) -> np.ndarray:
-    """Block row [L | D | R] of the periodic 1-d AF operator at u = dx = 1.
-
-    Cell i owns its left point value and its K moments, U_i = (p_i, m_i);
-    the derivative is L U_{i-1} + D U_i + R U_{i+1}.  Row 0 is the point
-    update with one-sided weights (ap, am), rows 1..K the moment update;
-    the right point value of cell i is entry 0 of U_{i+1}.
+@lru_cache(maxsize=None)
+def af_stencil_1d(K: int) -> np.ndarray:
+    """Blocks (S_u, S_L, S_R) of the periodic 1-d AF operator at dx = 1,
+    each a block row [L | D | R] on U_i = (p_i, m_i), cell i's left point
+    value and K moments: columns m..2m hold the K+2 dofs of cell i and
+    columns 0..m those of cell i-1.  The point rows of S_L and S_R are
+    minus the derivatives of cell i-1 at its right face and of cell i at
+    its left face; the moment rows of S_u are the moment update.
     """
     ops = af_ops(K)
     m = K + 1
-    S = np.zeros((m, 3 * m))
-    L, D, R = S[:, :m], S[:, m:2 * m], S[:, 2 * m:]
-    L[0, :] = -ap * ops.d_plus[:m]
-    D[0, 0] = -ap * ops.d_plus[m] - am * ops.d_minus[0]
-    D[0, 1:] = -am * ops.d_minus[1:m]
-    R[0, 0] = -am * ops.d_minus[m]
-    D[1:, :] = -ops.mom_w[:, :m]
-    R[1:, 0] = -ops.mom_w[:, m]
+    S = np.zeros((3, m, 3 * m))
+    S[0, 1:, m:2 * m + 1] = -ops.mom_w
+    S[1, 0, :m + 1] = -ops.d_plus
+    S[2, 0, m:2 * m + 1] = -ops.d_minus
     S.flags.writeable = False
     return S
 
 
 def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
-                        alpha: tuple[float, float] = None,
-                        beta: tuple[float, float] = None,
+                        partials_x: tuple[float, float],
+                        partials_y: tuple[float, float],
                         ghosts=None) -> AfState2D:
     """Tensorial AF update for 2-d linear advection, any K >= 1.
 
-    The update is the Kronecker sum ux (A (x) I) + uy (I (x) B) of the
-    1-d operators (``af_stencil_1d``) applied by ``mesh.kron_sum_apply``
-    to the state tensor U[i, a, j, b]: per axis, index 0 is the point value
-    and 1..K the moments, so point x point are the nodes, point x moment
-    the x-edge moments, moment x point the y-edge moments and moment x
-    moment the cell moments.  alpha/beta are the one-sided weights of the
-    point updates in x and y (``NumericalFluxSpec.advection_weights``);
-    omitted weights are the upwind pair.  A zero-speed axis contributes
-    nothing.
+    The update is the Kronecker sum A (x) I + I (x) B of the 1-d operators
+    (u S_u + d_L S_L + d_R S_R) / h (``af_stencil_1d``), with each axis'
+    flux partials (``NumericalFluxSpec.advection_partials``), applied by
+    ``mesh.kron_sum_apply`` to the state tensor U[i, a, j, b]: per axis,
+    index 0 is the point value and 1..K the moments, so point x point are
+    the nodes, point x moment the x-edge moments, moment x point the y-edge
+    moments and moment x moment the cell moments.
 
     A non-periodic state needs ``ghosts``, the blocks of the cells one
     beyond its tensor (see ``kron_sum_apply``), and its unused slots must
     hold the data of the cells they belong to, because the point updates
-    of the right and top boundary dofs read them with a downwind weight.
+    of the right and top boundary dofs read them with the partial d_R.
     The derivative is zero in those slots.
     """
     if state.variant != "tensorial":
         raise ValueError("tensorial right-hand side needs a tensorial state")
     if not state.periodic and ghosts is None:
         raise ValueError("a non-periodic state needs ghost blocks")
-    if alpha is None:
-        alpha = NumericalFluxSpec.upwind().advection_weights(ux)
-    if beta is None:
-        beta = NumericalFluxSpec.upwind().advection_weights(uy)
-    check_weights(alpha)
-    check_weights(beta)
-
-    K = state.K
-    sx = (ux / state.grid.dx) * af_stencil_1d(K, *alpha) if ux != 0.0 else None
-    sy = (uy / state.grid.dy) * af_stencil_1d(K, *beta) if uy != 0.0 else None
-    dU = kron_sum_apply(state.U, sx, sy, ghosts)
+    blocks = af_stencil_1d(state.K)
+    dU = kron_sum_apply(state.U,
+                        axis_stencil(blocks, ux, partials_x, state.grid.dx),
+                        axis_stencil(blocks, uy, partials_y, state.grid.dy),
+                        ghosts)
     if not state.periodic:
         dU[-1, 1:] = 0.0
         dU[:, :, -1, 1:] = 0.0

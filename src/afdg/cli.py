@@ -61,8 +61,8 @@ def cmd_run(args) -> int:
              else "catalog C_CFL * dx"),
             ("steps", b.steps), ("boundary", cfg.boundary),
             ("ghost_sides", " ".join(res.ghost_sides) or "none"),
-            ("weights", " ".join(f"{axis} {driver.fmt(ap)} {driver.fmt(am)}"
-                                 for axis, (ap, am) in zip("xy", res.weights))),
+            ("partials", " ".join(f"{axis} {driver.fmt(d[0])} {driver.fmt(d[1])}"
+                                  for axis, d in zip("xy", res.partials))),
             ("seed", cfg.seed), ("rk", cfg.rk), ("numpy", np.__version__),
             ("norm_ratio",
              driver.dof_norm(res.state) / driver.dof_norm(state0)),
@@ -116,12 +116,14 @@ def _check_equiv_keys(cfg: driver.RunConfig, dimension: int,
                       variant: str) -> None:
     """Reject the keys ``equiv.verify_equivalence`` cannot run with."""
     problems = sorted(builtin_problems())
-    fluxes = [f for f in FLUX_NAMES if dimension == 1 or f != "lax_friedrichs"]
     k_key = "order" if cfg.k is None else "k"
+    zero_speed = cfg.problem.startswith("advection") and not all(cfg.speeds)
     checks = [("problem", cfg.problem in problems,
                f"must be one of {', '.join(problems)}"),
-              ("flux", cfg.flux in fluxes,
-               f"must be one of {', '.join(fluxes)} in {dimension}-d"),
+              ("flux", cfg.flux in FLUX_NAMES,
+               f"must be one of {', '.join(FLUX_NAMES)}"),
+              ("flux", cfg.flux != "lax_friedrichs" or not zero_speed,
+               "must not be 'lax_friedrichs' on a zero-speed axis"),
               (k_key, cfg.K >= 1, "must give K >= 1")]
     if dimension == 2 and variant == "classical_midpoint":
         why = f"for the {variant} variant"

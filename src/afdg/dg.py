@@ -12,12 +12,11 @@ agree to roundoff:
                    equivalence verifier instruments.
 
 The 2-d assembly is tensor-modal for linear advection: the update is the
-Kronecker sum ux (A (x) I) + uy (I (x) B) of 1-d operators, periodic or
-closed by Dirichlet ghost blocks, each the block row of three
-(K+1)x(K+1) blocks (``dg_stencil_1d``, built from the closed-form
-``dg_basis`` coefficients alone, so every integral is exact) that
-``mesh.kron_sum_apply`` applies along its axis.  ``dg_rhs_2d`` takes each
-axis' resolved one-sided weights, as ``af.af_rhs_2d_tensorial`` does.
+Kronecker sum A (x) I + I (x) B of 1-d operators (u S_u + d_L S_L +
+d_R S_R) / h in each axis' speed and flux partials, periodic or closed by
+Dirichlet ghost blocks.  Three blocks per K (``dg_stencil_1d``, built from
+the closed-form ``dg_basis`` coefficients alone, so every integral is
+exact) give them, and ``mesh.kron_sum_apply`` applies them.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import poly
-from .mesh import AF_N_INT, DG_N_INT, DgState1D, DgState2D, kron_sum_apply
-from .problems import (NumericalFluxSpec, ProblemSpec, check_weights,
-                       numerical_flux)
+from .mesh import (AF_N_INT, DG_N_INT, DgState1D, DgState2D, axis_stencil,
+                   kron_sum_apply)
+from .problems import NumericalFluxSpec, ProblemSpec, numerical_flux
 
 __all__ = [
     "DgBasis", "dg_basis", "dg_rhs_1d", "dg_stencil_1d", "dg_rhs_2d",
@@ -278,43 +277,40 @@ def qhat_interfaces_2d(state: DgState2D, alpha: tuple[float, float],
     return qhat_x, qhat_y
 
 
-# bounded: flux weights are floats, data-dependent for Lax-Friedrichs
-@lru_cache(maxsize=64)
-def dg_stencil_1d(K: int, ap: float, am: float) -> np.ndarray:
-    """Block row [L | D | R] of the periodic 1-d DG operator at u = dx = 1.
-
-    With the weighted interface trace qhat = ap q^+_{left} + am q^-_{right},
-    the modal derivative of cell i is L c_{i-1} + D c_i + R c_{i+1}, each
-    row divided by its mass entry.
+@lru_cache(maxsize=None)
+def dg_stencil_1d(K: int) -> np.ndarray:
+    """Blocks (S_u, S_L, S_R) of the periodic 1-d DG operator at dx = 1,
+    each a block row [L | D | R] on the modes of cells i-1, i, i+1 divided
+    row-wise by the mass: the stiffness, and the traces that the interface
+    flux d_L q^+_{left} + d_R q^-_{right} weighs by d_L and by d_R.
     """
     b = dg_basis(K)
     vr, vl = b.value_right, b.value_left
-    S = np.hstack([ap * np.outer(vl, vr),
-                   b.stiffness - ap * np.outer(vr, vr) + am * np.outer(vl, vl),
-                   -am * np.outer(vr, vl)]) / b.mass[:, None]
+    zero = np.zeros((K + 1, K + 1))
+    S = np.stack([np.hstack([zero, b.stiffness, zero]),
+                  np.hstack([np.outer(vl, vr), -np.outer(vr, vr), zero]),
+                  np.hstack([zero, np.outer(vl, vl), -np.outer(vr, vl)])])
+    S /= b.mass[:, None]
     S.flags.writeable = False
     return S
 
 
 def dg_rhs_2d(state: DgState2D, ux: float, uy: float,
-              alpha: tuple[float, float], beta: tuple[float, float],
-              ghosts=None) -> DgState2D:
+              partials_x: tuple[float, float],
+              partials_y: tuple[float, float], ghosts=None) -> DgState2D:
     """Tensor-modal update for 2-d linear advection.
 
-    The update is the Kronecker sum ux (A (x) I) + uy (I (x) B) of the
-    1-d operators (``dg_stencil_1d`` with the one-sided weights alpha in x
-    and beta in y, see ``NumericalFluxSpec.advection_weights``) applied by
+    The update is the Kronecker sum A (x) I + I (x) B of the 1-d operators
+    (u S_u + d_L S_L + d_R S_R) / h (``dg_stencil_1d``), with each axis'
+    flux partials (``NumericalFluxSpec.advection_partials``), applied by
     ``mesh.kron_sum_apply`` to the state tensor U[i, m, j, n]
     (coeffs[i, j, m, n]).  A non-periodic state needs ``ghosts``, the
-    modal blocks of the cells one beyond it on each side.  A zero-speed
-    axis contributes nothing (its flux terms carry the factor u).
-    Nonlinear problems are out of scope here.
+    modal blocks of the cells one beyond it on each side.  Nonlinear
+    problems are out of scope here.
     """
     if not state.periodic and ghosts is None:
         raise ValueError("a non-periodic state needs ghost blocks")
-    check_weights(alpha)
-    check_weights(beta)
-    K = state.K
-    sx = (ux / state.grid.dx) * dg_stencil_1d(K, *alpha) if ux != 0.0 else None
-    sy = (uy / state.grid.dy) * dg_stencil_1d(K, *beta) if uy != 0.0 else None
-    return state.with_arrays([kron_sum_apply(state.U, sx, sy, ghosts)])
+    blocks = dg_stencil_1d(state.K)
+    return state.with_arrays([kron_sum_apply(
+        state.U, axis_stencil(blocks, ux, partials_x, state.grid.dx),
+        axis_stencil(blocks, uy, partials_y, state.grid.dy), ghosts)])

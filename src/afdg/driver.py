@@ -289,18 +289,15 @@ def _ghost_cells(nx: int, ny: int, slots: bool, sides: tuple):
 
 
 def ghost_sides(cfg: RunConfig, flux: NumericalFluxSpec) -> tuple:
-    """The Dirichlet ghost sides the 2-d stencils read: along each axis of
-    nonzero speed, the low side if ap != 0 and the high side if am != 0
-    (the stencil's L block carries the factor ap, its R block am); none
-    for a periodic or 1-d run."""
+    """The Dirichlet ghost sides the 2-d stencils read: along each axis,
+    the low side if its flux partial d_L != 0 and the high side if
+    d_R != 0 (the stencil's L block carries the factor d_L, its R block
+    d_R); none for a periodic or 1-d run."""
     if cfg.boundary != "dirichlet" or not cfg.problem.endswith("2d"):
         return ()
-    sides = []
-    for axis, u in zip("xy", cfg.speeds):
-        if u != 0:
-            ap, am = flux.advection_weights(u)
-            sides += [f"{axis}_lo"] * (ap != 0) + [f"{axis}_hi"] * (am != 0)
-    return tuple(sides)
+    return tuple(f"{axis}_{side}" for axis, u in zip("xy", cfg.speeds)
+                 for side, d in zip(("lo", "hi"), flux.advection_partials(u))
+                 if d != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +335,14 @@ def make_rhs(cfg: RunConfig, problem, flux: NumericalFluxSpec):
 
     if cfg.problem.endswith("2d"):
         ux, uy = cfg.ux, cfg.uy
-        alpha, beta = flux.advection_weights(ux), flux.advection_weights(uy)
+        px, py = flux.advection_partials(ux), flux.advection_partials(uy)
         rhs, cell_dofs = ((dg.dg_rhs_2d, mesh.dg_cell_dofs_2d)
                           if cfg.method == "dg" else
                           (af.af_rhs_2d_tensorial, mesh.af_cell_dofs_2d))
         project = partial(cell_dofs, cfg.K)
         sides = ghost_sides(cfg, flux)
         return lambda state, t: rhs(
-            state, ux, uy, alpha, beta,
+            state, ux, uy, px, py,
             _ghosts(state, project, exact, t, sides) if dirichlet else None)
 
     rhs = dg.dg_rhs_1d if cfg.method == "dg" else af.af_rhs_1d
@@ -436,7 +433,7 @@ class RunResult:
     errors: ErrorReport
     bench: BenchRecord
     ghost_sides: tuple = ()         # the Dirichlet sides projected per stage
-    weights: tuple = ()             # the (ap, am) pair of each axis
+    partials: tuple = ()            # the flux partials (d_L, d_R) of each axis
 
 
 def default_dt(cfg: RunConfig, dx: float) -> float:
@@ -483,8 +480,8 @@ def run_simulation(cfg: RunConfig, n: int | None = None,
                         tau_per_step=tau / steps, steps=steps,
                         e_dofs=errors.e_dofs,
                         metric=counts.n_dofs * errors.e_dofs * tau)
-    weights = tuple(flux.advection_weights(u) for u in cfg.speeds)
-    return RunResult(final, errors, bench, ghost_sides(cfg, flux), weights)
+    partials = tuple(flux.advection_partials(u) for u in cfg.speeds)
+    return RunResult(final, errors, bench, ghost_sides(cfg, flux), partials)
 
 
 def run_convergence_study(cfg: RunConfig):

@@ -37,8 +37,8 @@ from .problems import (NumericalFluxSpec, ProblemSpec, builtin_problems,
                        lax_friedrichs_speed)
 
 __all__ = [
-    "moment_transfer_matrix", "map_dg_to_af_1d", "augment_reconstruction_1d",
-    "project_flux_F", "dg_induced_af_derivative_1d",
+    "moment_transfer_matrix", "map_dg_to_af_1d", "project_flux_F",
+    "dg_induced_af_derivative_1d",
     "map_dg_to_af_2d", "reconstruct_af_2d_from_dg",
     "dg_induced_af_derivative_2d", "lemma_checks",
     "EquivSetting", "EquivalenceReport", "FamilyResult", "verify_equivalence",
@@ -70,13 +70,6 @@ def map_dg_to_af_1d(state: DgState1D, flux: NumericalFluxSpec,
     T = moment_transfer_matrix(state.K)
     moments = np.einsum("kn,inc->ikc", T, state.coeffs)
     return AfState1D(state.grid, state.K, pts, moments, state.periodic)
-
-
-def augment_reconstruction_1d(state: DgState1D, problem: ProblemSpec,
-                              flux: NumericalFluxSpec) -> np.ndarray:
-    """Monomial coefficients of the flux-corrected continuous field,
-    shape (n_cells, K+2, m)."""
-    return dg.augmented_coefficients_1d(state, problem, flux)
 
 
 def project_flux_F(state: DgState1D, problem: ProblemSpec,
@@ -327,10 +320,12 @@ def reconstruct_af_2d_from_dg(state: DgState2D, alpha, beta
 
 
 def dg_induced_af_derivative_2d(state: DgState2D, ux: float, uy: float,
+                                partials_x: tuple[float, float],
+                                partials_y: tuple[float, float],
                                 alpha: tuple[float, float],
                                 beta: tuple[float, float]):
     """DG-induced time derivatives of the mapped tensorial dofs."""
-    dstate = dg.dg_rhs_2d(state, ux, uy, alpha, beta)
+    dstate = dg.dg_rhs_2d(state, ux, uy, partials_x, partials_y)
     dstate = _cell_major(state.grid, state.K, dstate.coeffs)
     return map_dg_to_af_2d(dstate, alpha, beta, check_consistency=False)
 
@@ -401,7 +396,8 @@ def lemma_checks(state: DgState2D, ux: float, uy: float,
         rec, mapped, alpha, beta, xi) / scale
 
     # trace-derivative update identities with random weights
-    dc = dg.dg_rhs_2d(state, ux, uy, alpha, beta).coeffs
+    dc = dg.dg_rhs_2d(state, ux, uy, flux_x.advection_partials(ux),
+                      flux_y.advection_partials(uy)).coeffs
     res.update({k: v / scale for k, v in _update_identity_residuals(
         state, rec, dc, ux, uy, alpha, beta).items()})
     return res
@@ -620,20 +616,26 @@ def _verify_2d(s: EquivSetting) -> EquivalenceReport:
     uy = problem.advection_speed_y
     if ux is None or uy is None:
         raise ValueError("2-d verification runs on advection2d")
-    if s.flux == "lax_friedrichs":
-        raise ValueError(f"unsupported 2-d flux {s.flux!r}")
+    if s.flux == "lax_friedrichs" and 0 in (ux, uy):
+        raise ValueError("Lax-Friedrichs at zero speed is no weighted flux "
+                         f"({'ux' if ux == 0 else 'uy'} = 0)")
     state = _random_dg_state_2d(s.K, s.n_cells, s.seed)
-    alpha = flux_spec(s.flux, s.alpha_plus).advection_weights(ux)
-    beta = flux_spec(s.flux, s.beta_plus).advection_weights(uy)
+    a = s.lf_speed
+    if s.flux == "lax_friedrichs" and a is None:
+        a = lax_friedrichs_speed(problem, state.coeffs[:, :, 0, 0])
+    flux_x = flux_spec(s.flux, s.alpha_plus, a)
+    flux_y = flux_spec(s.flux, s.beta_plus, a)
+    alpha, beta = flux_x.advection_weights(ux), flux_y.advection_weights(uy)
+    px, py = flux_x.advection_partials(ux), flux_y.advection_partials(uy)
 
-    induced = dg_induced_af_derivative_2d(state, ux, uy, alpha, beta)
+    induced = dg_induced_af_derivative_2d(state, ux, uy, px, py, alpha, beta)
     mapped = map_dg_to_af_2d(state, alpha, beta)
 
     metadata = {"seed": s.seed, "zero_speed_axis":
                 ("x" if ux == 0 else "") + ("y" if uy == 0 else "")}
 
     if s.variant == "tensorial":
-        dmapped = af.af_rhs_2d_tensorial(mapped, ux, uy, alpha, beta)
+        dmapped = af.af_rhs_2d_tensorial(mapped, ux, uy, px, py)
         pairs = {
             "node_values": (induced.node_values, dmapped.node_values),
             "x_edge_averages": (induced.x_edge, dmapped.x_edge),

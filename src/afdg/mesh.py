@@ -32,7 +32,7 @@ __all__ = [
     "simpson_edge_average", "simpson_midpoint",
     "fill_af_1d", "fill_dg_1d", "fill_af_2d", "fill_dg_2d",
     "af_cell_dofs_2d", "dg_cell_dofs_2d",
-    "kron_sum_apply", "state_rows", "save_state_csv",
+    "axis_stencil", "kron_sum_apply", "state_rows", "save_state_csv",
 ]
 
 # Method catalog: quadrature exactness degree and CFL number per order,
@@ -430,6 +430,18 @@ def fill_dg_2d(grid: Grid2D, K: int, init: Callable,
 
 # ---------------------------------------------------------------------------
 # tensor-product operators
+
+
+def axis_stencil(blocks: np.ndarray, u: float, partials: tuple[float, float],
+                 h: float) -> np.ndarray | None:
+    """(u S_u + d_L S_L + d_R S_R) / h from a family's blocks (S_u, S_L,
+    S_R): the stencil of an axis with speed u, flux partials (d_L, d_R) and
+    cell width h; None (skipped) when u = d_L = d_R = 0."""
+    d_l, d_r = partials
+    if not (u or d_l or d_r):
+        return None
+    return np.dot((u / h, d_l / h, d_r / h),
+                  blocks.reshape(3, -1)).reshape(blocks.shape[1:])
 
 
 def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,

@@ -185,12 +185,16 @@ class NumericalFluxSpec:
     def lax_friedrichs(a: float) -> "NumericalFluxSpec":
         return NumericalFluxSpec("lax_friedrichs", a=a)
 
-    def advection_weights(self, u: float) -> tuple[float, float]:
-        """The (alpha+, alpha-) pair this flux induces for advection speed u.
+    def advection_partials(self, u: float) -> tuple[float, float]:
+        """(d_L, d_R) of this flux for advection at speed u, the flux weights
+        of a 2-d axis: finite at every speed ((a/2, -a/2) for LF at u = 0)."""
+        d_l, d_r = flux_partials(self, advection1d(u), 0.0, 0.0)
+        return float(d_l), float(d_r)
 
-        At u = 0 no flux crosses the axis, so every kind takes the upwind
-        pair (1, 0), which then only picks the trace the DG-to-AF map takes.
-        """
+    def advection_weights(self, u: float) -> tuple[float, float]:
+        """The (alpha+, alpha-) pair of the interface value the DG-to-AF map
+        defines at speed u.  At u = 0, where Lax-Friedrichs has none, every
+        kind takes the upwind pair (1, 0)."""
         if u == 0 or self.kind == "upwind":
             return (1.0, 0.0) if u >= 0 else (0.0, 1.0)
         if self.kind == "alpha_weighted":

@@ -134,7 +134,7 @@ def test_criterion_4_reconstruction_identity():
         state = DgState1D(Grid1D(0, 1, 24), K,
                           rng.uniform(-1, 1, (24, K + 1, 1)))
         for spec in (NumericalFluxSpec.upwind(), NumericalFluxSpec.central()):
-            mono = equiv.augment_reconstruction_1d(state, prob, spec)
+            mono = dg.augmented_coefficients_1d(state, prob, spec)
             right = np.einsum("ipc,p->ic", mono, 0.5 ** np.arange(K + 2))
             left = np.einsum("ipc,p->ic", mono, (-0.5) ** np.arange(K + 2))
             jumps = max(jumps, float(np.max(np.abs(

@@ -216,7 +216,7 @@ def smooth_state_2d(K, n=10, seed=0, variant="tensorial"):
 
 def test_2d_constant_zero():
     state = mesh.fill_af_2d(Grid2D.square(5), 2, lambda x, y: np.ones_like(x + y))
-    d = af.af_rhs_2d_tensorial(state, 1.0, -0.6)
+    d = af.af_rhs_2d_tensorial(state, 1.0, -0.6, (1.0, 0.0), (0.0, -0.6))
     for arr in d.arrays():
         assert np.max(np.abs(arr)) < 1e-12
 
@@ -226,7 +226,7 @@ def test_2d_zero_y_speed_reduces_to_1d(K):
     """Each x-interface row behaves like the 1-d method with edge data
     playing the role of point values."""
     state = smooth_state_2d(K, seed=K)
-    d2 = af.af_rhs_2d_tensorial(state, 1.4, 0.0)
+    d2 = af.af_rhs_2d_tensorial(state, 1.4, 0.0, (1.4, 0.0), (0.0, 0.0))
     prob = advection1d(u=1.4)
     n = state.grid.n_cells_x
     for j in range(3):
@@ -244,7 +244,7 @@ def test_2d_zero_y_speed_reduces_to_1d(K):
 def test_2d_average_update_uses_edge_averages():
     state = smooth_state_2d(1, seed=7)
     ux, uy = 1.2, -0.8
-    d = af.af_rhs_2d_tensorial(state, ux, uy)
+    d = af.af_rhs_2d_tensorial(state, ux, uy, (ux, 0.0), (0.0, uy))
     ex, ey = state.x_edge[:, :, 0], state.y_edge[:, :, 0]
     want = -(ux * (np.roll(ex, -1, axis=0) - ex) / state.grid.dx
              + uy * (np.roll(ey, -1, axis=1) - ey) / state.grid.dy)
@@ -257,7 +257,7 @@ def test_2d_edge_update_matches_simpson_form():
     normal-derivative samples along the edge."""
     state = smooth_state_2d(1, seed=11)
     ux = 1.0
-    d = af.af_rhs_2d_tensorial(state, ux, 0.0)
+    d = af.af_rhs_2d_tensorial(state, ux, 0.0, (ux, 0.0), (0.0, 0.0))
     vals_eta = np.array([-0.5, 0.0, 0.5])
     # d/dx of the reconstruction at the right face of each cell
     ops = af.af_ops(1)
@@ -272,7 +272,10 @@ def test_2d_edge_update_matches_simpson_form():
 
 def test_2d_conservation():
     state = smooth_state_2d(2, seed=13)
-    d = af.af_rhs_2d_tensorial(state, 1.1, 0.7, (0.6, 0.4), (0.3, 0.7))
+    d = af.af_rhs_2d_tensorial(
+        state, 1.1, 0.7,
+        NumericalFluxSpec.alpha(0.6, 0.4).advection_partials(1.1),
+        NumericalFluxSpec.alpha(0.3, 0.7).advection_partials(0.7))
     total = np.sum(d.cell_moments[:, :, 0, 0])
     assert abs(total) < 1e-10
 
@@ -282,7 +285,8 @@ def test_2d_global_continuity_after_rk_stage():
     time step; check value agreement across every vertical interface."""
     from afdg import timeint
     state = smooth_state_2d(1, seed=17)
-    rhs = lambda s, t: af.af_rhs_2d_tensorial(s, 1.0, 1.0)
+    rhs = lambda s, t: af.af_rhs_2d_tensorial(s, 1.0, 1.0, (1.0, 0.0),
+                                              (1.0, 0.0))
     stepped = timeint.rk_step(timeint.SSPRK3, rhs, state, 0.01)
     eta = np.linspace(-0.5, 0.5, 7)
     vals = af.af_eval_2d(stepped, np.array([-0.5, 0.5]), eta)
@@ -334,7 +338,7 @@ def test_classical_simpson_combination_gap():
                           rng.uniform(-1, 1, (n, n, 1, 1)))
     from afdg.equiv import _tensorial_to_classical
     classical = _tensorial_to_classical(tens)
-    d_tens = af.af_rhs_2d_tensorial(tens, 1.0, 1.0)
+    d_tens = af.af_rhs_2d_tensorial(tens, 1.0, 1.0, (1.0, 0.0), (1.0, 0.0))
     d_cls = af.af_rhs_2d_classical(classical, 1.0, 1.0)
     simpson = mesh.simpson_edge_average(d_cls.node_values,
                                         d_cls.x_edge[..., 0],

@@ -87,7 +87,7 @@ def test_invalid_config_rejected_before_any_step(key, value, tmp_path,
     ("bench", "grids", "20,40", []),
     ("equiv-check", "flux", "bogus", []),
     ("equiv-check", "problem", "bogus", []),
-    ("equiv-check", "flux", "lax_friedrichs", ["problem=advection2d"]),
+    ("equiv-check", "flux", "lax_friedrichs", ["problem=advection2d", "ux=0"]),
     ("equiv-check", "k", "0", ["problem=advection1d"]),
     ("equiv-check", "k", "0", ["problem=advection2d"]),
     ("equiv-check", "order", "1", ["problem=advection1d"]),
@@ -231,12 +231,13 @@ PAD_FAMILIES = {
                                                      periodic),
            mesh.af_cell_dofs_2d,
            lambda s, ux, uy, ghosts: af.af_rhs_2d_tensorial(
-               s, ux, uy, ghosts=ghosts)),
+               s, ux, uy, UPWIND.advection_partials(ux),
+               UPWIND.advection_partials(uy), ghosts)),
     "dg": (lambda g, K, f, periodic: mesh.fill_dg_2d(g, K, f, periodic),
            mesh.dg_cell_dofs_2d,
            lambda s, ux, uy, ghosts: dg.dg_rhs_2d(
-               s, ux, uy, UPWIND.advection_weights(ux),
-               UPWIND.advection_weights(uy), ghosts)),
+               s, ux, uy, UPWIND.advection_partials(ux),
+               UPWIND.advection_partials(uy), ghosts)),
 }
 
 
@@ -258,12 +259,12 @@ def test_af_ghost_padding_is_exact_with_downwind_weight(K, ux, uy):
     # an alpha flux weights both sides, so the AF dofs on every boundary
     # read the cells beyond them whatever the speeds' signs
     flux = NumericalFluxSpec.alpha(0.7, 0.3)
-    alpha, beta = flux.advection_weights(ux), flux.advection_weights(uy)
+    px, py = flux.advection_partials(ux), flux.advection_partials(uy)
     fill, cell_dofs, _ = PAD_FAMILIES["af"]
     assert_padding_exact(
         fill, cell_dofs,
-        lambda s, ghosts: af.af_rhs_2d_tensorial(s, ux, uy, alpha, beta,
-                                                 ghosts), K)
+        lambda s, ghosts: af.af_rhs_2d_tensorial(s, ux, uy, px, py, ghosts),
+        K)
 
 
 def fields(state):
@@ -494,22 +495,27 @@ def test_cli_run_emits_metadata(tmp_path):
     meta = (tmp_path / "state.csv.meta.csv").read_text()
     assert "ghost_sides,x_hi y_lo" in meta
     assert f"numpy,{np.__version__}" in meta
-    # a periodic 2-d run records the upwind pair of each axis
+    # a periodic 2-d run records the upwind partials of each axis
     cli.main(["run", "--set", "problem=advection2d", "--set", "method=dg",
-              "--set", "ux=1", "--set", "uy=-0.5", "--set", "grids=6",
+              "--set", "ux=1", "--set", "uy=-1", "--set", "grids=6",
               "--set", "t_final=0.02", "--out", str(out)])
     meta = read_meta(tmp_path / "state.csv.meta.csv")
     assert meta["ghost_sides"] == "none"
-    assert meta["weights"] == "x 1 0 y 0 1"
-    # Lax-Friedrichs weights (1 +- a/u)/2 with a = 1.1 max(|ux|, |uy|)
-    cli.main(["run", "--set", "problem=advection2d", "--set", "method=dg",
-              "--set", "flux=lax_friedrichs", "--set", "ux=0.5",
-              "--set", "uy=1", "--set", "grids=6", "--set", "t_final=0.02",
-              "--out", str(out)])
-    weights = read_meta(tmp_path / "state.csv.meta.csv")["weights"].split()
-    assert weights[0] == "x" and weights[3] == "y"
-    assert [float(w) for w in weights[1:3]] == pytest.approx([1.6, -0.6])
-    assert [float(w) for w in weights[4:]] == pytest.approx([1.05, -0.05])
+    assert meta["partials"] == "x 1 0 y 0 -1"
+    # Lax-Friedrichs partials (u +- a)/2 with a = 1.1 max(|ux|, |uy|),
+    # finite at every speed
+    for ux, want_x in (("0.5", [0.8, -0.3]), ("0", [0.55, -0.55]),
+                       ("1e-9", [0.55, -0.55])):
+        cli.main(["run", "--set", "problem=advection2d", "--set", "method=dg",
+                  "--set", "flux=lax_friedrichs", "--set", f"ux={ux}",
+                  "--set", "uy=1", "--set", "grids=6",
+                  "--set", "t_final=0.02", "--out", str(out)])
+        partials = read_meta(tmp_path / "state.csv.meta.csv")[
+            "partials"].split()
+        assert partials[0] == "x" and partials[3] == "y"
+        assert [float(d) for d in partials[1:3]] == pytest.approx(want_x)
+        assert [float(d) for d in partials[4:]] == pytest.approx([1.05,
+                                                                  -0.05])
 
 
 def read_meta(path) -> dict:
@@ -558,6 +564,19 @@ def test_2d_lax_friedrichs_constant_reads_both_speeds(uy):
     state = driver.build_state(cfg, 8)
     flux = driver.make_flux(cfg, driver.make_problem(cfg), state.arrays()[0])
     assert flux.a == 1.1
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("method,order", [("dg", 3), ("af", 4)])
+def test_2d_lax_friedrichs_has_no_jump_at_zero_speed(method, order, boundary):
+    """The partials (u +- a)/2 tend to (a/2, -a/2) as u -> 0, so a
+    zero-speed axis keeps its dissipation and the run moves continuously
+    with the speed."""
+    e_dofs = [driver.run_simulation(RunConfig(
+        method=method, order=order, problem="advection2d", ux=ux, uy=1.0,
+        flux="lax_friedrichs", grids=(16,), t_final=0.05,
+        boundary=boundary)).errors.e_dofs for ux in (0.0, 1e-9)]
+    assert e_dofs[0] == pytest.approx(e_dofs[1], rel=1e-8, abs=0.0)
 
 
 def test_cli_runs_lax_friedrichs_with_a_zero_speed_axis(tmp_path):

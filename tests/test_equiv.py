@@ -78,7 +78,7 @@ def test_moment_transfer_matrix_exactness():
 def test_augmented_equals_af_reconstruction(K, spec):
     prob = advection1d(u=1.0)
     state = random_dg_1d(K, seed=K)
-    mono = equiv.augment_reconstruction_1d(state, prob, spec)
+    mono = dg.augmented_coefficients_1d(state, prob, spec)
     mapped = equiv.map_dg_to_af_1d(state, spec, prob)
     xs = np.linspace(-0.5, 0.5, 50)
     powers = np.array([xs ** j for j in range(K + 2)])
@@ -89,8 +89,8 @@ def test_augmented_equals_af_reconstruction(K, spec):
 def test_augmented_continuity_at_interfaces():
     prob = advection1d(u=1.0)
     state = random_dg_1d(3, seed=9)
-    mono = equiv.augment_reconstruction_1d(state, prob,
-                                           NumericalFluxSpec.central())
+    mono = dg.augmented_coefficients_1d(state, prob,
+                                        NumericalFluxSpec.central())
     right = np.einsum("ipc,p->ic", mono, 0.5 ** np.arange(mono.shape[1]))
     left = np.einsum("ipc,p->ic", mono, (-0.5) ** np.arange(mono.shape[1]))
     assert np.max(np.abs(right - np.roll(left, -1, axis=0))) <= 1e-13
@@ -110,7 +110,7 @@ def test_augmented_equals_raw_dg_at_radau_zeros():
     prob = advection1d(u=1.0)
     K = 2
     state = random_dg_1d(K, seed=5)
-    mono = equiv.augment_reconstruction_1d(state, prob, UP)
+    mono = dg.augmented_coefficients_1d(state, prob, UP)
     zeros = poly.radau_points(K, "left")
     basis = dg.dg_basis(K)
     raw = np.einsum("inc,nq->iqc", state.coeffs,
@@ -310,17 +310,13 @@ def test_reconstruction_keeps_its_mapped_state_and_qhat():
     assert np.array_equal(rec.qhat_y, qhat[1])
 
 
-@pytest.mark.parametrize("rhs", ["af", "dg", "map"])
-def test_2d_weights_must_sum_to_one(rhs):
+def test_2d_map_weights_must_sum_to_one():
+    # the right-hand sides take flux partials, which sum to u (to 0 for
+    # Lax-Friedrichs at u = 0); the point values of the map take weights
     state = random_dg_2d(seed=25)
-    call = {"af": lambda w: af.af_rhs_2d_tensorial(
-                equiv.map_dg_to_af_2d(state, (1.0, 0.0), (1.0, 0.0)),
-                1.0, 1.0, (1.0, 0.0), w),
-            "dg": lambda w: dg.dg_rhs_2d(state, 1.0, 1.0, w, (1.0, 0.0)),
-            "map": lambda w: equiv.map_dg_to_af_2d(state, (1.0, 0.0), w)}[rhs]
-    call((0.6, 0.4))
+    equiv.map_dg_to_af_2d(state, (1.0, 0.0), (0.6, 0.4))
     with pytest.raises(ValueError, match="sum to 1"):
-        call((0.6, 0.5))
+        equiv.map_dg_to_af_2d(state, (1.0, 0.0), (0.6, 0.5))
 
 
 @pytest.mark.parametrize("block", ["qhat_x", "qhat_y", "corners"])
@@ -500,7 +496,21 @@ def test_2d_equivalence_central_flux():
 
 
 def test_2d_rejects_unsupported_flux():
+    # Lax-Friedrichs on a zero-speed axis, refused as in 1-d
     s = EquivSetting(dimension=2, K=1, n_cells=8, flux="lax_friedrichs",
-                     problem="advection2d", problem_params={"ux": 1.0, "uy": 1.0})
-    with pytest.raises(ValueError):
+                     problem="advection2d", problem_params={"ux": 0.0, "uy": 1.0})
+    with pytest.raises(ValueError, match=r"zero speed.*ux = 0"):
         verify_equivalence(s)
+
+
+@pytest.mark.parametrize("lf_speed", [None, 2.0])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_2d_equivalence_lax_friedrichs(K, lf_speed):
+    """On each axis of nonzero speed Lax-Friedrichs is the two-point flux
+    with partials (u +- a)/2, a = 1.1 max(|ux|, |uy|) unless set."""
+    s = EquivSetting(dimension=2, K=K, n_cells=12, seed=K,
+                     flux="lax_friedrichs", lf_speed=lf_speed,
+                     problem="advection2d",
+                     problem_params={"ux": 1.0, "uy": -0.5}, tolerance=1e-11)
+    report = verify_equivalence(s)
+    assert report.passed, [(f.family, f.relative) for f in report.families]

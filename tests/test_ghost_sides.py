@@ -1,6 +1,8 @@
 """Dirichlet ghost sides: the 2-d stencils read only the ghost blocks (and
-AF slots) whose one-sided weight is nonzero, so the blocks of the other
-sides may be zero without changing a single bit of the derivative."""
+AF slots) whose flux partial is nonzero, so the blocks of the other sides
+may be zero without changing a single bit of the derivative.  A zero-speed
+Lax-Friedrichs axis keeps its dissipation, (d_L, d_R) = (a/2, -a/2), and
+reads both of its sides."""
 
 import functools
 
@@ -31,11 +33,11 @@ def random_case(family, K, ux, uy, flux_name, seed=0):
     nx, m, ny, _ = state.U.shape
     ghosts = tuple(rng.standard_normal((n, m, m)) for n in (ny, ny, nx, nx))
     flux = driver.make_flux(cfg, driver.make_problem(cfg), state.U)
-    alpha, beta = flux.advection_weights(ux), flux.advection_weights(uy)
+    px, py = flux.advection_partials(ux), flux.advection_partials(uy)
     if family == "af":
-        op = lambda s, g: af.af_rhs_2d_tensorial(s, ux, uy, alpha, beta, g)
+        op = lambda s, g: af.af_rhs_2d_tensorial(s, ux, uy, px, py, g)
     else:
-        op = lambda s, g: dg.dg_rhs_2d(s, ux, uy, alpha, beta, g)
+        op = lambda s, g: dg.dg_rhs_2d(s, ux, uy, px, py, g)
     return state, ghosts, op, driver.ghost_sides(cfg, flux)
 
 
@@ -82,11 +84,12 @@ def test_dropping_the_inflow_side_changes_the_boundary_derivative(family, K):
     ("upwind", 0.0, 0.0, ()),
     ("alpha", 1.0, -1.0, ("x_lo", "x_hi", "y_lo", "y_hi")),
     ("central", 1.0, 0.0, ("x_lo", "x_hi")),
+    ("lax_friedrichs", 0.0, 1.0, ("x_lo", "x_hi", "y_lo", "y_hi")),
 ])
 def test_ghost_sides_follow_the_weights(flux_name, ux, uy, sides):
     cfg = RunConfig(problem="advection2d", ux=ux, uy=uy, flux=flux_name,
                     alpha_plus=0.7, boundary="dirichlet")
-    flux = driver.make_flux(cfg)
+    flux = driver.make_flux(cfg, driver.make_problem(cfg), np.zeros(1))
     assert driver.ghost_sides(cfg, flux) == sides
     assert driver.ghost_sides(RunConfig(ux=ux, uy=uy, flux=flux_name),
                               flux) == ()
@@ -139,9 +142,9 @@ def test_dirichlet_rhs_projects_the_read_sides(family, order):
     ghosts = driver._ghosts(everything, project, driver.exact_solution(cfg),
                             0.04)
     if family == "af":
-        want = af.af_rhs_2d_tensorial(everything, -1.0, 0.5, (0.0, 1.0),
-                                      (1.0, 0.0), ghosts).U
+        want = af.af_rhs_2d_tensorial(everything, -1.0, 0.5, (0.0, -1.0),
+                                      (0.5, 0.0), ghosts).U
     else:
-        want = dg.dg_rhs_2d(everything, -1.0, 0.5, (0.0, 1.0), (1.0, 0.0),
+        want = dg.dg_rhs_2d(everything, -1.0, 0.5, (0.0, -1.0), (0.5, 0.0),
                             ghosts).U
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))

@@ -127,12 +127,12 @@ def dirichlet_case(family, K, ux, uy, flux, seed=0):
 def test_dirichlet_rhs_matches_padded_reference(family, K, ux, uy, flux):
     cfg, exact, state = dirichlet_case(family, K, ux, uy, flux)
     spec = driver.make_flux(cfg)
-    alpha, beta = spec.advection_weights(ux), spec.advection_weights(uy)
+    px, py = spec.advection_partials(ux), spec.advection_partials(uy)
     if family == "af":
-        op = lambda s: af.af_rhs_2d_tensorial(s, ux, uy, alpha, beta)
+        op = lambda s: af.af_rhs_2d_tensorial(s, ux, uy, px, py)
         project = functools.partial(mesh.af_cell_dofs_2d, K)
     else:
-        op = lambda s: dg.dg_rhs_2d(s, ux, uy, alpha, beta)
+        op = lambda s: dg.dg_rhs_2d(s, ux, uy, px, py)
         project = functools.partial(mesh.dg_cell_dofs_2d, K)
     want = padded_rhs(state, op, project, exact, T)
     rhs = driver.make_rhs(cfg, driver.make_problem(cfg), spec)

@@ -126,9 +126,9 @@ def assert_same(got, want, rel):
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_stencils_are_cached_and_read_only(K):
     for stencil in (af.af_stencil_1d, dg.dg_stencil_1d):
-        S = stencil(K, 0.7, 0.3)
-        assert S.shape == (K + 1, 3 * (K + 1))
-        assert stencil(K, 0.7, 0.3) is S
+        S = stencil(K)
+        assert S.shape == (3, K + 1, 3 * (K + 1))
+        assert stencil(K) is S
         assert not S.flags.writeable
 
 
@@ -201,9 +201,11 @@ def test_kron_sum_matches_einsum_reference(K, ux, uy, weights):
             alpha, beta = weights, weights[::-1]
             flux_x = NumericalFluxSpec.alpha(*alpha)
             flux_y = NumericalFluxSpec.alpha(*beta)
-        assert_same(af.af_rhs_2d_tensorial(af_state, ux, uy, alpha, beta),
+        px = flux_x.advection_partials(ux)
+        py = flux_y.advection_partials(uy)
+        assert_same(af.af_rhs_2d_tensorial(af_state, ux, uy, px, py),
                     einsum_af_rhs_2d(af_state, ux, uy, alpha, beta), 1e-13)
-        assert_same(dg.dg_rhs_2d(dg_state, ux, uy, alpha, beta),
+        assert_same(dg.dg_rhs_2d(dg_state, ux, uy, px, py),
                     einsum_dg_rhs_2d(dg_state, ux, uy, flux_x, flux_y), 1e-13)
 
 
@@ -237,23 +239,26 @@ def dg_lines(state, axis):
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
-@pytest.mark.parametrize("draw", range(8))
+@pytest.mark.parametrize("draw", range(9))
 def test_rows_reduce_to_1d_operators(draw, axis):
     rng = np.random.default_rng(100 + draw)
     K = int(rng.integers(1, 5))
     ap = float(rng.uniform(0.0, 1.0))
     u = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5))
-    # every flux kind twice; the 1-d sides read its trace partials, the
-    # 2-d side the weights it gives speed u
-    flux = flux_spec(FLUX_NAMES[draw % 4], ap, 1.1 * abs(u))
-    weights = flux.advection_weights(u)
+    # every flux kind twice, then Lax-Friedrichs at u = 0; the 1-d and the
+    # 2-d sides all read its trace partials, and the other axis no flux
+    name = FLUX_NAMES[draw % 4] if draw < 8 else "lax_friedrichs"
+    flux = flux_spec(name, ap, 1.1 * abs(u))
+    u = u if draw < 8 else 0.0
+    partials, none = flux.advection_partials(u), (0.0, 0.0)
     af_state, dg_state = random_states(K, 5, 4, rng)
     grid = af_state.grid
     line_grid = grid.gx if axis == "x" else grid.gy
     ux, uy = (u, 0.0) if axis == "x" else (0.0, u)
+    px, py = (partials, none) if axis == "x" else (none, partials)
     problem = advection1d(u=u)
 
-    d_af = af.af_rhs_2d_tensorial(af_state, ux, uy, weights, weights)
+    d_af = af.af_rhs_2d_tensorial(af_state, ux, uy, px, py)
     scale = max(np.max(np.abs(a)) for a in d_af.arrays())
     for (pts, mom), (dpts, dmom) in zip(af_lines(af_state, axis),
                                         af_lines(d_af, axis)):
@@ -264,7 +269,7 @@ def test_rows_reduce_to_1d_operators(draw, axis):
         assert np.allclose(dmom, d1.moments[:, :, 0], rtol=0,
                            atol=1e-13 * scale)
 
-    d_dg = dg.dg_rhs_2d(dg_state, ux, uy, weights, weights)
+    d_dg = dg.dg_rhs_2d(dg_state, ux, uy, px, py)
     scale = np.max(np.abs(d_dg.coeffs))
     for c, dc in zip(dg_lines(dg_state, axis), dg_lines(d_dg, axis)):
         d1 = dg.dg_rhs_1d(DgState1D(line_grid, K, c[:, :, None]), problem,
