@@ -17,8 +17,9 @@ blocks.  Three blocks per K (``af_stencil_1d``, built from ``af_ops``
 alone) give them, and ``mesh.kron_sum_apply`` applies them.
 K = 1 reproduces the edge-average/node/cell-average updates with
 Simpson-exact edge integrals; K = 2 gives the fourth-order method.
-The classical variant (edge midpoints instead of averages) is kept for
-the midpoint-vs-average comparison and is upwind-only.
+The classical update (point updates at edge midpoints, derived from the
+edge averages and their end nodes) is kept as the midpoint-vs-average
+control on the same periodic K = 1 state; it is upwind-only.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import poly
 from .mesh import (AfState1D, AfState2D, axis_stencil, kron_sum_apply,
-                   simpson_edge_average)
+                   simpson_edge_average, simpson_midpoint)
 from .problems import NumericalFluxSpec, ProblemSpec, flux_partials
 
 __all__ = [
@@ -50,8 +51,6 @@ class AfOps:
     d_plus: np.ndarray        # B_p'(+1/2)
     d_minus: np.ndarray       # B_p'(-1/2)
     mom_w: np.ndarray         # moment-update weights, shape (K, K+2)
-    vals_plus: np.ndarray     # B_p(+1/2)
-    vals_minus: np.ndarray    # B_p(-1/2)
 
     def basis_values(self, nodes: np.ndarray) -> np.ndarray:
         return np.array([f(nodes) for f in self.basis.functions()])
@@ -74,7 +73,7 @@ def af_ops(K: int) -> AfOps:
             mom_w[k, p] = ak * (bk(0.5) * vals_plus[p]
                                 - bk(-0.5) * vals_minus[p]
                                 - (db * f).cell_integral())
-    return AfOps(K, basis, d_plus, d_minus, mom_w, vals_plus, vals_minus)
+    return AfOps(K, basis, d_plus, d_minus, mom_w)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +117,6 @@ def af_eval_1d(state: AfState1D, xi: np.ndarray) -> np.ndarray:
 
 def reconstruction_matrix_2d(state: AfState2D, i: int, j: int) -> np.ndarray:
     """Tensor dof matrix C with value(xi, eta) = Bx(xi)^T C By(eta)."""
-    if state.variant != "tensorial":
-        raise ValueError("tensor reconstruction requires the tensorial variant")
     return _dof_tensor_2d(state)[i, j]
 
 
@@ -304,8 +301,6 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     of the right and top boundary dofs read them with the partial d_R.
     The derivative is zero in those slots.
     """
-    if state.variant != "tensorial":
-        raise ValueError("tensorial right-hand side needs a tensorial state")
     if not state.periodic and ghosts is None:
         raise ValueError("a non-periodic state needs ghost blocks")
     blocks = af_stencil_1d(state.K)
@@ -320,37 +315,38 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
 
 
 # ---------------------------------------------------------------------------
-# classical 2-d variant (edge midpoints), K = 1, upwind, nonnegative speeds
+# classical 2-d update (edge midpoints), K = 1, upwind, nonnegative speeds
 
 
-_LAGR = None
-
-
+@lru_cache(maxsize=None)
 def _lagrange_quadratic():
     """1-d quadratic Lagrange basis on {-1/2, 0, 1/2} plus mean weights."""
-    global _LAGR
-    if _LAGR is None:
-        l_l = poly.PolySpec([0.0, -1.0, 2.0])
-        l_0 = poly.PolySpec([1.0, 0.0, -4.0])
-        l_r = poly.PolySpec([0.0, 1.0, 2.0])
-        w = np.array([p.cell_integral() for p in (l_l, l_0, l_r)])
-        _LAGR = ((l_l, l_0, l_r), w)
-    return _LAGR
+    basis = (poly.PolySpec([0.0, -1.0, 2.0]), poly.PolySpec([1.0, 0.0, -4.0]),
+             poly.PolySpec([0.0, 1.0, 2.0]))
+    w = np.array([p.cell_integral() for p in basis])
+    w.flags.writeable = False
+    return basis, w
 
 
 def classical_cell_values(state: AfState2D) -> np.ndarray:
-    """3x3 point values per cell (corners, edge midpoints, center).
+    """3x3 point values per cell of a periodic K = 1 state: the corners,
+    the edge midpoints and the center.
 
-    The center value is recovered from the stored cell average through the
-    tensor-Lagrange mean weights.
+    Each midpoint comes from its edge average and the edge's end nodes
+    (``simpson_midpoint``); the center value from the cell average through
+    the tensor-Lagrange mean weights.
     """
-    if state.variant != "classical_midpoint":
-        raise ValueError("expects the classical midpoint variant")
-    if not state.periodic:
-        raise NotImplementedError("classical variant is periodic-only")
+    if state.K != 1 or not state.periodic:
+        raise NotImplementedError("the classical update is periodic K = 1 only")
     _, w = _lagrange_quadratic()
-    # the K = 1 closed blocks are the point values, the average in the centre
+    # the K = 1 closed blocks: corner nodes, edge averages between them,
+    # the average in the centre
     V = _dof_tensor_2d(state)
+    ends = [0, 2]
+    V[:, :, ends, 1] = simpson_midpoint(V[:, :, ends, 1], V[:, :, ends, 0],
+                                        V[:, :, ends, 2])
+    V[:, :, 1, ends] = simpson_midpoint(V[:, :, 1, ends], V[:, :, 0, ends],
+                                        V[:, :, 2, ends])
     avg = V[:, :, 1, 1].copy()
     V[:, :, 1, 1] = 0.0
     # center value from the average: subtract the 8 boundary contributions
@@ -372,12 +368,16 @@ def _classical_derivatives(V, dx, dy, xi, eta):
 
 
 def af_rhs_2d_classical(state: AfState2D, ux: float, uy: float) -> AfState2D:
-    """Point updates at nodes and edge midpoints plus the average update.
+    """The classical AF update as the derivative of a periodic K = 1
+    state's dofs (nodes, edge averages, cell averages).
 
-    Every point is advected with the one-sided derivatives of its fully
-    upwind cell; the average uses Simpson-converted edge averages.  Only
-    nonnegative speeds are supported (sufficient for the midpoint-versus-
-    edge-average comparison).
+    Every node and edge midpoint (``classical_cell_values``) is advected
+    with the one-sided derivatives of its fully upwind cell; the average
+    uses Simpson-converted edge averages.  An edge average moves with the
+    Simpson combination of its end nodes' and midpoint's derivatives,
+    which is not the tensorial edge-average update.  Only nonnegative
+    speeds are supported (sufficient for the midpoint-versus-edge-average
+    comparison).
     """
     if ux < 0 or uy < 0:
         raise NotImplementedError("classical update implemented for "
@@ -398,12 +398,14 @@ def af_rhs_2d_classical(state: AfState2D, ux: float, uy: float) -> AfState2D:
     ddx, ddy = _classical_derivatives(V, dx, dy, 0.0, 0.5)
     dEy = -(ux * np.roll(ddx, 1, axis=1) + uy * np.roll(ddy, 1, axis=1))
 
-    # average: convert midpoints to edge averages, then difference them
-    N = state.node_values
-    ex_avg = simpson_edge_average(N, state.x_edge[..., 0], np.roll(N, -1, axis=1))
-    ey_avg = simpson_edge_average(N, state.y_edge[..., 0], np.roll(N, -1, axis=0))
+    # average: Simpson-convert each cell's left and bottom edge, then
+    # difference them
+    ex_avg = simpson_edge_average(V[:, :, 0, 0], V[:, :, 0, 1], V[:, :, 0, 2])
+    ey_avg = simpson_edge_average(V[:, :, 0, 0], V[:, :, 1, 0], V[:, :, 2, 0])
     davg = -(ux * (np.roll(ex_avg, -1, axis=0) - ex_avg) / dx
              + uy * (np.roll(ey_avg, -1, axis=1) - ey_avg) / dy)
 
-    return AfState2D(state.grid, 1, dN, dEx[..., None], dEy[..., None],
-                     davg[..., None, None], state.variant, state.periodic)
+    dex = simpson_edge_average(dN, dEx, np.roll(dN, -1, axis=1))
+    dey = simpson_edge_average(dN, dEy, np.roll(dN, -1, axis=0))
+    return AfState2D(state.grid, 1, dN, dex[..., None], dey[..., None],
+                     davg[..., None, None])

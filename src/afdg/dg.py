@@ -238,9 +238,6 @@ class RieszEndpointFunctionals:
     def apply_right(self, modal: np.ndarray, axis: int = -1) -> np.ndarray:
         return np.tensordot(modal, self.weights_right, axes=(axis, 0))
 
-    def apply_left(self, modal: np.ndarray, axis: int = -1) -> np.ndarray:
-        return np.tensordot(modal, self.weights_left, axes=(axis, 0))
-
 
 @lru_cache(maxsize=None)
 def riesz_endpoint_functionals(K: int) -> RieszEndpointFunctionals:

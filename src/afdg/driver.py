@@ -236,6 +236,15 @@ def make_flux(cfg: RunConfig, problem=None, state_values=None) -> NumericalFluxS
     return flux_spec(cfg.flux, cfg.alpha_plus, a)
 
 
+def axis_partials(cfg: RunConfig, flux: NumericalFluxSpec) -> tuple:
+    """The flux partials (d_L, d_R) of each axis: x from ``flux``, y from
+    the same flux with ``beta_plus`` in place of ``alpha_plus`` (which only
+    the alpha flux reads), as in ``equiv.EquivSetting``."""
+    flux_y = flux_spec(cfg.flux, cfg.beta_plus, flux.a)
+    return tuple(f.advection_partials(u)
+                 for f, u in zip((flux, flux_y), cfg.speeds))
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet ghost blocks (exact-solution traces)
 
@@ -292,12 +301,12 @@ def ghost_sides(cfg: RunConfig, flux: NumericalFluxSpec) -> tuple:
     """The Dirichlet ghost sides the 2-d stencils read: along each axis,
     the low side if its flux partial d_L != 0 and the high side if
     d_R != 0 (the stencil's L block carries the factor d_L, its R block
-    d_R); none for a periodic or 1-d run."""
+    d_R; see ``axis_partials``); none for a periodic or 1-d run."""
     if cfg.boundary != "dirichlet" or not cfg.problem.endswith("2d"):
         return ()
-    return tuple(f"{axis}_{side}" for axis, u in zip("xy", cfg.speeds)
-                 for side, d in zip(("lo", "hi"), flux.advection_partials(u))
-                 if d != 0)
+    return tuple(f"{axis}_{side}"
+                 for axis, partials in zip("xy", axis_partials(cfg, flux))
+                 for side, d in zip(("lo", "hi"), partials) if d != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +331,7 @@ def _fill(cfg: RunConfig, n: int, f, rule=None):
         grid = Grid2D.square(n)
         if cfg.method == "dg":
             return mesh.fill_dg_2d(grid, cfg.K, f, periodic)
-        return mesh.fill_af_2d(grid, cfg.K, f, "tensorial", periodic, rule)
+        return mesh.fill_af_2d(grid, cfg.K, f, periodic, rule)
     if cfg.method == "dg":
         return mesh.fill_dg_1d(Grid1D(0.0, 1.0, n), cfg.K, f)
     return mesh.fill_af_1d(Grid1D(0.0, 1.0, n), cfg.K, f, rule=rule)
@@ -335,7 +344,7 @@ def make_rhs(cfg: RunConfig, problem, flux: NumericalFluxSpec):
 
     if cfg.problem.endswith("2d"):
         ux, uy = cfg.ux, cfg.uy
-        px, py = flux.advection_partials(ux), flux.advection_partials(uy)
+        px, py = axis_partials(cfg, flux)
         rhs, cell_dofs = ((dg.dg_rhs_2d, mesh.dg_cell_dofs_2d)
                           if cfg.method == "dg" else
                           (af.af_rhs_2d_tensorial, mesh.af_cell_dofs_2d))
@@ -449,8 +458,7 @@ def default_dt(cfg: RunConfig, dx: float) -> float:
     return timeint.dt_from_cfl(cfg.method, cfg.order, dx, cfg.cfl_override)
 
 
-def run_simulation(cfg: RunConfig, n: int | None = None,
-                   timed_repeats: int = 1) -> RunResult:
+def run_simulation(cfg: RunConfig, n: int | None = None) -> RunResult:
     """Integrate one grid to t_final; timing excludes setup and errors."""
     cfg.validate()
     n = n or cfg.grids[0]
@@ -463,13 +471,9 @@ def run_simulation(cfg: RunConfig, n: int | None = None,
     dt = default_dt(cfg, dx)
     steps = int(np.ceil(cfg.t_final / dt - 1e-12))
 
-    taus = []
-    final = None
-    for _ in range(max(1, timed_repeats)):
-        t0 = time.perf_counter()
-        final = timeint.integrate(state0.copy(), rhs, scheme, dt, cfg.t_final)
-        taus.append(time.perf_counter() - t0)
-    tau = float(np.mean(taus))
+    t0 = time.perf_counter()
+    final = timeint.integrate(state0.copy(), rhs, scheme, dt, cfg.t_final)
+    tau = time.perf_counter() - t0
 
     exact_state = exact_state_at(cfg, n, cfg.t_final)
     errors = ErrorReport.from_states(final, exact_state)
@@ -480,8 +484,8 @@ def run_simulation(cfg: RunConfig, n: int | None = None,
                         tau_per_step=tau / steps, steps=steps,
                         e_dofs=errors.e_dofs,
                         metric=counts.n_dofs * errors.e_dofs * tau)
-    partials = tuple(flux.advection_partials(u) for u in cfg.speeds)
-    return RunResult(final, errors, bench, ghost_sides(cfg, flux), partials)
+    return RunResult(final, errors, bench, ghost_sides(cfg, flux),
+                     axis_partials(cfg, flux))
 
 
 def run_convergence_study(cfg: RunConfig):

@@ -31,7 +31,7 @@ from numpy.polynomial import polynomial as npp
 
 from . import af, dg, poly
 from .mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid1D, Grid2D,
-                   _af_moment_weights, simpson_edge_average, simpson_midpoint)
+                   _af_moment_weights)
 from .problems import (NumericalFluxSpec, ProblemSpec, builtin_problems,
                        check_weights, flux_partials, flux_spec, invert_flux,
                        lax_friedrichs_speed)
@@ -199,7 +199,7 @@ def map_dg_to_af_2d(state: DgState2D, alpha: tuple[float, float],
                              T, T, c)
 
     out = AfState2D(state.grid, K, nodes, x_edge, y_edge, cell_moments,
-                    "tensorial", state.periodic)
+                    state.periodic)
     if check_consistency:
         res = corner_consistency_residual(state, alpha, beta, nodes,
                                           (qhat_x, qhat_y))
@@ -342,18 +342,20 @@ def _cell_major(grid: Grid2D, K: int, coeffs: np.ndarray) -> DgState2D:
 
 
 def lemma_checks(state: DgState2D, ux: float, uy: float,
-                 flux_x: NumericalFluxSpec, flux_y: NumericalFluxSpec,
-                 n_samples: int = 7, tol: float = 1e-12) -> dict[str, float]:
+                 flux_x: NumericalFluxSpec, flux_y: NumericalFluxSpec
+                 ) -> dict[str, float]:
     """Residuals of the reconstruction/update identities on a given state.
 
     Checks the corner-consistency identity, the average/edge/corner
     matches of the corrected field, the edge-trace combination identity,
     and the three trace-derivative update identities for random weights.
     All residuals are relative to the state scale and must sit at
-    roundoff for the equivalence theorem to hold.
+    roundoff for the equivalence theorem to hold.  A Lax-Friedrichs axis
+    of zero speed is refused, as in the verifier.
     """
     if state.K != 1:
         raise ValueError("identity checks are built for K = 1")
+    _refuse_zero_speed_lax_friedrichs((flux_x.kind, flux_y.kind), ux, uy)
     alpha, beta = flux_x.advection_weights(ux), flux_y.advection_weights(uy)
     scale = max(1e-300, float(np.max(np.abs(state.coeffs))))
     res: dict[str, float] = {}
@@ -366,7 +368,7 @@ def lemma_checks(state: DgState2D, ux: float, uy: float,
         (rec.qhat_x, rec.qhat_y)) / scale
 
     # corrected field equals the AF reconstruction of the mapped dofs
-    xi = np.linspace(-0.5, 0.5, n_samples)
+    xi = np.linspace(-0.5, 0.5, 7)
     built = rec.evaluate(xi, xi)
     direct = af.af_eval_2d(mapped, xi, xi)
     res["reconstruction_match"] = float(np.max(np.abs(built - direct))) / scale
@@ -401,6 +403,16 @@ def lemma_checks(state: DgState2D, ux: float, uy: float,
     res.update({k: v / scale for k, v in _update_identity_residuals(
         state, rec, dc, ux, uy, alpha, beta).items()})
     return res
+
+
+def _refuse_zero_speed_lax_friedrichs(kinds: tuple[str, str], ux: float,
+                                      uy: float) -> None:
+    """Refuse a Lax-Friedrichs axis (``kinds``: the x and y flux kinds) of
+    zero speed, where the DG-to-AF map's weights are undefined."""
+    for kind, axis, u in zip(kinds, ("ux", "uy"), (ux, uy)):
+        if kind == "lax_friedrichs" and u == 0:
+            raise ValueError("Lax-Friedrichs at zero speed is no weighted "
+                             f"flux ({axis} = 0)")
 
 
 def _edge_trace_identity_residual(rec, mapped, alpha, beta, xi):
@@ -616,9 +628,7 @@ def _verify_2d(s: EquivSetting) -> EquivalenceReport:
     uy = problem.advection_speed_y
     if ux is None or uy is None:
         raise ValueError("2-d verification runs on advection2d")
-    if s.flux == "lax_friedrichs" and 0 in (ux, uy):
-        raise ValueError("Lax-Friedrichs at zero speed is no weighted flux "
-                         f"({'ux' if ux == 0 else 'uy'} = 0)")
+    _refuse_zero_speed_lax_friedrichs((s.flux, s.flux), ux, uy)
     state = _random_dg_state_2d(s.K, s.n_cells, s.seed)
     a = s.lf_speed
     if s.flux == "lax_friedrichs" and a is None:
@@ -636,46 +646,23 @@ def _verify_2d(s: EquivSetting) -> EquivalenceReport:
 
     if s.variant == "tensorial":
         dmapped = af.af_rhs_2d_tensorial(mapped, ux, uy, px, py)
-        pairs = {
-            "node_values": (induced.node_values, dmapped.node_values),
-            "x_edge_averages": (induced.x_edge, dmapped.x_edge),
-            "y_edge_averages": (induced.y_edge, dmapped.y_edge),
-            "cell_averages": (induced.cell_moments, dmapped.cell_moments),
-        }
     elif s.variant == "classical_midpoint":
         if s.K != 1:
             raise ValueError("the classical midpoint variant is K = 1 only")
         if s.flux != "upwind" or ux < 0 or uy < 0:
             raise ValueError("the classical midpoint comparison runs with "
                              "the upwind flux and nonnegative speeds")
-        classical = _tensorial_to_classical(mapped)
-        dclassical = af.af_rhs_2d_classical(classical, ux, uy)
-        dn = dclassical.node_values
-        simpson_x = simpson_edge_average(dn, dclassical.x_edge[..., 0],
-                                         np.roll(dn, -1, axis=1))
-        simpson_y = simpson_edge_average(dn, dclassical.y_edge[..., 0],
-                                         np.roll(dn, -1, axis=0))
-        pairs = {
-            "node_values": (induced.node_values, dn),
-            "x_edge_averages": (induced.x_edge[..., 0], simpson_x),
-            "y_edge_averages": (induced.y_edge[..., 0], simpson_y),
-            "cell_averages": (induced.cell_moments[..., 0, 0],
-                              dclassical.cell_moments[..., 0, 0]),
-        }
+        dmapped = af.af_rhs_2d_classical(mapped, ux, uy)
         metadata["note"] = "midpoint updates Simpson-combined per edge"
     else:
         raise ValueError(f"unknown 2-d variant {s.variant!r}")
+    pairs = {
+        "node_values": (induced.node_values, dmapped.node_values),
+        "x_edge_averages": (induced.x_edge, dmapped.x_edge),
+        "y_edge_averages": (induced.y_edge, dmapped.y_edge),
+        "cell_averages": (induced.cell_moments, dmapped.cell_moments),
+    }
 
     fams = _family_results(pairs, s.tolerance)
     return EquivalenceReport(setting=vars(s).copy(), tolerance=s.tolerance,
                              families=fams, metadata=metadata)
-
-
-def _tensorial_to_classical(state: AfState2D) -> AfState2D:
-    """Exact conversion: edge midpoints from averages and endpoint nodes."""
-    N = state.node_values
-    x_mid = simpson_midpoint(state.x_edge[..., 0], N, np.roll(N, -1, axis=1))
-    y_mid = simpson_midpoint(state.y_edge[..., 0], N, np.roll(N, -1, axis=0))
-    return AfState2D(state.grid, 1, N.copy(), x_mid[..., None],
-                     y_mid[..., None], state.cell_moments[:, :, :1, :1].copy(),
-                     "classical_midpoint", state.periodic)

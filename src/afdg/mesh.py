@@ -6,12 +6,12 @@ States are plain value containers around numpy arrays; right-hand-side
 evaluation treats them as immutable.  Interface point values are stored
 once per interface (sharedness is structural).  A 2-d state is one tensor
 U[i, a, j, b] (cell i, x-dof a, cell j, y-dof b) whose family fields are
-views: cell (i, j) owns the block U[i, :, j, :].  ``af_cell_dofs_2d`` and
-``dg_cell_dofs_2d`` project data onto the blocks of any set of cells, for
-the 2-d fills and the Dirichlet ghost blocks alike, and
-``kron_sum_apply`` takes those ghost blocks in place of its periodic
-wrap.  Component-major 1-d layouts keep per-family norms and timing loops
-cache friendly.
+views: cell (i, j) owns the block U[i, :, j, :]; an AF state's edge fields
+always hold edge moments.  ``af_cell_dofs_2d`` and ``dg_cell_dofs_2d``
+project data onto the blocks of any set of cells, for the 2-d fills and
+the Dirichlet ghost blocks alike, and ``kron_sum_apply`` takes those
+ghost blocks in place of its periodic wrap.  Component-major 1-d layouts
+keep per-family norms and timing loops cache friendly.
 """
 
 from __future__ import annotations
@@ -195,22 +195,20 @@ class DgState2D(_TensorState2D):
 
 
 class AfState2D(_TensorState2D):
-    """2-d AF dofs.  Per axis, index 0 of a cell's block is its lower-left
-    point value and 1..K its moments: block[0, 0] is the node, [0, 1:] the
-    left-edge moments in y (x_edge; k=0 is the edge average), [1:, 0] the
+    """2-d AF dofs, one layout for the tensorial and the classical update.
+    Per axis, index 0 of a cell's block is its lower-left point value and
+    1..K its moments: block[0, 0] is the node, [0, 1:] the left-edge
+    moments in y (x_edge; k=0 is the edge average), [1:, 0] the
     bottom-edge moments in x (y_edge), [1:, 1:] the tensor moments
     (cell_moments).  A non-periodic state has n+1 cells per axis; the
     moments of its last row and column, U[-1, 1:] and U[:, :, -1, 1:], are
-    unused slots that the fields leave out.  The ``classical_midpoint``
-    variant has K=1 and edge midpoint values in x_edge / y_edge.
+    unused slots that the fields leave out.
     """
 
     def __init__(self, grid: Grid2D, K: int, node_values, x_edge, y_edge,
-                 cell_moments, variant: str = "tensorial",
-                 periodic: bool = True):
+                 cell_moments, periodic: bool = True):
         nx, ny = np.shape(node_values)
-        self.grid, self.K = grid, K
-        self.variant, self.periodic = variant, periodic
+        self.grid, self.K, self.periodic = grid, K, periodic
         # a non-periodic state's unused slots stay zero
         self.U = np.zeros((nx, K + 1, ny, K + 1))
         for view, values in zip(self._fields, (node_values, x_edge, y_edge,
@@ -219,16 +217,14 @@ class AfState2D(_TensorState2D):
 
     @classmethod
     def from_tensor(cls, grid: Grid2D, K: int, U: np.ndarray,
-                    variant: str = "tensorial",
                     periodic: bool = True) -> "AfState2D":
         state = object.__new__(cls)
-        state.grid, state.K, state.U = grid, K, U
-        state.variant, state.periodic = variant, periodic
+        state.grid, state.K, state.U, state.periodic = grid, K, U, periodic
         return state
 
     def with_arrays(self, arrays) -> "AfState2D":
         return AfState2D.from_tensor(self.grid, self.K, arrays[0],
-                                     self.variant, self.periodic)
+                                     self.periodic)
 
     @cached_property
     def _fields(self) -> tuple:
@@ -389,34 +385,20 @@ def dg_cell_dofs_2d(K: int, f: Callable, x0, y0, dx: float, dy: float,
                      out=out)
 
 
-def fill_af_2d(grid: Grid2D, K: int, init: Callable,
-               variant: str = "tensorial", periodic: bool = True,
+def fill_af_2d(grid: Grid2D, K: int, init: Callable, periodic: bool = True,
                rule: poly.QuadratureRule | None = None) -> AfState2D:
     """The tensorial blocks of every corner's cell, projected into the
     state tensor (a non-periodic grid has n+1 corners per axis, and the
-    unused slots stay zero), or sampled nodes and edge midpoints and
-    quadrature cell averages (classical variant)."""
+    unused slots stay zero)."""
     xs_if = grid.gx.interfaces(periodic)
     ys_if = grid.gy.interfaces(periodic)
-    if variant == "classical_midpoint":
-        if K != 1:
-            raise ValueError("classical variant is third order only (K=1)")
-        xc, yc = grid.gx.centers(), grid.gy.centers()
-        node_values = np.asarray(init(xs_if[:, None], ys_if[None, :]), dtype=float)
-        x_edge = np.asarray(init(xs_if[:, None], yc[None, :]), dtype=float)[..., None]
-        y_edge = np.asarray(init(xc[:, None], ys_if[None, :]), dtype=float)[..., None]
-        return AfState2D(grid, 1, node_values, x_edge, y_edge,
-                         fill_dg_2d(grid, 0, init).coeffs, variant, periodic)
-
-    if variant != "tensorial":
-        raise ValueError(f"unknown AF 2-d variant {variant!r}")
     U = np.empty((len(xs_if), K + 1, len(ys_if), K + 1))
     af_cell_dofs_2d(K, init, xs_if[:, None], ys_if[None, :], grid.dx,
                     grid.dy, rule, out=U.swapaxes(1, 2))
     if not periodic:
         U[-1, 1:] = 0.0
         U[:, :, -1, 1:] = 0.0
-    return AfState2D.from_tensor(grid, K, U, variant, periodic)
+    return AfState2D.from_tensor(grid, K, U, periodic)
 
 
 def fill_dg_2d(grid: Grid2D, K: int, init: Callable,

@@ -45,8 +45,8 @@ class PolySpec:
     """A univariate polynomial on the reference cell, monomial coefficients.
 
     ``coefficients[j]`` multiplies xi**j.  The array always has length
-    ``degree + 1``; trailing zeros are kept unless ``trimmed`` is called,
-    so the stored degree is explicit rather than inferred.
+    ``degree + 1``; trailing zeros are kept, so the stored degree is
+    explicit rather than inferred.
     """
 
     coefficients: np.ndarray
@@ -83,13 +83,6 @@ class PolySpec:
     def scaled(self, a: float) -> "PolySpec":
         return PolySpec(a * self.coefficients)
 
-    def trimmed(self, tol: float = 0.0) -> "PolySpec":
-        c = self.coefficients
-        n = len(c)
-        while n > 1 and abs(c[n - 1]) <= tol:
-            n -= 1
-        return PolySpec(c[:n])
-
 
 def cell_integral(coefficients) -> float:
     """Exact integral of a monomial-coefficient polynomial over [-1/2, 1/2]."""
@@ -106,11 +99,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     exactness_degree: int
-
-    def integrate(self, f: Callable) -> np.ndarray:
-        vals = np.asarray(f(self.nodes))
-        return np.tensordot(self.weights, vals, axes=(0, vals.ndim - 1)) \
-            if vals.ndim > 1 else float(np.dot(self.weights, vals))
 
 
 @lru_cache(maxsize=None)

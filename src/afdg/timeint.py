@@ -18,6 +18,8 @@ from .mesh import AF_CFL, DG_CFL
 __all__ = ["RkScheme", "SSPRK3", "SSPRK54", "rk_step", "dt_from_cfl",
            "integrate", "UnstableRunError", "schemes_by_name"]
 
+CHECK_EVERY = 20     # steps between the finite-state checks of ``integrate``
+
 
 @dataclass(frozen=True)
 class RkScheme:
@@ -95,8 +97,7 @@ SSPRK54 = _scheme(
 
 
 def schemes_by_name() -> dict[str, RkScheme]:
-    return {"ssprk3": SSPRK3, "ssprk33": SSPRK3,
-            "ssprk54": SSPRK54, "ssprk5_4": SSPRK54}
+    return {"ssprk3": SSPRK3, "ssprk54": SSPRK54}
 
 
 def rk_step(scheme: RkScheme, rhs, state, dt: float, t: float = 0.0):
@@ -141,22 +142,20 @@ class UnstableRunError(RuntimeError):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def integrate(state, rhs, scheme: RkScheme, dt: float, t_final: float,
-              t0: float = 0.0, check_every: int = 20):
-    """March to t_final, clipping the last step to land exactly.
+def integrate(state, rhs, scheme: RkScheme, dt: float, t_final: float):
+    """March from t = 0 to t_final, clipping the last step to land exactly.
 
     Aborts with diagnostics if the state stops being finite (CFL
-    instability shows up this way, and unwarned: the check reports it).
+    instability shows up this way, and unwarned: the check, every
+    ``CHECK_EVERY`` steps and after the last, reports it).
     """
-    if t_final <= t0:
-        return state
-    n_steps = int(np.ceil((t_final - t0) / dt - 1e-12))
-    t = t0
+    n_steps = int(np.ceil(t_final / dt - 1e-12))
+    t = 0.0
     for step in range(n_steps):
         step_dt = min(dt, t_final - t)
         state = rk_step(scheme, rhs, state, step_dt, t)
         t += step_dt
-        if (step % check_every == check_every - 1 or step == n_steps - 1) and \
+        if (step % CHECK_EVERY == CHECK_EVERY - 1 or step == n_steps - 1) and \
                 not all(np.all(np.isfinite(a)) for a in state.arrays()):
             raise UnstableRunError(
                 f"non-finite state at t={t:.6g} (step {step + 1}); "

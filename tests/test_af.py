@@ -206,12 +206,12 @@ def test_upwind_point_update_refuses_a_sonic_state():
 # 2-d tensorial
 
 
-def smooth_state_2d(K, n=10, seed=0, variant="tensorial"):
+def smooth_state_2d(K, n=10, seed=0):
     rng = np.random.default_rng(seed)
     ph = rng.uniform(0, 2 * np.pi, 2)
     init = lambda x, y: (np.sin(2 * np.pi * x + ph[0])
                          * np.cos(2 * np.pi * y + ph[1]) + 0.25)
-    return mesh.fill_af_2d(Grid2D.square(n), K, init, variant)
+    return mesh.fill_af_2d(Grid2D.square(n), K, init)
 
 
 def test_2d_constant_zero():
@@ -296,20 +296,19 @@ def test_2d_global_continuity_after_rk_stage():
 
 
 # ---------------------------------------------------------------------------
-# classical midpoint variant
+# classical midpoint update, on tensorial K = 1 states
 
 
 def test_classical_constant_zero():
     state = mesh.fill_af_2d(Grid2D.square(5), 1,
-                            lambda x, y: np.ones_like(x + y),
-                            variant="classical_midpoint")
+                            lambda x, y: np.ones_like(x + y))
     d = af.af_rhs_2d_classical(state, 1.0, 0.8)
     for arr in d.arrays():
         assert np.max(np.abs(arr)) < 1e-12
 
 
 def test_classical_zero_speeds_zero():
-    state = smooth_state_2d(1, seed=19, variant="classical_midpoint")
+    state = smooth_state_2d(1, seed=19)
     d = af.af_rhs_2d_classical(state, 0.0, 0.0)
     for arr in d.arrays():
         assert np.max(np.abs(arr)) == 0.0
@@ -318,7 +317,7 @@ def test_classical_zero_speeds_zero():
 def test_classical_center_value_recovery():
     # the 3x3 value table reproduces the stored cell average through the
     # tensor-Lagrange mean weights
-    state = smooth_state_2d(1, seed=21, variant="classical_midpoint")
+    state = smooth_state_2d(1, seed=21)
     V = af.classical_cell_values(state)
     w = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
     avg = np.einsum("ijab,a,b->ij", V, w, w)
@@ -336,14 +335,9 @@ def test_classical_simpson_combination_gap():
                           rng.uniform(-1, 1, (n, n, 1)),
                           rng.uniform(-1, 1, (n, n, 1)),
                           rng.uniform(-1, 1, (n, n, 1, 1)))
-    from afdg.equiv import _tensorial_to_classical
-    classical = _tensorial_to_classical(tens)
     d_tens = af.af_rhs_2d_tensorial(tens, 1.0, 1.0, (1.0, 0.0), (1.0, 0.0))
-    d_cls = af.af_rhs_2d_classical(classical, 1.0, 1.0)
-    simpson = mesh.simpson_edge_average(d_cls.node_values,
-                                        d_cls.x_edge[..., 0],
-                                        np.roll(d_cls.node_values, -1, axis=1))
-    gap = np.max(np.abs(simpson - d_tens.x_edge[..., 0]))
+    d_cls = af.af_rhs_2d_classical(tens, 1.0, 1.0)
+    gap = np.max(np.abs(d_cls.x_edge[..., 0] - d_tens.x_edge[..., 0]))
     assert gap > 1e-3 * np.max(np.abs(tens.node_values))
 
 
@@ -355,10 +349,11 @@ def test_reconstruction_matrix_matches_tensor():
 
 
 def test_classical_af_third_order_at_catalog_cfl():
-    """The classical midpoint variant is the genuine third-order method:
-    it converges at order 3 and tolerates the catalog CFL number 0.27
-    (the tensorial variant's step limit is the stricter one of its DG
-    twin; the catalog value belongs to this dof family)."""
+    """The classical midpoint update is the genuine third-order method: on
+    the tensorial K = 1 dofs it converges at order 3 and tolerates the
+    catalog CFL number 0.27 (the tensorial update's step limit is the
+    stricter one of its DG twin; the catalog value belongs to this
+    method)."""
     import math
     from afdg import timeint
 
@@ -366,13 +361,11 @@ def test_classical_af_third_order_at_catalog_cfl():
         ph = (0.3, 1.1)
         init = lambda x, y: (np.sin(2 * np.pi * x + ph[0])
                              * np.cos(2 * np.pi * y + ph[1]) + 0.2)
-        state = mesh.fill_af_2d(Grid2D.square(n), 1, init,
-                                variant="classical_midpoint")
+        state = mesh.fill_af_2d(Grid2D.square(n), 1, init)
         rhs = lambda s, t: af.af_rhs_2d_classical(s, 1.0, 1.0)
         final = timeint.integrate(state, rhs, timeint.SSPRK3, 0.27 / n, 0.25)
         ref = mesh.fill_af_2d(Grid2D.square(n), 1,
-                              lambda x, y: init(x - 0.25, y - 0.25),
-                              variant="classical_midpoint")
+                              lambda x, y: init(x - 0.25, y - 0.25))
         return max(np.sqrt(np.mean((a - b) ** 2))
                    for a, b in zip(final.arrays(), ref.arrays()))
 

@@ -46,8 +46,7 @@ def loop_fill_dg_1d(grid, K, init, n_components=1, periodic=True):
     return DgState1D(grid, K, coeffs, periodic)
 
 
-def loop_fill_af_2d(grid, K, init, variant="tensorial", periodic=True,
-                    rule=None):
+def loop_fill_af_2d(grid, K, init, periodic=True, rule=None):
     xs_if = grid.gx.interfaces(periodic)
     ys_if = grid.gy.interfaces(periodic)
     xc, yc = grid.gx.centers(), grid.gy.centers()
@@ -55,18 +54,6 @@ def loop_fill_af_2d(grid, K, init, variant="tensorial", periodic=True,
     nodes, weights = rule.nodes, rule.weights
 
     node_values = np.asarray(init(xs_if[:, None], ys_if[None, :]), dtype=float)
-
-    if variant == "classical_midpoint":
-        if K != 1:
-            raise ValueError("classical variant is third order only (K=1)")
-        x_edge = np.asarray(init(xs_if[:, None], yc[None, :]), dtype=float)[..., None]
-        y_edge = np.asarray(init(xc[:, None], ys_if[None, :]), dtype=float)[..., None]
-        avg = loop_cell_averages_2d(grid, init)
-        return AfState2D(grid, 1, node_values, x_edge, y_edge,
-                         avg[..., None, None], variant, periodic)
-
-    if variant != "tensorial":
-        raise ValueError(f"unknown AF 2-d variant {variant!r}")
 
     bws = [poly.moment_normalization(k) * poly.moment_weight(k)(nodes) * weights
            for k in range(K)]
@@ -87,15 +74,7 @@ def loop_fill_af_2d(grid, K, init, variant="tensorial", periodic=True,
         for n in range(K):
             cell_moments[:, :, m, n] = np.einsum("ijab,a,b->ij", fq, bws[m], bws[n])
     return AfState2D(grid, K, node_values, x_edge, y_edge, cell_moments,
-                     variant, periodic)
-
-
-def loop_cell_averages_2d(grid, f):
-    nodes, weights = _FILL_RULE.nodes, _FILL_RULE.weights
-    xq = grid.gx.centers()[:, None, None, None] + grid.dx * nodes[None, None, :, None]
-    yq = grid.gy.centers()[None, :, None, None] + grid.dy * nodes[None, None, None, :]
-    fq = np.asarray(f(xq, yq), dtype=float)
-    return np.einsum("ijab,a,b->ij", fq, weights, weights)
+                     periodic)
 
 
 def loop_fill_dg_2d(grid, K, init, periodic=True):
@@ -190,20 +169,8 @@ def test_2d_fills_match_loop_reference(K, grid, periodic, data):
                  loop_fill_dg_2d(g, K, f_ref, periodic).arrays())
     catalog = dg.quad_rule_for_order("af", K + 2)
     for rule in (None, catalog):
-        assert_close(mesh.fill_af_2d(g, K, f, "tensorial", periodic,
-                                     rule).arrays(),
-                     loop_fill_af_2d(g, K, f_ref, "tensorial", periodic,
-                                     rule).arrays())
-
-
-@pytest.mark.parametrize("periodic", [True, False])
-def test_classical_fill_matches_loop_reference(periodic):
-    g = GRIDS["7x5"]
-    f = DATA["gauss"][0]
-    assert_close(mesh.fill_af_2d(g, 1, f, "classical_midpoint",
-                                 periodic).arrays(),
-                 loop_fill_af_2d(g, 1, f, "classical_midpoint",
-                                 periodic).arrays())
+        assert_close(mesh.fill_af_2d(g, K, f, periodic, rule).arrays(),
+                     loop_fill_af_2d(g, K, f_ref, periodic, rule).arrays())
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])

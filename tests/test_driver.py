@@ -1,6 +1,7 @@
 """Experiment driver and command-line interface."""
 
 import csv
+import dataclasses
 import functools
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 from afdg import af, cli, dg, driver, mesh, timeint
 from afdg.driver import RunConfig
 from afdg.mesh import DgState2D, Grid2D
-from afdg.problems import NumericalFluxSpec
+from afdg.problems import NumericalFluxSpec, flux_spec
 
 UPWIND = NumericalFluxSpec.upwind()
 
@@ -227,8 +228,7 @@ def test_dirichlet_af_matches_periodic_for_compact_data():
 
 
 PAD_FAMILIES = {
-    "af": (lambda g, K, f, periodic: mesh.fill_af_2d(g, K, f, "tensorial",
-                                                     periodic),
+    "af": (lambda g, K, f, periodic: mesh.fill_af_2d(g, K, f, periodic),
            mesh.af_cell_dofs_2d,
            lambda s, ux, uy, ghosts: af.af_rhs_2d_tensorial(
                s, ux, uy, UPWIND.advection_partials(ux),
@@ -584,3 +584,33 @@ def test_cli_runs_lax_friedrichs_with_a_zero_speed_axis(tmp_path):
                      "--set", "uy=1", "--set", "flux=lax_friedrichs",
                      "--set", "grids=8", "--out", str(tmp_path / "s.csv")])
     assert code == 0
+
+
+@pytest.mark.parametrize("method,order", [("dg", 3), ("af", 4)])
+def test_2d_run_weighs_y_with_beta_plus(method, order):
+    """A 2-d alpha run builds its y flux from beta_plus, as equiv-check
+    does: the right-hand side, the Dirichlet ghost sides and the recorded
+    partials all read it."""
+    cfg = RunConfig(method=method, order=order, problem="advection2d",
+                    flux="alpha", alpha_plus=0.7, beta_plus=0.3,
+                    grids=(12,), t_final=0.05)
+    problem = driver.make_problem(cfg)
+    state = driver.build_state(cfg, 12)
+    flux = driver.make_flux(cfg, problem, state.arrays()[0])
+    px = flux_spec("alpha", 0.7).advection_partials(1.0)
+    py = flux_spec("alpha", 0.3).advection_partials(1.0)
+    op = dg.dg_rhs_2d if method == "dg" else af.af_rhs_2d_tensorial
+    got = driver.make_rhs(cfg, problem, flux)(state, 0.0)
+    assert np.array_equal(got.U, op(state, 1.0, 1.0, px, py).U)
+
+    res = driver.run_simulation(cfg)
+    assert res.partials == (px, py)
+    default = driver.run_simulation(dataclasses.replace(cfg, beta_plus=1.0))
+    assert default.partials == (px, (1.0, 0.0))
+    assert res.errors.e_dofs != default.errors.e_dofs
+
+    dirichlet = dataclasses.replace(cfg, boundary="dirichlet")
+    assert driver.ghost_sides(dirichlet, flux) == ("x_lo", "x_hi", "y_lo",
+                                                   "y_hi")
+    dirichlet.beta_plus = 1.0
+    assert driver.ghost_sides(dirichlet, flux) == ("x_lo", "x_hi", "y_lo")

@@ -299,6 +299,23 @@ def test_lemma_checks_map_and_qhat_once_per_orientation(monkeypatch):
         assert val <= 1e-12, f"{name}: {val:.3e}"
 
 
+@pytest.mark.parametrize("ux,uy,axis", [(0.0, -0.5, "ux"), (1.0, 0.0, "uy"),
+                                        (0.0, 0.0, "ux")])
+def test_lemma_checks_refuse_zero_speed_lax_friedrichs(ux, uy, axis):
+    """Lax-Friedrichs has no one-sided weights at zero speed, so the
+    DG-to-AF map is undefined there: refused as by the verifier."""
+    lf = NumericalFluxSpec.lax_friedrichs(1.1)
+    with pytest.raises(ValueError, match=rf"zero speed.*{axis} = 0"):
+        equiv.lemma_checks(random_dg_2d(n=12, seed=3), ux, uy, lf, lf)
+
+
+def test_lemma_checks_hold_for_lax_friedrichs_at_nonzero_speeds():
+    lf = NumericalFluxSpec.lax_friedrichs(1.1)
+    res = equiv.lemma_checks(random_dg_2d(n=12, seed=3), 1.0, -0.5, lf, lf)
+    for name, val in res.items():
+        assert val <= 1e-12, f"{name}: {val:.3e}"
+
+
 def test_reconstruction_keeps_its_mapped_state_and_qhat():
     state = random_dg_2d(seed=23)
     rec = equiv.reconstruct_af_2d_from_dg(state, (0.8, 0.2), (0.6, 0.4))

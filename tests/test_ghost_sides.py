@@ -25,7 +25,8 @@ def random_case(family, K, ux, uy, flux_name, seed=0):
     """A random non-periodic state (AF slots included), random blocks for
     all four ghost sides, the family's RHS and the sides it reads."""
     cfg = RunConfig(method=family, problem="advection2d", ux=ux, uy=uy,
-                    flux=flux_name, alpha_plus=0.7, boundary="dirichlet")
+                    flux=flux_name, alpha_plus=0.7, beta_plus=0.7,
+                    boundary="dirichlet")
     rng = np.random.default_rng(seed)
     state = FILLS[family](Grid2D(0.0, 1.0, 5, 0.0, 1.5, 6), K,
                           lambda x, y: np.ones_like(x + y))
@@ -88,7 +89,7 @@ def test_dropping_the_inflow_side_changes_the_boundary_derivative(family, K):
 ])
 def test_ghost_sides_follow_the_weights(flux_name, ux, uy, sides):
     cfg = RunConfig(problem="advection2d", ux=ux, uy=uy, flux=flux_name,
-                    alpha_plus=0.7, boundary="dirichlet")
+                    alpha_plus=0.7, beta_plus=0.7, boundary="dirichlet")
     flux = driver.make_flux(cfg, driver.make_problem(cfg), np.zeros(1))
     assert driver.ghost_sides(cfg, flux) == sides
     assert driver.ghost_sides(RunConfig(ux=ux, uy=uy, flux=flux_name),

@@ -107,11 +107,12 @@ def dirichlet_case(family, K, ux, uy, flux, seed=0):
     """Config, exact solution and a noisy non-periodic state of a case."""
     cfg = RunConfig(method=family, order=K + (2 if family == "af" else 1),
                     problem="advection2d", ux=ux, uy=uy, init="sine",
-                    flux=flux, alpha_plus=0.7, boundary="dirichlet")
+                    flux=flux, alpha_plus=0.7, beta_plus=0.7,
+                    boundary="dirichlet")
     exact = driver.exact_solution(cfg)
     f = lambda x, y: exact(T, x, y)
     if family == "af":
-        state = mesh.fill_af_2d(GRID, K, f, "tensorial", False)
+        state = mesh.fill_af_2d(GRID, K, f, False)
     else:
         state = mesh.fill_dg_2d(GRID, K, f, False)
     # the state differs from the exact data, so its dofs and the ghost
@@ -167,10 +168,9 @@ def layouts(K=2, nx=4, ny=3):
                                     r(nx, ny, K), r(nx, ny, K, K))),
         "af_dirichlet": (AfState2D, (g, K, r(nx + 1, ny + 1),
                                      r(nx + 1, ny, K), r(nx, ny + 1, K),
-                                     r(nx, ny, K, K), "tensorial", False)),
+                                     r(nx, ny, K, K), False)),
         "classical": (AfState2D, (g, 1, r(nx, ny), r(nx, ny, 1),
-                                  r(nx, ny, 1), r(nx, ny, 1, 1),
-                                  "classical_midpoint")),
+                                  r(nx, ny, 1), r(nx, ny, 1, 1))),
         "dg": (DgState2D, (g, K, r(nx, ny, K + 1, K + 1))),
     }
 
@@ -216,7 +216,6 @@ def test_with_arrays_does_not_copy(layout):
     assert new.U is U
     assert (type(new), new.grid, new.K, new.periodic) == \
         (type(state), state.grid, state.K, state.periodic)
-    assert getattr(new, "variant", None) == getattr(state, "variant", None)
     assert all(np.shares_memory(f, U) for f in fields(new))
     copy = state.copy()
     assert np.array_equal(copy.U, state.U)

@@ -136,15 +136,6 @@ def test_fill_af_2d_duality_roundtrip():
             assert np.allclose(got, want, atol=1e-12)
 
 
-def test_fill_classical_midpoints():
-    grid = Grid2D.square(5)
-    init = lambda x, y: x + 2 * y
-    state = mesh.fill_af_2d(grid, 1, init, variant="classical_midpoint")
-    xs = grid.gx.interfaces()
-    yc = grid.gy.centers()
-    assert np.allclose(state.x_edge[:, :, 0], init(xs[:, None], yc[None, :]))
-
-
 # ---------------------------------------------------------------------------
 # CSV snapshots
 
