@@ -31,7 +31,7 @@ import numpy as np
 
 from . import poly
 from .mesh import (AfState1D, AfState2D, axis_stencil, kron_sum_apply,
-                   simpson_edge_average, simpson_midpoint)
+                   roll_cells, simpson_edge_average, simpson_midpoint)
 from .problems import NumericalFluxSpec, ProblemSpec, flux_partials
 
 __all__ = [
@@ -84,7 +84,7 @@ def cell_dof_tensor_1d(state: AfState1D) -> np.ndarray:
     """Dofs per cell in basis order, shape (n_cells, K+2, m)."""
     pts, mo = state.point_values, state.moments
     if state.periodic:
-        right = np.roll(pts, -1, axis=0)
+        right = roll_cells(pts, -1)
     else:
         right = pts[1:]
         pts = pts[: state.grid.n_cells]
@@ -223,7 +223,7 @@ def _interface_derivatives(ops, dofs, dx):
     AF-basis dofs ``dofs`` from its left cell a-1 and its right cell a."""
     d_plus = np.einsum("p,ipc->ic", ops.d_plus, dofs) / dx     # right faces
     d_minus = np.einsum("p,ipc->ic", ops.d_minus, dofs) / dx   # left faces
-    return np.roll(d_plus, 1, axis=0), d_minus
+    return roll_cells(d_plus, 1), d_minus
 
 
 def _moment_rhs_1d(state, problem, ops, dofs, quad):

@@ -4,7 +4,11 @@ The 1-d assembly exists in two permanently maintained forms that must
 agree to roundoff:
 
   * ``weak``       volume term against test-function derivatives plus
-                   interface flux terms, divided by the diagonal mass;
+                   interface flux terms, divided by the diagonal mass.
+                   For linear scalar problems this is one three-block
+                   product (u S_u + d_L S_L + d_R S_R) / h over the modes
+                   of cells i-1, i, i+1 (``dg_stencil_1d``, as in 2-d);
+                   systems and nonlinear fluxes assemble it term by term;
   * ``augmented``  the flux-corrected reconstruction path: the per-cell
                    polynomial is corrected by scaled Radau polynomials so
                    that the whole update becomes the derivative of a
@@ -27,13 +31,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import poly
-from .mesh import (AF_N_INT, DG_N_INT, DgState1D, DgState2D, axis_stencil,
-                   kron_sum_apply)
-from .problems import NumericalFluxSpec, ProblemSpec, numerical_flux
+from .mesh import (AF_N_INT, DG_N_INT, DgState1D, DgState2D, _with_neighbours,
+                   axis_stencil, kron_sum_apply, roll_cells)
+from .problems import (NumericalFluxSpec, ProblemSpec, flux_partials,
+                       numerical_flux)
 
 __all__ = [
     "DgBasis", "dg_basis", "dg_rhs_1d", "dg_stencil_1d", "dg_rhs_2d",
-    "traces", "trace_values_1d",
+    "traces", "trace_values_1d", "interface_traces_1d",
     "RieszEndpointFunctionals", "riesz_endpoint_functionals",
     "quad_rule_for_order",
 ]
@@ -72,9 +77,12 @@ def quad_rule_for_order(family: str, order: int) -> poly.QuadratureRule:
 def trace_values_1d(state: DgState1D) -> tuple[np.ndarray, np.ndarray]:
     """(q_i^-, q_i^+) for every cell; exact modal evaluation at the faces."""
     basis = dg_basis(state.K)
-    q_minus = np.tensordot(state.coeffs, basis.value_left, axes=(1, 0))
-    q_plus = np.tensordot(state.coeffs, basis.value_right, axes=(1, 0))
-    return q_minus, q_plus
+    n, k1, m = state.coeffs.shape
+    # the product np.tensordot(coeffs, v, axes=(1, 0)) forms, so the traces
+    # match it bit for bit (an einsum or one stacked product would not)
+    c = state.coeffs.transpose(0, 2, 1).reshape(n * m, k1)
+    return (np.dot(c, basis.value_left).reshape(n, m),
+            np.dot(c, basis.value_right).reshape(n, m))
 
 
 def traces(state, cell):
@@ -100,15 +108,19 @@ def traces(state, cell):
     raise TypeError("traces expects a DG state")
 
 
-def interface_fluxes_1d(state: DgState1D, problem: ProblemSpec,
-                        flux: NumericalFluxSpec) -> np.ndarray:
-    """fhat at every interface a (between cells a-1 and a, periodic)."""
+def interface_traces_1d(state: DgState1D) -> tuple[np.ndarray, np.ndarray]:
+    """(q_{a-1}^+, q_a^-): the traces either side of every interface a
+    (between cells a-1 and a, periodic)."""
     if not state.periodic:
         raise NotImplementedError("1-d DG is periodic-only")
     q_minus, q_plus = trace_values_1d(state)
-    q_l = np.roll(q_plus, 1, axis=0)     # q_{a-1}^+
-    q_r = q_minus                        # q_a^-
-    return numerical_flux(flux, problem, q_l, q_r)
+    return roll_cells(q_plus, 1), q_minus
+
+
+def interface_fluxes_1d(state: DgState1D, problem: ProblemSpec,
+                        flux: NumericalFluxSpec) -> np.ndarray:
+    """fhat at every interface a (between cells a-1 and a, periodic)."""
+    return numerical_flux(flux, problem, *interface_traces_1d(state))
 
 
 def dg_rhs_1d(state: DgState1D, problem: ProblemSpec,
@@ -118,19 +130,30 @@ def dg_rhs_1d(state: DgState1D, problem: ProblemSpec,
 
     For linear problems the volume term uses the closed-form stiffness
     coefficients; nonlinear fluxes are integrated with the catalog rule
-    for the method's order (override with ``quad``).
+    for the method's order (override with ``quad``).  The weak form of a
+    linear scalar problem is the block row (u S_u + d_L S_L + d_R S_R) / h
+    of ``dg_stencil_1d``, with the flux partials (d_L, d_R) at speed u,
+    applied to each cell and its two neighbours.
     """
+    if assembly == "weak" and problem.linear and problem.is_scalar:
+        if not state.periodic:
+            raise NotImplementedError("1-d DG is periodic-only")
+        S = axis_stencil(dg_stencil_1d(state.K), problem.advection_speed,
+                         flux_partials(flux, problem, 0.0, 0.0),
+                         state.grid.dx)
+        if S is None:
+            return state.with_arrays([np.zeros_like(state.coeffs)])
+        return state.with_arrays([np.matmul(
+            S, _with_neighbours(state.coeffs, 0))])
+
     basis = dg_basis(state.K)
     dx = state.grid.dx
     fhat = interface_fluxes_1d(state, problem, flux)          # (n, m)
-    fhat_r = np.roll(fhat, -1, axis=0)                        # at x_{i+1/2}
+    fhat_r = roll_cells(fhat, -1)                             # at x_{i+1/2}
     c = state.coeffs
 
     if assembly == "weak":
-        if problem.linear and problem.is_scalar:
-            u = problem.advection_speed
-            vol = u * np.einsum("mn,inc->imc", basis.stiffness, c)
-        elif problem.linear:
+        if problem.linear:
             J = problem.jacobian(None)
             vol = np.einsum("mn,ind,cd->imc", basis.stiffness, c, J)
         else:

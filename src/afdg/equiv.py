@@ -31,10 +31,10 @@ from numpy.polynomial import polynomial as npp
 
 from . import af, dg, poly
 from .mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid1D, Grid2D,
-                   _af_moment_weights)
+                   _af_moment_weights, roll_cells)
 from .problems import (NumericalFluxSpec, ProblemSpec, builtin_problems,
                        check_weights, flux_partials, flux_spec, invert_flux,
-                       lax_friedrichs_speed)
+                       lax_friedrichs_speed, numerical_flux)
 
 __all__ = [
     "moment_transfer_matrix", "map_dg_to_af_1d", "project_flux_F",
@@ -88,10 +88,8 @@ def project_flux_F(state: DgState1D, problem: ProblemSpec,
     K = state.K
     rule = rule or dg.quad_rule_for_order("dg", K + 1)
     basis = dg.dg_basis(K)
-    fhat = dg.interface_fluxes_1d(state, problem, flux)          # (n_if, 1)
-    q_minus, q_plus = dg.trace_values_1d(state)
-    q_l = np.roll(q_plus, 1, axis=0)
-    q_r = q_minus
+    q_l, q_r = dg.interface_traces_1d(state)
+    fhat = numerical_flux(flux, problem, q_l, q_r)               # (n_if, 1)
 
     dl, dr = flux_partials(flux, problem, q_l, q_r)
     dfdql = np.asarray(dl)[:, 0]
@@ -103,7 +101,7 @@ def project_flux_F(state: DgState1D, problem: ProblemSpec,
     fvals = problem.flux(qvals)                                  # (n, nq, 1)
     moments = np.einsum("kq,iqc->ikc", _af_moment_weights(K, rule), fvals)
     F_dofs = np.concatenate([fhat[:, None], moments,
-                             np.roll(fhat, -1, axis=0)[:, None]], axis=1)
+                             roll_cells(fhat, -1)[:, None]], axis=1)
     return af.FluxProjection1D(F_dofs=F_dofs, A=A, dfdql=dfdql, dfdqr=dfdqr)
 
 
@@ -123,7 +121,7 @@ def dg_induced_af_derivative_1d(state: DgState1D, problem: ProblemSpec,
     riesz = dg.riesz_endpoint_functionals(state.K)
     dq_plus = np.einsum("inc,n->ic", dc, riesz.weights_right)
     dq_minus = np.einsum("inc,n->ic", dc, riesz.weights_left)
-    dql = np.roll(dq_plus, 1, axis=0)          # d/dt q_{a-1}^+
+    dql = roll_cells(dq_plus, 1)               # d/dt q_{a-1}^+
     dqr = dq_minus                             # d/dt q_a^-
 
     if problem.linear and problem.is_scalar:
@@ -138,9 +136,8 @@ def dg_induced_af_derivative_1d(state: DgState1D, problem: ProblemSpec,
                          np.einsum("cd,ad->ac", Jp, dql)
                          + np.einsum("cd,ad->ac", Jm, dqr))
     else:
-        fhat = dg.interface_fluxes_1d(state, problem, flux)
-        q_l = np.roll(dg.trace_values_1d(state)[1], 1, axis=0)
-        q_r = dg.trace_values_1d(state)[0]
+        q_l, q_r = dg.interface_traces_1d(state)
+        fhat = numerical_flux(flux, problem, q_l, q_r)
         dl, dr = flux_partials(flux, problem, q_l, q_r)
         A = problem.jacobian(invert_flux(problem, fhat))
         dpts = (np.asarray(dl) * dql + np.asarray(dr) * dqr) / np.asarray(A)
@@ -548,8 +545,8 @@ class EquivSetting:
 def _family_results(pairs: dict, tol: float) -> list:
     out = []
     for name, (da, db) in pairs.items():
-        gap = float(np.max(np.abs(da - db))) if da.size else 0.0
-        scale = max(float(np.max(np.abs(da))), float(np.max(np.abs(db))), 1e-300)
+        gap = float(np.abs(da - db).max()) if da.size else 0.0
+        scale = max(float(np.abs(da).max()), float(np.abs(db).max()), 1e-300)
         rel = gap / scale
         out.append(FamilyResult(name, gap, scale, rel, rel <= tol))
     return out

@@ -32,7 +32,8 @@ __all__ = [
     "simpson_edge_average", "simpson_midpoint",
     "fill_af_1d", "fill_dg_1d", "fill_af_2d", "fill_dg_2d",
     "af_cell_dofs_2d", "dg_cell_dofs_2d",
-    "axis_stencil", "kron_sum_apply", "state_rows", "save_state_csv",
+    "axis_stencil", "kron_sum_apply", "roll_cells", "state_rows",
+    "save_state_csv",
 ]
 
 # Method catalog: quadrature exactness degree and CFL number per order,
@@ -457,6 +458,16 @@ def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
         W = _with_neighbours(U.reshape(nx * m, ny, m), 1, y_lo, y_hi)
         out += np.matmul(W, sy.T).reshape(U.shape)
     return out
+
+
+def roll_cells(a: np.ndarray, shift: int) -> np.ndarray:
+    """``np.roll(a, shift, axis=0)`` for a one-cell shift (+1: row i holds
+    a[i-1]; -1: row i holds a[i+1]), without np.roll's per-call set-up."""
+    if shift == 1:
+        return np.concatenate((a[-1:], a[:-1]))
+    if shift == -1:
+        return np.concatenate((a[1:], a[:1]))
+    raise ValueError("roll_cells shifts by one cell")
 
 
 def _with_neighbours(V: np.ndarray, axis: int, lo=None, hi=None) -> np.ndarray:

@@ -36,7 +36,6 @@ __all__ = [
     "moment_weight",
     "gauss_legendre_rule",
     "project",
-    "eval_and_derivative",
 ]
 
 
@@ -334,8 +333,3 @@ def project(f: Callable, K: int, kind: str = "l2",
     for m in range(K + 1):
         out[: m + 1] += coeffs_modal[m] * phis[m].coefficients
     return PolySpec(out)
-
-
-def eval_and_derivative(p: PolySpec, xi: float, dx: float) -> tuple:
-    """Value and physical derivative (reference derivative / dx) at xi."""
-    return p(xi), p.derivative()(xi) / dx

@@ -123,15 +123,6 @@ def acoustics2x2(c: float = 1.0) -> ProblemSpec:
                        linear=True)
 
 
-def eigen_split(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J = J+ + J- via eigendecomposition with eigenvalues clipped at 0."""
-    lam, R = np.linalg.eig(J)
-    Rinv = np.linalg.inv(R)
-    Jp = (R * np.maximum(lam, 0.0)) @ Rinv
-    Jm = (R * np.minimum(lam, 0.0)) @ Rinv
-    return Jp.real, Jm.real
-
-
 def builtin_problems() -> dict[str, Callable]:
     return {
         "advection1d": advection1d,

@@ -1,4 +1,9 @@
-"""DG right-hand sides: oracles, invariants, both assembly paths."""
+"""DG right-hand sides: oracles, invariants, both assembly paths.
+
+``einsum_weak_rhs_1d`` is the weak assembly that ``dg.dg_rhs_1d`` used for
+linear scalar problems before it became one three-block product, kept
+here unchanged as an independent reference.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +11,7 @@ import pytest
 from afdg import dg, mesh, poly
 from afdg.mesh import DgState1D, DgState2D, Grid1D, Grid2D
 from afdg.problems import (NumericalFluxSpec, acoustics2x2, advection1d,
-                           builtin_problems, burgers)
+                           builtin_problems, burgers, numerical_flux)
 
 UP = NumericalFluxSpec.upwind()
 
@@ -14,6 +19,24 @@ UP = NumericalFluxSpec.upwind()
 def random_state_1d(K, n=16, m=1, seed=0):
     rng = np.random.default_rng(seed)
     return DgState1D(Grid1D(0, 1, n), K, rng.uniform(-1, 1, (n, K + 1, m)))
+
+
+def einsum_weak_rhs_1d(state, problem, flux):
+    basis = dg.dg_basis(state.K)
+    dx = state.grid.dx
+    q_minus = np.tensordot(state.coeffs, basis.value_left, axes=(1, 0))
+    q_plus = np.tensordot(state.coeffs, basis.value_right, axes=(1, 0))
+    q_l = np.roll(q_plus, 1, axis=0)     # q_{a-1}^+
+    q_r = q_minus                        # q_a^-
+    fhat = numerical_flux(flux, problem, q_l, q_r)
+    fhat_r = np.roll(fhat, -1, axis=0)                        # at x_{i+1/2}
+    c = state.coeffs
+    u = problem.advection_speed
+    vol = u * np.einsum("mn,inc->imc", basis.stiffness, c)
+    numer = (vol
+             - np.einsum("m,ic->imc", basis.value_right, fhat_r)
+             + np.einsum("m,ic->imc", basis.value_left, fhat))
+    return numer / (dx * basis.mass[None, :, None])
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +80,30 @@ def test_traces_k1_endpoint_combination():
     qm, qp = dg.traces(state, 3)
     assert qp == pytest.approx(c0 + c1, abs=1e-14)
     assert qm == pytest.approx(c0 - c1, abs=1e-14)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2], ids=["scalar", "acoustics2x2"])
+def test_trace_values_match_tensordot_bit_for_bit(K, m):
+    state = random_state_1d(K, n=64, m=m, seed=10 * K + m)
+    basis = dg.dg_basis(K)
+    q_minus, q_plus = dg.trace_values_1d(state)
+    assert np.array_equal(
+        q_minus, np.tensordot(state.coeffs, basis.value_left, axes=(1, 0)))
+    assert np.array_equal(
+        q_plus, np.tensordot(state.coeffs, basis.value_right, axes=(1, 0)))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2], ids=["scalar", "acoustics2x2"])
+def test_roll_cells_matches_np_roll_bit_for_bit(K, m):
+    state = random_state_1d(K, n=64, m=m, seed=10 * K + m)
+    for a in (state.coeffs, dg.trace_values_1d(state)[1]):
+        for shift in (1, -1):
+            assert np.array_equal(mesh.roll_cells(a, shift),
+                                  np.roll(a, shift, axis=0))
+    with pytest.raises(ValueError):
+        mesh.roll_cells(state.coeffs, 2)
 
 
 def test_traces_2d_tensor_factorization():
@@ -115,9 +162,55 @@ def test_k1_matches_independent_assembly():
     assert np.max(np.abs(d.coeffs[:, 1, 0] - dc1)) < 1e-13
 
 
-@pytest.mark.parametrize("K", [1, 2, 3])
+BLOCK_PRODUCT_CASES = [
+    (1.0, UP), (-0.6, UP), (0.0, UP),
+    (1.0, NumericalFluxSpec.central()),
+    (-0.6, NumericalFluxSpec.alpha(0.7, 0.3)),
+    (1.0, NumericalFluxSpec.lax_friedrichs(1.3)),
+]
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("u, spec", BLOCK_PRODUCT_CASES,
+                         ids=lambda c: c if isinstance(c, float) else c.kind)
+def test_block_product_matches_einsum_weak_form(K, u, spec):
+    prob = advection1d(u=u)
+    state = random_state_1d(K, n=64, seed=20 + K)
+    dc = dg.dg_rhs_1d(state, prob, spec).coeffs
+    ref = einsum_weak_rhs_1d(state, prob, spec)
+    assert np.max(np.abs(dc - ref)) <= 1e-14 * np.max(np.abs(dc))
+
+
+def test_block_product_refuses_a_non_periodic_state():
+    state = random_state_1d(2)
+    state = DgState1D(state.grid, 2, state.coeffs, periodic=False)
+    with pytest.raises(NotImplementedError):
+        dg.dg_rhs_1d(state, advection1d(u=1.0), UP)
+
+
+def test_linear_scalar_weak_form_evaluates_no_interface_flux(monkeypatch):
+    calls = []
+
+    def counting_flux(*args):
+        calls.append(args)
+        return numerical_flux(*args)
+
+    monkeypatch.setattr(dg, "numerical_flux", counting_flux)
+    state = random_state_1d(2, seed=4)
+    for spec in (UP, NumericalFluxSpec.central(),
+                 NumericalFluxSpec.lax_friedrichs(1.3)):
+        dg.dg_rhs_1d(state, advection1d(u=1.0), spec)
+    assert calls == []
+    # the counter sees the flux-and-trace path, which nonlinear problems take
+    dg.dg_rhs_1d(DgState1D(state.grid, 2, state.coeffs + 3.0), burgers(),
+                 NumericalFluxSpec.lax_friedrichs(5.0))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
 @pytest.mark.parametrize("spec", [UP, NumericalFluxSpec.central(),
-                                  NumericalFluxSpec.alpha(0.6, 0.4)],
+                                  NumericalFluxSpec.alpha(0.6, 0.4),
+                                  NumericalFluxSpec.lax_friedrichs(1.3)],
                          ids=lambda s: s.kind)
 def test_weak_and_augmented_assemblies_agree(K, spec):
     prob = advection1d(u=-0.8)

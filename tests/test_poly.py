@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import eval_and_derivative
 
 from afdg import poly
 
@@ -346,16 +347,16 @@ def test_gauss_radau_projection_integral_property():
 
 def test_eval_and_derivative_radau_k1():
     r_l, _ = poly.radau_pair(1)
-    val, der = poly.eval_and_derivative(r_l, 0.5, 1.0)
+    val, der = eval_and_derivative(r_l, 0.5, 1.0)
     assert val == pytest.approx(0.0, abs=1e-14)
     assert der == pytest.approx(2.0, abs=1e-14)
-    val, der = poly.eval_and_derivative(r_l, -0.5, 1.0)
+    val, der = eval_and_derivative(r_l, -0.5, 1.0)
     assert val == pytest.approx(1.0, abs=1e-14)
     assert der == pytest.approx(-4.0, abs=1e-14)
 
 
 def test_eval_and_derivative_dx_scaling():
     p = poly.PolySpec([0.3, -1.2, 2.0, 0.7])
-    _, d1 = poly.eval_and_derivative(p, 0.17, 1.0)
-    _, d2 = poly.eval_and_derivative(p, 0.17, 2.0)
+    _, d1 = eval_and_derivative(p, 0.17, 1.0)
+    _, d2 = eval_and_derivative(p, 0.17, 2.0)
     assert d2 == pytest.approx(d1 / 2.0, rel=1e-15)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import eigen_split
 
 from afdg.problems import (FluxInversionError, NumericalFluxSpec,
                            builtin_problems, flux_partials,
@@ -30,7 +31,6 @@ def test_acoustics_split_matches_eigendecomposition():
     assert np.allclose(jp, 0.5 * np.array([[1, 1], [1, 1]]), atol=1e-14)
     assert np.allclose(jm, -0.5 * np.array([[1, -1], [-1, 1]]), atol=1e-14)
     # oracle: eigendecomposition with clipped eigenvalues
-    from afdg.problems import eigen_split
     J = prob.jacobian(None)
     jp2, jm2 = eigen_split(J)
     assert np.allclose(jp, jp2, atol=1e-13) and np.allclose(jm, jm2, atol=1e-13)
