@@ -4,9 +4,12 @@
 update, the same ``NumericalFluxSpec`` the DG right-hand side takes: its
 partials with respect to the left and right trace weigh the one-sided
 reconstruction derivatives (upwind gives the Jacobian splitting,
-Lax-Friedrichs the flux-vector splitting).  A flux projection instead
-mirrors the DG update for nonlinear problems.  Moments update centrally
-through integration by parts; no Riemann fluxes enter.
+Lax-Friedrichs the flux-vector splitting).  Moments update centrally
+through integration by parts; no Riemann fluxes enter.  A linear
+problem, scalar or system, is one three-block product of
+``af_stencil_1d`` on the cell blocks (point value, K moments), the 1-d
+operator the 2-d update is built from (``mesh.line_apply``).  A flux
+projection instead mirrors the DG update for nonlinear problems.
 
 2-d: the tensorial variant stores node values, edge moments (k = 0 is the
 edge average) and interior tensor moments.  It is the tensor product of
@@ -30,13 +33,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import poly
-from .mesh import (AfState1D, AfState2D, axis_stencil, kron_sum_apply,
-                   roll_cells, simpson_edge_average, simpson_midpoint)
+from .mesh import (AF_N_INT, AfState1D, AfState2D, axis_stencil,
+                   kron_sum_apply, line_apply, roll_cells,
+                   simpson_edge_average, simpson_midpoint)
 from .problems import NumericalFluxSpec, ProblemSpec, flux_partials
 
 __all__ = [
     "AfOps", "af_ops",
-    "af_reconstruct", "af_eval_1d", "af_eval_2d", "reconstruction_matrix_2d",
+    "af_reconstruct", "af_eval_1d", "af_eval_2d",
     "af_rhs_1d", "FluxProjection1D",
     "af_stencil_1d", "af_rhs_2d_tensorial", "af_rhs_2d_classical",
 ]
@@ -115,11 +119,6 @@ def af_eval_1d(state: AfState1D, xi: np.ndarray) -> np.ndarray:
     return np.einsum("ipc,pq->iqc", dofs, bv)
 
 
-def reconstruction_matrix_2d(state: AfState2D, i: int, j: int) -> np.ndarray:
-    """Tensor dof matrix C with value(xi, eta) = Bx(xi)^T C By(eta)."""
-    return _dof_tensor_2d(state)[i, j]
-
-
 def af_eval_2d(state: AfState2D, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Evaluate all tensorial cell reconstructions on a tensor point grid.
 
@@ -170,17 +169,19 @@ class FluxProjection1D:
 
 
 def af_rhs_1d(state: AfState1D, problem: ProblemSpec, flux: NumericalFluxSpec,
-              quad: poly.QuadratureRule | None = None,
               flux_projection: FluxProjection1D | None = None) -> AfState1D:
     """Semi-discrete derivative of an AF state (periodic grids).
 
     The point update is -(d_L DQ_L + d_R DQ_R): the one-sided derivatives
     DQ_L, DQ_R of the reconstructions left and right of each interface,
     weighed by the partials (d_L, d_R) of the two-point ``flux`` with
-    respect to its left and right trace, both taken at the shared point
-    value (``flux_partials``; matrices for a system).  Upwind gives the
-    Jacobian splitting, Lax-Friedrichs the flux-vector splitting.  Moment
-    integrals are closed-form for linear problems and quadrature otherwise.
+    respect to its left and right trace.  Upwind gives the Jacobian
+    splitting, Lax-Friedrichs the flux-vector splitting.  A linear problem,
+    scalar or system, applies the block row (u S_u + d_L S_L + d_R S_R) / h
+    of ``af_stencil_1d`` (matrices u = J, d_L, d_R for a system) to each
+    cell block (p_i, m_i) and its neighbours (``mesh.line_apply``).  A
+    nonlinear (scalar) problem takes (d_L, d_R) at the shared point value
+    and its moment integrals by quadrature.
 
     ``flux_projection`` replaces the reconstruction by the projected flux
     (``equiv.project_flux_F``): the point update becomes
@@ -205,17 +206,19 @@ def af_rhs_1d(state: AfState1D, problem: ProblemSpec, flux: NumericalFluxSpec,
         dmo = -(1.0 / dx) * np.einsum("kp,ipc->ikc", ops.mom_w, fp.F_dofs)
         return state.with_arrays([dpts, dmo])
 
-    dofs = cell_dof_tensor_1d(state)                     # (n, K+2, m)
+    if problem.linear:
+        # a linear problem's Jacobian and flux partials are constant
+        V = np.concatenate([state.point_values[:, None], state.moments],
+                           axis=1)
+        dV = line_apply(af_stencil_1d(state.K), problem.jacobian(0.0),
+                        flux_partials(flux, problem, 0.0, 0.0), dx, V)
+        return state.with_arrays([dV[:, 0], dV[:, 1:]])
+    dofs = cell_dof_tensor_1d(state)                     # (n, K+2, 1)
     dql, dqr = _interface_derivatives(ops, dofs, dx)
     pts = state.point_values
     d_l, d_r = flux_partials(flux, problem, pts, pts)
-    if problem.is_scalar:
-        dpts = -(d_l * dql + d_r * dqr)
-    else:   # one matrix for all interfaces, or one per interface
-        dpts = -(np.einsum("...cd,...d->...c", d_l, dql)
-                 + np.einsum("...cd,...d->...c", d_r, dqr))
-    dmo = _moment_rhs_1d(state, problem, ops, dofs, quad)
-    return state.with_arrays([dpts, dmo])
+    return state.with_arrays([-(d_l * dql + d_r * dqr),
+                              _moment_rhs_1d(state, problem, ops, dofs)])
 
 
 def _interface_derivatives(ops, dofs, dx):
@@ -226,24 +229,17 @@ def _interface_derivatives(ops, dofs, dx):
     return roll_cells(d_plus, 1), d_minus
 
 
-def _moment_rhs_1d(state, problem, ops, dofs, quad):
+def _moment_rhs_1d(state, problem, ops, dofs):
+    """Moment update of a nonlinear flux, by quadrature."""
     dx = state.grid.dx
-    if problem.linear and problem.is_scalar:
-        u = problem.advection_speed
-        return -(u / dx) * np.einsum("kp,ipc->ikc", ops.mom_w, dofs)
-    if problem.linear:
-        J = problem.jacobian(None)
-        contr = np.einsum("kp,ipc->ikc", ops.mom_w, dofs)
-        return -(1.0 / dx) * np.einsum("cd,ikd->ikc", J, contr)
-    rule = quad or _default_af_rule(state.K)
+    rule = _default_af_rule(state.K)
     bvals = ops.basis_values(rule.nodes)                  # (K+2, nq)
     qvals = np.einsum("ipc,pq->iqc", dofs, bvals)
     fvals = problem.flux(qvals)
-    K = state.K
     dmo = np.empty_like(state.moments)
     f_l = problem.flux(dofs[:, 0, :])
     f_r = problem.flux(dofs[:, -1, :])
-    for k in range(K):
+    for k in range(state.K):
         bk = ops.basis.b[k]
         ak = ops.basis.A[k]
         dbw = bk.derivative()(rule.nodes) * rule.weights
@@ -253,7 +249,6 @@ def _moment_rhs_1d(state, problem, ops, dofs, quad):
 
 
 def _default_af_rule(K: int) -> poly.QuadratureRule:
-    from .mesh import AF_N_INT
     n_int = AF_N_INT.get(K + 2, 2 * K + 5)
     return poly.gauss_legendre_rule((n_int + 2) // 2)
 

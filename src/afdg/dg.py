@@ -5,10 +5,12 @@ agree to roundoff:
 
   * ``weak``       volume term against test-function derivatives plus
                    interface flux terms, divided by the diagonal mass.
-                   For linear scalar problems this is one three-block
-                   product (u S_u + d_L S_L + d_R S_R) / h over the modes
-                   of cells i-1, i, i+1 (``dg_stencil_1d``, as in 2-d);
-                   systems and nonlinear fluxes assemble it term by term;
+                   For linear problems, scalar or system, this is one
+                   three-block product (u S_u + d_L S_L + d_R S_R) / h
+                   over the modes of cells i-1, i, i+1 (``dg_stencil_1d``
+                   through ``mesh.line_apply``, as in 2-d; u, d_L and d_R
+                   are matrices for a system); nonlinear fluxes assemble
+                   it term by term;
   * ``augmented``  the flux-corrected reconstruction path: the per-cell
                    polynomial is corrected by scaled Radau polynomials so
                    that the whole update becomes the derivative of a
@@ -31,10 +33,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import poly
-from .mesh import (AF_N_INT, DG_N_INT, DgState1D, DgState2D, _with_neighbours,
-                   axis_stencil, kron_sum_apply, roll_cells)
+from .mesh import (AF_N_INT, DG_N_INT, DgState1D, DgState2D, axis_stencil,
+                   kron_sum_apply, line_apply, roll_cells)
 from .problems import (NumericalFluxSpec, ProblemSpec, flux_partials,
-                       numerical_flux)
+                       invert_flux, numerical_flux)
 
 __all__ = [
     "DgBasis", "dg_basis", "dg_rhs_1d", "dg_stencil_1d", "dg_rhs_2d",
@@ -128,66 +130,50 @@ def dg_rhs_1d(state: DgState1D, problem: ProblemSpec,
               assembly: str = "weak") -> DgState1D:
     """Semi-discrete time derivative of the modal coefficients.
 
-    For linear problems the volume term uses the closed-form stiffness
-    coefficients; nonlinear fluxes are integrated with the catalog rule
-    for the method's order (override with ``quad``).  The weak form of a
-    linear scalar problem is the block row (u S_u + d_L S_L + d_R S_R) / h
-    of ``dg_stencil_1d``, with the flux partials (d_L, d_R) at speed u,
-    applied to each cell and its two neighbours.
+    The weak form of a linear problem, scalar or system, is the block row
+    (u S_u + d_L S_L + d_R S_R) / h of ``dg_stencil_1d`` applied to each
+    cell and its two neighbours (``mesh.line_apply``), with the Jacobian u
+    and the flux partials (d_L, d_R), matrices for a system.  Nonlinear
+    fluxes are integrated with the catalog rule for the method's order
+    (override with ``quad``).
     """
-    if assembly == "weak" and problem.linear and problem.is_scalar:
+    if assembly == "weak" and problem.linear:
         if not state.periodic:
             raise NotImplementedError("1-d DG is periodic-only")
-        S = axis_stencil(dg_stencil_1d(state.K), problem.advection_speed,
-                         flux_partials(flux, problem, 0.0, 0.0),
-                         state.grid.dx)
-        if S is None:
-            return state.with_arrays([np.zeros_like(state.coeffs)])
-        return state.with_arrays([np.matmul(
-            S, _with_neighbours(state.coeffs, 0))])
-
-    basis = dg_basis(state.K)
-    dx = state.grid.dx
-    fhat = interface_fluxes_1d(state, problem, flux)          # (n, m)
-    fhat_r = roll_cells(fhat, -1)                             # at x_{i+1/2}
-    c = state.coeffs
-
-    if assembly == "weak":
-        if problem.linear:
-            J = problem.jacobian(None)
-            vol = np.einsum("mn,ind,cd->imc", basis.stiffness, c, J)
-        else:
-            rule = quad or quad_rule_for_order("dg", state.K + 1)
-            qvals = np.einsum("inc,nq->iqc", c,
-                              np.array([p(rule.nodes) for p in basis.phi]))
-            fvals = problem.flux(qvals)
-            dphi = np.array([p.derivative()(rule.nodes) for p in basis.phi])
-            vol = np.einsum("iqc,mq,q->imc", fvals, dphi, rule.weights)
-        numer = (vol
-                 - np.einsum("m,ic->imc", basis.value_right, fhat_r)
-                 + np.einsum("m,ic->imc", basis.value_left, fhat))
-        dc = numer / (dx * basis.mass[None, :, None])
-        return state.with_arrays([dc])
-
+        # a linear problem's Jacobian and flux partials are constant
+        return state.with_arrays([line_apply(
+            dg_stencil_1d(state.K), problem.jacobian(0.0),
+            flux_partials(flux, problem, 0.0, 0.0), state.grid.dx,
+            state.coeffs)])
     if assembly == "augmented":
-        aug = augmented_coefficients_1d(state, problem, flux, fhat=fhat)
-        daug = _poly_derivative_modal(aug, state.K)           # (n, K+1, m)
-        if problem.linear and problem.is_scalar:
-            dc = -(problem.advection_speed / dx) * daug
-        elif problem.linear:
-            J = problem.jacobian(None)
-            dc = -(1.0 / dx) * np.einsum("ind,cd->inc", daug, J)
-        else:
+        if not problem.linear:
             raise ValueError("augmented assembly applies to linear problems; "
                              "nonlinear updates go through the flux projection")
-        return state.with_arrays([dc])
+        daug = _poly_derivative_modal(
+            augmented_coefficients_1d(state, problem, flux), state.K)
+        J = np.atleast_2d(problem.jacobian(0.0))
+        return state.with_arrays([daug @ (-J.T / state.grid.dx)])
+    if assembly != "weak":
+        raise ValueError(f"unknown assembly {assembly!r}")
 
-    raise ValueError(f"unknown assembly {assembly!r}")
+    basis = dg_basis(state.K)
+    fhat = interface_fluxes_1d(state, problem, flux)          # (n, m)
+    fhat_r = roll_cells(fhat, -1)                             # at x_{i+1/2}
+    rule = quad or quad_rule_for_order("dg", state.K + 1)
+    qvals = np.einsum("inc,nq->iqc", state.coeffs,
+                      np.array([p(rule.nodes) for p in basis.phi]))
+    fvals = problem.flux(qvals)
+    dphi = np.array([p.derivative()(rule.nodes) for p in basis.phi])
+    vol = np.einsum("iqc,mq,q->imc", fvals, dphi, rule.weights)
+    numer = (vol
+             - np.einsum("m,ic->imc", basis.value_right, fhat_r)
+             + np.einsum("m,ic->imc", basis.value_left, fhat))
+    return state.with_arrays([numer / (state.grid.dx
+                                       * basis.mass[None, :, None])])
 
 
 def augmented_coefficients_1d(state: DgState1D, problem: ProblemSpec,
-                              flux: NumericalFluxSpec,
-                              fhat: np.ndarray | None = None) -> np.ndarray:
+                              flux: NumericalFluxSpec) -> np.ndarray:
     """Per-cell monomial coefficients of q_i plus its Radau corrections.
 
     The corrections (qhat - trace) R at each face make the broken field
@@ -195,9 +181,8 @@ def augmented_coefficients_1d(state: DgState1D, problem: ProblemSpec,
     """
     K = state.K
     basis = dg_basis(K)
-    if fhat is None:
-        fhat = interface_fluxes_1d(state, problem, flux)
-    qhat = interface_states_from_fluxes(fhat, problem)
+    qhat = interface_states_from_fluxes(
+        interface_fluxes_1d(state, problem, flux), problem)
     q_minus, q_plus = trace_values_1d(state)
     r_l, r_r = poly.radau_pair(K)
 
@@ -214,16 +199,11 @@ def augmented_coefficients_1d(state: DgState1D, problem: ProblemSpec,
 
 def interface_states_from_fluxes(fhat: np.ndarray,
                                  problem: ProblemSpec) -> np.ndarray:
-    """Interface state values induced by the numerical flux (fhat / u for
-    advection, J^-1 fhat for linear systems, the flux inverse otherwise)."""
-    if problem.is_scalar and problem.linear:
-        u = problem.advection_speed
-        if u == 0:
-            return np.zeros_like(fhat)
-        return fhat / u
-    if problem.linear:
-        return problem.flux_inverse(fhat)
-    from .problems import invert_flux
+    """Interface state values induced by the numerical flux: its inverse
+    (fhat / u for advection, J^-1 fhat for linear systems), and zero for
+    advection at zero speed."""
+    if problem.advection_speed == 0:
+        return np.zeros_like(fhat)
     return invert_flux(problem, fhat)
 
 
@@ -257,9 +237,6 @@ class RieszEndpointFunctionals:
     v_R: poly.PolySpec
     weights_left: np.ndarray    # pairing against modal coefficients
     weights_right: np.ndarray
-
-    def apply_right(self, modal: np.ndarray, axis: int = -1) -> np.ndarray:
-        return np.tensordot(modal, self.weights_right, axes=(axis, 0))
 
 
 @lru_cache(maxsize=None)

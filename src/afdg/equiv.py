@@ -5,9 +5,10 @@ numerical flux, moments by exact modal transfer).  The verifier then
 compares, family by family,
 
   (a) the time derivatives of the mapped dofs induced by the DG
-      right-hand side (moments via modal transfer, interface/edge/node
-      values via the flux-partial chain rule or weighted trace
-      derivatives extracted with the Riesz endpoint functionals), and
+      right-hand side: for linear problems the map of the DG derivative
+      (1-d and 2-d alike); for nonlinear ones moments via modal transfer
+      and interface values via the flux-partial chain rule on trace
+      derivatives extracted with the Riesz endpoint functionals, and
   (b) the native AF right-hand side evaluated on the mapped state.
 
 Both sides are independently implemented, so machine-precision agreement
@@ -73,9 +74,7 @@ def map_dg_to_af_1d(state: DgState1D, flux: NumericalFluxSpec,
 
 
 def project_flux_F(state: DgState1D, problem: ProblemSpec,
-                   flux: NumericalFluxSpec,
-                   rule: poly.QuadratureRule | None = None
-                   ) -> af.FluxProjection1D:
+                   flux: NumericalFluxSpec) -> af.FluxProjection1D:
     """Degree-(K+1) flux projection per cell plus interface chain-rule data.
 
     Endpoint dofs equal the interface numerical fluxes; interior moments
@@ -86,7 +85,7 @@ def project_flux_F(state: DgState1D, problem: ProblemSpec,
     if not problem.is_scalar:
         raise ValueError("flux projection is defined for scalar problems")
     K = state.K
-    rule = rule or dg.quad_rule_for_order("dg", K + 1)
+    rule = dg.quad_rule_for_order("dg", K + 1)
     basis = dg.dg_basis(K)
     q_l, q_r = dg.interface_traces_1d(state)
     fhat = numerical_flux(flux, problem, q_l, q_r)               # (n_if, 1)
@@ -109,11 +108,16 @@ def dg_induced_af_derivative_1d(state: DgState1D, problem: ProblemSpec,
                                 flux: NumericalFluxSpec):
     """Time derivatives of the mapped AF dofs implied by the DG method.
 
-    Moments transfer modally; interface values follow the chain rule
-    through the numerical flux, with the trace time derivatives extracted
-    by the Riesz endpoint functionals.
+    The map is linear for a linear problem, so the derivatives are the
+    map of the DG derivative, as in 2-d.  Otherwise moments transfer
+    modally and interface values follow the chain rule through the
+    numerical flux, with the trace time derivatives extracted by the
+    Riesz endpoint functionals.
     """
     dstate = dg.dg_rhs_1d(state, problem, flux, assembly="weak")
+    if problem.linear:
+        mapped = map_dg_to_af_1d(dstate, flux, problem)
+        return mapped.point_values, mapped.moments
     dc = dstate.coeffs
     T = moment_transfer_matrix(state.K)
     dmo = np.einsum("kn,inc->ikc", T, dc)
@@ -124,23 +128,11 @@ def dg_induced_af_derivative_1d(state: DgState1D, problem: ProblemSpec,
     dql = roll_cells(dq_plus, 1)               # d/dt q_{a-1}^+
     dqr = dq_minus                             # d/dt q_a^-
 
-    if problem.linear and problem.is_scalar:
-        u = problem.advection_speed
-        ap, am = flux.advection_weights(u)
-        dpts = ap * dql + am * dqr
-    elif problem.linear:
-        J = problem.jacobian(None)
-        Jp, Jm = problem.split(None)
-        Jinv = np.linalg.inv(J)
-        dpts = np.einsum("cd,ad->ac", Jinv,
-                         np.einsum("cd,ad->ac", Jp, dql)
-                         + np.einsum("cd,ad->ac", Jm, dqr))
-    else:
-        q_l, q_r = dg.interface_traces_1d(state)
-        fhat = numerical_flux(flux, problem, q_l, q_r)
-        dl, dr = flux_partials(flux, problem, q_l, q_r)
-        A = problem.jacobian(invert_flux(problem, fhat))
-        dpts = (np.asarray(dl) * dql + np.asarray(dr) * dqr) / np.asarray(A)
+    q_l, q_r = dg.interface_traces_1d(state)
+    fhat = numerical_flux(flux, problem, q_l, q_r)
+    dl, dr = flux_partials(flux, problem, q_l, q_r)
+    A = problem.jacobian(invert_flux(problem, fhat))
+    dpts = (np.asarray(dl) * dql + np.asarray(dr) * dqr) / np.asarray(A)
     return dpts, dmo
 
 

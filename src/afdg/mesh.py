@@ -1,6 +1,7 @@
 """Cartesian grids, dof containers for AF and DG, dof bookkeeping, the
-per-family cell projections, and the tensor-product apply shared by both
-2-d right-hand sides.
+per-family cell projections, and the stencil applies shared by both
+families: ``line_apply`` for the linear 1-d right-hand sides and the
+tensor-product ``kron_sum_apply`` for the 2-d ones.
 
 States are plain value containers around numpy arrays; right-hand-side
 evaluation treats them as immutable.  Interface point values are stored
@@ -32,8 +33,8 @@ __all__ = [
     "simpson_edge_average", "simpson_midpoint",
     "fill_af_1d", "fill_dg_1d", "fill_af_2d", "fill_dg_2d",
     "af_cell_dofs_2d", "dg_cell_dofs_2d",
-    "axis_stencil", "kron_sum_apply", "roll_cells", "state_rows",
-    "save_state_csv",
+    "axis_stencil", "line_apply", "kron_sum_apply", "roll_cells",
+    "state_rows", "save_state_csv",
 ]
 
 # Method catalog: quadrature exactness degree and CFL number per order,
@@ -425,6 +426,24 @@ def axis_stencil(blocks: np.ndarray, u: float, partials: tuple[float, float],
         return None
     return np.dot((u / h, d_l / h, d_r / h),
                   blocks.reshape(3, -1)).reshape(blocks.shape[1:])
+
+
+def line_apply(blocks: np.ndarray, speed, partials: tuple, h: float,
+               V: np.ndarray) -> np.ndarray:
+    """The periodic 1-d operator of a family's blocks (S_u, S_L, S_R) on
+    cell blocks V[i, dof, component]: out_i = L V_{i-1} + D V_i + R V_{i+1}.
+    A scalar speed takes the ``axis_stencil`` of (speed, partials); a
+    system passes its Jacobian J as ``speed`` and matrix partials, and its
+    stencil (S_u (x) J + S_L (x) d_L + S_R (x) d_R) / h acts on each
+    cell's (dof, component) pairs."""
+    if np.ndim(speed) == 0:
+        S = axis_stencil(blocks, speed, partials, h)
+        if S is None:
+            return np.zeros_like(V)
+        return np.matmul(S, _with_neighbours(V, 0))
+    S = sum(np.kron(b, a) for b, a in zip(blocks, (speed, *partials))) / h
+    W = _with_neighbours(V, 0).reshape(len(V), -1)
+    return (W @ S.T).reshape(V.shape)
 
 
 def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,

@@ -1,4 +1,11 @@
-"""Active Flux right-hand sides and reconstruction."""
+"""Active Flux right-hand sides and reconstruction.
+
+``reference_linear_rhs_1d`` is the update that ``af.af_rhs_1d`` used for
+linear problems before it became one three-block product, kept here as
+an independent reference: one-sided reconstruction derivatives weighed
+by the flux partials and closed-form moment weights, with the scalar and
+system branches apart.
+"""
 
 import numpy as np
 import pytest
@@ -6,9 +13,46 @@ import pytest
 from afdg import af, dg, mesh, poly
 from afdg.mesh import AfState1D, DgState1D, Grid1D, Grid2D
 from afdg.problems import (NumericalFluxSpec, acoustics2x2, advection1d,
-                           burgers)
+                           burgers, flux_partials, flux_spec)
 
 UP = NumericalFluxSpec.upwind()
+
+
+def reference_linear_rhs_1d(state, problem, flux):
+    """(d point_values, d moments) of a linear problem."""
+    ops = af.af_ops(state.K)
+    dx = state.grid.dx
+    dofs = af.cell_dof_tensor_1d(state)
+    d_plus = np.einsum("p,ipc->ic", ops.d_plus, dofs) / dx     # right faces
+    d_minus = np.einsum("p,ipc->ic", ops.d_minus, dofs) / dx   # left faces
+    dql, dqr = np.roll(d_plus, 1, axis=0), d_minus
+    pts = state.point_values
+    d_l, d_r = flux_partials(flux, problem, pts, pts)
+    if problem.is_scalar:
+        u = problem.advection_speed
+        dpts = -(d_l * dql + d_r * dqr)
+        return dpts, -(u / dx) * np.einsum("kp,ipc->ikc", ops.mom_w, dofs)
+    dpts = -(np.einsum("...cd,...d->...c", d_l, dql)
+             + np.einsum("...cd,...d->...c", d_r, dqr))
+    J = problem.jacobian(None)
+    contr = np.einsum("kp,ipc->ikc", ops.mom_w, dofs)
+    return dpts, -(1.0 / dx) * np.einsum("cd,ikd->ikc", J, contr)
+
+
+# the linear cases of the three-block product: (problem, flux)
+LINEAR_CASES = [
+    *((advection1d(u), flux_spec(name, ap, 1.1 * abs(u)))
+      for u in (1.0, -0.6)
+      for name, ap in (("upwind", 1.0), ("alpha", 0.7), ("central", 0.5),
+                       ("lax_friedrichs", 1.0))),
+    *((acoustics2x2(1.3), flux_spec(name, 1.0, 1.3))
+      for name in ("upwind", "central", "lax_friedrichs")),
+]
+
+
+def linear_case_id(case):
+    problem, flux = case
+    return f"{problem.name}-{flux.kind}"
 
 
 def smooth_state_1d(K, n=16, lo=-1.0, hi=1.0, seed=0):
@@ -159,6 +203,20 @@ def test_sonic_state_rejected():
     with pytest.raises(ZeroDivisionError):
         af.af_rhs_1d(state, burgers(), NumericalFluxSpec.lax_friedrichs(3.0),
                      flux_projection=fp)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", LINEAR_CASES, ids=linear_case_id)
+def test_linear_block_product_matches_reference(K, case):
+    problem, flux = case
+    m = problem.n_components
+    rng = np.random.default_rng(40 + K)
+    state = AfState1D(Grid1D(0, 1, 32), K, rng.uniform(-1, 1, (32, m)),
+                      rng.uniform(-1, 1, (32, K, m)))
+    got = af.af_rhs_1d(state, problem, flux).arrays()
+    for a, want in zip(got, reference_linear_rhs_1d(state, problem, flux)):
+        assert a.shape == want.shape
+        assert np.max(np.abs(a - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_jacobian_splitting_system():
@@ -339,13 +397,6 @@ def test_classical_simpson_combination_gap():
     d_cls = af.af_rhs_2d_classical(tens, 1.0, 1.0)
     gap = np.max(np.abs(d_cls.x_edge[..., 0] - d_tens.x_edge[..., 0]))
     assert gap > 1e-3 * np.max(np.abs(tens.node_values))
-
-
-def test_reconstruction_matrix_matches_tensor():
-    state = smooth_state_2d(2, seed=25)
-    C = af.reconstruction_matrix_2d(state, 3, 4)
-    full = af._dof_tensor_2d(state)
-    assert np.allclose(C, full[3, 4], atol=0)
 
 
 def test_classical_af_third_order_at_catalog_cfl():

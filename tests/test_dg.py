@@ -1,8 +1,9 @@
 """DG right-hand sides: oracles, invariants, both assembly paths.
 
 ``einsum_weak_rhs_1d`` is the weak assembly that ``dg.dg_rhs_1d`` used for
-linear scalar problems before it became one three-block product, kept
-here unchanged as an independent reference.
+linear problems before it became one three-block product, kept here as
+an independent reference: the scalar volume term as it was for linear
+scalar problems, the Jacobian contraction as it was for linear systems.
 """
 
 import numpy as np
@@ -31,8 +32,12 @@ def einsum_weak_rhs_1d(state, problem, flux):
     fhat = numerical_flux(flux, problem, q_l, q_r)
     fhat_r = np.roll(fhat, -1, axis=0)                        # at x_{i+1/2}
     c = state.coeffs
-    u = problem.advection_speed
-    vol = u * np.einsum("mn,inc->imc", basis.stiffness, c)
+    if problem.is_scalar:
+        u = problem.advection_speed
+        vol = u * np.einsum("mn,inc->imc", basis.stiffness, c)
+    else:
+        vol = np.einsum("mn,ind,cd->imc", basis.stiffness, c,
+                        problem.jacobian(None))
     numer = (vol
              - np.einsum("m,ic->imc", basis.value_right, fhat_r)
              + np.einsum("m,ic->imc", basis.value_left, fhat))
@@ -181,6 +186,21 @@ def test_block_product_matches_einsum_weak_form(K, u, spec):
     assert np.max(np.abs(dc - ref)) <= 1e-14 * np.max(np.abs(dc))
 
 
+SYSTEM_FLUXES = [UP, NumericalFluxSpec.central(),
+                 NumericalFluxSpec.lax_friedrichs(1.3)]
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("spec", SYSTEM_FLUXES, ids=lambda s: s.kind)
+def test_system_block_product_matches_einsum_weak_form(K, spec):
+    # acoustics at c = 1.3; Lax-Friedrichs at a = c
+    prob = acoustics2x2(c=1.3)
+    state = random_state_1d(K, n=64, m=2, seed=30 + K)
+    dc = dg.dg_rhs_1d(state, prob, spec).coeffs
+    ref = einsum_weak_rhs_1d(state, prob, spec)
+    assert np.max(np.abs(dc - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_block_product_refuses_a_non_periodic_state():
     state = random_state_1d(2)
     state = DgState1D(state.grid, 2, state.coeffs, periodic=False)
@@ -226,6 +246,15 @@ def test_weak_and_augmented_agree_for_systems():
     state = random_state_1d(2, m=2, seed=8)
     d1 = dg.dg_rhs_1d(state, prob, UP, assembly="weak").coeffs
     d2 = dg.dg_rhs_1d(state, prob, UP, assembly="augmented").coeffs
+    assert np.max(np.abs(d1 - d2)) <= 1e-12 * np.max(np.abs(d1))
+
+
+@pytest.mark.parametrize("spec", SYSTEM_FLUXES[1:], ids=lambda s: s.kind)
+def test_weak_and_augmented_agree_for_system_fluxes(spec):
+    prob = acoustics2x2(c=1.3)
+    state = random_state_1d(3, m=2, seed=9)
+    d1 = dg.dg_rhs_1d(state, prob, spec, assembly="weak").coeffs
+    d2 = dg.dg_rhs_1d(state, prob, spec, assembly="augmented").coeffs
     assert np.max(np.abs(d1 - d2)) <= 1e-12 * np.max(np.abs(d1))
 
 
@@ -299,7 +328,7 @@ def test_riesz_k2_on_square():
     modal = np.linalg.solve(
         np.array([[p(x) for p in basis.phi] for x in (-0.4, 0.0, 0.4)]),
         np.array([0.16, 0.0, 0.16]))
-    assert r.apply_right(modal) == pytest.approx(0.25, abs=1e-14)
+    assert modal @ r.weights_right == pytest.approx(0.25, abs=1e-14)
 
 
 def test_riesz_extracts_trace_of_rhs():

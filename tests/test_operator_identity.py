@@ -10,15 +10,18 @@ S_AF(z) T(z), that is when the four block equations of the coefficients
 of z^-2 .. z^1 hold; then the identity holds on every grid of n >= 3 cells
 and for every state.  T is read off ``equiv.map_dg_to_af_1d`` one column
 at a time, so both stencils and the map enter exactly as the code has
-them.
+them, and the block rows of ``af.af_rhs_1d`` and ``dg.dg_rhs_1d`` are read
+the same way and must be these stencils.  A linear system's stencils are
+the Kronecker sums (S_u (x) J + S_L (x) d_L + S_R (x) d_R) / h on the
+(dof, component) pairs of a cell.
 """
 
 import numpy as np
 import pytest
 
 from afdg import af, dg, equiv
-from afdg.mesh import DgState1D, Grid1D, axis_stencil
-from afdg.problems import advection1d, flux_spec
+from afdg.mesh import AfState1D, DgState1D, Grid1D, axis_stencil
+from afdg.problems import acoustics2x2, advection1d, flux_partials, flux_spec
 
 FLUXES = [("upwind", 1.0), ("alpha", 0.7), ("central", 0.5),
           ("lax_friedrichs", 1.0)]
@@ -36,21 +39,59 @@ def stencils(K, u, flux):
             axis_stencil(af.af_stencil_1d(K), u, d, 1.0))
 
 
-def map_blocks(K, u, flux, n=5):
+def system_stencils(K, problem, flux):
+    """(S_DG, S_AF) of a linear system at dx = 1: the Kronecker sums."""
+    coefficients = (problem.jacobian(0.0),
+                    *flux_partials(flux, problem, 0.0, 0.0))
+    return tuple(sum(np.kron(b, a) for b, a in zip(blocks, coefficients))
+                 for blocks in (dg.dg_stencil_1d(K), af.af_stencil_1d(K)))
+
+
+def unit_columns(K, m, n=5):
+    """Cell blocks V[i, dof, component] with one unit dof in cell 2, one
+    per (dof, component) pair in order."""
+    for j in range((K + 1) * m):
+        V = np.zeros((n, (K + 1) * m))
+        V[2, j] = 1.0
+        yield j, V.reshape(n, K + 1, m)
+
+
+def map_blocks(K, flux, problem, n=5):
     """(T_0, T_-1) of the DG-to-AF map, one unit mode at a time."""
-    m = K + 1
-    T0, Tm1 = np.zeros((m, m)), np.zeros((m, m))
-    for k in range(m):
-        coeffs = np.zeros((n, m, 1))
-        coeffs[2, k, 0] = 1.0
+    m = problem.n_components
+    size = (K + 1) * m
+    T0, Tm1 = np.zeros((size, size)), np.zeros((size, size))
+    for j, coeffs in unit_columns(K, m, n):
         mapped = equiv.map_dg_to_af_1d(
-            DgState1D(Grid1D(0.0, 1.0, n), K, coeffs), flux, advection1d(u))
-        U = np.concatenate([mapped.point_values, mapped.moments[:, :, 0]],
-                           axis=1)
-        T0[:, k], Tm1[:, k] = U[2], U[3]
+            DgState1D(Grid1D(0.0, 1.0, n), K, coeffs), flux, problem)
+        U = np.concatenate([mapped.point_values[:, None], mapped.moments],
+                           axis=1).reshape(n, size)
+        T0[:, j], Tm1[:, j] = U[2], U[3]
         # the map is local: a mode reaches its own cell and the next one
         assert not np.any(np.delete(U, [2, 3], axis=0))
     return T0, Tm1
+
+
+def rhs_block_rows(K, problem, flux, n=5):
+    """The block rows [L | D | R] of ``dg.dg_rhs_1d`` and ``af.af_rhs_1d``
+    on n cells of width 1, read one unit column at a time: a unit dof in
+    cell 2 reaches cell 3 through L, cell 2 through D and cell 1 through
+    R.  The AF cell block is (left point value, moments)."""
+    m = problem.n_components
+    size = (K + 1) * m
+    grid = Grid1D(0.0, float(n), n)
+    rows = np.zeros((2, size, 3 * size))
+    for j, V in unit_columns(K, m, n):
+        d_dg = dg.dg_rhs_1d(DgState1D(grid, K, V), problem, flux).coeffs
+        d_af = af.af_rhs_1d(AfState1D(grid, K, V[:, 0], V[:, 1:]), problem,
+                            flux)
+        d_af = np.concatenate([d_af.point_values[:, None], d_af.moments],
+                              axis=1)
+        for rows_f, d in zip(rows, (d_dg, d_af)):
+            d = d.reshape(n, size)
+            rows_f[:, j], rows_f[:, size + j] = d[3], d[2]
+            rows_f[:, 2 * size + j] = d[1]
+    return rows
 
 
 def symbol_residual(T0, Tm1, S_dg, S_af):
@@ -73,8 +114,36 @@ def symbol_residual(T0, Tm1, S_dg, S_af):
 def test_dof_map_intertwines_the_1d_operators(K, name, ap, u):
     flux = flux_for(name, ap, u)
     S_dg, S_af = stencils(K, u, flux)
-    gap, scale = symbol_residual(*map_blocks(K, u, flux), S_dg, S_af)
+    gap, scale = symbol_residual(*map_blocks(K, flux, advection1d(u)),
+                                 S_dg, S_af)
     assert gap <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("u", [1.0, -0.6])
+@pytest.mark.parametrize("name,ap", FLUXES)
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_the_1d_right_hand_sides_apply_the_certified_stencils(K, name, ap, u):
+    flux = flux_for(name, ap, u)
+    rows_dg, rows_af = rhs_block_rows(K, advection1d(u), flux)
+    S_dg, S_af = stencils(K, u, flux)
+    assert np.array_equal(rows_dg, S_dg)
+    assert np.array_equal(rows_af, S_af)
+
+
+# acoustics at c = 1.3; Lax-Friedrichs at a = c splits J as upwind does
+SYSTEM_FLUXES = [flux_spec("upwind"), flux_spec("lax_friedrichs", a=1.3)]
+
+
+@pytest.mark.parametrize("flux", SYSTEM_FLUXES, ids=lambda f: f.kind)
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_dof_map_intertwines_the_1d_system_operators(K, flux):
+    problem = acoustics2x2(1.3)
+    S_dg, S_af = system_stencils(K, problem, flux)
+    gap, scale = symbol_residual(*map_blocks(K, flux, problem), S_dg, S_af)
+    assert gap <= 1e-13 * scale
+    rows_dg, rows_af = rhs_block_rows(K, problem, flux)
+    assert np.array_equal(rows_dg, S_dg)
+    assert np.array_equal(rows_af, S_af)
 
 
 @pytest.mark.parametrize("u", [1.0, -0.6])
@@ -88,5 +157,6 @@ def test_sign_flipped_point_row_breaks_the_identity(K, name, ap, u):
     S_dg, S_af = stencils(K, u, flux)
     S_af = S_af.copy()
     S_af[0] *= -1.0
-    gap, _ = symbol_residual(*map_blocks(K, u, flux), S_dg, S_af)
+    gap, _ = symbol_residual(*map_blocks(K, flux, advection1d(u)),
+                             S_dg, S_af)
     assert gap >= 1.0
