@@ -40,7 +40,7 @@ from .problems import NumericalFluxSpec, ProblemSpec, flux_partials
 
 __all__ = [
     "AfOps", "af_ops",
-    "af_reconstruct", "af_eval_1d", "af_eval_2d",
+    "af_eval_1d", "af_eval_2d",
     "af_rhs_1d", "FluxProjection1D",
     "af_stencil_1d", "af_rhs_2d_tensorial", "af_rhs_2d_classical",
 ]
@@ -93,19 +93,6 @@ def cell_dof_tensor_1d(state: AfState1D) -> np.ndarray:
         right = pts[1:]
         pts = pts[: state.grid.n_cells]
     return np.concatenate([pts[:, None, :], mo, right[:, None, :]], axis=1)
-
-
-def af_reconstruct(state: AfState1D, cell: int) -> list[poly.PolySpec]:
-    """Cell polynomial(s), one PolySpec per component."""
-    ops = af_ops(state.K)
-    dofs = cell_dof_tensor_1d(state)[cell]          # (K+2, m)
-    out = []
-    for c in range(state.n_components):
-        coeffs = np.zeros(state.K + 2)
-        for p, f in enumerate(ops.basis.functions()):
-            coeffs += dofs[p, c] * f.coefficients
-        out.append(poly.PolySpec(coeffs))
-    return out
 
 
 def af_eval_1d(state: AfState1D, xi: np.ndarray) -> np.ndarray:

@@ -611,23 +611,6 @@ def run_benchmark(cfg: RunConfig, methods=None, min_time: float = 0.05,
     return records, slopes
 
 
-def planted_cost_slope(grids, cfl: float = 0.25, work_per_cell: int = 60):
-    """Scaling-oracle: a synthetic rhs of known linear cost, timed through
-    the same loop, must show the CFL-coupled 1.5 slope."""
-    taus = []
-    for n in grids:
-        n_cells = n * n
-        data = np.linspace(0.0, 1.0, n_cells * work_per_cell)
-        steps = int(np.ceil(0.1 / (cfl / n)))
-        t0 = time.perf_counter()
-        for _ in range(steps):
-            data = np.sin(data) * 1e-3 + data
-        taus.append((n_cells, time.perf_counter() - t0))
-    xs = np.log([t[0] for t in taus])
-    ys = np.log([t[1] for t in taus])
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
 def emit_dof_table():
     """Rows for AF orders 3-7 and DG orders 2-6, catalog columns included."""
     rows = []

@@ -1,8 +1,10 @@
 """Dof mappings between DG and AF and the semi-discrete equivalence verifier.
 
 The mapping sends a DG state to AF dofs (interface values from the
-numerical flux, moments by exact modal transfer).  The verifier then
-compares, family by family,
+numerical flux, moments by exact modal transfer).  In 2-d it is T (x) T of
+the 1-d block row [T_-1 | T_0 | 0] (``map_stencil_1d``, built from DG data
+alone), applied by ``mesh.kron_apply``.  The verifier then compares,
+family by family,
 
   (a) the time derivatives of the mapped dofs induced by the DG
       right-hand side: for linear problems the map of the DG derivative
@@ -32,7 +34,7 @@ from numpy.polynomial import polynomial as npp
 
 from . import af, dg, poly
 from .mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid1D, Grid2D,
-                   _af_moment_weights, roll_cells)
+                   _af_moment_weights, kron_apply, roll_cells)
 from .problems import (NumericalFluxSpec, ProblemSpec, builtin_problems,
                        check_weights, flux_partials, flux_spec, invert_flux,
                        lax_friedrichs_speed, numerical_flux)
@@ -40,7 +42,7 @@ from .problems import (NumericalFluxSpec, ProblemSpec, builtin_problems,
 __all__ = [
     "moment_transfer_matrix", "map_dg_to_af_1d", "project_flux_F",
     "dg_induced_af_derivative_1d",
-    "map_dg_to_af_2d", "reconstruct_af_2d_from_dg",
+    "map_stencil_1d", "map_dg_to_af_2d", "reconstruct_af_2d_from_dg",
     "dg_induced_af_derivative_2d", "lemma_checks",
     "EquivSetting", "EquivalenceReport", "FamilyResult", "verify_equivalence",
 ]
@@ -149,49 +151,55 @@ def _corner_values(coeffs: np.ndarray, basis: dg.DgBasis):
     return v_pp, v_mp, v_pm, v_mm
 
 
+@lru_cache(maxsize=256)
+def map_stencil_1d(K: int, weights: tuple[float, float]) -> np.ndarray:
+    """Block row [T_-1 | T_0 | 0] of the periodic 1-d DG-to-AF map on the
+    modes of cells i-1, i, i+1, read-only: the point value left of cell i
+    is w+ q_{i-1}^+ + w- q_i^- for the one-sided weights (w+, w-), and the
+    moments transfer modally.  Built from ``dg.dg_basis`` and
+    ``moment_transfer_matrix`` alone, never from the AF operators.
+    """
+    b = dg.dg_basis(K)
+    w_plus, w_minus = weights
+    T = np.zeros((K + 1, 3 * (K + 1)))
+    T[0, :K + 1] = w_plus * b.value_right
+    T[0, K + 1:2 * K + 2] = w_minus * b.value_left
+    T[1:, K + 1:2 * K + 2] = moment_transfer_matrix(K)
+    T.flags.writeable = False
+    return T
+
+
 def map_dg_to_af_2d(state: DgState2D, alpha: tuple[float, float],
                     beta: tuple[float, float], check_consistency: bool = True,
                     qhat: tuple | None = None) -> AfState2D:
-    """Corner/edge/average dofs of tensorial AF from the DG approximation.
+    """Corner/edge/moment dofs of tensorial AF from a periodic DG state.
 
-    Corners combine the four one-sided corner traces with the alpha/beta
-    products; edge dofs are tangential moments of the weighted interface
-    traces; interior moments transfer tensor-modally.  The two ways of
-    evaluating a corner through the weighted edge traces must agree
-    (consistency of the corner definition); a violation is an internal
-    error.  The identification is stated for K = 1; the tensor form here
-    extends it verbatim to K >= 2 and the verifier confirms the update
-    equations still agree (an open question answered numerically).
-    ``qhat`` is the caller's ``dg.qhat_interfaces_2d`` pair, if it has one.
+    The map is T (x) T of the 1-d map (``map_stencil_1d``) with the alpha
+    weights in x and the beta weights in y, applied by ``mesh.kron_apply``:
+    corners combine the four one-sided corner traces with the alpha/beta
+    products, edge dofs are tangential moments of the weighted interface
+    traces and interior moments transfer tensor-modally.  The two ways of
+    evaluating a corner through the weighted edge traces of
+    ``dg.qhat_interfaces_2d`` must agree with the mapped node (consistency
+    of the corner definition); a violation is an internal error.  The
+    identification is stated for K = 1; the tensor form extends it
+    verbatim to K >= 2 and the verifier confirms the update equations
+    still agree (an open question answered numerically).  ``qhat`` is the
+    caller's ``dg.qhat_interfaces_2d`` pair for that check, if it has one.
     """
     if state.K < 1:
         raise ValueError("the 2-d identification needs K >= 1")
+    if not state.periodic:
+        raise ValueError("the 2-d DG-to-AF map is periodic-only")
     check_weights(alpha)
     check_weights(beta)
-    ap, am = alpha
-    bp, bm = beta
-    basis = dg.dg_basis(state.K)
-    c = state.coeffs
     K = state.K
-
-    v_pp, v_mp, v_pm, v_mm = _corner_values(c, basis)
-    nodes = (ap * bp * np.roll(v_pp, (1, 1), axis=(0, 1))
-             + am * bp * np.roll(v_mp, (0, 1), axis=(0, 1))
-             + ap * bm * np.roll(v_pm, (1, 0), axis=(0, 1))
-             + am * bm * v_mm)
-
-    qhat_x, qhat_y = qhat or dg.qhat_interfaces_2d(state, alpha, beta)
-    T = moment_transfer_matrix(K)
-    x_edge = np.einsum("kn,ajn->ajk", T, qhat_x)
-    y_edge = np.einsum("km,ibm->ibk", T, qhat_y)
-    cell_moments = np.einsum("km,ln,ijmn->ijkl",
-                             T, T, c)
-
-    out = AfState2D(state.grid, K, nodes, x_edge, y_edge, cell_moments,
-                    state.periodic)
+    out = AfState2D.from_tensor(state.grid, K, kron_apply(
+        state.U, map_stencil_1d(K, tuple(alpha)),
+        map_stencil_1d(K, tuple(beta))))
     if check_consistency:
-        res = corner_consistency_residual(state, alpha, beta, nodes,
-                                          (qhat_x, qhat_y))
+        res = corner_consistency_residual(state, alpha, beta,
+                                          out.node_values, qhat)
         if res > 1e-12:
             raise RuntimeError(f"corner consistency violated: {res:.3e}")
     return out
@@ -315,15 +323,7 @@ def dg_induced_af_derivative_2d(state: DgState2D, ux: float, uy: float,
                                 beta: tuple[float, float]):
     """DG-induced time derivatives of the mapped tensorial dofs."""
     dstate = dg.dg_rhs_2d(state, ux, uy, partials_x, partials_y)
-    dstate = _cell_major(state.grid, state.K, dstate.coeffs)
     return map_dg_to_af_2d(dstate, alpha, beta, check_consistency=False)
-
-
-def _cell_major(grid: Grid2D, K: int, coeffs: np.ndarray) -> DgState2D:
-    """A DG state around a cell-major copy of coeffs[i, j, m, n]: the
-    verifier's contractions read the modes of each cell contiguously."""
-    return DgState2D.from_tensor(
-        grid, K, np.ascontiguousarray(coeffs).swapaxes(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +608,7 @@ def _random_dg_state_2d(K, n, seed):
     rng = np.random.default_rng(seed)
     grid = Grid2D.square(n)
     coeffs = rng.uniform(-1.0, 1.0, (n, n, K + 1, K + 1))
-    return _cell_major(grid, K, coeffs)
+    return DgState2D(grid, K, coeffs)
 
 
 def _verify_2d(s: EquivSetting) -> EquivalenceReport:

@@ -1,7 +1,10 @@
 """Cartesian grids, dof containers for AF and DG, dof bookkeeping, the
 per-family cell projections, and the stencil applies shared by both
-families: ``line_apply`` for the linear 1-d right-hand sides and the
-tensor-product ``kron_sum_apply`` for the 2-d ones.
+families: ``line_apply`` for the linear 1-d right-hand sides, the
+Kronecker sum ``kron_sum_apply`` for the 2-d ones and the Kronecker
+product ``kron_apply`` for the 2-d DG-to-AF map, T (x) T of its 1-d
+block row.  Both 2-d applies run one per-axis matmul against the stacked
+neighbours.
 
 States are plain value containers around numpy arrays; right-hand-side
 evaluation treats them as immutable.  Interface point values are stored
@@ -33,7 +36,7 @@ __all__ = [
     "simpson_edge_average", "simpson_midpoint",
     "fill_af_1d", "fill_dg_1d", "fill_af_2d", "fill_dg_2d",
     "af_cell_dofs_2d", "dg_cell_dofs_2d",
-    "axis_stencil", "line_apply", "kron_sum_apply", "roll_cells",
+    "axis_stencil", "line_apply", "kron_sum_apply", "kron_apply", "roll_cells",
     "state_rows", "save_state_csv",
 ]
 
@@ -462,21 +465,35 @@ def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
     (m, m) blocks like ``U.swapaxes(1, 2)``'s: x_lo[j] is cell (-1, j) and
     x_hi[j] cell (nx, j), y_lo[i] is cell (i, -1) and y_hi[i] cell (i, ny).
     """
-    U = np.ascontiguousarray(U)       # one copy for a view, such as cell-major
-    nx, m, ny, _ = U.shape
+    U = np.ascontiguousarray(U)       # one copy for a non-contiguous view
     x_lo, x_hi, y_lo, y_hi = (None,) * 4 if ghosts is None else ghosts
-    if sx is None:
-        out = np.zeros_like(U)
-    else:
+    out = np.zeros_like(U) if sx is None else _axis_apply(U, sx, 0, x_lo, x_hi)
+    if sy is not None:
+        out += _axis_apply(U, sy, 1, y_lo, y_hi)
+    return out
+
+
+def kron_apply(U: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """Apply ``Sx (x) Sy`` = (Sx (x) I)(I (x) Sy) to a periodic
+    tensor-product state U[i, a, j, b], with stencils as in
+    ``kron_sum_apply``: the y-apply, then the x-apply of its result."""
+    return _axis_apply(_axis_apply(U, sy, 1), sx, 0)
+
+
+def _axis_apply(U: np.ndarray, s: np.ndarray, axis: int, lo=None,
+                hi=None) -> np.ndarray:
+    """The stencil s along ``axis`` (0: x, 1: y) of the tensor
+    U[i, a, j, b], as one matmul against the stacked neighbours; ``lo``
+    and ``hi`` are ghost blocks as in ``kron_sum_apply``."""
+    nx, m, ny, _ = U.shape
+    if axis == 0:
         # a ghost block row of the x-apply is (a, j, b), as U[i] is
         W = _with_neighbours(U.reshape(nx, m, ny * m), 0,
                              *(g if g is None else g.swapaxes(0, 1)
-                               for g in (x_lo, x_hi)))
-        out = np.matmul(sx, W).reshape(U.shape)
-    if sy is not None:
-        W = _with_neighbours(U.reshape(nx * m, ny, m), 1, y_lo, y_hi)
-        out += np.matmul(W, sy.T).reshape(U.shape)
-    return out
+                               for g in (lo, hi)))
+        return np.matmul(s, W).reshape(U.shape)
+    W = _with_neighbours(U.reshape(nx * m, ny, m), 1, lo, hi)
+    return np.matmul(W, s.T).reshape(U.shape)
 
 
 def roll_cells(a: np.ndarray, shift: int) -> np.ndarray:

@@ -1,6 +1,12 @@
 """Test-only helpers: oracles that the package itself never calls."""
 
+import time
+from typing import Callable
+
 import numpy as np
+from numpy.polynomial import polynomial as npp
+
+from afdg import af, poly
 
 
 def eval_and_derivative(p, xi: float, dx: float) -> tuple:
@@ -16,3 +22,103 @@ def eigen_split(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Jp = (R * np.maximum(lam, 0.0)) @ Rinv
     Jm = (R * np.minimum(lam, 0.0)) @ Rinv
     return Jp.real, Jm.real
+
+
+def block_circulant(S: np.ndarray, n: int) -> np.ndarray:
+    """The dense n-cell periodic operator of the (m, 3m) block row
+    [L | D | R]: out_i = L U_{i-1} + D U_i + R U_{i+1}."""
+    m = S.shape[0]
+    A = np.zeros((n * m, n * m))
+    for i in range(n):
+        for block, shift in enumerate((-1, 0, 1)):
+            k = (i + shift) % n
+            A[i * m:(i + 1) * m, k * m:(k + 1) * m] += \
+                S[:, block * m:(block + 1) * m]
+    return A
+
+
+def project(f: Callable, K: int, kind: str = "l2",
+            rule: poly.QuadratureRule | None = None) -> poly.PolySpec:
+    """Project a function onto P^K on the reference cell.
+
+    ``l2`` matches moments against all of P^K; the Gauss-Radau variants
+    interpolate f at one endpoint (right endpoint for
+    ``gauss_radau_right``) and match moments against P^{K-1} only.
+    Non-polynomial integrands default to a 12-point Gauss-Legendre rule,
+    which exceeds every exactness requirement in scope.
+    """
+    if rule is None:
+        rule = poly.gauss_legendre_rule(12)
+    phis = [poly.legendre(n) for n in range(K + 1)]
+    mass = np.array([p.cell_integral() for p in (q * q for q in phis)])
+    fv = np.asarray(f(rule.nodes), dtype=float)
+    inner = np.array([np.dot(rule.weights, fv * p(rule.nodes)) for p in phis])
+
+    if kind == "l2":
+        coeffs_modal = inner / mass
+    elif kind in ("gauss_radau_left", "gauss_radau_right"):
+        if K < 1:
+            raise ValueError("Gauss-Radau projection requires K >= 1")
+        endpoint = 0.5 if kind == "gauss_radau_right" else -0.5
+        coeffs_modal = inner / mass
+        # replace the top mode so the endpoint value is interpolated
+        f_end = float(np.asarray(f(np.array([endpoint])))[0])
+        lower = sum(coeffs_modal[m] * phis[m](endpoint) for m in range(K))
+        coeffs_modal[K] = (f_end - lower) / phis[K](endpoint)
+    else:
+        raise ValueError(f"unknown projection kind {kind!r}")
+
+    out = np.zeros(K + 1)
+    for m in range(K + 1):
+        out[: m + 1] += coeffs_modal[m] * phis[m].coefficients
+    return poly.PolySpec(out)
+
+
+def radau_left_via_system(K: int) -> poly.PolySpec:
+    """R_L from its defining conditions as one linear solve, the
+    construction ``poly.radau_pair``'s Legendre half-difference is checked
+    against."""
+    n = K + 2
+    mat = np.zeros((n, n))
+    rhs = np.zeros(n)
+    xi_pow = lambda xi: xi ** np.arange(n)
+    mat[0] = xi_pow(0.5)          # R_L(1/2) = 0
+    mat[1] = xi_pow(-0.5)         # R_L(-1/2) = 1
+    rhs[1] = 1.0
+    for m in range(K):            # orthogonality against (2 xi)^m
+        w = poly.moment_weight(m)
+        mat[2 + m] = [poly.cell_integral(npp.polymul(w.coefficients,
+                                                     np.eye(n)[j]))
+                      for j in range(n)]
+    return poly.PolySpec(np.linalg.solve(mat, rhs))
+
+
+def af_reconstruct(state, cell: int) -> list:
+    """Cell polynomial(s) of an ``AfState1D``, one ``poly.PolySpec`` per
+    component."""
+    ops = af.af_ops(state.K)
+    dofs = af.cell_dof_tensor_1d(state)[cell]          # (K+2, m)
+    out = []
+    for c in range(state.n_components):
+        coeffs = np.zeros(state.K + 2)
+        for p, f in enumerate(ops.basis.functions()):
+            coeffs += dofs[p, c] * f.coefficients
+        out.append(poly.PolySpec(coeffs))
+    return out
+
+
+def planted_cost_slope(grids, cfl: float = 0.25, work_per_cell: int = 60):
+    """Scaling-oracle: a synthetic rhs of known linear cost, timed through
+    the same loop, must show the CFL-coupled 1.5 slope."""
+    taus = []
+    for n in grids:
+        n_cells = n * n
+        data = np.linspace(0.0, 1.0, n_cells * work_per_cell)
+        steps = int(np.ceil(0.1 / (cfl / n)))
+        t0 = time.perf_counter()
+        for _ in range(steps):
+            data = np.sin(data) * 1e-3 + data
+        taus.append((n_cells, time.perf_counter() - t0))
+    xs = np.log([t[0] for t in taus])
+    ys = np.log([t[1] for t in taus])
+    return float(np.polyfit(xs, ys, 1)[0])

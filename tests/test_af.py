@@ -9,6 +9,7 @@ system branches apart.
 
 import numpy as np
 import pytest
+from helpers import af_reconstruct
 
 from afdg import af, dg, mesh, poly
 from afdg.mesh import AfState1D, DgState1D, Grid1D, Grid2D
@@ -69,7 +70,7 @@ def smooth_state_1d(K, n=16, lo=-1.0, hi=1.0, seed=0):
 
 def test_reconstruct_constant_partition_of_unity():
     state = mesh.fill_af_1d(Grid1D(0, 1, 4), 2, lambda x: np.ones_like(x))
-    p = af.af_reconstruct(state, 1)[0]
+    p = af_reconstruct(state, 1)[0]
     xs = np.linspace(-0.5, 0.5, 33)
     assert np.allclose(p(xs), 1.0, atol=1e-13)
 
@@ -78,7 +79,7 @@ def test_reconstruct_single_moment_dof_gives_s0():
     grid = Grid1D(0, 1, 3)
     state = AfState1D(grid, 1, np.zeros((3, 1)), np.zeros((3, 1, 1)))
     state.moments[1, 0, 0] = 1.0
-    p = af.af_reconstruct(state, 1)[0]
+    p = af_reconstruct(state, 1)[0]
     xs = np.linspace(-0.5, 0.5, 21)
     assert np.allclose(p(xs), 1.5 - 6.0 * xs ** 2, atol=1e-13)
 
@@ -87,8 +88,8 @@ def test_adjacent_cells_share_interface_value():
     # sharedness is structural (one stored dof); evaluating the two cell
     # polynomials at the face re-derives it up to basis roundoff
     state = smooth_state_1d(2, seed=3)
-    left = af.af_reconstruct(state, 4)[0](0.5)
-    right = af.af_reconstruct(state, 5)[0](-0.5)
+    left = af_reconstruct(state, 4)[0](0.5)
+    right = af_reconstruct(state, 5)[0](-0.5)
     assert left == pytest.approx(right, abs=1e-14)
     assert left == pytest.approx(state.point_values[5, 0], abs=1e-14)
 

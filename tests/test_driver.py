@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from helpers import planted_cost_slope
 
 from afdg import af, cli, dg, driver, mesh, timeint
 from afdg.driver import RunConfig
@@ -339,7 +340,7 @@ def test_dof_table_rows():
 
 
 def test_planted_cost_slope():
-    slope = driver.planted_cost_slope((12, 24, 48))
+    slope = planted_cost_slope((12, 24, 48))
     assert slope == pytest.approx(1.5, abs=0.25)
 
 

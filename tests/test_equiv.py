@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from helpers import block_circulant
 
 from afdg import af, dg, equiv, mesh, poly
 from afdg.equiv import EquivSetting, verify_equivalence
-from afdg.mesh import DgState1D, DgState2D, Grid1D, Grid2D
+from afdg.mesh import AfState2D, DgState1D, DgState2D, Grid1D, Grid2D
 from afdg.problems import (NumericalFluxSpec, acoustics2x2, advection1d,
-                           builtin_problems, burgers)
+                           builtin_problems, burgers, check_weights, flux_spec)
 
 UP = NumericalFluxSpec.upwind()
 
@@ -226,6 +227,98 @@ def test_report_is_deterministic():
 
 # ---------------------------------------------------------------------------
 # 2-d mapping and verifier
+
+
+def einsum_map_dg_to_af_2d(state, alpha, beta, check_consistency=True,
+                           qhat=None):
+    """The 2-d DG-to-AF map as the package assembled it before it became
+    T (x) T of the 1-d block rows, kept unchanged as a reference: corners
+    from the four one-sided corner values, edge dofs as moments of the
+    weighted interface traces, interior moments by tensor-modal transfer."""
+    if state.K < 1:
+        raise ValueError("the 2-d identification needs K >= 1")
+    check_weights(alpha)
+    check_weights(beta)
+    ap, am = alpha
+    bp, bm = beta
+    basis = dg.dg_basis(state.K)
+    c = state.coeffs
+    K = state.K
+
+    v_pp, v_mp, v_pm, v_mm = equiv._corner_values(c, basis)
+    nodes = (ap * bp * np.roll(v_pp, (1, 1), axis=(0, 1))
+             + am * bp * np.roll(v_mp, (0, 1), axis=(0, 1))
+             + ap * bm * np.roll(v_pm, (1, 0), axis=(0, 1))
+             + am * bm * v_mm)
+
+    qhat_x, qhat_y = qhat or dg.qhat_interfaces_2d(state, alpha, beta)
+    T = equiv.moment_transfer_matrix(K)
+    x_edge = np.einsum("kn,ajn->ajk", T, qhat_x)
+    y_edge = np.einsum("km,ibm->ibk", T, qhat_y)
+    cell_moments = np.einsum("km,ln,ijmn->ijkl",
+                             T, T, c)
+
+    out = AfState2D(state.grid, K, nodes, x_edge, y_edge, cell_moments,
+                    state.periodic)
+    if check_consistency:
+        res = equiv.corner_consistency_residual(state, alpha, beta, nodes,
+                                                (qhat_x, qhat_y))
+        if res > 1e-12:
+            raise RuntimeError(f"corner consistency violated: {res:.3e}")
+    return out
+
+
+# Lax-Friedrichs at u = -0.6, a = 1.1: weights outside [0, 1]
+LF_WEIGHTS = flux_spec("lax_friedrichs", a=1.1).advection_weights(-0.6)
+MAP_WEIGHTS = [((1.0, 0.0), (0.0, 1.0)), ((0.8, 0.2), (0.6, 0.4)),
+               ((0.5, 0.5), (0.5, 0.5)), (LF_WEIGHTS, LF_WEIGHTS)]
+
+
+@pytest.mark.parametrize("alpha,beta", MAP_WEIGHTS)
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_map_2d_matches_einsum_reference(K, alpha, beta):
+    rng = np.random.default_rng(K)
+    for grid in (Grid2D(0, 1, 7, 0, 1.5, 5), Grid2D(0, 1, 3, 0, 1, 4),
+                 Grid2D.square(16)):
+        shape = (grid.n_cells_x, grid.n_cells_y, K + 1, K + 1)
+        state = DgState2D(grid, K, rng.uniform(-1, 1, shape))
+        want = einsum_map_dg_to_af_2d(state, alpha, beta).U
+        got = equiv.map_dg_to_af_2d(state, alpha, beta).U
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alpha,beta", MAP_WEIGHTS)
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_map_2d_is_the_dense_kronecker_product(K, alpha, beta):
+    """mapped U = (Tx (x) Ty) U_dg with Tx, Ty the block-circulant
+    matrices of the 1-d block rows, on a 4 x 3 grid."""
+    grid = Grid2D(0, 1, 4, 0, 1, 3)
+    state = DgState2D(grid, K, np.random.default_rng(K).uniform(
+        -1, 1, (4, 3, K + 1, K + 1)))
+    Tx = block_circulant(equiv.map_stencil_1d(K, alpha), 4)
+    Ty = block_circulant(equiv.map_stencil_1d(K, beta), 3)
+    got = equiv.map_dg_to_af_2d(state, alpha, beta).U.ravel()
+    assert np.allclose(got, np.kron(Tx, Ty) @ state.U.ravel(), rtol=0,
+                       atol=1e-14 * np.max(np.abs(got)))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_map_stencil_is_cached_and_read_only(K):
+    T = equiv.map_stencil_1d(K, (0.8, 0.2))
+    assert T.shape == (K + 1, 3 * (K + 1))
+    assert equiv.map_stencil_1d(K, (0.8, 0.2)) is T
+    assert not T.flags.writeable
+    # no cell i+1 block: the map reads a cell and its left neighbour
+    assert not np.any(T[:, 2 * (K + 1):])
+
+
+def test_map_2d_refuses_a_non_periodic_state():
+    """A non-periodic AF state has n+1 cells per axis; the map's n x n
+    periodic tensor would be mislabeled as one."""
+    state = random_dg_2d(seed=27)
+    state = DgState2D.from_tensor(state.grid, 1, state.U, periodic=False)
+    with pytest.raises(ValueError, match="periodic"):
+        equiv.map_dg_to_af_2d(state, (1.0, 0.0), (1.0, 0.0))
 
 
 def test_map_2d_constant():

@@ -9,12 +9,13 @@ one speed zero, every grid line evolves under the 1-d operator.
 
 import numpy as np
 import pytest
+from helpers import block_circulant
 
 from afdg import af, dg
 from afdg.af import af_ops
 from afdg.dg import dg_basis, qhat_interfaces_2d
 from afdg.mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid2D,
-                       kron_sum_apply)
+                       kron_apply, kron_sum_apply)
 from afdg.problems import (FLUX_NAMES, NumericalFluxSpec, advection1d,
                            flux_spec)
 
@@ -137,24 +138,28 @@ def test_kron_sum_apply_is_the_dense_kronecker_sum():
     nx, ny, m = 4, 3, 2
     sx, sy = rng.normal(size=(m, 3 * m)), rng.normal(size=(m, 3 * m))
     U = rng.normal(size=(nx, m, ny, m))
+    Ax, Ay = block_circulant(sx, nx), block_circulant(sy, ny)
 
-    def circulant(S, n):
-        A = np.zeros((n * m, n * m))
-        for i in range(n):
-            for block, shift in enumerate((-1, 0, 1)):
-                k = (i + shift) % n
-                A[i * m:(i + 1) * m, k * m:(k + 1) * m] += \
-                    S[:, block * m:(block + 1) * m]
-        return A
-
-    dense = (np.kron(circulant(sx, nx), np.eye(ny * m))
-             + np.kron(np.eye(nx * m), circulant(sy, ny)))
+    dense = np.kron(Ax, np.eye(ny * m)) + np.kron(np.eye(nx * m), Ay)
     want = (dense @ U.ravel()).reshape(U.shape)
     assert np.allclose(kron_sum_apply(U, sx, sy), want, atol=1e-13)
     assert np.allclose(kron_sum_apply(U, sx, None),
-                       (np.kron(circulant(sx, nx), np.eye(ny * m))
+                       (np.kron(Ax, np.eye(ny * m))
                         @ U.ravel()).reshape(U.shape), atol=1e-13)
     assert not np.any(kron_sum_apply(U, None, None))
+
+
+def test_kron_apply_is_the_dense_kronecker_product():
+    rng = np.random.default_rng(7)
+    nx, ny, m = 4, 3, 2
+    sx, sy = rng.normal(size=(m, 3 * m)), rng.normal(size=(m, 3 * m))
+    U = rng.normal(size=(nx, m, ny, m))
+    want = np.kron(block_circulant(sx, nx), block_circulant(sy, ny)) @ U.ravel()
+    assert np.allclose(kron_apply(U, sx, sy), want.reshape(U.shape),
+                       atol=1e-13)
+    # a view of the tensor, such as the transpose of cell-major blocks
+    view = np.ascontiguousarray(U.swapaxes(1, 2)).swapaxes(1, 2)
+    assert np.array_equal(kron_apply(view, sx, sy), kron_apply(U, sx, sy))
 
 
 def test_kron_sum_apply_with_ghosts_is_the_dense_operator():

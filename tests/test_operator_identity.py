@@ -11,7 +11,9 @@ of z^-2 .. z^1 hold; then the identity holds on every grid of n >= 3 cells
 and for every state.  T is read off ``equiv.map_dg_to_af_1d`` one column
 at a time, so both stencils and the map enter exactly as the code has
 them, and the block rows of ``af.af_rhs_1d`` and ``dg.dg_rhs_1d`` are read
-the same way and must be these stencils.  A linear system's stencils are
+the same way and must be these stencils.  The block row [T_-1 | T_0 | 0]
+that the 2-d map T (x) T is built from (``equiv.map_stencil_1d``) must be
+this T as well.  A linear system's stencils are
 the Kronecker sums (S_u (x) J + S_L (x) d_L + S_R (x) d_R) / h on the
 (dof, component) pairs of a cell.
 """
@@ -128,6 +130,19 @@ def test_the_1d_right_hand_sides_apply_the_certified_stencils(K, name, ap, u):
     S_dg, S_af = stencils(K, u, flux)
     assert np.array_equal(rows_dg, S_dg)
     assert np.array_equal(rows_af, S_af)
+
+
+@pytest.mark.parametrize("u", [1.0, -0.6])
+@pytest.mark.parametrize("name,ap", FLUXES)
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_the_2d_map_is_built_from_the_certified_1d_map(K, name, ap, u):
+    """The 2-d map is T (x) T of ``equiv.map_stencil_1d``; that block row
+    is [T_-1 | T_0 | 0] of the 1-d map this certificate reads."""
+    flux = flux_for(name, ap, u)
+    T0, Tm1 = map_blocks(K, flux, advection1d(u))
+    got = equiv.map_stencil_1d(K, flux.advection_weights(u))
+    want = np.hstack([Tm1, T0, np.zeros_like(T0)])
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 # acoustics at c = 1.3; Lax-Friedrichs at a = c splits J as upwind does

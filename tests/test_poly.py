@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import eval_and_derivative
+from helpers import eval_and_derivative, project, radau_left_via_system
 
 from afdg import poly
 
@@ -130,7 +130,7 @@ def test_radau_orthogonality(K):
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
 def test_radau_construction_cross_check(K):
     r_l, _ = poly.radau_pair(K)
-    r_l_sys = poly._radau_left_via_system(K)
+    r_l_sys = radau_left_via_system(K)
     scale = max(1.0, np.max(np.abs(r_l.coefficients)))
     assert np.max(np.abs(r_l.coefficients - r_l_sys.coefficients)) <= 1e-13 * scale
 
@@ -141,8 +141,8 @@ def test_radau_rejects_k0():
 
 
 def test_radau_pair_is_cached_and_read_only():
-    """One shared pair per K (the cross-check solve runs once), so its
-    coefficients must not be writable; K = 0 still raises on every call."""
+    """One shared pair per K, so its coefficients must not be writable;
+    K = 0 still raises on every call."""
     assert poly.radau_pair(2) is poly.radau_pair(2)
     for p in poly.radau_pair(2):
         assert not p.coefficients.flags.writeable
@@ -285,7 +285,7 @@ def test_project_reproduces_polynomials():
     for K in (1, 2, 3):
         c = rng.uniform(-1, 1, K + 1)
         f = lambda xi: np.polynomial.polynomial.polyval(xi, c)
-        got = poly.project(f, K, "l2")
+        got = project(f, K, "l2")
         xs = np.linspace(-0.5, 0.5, 20)
         assert np.allclose(got(xs), f(xs), atol=1e-13)
 
@@ -293,16 +293,16 @@ def test_project_reproduces_polynomials():
 def test_project_gauss_radau_endpoint():
     for K in (1, 2, 3):
         f = lambda xi: xi ** (K + 1)
-        got = poly.project(f, K, "gauss_radau_right")
+        got = project(f, K, "gauss_radau_right")
         assert got(0.5) == pytest.approx(0.5 ** (K + 1), abs=1e-13)
-        got_l = poly.project(f, K, "gauss_radau_left")
+        got_l = project(f, K, "gauss_radau_left")
         assert got_l(-0.5) == pytest.approx((-0.5) ** (K + 1), abs=1e-13)
 
 
 def test_project_gauss_radau_moments():
     f = np.sin
     K = 3
-    p = poly.project(f, K, "gauss_radau_right")
+    p = project(f, K, "gauss_radau_right")
     rule = poly.gauss_legendre_rule(20)
     for m in range(K):
         resid = np.dot(rule.weights,
@@ -312,7 +312,7 @@ def test_project_gauss_radau_moments():
 
 def test_project_sin_against_quadrature_oracle():
     K = 2
-    p = poly.project(np.sin, K, "l2")
+    p = project(np.sin, K, "l2")
     # brute force: 50-point rule, modal coefficients by orthogonality
     rule = poly.gauss_legendre_rule(50)
     xs = np.linspace(-0.5, 0.5, 11)
@@ -327,7 +327,7 @@ def test_project_sin_against_quadrature_oracle():
 
 def test_project_gauss_radau_rejects_k0():
     with pytest.raises(ValueError):
-        poly.project(np.sin, 0, "gauss_radau_right")
+        project(np.sin, 0, "gauss_radau_right")
 
 
 def test_gauss_radau_projection_integral_property():
@@ -336,7 +336,7 @@ def test_gauss_radau_projection_integral_property():
     for K in (1, 2, 3):
         c = rng.uniform(-1, 1, 2 * K + 1)
         f = lambda xi: np.polynomial.polynomial.polyval(xi, c)
-        p = poly.project(f, K, "gauss_radau_right",
+        p = project(f, K, "gauss_radau_right",
                          rule=poly.gauss_legendre_rule(12))
         exact = poly.cell_integral(c)
         assert p.cell_integral() == pytest.approx(exact, abs=1e-12)
