@@ -170,8 +170,8 @@ def map_stencil_1d(K: int, weights: tuple[float, float]) -> np.ndarray:
 
 
 def map_dg_to_af_2d(state: DgState2D, alpha: tuple[float, float],
-                    beta: tuple[float, float], check_consistency: bool = True,
-                    qhat: tuple | None = None) -> AfState2D:
+                    beta: tuple[float, float], check_consistency: bool = True
+                    ) -> AfState2D:
     """Corner/edge/moment dofs of tensorial AF from a periodic DG state.
 
     The map is T (x) T of the 1-d map (``map_stencil_1d``) with the alpha
@@ -184,8 +184,8 @@ def map_dg_to_af_2d(state: DgState2D, alpha: tuple[float, float],
     of the corner definition); a violation is an internal error.  The
     identification is stated for K = 1; the tensor form extends it
     verbatim to K >= 2 and the verifier confirms the update equations
-    still agree (an open question answered numerically).  ``qhat`` is the
-    caller's ``dg.qhat_interfaces_2d`` pair for that check, if it has one.
+    still agree (an open question answered numerically).
+    ``check_consistency=False`` skips that check.
     """
     if state.K < 1:
         raise ValueError("the 2-d identification needs K >= 1")
@@ -198,8 +198,7 @@ def map_dg_to_af_2d(state: DgState2D, alpha: tuple[float, float],
         state.U, map_stencil_1d(K, tuple(alpha)),
         map_stencil_1d(K, tuple(beta))))
     if check_consistency:
-        res = corner_consistency_residual(state, alpha, beta,
-                                          out.node_values, qhat)
+        res = corner_consistency_residual(state, alpha, beta, out.node_values)
         if res > 1e-12:
             raise RuntimeError(f"corner consistency violated: {res:.3e}")
     return out
@@ -209,7 +208,8 @@ def corner_consistency_residual(state: DgState2D, alpha, beta,
                                 nodes: np.ndarray | None = None,
                                 qhat: tuple | None = None) -> float:
     """Max gap between the two weighted-trace expressions for the corner
-    (and the mapped ``nodes``); ``qhat`` as in ``map_dg_to_af_2d``."""
+    (and the mapped ``nodes``); ``qhat`` is the caller's
+    ``dg.qhat_interfaces_2d`` pair, if it has one."""
     ap, am = alpha
     bp, bm = beta
     basis = dg.dg_basis(state.K)
@@ -293,7 +293,7 @@ def reconstruct_af_2d_from_dg(state: DgState2D, alpha, beta
         raise ValueError("the 2-d reconstruction identity is built for K = 1")
     basis = dg.dg_basis(state.K)
     qhat_x, qhat_y = dg.qhat_interfaces_2d(state, alpha, beta)
-    mapped = map_dg_to_af_2d(state, alpha, beta, False, (qhat_x, qhat_y))
+    mapped = map_dg_to_af_2d(state, alpha, beta, check_consistency=False)
     v_pp, v_mp, v_pm, v_mm = _corner_values(state.coeffs, basis)
 
     qx_t = np.einsum("ajn,n->aj", qhat_x, basis.value_right)

@@ -3,8 +3,9 @@ per-family cell projections, and the stencil applies shared by both
 families: ``line_apply`` for the linear 1-d right-hand sides, the
 Kronecker sum ``kron_sum_apply`` for the 2-d ones and the Kronecker
 product ``kron_apply`` for the 2-d DG-to-AF map, T (x) T of its 1-d
-block row.  Both 2-d applies run one per-axis matmul against the stacked
-neighbours.
+block row.  Every apply runs one matmul per axis against the stacked
+neighbours [V_{i-1}; V_i; V_{i+1}], built as one gather (``take``) of a
+cached (n, 3) row index, periodic or with ghost blocks.
 
 States are plain value containers around numpy arrays; right-hand-side
 evaluation treats them as immutable.  Interface point values are stored
@@ -166,6 +167,16 @@ class _TensorState2D:
     ``from_tensor`` and ``with_arrays`` wrap a given tensor (or a view,
     such as the transpose of cell-major blocks) without copying."""
 
+    @classmethod
+    def from_tensor(cls, grid: Grid2D, K: int, U: np.ndarray,
+                    periodic: bool = True):
+        state = object.__new__(cls)
+        state.grid, state.K, state.U, state.periodic = grid, K, U, periodic
+        return state
+
+    def with_arrays(self, arrays):
+        return self.from_tensor(self.grid, self.K, arrays[0], self.periodic)
+
     def arrays(self):
         return [self.U]
 
@@ -182,17 +193,6 @@ class DgState2D(_TensorState2D):
         self.grid, self.K, self.periodic = grid, K, periodic
         self.U = np.empty((nx, K + 1, ny, K + 1))
         self.coeffs[...] = coeffs
-
-    @classmethod
-    def from_tensor(cls, grid: Grid2D, K: int, U: np.ndarray,
-                    periodic: bool = True) -> "DgState2D":
-        state = object.__new__(cls)
-        state.grid, state.K, state.U, state.periodic = grid, K, U, periodic
-        return state
-
-    def with_arrays(self, arrays) -> "DgState2D":
-        return DgState2D.from_tensor(self.grid, self.K, arrays[0],
-                                     self.periodic)
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -219,17 +219,6 @@ class AfState2D(_TensorState2D):
         for view, values in zip(self._fields, (node_values, x_edge, y_edge,
                                                cell_moments)):
             view[...] = values
-
-    @classmethod
-    def from_tensor(cls, grid: Grid2D, K: int, U: np.ndarray,
-                    periodic: bool = True) -> "AfState2D":
-        state = object.__new__(cls)
-        state.grid, state.K, state.U, state.periodic = grid, K, U, periodic
-        return state
-
-    def with_arrays(self, arrays) -> "AfState2D":
-        return AfState2D.from_tensor(self.grid, self.K, arrays[0],
-                                     self.periodic)
 
     @cached_property
     def _fields(self) -> tuple:
@@ -456,7 +445,8 @@ def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
     U has shape (nx, m, ny, m): cell i, x-dof a, cell j, y-dof b.  A
     stencil is the (m, 3m) block row [L | D | R] of a block-circulant 1-d
     operator, out_i = L U_{i-1} + D U_i + R U_{i+1}; it acts along its
-    axis as one matmul against the stacked neighbours.  ``None`` skips the
+    axis as one matmul against the stacked neighbours, one gather of a
+    cached row index (``_with_neighbours``).  ``None`` skips the
     axis.  Both matmuls are batches of small products (one per x-cell, or
     per x-cell and x-dof), so BLAS runs them on the calling thread.
 
@@ -483,8 +473,9 @@ def kron_apply(U: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
 def _axis_apply(U: np.ndarray, s: np.ndarray, axis: int, lo=None,
                 hi=None) -> np.ndarray:
     """The stencil s along ``axis`` (0: x, 1: y) of the tensor
-    U[i, a, j, b], as one matmul against the stacked neighbours; ``lo``
-    and ``hi`` are ghost blocks as in ``kron_sum_apply``."""
+    U[i, a, j, b], as one matmul against the stacked neighbours, which
+    are one gather of the cached row index; ``lo`` and ``hi`` are ghost
+    blocks as in ``kron_sum_apply``."""
     nx, m, ny, _ = U.shape
     if axis == 0:
         # a ghost block row of the x-apply is (a, j, b), as U[i] is
@@ -508,20 +499,31 @@ def roll_cells(a: np.ndarray, shift: int) -> np.ndarray:
 
 def _with_neighbours(V: np.ndarray, axis: int, lo=None, hi=None) -> np.ndarray:
     """[V_{i-1}; V_i; V_{i+1}] along ``axis``, stacked on the axis after it
-    (which grows from m to 3m); ``lo`` and ``hi`` are V_{-1} and V_n, the
-    periodic wrap when None."""
-    W = np.empty(V.shape[:axis + 1] + (3,) + V.shape[axis + 1:])
-    # the cell axis first (as np.moveaxis would, at a fraction of its cost)
-    src = V.swapaxes(0, axis)
-    dst = W.swapaxes(0, axis).swapaxes(1, axis + 1)
-    dst[1:, 0] = src[:-1]
-    dst[0, 0] = src[-1] if lo is None else np.reshape(lo, src.shape[1:])
-    dst[:, 1] = src
-    dst[:-1, 2] = src[1:]
-    dst[-1, 2] = src[0] if hi is None else np.reshape(hi, src.shape[1:])
+    (which grows from m to 3m), as one gather of the cached row index;
+    ``lo`` and ``hi`` are V_{-1} and V_n, the periodic wrap when None."""
+    if (lo is None) != (hi is None):
+        raise ValueError("ghost blocks come in pairs: lo and hi, or neither")
     shape = list(V.shape)
     shape[axis + 1] *= 3
-    return W.reshape(shape)
+    if lo is not None:
+        ghost = V.shape[:axis] + (1,) + V.shape[axis + 1:]
+        V = np.concatenate((V, np.reshape(lo, ghost), np.reshape(hi, ghost)),
+                           axis=axis)
+    idx = _neighbour_index(shape[axis], lo is not None)
+    return V.take(idx, axis=axis).reshape(shape)
+
+
+@lru_cache(maxsize=None)
+def _neighbour_index(n: int, ghosts: bool) -> np.ndarray:
+    """Read-only (n, 3) rows (i-1, i, i+1) of cell i: wrapped mod n, or
+    with ghosts pointing at rows n (cell -1) and n+1 (cell n) at the ends."""
+    idx = np.arange(n)[:, None] + np.arange(-1, 2)
+    if ghosts:
+        idx[0, 0], idx[-1, 2] = n, n + 1
+    else:
+        idx %= n
+    idx.flags.writeable = False
+    return idx
 
 
 # ---------------------------------------------------------------------------

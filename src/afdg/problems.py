@@ -236,6 +236,9 @@ def numerical_flux(spec: NumericalFluxSpec, problem: ProblemSpec, q_l, q_r):
             # constant-Jacobian systems: J+ q_L + J- q_R
             Jp, Jm = problem.split(q_l)
             return q_l @ Jp.T + q_r @ Jm.T
+        if problem.advection_speed is not None:
+            # a constant speed never changes sign: no sonic check
+            return np.where(problem.advection_speed >= 0, f_l, f_r)
         jm = problem.jacobian(0.5 * (q_l + q_r))
         if np.any(jm > 0) and np.any(jm < 0):
             raise ValueError("upwind flux undefined across a sonic state")
@@ -266,6 +269,12 @@ def flux_partials(spec: NumericalFluxSpec, problem: ProblemSpec, q_l, q_r):
     if spec.kind == "upwind":
         if not problem.is_scalar:
             return problem.split(q_l)
+        u = problem.advection_speed
+        if u is not None:
+            # a constant speed: one side's partial is u, the other's 0
+            shape = np.broadcast_shapes(q_l.shape, q_r.shape)
+            d, zero = np.full(shape, float(u)), np.zeros(shape)
+            return (d, zero) if u >= 0 else (zero, d)
         jm = problem.jacobian(0.5 * (q_l + q_r))
         if np.any(jm > 0) and np.any(jm < 0):
             raise ValueError("upwind partials undefined across a sonic state")

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from helpers import neighbour_stack
 
 from afdg import af, mesh, poly
 from afdg.mesh import Grid1D, Grid2D, dof_counts
+from afdg.problems import NumericalFluxSpec, acoustics2x2, flux_partials
 
 # every populated entry of the method-overview table, frozen
 AF_TABLE = {
@@ -134,6 +136,67 @@ def test_fill_af_2d_duality_roundtrip():
             got = np.einsum("ijb,b->ij", vals[:, :, 0, :], w)
             want = np.roll(state.x_edge[:, :, k], -1, axis=0)
             assert np.allclose(got, want, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the neighbour stack of every stencil apply
+
+
+def _stack_operands(n, m, axis, seed):
+    """A state V with n cells along ``axis`` and the ghost blocks of the
+    stencil applies: V[i, a, rest] (x-apply) or V[rest, j, b] (y-apply)."""
+    rng = np.random.default_rng(seed)
+    shape = (n, m, 5 * m) if axis == 0 else (7 * m, n, m)
+    ghost = shape[:axis] + shape[axis + 1:]
+    return (rng.standard_normal(shape), rng.standard_normal(ghost),
+            rng.standard_normal(ghost))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_neighbour_gather_is_the_rolled_stack(n, m, axis):
+    V, lo, hi = _stack_operands(n, m, axis, seed=10 * n + m)
+    for ghosts in ((), (lo, hi)):
+        got = mesh._with_neighbours(V, axis, *ghosts)
+        want = neighbour_stack(V, axis, *ghosts)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ghosts", [False, True])
+def test_neighbour_index_is_cached_and_read_only(ghosts):
+    idx = mesh._neighbour_index(5, ghosts)
+    assert idx is mesh._neighbour_index(5, ghosts)
+    assert idx.shape == (5, 3) and not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0, 0] = 0
+    assert idx[0, 0] == (5 if ghosts else 4)
+    assert idx[-1, 2] == (6 if ghosts else 0)
+
+
+def test_one_sided_ghost_pair_is_refused():
+    V, lo, hi = _stack_operands(4, 2, 1, seed=3)
+    with pytest.raises(ValueError, match="pairs"):
+        mesh._with_neighbours(V, 1, lo, None)
+    with pytest.raises(ValueError, match="pairs"):
+        mesh._with_neighbours(V, 1, None, hi)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_two_component_line_apply_sees_the_rolled_stack(K):
+    """The acoustics2x2 stencil acts on (dof, component) pairs; the gather
+    hands its GEMM the reference stack bit for bit."""
+    problem = acoustics2x2(1.3)
+    J = problem.jacobian(0.0)
+    partials = flux_partials(NumericalFluxSpec.upwind(), problem, 0.0, 0.0)
+    blocks = af.af_stencil_1d(K)
+    V = np.random.default_rng(K).standard_normal((9, K + 1, 2))
+    got = mesh.line_apply(blocks, J, partials, 0.1, V)
+    S = sum(np.kron(b, a) for b, a in zip(blocks, (J, *partials))) / 0.1
+    want = (neighbour_stack(V, 0).reshape(9, -1) @ S.T).reshape(V.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

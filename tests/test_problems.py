@@ -1,5 +1,7 @@
 """Fluxes, Jacobian splittings and flux inversion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers import eigen_split
@@ -143,6 +145,37 @@ def test_upwind_partials_positive_branch():
     qr = np.array([[1.5]])
     dl, dr = flux_partials(NumericalFluxSpec.upwind(), prob, ql, qr)
     assert dl == pytest.approx(1.0) and dr == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("u", [1.7, -0.6, 0.0, -0.0, 2])
+@pytest.mark.parametrize("shapes", [((), ()), ((64, 1), (64, 1)),
+                                    ((4, 1), (1, 3)), ((), (5,))])
+def test_constant_speed_upwind_matches_the_generic_path(u, shapes):
+    """Advection's upwind flux and partials skip the sonic check; without
+    its ``advection_speed`` the same problem takes the generic path, and
+    the two agree in shape, dtype and every bit."""
+    prob = builtin_problems()["advection1d"](u=u)
+    generic = dataclasses.replace(prob, advection_speed=None)
+    rng = np.random.default_rng(21)
+    ql, qr = (rng.uniform(-1, 1, s) if s else 0.25 for s in shapes)
+    up = NumericalFluxSpec.upwind()
+    pairs = [(numerical_flux(up, prob, ql, qr),
+              numerical_flux(up, generic, ql, qr)),
+             *zip(flux_partials(up, prob, ql, qr),
+                  flux_partials(up, generic, ql, qr))]
+    for got, want in pairs:
+        assert type(got) is type(want)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_upwind_burgers_across_a_sonic_state_still_raises():
+    prob = builtin_problems()["burgers"]()
+    ql, qr = np.array([[0.8], [-0.5]]), np.array([[0.9], [-0.7]])
+    with pytest.raises(ValueError, match="sonic"):
+        numerical_flux(NumericalFluxSpec.upwind(), prob, ql, qr)
+    with pytest.raises(ValueError, match="sonic"):
+        flux_partials(NumericalFluxSpec.upwind(), prob, ql, qr)
 
 
 def test_lf_partials_are_a_jacobian_splitting():
