@@ -7,9 +7,10 @@ reconstruction derivatives (upwind gives the Jacobian splitting,
 Lax-Friedrichs the flux-vector splitting).  Moments update centrally
 through integration by parts; no Riemann fluxes enter.  A linear
 problem, scalar or system, is one three-block product of
-``af_stencil_1d`` on the cell blocks (point value, K moments), the 1-d
-operator the 2-d update is built from (``mesh.line_apply``).  A flux
-projection instead mirrors the DG update for nonlinear problems.
+``af_stencil_1d`` on the state tensor itself, whose cell blocks are
+(point value, K moments) (``mesh.AfState1D``): the 1-d operator the 2-d
+update is built from (``mesh.line_apply``).  A flux projection instead
+mirrors the DG update for nonlinear problems.
 
 2-d: the tensorial variant stores node values, edge moments (k = 0 is the
 edge average) and interior tensor moments.  It is the tensor product of
@@ -85,14 +86,9 @@ def af_ops(K: int) -> AfOps:
 
 
 def cell_dof_tensor_1d(state: AfState1D) -> np.ndarray:
-    """Dofs per cell in basis order, shape (n_cells, K+2, m)."""
-    pts, mo = state.point_values, state.moments
-    if state.periodic:
-        right = roll_cells(pts, -1)
-    else:
-        right = pts[1:]
-        pts = pts[: state.grid.n_cells]
-    return np.concatenate([pts[:, None, :], mo, right[:, None, :]], axis=1)
+    """Dofs per cell in basis order, shape (n_cells, K+2, m): each cell
+    block closed by the point value of the next cell."""
+    return np.concatenate([state.V, roll_cells(state.V[:, :1], -1)], axis=1)
 
 
 def af_eval_1d(state: AfState1D, xi: np.ndarray) -> np.ndarray:
@@ -157,7 +153,7 @@ class FluxProjection1D:
 
 def af_rhs_1d(state: AfState1D, problem: ProblemSpec, flux: NumericalFluxSpec,
               flux_projection: FluxProjection1D | None = None) -> AfState1D:
-    """Semi-discrete derivative of an AF state (periodic grids).
+    """Semi-discrete derivative of an AF state, as a state.
 
     The point update is -(d_L DQ_L + d_R DQ_R): the one-sided derivatives
     DQ_L, DQ_R of the reconstructions left and right of each interface,
@@ -166,9 +162,9 @@ def af_rhs_1d(state: AfState1D, problem: ProblemSpec, flux: NumericalFluxSpec,
     splitting, Lax-Friedrichs the flux-vector splitting.  A linear problem,
     scalar or system, applies the block row (u S_u + d_L S_L + d_R S_R) / h
     of ``af_stencil_1d`` (matrices u = J, d_L, d_R for a system) to each
-    cell block (p_i, m_i) and its neighbours (``mesh.line_apply``).  A
-    nonlinear (scalar) problem takes (d_L, d_R) at the shared point value
-    and its moment integrals by quadrature.
+    cell block V_i = (p_i, m_i) of the state tensor and its neighbours
+    (``mesh.line_apply``).  A nonlinear (scalar) problem takes (d_L, d_R)
+    at the shared point value and its moment integrals by quadrature.
 
     ``flux_projection`` replaces the reconstruction by the projected flux
     (``equiv.project_flux_F``): the point update becomes
@@ -177,35 +173,35 @@ def af_rhs_1d(state: AfState1D, problem: ProblemSpec, flux: NumericalFluxSpec,
     because the projection's interior moments involve the broken flux
     profile, which the AF dofs alone do not determine.
     """
-    if not state.periodic:
-        raise NotImplementedError("1-d AF right-hand side is periodic-only")
     ops = af_ops(state.K)
     dx = state.grid.dx
     fp = flux_projection
+    if problem.linear and fp is None:
+        # a linear problem's Jacobian and flux partials are constant
+        return state.with_arrays([line_apply(
+            af_stencil_1d(state.K), problem.jacobian(0.0),
+            flux_partials(flux, problem, 0.0, 0.0), dx, state.V)])
+    # the point and moment updates are written into their rows of dV
+    dV = np.empty_like(state.V)
     if fp is not None:
         if np.any(np.abs(fp.A) < 1e-12):
             raise ZeroDivisionError("sonic state: flux derivative vanishes at "
                                     "an interface; the identification is "
                                     "undefined")
         dfl, dfr = _interface_derivatives(ops, fp.F_dofs, dx)
-        dpts = -(fp.dfdql[:, None] * dfl + fp.dfdqr[:, None] * dfr) \
-            / fp.A[:, None]
-        dmo = -(1.0 / dx) * np.einsum("kp,ipc->ikc", ops.mom_w, fp.F_dofs)
-        return state.with_arrays([dpts, dmo])
+        np.divide(-(fp.dfdql[:, None] * dfl + fp.dfdqr[:, None] * dfr),
+                  fp.A[:, None], out=dV[:, 0])
+        np.multiply(-(1.0 / dx), np.einsum("kp,ipc->ikc", ops.mom_w,
+                                           fp.F_dofs), out=dV[:, 1:])
+        return state.with_arrays([dV])
 
-    if problem.linear:
-        # a linear problem's Jacobian and flux partials are constant
-        V = np.concatenate([state.point_values[:, None], state.moments],
-                           axis=1)
-        dV = line_apply(af_stencil_1d(state.K), problem.jacobian(0.0),
-                        flux_partials(flux, problem, 0.0, 0.0), dx, V)
-        return state.with_arrays([dV[:, 0], dV[:, 1:]])
     dofs = cell_dof_tensor_1d(state)                     # (n, K+2, 1)
     dql, dqr = _interface_derivatives(ops, dofs, dx)
     pts = state.point_values
     d_l, d_r = flux_partials(flux, problem, pts, pts)
-    return state.with_arrays([-(d_l * dql + d_r * dqr),
-                              _moment_rhs_1d(state, problem, ops, dofs)])
+    dV[:, 0] = -(d_l * dql + d_r * dqr)
+    _moment_rhs_1d(state, problem, ops, dofs, dV[:, 1:])
+    return state.with_arrays([dV])
 
 
 def _interface_derivatives(ops, dofs, dx):
@@ -216,14 +212,13 @@ def _interface_derivatives(ops, dofs, dx):
     return roll_cells(d_plus, 1), d_minus
 
 
-def _moment_rhs_1d(state, problem, ops, dofs):
-    """Moment update of a nonlinear flux, by quadrature."""
+def _moment_rhs_1d(state, problem, ops, dofs, dmo):
+    """Moment update of a nonlinear flux, by quadrature, into ``dmo``."""
     dx = state.grid.dx
     rule = _default_af_rule(state.K)
     bvals = ops.basis_values(rule.nodes)                  # (K+2, nq)
     qvals = np.einsum("ipc,pq->iqc", dofs, bvals)
     fvals = problem.flux(qvals)
-    dmo = np.empty_like(state.moments)
     f_l = problem.flux(dofs[:, 0, :])
     f_r = problem.flux(dofs[:, -1, :])
     for k in range(state.K):
@@ -232,7 +227,6 @@ def _moment_rhs_1d(state, problem, ops, dofs):
         dbw = bk.derivative()(rule.nodes) * rule.weights
         vol = np.einsum("iqc,q->ic", fvals, dbw)
         dmo[:, k, :] = (ak / dx) * (vol - (bk(0.5) * f_r - bk(-0.5) * f_l))
-    return dmo
 
 
 def _default_af_rule(K: int) -> poly.QuadratureRule:

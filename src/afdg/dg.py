@@ -113,8 +113,6 @@ def traces(state, cell):
 def interface_traces_1d(state: DgState1D) -> tuple[np.ndarray, np.ndarray]:
     """(q_{a-1}^+, q_a^-): the traces either side of every interface a
     (between cells a-1 and a, periodic)."""
-    if not state.periodic:
-        raise NotImplementedError("1-d DG is periodic-only")
     q_minus, q_plus = trace_values_1d(state)
     return roll_cells(q_plus, 1), q_minus
 
@@ -138,8 +136,6 @@ def dg_rhs_1d(state: DgState1D, problem: ProblemSpec,
     (override with ``quad``).
     """
     if assembly == "weak" and problem.linear:
-        if not state.periodic:
-            raise NotImplementedError("1-d DG is periodic-only")
         # a linear problem's Jacobian and flux partials are constant
         return state.with_arrays([line_apply(
             dg_stencil_1d(state.K), problem.jacobian(0.0),

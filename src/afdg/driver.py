@@ -68,7 +68,7 @@ class RunConfig:
     experiment: str = "run"
     method: str = "dg"              # af | dg
     order: int = 3
-    k: int | None = None            # overrides the order-implied K
+    k: int | None = None            # runs: none or the order-implied K
     rk: str = "ssprk3"
     problem: str = "advection2d"
     u: float = 1.0                  # 1-d advection speed
@@ -110,6 +110,10 @@ class RunConfig:
 
         if self.method not in ("af", "dg"):
             bad("method", "must be 'af' or 'dg'")
+        K = replace(self, k=None).K
+        if self.k not in (None, K):
+            bad("k", f"must be none or {K}, the K of method {self.method!r} "
+                f"at order {self.order}")
         if self.rk not in timeint.schemes_by_name():
             bad("rk", "must be one of "
                 + ", ".join(sorted(timeint.schemes_by_name())))
@@ -371,7 +375,7 @@ class ErrorReport:
     def from_states(cls, state, exact_state) -> "ErrorReport":
         diff = state.with_arrays([a - b for a, b in zip(state.arrays(),
                                                         exact_state.arrays())])
-        # the 2-d fields are strided views: sum in their own index order
+        # the fields are views of the state tensor: sum in their own order
         fams = {name: float(np.sqrt(np.mean(np.ravel(d) ** 2)))
                 for name, d in _families(diff)}
         return cls(families=fams, e_dofs=max(fams.values()))

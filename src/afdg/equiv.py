@@ -67,12 +67,14 @@ def moment_transfer_matrix(K: int) -> np.ndarray:
 
 def map_dg_to_af_1d(state: DgState1D, flux: NumericalFluxSpec,
                     problem: ProblemSpec) -> AfState1D:
-    """Interface values from the numerical flux, moments by modal transfer."""
+    """Interface values from the numerical flux, moments by modal transfer,
+    written into the rows of the mapped state's cell blocks."""
     fhat = dg.interface_fluxes_1d(state, problem, flux)
-    pts = dg.interface_states_from_fluxes(fhat, problem)
-    T = moment_transfer_matrix(state.K)
-    moments = np.einsum("kn,inc->ikc", T, state.coeffs)
-    return AfState1D(state.grid, state.K, pts, moments, state.periodic)
+    V = np.empty_like(state.V)
+    V[:, 0] = dg.interface_states_from_fluxes(fhat, problem)
+    np.einsum("kn,inc->ikc", moment_transfer_matrix(state.K), state.coeffs,
+              out=V[:, 1:])
+    return AfState1D.from_tensor(state.grid, state.K, V)
 
 
 def project_flux_F(state: DgState1D, problem: ProblemSpec,

@@ -15,14 +15,16 @@ views: cell (i, j) owns the block U[i, :, j, :]; an AF state's edge fields
 always hold edge moments.  ``af_cell_dofs_2d`` and ``dg_cell_dofs_2d``
 project data onto the blocks of any set of cells, for the 2-d fills and
 the Dirichlet ghost blocks alike, and ``kron_sum_apply`` takes those
-ghost blocks in place of its periodic wrap.  Component-major 1-d layouts
-keep per-family norms and timing loops cache friendly.
+ghost blocks in place of its periodic wrap.  A 1-d state is one tensor
+V[i, p, c] (cell i, dof p, component c) on a periodic grid: an AF state's
+point values and moments are the views V[:, 0] and V[:, 1:], the cell
+blocks that ``line_apply`` and the DG-to-AF map act on.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
@@ -106,58 +108,58 @@ class Grid2D:
 # state containers
 
 
-@dataclass
-class DgState1D:
-    """Per-cell modal blocks: coeffs[i, n, comp], basis endpoint-normalized."""
+class _TensorState1D:
+    """A 1-d state stored as one tensor V[i, p, c]: cell i, dof p,
+    component c.  ``from_tensor`` and ``with_arrays`` wrap a given tensor
+    without copying; ``copy`` copies it."""
 
-    grid: Grid1D
-    K: int
-    coeffs: np.ndarray
-    periodic: bool = True
+    @classmethod
+    def from_tensor(cls, grid: Grid1D, K: int, V: np.ndarray):
+        state = object.__new__(cls)
+        state.grid, state.K, state.V = grid, K, V
+        return state
+
+    def with_arrays(self, arrays):
+        return self.from_tensor(self.grid, self.K, arrays[0])
+
+    def arrays(self):
+        return [self.V]
+
+    def copy(self):
+        return self.with_arrays([self.V.copy()])
 
     @property
     def n_components(self) -> int:
-        return self.coeffs.shape[2]
-
-    def copy(self) -> "DgState1D":
-        return replace(self, coeffs=self.coeffs.copy())
-
-    def arrays(self):
-        return [self.coeffs]
-
-    def with_arrays(self, arrays) -> "DgState1D":
-        return DgState1D(self.grid, self.K, arrays[0], self.periodic)
+        return self.V.shape[2]
 
 
-@dataclass
-class AfState1D:
-    """Shared interface point values plus per-cell moments.
+class DgState1D(_TensorState1D):
+    """Per-cell modal blocks: coeffs[i, n, comp], basis endpoint-normalized;
+    ``coeffs`` is V itself."""
 
-    point_values[a, comp] sits at interface a, the left edge of cell a
-    (interface n_cells wraps to 0 on periodic grids); moments[i, k, comp]
-    is the k-th weighted cell integral.
+    def __init__(self, grid: Grid1D, K: int, coeffs: np.ndarray):
+        self.grid, self.K, self.V = grid, K, coeffs
+
+    coeffs = property(lambda self: self.V)
+
+
+class AfState1D(_TensorState1D):
+    """Cell blocks V[i, p, comp] of the periodic 1-d AF dofs: p = 0 is the
+    point value at the cell's left interface, shared with cell i-1 (cell
+    n-1's right interface wraps to cell 0's), and p = 1..K the moments.
+    The fields are views of V: point_values[i, comp] and moments[i, k,
+    comp], the k-th weighted cell integral.  The constructor packs the
+    fields into a new V.
     """
 
-    grid: Grid1D
-    K: int
-    point_values: np.ndarray
-    moments: np.ndarray
-    periodic: bool = True
+    def __init__(self, grid: Grid1D, K: int, point_values, moments):
+        self.grid, self.K = grid, K
+        self.V = np.empty((len(point_values), K + 1,
+                           np.shape(point_values)[1]))
+        self.V[:, 0], self.V[:, 1:] = point_values, moments
 
-    @property
-    def n_components(self) -> int:
-        return self.point_values.shape[1]
-
-    def copy(self) -> "AfState1D":
-        return replace(self, point_values=self.point_values.copy(),
-                       moments=self.moments.copy())
-
-    def arrays(self):
-        return [self.point_values, self.moments]
-
-    def with_arrays(self, arrays) -> "AfState1D":
-        return AfState1D(self.grid, self.K, arrays[0], arrays[1],
-                         self.periodic)
+    point_values = property(lambda self: self.V[:, 0])
+    moments = property(lambda self: self.V[:, 1:])
 
 
 class _TensorState2D:
@@ -300,7 +302,6 @@ def _af_moment_weights(K: int, rule: poly.QuadratureRule) -> np.ndarray:
 
 
 def fill_af_1d(grid: Grid1D, K: int, init: Callable, n_components: int = 1,
-               periodic: bool = True,
                rule: poly.QuadratureRule | None = None) -> AfState1D:
     """Point values by sampling, moments by quadrature.
 
@@ -308,11 +309,11 @@ def fill_af_1d(grid: Grid1D, K: int, init: Callable, n_components: int = 1,
     production runs pass the method's catalog rule instead so the state
     preparation matches the solver's own integration order.
     """
-    pts = _as_components(init(grid.interfaces(periodic)), n_components)
+    pts = _as_components(init(grid.interfaces()), n_components)
     rule = rule or _FILL_RULE
     xq = grid.centers()[:, None] + grid.dx * rule.nodes[None, :]
     fq = _as_components(init(xq), n_components)  # (n_cells, nq, m)
-    return AfState1D(grid, K, pts, _af_moment_weights(K, rule) @ fq, periodic)
+    return AfState1D(grid, K, pts, _af_moment_weights(K, rule) @ fq)
 
 
 @lru_cache(maxsize=None)
@@ -328,12 +329,12 @@ def _dg_projection_weights(K: int) -> np.ndarray:
     return w
 
 
-def fill_dg_1d(grid: Grid1D, K: int, init: Callable, n_components: int = 1,
-               periodic: bool = True) -> DgState1D:
+def fill_dg_1d(grid: Grid1D, K: int, init: Callable,
+               n_components: int = 1) -> DgState1D:
     """Cell-wise L2 projection onto the endpoint-normalized Legendre basis."""
     xq = grid.centers()[:, None] + grid.dx * _FILL_RULE.nodes[None, :]
     fq = _as_components(init(xq), n_components)
-    return DgState1D(grid, K, _dg_projection_weights(K) @ fq, periodic)
+    return DgState1D(grid, K, _dg_projection_weights(K) @ fq)
 
 
 def _points(x0, d: float, nodes: np.ndarray) -> np.ndarray:

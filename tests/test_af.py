@@ -214,10 +214,74 @@ def test_linear_block_product_matches_reference(K, case):
     rng = np.random.default_rng(40 + K)
     state = AfState1D(Grid1D(0, 1, 32), K, rng.uniform(-1, 1, (32, m)),
                       rng.uniform(-1, 1, (32, K, m)))
-    got = af.af_rhs_1d(state, problem, flux).arrays()
-    for a, want in zip(got, reference_linear_rhs_1d(state, problem, flux)):
+    d = af.af_rhs_1d(state, problem, flux)
+    for a, want in zip((d.point_values, d.moments),
+                       reference_linear_rhs_1d(state, problem, flux)):
         assert a.shape == want.shape
         assert np.max(np.abs(a - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", LINEAR_CASES, ids=linear_case_id)
+def test_linear_update_is_one_line_apply_on_the_state(case, monkeypatch):
+    """The linear derivative's tensor is ``line_apply`` of the state's own
+    V, bit for bit, and nothing is packed or split on the way."""
+    problem, flux = case
+    m = problem.n_components
+    rng = np.random.default_rng(7)
+    state = AfState1D(Grid1D(0, 1, 12), 3, rng.uniform(-1, 1, (12, m)),
+                      rng.uniform(-1, 1, (12, 3, m)))
+    want = mesh.line_apply(af.af_stencil_1d(3), problem.jacobian(0.0),
+                           flux_partials(flux, problem, 0.0, 0.0),
+                           state.grid.dx, state.V)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the linear update concatenated arrays")
+
+    monkeypatch.setattr(np, "concatenate", refuse)
+    d = af.af_rhs_1d(state, problem, flux)
+    assert d.arrays() == [d.V]
+    assert d.V.tobytes() == want.tobytes()
+
+
+class _TwoFields:
+    """The earlier AF 1-d storage: point values and moments apart."""
+
+    def __init__(self, arrays):
+        self.fields = list(arrays)
+
+    def arrays(self):
+        return self.fields
+
+    def with_arrays(self, arrays):
+        return _TwoFields(arrays)
+
+
+@pytest.mark.parametrize("scheme", ["ssprk3", "ssprk54"])
+def test_rk_step_sums_one_array_per_stage(scheme):
+    """An RK step on the cell-block tensor gives the bits of the same step
+    on the two separate fields."""
+    from afdg import timeint
+    rk = timeint.schemes_by_name()[scheme]
+    problem, flux = advection1d(-0.6), flux_spec("alpha", 0.7, 0.0)
+    state = smooth_state_1d(3, n=24, seed=5)
+    seen = []
+
+    def rhs(s, t):
+        seen.append(len(s.arrays()))
+        d = af.af_rhs_1d(s, problem, flux)
+        seen.append(len(d.arrays()))
+        return d
+
+    def two_field_rhs(s, t):
+        d = af.af_rhs_1d(AfState1D(state.grid, 3, *s.arrays()), problem, flux)
+        return _TwoFields([d.point_values, d.moments])
+
+    new = timeint.rk_step(rk, rhs, state, 0.01)
+    old = timeint.rk_step(rk, two_field_rhs, _TwoFields(
+        [state.point_values.copy(), state.moments.copy()]), 0.01)
+    assert seen == [1] * (2 * rk.stages) and new.arrays() == [new.V]
+    for got, want in zip((new.point_values, new.moments), old.arrays()):
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_jacobian_splitting_system():
@@ -244,8 +308,9 @@ def test_lax_friedrichs_at_the_sound_speed_is_upwind_for_acoustics():
     lf, up = NumericalFluxSpec.lax_friedrichs(c), NumericalFluxSpec.upwind()
     state = AfState1D(grid, 2, rng.uniform(-1, 1, (10, 2)),
                       rng.uniform(-1, 1, (10, 2, 2)))
-    for got, want in zip(af.af_rhs_1d(state, prob, lf).arrays(),
-                         af.af_rhs_1d(state, prob, up).arrays()):
+    d_lf, d_up = af.af_rhs_1d(state, prob, lf), af.af_rhs_1d(state, prob, up)
+    for got, want in ((d_lf.point_values, d_up.point_values),
+                      (d_lf.moments, d_up.moments)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     dg_state = DgState1D(grid, 2, rng.uniform(-1, 1, (10, 3, 2)))
     got = dg.dg_rhs_1d(dg_state, prob, lf).coeffs

@@ -21,9 +21,8 @@ from afdg.mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid1D,
                        _dg_projection_weights)
 
 
-def loop_fill_af_1d(grid, K, init, n_components=1, periodic=True, rule=None):
-    xs_if = grid.interfaces(periodic)
-    pts = _as_components(init(xs_if), n_components)
+def loop_fill_af_1d(grid, K, init, n_components=1, rule=None):
+    pts = _as_components(init(grid.interfaces()), n_components)
 
     rule = rule or _FILL_RULE
     nodes, weights = rule.nodes, rule.weights
@@ -33,17 +32,17 @@ def loop_fill_af_1d(grid, K, init, n_components=1, periodic=True, rule=None):
     for k in range(K):
         bw = poly.moment_normalization(k) * poly.moment_weight(k)(nodes) * weights
         moments[:, k, :] = np.tensordot(fq, bw, axes=(1, 0))
-    return AfState1D(grid, K, pts, moments, periodic)
+    return AfState1D(grid, K, pts, moments)
 
 
-def loop_fill_dg_1d(grid, K, init, n_components=1, periodic=True):
+def loop_fill_dg_1d(grid, K, init, n_components=1):
     nodes = _FILL_RULE.nodes
     xq = grid.centers()[:, None] + grid.dx * nodes[None, :]
     fq = _as_components(init(xq), n_components)
     coeffs = np.empty((grid.n_cells, K + 1, n_components))
     for n, w in enumerate(_dg_projection_weights(K)):
         coeffs[:, n, :] = np.tensordot(fq, w, axes=(1, 0))
-    return DgState1D(grid, K, coeffs, periodic)
+    return DgState1D(grid, K, coeffs)
 
 
 def loop_fill_af_2d(grid, K, init, periodic=True, rule=None):
@@ -180,8 +179,10 @@ def test_1d_fills_match_loop_reference(K):
     assert_close(mesh.fill_dg_1d(g, K, f, 2).arrays(),
                  loop_fill_dg_1d(g, K, f, 2).arrays())
     for rule in (None, dg.quad_rule_for_order("af", K + 2)):
-        assert_close(mesh.fill_af_1d(g, K, f, 2, rule=rule).arrays(),
-                     loop_fill_af_1d(g, K, f, 2, rule=rule).arrays())
+        new = mesh.fill_af_1d(g, K, f, 2, rule=rule)
+        ref = loop_fill_af_1d(g, K, f, 2, rule=rule)
+        assert_close([new.point_values, new.moments],
+                     [ref.point_values, ref.moments])
 
 
 def test_cell_dofs_broadcast_over_any_cell_set():

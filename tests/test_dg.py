@@ -201,13 +201,6 @@ def test_system_block_product_matches_einsum_weak_form(K, spec):
     assert np.max(np.abs(dc - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_block_product_refuses_a_non_periodic_state():
-    state = random_state_1d(2)
-    state = DgState1D(state.grid, 2, state.coeffs, periodic=False)
-    with pytest.raises(NotImplementedError):
-        dg.dg_rhs_1d(state, advection1d(u=1.0), UP)
-
-
 def test_linear_scalar_weak_form_evaluates_no_interface_flux(monkeypatch):
     calls = []
 

@@ -102,6 +102,10 @@ def test_invalid_config_rejected_before_any_step(key, value, tmp_path,
      ["problem=advection2d", "k=1", "--variant=classical_midpoint"]),
     ("run", "flux", "lax_friedrichs", ["ux=0", "uy=0"]),
     ("run", "flux", "lax_friedrichs", ["problem=advection1d", "u=0"]),
+    # a run's K comes from method and order; a k that disagrees is refused
+    ("run", "k", "3", ["method=dg", "problem=advection1d"]),
+    ("run", "k", "1", ["method=af", "order=4"]),
+    ("convergence", "k", "2", ["method=dg", "order=2", "grids=8,16"]),
 ])
 def test_cli_names_bad_key_before_any_step(command, key, value, extra,
                                            tmp_path, capsys, monkeypatch):
@@ -142,6 +146,30 @@ def test_k_derived_from_order():
     assert RunConfig(method="af", order=5).K == 3
     assert RunConfig(method="dg", order=5).K == 4
     assert RunConfig(method="dg", order=5, k=2).K == 2
+
+
+def test_run_with_the_order_implied_k_is_the_same_run():
+    cfg = RunConfig(method="dg", order=3, problem="advection1d", init="sine",
+                    grids=(16,), t_final=0.05)
+    base = driver.run_simulation(cfg)
+    res = driver.run_simulation(dataclasses.replace(cfg, k=2))
+    assert res.bench.method == base.bench.method == "DG33"
+    assert res.errors.e_dofs == base.errors.e_dofs
+    for a, b in zip(res.state.arrays(), base.state.arrays()):
+        assert np.array_equal(a, b)
+
+
+def test_equiv_check_takes_any_k(tmp_path):
+    """``equiv-check`` reads K from ``k`` alone; the run check does not
+    apply to it."""
+    out = tmp_path / "equiv.csv"
+    code = run_cli(["equiv-check", "--set", "problem=advection1d",
+                    "--set", "order=3", "--set", "k=4", "--set", "grids=16",
+                    "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 6  # point_values + four moment families
+    assert all(line.endswith("True") for line in lines[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,53 @@ def test_fill_af_2d_duality_roundtrip():
 
 
 # ---------------------------------------------------------------------------
+# 1-d states: one cell-block tensor V[i, p, c]
+
+
+def _states_1d():
+    grid = Grid1D(0, 1, 5)
+    f = lambda x: np.stack([np.sin(3 * x), np.cos(x)], axis=-1)
+    return mesh.fill_af_1d(grid, 3, f, 2), mesh.fill_dg_1d(grid, 3, f, 2)
+
+
+def test_af_1d_fields_are_views_of_the_cell_blocks():
+    state, _ = _states_1d()
+    assert state.V.shape == (5, 4, 2)
+    assert state.arrays() == [state.V]
+    for field, rows in ((state.point_values, state.V[:, 0]),
+                        (state.moments, state.V[:, 1:])):
+        assert np.shares_memory(field, state.V)
+        assert np.array_equal(field, rows)
+
+
+def test_af_1d_constructor_packs_the_fields():
+    rng = np.random.default_rng(3)
+    pts, mom = rng.standard_normal((6, 2)), rng.standard_normal((6, 2, 2))
+    state = mesh.AfState1D(Grid1D(0, 1, 6), 2, pts, mom)
+    assert not np.shares_memory(state.V, pts)
+    assert state.V.flags.c_contiguous
+    assert np.array_equal(state.point_values, pts)
+    assert np.array_equal(state.moments, mom)
+    assert state.n_components == 2
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["af", "dg"])
+def test_1d_states_wrap_without_copying_and_copy_on_request(which):
+    state = _states_1d()[which]
+    assert not hasattr(state, "periodic")
+    V = np.zeros_like(state.V)
+    for other in (state.with_arrays([V]),
+                  type(state).from_tensor(state.grid, state.K, V)):
+        assert type(other) is type(state) and other.arrays()[0] is V
+        assert (other.grid, other.K) == (state.grid, state.K)
+    dup = state.copy()
+    assert not np.shares_memory(dup.V, state.V)
+    assert np.array_equal(dup.V, state.V)
+    if which:
+        assert state.coeffs is state.V
+
+
+# ---------------------------------------------------------------------------
 # the neighbour stack of every stencil apply
 
 
