@@ -115,6 +115,9 @@ def cmd_equiv_check(args) -> int:
 def _check_equiv_keys(cfg: driver.RunConfig, dimension: int,
                       variant: str) -> None:
     """Reject the keys ``equiv.verify_equivalence`` cannot run with."""
+    if dimension == 1 and variant != "tensorial":
+        raise driver.ConfigError(f"--variant {variant!r} is a 2-d "
+                                 f"comparison, got problem {cfg.problem!r}")
     problems = sorted(builtin_problems())
     k_key = "order" if cfg.k is None else "k"
     zero_speed = cfg.problem.startswith("advection") and not all(cfg.speeds)

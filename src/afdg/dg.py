@@ -40,7 +40,7 @@ from .problems import (NumericalFluxSpec, ProblemSpec, flux_partials,
 
 __all__ = [
     "DgBasis", "dg_basis", "dg_rhs_1d", "dg_stencil_1d", "dg_rhs_2d",
-    "traces", "trace_values_1d", "interface_traces_1d",
+    "trace_values_1d", "interface_traces_1d",
     "RieszEndpointFunctionals", "riesz_endpoint_functionals",
     "quad_rule_for_order",
 ]
@@ -56,6 +56,7 @@ class DgBasis:
     stiffness: np.ndarray      # stiffness[m, n] = integral phi_m' phi_n
     value_right: np.ndarray    # phi_n(+1/2) = 1
     value_left: np.ndarray     # phi_n(-1/2) = (-1)^n
+    ends: np.ndarray           # rows (value_left, value_right), read-only
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +67,9 @@ def dg_basis(K: int) -> DgBasis:
                       for pm in phi])
     vr = np.array([p(0.5) for p in phi])
     vl = np.array([p(-0.5) for p in phi])
-    return DgBasis(K, phi, mass, stiff, vr, vl)
+    ends = np.stack([vl, vr])
+    ends.flags.writeable = False
+    return DgBasis(K, phi, mass, stiff, vr, vl, ends)
 
 
 def quad_rule_for_order(family: str, order: int) -> poly.QuadratureRule:
@@ -85,29 +88,6 @@ def trace_values_1d(state: DgState1D) -> tuple[np.ndarray, np.ndarray]:
     c = state.coeffs.transpose(0, 2, 1).reshape(n * m, k1)
     return (np.dot(c, basis.value_left).reshape(n, m),
             np.dot(c, basis.value_right).reshape(n, m))
-
-
-def traces(state, cell):
-    """Boundary values of one cell's polynomial.
-
-    1-d states return the pair (q^-, q^+); 2-d states return the four
-    edge-trace polynomials in the tangential reference coordinate as
-    modal coefficient vectors, keyed 'left', 'right', 'bottom', 'top'.
-    """
-    if isinstance(state, DgState1D):
-        qm, qp = trace_values_1d(state)
-        return qm[cell], qp[cell]
-    if isinstance(state, DgState2D):
-        i, j = cell
-        basis = dg_basis(state.K)
-        block = state.coeffs[i, j]
-        return {
-            "left": basis.value_left @ block,
-            "right": basis.value_right @ block,
-            "bottom": block @ basis.value_left,
-            "top": block @ basis.value_right,
-        }
-    raise TypeError("traces expects a DG state")
 
 
 def interface_traces_1d(state: DgState1D) -> tuple[np.ndarray, np.ndarray]:
@@ -259,14 +239,13 @@ def qhat_interfaces_2d(state: DgState2D, alpha: tuple[float, float],
     """Weighted interface traces (periodic): qhat_x[a, j] = ap q^+ + am q^-
     with q^+ the trace of cell (a-1, j) at its right face and q^- that of
     cell (a, j) at its left face (modal in y); qhat_y likewise with beta."""
-    b = dg_basis(state.K)
-    c, vr, vl = state.coeffs, b.value_right, b.value_left
+    ends = dg_basis(state.K).ends
+    x_ends = ends @ state.coeffs          # [i, j, s, n]: x-ends of each cell
+    y_ends = state.coeffs @ ends.T        # [i, j, m, s]: y-ends
     ap, am = alpha
     bp, bm = beta
-    qhat_x = (ap * np.roll(np.einsum("ijmn,m->ijn", c, vr), 1, axis=0)
-              + am * np.einsum("ijmn,m->ijn", c, vl))
-    qhat_y = (bp * np.roll(np.einsum("ijmn,n->ijm", c, vr), 1, axis=1)
-              + bm * np.einsum("ijmn,n->ijm", c, vl))
+    qhat_x = ap * roll_cells(x_ends[:, :, 1], 1) + am * x_ends[:, :, 0]
+    qhat_y = bp * np.roll(y_ends[..., 1], 1, axis=1) + bm * y_ends[..., 0]
     return qhat_x, qhat_y
 
 

@@ -11,8 +11,9 @@ family by family,
       (1-d and 2-d alike); for nonlinear ones moments via modal transfer
       and interface values via the flux-partial chain rule on trace
       derivatives extracted with the Riesz endpoint functionals, and
-  (b) the native AF right-hand side evaluated on the mapped state.
+  (b) the native AF right-hand side evaluated on the mapped state,
 
+each family pair one row (1-d) or one field (2-d) of the two AF states.
 Both sides are independently implemented, so machine-precision agreement
 is a strong mutual oracle.  All transfer matrices are precomputed from
 exact polynomial integrals; the only inexactness is roundoff.
@@ -20,6 +21,7 @@ exact polynomial integrals; the only inexactness is roundoff.
 The 2-d identity checks (``lemma_checks``) hold the corrected DG field
 q + r^x + r^y + corners as one coefficient block per cell over the 1-d
 basis (phi_0..phi_K, R_L, R_R) in each axis (``TensorReconstruction2D``).
+Every end value they take is one product with ``DgBasis.ends``.
 Evaluating it reads only DG and Radau data (``dg.dg_basis``,
 ``poly.radau_pair``), never the AF operators it is compared against.
 """
@@ -109,7 +111,7 @@ def project_flux_F(state: DgState1D, problem: ProblemSpec,
 
 
 def dg_induced_af_derivative_1d(state: DgState1D, problem: ProblemSpec,
-                                flux: NumericalFluxSpec):
+                                flux: NumericalFluxSpec) -> AfState1D:
     """Time derivatives of the mapped AF dofs implied by the DG method.
 
     The map is linear for a linear problem, so the derivatives are the
@@ -120,11 +122,11 @@ def dg_induced_af_derivative_1d(state: DgState1D, problem: ProblemSpec,
     """
     dstate = dg.dg_rhs_1d(state, problem, flux, assembly="weak")
     if problem.linear:
-        mapped = map_dg_to_af_1d(dstate, flux, problem)
-        return mapped.point_values, mapped.moments
+        return map_dg_to_af_1d(dstate, flux, problem)
     dc = dstate.coeffs
-    T = moment_transfer_matrix(state.K)
-    dmo = np.einsum("kn,inc->ikc", T, dc)
+    V = np.empty_like(dc)
+    np.einsum("kn,inc->ikc", moment_transfer_matrix(state.K), dc,
+              out=V[:, 1:])
 
     riesz = dg.riesz_endpoint_functionals(state.K)
     dq_plus = np.einsum("inc,n->ic", dc, riesz.weights_right)
@@ -136,21 +138,12 @@ def dg_induced_af_derivative_1d(state: DgState1D, problem: ProblemSpec,
     fhat = numerical_flux(flux, problem, q_l, q_r)
     dl, dr = flux_partials(flux, problem, q_l, q_r)
     A = problem.jacobian(invert_flux(problem, fhat))
-    dpts = (np.asarray(dl) * dql + np.asarray(dr) * dqr) / np.asarray(A)
-    return dpts, dmo
+    V[:, 0] = (np.asarray(dl) * dql + np.asarray(dr) * dqr) / np.asarray(A)
+    return AfState1D.from_tensor(state.grid, state.K, V)
 
 
 # ---------------------------------------------------------------------------
 # 2-d mapping (K = 1 identification), reconstruction, induced derivatives
-
-
-def _corner_values(coeffs: np.ndarray, basis: dg.DgBasis):
-    vr, vl = basis.value_right, basis.value_left
-    v_pp = np.einsum("ijmn,m,n->ij", coeffs, vr, vr)
-    v_mp = np.einsum("ijmn,m,n->ij", coeffs, vl, vr)
-    v_pm = np.einsum("ijmn,m,n->ij", coeffs, vr, vl)
-    v_mm = np.einsum("ijmn,m,n->ij", coeffs, vl, vl)
-    return v_pp, v_mp, v_pm, v_mm
 
 
 @lru_cache(maxsize=256)
@@ -214,15 +207,13 @@ def corner_consistency_residual(state: DgState2D, alpha, beta,
     ``dg.qhat_interfaces_2d`` pair, if it has one."""
     ap, am = alpha
     bp, bm = beta
-    basis = dg.dg_basis(state.K)
+    ends = dg.dg_basis(state.K).ends
     qhat_x, qhat_y = qhat or dg.qhat_interfaces_2d(state, alpha, beta)
-    # evaluate qhat_y (an x-polynomial on horizontal interfaces) at x=+-1/2
-    qy_r = np.einsum("ibm,m->ib", qhat_y, basis.value_right)
-    qy_l = np.einsum("ibm,m->ib", qhat_y, basis.value_left)
-    expr1 = ap * np.roll(qy_r, 1, axis=0) + am * qy_l
-    qx_t = np.einsum("ajn,n->aj", qhat_x, basis.value_right)
-    qx_b = np.einsum("ajn,n->aj", qhat_x, basis.value_left)
-    expr2 = bp * np.roll(qx_t, 1, axis=1) + bm * qx_b
+    # each qhat at its two ends: qhat_y (an x-polynomial on horizontal
+    # interfaces) at x = -+1/2, qhat_x at y = -+1/2
+    qy, qx = qhat_y @ ends.T, qhat_x @ ends.T
+    expr1 = ap * roll_cells(qy[..., 1], 1) + am * qy[..., 0]
+    expr2 = bp * np.roll(qx[..., 1], 1, axis=1) + bm * qx[..., 0]
     res = np.max(np.abs(expr1 - expr2))
     if nodes is not None:
         res = max(res, np.max(np.abs(expr1 - nodes)))
@@ -262,10 +253,9 @@ class TensorReconstruction2D:
         (qhat minus the cell's own x-trace) the two Radau rows, r^y the two
         Radau columns and the corner constants the 2 x 2 Radau corner."""
         c = self.state.coeffs
-        basis = dg.dg_basis(self.state.K)
-        ends = np.stack([basis.value_left, basis.value_right])
-        r_x = (np.stack([self.qhat_x, np.roll(self.qhat_x, -1, axis=0)], axis=2)
-               - np.einsum("sm,ijmn->ijsn", ends, c))
+        ends = dg.dg_basis(self.state.K).ends
+        r_x = (np.stack([self.qhat_x, roll_cells(self.qhat_x, -1)], axis=2)
+               - ends @ c)
         r_y = (np.stack([self.qhat_y, np.roll(self.qhat_y, -1, axis=1)], axis=3)
                - c @ ends.T)
         return np.block([[c, r_y], [r_x, self.corners]])
@@ -290,31 +280,21 @@ class TensorReconstruction2D:
 
 def reconstruct_af_2d_from_dg(state: DgState2D, alpha, beta
                               ) -> TensorReconstruction2D:
-    """Build q + r^x + r^y plus the four corner constants per cell."""
+    """Build q + r^x + r^y plus the four corner constants per cell: at its
+    corner (sx, sy) (1: right/top), cell (i, j)'s own value plus the mapped
+    node at (i+sx, j+sy) minus the end values there of the two qhat."""
     if state.K != 1:
         raise ValueError("the 2-d reconstruction identity is built for K = 1")
-    basis = dg.dg_basis(state.K)
+    ends = dg.dg_basis(state.K).ends
     qhat_x, qhat_y = dg.qhat_interfaces_2d(state, alpha, beta)
     mapped = map_dg_to_af_2d(state, alpha, beta, check_consistency=False)
-    v_pp, v_mp, v_pm, v_mm = _corner_values(state.coeffs, basis)
-
-    qx_t = np.einsum("ajn,n->aj", qhat_x, basis.value_right)
-    qx_b = np.einsum("ajn,n->aj", qhat_x, basis.value_left)
-    qy_r = np.einsum("ibm,m->ib", qhat_y, basis.value_right)
-    qy_l = np.einsum("ibm,m->ib", qhat_y, basis.value_left)
-
-    nodes = mapped.node_values
-    nx, ny = state.coeffs.shape[:2]
-    corners = np.empty((nx, ny, 2, 2))
-    # corner (R, R): node at (i+1, j+1) wraps with roll(-1)
-    corners[:, :, 1, 1] = (np.roll(nodes, (-1, -1), axis=(0, 1))
-                           - np.roll(qx_t, -1, axis=0)
-                           - np.roll(qy_r, -1, axis=1) + v_pp)
-    corners[:, :, 0, 1] = (np.roll(nodes, (0, -1), axis=(0, 1))
-                           - qx_t - np.roll(qy_l, -1, axis=1) + v_mp)
-    corners[:, :, 1, 0] = (np.roll(nodes, (-1, 0), axis=(0, 1))
-                           - np.roll(qx_b, -1, axis=0) - qy_r + v_pm)
-    corners[:, :, 0, 0] = nodes - qx_b - qy_l + v_mm
+    qx, qy = qhat_x @ ends.T, qhat_y @ ends.T
+    corners = ends @ state.coeffs @ ends.T
+    for sx, sy in np.ndindex(2, 2):
+        corners[:, :, sx, sy] += (
+            np.roll(mapped.node_values, (-sx, -sy), axis=(0, 1))
+            - np.roll(qx[..., sy], -sx, axis=0)
+            - np.roll(qy[..., sx], -sy, axis=1))
     return TensorReconstruction2D(state, qhat_x, qhat_y, corners, mapped)
 
 
@@ -377,7 +357,7 @@ def lemma_checks(state: DgState2D, ux: float, uy: float,
     mean_edge = edge_vals @ rule.weights
     qhat_mean = rec.qhat_x[:, :, 0]
     res["edge_average_match"] = float(
-        np.max(np.abs(mean_edge - np.roll(qhat_mean, -1, axis=0)))) / scale
+        np.max(np.abs(mean_edge - roll_cells(qhat_mean, -1)))) / scale
 
     # corner match: corrected field at (+1/2, +1/2) equals the mapped node
     corner_vals = rec.evaluate(np.array([0.5]), np.array([0.5]))[:, :, 0, 0]
@@ -419,7 +399,7 @@ def _edge_trace_identity_residual(rec, mapped, alpha, beta, xi):
 
     qry = rec.evaluate(edges, xi, parts="y")
     af_trace_x = af.af_eval_2d(mapped, np.array([0.5]), xi)[:, :, 0, :]
-    lhs = ap * qry[:, :, 1] + am * np.roll(qry[:, :, 0], -1, axis=0)
+    lhs = ap * qry[:, :, 1] + am * roll_cells(qry[:, :, 0], -1)
     return max(worst, float(np.max(np.abs(lhs - af_trace_x))))
 
 
@@ -435,12 +415,13 @@ def _update_identity_residuals(state, rec, dc, ux, uy, alpha, beta):
     # transposed state with the axes and weights swapped
     grid_t = Grid2D(state.grid.y_min, state.grid.y_max, state.grid.n_cells_y,
                     state.grid.x_min, state.grid.x_max, state.grid.n_cells_x)
-    state_t = DgState2D(grid_t, state.K,
-                        np.swapaxes(np.swapaxes(state.coeffs, 0, 1), 2, 3),
+    state_t = DgState2D(grid_t, state.K, state.coeffs.transpose(1, 0, 3, 2),
                         state.periodic)
-    rec_t = reconstruct_af_2d_from_dg(state_t, beta, alpha)
+    rec_t = TensorReconstruction2D(state_t, rec.qhat_y.swapaxes(0, 1),
+                                   rec.qhat_x.swapaxes(0, 1),
+                                   rec.corners.transpose(1, 0, 3, 2))
     out["edge_update_identity_y"] = _x_edge_identity(
-        rec_t, np.swapaxes(np.swapaxes(dc, 0, 1), 2, 3), uy, ux, a_w, b_w)
+        rec_t, dc.transpose(1, 0, 3, 2), uy, ux, a_w, b_w)
 
     out["corner_update_identity"] = _corner_identity(
         rec, dc, ux, uy, rng.uniform(-1, 1, 4))
@@ -449,20 +430,19 @@ def _update_identity_residuals(state, rec, dc, ux, uy, alpha, beta):
 
 def _x_edge_identity(rec, dc, ux, uy, a_w, b_w) -> float:
     state = rec.state
-    basis = dg.dg_basis(state.K)
+    ends = dg.dg_basis(state.K).ends
     rule = poly.gauss_legendre_rule(3)
     dx, dy = state.grid.dx, state.grid.dy
-    dtr_r = dc[:, :, :, 0] @ basis.value_right
-    dtr_l = dc[:, :, :, 0] @ basis.value_left
-    lhs = a_w * dtr_r + b_w * np.roll(dtr_l, -1, axis=0)
+    dtr = dc[:, :, :, 0] @ ends.T
+    lhs = a_w * dtr[..., 1] + b_w * roll_cells(dtr[..., 0], -1)
     mean_dqrx = rec.evaluate(np.array([-0.5, 0.5]), rule.nodes, dxi=1,
                              parts="x") @ rule.weights / dx
     lhs += ux * (a_w * mean_dqrx[:, :, 1]
-                 + b_w * np.roll(mean_dqrx[:, :, 0], -1, axis=0))
-    qy_r = np.einsum("ibm,m->ib", rec.qhat_y, basis.value_right)
-    qy_l = np.einsum("ibm,m->ib", rec.qhat_y, basis.value_left)
-    jump = (a_w * (np.roll(qy_r, -1, axis=1) - qy_r)
-            + b_w * np.roll(np.roll(qy_l, -1, axis=1) - qy_l, -1, axis=0))
+                 + b_w * roll_cells(mean_dqrx[:, :, 0], -1))
+    qy = rec.qhat_y @ ends.T
+    jump = (a_w * (np.roll(qy[..., 1], -1, axis=1) - qy[..., 1])
+            + b_w * roll_cells(np.roll(qy[..., 0], -1, axis=1) - qy[..., 0],
+                               -1))
     lhs += uy * jump / dy
     return float(np.max(np.abs(lhs)))
 
@@ -475,14 +455,13 @@ def _corner_identity(rec, dc, ux, uy, g) -> float:
     def at_node(v):
         """g-weighted values v[..., sx, sy] of the four cells at the node
         they share, the upper-right corner of cell (i, j)."""
-        return (g[0] * v[:, :, 1, 1] + g[1] * np.roll(v[:, :, 0, 1], -1, axis=0)
+        return (g[0] * v[:, :, 1, 1] + g[1] * roll_cells(v[:, :, 0, 1], -1)
                 + g[2] * np.roll(v[:, :, 1, 0], -1, axis=1)
                 + g[3] * np.roll(v[:, :, 0, 0], (-1, -1), axis=(0, 1)))
 
-    basis = dg.dg_basis(rec.state.K)
-    ends = np.stack([basis.value_left, basis.value_right])
+    ends = dg.dg_basis(rec.state.K).ends
     corners = np.array([-0.5, 0.5])
-    lhs = at_node(np.einsum("ijmn,sm,tn->ijst", dc, ends, ends))
+    lhs = at_node(ends @ dc @ ends.T)
     lhs += ux * at_node(rec.evaluate(corners, corners, dxi=1, parts="x") / dx)
     lhs += uy * at_node(rec.evaluate(corners, corners, deta=1, parts="y") / dy)
     return float(np.max(np.abs(lhs)))
@@ -574,6 +553,8 @@ def verify_equivalence(setting: EquivSetting) -> EquivalenceReport:
 
 
 def _verify_1d(s: EquivSetting) -> EquivalenceReport:
+    if s.variant != "tensorial":
+        raise ValueError(f"the {s.variant!r} variant is a 2-d comparison")
     problem = builtin_problems()[s.problem](**s.problem_params)
     nonlinear = not problem.linear
     state = _random_dg_state_1d(s.K, s.n_cells, problem.n_components, s.seed,
@@ -588,17 +569,15 @@ def _verify_1d(s: EquivSetting) -> EquivalenceReport:
     if not (problem.is_scalar or flux.kind == "upwind"):
         raise ValueError("system equivalence is verified with the upwind flux")
 
-    dpts_a, dmo_a = dg_induced_af_derivative_1d(state, problem, flux)
+    Va = dg_induced_af_derivative_1d(state, problem, flux).V
     mapped = map_dg_to_af_1d(state, flux, problem)
     fp = project_flux_F(state, problem, flux) if nonlinear else None
-    dmapped = af.af_rhs_1d(mapped, problem, flux, flux_projection=fp)
-    dpts_b, dmo_b = dmapped.point_values, dmapped.moments
-    if s.flip_point_sign:
-        dpts_b = -dpts_b
+    Vb = af.af_rhs_1d(mapped, problem, flux, flux_projection=fp).V
+    sign = -1 if s.flip_point_sign else 1
 
-    pairs = {"point_values": (dpts_a, dpts_b)}
+    pairs = {"point_values": (Va[:, 0], sign * Vb[:, 0])}
     for k in range(s.K):
-        pairs[f"moment_{k}"] = (dmo_a[:, k, :], dmo_b[:, k, :])
+        pairs[f"moment_{k}"] = (Va[:, k + 1], Vb[:, k + 1])
     fams = _family_results(pairs, s.tolerance)
     return EquivalenceReport(setting=vars(s).copy(), tolerance=s.tolerance,
                              families=fams,
@@ -614,6 +593,8 @@ def _random_dg_state_2d(K, n, seed):
 
 
 def _verify_2d(s: EquivSetting) -> EquivalenceReport:
+    if s.flip_point_sign:
+        raise ValueError("flip_point_sign is a 1-d negative control")
     problem = builtin_problems()[s.problem](**s.problem_params)
     ux = problem.advection_speed
     uy = problem.advection_speed_y

@@ -75,16 +75,26 @@ def test_endpoint_values():
 
 def test_traces_constant():
     state = mesh.fill_dg_1d(Grid1D(0, 1, 4), 2, lambda x: np.ones_like(x))
-    qm, qp = dg.traces(state, 2)
-    assert qm == pytest.approx(1.0) and qp == pytest.approx(1.0)
+    qm, qp = dg.trace_values_1d(state)
+    assert qm[2, 0] == pytest.approx(1.0) and qp[2, 0] == pytest.approx(1.0)
 
 
 def test_traces_k1_endpoint_combination():
     state = random_state_1d(1, seed=5)
     c0, c1 = state.coeffs[3, 0, 0], state.coeffs[3, 1, 0]
-    qm, qp = dg.traces(state, 3)
-    assert qp == pytest.approx(c0 + c1, abs=1e-14)
-    assert qm == pytest.approx(c0 - c1, abs=1e-14)
+    qm, qp = dg.trace_values_1d(state)
+    assert qp[3, 0] == pytest.approx(c0 + c1, abs=1e-14)
+    assert qm[3, 0] == pytest.approx(c0 - c1, abs=1e-14)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_ends_stacks_the_endpoint_values_read_only(K):
+    basis = dg.dg_basis(K)
+    assert np.array_equal(basis.ends,
+                          np.stack([basis.value_left, basis.value_right]))
+    assert not basis.ends.flags.writeable
+    with pytest.raises(ValueError):
+        basis.ends[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
@@ -115,9 +125,9 @@ def test_traces_2d_tensor_factorization():
     # pure-y mode: the trace along an x-face is that y-polynomial
     state = DgState2D(Grid2D.square(3), 2, np.zeros((3, 3, 3, 3)))
     state.coeffs[1, 1, 0, 2] = 1.0
-    tr = dg.traces(state, (1, 1))
-    assert np.allclose(tr["right"], [0, 0, 1.0])
-    assert np.allclose(tr["left"], [0, 0, 1.0])
+    left, right = dg.dg_basis(2).ends @ state.coeffs[1, 1]
+    assert np.allclose(right, [0, 0, 1.0])
+    assert np.allclose(left, [0, 0, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,18 @@ def test_cli_equiv_check_negative_control_exit_code(tmp_path):
     assert code == 1
 
 
+def test_cli_equiv_check_refuses_the_classical_variant_in_1d(tmp_path,
+                                                            capsys):
+    out = tmp_path / "equiv.csv"
+    code = run_cli(["equiv-check", "--variant", "classical_midpoint",
+                    "--set", "problem=advection1d", "--set", "k=1",
+                    "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "--variant" in err
+    assert not out.exists()
+
+
 def test_cli_run_writes_state_and_reports(tmp_path):
     out = tmp_path / "state.csv"
     code = run_cli(["run", "--set", "problem=advection1d",

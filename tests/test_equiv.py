@@ -229,6 +229,16 @@ def test_report_is_deterministic():
 # 2-d mapping and verifier
 
 
+def einsum_corner_values(c):
+    """The four one-sided corner values (v_pp, v_mp, v_pm, v_mm) of every
+    cell's block, + for the right/top end, as the package contracted them
+    before ``DgBasis.ends``."""
+    basis = dg.dg_basis(c.shape[-1] - 1)
+    vr, vl = basis.value_right, basis.value_left
+    return [np.einsum("ijmn,m,n->ij", c, vx, vy)
+            for vx, vy in ((vr, vr), (vl, vr), (vr, vl), (vl, vl))]
+
+
 def einsum_map_dg_to_af_2d(state, alpha, beta, check_consistency=True,
                            qhat=None):
     """The 2-d DG-to-AF map as the package assembled it before it became
@@ -241,11 +251,10 @@ def einsum_map_dg_to_af_2d(state, alpha, beta, check_consistency=True,
     check_weights(beta)
     ap, am = alpha
     bp, bm = beta
-    basis = dg.dg_basis(state.K)
     c = state.coeffs
     K = state.K
 
-    v_pp, v_mp, v_pm, v_mm = equiv._corner_values(c, basis)
+    v_pp, v_mp, v_pm, v_mm = einsum_corner_values(c)
     nodes = (ap * bp * np.roll(v_pp, (1, 1), axis=(0, 1))
              + am * bp * np.roll(v_mp, (0, 1), axis=(0, 1))
              + ap * bm * np.roll(v_pm, (1, 0), axis=(0, 1))
@@ -285,6 +294,68 @@ def test_map_2d_matches_einsum_reference(K, alpha, beta):
         want = einsum_map_dg_to_af_2d(state, alpha, beta).U
         got = equiv.map_dg_to_af_2d(state, alpha, beta).U
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def einsum_qhat_interfaces_2d(state, alpha, beta):
+    """``dg.qhat_interfaces_2d`` as the package wrote it before the end
+    values became one product with ``DgBasis.ends``, kept as a reference."""
+    b = dg.dg_basis(state.K)
+    c, vr, vl = state.coeffs, b.value_right, b.value_left
+    ap, am = alpha
+    bp, bm = beta
+    qhat_x = (ap * np.roll(np.einsum("ijmn,m->ijn", c, vr), 1, axis=0)
+              + am * np.einsum("ijmn,m->ijn", c, vl))
+    qhat_y = (bp * np.roll(np.einsum("ijmn,n->ijm", c, vr), 1, axis=1)
+              + bm * np.einsum("ijmn,n->ijm", c, vl))
+    return qhat_x, qhat_y
+
+
+def four_formula_corners(state, qhat_x, qhat_y, nodes):
+    """The reconstruction's corner constants as the package wrote them
+    before the loop over ``np.ndindex(2, 2)``, one formula per corner,
+    kept as a reference."""
+    basis = dg.dg_basis(state.K)
+    vr, vl = basis.value_right, basis.value_left
+    v_pp, v_mp, v_pm, v_mm = einsum_corner_values(state.coeffs)
+    qx_t = np.einsum("ajn,n->aj", qhat_x, vr)
+    qx_b = np.einsum("ajn,n->aj", qhat_x, vl)
+    qy_r = np.einsum("ibm,m->ib", qhat_y, vr)
+    qy_l = np.einsum("ibm,m->ib", qhat_y, vl)
+    corners = np.empty(state.coeffs.shape[:2] + (2, 2))
+    corners[:, :, 1, 1] = (np.roll(nodes, (-1, -1), axis=(0, 1))
+                           - np.roll(qx_t, -1, axis=0)
+                           - np.roll(qy_r, -1, axis=1) + v_pp)
+    corners[:, :, 0, 1] = (np.roll(nodes, (0, -1), axis=(0, 1))
+                           - qx_t - np.roll(qy_l, -1, axis=1) + v_mp)
+    corners[:, :, 1, 0] = (np.roll(nodes, (-1, 0), axis=(0, 1))
+                           - np.roll(qx_b, -1, axis=0) - qy_r + v_pm)
+    corners[:, :, 0, 0] = nodes - qx_b - qy_l + v_mm
+    return corners
+
+
+@pytest.mark.parametrize("alpha,beta", MAP_WEIGHTS)
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_qhat_2d_matches_einsum_reference(K, alpha, beta):
+    state = DgState2D(Grid2D(0, 1, 7, 0, 1.5, 5), K,
+                      np.random.default_rng(K).uniform(-1, 1,
+                                                       (7, 5, K + 1, K + 1)))
+    bound = 1e-15 * np.max(np.abs(state.coeffs))
+    for got, want in zip(dg.qhat_interfaces_2d(state, alpha, beta),
+                         einsum_qhat_interfaces_2d(state, alpha, beta)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= bound
+
+
+@pytest.mark.parametrize("alpha,beta", MAP_WEIGHTS)
+def test_reconstruction_corners_match_four_formula_reference(alpha, beta):
+    """The reconstruction is built for K = 1."""
+    state = DgState2D(Grid2D(0, 1, 7, 0, 1.5, 5), 1,
+                      np.random.default_rng(29).uniform(-1, 1, (7, 5, 2, 2)))
+    rec = equiv.reconstruct_af_2d_from_dg(state, alpha, beta)
+    want = four_formula_corners(state, rec.qhat_x, rec.qhat_y,
+                                rec.mapped.node_values)
+    assert np.max(np.abs(rec.corners - want)) <= \
+        1e-15 * np.max(np.abs(state.coeffs))
 
 
 @pytest.mark.parametrize("alpha,beta", MAP_WEIGHTS)
@@ -370,8 +441,8 @@ def test_lemma_checks_pass_on_random_state():
 
 
 def test_lemma_checks_map_and_qhat_once_per_orientation(monkeypatch):
-    """One DG-to-AF map and one qhat for the state and one each for its
-    transpose (the y identity is re-derived on the transposed state)."""
+    """One DG-to-AF map and one qhat: the y identity runs on the transpose
+    of the state's own reconstruction."""
     calls = {"qhat": 0, "map": 0}
 
     def counting(name, fn):
@@ -387,7 +458,7 @@ def test_lemma_checks_map_and_qhat_once_per_orientation(monkeypatch):
     res = equiv.lemma_checks(random_dg_2d(n=12, seed=19), 1.1, -0.9,
                              NumericalFluxSpec.alpha(0.8, 0.2),
                              NumericalFluxSpec.alpha(0.6, 0.4))
-    assert calls["qhat"] <= 2 and calls["map"] <= 2, calls
+    assert calls == {"qhat": 1, "map": 1}, calls
     for name, val in res.items():
         assert val <= 1e-12, f"{name}: {val:.3e}"
 
@@ -483,6 +554,19 @@ def test_2d_equivalence_zero_speed_axis():
     report = verify_equivalence(s)
     assert report.passed
     assert report.metadata["zero_speed_axis"] == "y"
+
+
+def test_1d_refuses_the_classical_variant():
+    s = EquivSetting(dimension=1, K=1, variant="classical_midpoint")
+    with pytest.raises(ValueError, match="classical_midpoint"):
+        verify_equivalence(s)
+
+
+def test_2d_refuses_flip_point_sign():
+    s = EquivSetting(dimension=2, K=1, n_cells=8, problem="advection2d",
+                     flip_point_sign=True)
+    with pytest.raises(ValueError, match="flip_point_sign"):
+        verify_equivalence(s)
 
 
 def test_2d_classical_negative_control():
