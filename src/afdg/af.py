@@ -21,9 +21,10 @@ blocks.  Three blocks per K (``af_stencil_1d``, built from ``af_ops``
 alone) give them, and ``mesh.kron_sum_apply`` applies them.
 K = 1 reproduces the edge-average/node/cell-average updates with
 Simpson-exact edge integrals; K = 2 gives the fourth-order method.
-The classical update (point updates at edge midpoints, derived from the
-edge averages and their end nodes) is kept as the midpoint-vs-average
-control on the same periodic K = 1 state; it is upwind-only.
+The classical update (point updates at the nodes and edge midpoints, the
+derivatives of the same K = 1 biquadratic ``af_eval_2d`` evaluates) is
+kept as the midpoint-vs-average control on the same periodic K = 1 state;
+it is upwind-only.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from . import poly
 from .mesh import (AF_N_INT, AfState1D, AfState2D, axis_stencil,
                    kron_sum_apply, line_apply, roll_cells,
-                   simpson_edge_average, simpson_midpoint)
+                   simpson_edge_average)
 from .problems import NumericalFluxSpec, ProblemSpec, flux_partials
 
 __all__ = [
@@ -57,8 +58,12 @@ class AfOps:
     d_minus: np.ndarray       # B_p'(-1/2)
     mom_w: np.ndarray         # moment-update weights, shape (K, K+2)
 
-    def basis_values(self, nodes: np.ndarray) -> np.ndarray:
-        return np.array([f(nodes) for f in self.basis.functions()])
+    def basis_values(self, nodes: np.ndarray, d: int = 0) -> np.ndarray:
+        """Row p: the d-th derivative of basis function p at ``nodes``."""
+        funcs = self.basis.functions()
+        for _ in range(d):
+            funcs = [f.derivative() for f in funcs]
+        return np.array([f(nodes) for f in funcs])
 
 
 @lru_cache(maxsize=None)
@@ -102,15 +107,17 @@ def af_eval_1d(state: AfState1D, xi: np.ndarray) -> np.ndarray:
     return np.einsum("ipc,pq->iqc", dofs, bv)
 
 
-def af_eval_2d(state: AfState2D, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Evaluate all tensorial cell reconstructions on a tensor point grid.
+def af_eval_2d(state: AfState2D, xi: np.ndarray, eta: np.ndarray,
+               dxi: int = 0, deta: int = 0) -> np.ndarray:
+    """Evaluate all tensorial cell reconstructions, differentiated dxi times
+    in xi and deta times in eta, on a tensor point grid.
 
     Returns shape (nx, ny, len(xi), len(eta)).
     """
     ops = af_ops(state.K)
     C = _dof_tensor_2d(state)                     # (nx, ny, K+2, K+2)
-    bx = ops.basis_values(np.asarray(xi))
-    by = ops.basis_values(np.asarray(eta))
+    bx = ops.basis_values(np.asarray(xi), dxi)
+    by = ops.basis_values(np.asarray(eta), deta)
     return np.einsum("ijpq,pa,qb->ijab", C, bx, by)
 
 
@@ -294,94 +301,36 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
 # classical 2-d update (edge midpoints), K = 1, upwind, nonnegative speeds
 
 
-@lru_cache(maxsize=None)
-def _lagrange_quadratic():
-    """1-d quadratic Lagrange basis on {-1/2, 0, 1/2} plus mean weights."""
-    basis = (poly.PolySpec([0.0, -1.0, 2.0]), poly.PolySpec([1.0, 0.0, -4.0]),
-             poly.PolySpec([0.0, 1.0, 2.0]))
-    w = np.array([p.cell_integral() for p in basis])
-    w.flags.writeable = False
-    return basis, w
-
-
-def classical_cell_values(state: AfState2D) -> np.ndarray:
-    """3x3 point values per cell of a periodic K = 1 state: the corners,
-    the edge midpoints and the center.
-
-    Each midpoint comes from its edge average and the edge's end nodes
-    (``simpson_midpoint``); the center value from the cell average through
-    the tensor-Lagrange mean weights.
-    """
-    if state.K != 1 or not state.periodic:
-        raise NotImplementedError("the classical update is periodic K = 1 only")
-    _, w = _lagrange_quadratic()
-    # the K = 1 closed blocks: corner nodes, edge averages between them,
-    # the average in the centre
-    V = _dof_tensor_2d(state)
-    ends = [0, 2]
-    V[:, :, ends, 1] = simpson_midpoint(V[:, :, ends, 1], V[:, :, ends, 0],
-                                        V[:, :, ends, 2])
-    V[:, :, 1, ends] = simpson_midpoint(V[:, :, 1, ends], V[:, :, 0, ends],
-                                        V[:, :, 2, ends])
-    avg = V[:, :, 1, 1].copy()
-    V[:, :, 1, 1] = 0.0
-    # center value from the average: subtract the 8 boundary contributions
-    partial = np.einsum("ijab,a,b->ij", V, w, w)
-    V[:, :, 1, 1] = (avg - partial) / (w[1] * w[1])
-    return V
-
-
-def _classical_derivatives(V, dx, dy, xi, eta):
-    """(d/dx, d/dy) of the Lagrange-tensor cell polynomial at (xi, eta)."""
-    (basis, _) = _lagrange_quadratic()
-    bx = np.array([p(xi) for p in basis])
-    by = np.array([p(eta) for p in basis])
-    dbx = np.array([p.derivative()(xi) for p in basis])
-    dby = np.array([p.derivative()(eta) for p in basis])
-    ddx = np.einsum("ijab,a,b->ij", V, dbx, by) / dx
-    ddy = np.einsum("ijab,a,b->ij", V, bx, dby) / dy
-    return ddx, ddy
-
-
 def af_rhs_2d_classical(state: AfState2D, ux: float, uy: float) -> AfState2D:
     """The classical AF update as the derivative of a periodic K = 1
     state's dofs (nodes, edge averages, cell averages).
 
-    Every node and edge midpoint (``classical_cell_values``) is advected
-    with the one-sided derivatives of its fully upwind cell; the average
-    uses Simpson-converted edge averages.  An edge average moves with the
-    Simpson combination of its end nodes' and midpoint's derivatives,
-    which is not the tensorial edge-average update.  Only nonnegative
-    speeds are supported (sufficient for the midpoint-versus-edge-average
-    comparison).
+    Every node and edge midpoint is advected with the derivatives, in its
+    fully upwind cell, of the biquadratic ``af_eval_2d`` reconstructs; the
+    average differences the edge averages.  An edge average moves with the
+    Simpson combination of its end nodes' and midpoint's derivatives, which
+    is not the tensorial edge-average update.  Only nonnegative speeds are
+    supported (sufficient for the midpoint-versus-edge-average comparison).
     """
+    if state.K != 1 or not state.periodic:
+        raise NotImplementedError("the classical update is periodic K = 1 only")
     if ux < 0 or uy < 0:
         raise NotImplementedError("classical update implemented for "
                                   "nonnegative speeds")
     dx, dy = state.grid.dx, state.grid.dy
-    V = classical_cell_values(state)
-
-    # nodes: upwind cell is the lower-left neighbour
-    ddx, ddy = _classical_derivatives(V, dx, dy, 0.5, 0.5)
-    dN = -(ux * np.roll(ddx, (1, 1), axis=(0, 1))
-           + uy * np.roll(ddy, (1, 1), axis=(0, 1)))
-
-    # x-edge midpoints: upwind cell sits left of the interface
-    ddx, ddy = _classical_derivatives(V, dx, dy, 0.5, 0.0)
-    dEx = -(ux * np.roll(ddx, 1, axis=0) + uy * np.roll(ddy, 1, axis=0))
-
-    # y-edge midpoints: upwind cell sits below
-    ddx, ddy = _classical_derivatives(V, dx, dy, 0.0, 0.5)
-    dEy = -(ux * np.roll(ddx, 1, axis=1) + uy * np.roll(ddy, 1, axis=1))
-
-    # average: Simpson-convert each cell's left and bottom edge, then
-    # difference them
-    ex_avg = simpson_edge_average(V[:, :, 0, 0], V[:, :, 0, 1], V[:, :, 0, 2])
-    ey_avg = simpson_edge_average(V[:, :, 0, 0], V[:, :, 1, 0], V[:, :, 2, 0])
-    davg = -(ux * (np.roll(ex_avg, -1, axis=0) - ex_avg) / dx
-             + uy * (np.roll(ey_avg, -1, axis=1) - ey_avg) / dy)
+    pts = np.array([0.0, 0.5])
+    dq = -(ux / dx * af_eval_2d(state, pts, pts, dxi=1)
+           + uy / dy * af_eval_2d(state, pts, pts, deta=1))
+    # (1/2, 1/2), (1/2, 0) and (0, 1/2) of a cell are the node and x- and
+    # y-edge midpoint of its upper-right, right and upper (downwind) cells
+    dN = np.roll(dq[:, :, 1, 1], (1, 1), axis=(0, 1))
+    dEx = roll_cells(dq[:, :, 1, 0], 1)
+    dEy = np.roll(dq[:, :, 0, 1], 1, axis=1)
+    ex, ey = state.x_edge[..., 0], state.y_edge[..., 0]
+    davg = -(ux * (roll_cells(ex, -1) - ex) / dx
+             + uy * (np.roll(ey, -1, axis=1) - ey) / dy)
 
     dex = simpson_edge_average(dN, dEx, np.roll(dN, -1, axis=1))
-    dey = simpson_edge_average(dN, dEy, np.roll(dN, -1, axis=0))
+    dey = simpson_edge_average(dN, dEy, roll_cells(dN, -1))
     return AfState2D(state.grid, 1, dN, dex[..., None], dey[..., None],
                      davg[..., None, None])

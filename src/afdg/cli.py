@@ -118,6 +118,7 @@ def _check_equiv_keys(cfg: driver.RunConfig, dimension: int,
     if dimension == 1 and variant != "tensorial":
         raise driver.ConfigError(f"--variant {variant!r} is a 2-d "
                                  f"comparison, got problem {cfg.problem!r}")
+    cfg.check_inputs()
     problems = sorted(builtin_problems())
     k_key = "order" if cfg.k is None else "k"
     zero_speed = cfg.problem.startswith("advection") and not all(cfg.speeds)
@@ -136,12 +137,10 @@ def _check_equiv_keys(cfg: driver.RunConfig, dimension: int,
                    ("uy", cfg.uy >= 0, f"must be >= 0 {why}")]
     for key, ok, why in checks:
         if not ok:
-            raise driver.ConfigError(f"config key {key!r} {why}, got "
-                                     f"{getattr(cfg, key)!r}")
+            cfg.refuse(key, why)
     problem = driver.make_problem(cfg)
     if problem.linear and not problem.is_scalar and cfg.flux != "upwind":
-        raise driver.ConfigError(f"config key 'flux' must be 'upwind' for "
-                                 f"the system {cfg.problem}, got {cfg.flux!r}")
+        cfg.refuse("flux", f"must be 'upwind' for the system {cfg.problem}")
 
 
 def cmd_bench(args) -> int:

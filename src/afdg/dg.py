@@ -240,13 +240,14 @@ def qhat_interfaces_2d(state: DgState2D, alpha: tuple[float, float],
     with q^+ the trace of cell (a-1, j) at its right face and q^- that of
     cell (a, j) at its left face (modal in y); qhat_y likewise with beta."""
     ends = dg_basis(state.K).ends
-    x_ends = ends @ state.coeffs          # [i, j, s, n]: x-ends of each cell
-    y_ends = state.coeffs @ ends.T        # [i, j, m, s]: y-ends
+    nx, m, ny, _ = state.U.shape   # one product each way on U[i, m, j, n]
+    x_ends = np.matmul(ends, state.U.reshape(nx, m, -1)).reshape(nx, 2, ny, m)
+    y_ends = (state.U.reshape(-1, m) @ ends.T).reshape(nx, m, ny, 2)
     ap, am = alpha
     bp, bm = beta
-    qhat_x = ap * roll_cells(x_ends[:, :, 1], 1) + am * x_ends[:, :, 0]
-    qhat_y = bp * np.roll(y_ends[..., 1], 1, axis=1) + bm * y_ends[..., 0]
-    return qhat_x, qhat_y
+    qhat_x = ap * roll_cells(x_ends[:, 1], 1) + am * x_ends[:, 0]
+    qhat_y = bp * np.roll(y_ends[..., 1], 1, axis=2) + bm * y_ends[..., 0]
+    return qhat_x, qhat_y.swapaxes(1, 2)
 
 
 @lru_cache(maxsize=None)

@@ -102,15 +102,28 @@ class RunConfig:
         rk_order = timeint.schemes_by_name()[self.rk].order
         return f"{self.method.upper()}{self.order}{rk_order}"
 
+    def refuse(self, key: str, why: str):
+        """Raise the ``ConfigError`` that names ``key`` and its value."""
+        raise ConfigError(f"config key {key!r} {why}, got "
+                          f"{getattr(self, key)!r}")
+
+    def check_inputs(self) -> None:
+        """Reject a grid list or a number that no command can use."""
+        if not self.grids or not all(_integer(g) and g > 0 for g in self.grids):
+            self.refuse("grids", "must list positive integer cell counts")
+        for key in ("u", "ux", "uy", "c_sound", "alpha_plus", "beta_plus"):
+            if not _real(getattr(self, key)):
+                self.refuse(key, "must be a number")
+
     def validate(self) -> None:
         """Reject settings no run can honour, naming the key at fault."""
-        def bad(key, why):
-            raise ConfigError(f"config key {key!r} {why}, got "
-                              f"{getattr(self, key)!r}")
-
+        bad = self.refuse
+        self.check_inputs()
         if self.method not in ("af", "dg"):
             bad("method", "must be 'af' or 'dg'")
         K = replace(self, k=None).K
+        if not _integer(self.order) or K < 0:
+            bad("order", "must be an integer giving K >= 0")
         if self.k not in (None, K):
             bad("k", f"must be none or {K}, the K of method {self.method!r} "
                 f"at order {self.order}")
@@ -137,10 +150,25 @@ class RunConfig:
             bad("flux", "must be one of " + ", ".join(FLUX_NAMES))
         if self.flux == "lax_friedrichs" and not any(self.speeds):
             bad("flux", "needs a nonzero speed for its constant")
+        try:
+            if self.method == "af":
+                dg.quad_rule_for_order("af", self.order)
+            default_dt(self, 1.0)
+        except (KeyError, ValueError):
+            bad("order", f"is not in the catalog of method {self.method!r} "
+                "(outside it a DG run needs cfl_override)")
+
+
+def _real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _positive(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and x > 0
+    return _real(x) and x > 0
 
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False}
@@ -149,7 +177,7 @@ _BOOL = {"true": True, "false": False, "yes": True, "no": False}
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key == "grids":
-        return tuple(int(g) for g in raw.replace(",", " ").split())
+        return tuple(_parse_value("", g) for g in raw.replace(",", " ").split())
     if raw.lower() in _BOOL:
         return _BOOL[raw.lower()]
     if raw.lower() in ("none", ""):
@@ -204,8 +232,7 @@ _INIT_1D = {
 def initial_condition(cfg: RunConfig):
     inits = _INIT_2D if cfg.problem.endswith("2d") else _INIT_1D
     if cfg.init not in inits:
-        raise ConfigError(f"config key 'init' must be one of "
-                          f"{', '.join(inits)}, got {cfg.init!r}")
+        cfg.refuse("init", f"must be one of {', '.join(inits)}")
     return inits[cfg.init]
 
 
@@ -496,12 +523,10 @@ def run_convergence_study(cfg: RunConfig):
     """Rows (method, dx, e_dofs, eoc) over the config's grid list."""
     cfg.validate()
     if len(cfg.grids) < 2:
-        raise ConfigError(f"config key 'grids' needs at least two grids for "
-                          f"a convergence study, got {cfg.grids!r}")
+        cfg.refuse("grids", "needs at least two grids for a convergence study")
     for a, b in zip(cfg.grids[:-1], cfg.grids[1:]):
         if b != 2 * a:
-            raise ConfigError(f"config key 'grids' must refine by factors "
-                              f"of 2, got {cfg.grids!r}")
+            cfg.refuse("grids", "must refine by factors of 2")
     rows = []
     prev = None
     for n in cfg.grids:
@@ -526,9 +551,8 @@ def run_superconvergence_probe(cfg: RunConfig):
     (2-d); rows (point_set, dx, error, eoc)."""
     for key, want in (("method", "dg"), ("flux", "upwind")):
         if getattr(cfg, key) != want:
-            raise ConfigError(f"config key {key!r} must be {want!r} for the "
-                              f"superconvergence probe, got "
-                              f"{getattr(cfg, key)!r}")
+            cfg.refuse(key, f"must be {want!r} for the superconvergence "
+                       "probe")
     exact = exact_solution(cfg)
     rows = []
     if not cfg.problem.endswith("2d"):
@@ -548,9 +572,8 @@ def run_superconvergence_probe(cfg: RunConfig):
     else:
         if cfg.K != 1:
             key = "order" if cfg.k is None else "k"
-            raise ConfigError(f"config key {key!r} must give K = 1 for the "
-                              f"2-d crossing-point probe, got "
-                              f"{getattr(cfg, key)!r}")
+            cfg.refuse(key, "must give K = 1 for the 2-d crossing-point "
+                       "probe")
         cross_x = poly.radau_points(1, "left" if cfg.ux > 0 else "right")
         cross_y = poly.radau_points(1, "left" if cfg.uy > 0 else "right")
         errs = {"crossing_points": []}
@@ -585,8 +608,7 @@ def run_benchmark(cfg: RunConfig, methods=None, min_time: float = 0.05,
     RK schemes and grids.
     """
     if len(cfg.grids) < 3:
-        raise ConfigError(f"config key 'grids' needs at least three grids "
-                          f"for a scaling fit, got {cfg.grids!r}")
+        cfg.refuse("grids", "needs at least three grids for a scaling fit")
     methods = methods or [("af", 3), ("dg", 3)]
     records = []
     slopes = []

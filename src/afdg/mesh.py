@@ -36,7 +36,7 @@ __all__ = [
     "Grid1D", "Grid2D",
     "AfState1D", "AfState2D", "DgState1D", "DgState2D",
     "DofCounts", "dof_counts", "AF_N_INT", "DG_N_INT", "AF_CFL", "DG_CFL",
-    "simpson_edge_average", "simpson_midpoint",
+    "simpson_edge_average",
     "fill_af_1d", "fill_dg_1d", "fill_af_2d", "fill_dg_2d",
     "af_cell_dofs_2d", "dg_cell_dofs_2d",
     "axis_stencil", "line_apply", "kron_sum_apply", "kron_apply", "roll_cells",
@@ -269,17 +269,12 @@ def dof_counts(family: str, n_order: int) -> DofCounts:
 
 
 # ---------------------------------------------------------------------------
-# Simpson conversion between edge point triples and edge averages
+# Simpson average of an edge point triple
 
 
 def simpson_edge_average(end1, mid, end2):
     """Average along an edge from its endpoint and midpoint values."""
     return (np.asarray(end1) + 4.0 * np.asarray(mid) + np.asarray(end2)) / 6.0
-
-
-def simpson_midpoint(average, end1, end2):
-    """Inverse of ``simpson_edge_average`` for the midpoint value."""
-    return (6.0 * np.asarray(average) - np.asarray(end1) - np.asarray(end2)) / 4.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Schemes are stored in convex-combination (Shu-Osher) form: every stage is
 a weighted sum of earlier stages plus a scaled rhs evaluation.  States are
-the dataclass containers from :mod:`afdg.mesh`; the integrator only needs
+the one-tensor containers of :mod:`afdg.mesh`; the integrator only needs
 their ``arrays``/``with_arrays`` pair, so the same code drives 1-d, 2-d,
 AF and DG states.
 """

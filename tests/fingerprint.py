@@ -13,8 +13,11 @@ parent's ``src/`` and on the changed one and comparing the lines:
 * ``runs_2d``  - the same for 2-d runs (AF3, AF4, DG2, DG3; periodic and
   Dirichlet; upwind and alpha fluxes);
 * ``equiv``    - the rows of 1-d and 2-d ``verify_equivalence`` at seeds
-  0..4 (linear advection, acoustics, Burgers, expflux, the two negative
-  controls) and the nonlinear-gap series;
+  0..4 (linear advection, acoustics, Burgers, expflux) and the
+  nonlinear-gap series;
+* ``controls`` - the rows of the two negative controls (classical
+  midpoint, sign flip) at seeds 0..4, apart from ``equiv`` so that a
+  change to a control can still show every equivalence row unchanged;
 * ``lemma``    - the ``lemma_checks`` residuals at seeds 0..4, apart from
   ``equiv`` so that a change that moves a residual by roundoff can still
   show every verifier gap unchanged;
@@ -125,6 +128,10 @@ def _equiv_settings(seed):
             yield S(dimension=2, K=K, n_cells=16, seed=seed, flux=flux,
                     alpha_plus=a, beta_plus=b, problem="advection2d",
                     problem_params={"ux": 1.0, "uy": -0.5})
+
+
+def _control_settings(seed):
+    S = equiv.EquivSetting
     yield S(dimension=2, K=1, n_cells=16, seed=seed, problem="advection2d",
             problem_params={"ux": 1.0, "uy": 1.0},
             variant="classical_midpoint")
@@ -132,16 +139,25 @@ def _equiv_settings(seed):
             problem="burgers", tolerance=1e-10, flip_point_sign=True)
 
 
-def equivalence():
-    g = Group("equiv")
+def _verifier_group(name, settings):
+    g = Group(name)
     for seed in SEEDS:
-        for s in _equiv_settings(seed):
+        for s in settings(seed):
             g.add(list(equiv.verify_equivalence(s).rows()))
+    return g
+
+
+def equivalence():
+    g = _verifier_group("equiv", _equiv_settings)
     for n in (128, 256, 512, 1024):
         g.add(list(equiv.verify_equivalence(equiv.EquivSetting(
             dimension=1, K=2, n_cells=n, seed=7, flux="lax_friedrichs",
             problem="burgers", tolerance=1e-10)).rows()))
     return g
+
+
+def controls():
+    return _verifier_group("controls", _control_settings)
 
 
 def lemma():
@@ -199,7 +215,8 @@ def probe():
 
 def main():
     with np.errstate(all="ignore"):
-        for make in (runs_1d, runs_2d, equivalence, lemma, csvs, probe):
+        for make in (runs_1d, runs_2d, equivalence, controls, lemma, csvs,
+                     probe):
             print(make().line(), flush=True)
 
 

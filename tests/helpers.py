@@ -15,6 +15,11 @@ def eval_and_derivative(p, xi: float, dx: float) -> tuple:
     return p(xi), p.derivative()(xi) / dx
 
 
+def simpson_midpoint(average, end1, end2):
+    """Inverse of ``mesh.simpson_edge_average`` for the midpoint value."""
+    return (6.0 * np.asarray(average) - np.asarray(end1) - np.asarray(end2)) / 4.0
+
+
 def eigen_split(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """J = J+ + J- via eigendecomposition with eigenvalues clipped at 0."""
     lam, R = np.linalg.eig(J)

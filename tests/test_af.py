@@ -384,11 +384,8 @@ def test_2d_edge_update_matches_simpson_form():
     d = af.af_rhs_2d_tensorial(state, ux, 0.0, (ux, 0.0), (0.0, 0.0))
     vals_eta = np.array([-0.5, 0.0, 0.5])
     # d/dx of the reconstruction at the right face of each cell
-    ops = af.af_ops(1)
-    C = af._dof_tensor_2d(state)
-    bx_d = np.array([f.derivative()(0.5) for f in ops.basis.functions()])
-    by = ops.basis_values(vals_eta)
-    ddx = np.einsum("ijpq,p,qs->ijs", C, bx_d, by) / state.grid.dx
+    ddx = af.af_eval_2d(state, np.array([0.5]), vals_eta,
+                        dxi=1)[:, :, 0] / state.grid.dx
     simpson = (ddx[:, :, 0] + 4 * ddx[:, :, 1] + ddx[:, :, 2]) / 6.0
     want = -ux * np.roll(simpson, 1, axis=0)
     assert np.allclose(d.x_edge[:, :, 0], want, atol=1e-11)
@@ -439,10 +436,11 @@ def test_classical_zero_speeds_zero():
 
 
 def test_classical_center_value_recovery():
-    # the 3x3 value table reproduces the stored cell average through the
-    # tensor-Lagrange mean weights
+    # the K = 1 reconstruction sampled on the 3x3 midpoint/node grid
+    # reproduces the stored cell average through the tensor-Simpson weights
     state = smooth_state_2d(1, seed=21)
-    V = af.classical_cell_values(state)
+    nodes = np.array([-0.5, 0.0, 0.5])
+    V = af.af_eval_2d(state, nodes, nodes)
     w = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
     avg = np.einsum("ijab,a,b->ij", V, w, w)
     assert np.allclose(avg, state.cell_moments[:, :, 0, 0], atol=1e-13)

@@ -14,10 +14,10 @@ family.
 
 import numpy as np
 import pytest
+from helpers import simpson_midpoint
 
 from afdg import af, poly
-from afdg.mesh import (AfState2D, Grid2D, fill_af_2d, simpson_edge_average,
-                       simpson_midpoint)
+from afdg.mesh import AfState2D, Grid2D, fill_af_2d, simpson_edge_average
 
 
 # ---------------------------------------------------------------------------

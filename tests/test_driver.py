@@ -106,6 +106,18 @@ def test_invalid_config_rejected_before_any_step(key, value, tmp_path,
     ("run", "k", "3", ["method=dg", "problem=advection1d"]),
     ("run", "k", "1", ["method=af", "order=4"]),
     ("convergence", "k", "2", ["method=dg", "order=2", "grids=8,16"]),
+    # grid lists, orders and numbers no run can serve
+    ("run", "grids", "", []),
+    ("run", "grids", "0", []),
+    ("run", "grids", "-4", []),
+    ("run", "grids", "1.5", []),
+    ("run", "order", "2", ["method=af"]),
+    ("run", "order", "9", []),
+    ("run", "order", "0", ["cfl_override=0.1"]),
+    ("run", "u", "abc", ["problem=advection1d"]),
+    ("run", "c_sound", "abc", []),
+    ("equiv-check", "grids", "0", []),
+    ("equiv-check", "ux", "abc", ["problem=advection2d"]),
 ])
 def test_cli_names_bad_key_before_any_step(command, key, value, extra,
                                            tmp_path, capsys, monkeypatch):
@@ -121,6 +133,12 @@ def test_cli_names_bad_key_before_any_step(command, key, value, extra,
     assert code == 2
     assert err.count("\n") == 1 and f"config key '{key}'" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_dg_order_outside_the_catalog_runs_with_cfl_override():
+    cfg = RunConfig(method="dg", order=7, problem="advection1d", init="sine",
+                    grids=(8,), t_final=0.01, cfl_override=0.01)
+    assert driver.run_simulation(cfg).bench.steps == 8
 
 
 def test_cli_unstable_run_ends_in_one_line(tmp_path, capsys):

@@ -423,6 +423,11 @@ def test_reconstruct_2d_matches_af_reconstruction():
     built = rec.evaluate(xi, xi)
     direct = af.af_eval_2d(mapped, xi, xi)
     assert np.max(np.abs(built - direct)) <= 1e-12
+    # and so do their first derivatives in xi and in eta
+    for dxi, deta in ((1, 0), (0, 1)):
+        built = rec.evaluate(xi, xi, dxi=dxi, deta=deta)
+        direct = af.af_eval_2d(mapped, xi, xi, dxi=dxi, deta=deta)
+        assert np.max(np.abs(built - direct)) <= 1e-12 * np.max(np.abs(built))
 
 
 def test_reconstruct_2d_constant_corrections_vanish():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import neighbour_stack
+from helpers import neighbour_stack, simpson_midpoint
 
 from afdg import af, mesh, poly
 from afdg.mesh import Grid1D, Grid2D, dof_counts
@@ -65,7 +65,7 @@ def test_simpson_roundtrip():
     rng = np.random.default_rng(0)
     end1, mid, end2 = rng.uniform(-2, 2, 3)
     avg = mesh.simpson_edge_average(end1, mid, end2)
-    assert mesh.simpson_midpoint(avg, end1, end2) == pytest.approx(mid, abs=1e-14)
+    assert simpson_midpoint(avg, end1, end2) == pytest.approx(mid, abs=1e-14)
 
 
 def test_simpson_exact_on_quadratics():
@@ -136,6 +136,10 @@ def test_fill_af_2d_duality_roundtrip():
             got = np.einsum("ijb,b->ij", vals[:, :, 0, :], w)
             want = np.roll(state.x_edge[:, :, k], -1, axis=0)
             assert np.allclose(got, want, atol=1e-12)
+        # the reconstruction reproduces the cell average
+        vals = af.af_eval_2d(state, rule.nodes, rule.nodes)
+        mean = np.einsum("ijab,a,b->ij", vals, rule.weights, rule.weights)
+        assert np.allclose(mean, state.cell_moments[:, :, 0, 0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
