@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from . import poly
 from .mesh import (AF_N_INT, AfState1D, AfState2D, axis_stencil,
@@ -41,7 +42,7 @@ from .mesh import (AF_N_INT, AfState1D, AfState2D, axis_stencil,
 from .problems import NumericalFluxSpec, ProblemSpec, flux_partials
 
 __all__ = [
-    "AfOps", "af_ops",
+    "AfOps", "af_ops", "basis_table",
     "af_eval_1d", "af_eval_2d",
     "af_rhs_1d", "FluxProjection1D",
     "af_stencil_1d", "af_rhs_2d_tensorial", "af_rhs_2d_classical",
@@ -60,26 +61,25 @@ class AfOps:
 
     def basis_values(self, nodes: np.ndarray, d: int = 0) -> np.ndarray:
         """Row p: the d-th derivative of basis function p at ``nodes``."""
-        funcs = self.basis.functions()
-        for _ in range(d):
-            funcs = [f.derivative() for f in funcs]
-        return np.array([f(nodes) for f in funcs])
+        return npp.polyval(nodes, basis_table(self.K, d).T)
+
+
+@lru_cache(maxsize=None)
+def basis_table(K: int, d: int) -> np.ndarray:
+    """The AF basis' ``poly.coefficient_table``, in dof order."""
+    return poly.coefficient_table(poly.moment_dual_basis(K).functions(), d)
 
 
 @lru_cache(maxsize=None)
 def af_ops(K: int) -> AfOps:
     basis = poly.moment_dual_basis(K)
-    funcs = basis.functions()
-    d_plus = np.array([f.derivative()(0.5) for f in funcs])
-    d_minus = np.array([f.derivative()(-0.5) for f in funcs])
-    vals_plus = np.array([f(0.5) for f in funcs])
-    vals_minus = np.array([f(-0.5) for f in funcs])
+    vals_minus, vals_plus, d_minus, d_plus = (
+        npp.polyval(x, basis_table(K, d).T)
+        for d in (0, 1) for x in (-0.5, 0.5))
     mom_w = np.zeros((K, K + 2))
-    for k in range(K):
-        bk = basis.b[k]
-        ak = basis.A[k]
+    for k, (bk, ak) in enumerate(zip(basis.b, basis.A)):
         db = bk.derivative()
-        for p, f in enumerate(funcs):
+        for p, f in enumerate(basis.functions()):
             mom_w[k, p] = ak * (bk(0.5) * vals_plus[p]
                                 - bk(-0.5) * vals_minus[p]
                                 - (db * f).cell_integral())
@@ -115,10 +115,9 @@ def af_eval_2d(state: AfState2D, xi: np.ndarray, eta: np.ndarray,
     Returns shape (nx, ny, len(xi), len(eta)).
     """
     ops = af_ops(state.K)
-    C = _dof_tensor_2d(state)                     # (nx, ny, K+2, K+2)
     bx = ops.basis_values(np.asarray(xi), dxi)
     by = ops.basis_values(np.asarray(eta), deta)
-    return np.einsum("ijpq,pa,qb->ijab", C, bx, by)
+    return bx.T @ _dof_tensor_2d(state) @ by
 
 
 def _dof_tensor_2d(state: AfState2D) -> np.ndarray:
@@ -222,23 +221,16 @@ def _interface_derivatives(ops, dofs, dx):
 def _moment_rhs_1d(state, problem, ops, dofs, dmo):
     """Moment update of a nonlinear flux, by quadrature, into ``dmo``."""
     dx = state.grid.dx
-    rule = _default_af_rule(state.K)
-    bvals = ops.basis_values(rule.nodes)                  # (K+2, nq)
-    qvals = np.einsum("ipc,pq->iqc", dofs, bvals)
+    n_int = AF_N_INT.get(state.K + 2, 2 * state.K + 5)
+    rule = poly.gauss_legendre_rule((n_int + 2) // 2)
+    qvals = np.einsum("ipc,pq->iqc", dofs, ops.basis_values(rule.nodes))
     fvals = problem.flux(qvals)
-    f_l = problem.flux(dofs[:, 0, :])
-    f_r = problem.flux(dofs[:, -1, :])
-    for k in range(state.K):
-        bk = ops.basis.b[k]
-        ak = ops.basis.A[k]
-        dbw = bk.derivative()(rule.nodes) * rule.weights
-        vol = np.einsum("iqc,q->ic", fvals, dbw)
+    f_l, f_r = problem.flux(dofs[:, 0, :]), problem.flux(dofs[:, -1, :])
+    dbw = rule.weights * npp.polyval(
+        rule.nodes, poly.coefficient_table(ops.basis.b, 1).T)
+    for k, (bk, ak) in enumerate(zip(ops.basis.b, ops.basis.A)):
+        vol = np.einsum("iqc,q->ic", fvals, dbw[k])
         dmo[:, k, :] = (ak / dx) * (vol - (bk(0.5) * f_r - bk(-0.5) * f_l))
-
-
-def _default_af_rule(K: int) -> poly.QuadratureRule:
-    n_int = AF_N_INT.get(K + 2, 2 * K + 5)
-    return poly.gauss_legendre_rule((n_int + 2) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +315,14 @@ def af_rhs_2d_classical(state: AfState2D, ux: float, uy: float) -> AfState2D:
            + uy / dy * af_eval_2d(state, pts, pts, deta=1))
     # (1/2, 1/2), (1/2, 0) and (0, 1/2) of a cell are the node and x- and
     # y-edge midpoint of its upper-right, right and upper (downwind) cells
-    dN = np.roll(dq[:, :, 1, 1], (1, 1), axis=(0, 1))
+    dN = roll_cells(roll_cells(dq[:, :, 1, 1], 1), 1, axis=1)
     dEx = roll_cells(dq[:, :, 1, 0], 1)
-    dEy = np.roll(dq[:, :, 0, 1], 1, axis=1)
+    dEy = roll_cells(dq[:, :, 0, 1], 1, axis=1)
     ex, ey = state.x_edge[..., 0], state.y_edge[..., 0]
     davg = -(ux * (roll_cells(ex, -1) - ex) / dx
-             + uy * (np.roll(ey, -1, axis=1) - ey) / dy)
+             + uy * (roll_cells(ey, -1, axis=1) - ey) / dy)
 
-    dex = simpson_edge_average(dN, dEx, np.roll(dN, -1, axis=1))
+    dex = simpson_edge_average(dN, dEx, roll_cells(dN, -1, axis=1))
     dey = simpson_edge_average(dN, dEy, roll_cells(dN, -1))
     return AfState2D(state.grid, 1, dN, dex[..., None], dey[..., None],
                      davg[..., None, None])

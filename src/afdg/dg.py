@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from . import poly
 from .mesh import (AF_N_INT, DG_N_INT, DgState1D, DgState2D, axis_stencil,
@@ -42,7 +43,7 @@ __all__ = [
     "DgBasis", "dg_basis", "dg_rhs_1d", "dg_stencil_1d", "dg_rhs_2d",
     "trace_values_1d", "interface_traces_1d",
     "RieszEndpointFunctionals", "riesz_endpoint_functionals",
-    "quad_rule_for_order",
+    "quad_rule_for_order", "phi_table",
 ]
 
 
@@ -65,11 +66,15 @@ def dg_basis(K: int) -> DgBasis:
     mass = np.array([(p * p).cell_integral() for p in phi])
     stiff = np.array([[(pm.derivative() * pn).cell_integral() for pn in phi]
                       for pm in phi])
-    vr = np.array([p(0.5) for p in phi])
-    vl = np.array([p(-0.5) for p in phi])
-    ends = np.stack([vl, vr])
+    ends = np.array([[p(x) for p in phi] for x in (-0.5, 0.5)])
     ends.flags.writeable = False
-    return DgBasis(K, phi, mass, stiff, vr, vl, ends)
+    return DgBasis(K, phi, mass, stiff, ends[1], ends[0], ends)
+
+
+@lru_cache(maxsize=None)
+def phi_table(K: int, d: int) -> np.ndarray:
+    """The modes' ``poly.coefficient_table``."""
+    return poly.coefficient_table(dg_basis(K).phi, d)
 
 
 def quad_rule_for_order(family: str, order: int) -> poly.QuadratureRule:
@@ -136,10 +141,9 @@ def dg_rhs_1d(state: DgState1D, problem: ProblemSpec,
     fhat = interface_fluxes_1d(state, problem, flux)          # (n, m)
     fhat_r = roll_cells(fhat, -1)                             # at x_{i+1/2}
     rule = quad or quad_rule_for_order("dg", state.K + 1)
-    qvals = np.einsum("inc,nq->iqc", state.coeffs,
-                      np.array([p(rule.nodes) for p in basis.phi]))
-    fvals = problem.flux(qvals)
-    dphi = np.array([p.derivative()(rule.nodes) for p in basis.phi])
+    phi = npp.polyval(rule.nodes, phi_table(state.K, 0).T)
+    dphi = npp.polyval(rule.nodes, phi_table(state.K, 1).T)
+    fvals = problem.flux(np.einsum("inc,nq->iqc", state.coeffs, phi))
     vol = np.einsum("iqc,mq,q->imc", fvals, dphi, rule.weights)
     numer = (vol
              - np.einsum("m,ic->imc", basis.value_right, fhat_r)
@@ -166,7 +170,7 @@ def augmented_coefficients_1d(state: DgState1D, problem: ProblemSpec,
     for n in range(K + 1):
         mono[:, : n + 1, :] += state.coeffs[:, n, None, :] \
             * basis.phi[n].coefficients[None, :, None]
-    corr_r = np.roll(qhat, -1, axis=0) - q_plus     # weight on R_R
+    corr_r = roll_cells(qhat, -1) - q_plus           # weight on R_R
     corr_l = qhat - q_minus                          # weight on R_L
     mono += corr_r[:, None, :] * r_r.coefficients[None, :, None]
     mono += corr_l[:, None, :] * r_l.coefficients[None, :, None]
@@ -186,11 +190,7 @@ def interface_states_from_fluxes(fhat: np.ndarray,
 @lru_cache(maxsize=None)
 def monomial_to_modal(K: int) -> np.ndarray:
     """Exact change of basis: modal = T @ monomial on P^K (triangular solve)."""
-    basis = dg_basis(K)
-    P = np.zeros((K + 1, K + 1))
-    for n, p in enumerate(basis.phi):
-        P[: n + 1, n] = p.coefficients
-    return np.linalg.inv(P)
+    return np.linalg.inv(phi_table(K, 0).T)
 
 
 def _poly_derivative_modal(mono: np.ndarray, K: int) -> np.ndarray:
@@ -246,7 +246,7 @@ def qhat_interfaces_2d(state: DgState2D, alpha: tuple[float, float],
     ap, am = alpha
     bp, bm = beta
     qhat_x = ap * roll_cells(x_ends[:, 1], 1) + am * x_ends[:, 0]
-    qhat_y = bp * np.roll(y_ends[..., 1], 1, axis=2) + bm * y_ends[..., 0]
+    qhat_y = bp * roll_cells(y_ends[..., 1], 1, axis=2) + bm * y_ends[..., 0]
     return qhat_x, qhat_y.swapaxes(1, 2)
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from . import af, dg, mesh, poly, timeint
 from .mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid1D, Grid2D,
@@ -114,6 +115,12 @@ class RunConfig:
         for key in ("u", "ux", "uy", "c_sound", "alpha_plus", "beta_plus"):
             if not _real(getattr(self, key)):
                 self.refuse(key, "must be a number")
+        if not (_integer(self.seed) and self.seed >= 0):
+            self.refuse("seed", "must be a nonnegative integer")
+        if not _positive(self.tolerance):
+            self.refuse("tolerance", "must be a positive number")
+        if self.k is not None and not (_integer(self.k) and self.k >= 1):
+            self.refuse("k", "must be none or an integer >= 1")
 
     def validate(self) -> None:
         """Reject settings no run can honour, naming the key at fault."""
@@ -539,9 +546,8 @@ def run_convergence_study(cfg: RunConfig):
 
 
 def _dg_sample_errors_1d(state: DgState1D, exact, t, points) -> float:
-    basis = dg.dg_basis(state.K)
     vals = np.einsum("inc,nq->iqc", state.coeffs,
-                     np.array([p(points) for p in basis.phi]))[:, :, 0]
+                     npp.polyval(points, dg.phi_table(state.K, 0).T))[:, :, 0]
     xs = state.grid.centers()[:, None] + state.grid.dx * points[None, :]
     return float(np.sqrt(np.mean((vals - exact(t, xs)) ** 2)))
 
@@ -580,9 +586,8 @@ def run_superconvergence_probe(cfg: RunConfig):
         for n in cfg.grids:
             res = run_simulation(cfg, n)
             state = res.state
-            basis = dg.dg_basis(1)
-            px = np.array([p(cross_x) for p in basis.phi])
-            py = np.array([p(cross_y) for p in basis.phi])
+            px = npp.polyval(cross_x, dg.phi_table(1, 0).T)
+            py = npp.polyval(cross_y, dg.phi_table(1, 0).T)
             vals = np.einsum("ijmn,ma,nb->ijab", state.coeffs, px, py)
             g = state.grid
             xs = g.gx.centers()[:, None, None, None] + g.dx * cross_x[None, None, :, None]

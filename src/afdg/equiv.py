@@ -92,7 +92,6 @@ def project_flux_F(state: DgState1D, problem: ProblemSpec,
         raise ValueError("flux projection is defined for scalar problems")
     K = state.K
     rule = dg.quad_rule_for_order("dg", K + 1)
-    basis = dg.dg_basis(K)
     q_l, q_r = dg.interface_traces_1d(state)
     fhat = numerical_flux(flux, problem, q_l, q_r)               # (n_if, 1)
 
@@ -101,7 +100,7 @@ def project_flux_F(state: DgState1D, problem: ProblemSpec,
     dfdqr = np.asarray(dr)[:, 0]
     A = np.asarray(problem.jacobian(invert_flux(problem, fhat)))[:, 0]
 
-    phi_vals = np.array([p(rule.nodes) for p in basis.phi])      # (K+1, nq)
+    phi_vals = npp.polyval(rule.nodes, dg.phi_table(K, 0).T)     # (K+1, nq)
     qvals = np.einsum("inc,nq->iqc", state.coeffs, phi_vals)
     fvals = problem.flux(qvals)                                  # (n, nq, 1)
     moments = np.einsum("kq,iqc->ikc", _af_moment_weights(K, rule), fvals)
@@ -213,7 +212,7 @@ def corner_consistency_residual(state: DgState2D, alpha, beta,
     # interfaces) at x = -+1/2, qhat_x at y = -+1/2
     qy, qx = qhat_y @ ends.T, qhat_x @ ends.T
     expr1 = ap * roll_cells(qy[..., 1], 1) + am * qy[..., 0]
-    expr2 = bp * np.roll(qx[..., 1], 1, axis=1) + bm * qx[..., 0]
+    expr2 = bp * roll_cells(qx[..., 1], 1, axis=1) + bm * qx[..., 0]
     res = np.max(np.abs(expr1 - expr2))
     if nodes is not None:
         res = max(res, np.max(np.abs(expr1 - nodes)))
@@ -222,13 +221,9 @@ def corner_consistency_residual(state: DgState2D, alpha, beta,
 
 @lru_cache(maxsize=None)
 def _psi(K: int, d: int) -> np.ndarray:
-    """Monomial coefficients C[p, k] of the d-th derivative of the corrected
-    field's 1-d basis psi = (phi_0..phi_K, R_L, R_R), read-only."""
+    """``poly.coefficient_table`` of psi = (phi_0..phi_K, R_L, R_R)."""
     psi = (*dg.dg_basis(K).phi, *poly.radau_pair(K))
-    C = npp.polyder([np.pad(p.coefficients, (0, K + 1 - p.degree))
-                     for p in psi], d, axis=1)
-    C.flags.writeable = False
-    return C
+    return poly.coefficient_table(psi, d)
 
 
 @dataclass(frozen=True)
@@ -256,7 +251,8 @@ class TensorReconstruction2D:
         ends = dg.dg_basis(self.state.K).ends
         r_x = (np.stack([self.qhat_x, roll_cells(self.qhat_x, -1)], axis=2)
                - ends @ c)
-        r_y = (np.stack([self.qhat_y, np.roll(self.qhat_y, -1, axis=1)], axis=3)
+        r_y = (np.stack([self.qhat_y, roll_cells(self.qhat_y, -1, axis=1)],
+                        axis=3)
                - c @ ends.T)
         return np.block([[c, r_y], [r_x, self.corners]])
 
@@ -292,9 +288,9 @@ def reconstruct_af_2d_from_dg(state: DgState2D, alpha, beta
     corners = ends @ state.coeffs @ ends.T
     for sx, sy in np.ndindex(2, 2):
         corners[:, :, sx, sy] += (
-            np.roll(mapped.node_values, (-sx, -sy), axis=(0, 1))
-            - np.roll(qx[..., sy], -sx, axis=0)
-            - np.roll(qy[..., sx], -sy, axis=1))
+            roll_cells(roll_cells(mapped.node_values, -sx), -sy, axis=1)
+            - roll_cells(qx[..., sy], -sx)
+            - roll_cells(qy[..., sx], -sy, axis=1))
     return TensorReconstruction2D(state, qhat_x, qhat_y, corners, mapped)
 
 
@@ -347,7 +343,7 @@ def lemma_checks(state: DgState2D, ux: float, uy: float,
     # average match: cell mean of the corrected field equals the DG mean
     rule = poly.gauss_legendre_rule(3)
     built_q = rec.evaluate(rule.nodes, rule.nodes)
-    mean_built = np.einsum("ijab,a,b->ij", built_q, rule.weights, rule.weights)
+    mean_built = rule.weights @ built_q @ rule.weights
     res["average_match"] = float(
         np.max(np.abs(mean_built - state.coeffs[:, :, 0, 0]))) / scale
 
@@ -361,8 +357,8 @@ def lemma_checks(state: DgState2D, ux: float, uy: float,
 
     # corner match: corrected field at (+1/2, +1/2) equals the mapped node
     corner_vals = rec.evaluate(np.array([0.5]), np.array([0.5]))[:, :, 0, 0]
-    res["corner_match"] = float(np.max(np.abs(
-        corner_vals - np.roll(mapped.node_values, (-1, -1), axis=(0, 1))))) / scale
+    node = roll_cells(roll_cells(mapped.node_values, -1), -1, axis=1)
+    res["corner_match"] = float(np.max(np.abs(corner_vals - node))) / scale
 
     # edge-trace combination identity (both sides along horizontal edges)
     res["edge_trace_combination"] = _edge_trace_identity_residual(
@@ -394,7 +390,7 @@ def _edge_trace_identity_residual(rec, mapped, alpha, beta, xi):
     edges = np.array([-0.5, 0.5])
     qrx = rec.evaluate(xi, edges, parts="x")
     af_trace = af.af_eval_2d(mapped, xi, np.array([0.5]))[:, :, :, 0]
-    lhs = bp * qrx[..., 1] + bm * np.roll(qrx[..., 0], -1, axis=1)
+    lhs = bp * qrx[..., 1] + bm * roll_cells(qrx[..., 0], -1, axis=1)
     worst = float(np.max(np.abs(lhs - af_trace)))
 
     qry = rec.evaluate(edges, xi, parts="y")
@@ -440,8 +436,8 @@ def _x_edge_identity(rec, dc, ux, uy, a_w, b_w) -> float:
     lhs += ux * (a_w * mean_dqrx[:, :, 1]
                  + b_w * roll_cells(mean_dqrx[:, :, 0], -1))
     qy = rec.qhat_y @ ends.T
-    jump = (a_w * (np.roll(qy[..., 1], -1, axis=1) - qy[..., 1])
-            + b_w * roll_cells(np.roll(qy[..., 0], -1, axis=1) - qy[..., 0],
+    jump = (a_w * (roll_cells(qy[..., 1], -1, axis=1) - qy[..., 1])
+            + b_w * roll_cells(roll_cells(qy[..., 0], -1, axis=1) - qy[..., 0],
                                -1))
     lhs += uy * jump / dy
     return float(np.max(np.abs(lhs)))
@@ -456,8 +452,8 @@ def _corner_identity(rec, dc, ux, uy, g) -> float:
         """g-weighted values v[..., sx, sy] of the four cells at the node
         they share, the upper-right corner of cell (i, j)."""
         return (g[0] * v[:, :, 1, 1] + g[1] * roll_cells(v[:, :, 0, 1], -1)
-                + g[2] * np.roll(v[:, :, 1, 0], -1, axis=1)
-                + g[3] * np.roll(v[:, :, 0, 0], (-1, -1), axis=(0, 1)))
+                + g[2] * roll_cells(v[:, :, 1, 0], -1, axis=1)
+                + g[3] * roll_cells(roll_cells(v[:, :, 0, 0], -1), -1, axis=1))
 
     ends = dg.dg_basis(rec.state.K).ends
     corners = np.array([-0.5, 0.5])

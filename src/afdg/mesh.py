@@ -483,14 +483,16 @@ def _axis_apply(U: np.ndarray, s: np.ndarray, axis: int, lo=None,
     return np.matmul(W, s.T).reshape(U.shape)
 
 
-def roll_cells(a: np.ndarray, shift: int) -> np.ndarray:
-    """``np.roll(a, shift, axis=0)`` for a one-cell shift (+1: row i holds
-    a[i-1]; -1: row i holds a[i+1]), without np.roll's per-call set-up."""
-    if shift == 1:
-        return np.concatenate((a[-1:], a[:-1]))
-    if shift == -1:
-        return np.concatenate((a[1:], a[:1]))
-    raise ValueError("roll_cells shifts by one cell")
+def roll_cells(a: np.ndarray, shift: int, axis: int = 0) -> np.ndarray:
+    """``np.roll(a, shift, axis)`` for a shift of -1, 0 (``a`` itself) or +1
+    along an axis >= 0, without np.roll's per-call set-up."""
+    if shift == 0:
+        return a
+    if shift not in (1, -1) or axis < 0:
+        raise ValueError("roll_cells shifts by one cell along an axis >= 0")
+    lead = (slice(None),) * axis
+    return np.concatenate((a[lead + (slice(-shift, None),)],
+                           a[lead + (slice(None, -shift),)]), axis=axis)
 
 
 def _with_neighbours(V: np.ndarray, axis: int, lo=None, hi=None) -> np.ndarray:

@@ -32,6 +32,7 @@ __all__ = [
     "radau_points",
     "moment_dual_basis",
     "moment_weight",
+    "coefficient_table",
     "gauss_legendre_rule",
 ]
 
@@ -78,6 +79,16 @@ class PolySpec:
 
     def scaled(self, a: float) -> "PolySpec":
         return PolySpec(a * self.coefficients)
+
+
+def coefficient_table(polys, d: int = 0) -> np.ndarray:
+    """Read-only C[p, k]: monomial coefficients of the d-th derivative of
+    ``polys[p]``, padded to a common degree; ``npp.polyval(x, C.T)[p]``."""
+    n = max(p.degree for p in polys) + 1
+    C = npp.polyder([np.pad(p.coefficients, (0, n - len(p.coefficients)))
+                     for p in polys], d, axis=1)
+    C.flags.writeable = False
+    return C
 
 
 def cell_integral(coefficients) -> float:
@@ -202,10 +213,12 @@ def radau_points(K: int, side: str) -> np.ndarray:
     return roots
 
 
+@lru_cache(maxsize=None)
 def moment_weight(k: int) -> PolySpec:
-    """The k-th moment weight (2 xi)^k."""
+    """The k-th moment weight (2 xi)^k; cached, with read-only coefficients."""
     c = np.zeros(k + 1)
     c[k] = 2.0 ** k
+    c.flags.writeable = False
     return PolySpec(c)
 
 

@@ -179,8 +179,16 @@ class NumericalFluxSpec:
     def advection_partials(self, u: float) -> tuple[float, float]:
         """(d_L, d_R) of this flux for advection at speed u, the flux weights
         of a 2-d axis: finite at every speed ((a/2, -a/2) for LF at u = 0)."""
-        d_l, d_r = flux_partials(self, advection1d(u), 0.0, 0.0)
-        return float(d_l), float(d_r)
+        u = float(u)
+        if self.kind == "lax_friedrichs":
+            return 0.5 * (u + self.a), 0.5 * (u - self.a)
+        if self.kind == "central":
+            return 0.5 * u, 0.5 * u
+        if self.kind == "alpha_weighted":
+            return self.alpha_plus * u, self.alpha_minus * u
+        if self.kind == "upwind":
+            return (u, 0.0) if u >= 0 else (0.0, u)
+        raise ValueError(f"unknown flux kind {self.kind!r}")
 
     def advection_weights(self, u: float) -> tuple[float, float]:
         """The (alpha+, alpha-) pair of the interface value the DG-to-AF map
@@ -256,6 +264,11 @@ def flux_partials(spec: NumericalFluxSpec, problem: ProblemSpec, q_l, q_r):
     q_l = np.asarray(q_l, dtype=float)
     q_r = np.asarray(q_r, dtype=float)
 
+    if problem.advection_speed is not None:
+        # a constant speed: constant partials, and no sonic check
+        shape = np.broadcast(q_l, q_r).shape
+        d_l, d_r = spec.advection_partials(problem.advection_speed)
+        return np.full(shape, d_l), np.full(shape, d_r)
     if spec.kind == "lax_friedrichs":
         a = spec.a * (1.0 if problem.is_scalar
                       else np.eye(problem.n_components))
@@ -269,12 +282,6 @@ def flux_partials(spec: NumericalFluxSpec, problem: ProblemSpec, q_l, q_r):
     if spec.kind == "upwind":
         if not problem.is_scalar:
             return problem.split(q_l)
-        u = problem.advection_speed
-        if u is not None:
-            # a constant speed: one side's partial is u, the other's 0
-            shape = np.broadcast_shapes(q_l.shape, q_r.shape)
-            d, zero = np.full(shape, float(u)), np.zeros(shape)
-            return (d, zero) if u >= 0 else (zero, d)
         jm = problem.jacobian(0.5 * (q_l + q_r))
         if np.any(jm > 0) and np.any(jm < 0):
             raise ValueError("upwind partials undefined across a sonic state")

@@ -118,6 +118,17 @@ def test_invalid_config_rejected_before_any_step(key, value, tmp_path,
     ("run", "c_sound", "abc", []),
     ("equiv-check", "grids", "0", []),
     ("equiv-check", "ux", "abc", ["problem=advection2d"]),
+    # a seed, tolerance or k that no comparison can take
+    ("equiv-check", "seed", "abc", []),
+    ("equiv-check", "seed", "-1", []),
+    ("equiv-check", "seed", "1.5", []),
+    ("equiv-check", "tolerance", "abc", []),
+    ("equiv-check", "tolerance", "0", []),
+    ("equiv-check", "tolerance", "-1e-11", []),
+    ("equiv-check", "k", "abc", []),
+    ("equiv-check", "k", "1.5", []),
+    ("run", "seed", "abc", []),
+    ("run", "tolerance", "abc", []),
 ])
 def test_cli_names_bad_key_before_any_step(command, key, value, extra,
                                            tmp_path, capsys, monkeypatch):

@@ -275,3 +275,16 @@ def test_state_csv_2d_families(tmp_path):
     text = path.read_text()
     for family in ("node_values", "x_edge_0", "y_edge_0", "moment_0_0"):
         assert family in text
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, 3])
+@pytest.mark.parametrize("shift", [1, -1])
+def test_roll_cells_is_np_roll_byte_for_byte(axis, shift):
+    a = np.random.default_rng(axis).standard_normal((5, 4, 3, 6))
+    for view in (a, a[..., 1:]):
+        want = np.roll(view, shift, axis=axis)
+        got = mesh.roll_cells(view, shift, axis=axis)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert mesh.roll_cells(a, 0, axis=axis) is a
+    with pytest.raises(ValueError):
+        mesh.roll_cells(a, 2, axis=axis)

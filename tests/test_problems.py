@@ -7,7 +7,7 @@ import pytest
 from helpers import eigen_split
 
 from afdg.problems import (FluxInversionError, NumericalFluxSpec,
-                           builtin_problems, flux_partials,
+                           advection1d, builtin_problems, flux_partials,
                            flux_spec, invert_flux, lax_friedrichs_speed,
                            numerical_flux)
 
@@ -208,6 +208,23 @@ def test_lf_speed_safety_factor():
 def test_zero_speed_weights_are_the_upwind_pair(spec):
     assert spec.advection_weights(0.0) == (1.0, 0.0)
     assert spec.advection_weights(-0.0) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    NumericalFluxSpec.upwind(), NumericalFluxSpec.central(),
+    NumericalFluxSpec.alpha(0.7, 0.3), NumericalFluxSpec.lax_friedrichs(2.0),
+], ids=lambda s: s.kind)
+@pytest.mark.parametrize("u", [1.7, -0.6, 0, -0.0, 2])
+def test_advection_partials_are_flux_partials_bit_for_bit(spec, u):
+    """The constant-speed partials, and the generic path's partials of the
+    same problem without its ``advection_speed``."""
+    got = spec.advection_partials(u)
+    assert all(type(d) is float for d in got)
+    prob = advection1d(u)
+    generic = dataclasses.replace(prob, advection_speed=None)
+    for p in (prob, generic):
+        want = [float(d) for d in flux_partials(spec, p, 0.0, 0.0)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_flux_spec_rejects_unknown_names():
