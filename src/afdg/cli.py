@@ -9,6 +9,7 @@ as CSV (floats carry 17 significant digits).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -31,7 +32,12 @@ def _load_config(args) -> driver.RunConfig:
         overrides[key.strip()] = val
     if args.out:
         overrides["out"] = args.out
-    return driver.parse_config(text, overrides)
+    cfg = driver.parse_config(text, overrides)
+    # refused before the run, not when its CSV is written after it
+    if not (isinstance(cfg.out, str) and not os.path.isdir(cfg.out)
+            and os.path.isdir(os.path.dirname(cfg.out) or ".")):
+        cfg.refuse("out", "must be a file path in an existing directory")
+    return cfg
 
 
 def _add_common(sub):

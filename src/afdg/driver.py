@@ -167,7 +167,9 @@ class RunConfig:
 
 
 def _real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """A finite real number (not a bool, NaN or an infinity)."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x))
 
 
 def _integer(x) -> bool:
@@ -508,6 +510,8 @@ def run_simulation(cfg: RunConfig, n: int | None = None) -> RunResult:
     dx = state0.grid.dx
     dt = default_dt(cfg, dx)
     steps = int(np.ceil(cfg.t_final / dt - 1e-12))
+    if steps < 1:
+        cfg.refuse("t_final", f"must give at least one time step of {dt:.3g}")
 
     t0 = time.perf_counter()
     final = timeint.integrate(state0.copy(), rhs, scheme, dt, cfg.t_final)

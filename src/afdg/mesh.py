@@ -3,9 +3,10 @@ per-family cell projections, and the stencil applies shared by both
 families: ``line_apply`` for the linear 1-d right-hand sides, the
 Kronecker sum ``kron_sum_apply`` for the 2-d ones and the Kronecker
 product ``kron_apply`` for the 2-d DG-to-AF map, T (x) T of its 1-d
-block row.  Every apply runs one matmul per axis against the stacked
-neighbours [V_{i-1}; V_i; V_{i+1}], built as one gather (``take``) of a
-cached (n, 3) row index, periodic or with ghost blocks.
+block row.  Every apply runs along the leading axis of a tensor, as one
+matmul against the stacked neighbours [V_{i-1}; V_i; V_{i+1}], built as
+one gather (``take``) of a cached (n, 3) row index, periodic or with
+ghost blocks; a y-apply is the x-apply of the transposed tensor.
 
 States are plain value containers around numpy arrays; right-hand-side
 evaluation treats them as immutable.  Interface point values are stored
@@ -291,9 +292,20 @@ def _as_components(values, m: int) -> np.ndarray:
 
 
 def _af_moment_weights(K: int, rule: poly.QuadratureRule) -> np.ndarray:
-    """Row k: the rule's weights of the k-th AF moment."""
-    return np.array([poly.moment_normalization(k) * poly.moment_weight(k)(rule.nodes)
-                     * rule.weights for k in range(K)])
+    """Row k: the rule's weights of the k-th AF moment; read-only, cached
+    on K and the bytes of the rule's nodes and weights (a rule is not
+    hashable)."""
+    return _moment_weights(K, *(np.asarray(a, dtype=float).tobytes()
+                                for a in (rule.nodes, rule.weights)))
+
+
+@lru_cache(maxsize=64)
+def _moment_weights(K: int, nodes: bytes, weights: bytes) -> np.ndarray:
+    nodes, weights = np.frombuffer(nodes), np.frombuffer(weights)
+    w = np.array([poly.moment_normalization(k) * poly.moment_weight(k)(nodes)
+                  * weights for k in range(K)])
+    w.flags.writeable = False
+    return w
 
 
 def fill_af_1d(grid: Grid1D, K: int, init: Callable, n_components: int = 1,
@@ -426,11 +438,9 @@ def line_apply(blocks: np.ndarray, speed, partials: tuple, h: float,
     cell's (dof, component) pairs."""
     if np.ndim(speed) == 0:
         S = axis_stencil(blocks, speed, partials, h)
-        if S is None:
-            return np.zeros_like(V)
-        return np.matmul(S, _with_neighbours(V, 0))
+        return np.zeros_like(V) if S is None else _axis_apply(V, S)
     S = sum(np.kron(b, a) for b, a in zip(blocks, (speed, *partials))) / h
-    W = _with_neighbours(V, 0).reshape(len(V), -1)
+    W = _with_neighbours(V).reshape(len(V), -1)
     return (W @ S.T).reshape(V.shape)
 
 
@@ -440,11 +450,13 @@ def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
 
     U has shape (nx, m, ny, m): cell i, x-dof a, cell j, y-dof b.  A
     stencil is the (m, 3m) block row [L | D | R] of a block-circulant 1-d
-    operator, out_i = L U_{i-1} + D U_i + R U_{i+1}; it acts along its
-    axis as one matmul against the stacked neighbours, one gather of a
-    cached row index (``_with_neighbours``).  ``None`` skips the
-    axis.  Both matmuls are batches of small products (one per x-cell, or
-    per x-cell and x-dof), so BLAS runs them on the calling thread.
+    operator, out_i = L U_{i-1} + D U_i + R U_{i+1}.  Both axes run the
+    one apply along the leading axis (``_axis_apply``): the x-apply on U,
+    the y-apply on the transposed view U[j, b, i, a], whose result is
+    added back through the transposed view.  Each is one matmul of the
+    stencil against the stacked neighbours (``_with_neighbours``); the
+    y-apply's gather reads the transposed view in place, its one copy.
+    ``None`` skips the axis.
 
     The neighbours wrap periodically unless ``ghosts`` gives the cells one
     beyond the tensor on each side, (x_lo, x_hi, y_lo, y_hi), as per-cell
@@ -453,34 +465,39 @@ def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
     """
     U = np.ascontiguousarray(U)       # one copy for a non-contiguous view
     x_lo, x_hi, y_lo, y_hi = (None,) * 4 if ghosts is None else ghosts
-    out = np.zeros_like(U) if sx is None else _axis_apply(U, sx, 0, x_lo, x_hi)
+    # a ghost block row is (a, j, b) for the x-apply, as U[i] is, and
+    # (b, i, a) for the y-apply, as the transposed U[j] is
+    out = np.zeros_like(U) if sx is None else _axis_apply(
+        U, sx, *(g if g is None else g.swapaxes(0, 1) for g in (x_lo, x_hi)))
     if sy is not None:
-        out += _axis_apply(U, sy, 1, y_lo, y_hi)
+        out += _transposed(_axis_apply(
+            _transposed(U), sy,
+            *(g if g is None else g.transpose(2, 0, 1) for g in (y_lo, y_hi))))
     return out
 
 
 def kron_apply(U: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
     """Apply ``Sx (x) Sy`` = (Sx (x) I)(I (x) Sy) to a periodic
     tensor-product state U[i, a, j, b], with stencils as in
-    ``kron_sum_apply``: the y-apply, then the x-apply of its result."""
-    return _axis_apply(_axis_apply(U, sy, 1), sx, 0)
+    ``kron_sum_apply``: the y-apply on the transposed view of U, then the
+    x-apply on the transposed view of its result."""
+    return _axis_apply(_transposed(_axis_apply(_transposed(U), sy)), sx)
 
 
-def _axis_apply(U: np.ndarray, s: np.ndarray, axis: int, lo=None,
+def _transposed(U: np.ndarray) -> np.ndarray:
+    """U[i, a, j, b] as the transposed view U[j, b, i, a]."""
+    return U.transpose(2, 3, 0, 1)
+
+
+def _axis_apply(U: np.ndarray, s: np.ndarray, lo=None,
                 hi=None) -> np.ndarray:
-    """The stencil s along ``axis`` (0: x, 1: y) of the tensor
-    U[i, a, j, b], as one matmul against the stacked neighbours, which
-    are one gather of the cached row index; ``lo`` and ``hi`` are ghost
-    blocks as in ``kron_sum_apply``."""
-    nx, m, ny, _ = U.shape
-    if axis == 0:
-        # a ghost block row of the x-apply is (a, j, b), as U[i] is
-        W = _with_neighbours(U.reshape(nx, m, ny * m), 0,
-                             *(g if g is None else g.swapaxes(0, 1)
-                               for g in (lo, hi)))
-        return np.matmul(s, W).reshape(U.shape)
-    W = _with_neighbours(U.reshape(nx * m, ny, m), 1, lo, hi)
-    return np.matmul(W, s.T).reshape(U.shape)
+    """The stencil s along the leading axis of the tensor U[i, a, ...],
+    as one matmul against the stacked neighbours, which are one gather of
+    the cached row index (it reads a transposed view in place); ``lo``
+    and ``hi`` are the ghost cells' blocks, shaped like U[0]."""
+    n, m = U.shape[:2]
+    W = _with_neighbours(U.reshape(n, m, -1), lo, hi)
+    return np.matmul(s, W).reshape(U.shape)
 
 
 def roll_cells(a: np.ndarray, shift: int, axis: int = 0) -> np.ndarray:
@@ -495,20 +512,20 @@ def roll_cells(a: np.ndarray, shift: int, axis: int = 0) -> np.ndarray:
                            a[lead + (slice(None, -shift),)]), axis=axis)
 
 
-def _with_neighbours(V: np.ndarray, axis: int, lo=None, hi=None) -> np.ndarray:
-    """[V_{i-1}; V_i; V_{i+1}] along ``axis``, stacked on the axis after it
-    (which grows from m to 3m), as one gather of the cached row index;
-    ``lo`` and ``hi`` are V_{-1} and V_n, the periodic wrap when None."""
+def _with_neighbours(V: np.ndarray, lo=None, hi=None) -> np.ndarray:
+    """[V_{i-1}; V_i; V_{i+1}] along the leading axis, stacked on the
+    second (which grows from m to 3m), as one gather of the cached row
+    index; ``lo`` and ``hi`` are V_{-1} and V_n, the periodic wrap when
+    None."""
     if (lo is None) != (hi is None):
         raise ValueError("ghost blocks come in pairs: lo and hi, or neither")
     shape = list(V.shape)
-    shape[axis + 1] *= 3
+    shape[1] *= 3
     if lo is not None:
-        ghost = V.shape[:axis] + (1,) + V.shape[axis + 1:]
-        V = np.concatenate((V, np.reshape(lo, ghost), np.reshape(hi, ghost)),
-                           axis=axis)
-    idx = _neighbour_index(shape[axis], lo is not None)
-    return V.take(idx, axis=axis).reshape(shape)
+        ghost = (1,) + V.shape[1:]
+        V = np.concatenate((V, np.reshape(lo, ghost), np.reshape(hi, ghost)))
+    idx = _neighbour_index(shape[0], lo is not None)
+    return V.take(idx, axis=0).reshape(shape)
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,8 @@ import pytest
 from afdg import dg, driver, mesh, poly
 from afdg.driver import RunConfig
 from afdg.mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid1D,
-                       Grid2D, _FILL_RULE, _as_components,
-                       _dg_projection_weights)
+                       Grid2D, _FILL_RULE, _af_moment_weights,
+                       _as_components, _dg_projection_weights)
 
 
 def loop_fill_af_1d(grid, K, init, n_components=1, rule=None):
@@ -183,6 +183,24 @@ def test_1d_fills_match_loop_reference(K):
         ref = loop_fill_af_1d(g, K, f, 2, rule=rule)
         assert_close([new.point_values, new.moments],
                      [ref.point_values, ref.moments])
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_af_moment_weights_are_one_read_only_table_per_rule(K):
+    for rule in (_FILL_RULE, dg.quad_rule_for_order("af", K + 2),
+                 poly.gauss_legendre_rule(5)):
+        B = _af_moment_weights(K, rule)
+        want = np.array([poly.moment_normalization(k)
+                         * poly.moment_weight(k)(rule.nodes) * rule.weights
+                         for k in range(K)])
+        assert B.shape == want.shape and B.tobytes() == want.tobytes()
+        assert not B.flags.writeable
+        # a rule is unhashable; an equal one built anew shares the table
+        again = poly.QuadratureRule(rule.nodes.copy(), rule.weights.copy(),
+                                    rule.exactness_degree)
+        assert _af_moment_weights(K, again) is B
+    other = _af_moment_weights(K, poly.gauss_legendre_rule(6))
+    assert other.shape == (K, 6)
 
 
 def test_cell_dofs_broadcast_over_any_cell_set():

@@ -129,6 +129,19 @@ def test_invalid_config_rejected_before_any_step(key, value, tmp_path,
     ("equiv-check", "k", "1.5", []),
     ("run", "seed", "abc", []),
     ("run", "tolerance", "abc", []),
+    # non-finite numbers, and a t_final too short for one step
+    ("run", "ux", "nan", []),
+    ("run", "u", "-inf", ["problem=advection1d"]),
+    ("run", "t_final", "inf", []),
+    ("run", "t_final", "nan", []),
+    ("run", "cfl_override", "inf", []),
+    ("run", "t_final", "1e-30", []),
+    ("run", "t_final", "1e-30", ["problem=advection1d"]),
+    ("convergence", "t_final", "1e-30", ["grids=8,16"]),
+    ("bench", "t_final", "1e-30", ["grids=8,16,32"]),
+    ("equiv-check", "alpha_plus", "nan",
+     ["problem=advection2d", "k=1", "flux=alpha"]),
+    ("equiv-check", "tolerance", "inf", []),
 ])
 def test_cli_names_bad_key_before_any_step(command, key, value, extra,
                                            tmp_path, capsys, monkeypatch):
@@ -144,6 +157,23 @@ def test_cli_names_bad_key_before_any_step(command, key, value, extra,
     assert code == 2
     assert err.count("\n") == 1 and f"config key '{key}'" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "convergence", "superconvergence",
+                                     "bench", "equiv-check", "dof-table"])
+@pytest.mark.parametrize("out", ["missing/out.csv", "."])
+def test_out_outside_an_existing_directory_is_refused_before_any_step(
+        command, out, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a time step was taken")
+
+    monkeypatch.setattr(timeint, "rk_step", refuse)
+    code = cli.main([command, "--set", "grids=8,16,32",
+                     "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "config key 'out'" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dg_order_outside_the_catalog_runs_with_cfl_override():

@@ -133,11 +133,22 @@ def test_stencils_are_cached_and_read_only(K):
         assert not S.flags.writeable
 
 
-def test_kron_sum_apply_is_the_dense_kronecker_sum():
-    rng = np.random.default_rng(5)
-    nx, ny, m = 4, 3, 2
+# every m the families use, on a square-free grid either way round, so the
+# transposed y-apply is pinned on a non-square transpose
+SHAPES = pytest.mark.parametrize("nx,ny", [(4, 3), (3, 5)])
+DOFS = pytest.mark.parametrize("m", [2, 3, 4])
+
+
+def operands(seed, nx, ny, m):
+    rng = np.random.default_rng(seed)
     sx, sy = rng.normal(size=(m, 3 * m)), rng.normal(size=(m, 3 * m))
-    U = rng.normal(size=(nx, m, ny, m))
+    return rng, sx, sy, rng.normal(size=(nx, m, ny, m))
+
+
+@DOFS
+@SHAPES
+def test_kron_sum_apply_is_the_dense_kronecker_sum(nx, ny, m):
+    _, sx, sy, U = operands(5, nx, ny, m)
     Ax, Ay = block_circulant(sx, nx), block_circulant(sy, ny)
 
     dense = np.kron(Ax, np.eye(ny * m)) + np.kron(np.eye(nx * m), Ay)
@@ -146,14 +157,16 @@ def test_kron_sum_apply_is_the_dense_kronecker_sum():
     assert np.allclose(kron_sum_apply(U, sx, None),
                        (np.kron(Ax, np.eye(ny * m))
                         @ U.ravel()).reshape(U.shape), atol=1e-13)
+    assert np.allclose(kron_sum_apply(U, None, sy),
+                       (np.kron(np.eye(nx * m), Ay)
+                        @ U.ravel()).reshape(U.shape), atol=1e-13)
     assert not np.any(kron_sum_apply(U, None, None))
 
 
-def test_kron_apply_is_the_dense_kronecker_product():
-    rng = np.random.default_rng(7)
-    nx, ny, m = 4, 3, 2
-    sx, sy = rng.normal(size=(m, 3 * m)), rng.normal(size=(m, 3 * m))
-    U = rng.normal(size=(nx, m, ny, m))
+@DOFS
+@SHAPES
+def test_kron_apply_is_the_dense_kronecker_product(nx, ny, m):
+    _, sx, sy, U = operands(7, nx, ny, m)
     want = np.kron(block_circulant(sx, nx), block_circulant(sy, ny)) @ U.ravel()
     assert np.allclose(kron_apply(U, sx, sy), want.reshape(U.shape),
                        atol=1e-13)
@@ -162,13 +175,12 @@ def test_kron_apply_is_the_dense_kronecker_product():
     assert np.array_equal(kron_apply(view, sx, sy), kron_apply(U, sx, sy))
 
 
-def test_kron_sum_apply_with_ghosts_is_the_dense_operator():
+@DOFS
+@SHAPES
+def test_kron_sum_apply_with_ghosts_is_the_dense_operator(nx, ny, m):
     # one cell beyond each side: the banded 1-d operator over the tensor's
     # cells plus the boundary columns of the ghost cells
-    rng = np.random.default_rng(6)
-    nx, ny, m = 4, 3, 2
-    sx, sy = rng.normal(size=(m, 3 * m)), rng.normal(size=(m, 3 * m))
-    U = rng.normal(size=(nx, m, ny, m))
+    rng, sx, sy, U = operands(6, nx, ny, m)
     x_lo, x_hi = rng.normal(size=(2, ny, m, m))
     y_lo, y_hi = rng.normal(size=(2, nx, m, m))
 
@@ -186,6 +198,23 @@ def test_kron_sum_apply_with_ghosts_is_the_dense_operator():
             + np.kron(np.eye(nx * m), banded(sy, ny)) @ Uy.ravel())
     got = kron_sum_apply(U, sx, sy, (x_lo, x_hi, y_lo, y_hi))
     assert np.allclose(got, want.reshape(U.shape), atol=1e-13)
+
+
+@DOFS
+@SHAPES
+def test_fortran_ordered_input_is_applied_and_left_unchanged(nx, ny, m):
+    rng, sx, sy, U = operands(8, nx, ny, m)
+    ghosts = tuple(rng.normal(size=(2, ny, m, m))) \
+        + tuple(rng.normal(size=(2, nx, m, m)))
+    F = np.asfortranarray(U)
+    kept = F.copy(order="A")
+    for apply, args in ((kron_sum_apply, (sx, sy)),
+                        (kron_sum_apply, (sx, sy, ghosts)),
+                        (kron_apply, (sx, sy))):
+        got = apply(F, *args)
+        assert got.shape == U.shape and got.flags.c_contiguous
+        assert got.tobytes() == apply(U, *args).tobytes()
+        assert np.array_equal(F, kept) and F.flags.f_contiguous
 
 
 @pytest.mark.parametrize("weights", [None, (0.7, 0.3), (0.5, 0.5)])
