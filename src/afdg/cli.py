@@ -16,7 +16,6 @@ import numpy as np
 
 from . import driver, equiv, timeint
 from .mesh import save_state_csv
-from .problems import FLUX_NAMES, builtin_problems
 
 
 def _load_config(args) -> driver.RunConfig:
@@ -37,6 +36,7 @@ def _load_config(args) -> driver.RunConfig:
     if not (isinstance(cfg.out, str) and not os.path.isdir(cfg.out)
             and os.path.isdir(os.path.dirname(cfg.out) or ".")):
         cfg.refuse("out", "must be a file path in an existing directory")
+    cfg.validate(args.command)
     return cfg
 
 
@@ -48,8 +48,7 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="output CSV path")
 
 
-def cmd_run(args) -> int:
-    cfg = _load_config(args)
+def cmd_run(args, cfg) -> int:
     res = driver.run_simulation(cfg)
     save_state_csv(res.state, cfg.out)
     err_rows = [(name, err) for name, err in sorted(res.errors.families.items())]
@@ -79,28 +78,30 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_convergence(args) -> int:
-    cfg = _load_config(args)
-    rows = driver.run_convergence_study(cfg)
-    driver.write_csv(cfg.out, ["method", "dx", "e_dofs", "eoc"], rows)
-    for row in rows:
-        print(", ".join(driver.fmt(v) for v in row))
-    return 0
+def _table(compute, header: list):
+    """The command that writes ``compute(cfg)``'s rows and prints them."""
+    def cmd(args, cfg) -> int:
+        rows = compute(cfg)
+        driver.write_csv(cfg.out, header, rows)
+        for row in rows:
+            print(", ".join(driver.fmt(v) for v in row))
+        return 0
+    return cmd
 
 
-def cmd_superconvergence(args) -> int:
-    cfg = _load_config(args)
-    rows = driver.run_superconvergence_probe(cfg)
-    driver.write_csv(cfg.out, ["point_set", "dx", "error", "eoc"], rows)
-    for row in rows:
-        print(", ".join(driver.fmt(v) for v in row))
-    return 0
-
-
-def cmd_equiv_check(args) -> int:
-    cfg = _load_config(args)
+def cmd_equiv_check(args, cfg) -> int:
     dimension = 2 if cfg.problem.endswith("2d") else 1
-    _check_equiv_keys(cfg, dimension, args.variant)
+    if args.variant == "classical_midpoint":
+        if dimension == 1:
+            raise driver.ConfigError(f"--variant {args.variant!r} is a 2-d "
+                                     f"comparison, got problem {cfg.problem!r}")
+        k_key = "order" if cfg.k is None else "k"
+        for key, ok, why in [(k_key, cfg.K == 1, "must give K = 1"),
+                             ("flux", cfg.flux == "upwind", "must be 'upwind'"),
+                             ("ux", cfg.ux >= 0, "must be >= 0"),
+                             ("uy", cfg.uy >= 0, "must be >= 0")]:
+            if not ok:
+                cfg.refuse(key, f"{why} for the {args.variant} variant")
     setting = equiv.EquivSetting(
         dimension=dimension, problem=cfg.problem,
         problem_params=driver.problem_params(cfg), flux=cfg.flux,
@@ -118,56 +119,13 @@ def cmd_equiv_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _check_equiv_keys(cfg: driver.RunConfig, dimension: int,
-                      variant: str) -> None:
-    """Reject the keys ``equiv.verify_equivalence`` cannot run with."""
-    if dimension == 1 and variant != "tensorial":
-        raise driver.ConfigError(f"--variant {variant!r} is a 2-d "
-                                 f"comparison, got problem {cfg.problem!r}")
-    cfg.check_inputs()
-    problems = sorted(builtin_problems())
-    k_key = "order" if cfg.k is None else "k"
-    zero_speed = cfg.problem.startswith("advection") and not all(cfg.speeds)
-    checks = [("problem", cfg.problem in problems,
-               f"must be one of {', '.join(problems)}"),
-              ("flux", cfg.flux in FLUX_NAMES,
-               f"must be one of {', '.join(FLUX_NAMES)}"),
-              ("flux", cfg.flux != "lax_friedrichs" or not zero_speed,
-               "must not be 'lax_friedrichs' on a zero-speed axis"),
-              (k_key, cfg.K >= 1, "must give K >= 1")]
-    if dimension == 2 and variant == "classical_midpoint":
-        why = f"for the {variant} variant"
-        checks += [(k_key, cfg.K == 1, f"must give K = 1 {why}"),
-                   ("flux", cfg.flux == "upwind", f"must be 'upwind' {why}"),
-                   ("ux", cfg.ux >= 0, f"must be >= 0 {why}"),
-                   ("uy", cfg.uy >= 0, f"must be >= 0 {why}")]
-    for key, ok, why in checks:
-        if not ok:
-            cfg.refuse(key, why)
-    problem = driver.make_problem(cfg)
-    if problem.linear and not problem.is_scalar and cfg.flux != "upwind":
-        cfg.refuse("flux", f"must be 'upwind' for the system {cfg.problem}")
-
-
-def cmd_bench(args) -> int:
-    cfg = _load_config(args)
+def cmd_bench(args, cfg) -> int:
     records, slopes = driver.run_benchmark(cfg)
     driver.write_csv(cfg.out, driver.BENCH_HEADER,
                      [r.row() for r in records])
     driver.write_csv(cfg.out + ".slopes.csv", ["method", "slope"], slopes)
     for method, slope in slopes:
         print(f"{method}: tau ~ N_cells^{slope:.3f}")
-    return 0
-
-
-def cmd_dof_table(args) -> int:
-    cfg = _load_config(args)
-    rows = driver.emit_dof_table()
-    driver.write_csv(cfg.out,
-                     ["family", "order", "n_dofs", "n_tdofs", "n_mom",
-                      "n_edge", "n_node", "n_int", "c_cfl"], rows)
-    for row in rows:
-        print(", ".join(driver.fmt(v) for v in row))
     return 0
 
 
@@ -178,9 +136,17 @@ def main(argv=None) -> int:
                     "benchmarks on Cartesian grids")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in [("run", cmd_run), ("convergence", cmd_convergence),
-                     ("superconvergence", cmd_superconvergence),
-                     ("bench", cmd_bench), ("dof-table", cmd_dof_table)]:
+    for name, fn in [
+            ("run", cmd_run),
+            ("convergence", _table(driver.run_convergence_study,
+                                   ["method", "dx", "e_dofs", "eoc"])),
+            ("superconvergence", _table(driver.run_superconvergence_probe,
+                                        ["point_set", "dx", "error", "eoc"])),
+            ("bench", cmd_bench),
+            ("dof-table", _table(lambda cfg: driver.emit_dof_table(),
+                                 ["family", "order", "n_dofs", "n_tdofs",
+                                  "n_mom", "n_edge", "n_node", "n_int",
+                                  "c_cfl"]))]:
         sub = subs.add_parser(name)
         _add_common(sub)
         sub.set_defaults(fn=fn)
@@ -193,7 +159,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _load_config(args))
     except driver.ConfigError as exc:
         print(f"afdg {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ import csv
 import math
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -66,7 +66,6 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    experiment: str = "run"
     method: str = "dg"              # af | dg
     order: int = 3
     k: int | None = None            # runs: none or the order-implied K
@@ -108,62 +107,12 @@ class RunConfig:
         raise ConfigError(f"config key {key!r} {why}, got "
                           f"{getattr(self, key)!r}")
 
-    def check_inputs(self) -> None:
-        """Reject a grid list or a number that no command can use."""
-        if not self.grids or not all(_integer(g) and g > 0 for g in self.grids):
-            self.refuse("grids", "must list positive integer cell counts")
-        for key in ("u", "ux", "uy", "c_sound", "alpha_plus", "beta_plus"):
-            if not _real(getattr(self, key)):
-                self.refuse(key, "must be a number")
-        if not (_integer(self.seed) and self.seed >= 0):
-            self.refuse("seed", "must be a nonnegative integer")
-        if not _positive(self.tolerance):
-            self.refuse("tolerance", "must be a positive number")
-        if self.k is not None and not (_integer(self.k) and self.k >= 1):
-            self.refuse("k", "must be none or an integer >= 1")
-
-    def validate(self) -> None:
-        """Reject settings no run can honour, naming the key at fault."""
-        bad = self.refuse
-        self.check_inputs()
-        if self.method not in ("af", "dg"):
-            bad("method", "must be 'af' or 'dg'")
-        K = replace(self, k=None).K
-        if not _integer(self.order) or K < 0:
-            bad("order", "must be an integer giving K >= 0")
-        if self.k not in (None, K):
-            bad("k", f"must be none or {K}, the K of method {self.method!r} "
-                f"at order {self.order}")
-        if self.rk not in timeint.schemes_by_name():
-            bad("rk", "must be one of "
-                + ", ".join(sorted(timeint.schemes_by_name())))
-        if not _positive(self.t_final):
-            bad("t_final", "must be a positive number")
-        if self.cfl_override is not None and not _positive(self.cfl_override):
-            bad("cfl_override", "must be a positive number or none")
-        # errors are measured against the advected exact solution
-        problems = sorted(p for p in builtin_problems()
-                          if p.startswith("advection"))
-        if self.problem not in problems:
-            bad("problem", "must be one of " + ", ".join(problems))
-        two_d = self.problem.endswith("2d")
-        boundaries = ("periodic", "dirichlet") if two_d else ("periodic",)
-        if self.boundary not in boundaries:
-            bad("boundary", "must be one of " + ", ".join(boundaries))
-        inits = _INIT_2D if two_d else _INIT_1D
-        if self.init not in inits:
-            bad("init", "must be one of " + ", ".join(inits))
-        if self.flux not in FLUX_NAMES:
-            bad("flux", "must be one of " + ", ".join(FLUX_NAMES))
-        if self.flux == "lax_friedrichs" and not any(self.speeds):
-            bad("flux", "needs a nonzero speed for its constant")
-        try:
-            if self.method == "af":
-                dg.quad_rule_for_order("af", self.order)
-            default_dt(self, 1.0)
-        except (KeyError, ValueError):
-            bad("order", f"is not in the catalog of method {self.method!r} "
-                "(outside it a DG run needs cfl_override)")
+    def validate(self, command: str = "run") -> None:
+        """Reject a value that ``command`` reads and cannot honour, naming
+        the key: the first row of ``_REFUSALS`` for ``command`` that fails."""
+        for key, commands, ok, why in _REFUSALS:
+            if command in commands and not ok(self):
+                self.refuse(key, why(self) if callable(why) else why)
 
 
 def _real(x) -> bool:
@@ -178,6 +127,108 @@ def _integer(x) -> bool:
 
 def _positive(x) -> bool:
     return _real(x) and x > 0
+
+
+def _in_catalog(c: RunConfig) -> bool:
+    """The catalog has the run's AF quadrature rule and its step size."""
+    try:
+        if c.method == "af":
+            dg.quad_rule_for_order("af", c.order)
+        default_dt(c, 1.0)
+    except (KeyError, ValueError):
+        return False
+    return True
+
+
+def _one_of(key: str, commands: tuple, choices) -> tuple:
+    """The row refusing a ``key`` outside ``choices`` (or ``choices(c)``)."""
+    get = choices if callable(choices) else lambda c: choices
+    return (key, commands, lambda c: getattr(c, key) in get(c),
+            lambda c: "must be one of " + ", ".join(get(c)))
+
+
+# The commands that check a key.  ``bench`` sets method, order and k itself,
+# ``equiv-check`` reads method and order only when k is none, and
+# ``dof-table`` reads only ``out``, which the command line checks.
+_RUNS = ("run", "convergence", "superconvergence")
+_TIMED = _RUNS + ("bench",)
+_EQUIV = ("equiv-check",)
+_ALL = _TIMED + _EQUIV
+_SUPER = ("superconvergence",)
+
+# Every refusal of a config value, in the order a command checks them:
+# (key, commands that check it, ok(config), why or why(config)).  A row
+# may read the keys of the rows above it for the same command.
+_REFUSALS = [
+    ("method", _SUPER, lambda c: c.method == "dg",
+     "must be 'dg' for the superconvergence probe"),
+    ("flux", _SUPER, lambda c: c.flux == "upwind",
+     "must be 'upwind' for the superconvergence probe"),
+    ("grids", ("bench",), lambda c: len(c.grids) >= 3,
+     "needs at least three grids for a scaling fit"),
+    ("grids", _ALL,
+     lambda c: bool(c.grids) and all(_integer(g) and g > 0 for g in c.grids),
+     "must list positive integer cell counts"),
+    *((key, _ALL, lambda c, key=key: _real(getattr(c, key)), "must be a number")
+      for key in ("u", "ux", "uy", "c_sound", "alpha_plus", "beta_plus")),
+    ("seed", _ALL, lambda c: _integer(c.seed) and c.seed >= 0,
+     "must be a nonnegative integer"),
+    ("tolerance", _ALL, lambda c: _positive(c.tolerance),
+     "must be a positive number"),
+    ("k", _RUNS + _EQUIV, lambda c: c.k is None or (_integer(c.k) and c.k >= 1),
+     "must be none or an integer >= 1"),
+    ("method", _RUNS, lambda c: c.method in ("af", "dg"),
+     "must be 'af' or 'dg'"),
+    ("method", _EQUIV, lambda c: c.k is not None or c.method in ("af", "dg"),
+     "must be 'af' or 'dg'"),
+    ("order", _RUNS, lambda c: _integer(c.order)
+     and replace(c, k=None).K >= 0,
+     "must be an integer giving K >= 0"),
+    ("order", _EQUIV, lambda c: c.k is not None or _integer(c.order),
+     "must be an integer"),
+    ("k", _RUNS, lambda c: c.k in (None, replace(c, k=None).K),
+     lambda c: f"must be none or {replace(c, k=None).K}, the K of method "
+     f"{c.method!r} at order {c.order}"),
+    _one_of("rk", _TIMED, tuple(sorted(timeint.schemes_by_name()))),
+    ("t_final", _TIMED, lambda c: _positive(c.t_final),
+     "must be a positive number"),
+    ("cfl_override", _TIMED,
+     lambda c: c.cfl_override is None or _positive(c.cfl_override),
+     "must be a positive number or none"),
+    # errors are measured against the advected exact solution
+    _one_of("problem", _TIMED, tuple(sorted(
+        p for p in builtin_problems() if p.startswith("advection")))),
+    _one_of("problem", _EQUIV, tuple(sorted(builtin_problems()))),
+    _one_of("boundary", _TIMED, lambda c: ("periodic", "dirichlet")
+            if c.problem.endswith("2d") else ("periodic",)),
+    _one_of("init", _TIMED, lambda c: tuple(
+        _INIT_2D if c.problem.endswith("2d") else _INIT_1D)),
+    _one_of("flux", _ALL, FLUX_NAMES),
+    ("flux", _TIMED, lambda c: c.flux != "lax_friedrichs" or any(c.speeds),
+     "needs a nonzero speed for its constant"),
+    ("flux", _EQUIV, lambda c: c.flux != "lax_friedrichs"
+     or not c.problem.startswith("advection") or all(c.speeds),
+     "must not be 'lax_friedrichs' on a zero-speed axis"),
+    ("order", _EQUIV, lambda c: c.k is not None or c.K >= 1,
+     "must give K >= 1"),
+    ("flux", _EQUIV, lambda c: c.flux == "upwind"
+     or make_problem(c).is_scalar or not make_problem(c).linear,
+     lambda c: f"must be 'upwind' for the system {c.problem}"),
+    ("order", _RUNS, _in_catalog,
+     lambda c: f"is not in the catalog of method {c.method!r} (outside it a "
+     "DG run needs cfl_override)"),
+    ("order", _SUPER, lambda c: c.k is not None or c.K == 1
+     or not c.problem.endswith("2d"),
+     "must give K = 1 for the 2-d crossing-point probe"),
+    ("k", _SUPER, lambda c: c.k is None or c.K == 1
+     or not c.problem.endswith("2d"),
+     "must give K = 1 for the 2-d crossing-point probe"),
+    ("grids", ("convergence",), lambda c: len(c.grids) >= 2,
+     "needs at least two grids for a convergence study"),
+    ("grids", ("convergence",),
+     lambda c: all(b == 2 * a for a, b in zip(c.grids, c.grids[1:])),
+     "must refine by factors of 2"),
+]
 
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False}
@@ -202,6 +253,7 @@ def _parse_value(key: str, raw: str):
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Flat key=value text; '#' starts a comment; later keys win."""
     cfg = RunConfig()
+    keys = {f.name for f in fields(RunConfig)}
     items: dict = {}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -212,10 +264,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                 f"bad config line (expected key=value): {line!r}")
         key, raw = line.split("=", 1)
         items[key.strip()] = raw
-    for key, raw in (overrides or {}).items():
-        items[key] = raw
+    items.update(overrides or {})
     for key, raw in items.items():
-        if not hasattr(cfg, key):
+        if key not in keys:
             raise ConfigError(f"unknown config key {key!r}")
         value = _parse_value(key, raw) if isinstance(raw, str) else raw
         setattr(cfg, key, value)
@@ -500,7 +551,7 @@ def default_dt(cfg: RunConfig, dx: float) -> float:
 
 def run_simulation(cfg: RunConfig, n: int | None = None) -> RunResult:
     """Integrate one grid to t_final; timing excludes setup and errors."""
-    cfg.validate()
+    cfg.validate("run")
     n = n or cfg.grids[0]
     problem = make_problem(cfg)
     state0 = build_state(cfg, n)
@@ -532,21 +583,15 @@ def run_simulation(cfg: RunConfig, n: int | None = None) -> RunResult:
 
 def run_convergence_study(cfg: RunConfig):
     """Rows (method, dx, e_dofs, eoc) over the config's grid list."""
-    cfg.validate()
-    if len(cfg.grids) < 2:
-        cfg.refuse("grids", "needs at least two grids for a convergence study")
-    for a, b in zip(cfg.grids[:-1], cfg.grids[1:]):
-        if b != 2 * a:
-            cfg.refuse("grids", "must refine by factors of 2")
-    rows = []
-    prev = None
-    for n in cfg.grids:
-        res = run_simulation(cfg, n)
-        dx = 1.0 / n
-        rate = eoc(prev, res.errors.e_dofs) if prev is not None else float("nan")
-        rows.append((cfg.method_id(), dx, res.errors.e_dofs, rate))
-        prev = res.errors.e_dofs
-    return rows
+    cfg.validate("convergence")
+    errors = [run_simulation(cfg, n).errors.e_dofs for n in cfg.grids]
+    return _eoc_rows(cfg.method_id(), cfg.grids, errors)
+
+
+def _eoc_rows(label: str, grids, errors: list) -> list:
+    """Rows (label, dx, error, eoc) of an error series over ``grids``."""
+    rates = [float("nan")] + [eoc(a, b) for a, b in zip(errors, errors[1:])]
+    return [(label, 1.0 / n, e, r) for n, e, r in zip(grids, errors, rates)]
 
 
 def _dg_sample_errors_1d(state: DgState1D, exact, t, points) -> float:
@@ -559,12 +604,8 @@ def _dg_sample_errors_1d(state: DgState1D, exact, t, points) -> float:
 def run_superconvergence_probe(cfg: RunConfig):
     """DG error sampled at Radau/uniform/average (1-d) or crossing points
     (2-d); rows (point_set, dx, error, eoc)."""
-    for key, want in (("method", "dg"), ("flux", "upwind")):
-        if getattr(cfg, key) != want:
-            cfg.refuse(key, f"must be {want!r} for the superconvergence "
-                       "probe")
+    cfg.validate("superconvergence")
     exact = exact_solution(cfg)
-    rows = []
     if not cfg.problem.endswith("2d"):
         radau = poly.radau_points(cfg.K, "left" if cfg.u > 0 else "right")
         uniform = np.array([-3 / 8, -1 / 8, 1 / 8, 3 / 8])
@@ -580,10 +621,6 @@ def run_superconvergence_probe(cfg: RunConfig):
             errs["cell_averages"].append(float(np.sqrt(np.mean(
                 (state.coeffs[:, 0, :] - exact_state.coeffs[:, 0, :]) ** 2))))
     else:
-        if cfg.K != 1:
-            key = "order" if cfg.k is None else "k"
-            cfg.refuse(key, "must give K = 1 for the 2-d crossing-point "
-                       "probe")
         cross_x = poly.radau_points(1, "left" if cfg.ux > 0 else "right")
         cross_y = poly.radau_points(1, "left" if cfg.uy > 0 else "right")
         errs = {"crossing_points": []}
@@ -598,13 +635,8 @@ def run_superconvergence_probe(cfg: RunConfig):
             ys = g.gy.centers()[None, :, None, None] + g.dy * cross_y[None, None, None, :]
             errs["crossing_points"].append(float(np.sqrt(np.mean(
                 (vals - exact(cfg.t_final, xs, ys)) ** 2))))
-    for name, es in errs.items():
-        prev = None
-        for n, e in zip(cfg.grids, es):
-            rate = eoc(prev, e) if prev is not None else float("nan")
-            rows.append((name, 1.0 / n, e, rate))
-            prev = e
-    return rows
+    return [row for name, es in errs.items()
+            for row in _eoc_rows(name, cfg.grids, es)]
 
 
 def run_benchmark(cfg: RunConfig, methods=None, min_time: float = 0.05,
@@ -616,8 +648,7 @@ def run_benchmark(cfg: RunConfig, methods=None, min_time: float = 0.05,
     tau is the mean over repeats.  Comparisons only ever pair identical
     RK schemes and grids.
     """
-    if len(cfg.grids) < 3:
-        cfg.refuse("grids", "needs at least three grids for a scaling fit")
+    cfg.validate("bench")
     methods = methods or [("af", 3), ("dg", 3)]
     records = []
     slopes = []

@@ -27,7 +27,6 @@ UPWIND = NumericalFluxSpec.upwind()
 def test_parse_config_roundtrip():
     text = """
     # comment line
-    experiment = convergence
     method = af
     order = 4
     grids = 16, 32, 64
@@ -53,6 +52,17 @@ def test_parse_config_overrides_win():
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ValueError):
         driver.parse_config("not_a_key = 1")
+
+
+@pytest.mark.parametrize("key", ["K", "speeds", "validate", "refuse"])
+def test_cli_refuses_an_attribute_that_is_not_a_config_key(key, tmp_path,
+                                                          capsys):
+    code = cli.main(["run", "--set", "grids=8", "--set", f"{key}=3",
+                     "--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"afdg run: error: unknown config key {key!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("key,value", [
@@ -142,6 +152,16 @@ def test_invalid_config_rejected_before_any_step(key, value, tmp_path,
     ("equiv-check", "alpha_plus", "nan",
      ["problem=advection2d", "k=1", "flux=alpha"]),
     ("equiv-check", "tolerance", "inf", []),
+    # keys that a command read before it checked them
+    ("superconvergence", "u", "abc", ["problem=advection1d"]),
+    ("superconvergence", "ux", "abc", ["order=2"]),
+    ("superconvergence", "order", "abc", []),
+    ("superconvergence", "problem", "none", []),
+    ("equiv-check", "order", "3.0", []),
+    ("equiv-check", "order", "abc", []),
+    ("equiv-check", "problem", "none", []),
+    ("run", "order", "abc", []),
+    ("convergence", "order", "abc", ["grids=8,16"]),
 ])
 def test_cli_names_bad_key_before_any_step(command, key, value, extra,
                                            tmp_path, capsys, monkeypatch):
@@ -157,6 +177,15 @@ def test_cli_names_bad_key_before_any_step(command, key, value, extra,
     assert code == 2
     assert err.count("\n") == 1 and f"config key '{key}'" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_superconvergence_names_a_bad_k_before_its_k_rule(tmp_path, capsys):
+    code = cli.main(["superconvergence", "--set", "grids=8", "--set", "k=abc",
+                     "--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("afdg superconvergence: error: config key 'k' must be none "
+                   "or an integer >= 1, got 'abc'\n")
 
 
 @pytest.mark.parametrize("command", ["run", "convergence", "superconvergence",
@@ -495,7 +524,6 @@ def test_cli_run_writes_state_and_reports(tmp_path):
 def test_cli_convergence_from_config_file(tmp_path):
     cfgfile = tmp_path / "study.cfg"
     cfgfile.write_text("""
-experiment = convergence
 method = dg
 order = 2
 rk = ssprk3
