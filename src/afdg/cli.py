@@ -56,12 +56,9 @@ def cmd_run(args, cfg) -> int:
     driver.write_csv(cfg.out + ".errors.csv", ["family", "l2_error"], err_rows)
     b = res.bench
     driver.write_csv(cfg.out + ".bench.csv", driver.BENCH_HEADER, [b.row()])
-    n = cfg.grids[0]
-    dt = driver.default_dt(cfg, 1.0 / n)
-    state0 = driver.build_state(cfg, n)
-    drift = (driver.cell_mass(res.state) - driver.cell_mass(state0)
+    drift = (driver.cell_mass(res.state) - res.mass0
              if cfg.boundary == "periodic" else "n/a")
-    meta = [("method", b.method), ("grid", n), ("dt", dt),
+    meta = [("method", b.method), ("grid", cfg.grids[0]), ("dt", res.dt),
             ("dt_rule", "cfl_override * dx" if cfg.cfl_override is not None
              else "catalog C_CFL * dx"),
             ("steps", b.steps), ("boundary", cfg.boundary),
@@ -69,8 +66,7 @@ def cmd_run(args, cfg) -> int:
             ("partials", " ".join(f"{axis} {driver.fmt(d[0])} {driver.fmt(d[1])}"
                                   for axis, d in zip("xy", res.partials))),
             ("seed", cfg.seed), ("rk", cfg.rk), ("numpy", np.__version__),
-            ("norm_ratio",
-             driver.dof_norm(res.state) / driver.dof_norm(state0)),
+            ("norm_ratio", driver.dof_norm(res.state) / res.norm0),
             ("mass_drift", drift)]
     driver.write_csv(cfg.out + ".meta.csv", ["key", "value"], meta)
     print(f"{b.method}: e_dofs={driver.fmt(res.errors.e_dofs)} "

@@ -15,7 +15,6 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -343,49 +342,76 @@ def axis_partials(cfg: RunConfig, flux: NumericalFluxSpec) -> tuple:
 _SIDES = ("x_lo", "x_hi", "y_lo", "y_hi")
 
 
-def _ghosts(state, project, exact, t: float, sides: tuple = _SIDES):
-    """The ghost blocks of a 2-d state at time t for ``kron_sum_apply``,
-    projected from the exact solution by one ``project(f, x0, y0, dx, dy)``
-    call; only the ``sides`` the stencils read (see ``ghost_sides``) are
-    projected, and every other block is zero.  With its high side, the same
-    call projects the cells of an AF state's unused slots on that axis (see
-    ``AfState2D``), which its boundary point updates read, and writes them
-    into the state."""
-    g = state.grid
-    nx, m, ny, _ = state.U.shape
-    i, j, names, sizes = _ghost_cells(nx, ny, isinstance(state, AfState2D),
-                                      sides)
-    blocks = project(lambda x, y: exact(t, x, y), g.x_min + i * g.dx,
-                     g.y_min + j * g.dy, g.dx, g.dy)
-    got = dict(zip(names, np.split(blocks, np.cumsum(sizes)[:-1])))
-    if "x_slot" in got:
-        state.U[-1, 1:] = got["x_slot"][:, 1:].swapaxes(0, 1)
-    if "y_slot" in got:
-        state.U[:, :, -1, 1:] = got["y_slot"][:, :, 1:]
-    zero = {"x": np.zeros((ny, m, m)), "y": np.zeros((nx, m, m))}
-    return tuple(got.get(side, zero[side[0]]) for side in _SIDES)
+class _GhostRing:
+    """The ghost blocks of a 2-d Dirichlet run, ``ring(state, t)``, for
+    ``kron_sum_apply``: the ``sides`` the stencils read (see
+    ``ghost_sides``) are projected from the exact solution at time t by one
+    ``mesh.af_cell_projector_2d`` or ``dg_cell_projector_2d``, and every
+    other block is zero.  With its high side, the same projection gives the
+    cells of an AF state's unused slots on that axis (see ``AfState2D``),
+    which its boundary point updates read; every call writes them into the
+    state.
 
+    The first call binds the ring's points, weights and block offsets to
+    its state's family, grid and shape; a state that differs in one of them
+    rebinds.  The blocks of the last two stage times projected stay,
+    read-only, and a call at one of those float times reuses them: SSPRK3's
+    c = 1 stage is the next step's c = 0 stage, two calls later, so a run
+    projects 1 + 2 steps times, not 3 steps.
+    """
 
-@lru_cache(maxsize=16)
-def _ghost_cells(nx: int, ny: int, slots: bool, sides: tuple):
-    """Cell indices (i, j) of ``_ghosts``' projected blocks, with their
-    names and sizes: the ``sides`` in order (columns -1 and nx, rows -1
-    and ny), each high side followed (``slots``) by the last column or
-    row."""
-    rows, cols = np.arange(nx), np.arange(ny)
-    cells = {"x_lo": (np.full(ny, -1), cols), "x_hi": (np.full(ny, nx), cols),
-             "y_lo": (rows, np.full(nx, -1)), "y_hi": (rows, np.full(nx, ny)),
-             "x_slot": (np.full(ny, nx - 1), cols),
-             "y_slot": (rows, np.full(nx, ny - 1))}
-    names = []
-    for side in sides:
-        names.append(side)
-        if slots and side.endswith("_hi"):
-            names.append(side[0] + "_slot")
-    i = np.concatenate([cells[n][0] for n in names] or [np.arange(0)])
-    j = np.concatenate([cells[n][1] for n in names] or [np.arange(0)])
-    i.flags.writeable = j.flags.writeable = False
-    return i, j, tuple(names), tuple(len(cells[n][0]) for n in names)
+    def __init__(self, exact, sides: tuple = _SIDES):
+        self.exact, self.sides = exact, sides
+        self._bound = None
+
+    def _bind(self, state) -> None:
+        """The projected cells: the ``sides`` in order (columns -1 and nx,
+        rows -1 and ny), each high side of an AF state followed by its
+        slots, the last column or row."""
+        g = state.grid
+        nx, m, ny, _ = state.U.shape
+        rows, cols = np.arange(nx), np.arange(ny)
+        cells = {"x_lo": (np.full(ny, -1), cols),
+                 "x_hi": (np.full(ny, nx), cols),
+                 "y_lo": (rows, np.full(nx, -1)),
+                 "y_hi": (rows, np.full(nx, ny)),
+                 "x_slot": (np.full(ny, nx - 1), cols),
+                 "y_slot": (rows, np.full(nx, ny - 1))}
+        af_state = isinstance(state, AfState2D)
+        self._names = []
+        for side in self.sides:
+            self._names.append(side)
+            if af_state and side.endswith("_hi"):
+                self._names.append(side[0] + "_slot")
+        i = np.concatenate([cells[n][0] for n in self._names] or [[]])
+        j = np.concatenate([cells[n][1] for n in self._names] or [[]])
+        projector = (mesh.af_cell_projector_2d if af_state
+                     else mesh.dg_cell_projector_2d)
+        self._project = projector(state.K, g.x_min + i * g.dx,
+                                  g.y_min + j * g.dy, g.dx, g.dy)
+        self._offsets = np.cumsum([len(cells[n][0])
+                                   for n in self._names])[:-1]
+        self._zero = {"x": np.zeros((ny, m, m)), "y": np.zeros((nx, m, m))}
+        for zero in self._zero.values():
+            zero.flags.writeable = False
+        self._bound, self._kept = (type(state), g, state.U.shape), {}
+
+    def __call__(self, state, t: float) -> tuple:
+        if self._bound != (type(state), state.grid, state.U.shape):
+            self._bind(state)
+        got = self._kept.get(t)
+        if got is None:
+            blocks = self._project(lambda x, y: self.exact(t, x, y))
+            blocks.flags.writeable = False
+            got = dict(zip(self._names, np.split(blocks, self._offsets)))
+            if len(self._kept) == 2:
+                del self._kept[next(iter(self._kept))]
+            self._kept[t] = got
+        if "x_slot" in got:
+            state.U[-1, 1:] = got["x_slot"][:, 1:].swapaxes(0, 1)
+        if "y_slot" in got:
+            state.U[:, :, -1, 1:] = got["y_slot"][:, :, 1:]
+        return tuple(got.get(side, self._zero[side[0]]) for side in _SIDES)
 
 
 def ghost_sides(cfg: RunConfig, flux: NumericalFluxSpec) -> tuple:
@@ -429,21 +455,18 @@ def _fill(cfg: RunConfig, n: int, f, rule=None):
 
 
 def make_rhs(cfg: RunConfig, problem, flux: NumericalFluxSpec):
-    """rhs(state, t) -> state-shaped derivative, honoring the boundary mode."""
-    dirichlet = cfg.boundary == "dirichlet"
-    exact = exact_solution(cfg) if dirichlet else None
-
+    """rhs(state, t) -> state-shaped derivative, honoring the boundary mode.
+    A 2-d Dirichlet rhs owns one ``_GhostRing``: its first call binds the
+    ring to the state's grid, and it projects each distinct stage time
+    once (see ``_GhostRing``)."""
     if cfg.problem.endswith("2d"):
         ux, uy = cfg.ux, cfg.uy
         px, py = axis_partials(cfg, flux)
-        rhs, cell_dofs = ((dg.dg_rhs_2d, mesh.dg_cell_dofs_2d)
-                          if cfg.method == "dg" else
-                          (af.af_rhs_2d_tensorial, mesh.af_cell_dofs_2d))
-        project = partial(cell_dofs, cfg.K)
-        sides = ghost_sides(cfg, flux)
-        return lambda state, t: rhs(
-            state, ux, uy, px, py,
-            _ghosts(state, project, exact, t, sides) if dirichlet else None)
+        rhs = dg.dg_rhs_2d if cfg.method == "dg" else af.af_rhs_2d_tensorial
+        if cfg.boundary != "dirichlet":
+            return lambda state, t: rhs(state, ux, uy, px, py, None)
+        ring = _GhostRing(exact_solution(cfg), ghost_sides(cfg, flux))
+        return lambda state, t: rhs(state, ux, uy, px, py, ring(state, t))
 
     rhs = dg.dg_rhs_1d if cfg.method == "dg" else af.af_rhs_1d
     return lambda state, t: rhs(state, problem, flux)
@@ -534,6 +557,9 @@ class RunResult:
     bench: BenchRecord
     ghost_sides: tuple = ()         # the Dirichlet sides projected per stage
     partials: tuple = ()            # the flux partials (d_L, d_R) of each axis
+    dt: float = math.nan            # the nominal step size
+    norm0: float = math.nan         # dof_norm of the initial state
+    mass0: float = math.nan         # cell_mass of the initial state
 
 
 def default_dt(cfg: RunConfig, dx: float) -> float:
@@ -578,7 +604,8 @@ def run_simulation(cfg: RunConfig, n: int | None = None) -> RunResult:
                         e_dofs=errors.e_dofs,
                         metric=counts.n_dofs * errors.e_dofs * tau)
     return RunResult(final, errors, bench, ghost_sides(cfg, flux),
-                     axis_partials(cfg, flux))
+                     axis_partials(cfg, flux), dt, dof_norm(state0),
+                     cell_mass(state0))
 
 
 def run_convergence_study(cfg: RunConfig):

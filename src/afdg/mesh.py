@@ -15,11 +15,13 @@ U[i, a, j, b] (cell i, x-dof a, cell j, y-dof b) whose family fields are
 views: cell (i, j) owns the block U[i, :, j, :]; an AF state's edge fields
 always hold edge moments.  ``af_cell_dofs_2d`` and ``dg_cell_dofs_2d``
 project data onto the blocks of any set of cells, for the 2-d fills and
-the Dirichlet ghost blocks alike, and ``kron_sum_apply`` takes those
-ghost blocks in place of its periodic wrap.  A 1-d state is one tensor
-V[i, p, c] (cell i, dof p, component c) on a periodic grid: an AF state's
-point values and moments are the views V[:, 0] and V[:, 1:], the cell
-blocks that ``line_apply`` and the DG-to-AF map act on.
+the Dirichlet ghost blocks alike (a ghost ring binds its cells' points
+once, through ``af_cell_projector_2d`` and ``dg_cell_projector_2d``),
+and ``kron_sum_apply`` takes those ghost blocks in place of its periodic
+wrap.  A 1-d state is one tensor V[i, p, c] (cell i, dof p, component c)
+on a periodic grid: an AF state's point values and moments are the views
+V[:, 0] and V[:, 1:], the cell blocks that ``line_apply`` and the
+DG-to-AF map act on.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ __all__ = [
     "DofCounts", "dof_counts", "AF_N_INT", "DG_N_INT", "AF_CFL", "DG_CFL",
     "simpson_edge_average",
     "fill_af_1d", "fill_dg_1d", "fill_af_2d", "fill_dg_2d",
-    "af_cell_dofs_2d", "dg_cell_dofs_2d",
+    "af_cell_dofs_2d", "dg_cell_dofs_2d", "af_cell_projector_2d",
+    "dg_cell_projector_2d",
     "axis_stencil", "line_apply", "kron_sum_apply", "kron_apply", "roll_cells",
     "state_rows", "save_state_csv",
 ]
@@ -361,30 +364,58 @@ def af_cell_dofs_2d(K: int, f: Callable, x0, y0, dx: float, dy: float,
     """The (K+1, K+1) AF blocks (see ``AfState2D``) of the cells with
     lower-left corners (x0, y0), which broadcast (a grid passes a column
     and a row): the lower-left node, the left- and bottom-edge moments
-    ``f @ B.T`` and the tensor moments ``B @ f @ B.T``.  ``out`` may be a
-    view of a state tensor, such as ``U.swapaxes(1, 2)``."""
+    ``f @ B.T`` and the tensor moments ``B @ f @ B.T``.  f is called
+    twice: on the node and edge points, and on the tensor points.
+    ``out`` may be a view of a state tensor, such as ``U.swapaxes(1, 2)``.
+    ``af_cell_projector_2d`` binds the points of a cell set that is
+    projected again and again."""
+    return af_cell_projector_2d(K, x0, y0, dx, dy, rule)(f, out)
+
+
+def af_cell_projector_2d(K: int, x0, y0, dx: float, dy: float,
+                         rule: poly.QuadratureRule | None = None) -> Callable:
+    """``af_cell_dofs_2d`` of the cells (x0, y0) with f left open:
+    ``project(f, out=None)``, with the cells' points and the moment
+    weights built here, once."""
     rule = rule or _FILL_RULE
     B = _af_moment_weights(K, rule)
+    q = len(rule.nodes)
+    shape = np.broadcast_shapes(np.shape(x0), np.shape(y0)) + (K + 1, K + 1)
     xq, yq = _points(x0, dx, rule.nodes), _points(y0, dy, rule.nodes)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(x0), np.shape(y0))
-                       + (K + 1, K + 1))
-    out[..., 0, 0] = _eval(f, x0, y0)
-    np.matmul(_eval(f, np.expand_dims(x0, -1), yq), B.T, out=out[..., 0, 1:])
-    out[..., 1:, 0] = _eval(f, xq, np.expand_dims(y0, -1)) @ B.T
-    np.matmul(B @ _eval(f, xq[..., :, None], yq[..., None, :]), B.T,
-              out=out[..., 1:, 1:])
-    return out
+    # the node, the left edge (x0, yq) and the bottom edge (xq, y0), side by
+    # side on the last axis
+    x0, y0 = np.expand_dims(x0, -1), np.expand_dims(y0, -1)
+    xe = np.concatenate((x0, np.broadcast_to(x0, xq.shape), xq), axis=-1)
+    ye = np.concatenate((y0, yq, np.broadcast_to(y0, yq.shape)), axis=-1)
+    xt, yt = xq[..., :, None], yq[..., None, :]
+
+    def project(f: Callable, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(shape)
+        np.matmul(B @ _eval(f, xt, yt), B.T, out=out[..., 1:, 1:])
+        fe = _eval(f, xe, ye)
+        out[..., 0, 0] = fe[..., 0]
+        np.matmul(fe[..., 1:q + 1], B.T, out=out[..., 0, 1:])
+        out[..., 1:, 0] = fe[..., q + 1:] @ B.T
+        return out
+    return project
 
 
 def dg_cell_dofs_2d(K: int, f: Callable, x0, y0, dx: float, dy: float,
                     out: np.ndarray | None = None) -> np.ndarray:
     """``W @ f @ W.T``: the modal blocks of the cells with lower-left
-    corners (x0, y0), as in ``af_cell_dofs_2d``."""
+    corners (x0, y0), as in ``af_cell_dofs_2d``; ``dg_cell_projector_2d``
+    binds the points."""
+    return dg_cell_projector_2d(K, x0, y0, dx, dy)(f, out)
+
+
+def dg_cell_projector_2d(K: int, x0, y0, dx: float, dy: float) -> Callable:
+    """``dg_cell_dofs_2d`` of the cells (x0, y0) with f left open, as in
+    ``af_cell_projector_2d``."""
     W = _dg_projection_weights(K)
     xq, yq = _points(x0, dx, _FILL_RULE.nodes), _points(y0, dy, _FILL_RULE.nodes)
-    return np.matmul(W @ _eval(f, xq[..., :, None], yq[..., None, :]), W.T,
-                     out=out)
+    xt, yt = xq[..., :, None], yq[..., None, :]
+    return lambda f, out=None: np.matmul(W @ _eval(f, xt, yt), W.T, out=out)
 
 
 def fill_af_2d(grid: Grid2D, K: int, init: Callable, periodic: bool = True,

@@ -9,8 +9,6 @@ writes each state's family fields (``fields``), every one indexed by cell
 first, as the states stored them then.
 """
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -218,10 +216,8 @@ def test_cell_dofs_broadcast_over_any_cell_set():
 
 
 FAMILIES = {
-    "af": (lambda g, K, f: loop_fill_af_2d(g, K, f, periodic=False),
-           mesh.af_cell_dofs_2d),
-    "dg": (lambda g, K, f: loop_fill_dg_2d(g, K, f, periodic=False),
-           mesh.dg_cell_dofs_2d),
+    "af": lambda g, K, f: loop_fill_af_2d(g, K, f, periodic=False),
+    "dg": lambda g, K, f: loop_fill_dg_2d(g, K, f, periodic=False),
 }
 
 
@@ -230,13 +226,12 @@ FAMILIES = {
 @pytest.mark.parametrize("K", [1, 2, 3])
 @pytest.mark.parametrize("family", ["af", "dg"])
 def test_ghost_ring_matches_strip_reference(family, K, grid, data):
-    loop_fill, cell_dofs = FAMILIES[family]
+    loop_fill = FAMILIES[family]
     g = GRIDS[grid]
     exact = _exact(data)
     state = loop_fill(g, K, lambda x, y: exact(0.0, x, y))
     nx, _, ny, _ = state.U.shape
-    x_lo, x_hi, y_lo, y_hi = driver._ghosts(
-        state, functools.partial(cell_dofs, K), exact, 0.02)
+    x_lo, x_hi, y_lo, y_hi = driver._GhostRing(exact)(state, 0.02)
     ref = as_blocks(strip_pad_2d(
         state, lambda gs, f: loop_fill(gs, K, f), exact, 0.02))
     assert_close([x_lo, y_lo], [ref[0, 1:1 + ny], ref[1:1 + nx, 0]])

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import functools
 import math
 import os
 import subprocess
@@ -346,12 +345,10 @@ def test_dirichlet_af_matches_periodic_for_compact_data():
 
 PAD_FAMILIES = {
     "af": (lambda g, K, f, periodic: mesh.fill_af_2d(g, K, f, periodic),
-           mesh.af_cell_dofs_2d,
            lambda s, ux, uy, ghosts: af.af_rhs_2d_tensorial(
                s, ux, uy, UPWIND.advection_partials(ux),
                UPWIND.advection_partials(uy), ghosts)),
     "dg": (lambda g, K, f, periodic: mesh.fill_dg_2d(g, K, f, periodic),
-           mesh.dg_cell_dofs_2d,
            lambda s, ux, uy, ghosts: dg.dg_rhs_2d(
                s, ux, uy, UPWIND.advection_partials(ux),
                UPWIND.advection_partials(uy), ghosts)),
@@ -365,9 +362,8 @@ def test_ghost_padding_is_exact(family, K, inflow):
     # "lower" has inflow through the left and bottom ghost blocks, "upper"
     # through the right and top ones
     ux, uy = {"lower": (1.0, 0.6), "upper": (-0.7, -1.0)}[inflow]
-    fill, cell_dofs, rhs = PAD_FAMILIES[family]
-    assert_padding_exact(fill, cell_dofs,
-                         lambda s, ghosts: rhs(s, ux, uy, ghosts), K)
+    fill, rhs = PAD_FAMILIES[family]
+    assert_padding_exact(fill, lambda s, ghosts: rhs(s, ux, uy, ghosts), K)
 
 
 @pytest.mark.parametrize("ux,uy", [(1.0, 0.6), (-0.7, -1.0)])
@@ -377,9 +373,9 @@ def test_af_ghost_padding_is_exact_with_downwind_weight(K, ux, uy):
     # read the cells beyond them whatever the speeds' signs
     flux = NumericalFluxSpec.alpha(0.7, 0.3)
     px, py = flux.advection_partials(ux), flux.advection_partials(uy)
-    fill, cell_dofs, _ = PAD_FAMILIES["af"]
+    fill, _ = PAD_FAMILIES["af"]
     assert_padding_exact(
-        fill, cell_dofs,
+        fill,
         lambda s, ghosts: af.af_rhs_2d_tensorial(s, ux, uy, px, py, ghosts),
         K)
 
@@ -390,7 +386,7 @@ def fields(state):
     return [state.node_values, state.x_edge, state.y_edge, state.cell_moments]
 
 
-def assert_padding_exact(fill, cell_dofs, rhs, K):
+def assert_padding_exact(fill, rhs, K):
     # for periodic-compatible data the ghost blocks equal the wrapped data,
     # so the non-periodic rhs must reproduce the periodic one, boundary
     # dofs included
@@ -399,15 +395,14 @@ def assert_padding_exact(fill, cell_dofs, rhs, K):
     q0 = lambda x, y: exact(0.0, x, y)
     sp = fill(Grid2D.square(8), K, q0, True)
     sd = fill(Grid2D.square(8), K, q0, False)
-    project = functools.partial(cell_dofs, K)
     # the ghost write keeps every state dof, boundary ones included
     noisy = sd.with_arrays([a + 0.1 for a in sd.arrays()])
     kept = [a.copy() for a in fields(noisy)]
-    driver._ghosts(noisy, project, exact, 0.0)
+    driver._GhostRing(exact)(noisy, 0.0)
     for a, b in zip(kept, fields(noisy)):
         assert np.array_equal(a, b)
     dp = rhs(sp, None)
-    dd = rhs(sd, driver._ghosts(sd, project, exact, 0.0))
+    dd = rhs(sd, driver._GhostRing(exact)(sd, 0.0))
     for p, d in zip(fields(dp), fields(dd)):
         wrapped = np.take(np.take(p, range(d.shape[0]), 0, mode="wrap"),
                           range(d.shape[1]), 1, mode="wrap")

@@ -4,8 +4,6 @@ may be zero without changing a single bit of the derivative.  A zero-speed
 Lax-Friedrichs axis keeps its dissipation, (d_L, d_R) = (a/2, -a/2), and
 reads both of its sides."""
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ SPEEDS = [(1.0, 0.6), (-0.7, 1.0), (1.0, -1.3), (-1.0, -0.5), (0.0, 1.0),
 FLUXES = ["upwind", "alpha", "central", "lax_friedrichs"]
 FILLS = {"af": lambda g, K, f: mesh.fill_af_2d(g, K, f, periodic=False),
          "dg": lambda g, K, f: mesh.fill_dg_2d(g, K, f, periodic=False)}
-PROJECT = {"af": mesh.af_cell_dofs_2d, "dg": mesh.dg_cell_dofs_2d}
 
 
 def random_case(family, K, ux, uy, flux_name, seed=0):
@@ -105,11 +102,10 @@ def test_ghosts_project_only_the_read_sides(family, K, sides):
     exact = driver.exact_solution(cfg)
     state = FILLS[family](Grid2D.square(6), K,
                           lambda x, y: exact(0.0, x, y))
-    project = functools.partial(PROJECT[family], K)
     everything = state.copy()
-    want = driver._ghosts(everything, project, exact, 0.03)
+    want = driver._GhostRing(exact)(everything, 0.03)
     before = state.U.copy()
-    got = driver._ghosts(state, project, exact, 0.03, sides)
+    got = driver._GhostRing(exact, sides)(state, 0.03)
     for side, g, w in zip(driver._SIDES, got, want):
         if side in sides:
             assert np.allclose(g, w, rtol=1e-14, atol=1e-15)
@@ -138,10 +134,8 @@ def test_dirichlet_rhs_projects_the_read_sides(family, order):
     problem = driver.make_problem(cfg)
     flux = driver.make_flux(cfg, problem, state.arrays()[0])
     got = driver.make_rhs(cfg, problem, flux)(state.copy(), 0.04).U
-    project = functools.partial(PROJECT[family], cfg.K)
     everything = state.copy()
-    ghosts = driver._ghosts(everything, project, driver.exact_solution(cfg),
-                            0.04)
+    ghosts = driver._GhostRing(driver.exact_solution(cfg))(everything, 0.04)
     if family == "af":
         want = af.af_rhs_2d_tensorial(everything, -1.0, 0.5, (0.0, -1.0),
                                       (0.5, 0.0), ghosts).U
