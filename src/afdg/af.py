@@ -36,14 +36,14 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from . import poly
-from .mesh import (AF_N_INT, AfState1D, AfState2D, axis_stencil,
+from .mesh import (AF_N_INT, AfState1D, AfState2D, axis_stencils,
                    kron_sum_apply, line_apply, roll_cells,
                    simpson_edge_average)
 from .problems import NumericalFluxSpec, ProblemSpec, flux_partials
 
 __all__ = [
     "AfOps", "af_ops", "basis_table",
-    "af_eval_1d", "af_eval_2d",
+    "af_eval_1d", "af_eval_2d", "af_evaluator_2d",
     "af_rhs_1d", "FluxProjection1D",
     "af_stencil_1d", "af_rhs_2d_tensorial", "af_rhs_2d_classical",
 ]
@@ -112,12 +112,23 @@ def af_eval_2d(state: AfState2D, xi: np.ndarray, eta: np.ndarray,
     """Evaluate all tensorial cell reconstructions, differentiated dxi times
     in xi and deta times in eta, on a tensor point grid.
 
-    Returns shape (nx, ny, len(xi), len(eta)).
+    Returns shape (nx, ny, len(xi), len(eta)).  ``af_evaluator_2d`` binds
+    the state for evaluations on several point grids.
     """
-    ops = af_ops(state.K)
-    bx = ops.basis_values(np.asarray(xi), dxi)
-    by = ops.basis_values(np.asarray(eta), deta)
-    return bx.T @ _dof_tensor_2d(state) @ by
+    return af_evaluator_2d(state)(xi, eta, dxi, deta)
+
+
+def af_evaluator_2d(state: AfState2D):
+    """``af_eval_2d`` of one state with the points left open:
+    ``evaluate(xi, eta, dxi=0, deta=0)``, with the state's closed cell
+    blocks (``_dof_tensor_2d``) built here, once."""
+    ops, C = af_ops(state.K), _dof_tensor_2d(state)
+
+    def evaluate(xi, eta, dxi: int = 0, deta: int = 0) -> np.ndarray:
+        bx = ops.basis_values(np.asarray(xi), dxi)
+        by = ops.basis_values(np.asarray(eta), deta)
+        return bx.T @ C @ by
+    return evaluate
 
 
 def _dof_tensor_2d(state: AfState2D) -> np.ndarray:
@@ -259,7 +270,8 @@ def af_stencil_1d(K: int) -> np.ndarray:
 def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
                         partials_x: tuple[float, float],
                         partials_y: tuple[float, float],
-                        ghosts=None) -> AfState2D:
+                        ghosts=None, stencils: tuple | None = None
+                        ) -> AfState2D:
     """Tensorial AF update for 2-d linear advection, any K >= 1.
 
     The update is the Kronecker sum A (x) I + I (x) B of the 1-d operators
@@ -268,7 +280,9 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     ``mesh.kron_sum_apply`` to the state tensor U[i, a, j, b]: per axis,
     index 0 is the point value and 1..K the moments, so point x point are
     the nodes, point x moment the x-edge moments, moment x point the y-edge
-    moments and moment x moment the cell moments.
+    moments and moment x moment the cell moments.  ``stencils`` are the
+    operators' ``mesh.axis_stencils`` on the state's grid, as a time loop
+    binds them once per run (``driver.make_rhs``); None builds them.
 
     A non-periodic state needs ``ghosts``, the blocks of the cells one
     beyond its tensor (see ``kron_sum_apply``), and its unused slots must
@@ -278,11 +292,9 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     """
     if not state.periodic and ghosts is None:
         raise ValueError("a non-periodic state needs ghost blocks")
-    blocks = af_stencil_1d(state.K)
-    dU = kron_sum_apply(state.U,
-                        axis_stencil(blocks, ux, partials_x, state.grid.dx),
-                        axis_stencil(blocks, uy, partials_y, state.grid.dy),
-                        ghosts)
+    sx, sy = stencils or axis_stencils(af_stencil_1d(state.K), state.grid,
+                                       ux, uy, partials_x, partials_y)
+    dU = kron_sum_apply(state.U, sx, sy, ghosts)
     if not state.periodic:
         dU[-1, 1:] = 0.0
         dU[:, :, -1, 1:] = 0.0
@@ -311,8 +323,9 @@ def af_rhs_2d_classical(state: AfState2D, ux: float, uy: float) -> AfState2D:
                                   "nonnegative speeds")
     dx, dy = state.grid.dx, state.grid.dy
     pts = np.array([0.0, 0.5])
-    dq = -(ux / dx * af_eval_2d(state, pts, pts, dxi=1)
-           + uy / dy * af_eval_2d(state, pts, pts, deta=1))
+    evaluate = af_evaluator_2d(state)
+    dq = -(ux / dx * evaluate(pts, pts, dxi=1)
+           + uy / dy * evaluate(pts, pts, deta=1))
     # (1/2, 1/2), (1/2, 0) and (0, 1/2) of a cell are the node and x- and
     # y-edge midpoint of its upper-right, right and upper (downwind) cells
     dN = roll_cells(roll_cells(dq[:, :, 1, 1], 1), 1, axis=1)

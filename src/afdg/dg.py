@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from . import poly
-from .mesh import (AF_N_INT, DG_N_INT, DgState1D, DgState2D, axis_stencil,
+from .mesh import (AF_N_INT, DG_N_INT, DgState1D, DgState2D, axis_stencils,
                    kron_sum_apply, line_apply, roll_cells)
 from .problems import (NumericalFluxSpec, ProblemSpec, flux_partials,
                        invert_flux, numerical_flux)
@@ -270,20 +270,22 @@ def dg_stencil_1d(K: int) -> np.ndarray:
 
 def dg_rhs_2d(state: DgState2D, ux: float, uy: float,
               partials_x: tuple[float, float],
-              partials_y: tuple[float, float], ghosts=None) -> DgState2D:
+              partials_y: tuple[float, float], ghosts=None,
+              stencils: tuple | None = None) -> DgState2D:
     """Tensor-modal update for 2-d linear advection.
 
     The update is the Kronecker sum A (x) I + I (x) B of the 1-d operators
     (u S_u + d_L S_L + d_R S_R) / h (``dg_stencil_1d``), with each axis'
     flux partials (``NumericalFluxSpec.advection_partials``), applied by
     ``mesh.kron_sum_apply`` to the state tensor U[i, m, j, n]
-    (coeffs[i, j, m, n]).  A non-periodic state needs ``ghosts``, the
-    modal blocks of the cells one beyond it on each side.  Nonlinear
-    problems are out of scope here.
+    (coeffs[i, j, m, n]).  ``stencils`` are the operators'
+    ``mesh.axis_stencils`` on the state's grid, as a time loop binds them
+    once per run (``driver.make_rhs``); None builds them.  A non-periodic
+    state needs ``ghosts``, the modal blocks of the cells one beyond it on
+    each side.  Nonlinear problems are out of scope here.
     """
     if not state.periodic and ghosts is None:
         raise ValueError("a non-periodic state needs ghost blocks")
-    blocks = dg_stencil_1d(state.K)
-    return state.with_arrays([kron_sum_apply(
-        state.U, axis_stencil(blocks, ux, partials_x, state.grid.dx),
-        axis_stencil(blocks, uy, partials_y, state.grid.dy), ghosts)])
+    sx, sy = stencils or axis_stencils(dg_stencil_1d(state.K), state.grid,
+                                       ux, uy, partials_x, partials_y)
+    return state.with_arrays([kron_sum_apply(state.U, sx, sy, ghosts)])

@@ -456,17 +456,29 @@ def _fill(cfg: RunConfig, n: int, f, rule=None):
 
 def make_rhs(cfg: RunConfig, problem, flux: NumericalFluxSpec):
     """rhs(state, t) -> state-shaped derivative, honoring the boundary mode.
-    A 2-d Dirichlet rhs owns one ``_GhostRing``: its first call binds the
-    ring to the state's grid, and it projects each distinct stage time
-    once (see ``_GhostRing``)."""
+
+    A 2-d rhs binds its two axis stencils (``mesh.axis_stencils``) on its
+    first call, to the state's K and grid, and again when a state of
+    another K or grid arrives.  A Dirichlet rhs also owns one
+    ``_GhostRing``, which binds to the state's grid the same way and
+    projects each distinct stage time once."""
     if cfg.problem.endswith("2d"):
-        ux, uy = cfg.ux, cfg.uy
-        px, py = axis_partials(cfg, flux)
-        rhs = dg.dg_rhs_2d if cfg.method == "dg" else af.af_rhs_2d_tensorial
-        if cfg.boundary != "dirichlet":
-            return lambda state, t: rhs(state, ux, uy, px, py, None)
-        ring = _GhostRing(exact_solution(cfg), ghost_sides(cfg, flux))
-        return lambda state, t: rhs(state, ux, uy, px, py, ring(state, t))
+        args = (cfg.ux, cfg.uy, *axis_partials(cfg, flux))
+        rhs, blocks = ((dg.dg_rhs_2d, dg.dg_stencil_1d) if cfg.method == "dg"
+                       else (af.af_rhs_2d_tensorial, af.af_stencil_1d))
+        ring = (_GhostRing(exact_solution(cfg), ghost_sides(cfg, flux))
+                if cfg.boundary == "dirichlet" else None)
+        bound = stencils = None
+
+        def rhs_2d(state, t):
+            nonlocal bound, stencils
+            if bound != (state.grid, state.K):
+                bound = (state.grid, state.K)
+                stencils = mesh.axis_stencils(blocks(state.K), state.grid,
+                                              *args)
+            ghosts = None if ring is None else ring(state, t)
+            return rhs(state, *args, ghosts, stencils)
+        return rhs_2d
 
     rhs = dg.dg_rhs_1d if cfg.method == "dg" else af.af_rhs_1d
     return lambda state, t: rhs(state, problem, flux)

@@ -337,7 +337,8 @@ def lemma_checks(state: DgState2D, ux: float, uy: float,
     # corrected field equals the AF reconstruction of the mapped dofs
     xi = np.linspace(-0.5, 0.5, 7)
     built = rec.evaluate(xi, xi)
-    direct = af.af_eval_2d(mapped, xi, xi)
+    af_evaluate = af.af_evaluator_2d(mapped)
+    direct = af_evaluate(xi, xi)
     res["reconstruction_match"] = float(np.max(np.abs(built - direct))) / scale
 
     # average match: cell mean of the corrected field equals the DG mean
@@ -362,7 +363,7 @@ def lemma_checks(state: DgState2D, ux: float, uy: float,
 
     # edge-trace combination identity (both sides along horizontal edges)
     res["edge_trace_combination"] = _edge_trace_identity_residual(
-        rec, mapped, alpha, beta, xi) / scale
+        rec, af_evaluate, alpha, beta, xi) / scale
 
     # trace-derivative update identities with random weights
     dc = dg.dg_rhs_2d(state, ux, uy, flux_x.advection_partials(ux),
@@ -382,19 +383,20 @@ def _refuse_zero_speed_lax_friedrichs(kinds: tuple[str, str], ux: float,
                              f"flux ({axis} = 0)")
 
 
-def _edge_trace_identity_residual(rec, mapped, alpha, beta, xi):
+def _edge_trace_identity_residual(rec, af_evaluate, alpha, beta, xi):
     """beta-weighted x-corrected traces along a horizontal interface equal
-    the (continuous) mapped reconstruction trace; alpha-weighted mirror."""
+    the (continuous) mapped reconstruction trace, ``af_evaluate`` (the
+    ``af.af_evaluator_2d`` of the mapped state); alpha-weighted mirror."""
     bp, bm = beta
     ap, am = alpha
     edges = np.array([-0.5, 0.5])
     qrx = rec.evaluate(xi, edges, parts="x")
-    af_trace = af.af_eval_2d(mapped, xi, np.array([0.5]))[:, :, :, 0]
+    af_trace = af_evaluate(xi, np.array([0.5]))[:, :, :, 0]
     lhs = bp * qrx[..., 1] + bm * roll_cells(qrx[..., 0], -1, axis=1)
     worst = float(np.max(np.abs(lhs - af_trace)))
 
     qry = rec.evaluate(edges, xi, parts="y")
-    af_trace_x = af.af_eval_2d(mapped, np.array([0.5]), xi)[:, :, 0, :]
+    af_trace_x = af_evaluate(np.array([0.5]), xi)[:, :, 0, :]
     lhs = ap * qry[:, :, 1] + am * roll_cells(qry[:, :, 0], -1)
     return max(worst, float(np.max(np.abs(lhs - af_trace_x))))
 

@@ -6,7 +6,9 @@ product ``kron_apply`` for the 2-d DG-to-AF map, T (x) T of its 1-d
 block row.  Every apply runs along the leading axis of a tensor, as one
 matmul against the stacked neighbours [V_{i-1}; V_i; V_{i+1}], built as
 one gather (``take``) of a cached (n, 3) row index, periodic or with
-ghost blocks; a y-apply is the x-apply of the transposed tensor.
+ghost blocks; a y-apply is the x-apply of the transposed tensor.  A 2-d
+update's two stencils come from ``axis_stencils``, which a run's
+right-hand side calls once and keeps (``driver.make_rhs``).
 
 States are plain value containers around numpy arrays; right-hand-side
 evaluation treats them as immutable.  Interface point values are stored
@@ -43,7 +45,8 @@ __all__ = [
     "fill_af_1d", "fill_dg_1d", "fill_af_2d", "fill_dg_2d",
     "af_cell_dofs_2d", "dg_cell_dofs_2d", "af_cell_projector_2d",
     "dg_cell_projector_2d",
-    "axis_stencil", "line_apply", "kron_sum_apply", "kron_apply", "roll_cells",
+    "axis_stencil", "axis_stencils", "line_apply", "kron_sum_apply",
+    "kron_apply", "roll_cells",
     "state_rows", "save_state_csv",
 ]
 
@@ -459,6 +462,16 @@ def axis_stencil(blocks: np.ndarray, u: float, partials: tuple[float, float],
                   blocks.reshape(3, -1)).reshape(blocks.shape[1:])
 
 
+def axis_stencils(blocks: np.ndarray, grid: Grid2D, ux: float, uy: float,
+                  partials_x: tuple, partials_y: tuple) -> tuple:
+    """The (x, y) pair of ``axis_stencil`` of a family's blocks on a 2-d
+    grid, from each axis' speed, flux partials and cell width: the
+    stencils ``kron_sum_apply`` takes, which a time loop binds once per
+    run (``driver.make_rhs``)."""
+    return (axis_stencil(blocks, ux, partials_x, grid.dx),
+            axis_stencil(blocks, uy, partials_y, grid.dy))
+
+
 def line_apply(blocks: np.ndarray, speed, partials: tuple, h: float,
                V: np.ndarray) -> np.ndarray:
     """The periodic 1-d operator of a family's blocks (S_u, S_L, S_R) on
@@ -495,15 +508,15 @@ def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
     x_hi[j] cell (nx, j), y_lo[i] is cell (i, -1) and y_hi[i] cell (i, ny).
     """
     U = np.ascontiguousarray(U)       # one copy for a non-contiguous view
-    x_lo, x_hi, y_lo, y_hi = (None,) * 4 if ghosts is None else ghosts
-    # a ghost block row is (a, j, b) for the x-apply, as U[i] is, and
-    # (b, i, a) for the y-apply, as the transposed U[j] is
-    out = np.zeros_like(U) if sx is None else _axis_apply(
-        U, sx, *(g if g is None else g.swapaxes(0, 1) for g in (x_lo, x_hi)))
+    x = y = (None, None)
+    if ghosts is not None:
+        # a ghost block row is (a, j, b) for the x-apply, as U[i] is, and
+        # (b, i, a) for the y-apply, as the transposed U[j] is
+        x = [g if g is None else g.swapaxes(0, 1) for g in ghosts[:2]]
+        y = [g if g is None else g.transpose(2, 0, 1) for g in ghosts[2:]]
+    out = np.zeros_like(U) if sx is None else _axis_apply(U, sx, *x)
     if sy is not None:
-        out += _transposed(_axis_apply(
-            _transposed(U), sy,
-            *(g if g is None else g.transpose(2, 0, 1) for g in (y_lo, y_hi))))
+        out += _transposed(_axis_apply(_transposed(U), sy, *y))
     return out
 
 

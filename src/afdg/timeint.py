@@ -10,6 +10,7 @@ AF and DG states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,11 @@ class RkScheme:
                 acc[1:] += w * polys[idx][:-1]
             polys.append(acc)
         return polys[-1]
+
+    @cached_property
+    def last_read(self) -> dict:
+        """The last stage that reads each derivative L(u_j), by j."""
+        return {j: s for s in range(self.stages) for j, _ in self.rhs_w[s]}
 
 
 SSPRK3 = RkScheme(
@@ -104,9 +110,10 @@ def rk_step(scheme: RkScheme, rhs, state, dt: float, t: float = 0.0):
     """One step of the tableau; at most ``stages`` intermediate states.
 
     Each stage's derivative is evaluated once and kept only until the last
-    stage that reads it (in SSPRK(5,4), L(u_3) serves stages 4 and 5)."""
-    last_read = {idx: s for s in range(scheme.stages)
-                 for idx, _ in scheme.rhs_w[s]}
+    stage that reads it (in SSPRK(5,4), L(u_3) serves stages 4 and 5;
+    ``RkScheme.last_read``).  A stage sums its states before it evaluates
+    a derivative, because a Dirichlet AF rhs writes its state's unused
+    slots (``AfState2D``)."""
     stages, derivs = [state], {}
     for s in range(scheme.stages):
         (idx0, w0), *rest = scheme.combo[s]
@@ -116,10 +123,11 @@ def rk_step(scheme: RkScheme, rhs, state, dt: float, t: float = 0.0):
                 a += w * b
         for idx, w in scheme.rhs_w[s]:
             if idx not in derivs:
-                derivs[idx] = rhs(stages[idx], t + scheme.c[idx] * dt)
-            deriv = derivs.pop(idx) if last_read[idx] == s else derivs[idx]
+                derivs[idx] = rhs(stages[idx], t + scheme.c[idx] * dt).arrays()
+            deriv = (derivs.pop(idx) if scheme.last_read[idx] == s
+                     else derivs[idx])
             dw = dt * w
-            for a, b in zip(arrays, deriv.arrays()):
+            for a, b in zip(arrays, deriv):
                 a += dw * b
         stages.append(state.with_arrays(arrays))
     return stages[-1]

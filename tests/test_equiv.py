@@ -520,16 +520,16 @@ def test_lemma_checks_detect_perturbation(block):
         bad_qhat_x[2, 3, 0] += 0.1
         bad = equiv.TensorReconstruction2D(state, bad_qhat_x, rec.qhat_y,
                                            rec.corners)
-        resid = equiv._edge_trace_identity_residual(bad, mapped, (1.0, 0.0),
-                                                    (1.0, 0.0), xi)
+        resid = equiv._edge_trace_identity_residual(
+            bad, af.af_evaluator_2d(mapped), (1.0, 0.0), (1.0, 0.0), xi)
         assert resid > 1e-3
     elif block == "qhat_y":
         bad_qhat_y = rec.qhat_y.copy()
         bad_qhat_y[2, 3, 0] += 0.1
         bad = equiv.TensorReconstruction2D(state, rec.qhat_x, bad_qhat_y,
                                            rec.corners)
-        resid = equiv._edge_trace_identity_residual(bad, mapped, (1.0, 0.0),
-                                                    (1.0, 0.0), xi)
+        resid = equiv._edge_trace_identity_residual(
+            bad, af.af_evaluator_2d(mapped), (1.0, 0.0), (1.0, 0.0), xi)
         assert resid > 1e-3
     else:
         bad_corners = rec.corners.copy()
