@@ -22,7 +22,7 @@ alone) give them, and ``mesh.kron_sum_apply`` applies them.
 K = 1 reproduces the edge-average/node/cell-average updates with
 Simpson-exact edge integrals; K = 2 gives the fourth-order method.
 The classical update (point updates at the nodes and edge midpoints, the
-derivatives of the same K = 1 biquadratic ``af_eval_2d`` evaluates) is
+derivatives of the same K = 1 biquadratic ``af_evaluator_2d`` evaluates) is
 kept as the midpoint-vs-average control on the same periodic K = 1 state;
 it is upwind-only.
 """
@@ -43,7 +43,7 @@ from .problems import NumericalFluxSpec, ProblemSpec, flux_partials
 
 __all__ = [
     "AfOps", "af_ops", "basis_table",
-    "af_eval_1d", "af_eval_2d", "af_evaluator_2d",
+    "af_eval_1d", "af_evaluator_2d",
     "af_rhs_1d", "FluxProjection1D",
     "af_stencil_1d", "af_rhs_2d_tensorial", "af_rhs_2d_classical",
 ]
@@ -93,7 +93,7 @@ def af_ops(K: int) -> AfOps:
 def cell_dof_tensor_1d(state: AfState1D) -> np.ndarray:
     """Dofs per cell in basis order, shape (n_cells, K+2, m): each cell
     block closed by the point value of the next cell."""
-    return np.concatenate([state.V, roll_cells(state.V[:, :1], -1)], axis=1)
+    return np.concatenate([state.U, roll_cells(state.U[:, :1], -1)], axis=1)
 
 
 def af_eval_1d(state: AfState1D, xi: np.ndarray) -> np.ndarray:
@@ -107,21 +107,12 @@ def af_eval_1d(state: AfState1D, xi: np.ndarray) -> np.ndarray:
     return np.einsum("ipc,pq->iqc", dofs, bv)
 
 
-def af_eval_2d(state: AfState2D, xi: np.ndarray, eta: np.ndarray,
-               dxi: int = 0, deta: int = 0) -> np.ndarray:
-    """Evaluate all tensorial cell reconstructions, differentiated dxi times
-    in xi and deta times in eta, on a tensor point grid.
-
-    Returns shape (nx, ny, len(xi), len(eta)).  ``af_evaluator_2d`` binds
-    the state for evaluations on several point grids.
-    """
-    return af_evaluator_2d(state)(xi, eta, dxi, deta)
-
-
 def af_evaluator_2d(state: AfState2D):
-    """``af_eval_2d`` of one state with the points left open:
-    ``evaluate(xi, eta, dxi=0, deta=0)``, with the state's closed cell
-    blocks (``_dof_tensor_2d``) built here, once."""
+    """``evaluate(xi, eta, dxi=0, deta=0)``: all tensorial cell
+    reconstructions of one state, differentiated dxi times in xi and deta
+    times in eta, on a tensor point grid, as shape (nx, ny, len(xi),
+    len(eta)); the state's closed cell blocks (``_dof_tensor_2d``) are
+    built here, once, for evaluations on several point grids."""
     ops, C = af_ops(state.K), _dof_tensor_2d(state)
 
     def evaluate(xi, eta, dxi: int = 0, deta: int = 0) -> np.ndarray:
@@ -179,7 +170,7 @@ def af_rhs_1d(state: AfState1D, problem: ProblemSpec, flux: NumericalFluxSpec,
     splitting, Lax-Friedrichs the flux-vector splitting.  A linear problem,
     scalar or system, applies the block row (u S_u + d_L S_L + d_R S_R) / h
     of ``af_stencil_1d`` (matrices u = J, d_L, d_R for a system) to each
-    cell block V_i = (p_i, m_i) of the state tensor and its neighbours
+    cell block U_i = (p_i, m_i) of the state tensor and its neighbours
     (``mesh.line_apply``).  A nonlinear (scalar) problem takes (d_L, d_R)
     at the shared point value and its moment integrals by quadrature.
 
@@ -195,11 +186,11 @@ def af_rhs_1d(state: AfState1D, problem: ProblemSpec, flux: NumericalFluxSpec,
     fp = flux_projection
     if problem.linear and fp is None:
         # a linear problem's Jacobian and flux partials are constant
-        return state.with_arrays([line_apply(
+        return state.with_tensor(line_apply(
             af_stencil_1d(state.K), problem.jacobian(0.0),
-            flux_partials(flux, problem, 0.0, 0.0), dx, state.V)])
-    # the point and moment updates are written into their rows of dV
-    dV = np.empty_like(state.V)
+            flux_partials(flux, problem, 0.0, 0.0), dx, state.U))
+    # the point and moment updates are written into their rows of dU
+    dU = np.empty_like(state.U)
     if fp is not None:
         if np.any(np.abs(fp.A) < 1e-12):
             raise ZeroDivisionError("sonic state: flux derivative vanishes at "
@@ -207,18 +198,18 @@ def af_rhs_1d(state: AfState1D, problem: ProblemSpec, flux: NumericalFluxSpec,
                                     "undefined")
         dfl, dfr = _interface_derivatives(ops, fp.F_dofs, dx)
         np.divide(-(fp.dfdql[:, None] * dfl + fp.dfdqr[:, None] * dfr),
-                  fp.A[:, None], out=dV[:, 0])
+                  fp.A[:, None], out=dU[:, 0])
         np.multiply(-(1.0 / dx), np.einsum("kp,ipc->ikc", ops.mom_w,
-                                           fp.F_dofs), out=dV[:, 1:])
-        return state.with_arrays([dV])
+                                           fp.F_dofs), out=dU[:, 1:])
+        return state.with_tensor(dU)
 
     dofs = cell_dof_tensor_1d(state)                     # (n, K+2, 1)
     dql, dqr = _interface_derivatives(ops, dofs, dx)
     pts = state.point_values
     d_l, d_r = flux_partials(flux, problem, pts, pts)
-    dV[:, 0] = -(d_l * dql + d_r * dqr)
-    _moment_rhs_1d(state, problem, ops, dofs, dV[:, 1:])
-    return state.with_arrays([dV])
+    dU[:, 0] = -(d_l * dql + d_r * dqr)
+    _moment_rhs_1d(state, problem, ops, dofs, dU[:, 1:])
+    return state.with_tensor(dU)
 
 
 def _interface_derivatives(ops, dofs, dx):
@@ -298,7 +289,7 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     if not state.periodic:
         dU[-1, 1:] = 0.0
         dU[:, :, -1, 1:] = 0.0
-    return state.with_arrays([dU])
+    return state.with_tensor(dU)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +301,7 @@ def af_rhs_2d_classical(state: AfState2D, ux: float, uy: float) -> AfState2D:
     state's dofs (nodes, edge averages, cell averages).
 
     Every node and edge midpoint is advected with the derivatives, in its
-    fully upwind cell, of the biquadratic ``af_eval_2d`` reconstructs; the
+    fully upwind cell, of the biquadratic ``af_evaluator_2d`` reconstructs; the
     average differences the edge averages.  An edge average moves with the
     Simpson combination of its end nodes' and midpoint's derivatives, which
     is not the tensorial edge-average update.  Only nonnegative speeds are

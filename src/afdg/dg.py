@@ -122,10 +122,10 @@ def dg_rhs_1d(state: DgState1D, problem: ProblemSpec,
     """
     if assembly == "weak" and problem.linear:
         # a linear problem's Jacobian and flux partials are constant
-        return state.with_arrays([line_apply(
+        return state.with_tensor(line_apply(
             dg_stencil_1d(state.K), problem.jacobian(0.0),
             flux_partials(flux, problem, 0.0, 0.0), state.grid.dx,
-            state.coeffs)])
+            state.coeffs))
     if assembly == "augmented":
         if not problem.linear:
             raise ValueError("augmented assembly applies to linear problems; "
@@ -133,7 +133,7 @@ def dg_rhs_1d(state: DgState1D, problem: ProblemSpec,
         daug = _poly_derivative_modal(
             augmented_coefficients_1d(state, problem, flux), state.K)
         J = np.atleast_2d(problem.jacobian(0.0))
-        return state.with_arrays([daug @ (-J.T / state.grid.dx)])
+        return state.with_tensor(daug @ (-J.T / state.grid.dx))
     if assembly != "weak":
         raise ValueError(f"unknown assembly {assembly!r}")
 
@@ -148,8 +148,8 @@ def dg_rhs_1d(state: DgState1D, problem: ProblemSpec,
     numer = (vol
              - np.einsum("m,ic->imc", basis.value_right, fhat_r)
              + np.einsum("m,ic->imc", basis.value_left, fhat))
-    return state.with_arrays([numer / (state.grid.dx
-                                       * basis.mass[None, :, None])])
+    return state.with_tensor(numer / (state.grid.dx
+                                      * basis.mass[None, :, None]))
 
 
 def augmented_coefficients_1d(state: DgState1D, problem: ProblemSpec,
@@ -280,12 +280,11 @@ def dg_rhs_2d(state: DgState2D, ux: float, uy: float,
     ``mesh.kron_sum_apply`` to the state tensor U[i, m, j, n]
     (coeffs[i, j, m, n]).  ``stencils`` are the operators'
     ``mesh.axis_stencils`` on the state's grid, as a time loop binds them
-    once per run (``driver.make_rhs``); None builds them.  A non-periodic
-    state needs ``ghosts``, the modal blocks of the cells one beyond it on
-    each side.  Nonlinear problems are out of scope here.
+    once per run (``driver.make_rhs``); None builds them.  The state's
+    layout does not depend on the boundary: ``ghosts``, the modal blocks
+    of the cells one beyond it on each side, close a Dirichlet run, and
+    None wraps periodically.  Nonlinear problems are out of scope here.
     """
-    if not state.periodic and ghosts is None:
-        raise ValueError("a non-periodic state needs ghost blocks")
     sx, sy = stencils or axis_stencils(dg_stencil_1d(state.K), state.grid,
                                        ux, uy, partials_x, partials_y)
-    return state.with_arrays([kron_sum_apply(state.U, sx, sy, ghosts)])
+    return state.with_tensor(kron_sum_apply(state.U, sx, sy, ghosts))

@@ -443,12 +443,12 @@ def build_state(cfg: RunConfig, n: int):
 def _fill(cfg: RunConfig, n: int, f, rule=None):
     """The method's state of f on the unit square or interval, n cells per
     axis; ``rule`` integrates the AF moments (default: the fill rule)."""
-    periodic = cfg.boundary == "periodic"
     if cfg.problem.endswith("2d"):
         grid = Grid2D.square(n)
         if cfg.method == "dg":
-            return mesh.fill_dg_2d(grid, cfg.K, f, periodic)
-        return mesh.fill_af_2d(grid, cfg.K, f, periodic, rule)
+            return mesh.fill_dg_2d(grid, cfg.K, f)
+        return mesh.fill_af_2d(grid, cfg.K, f, cfg.boundary == "periodic",
+                               rule)
     if cfg.method == "dg":
         return mesh.fill_dg_1d(Grid1D(0.0, 1.0, n), cfg.K, f)
     return mesh.fill_af_1d(Grid1D(0.0, 1.0, n), cfg.K, f, rule=rule)
@@ -495,8 +495,7 @@ class ErrorReport:
 
     @classmethod
     def from_states(cls, state, exact_state) -> "ErrorReport":
-        diff = state.with_arrays([a - b for a, b in zip(state.arrays(),
-                                                        exact_state.arrays())])
+        diff = state.with_tensor(state.U - exact_state.U)
         # the fields are views of the state tensor: sum in their own order
         fams = {name: float(np.sqrt(np.mean(np.ravel(d) ** 2)))
                 for name, d in _families(diff)}
@@ -593,7 +592,7 @@ def run_simulation(cfg: RunConfig, n: int | None = None) -> RunResult:
     n = n or cfg.grids[0]
     problem = make_problem(cfg)
     state0 = build_state(cfg, n)
-    flux = make_flux(cfg, problem, state0.arrays()[0])
+    flux = make_flux(cfg, problem, state0.U)
     rhs = make_rhs(cfg, problem, flux)
     scheme = timeint.schemes_by_name()[cfg.rk]
     dx = state0.grid.dx

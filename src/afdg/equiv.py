@@ -72,11 +72,11 @@ def map_dg_to_af_1d(state: DgState1D, flux: NumericalFluxSpec,
     """Interface values from the numerical flux, moments by modal transfer,
     written into the rows of the mapped state's cell blocks."""
     fhat = dg.interface_fluxes_1d(state, problem, flux)
-    V = np.empty_like(state.V)
-    V[:, 0] = dg.interface_states_from_fluxes(fhat, problem)
+    U = np.empty_like(state.U)
+    U[:, 0] = dg.interface_states_from_fluxes(fhat, problem)
     np.einsum("kn,inc->ikc", moment_transfer_matrix(state.K), state.coeffs,
-              out=V[:, 1:])
-    return AfState1D.from_tensor(state.grid, state.K, V)
+              out=U[:, 1:])
+    return AfState1D.from_tensor(state.grid, state.K, U)
 
 
 def project_flux_F(state: DgState1D, problem: ProblemSpec,
@@ -123,9 +123,9 @@ def dg_induced_af_derivative_1d(state: DgState1D, problem: ProblemSpec,
     if problem.linear:
         return map_dg_to_af_1d(dstate, flux, problem)
     dc = dstate.coeffs
-    V = np.empty_like(dc)
+    U = np.empty_like(dc)
     np.einsum("kn,inc->ikc", moment_transfer_matrix(state.K), dc,
-              out=V[:, 1:])
+              out=U[:, 1:])
 
     riesz = dg.riesz_endpoint_functionals(state.K)
     dq_plus = np.einsum("inc,n->ic", dc, riesz.weights_right)
@@ -137,8 +137,8 @@ def dg_induced_af_derivative_1d(state: DgState1D, problem: ProblemSpec,
     fhat = numerical_flux(flux, problem, q_l, q_r)
     dl, dr = flux_partials(flux, problem, q_l, q_r)
     A = problem.jacobian(invert_flux(problem, fhat))
-    V[:, 0] = (np.asarray(dl) * dql + np.asarray(dr) * dqr) / np.asarray(A)
-    return AfState1D.from_tensor(state.grid, state.K, V)
+    U[:, 0] = (np.asarray(dl) * dql + np.asarray(dr) * dqr) / np.asarray(A)
+    return AfState1D.from_tensor(state.grid, state.K, U)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,9 @@ def map_stencil_1d(K: int, weights: tuple[float, float]) -> np.ndarray:
 def map_dg_to_af_2d(state: DgState2D, alpha: tuple[float, float],
                     beta: tuple[float, float], check_consistency: bool = True
                     ) -> AfState2D:
-    """Corner/edge/moment dofs of tensorial AF from a periodic DG state.
+    """Corner/edge/moment dofs of tensorial AF from a DG state, wrapped
+    periodically: the mapped AF state has n cells per axis, so it reads as
+    periodic (``AfState2D.periodic``).
 
     The map is T (x) T of the 1-d map (``map_stencil_1d``) with the alpha
     weights in x and the beta weights in y, applied by ``mesh.kron_apply``:
@@ -183,8 +185,6 @@ def map_dg_to_af_2d(state: DgState2D, alpha: tuple[float, float],
     """
     if state.K < 1:
         raise ValueError("the 2-d identification needs K >= 1")
-    if not state.periodic:
-        raise ValueError("the 2-d DG-to-AF map is periodic-only")
     check_weights(alpha)
     check_weights(beta)
     K = state.K
@@ -413,8 +413,7 @@ def _update_identity_residuals(state, rec, dc, ux, uy, alpha, beta):
     # transposed state with the axes and weights swapped
     grid_t = Grid2D(state.grid.y_min, state.grid.y_max, state.grid.n_cells_y,
                     state.grid.x_min, state.grid.x_max, state.grid.n_cells_x)
-    state_t = DgState2D(grid_t, state.K, state.coeffs.transpose(1, 0, 3, 2),
-                        state.periodic)
+    state_t = DgState2D(grid_t, state.K, state.coeffs.transpose(1, 0, 3, 2))
     rec_t = TensorReconstruction2D(state_t, rec.qhat_y.swapaxes(0, 1),
                                    rec.qhat_x.swapaxes(0, 1),
                                    rec.corners.transpose(1, 0, 3, 2))
@@ -567,15 +566,15 @@ def _verify_1d(s: EquivSetting) -> EquivalenceReport:
     if not (problem.is_scalar or flux.kind == "upwind"):
         raise ValueError("system equivalence is verified with the upwind flux")
 
-    Va = dg_induced_af_derivative_1d(state, problem, flux).V
+    Ua = dg_induced_af_derivative_1d(state, problem, flux).U
     mapped = map_dg_to_af_1d(state, flux, problem)
     fp = project_flux_F(state, problem, flux) if nonlinear else None
-    Vb = af.af_rhs_1d(mapped, problem, flux, flux_projection=fp).V
+    Ub = af.af_rhs_1d(mapped, problem, flux, flux_projection=fp).U
     sign = -1 if s.flip_point_sign else 1
 
-    pairs = {"point_values": (Va[:, 0], sign * Vb[:, 0])}
+    pairs = {"point_values": (Ua[:, 0], sign * Ub[:, 0])}
     for k in range(s.K):
-        pairs[f"moment_{k}"] = (Va[:, k + 1], Vb[:, k + 1])
+        pairs[f"moment_{k}"] = (Ua[:, k + 1], Ub[:, k + 1])
     fams = _family_results(pairs, s.tolerance)
     return EquivalenceReport(setting=vars(s).copy(), tolerance=s.tolerance,
                              families=fams,

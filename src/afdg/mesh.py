@@ -10,20 +10,23 @@ ghost blocks; a y-apply is the x-apply of the transposed tensor.  A 2-d
 update's two stencils come from ``axis_stencils``, which a run's
 right-hand side calls once and keeps (``driver.make_rhs``).
 
-States are plain value containers around numpy arrays; right-hand-side
-evaluation treats them as immutable.  Interface point values are stored
-once per interface (sharedness is structural).  A 2-d state is one tensor
-U[i, a, j, b] (cell i, x-dof a, cell j, y-dof b) whose family fields are
-views: cell (i, j) owns the block U[i, :, j, :]; an AF state's edge fields
-always hold edge moments.  ``af_cell_dofs_2d`` and ``dg_cell_dofs_2d``
-project data onto the blocks of any set of cells, for the 2-d fills and
-the Dirichlet ghost blocks alike (a ghost ring binds its cells' points
-once, through ``af_cell_projector_2d`` and ``dg_cell_projector_2d``),
-and ``kron_sum_apply`` takes those ghost blocks in place of its periodic
-wrap.  A 1-d state is one tensor V[i, p, c] (cell i, dof p, component c)
-on a periodic grid: an AF state's point values and moments are the views
-V[:, 0] and V[:, 1:], the cell blocks that ``line_apply`` and the
-DG-to-AF map act on.
+States are plain value containers around one tensor U of cell blocks
+(``_TensorState``): the time loop sums and wraps tensors
+(``with_tensor``), and right-hand-side evaluation treats states as
+immutable, with one exception: a Dirichlet AF right-hand side writes the
+exact data into its input's unused slots (``driver._GhostRing``), so a
+stage's states are summed before its right-hand side runs.  Interface
+point values are stored once per interface (sharedness is structural).
+A 2-d state is one tensor U[i, a, j, b] (cell i, x-dof a, cell j, y-dof
+b) whose family fields are views: cell (i, j) owns the block
+U[i, :, j, :]; an AF state's edge fields always hold edge moments.
+``af_cell_projector_2d`` and ``dg_cell_projector_2d`` bind the points of
+any set of cells and project data onto their blocks, for the 2-d fills
+and the Dirichlet ghost ring alike, and ``kron_sum_apply`` takes the
+ghost blocks in place of its periodic wrap.  A 1-d state is one tensor
+U[i, p, c] (cell i, dof p, component c) on a periodic grid: an AF
+state's point values and moments are the views U[:, 0] and U[:, 1:],
+the cell blocks that ``line_apply`` and the DG-to-AF map act on.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ __all__ = [
     "DofCounts", "dof_counts", "AF_N_INT", "DG_N_INT", "AF_CFL", "DG_CFL",
     "simpson_edge_average",
     "fill_af_1d", "fill_dg_1d", "fill_af_2d", "fill_dg_2d",
-    "af_cell_dofs_2d", "dg_cell_dofs_2d", "af_cell_projector_2d",
-    "dg_cell_projector_2d",
+    "af_cell_projector_2d", "dg_cell_projector_2d",
     "axis_stencil", "axis_stencils", "line_apply", "kron_sum_apply",
     "kron_apply", "roll_cells",
     "state_rows", "save_state_csv",
@@ -115,92 +117,71 @@ class Grid2D:
 # state containers
 
 
-class _TensorState1D:
-    """A 1-d state stored as one tensor V[i, p, c]: cell i, dof p,
-    component c.  ``from_tensor`` and ``with_arrays`` wrap a given tensor
-    without copying; ``copy`` copies it."""
+class _TensorState:
+    """A state stored as one tensor U of cell blocks: U[i, p, c] in 1-d
+    (cell i, dof p, component c), U[i, a, j, b] in 2-d (cell i, x-dof a,
+    cell j, y-dof b).  ``from_tensor`` and ``with_tensor`` wrap a given
+    tensor (or a view, such as the transpose of cell-major blocks) without
+    copying; ``copy`` copies it.  The family fields are views of U."""
+
+    def __init__(self, grid, K: int, U: np.ndarray):
+        self.grid, self.K, self.U = grid, K, U
 
     @classmethod
-    def from_tensor(cls, grid: Grid1D, K: int, V: np.ndarray):
+    def from_tensor(cls, grid, K: int, U: np.ndarray):
         state = object.__new__(cls)
-        state.grid, state.K, state.V = grid, K, V
+        _TensorState.__init__(state, grid, K, U)
         return state
 
-    def with_arrays(self, arrays):
-        return self.from_tensor(self.grid, self.K, arrays[0])
-
-    def arrays(self):
-        return [self.V]
-
-    def copy(self):
-        return self.with_arrays([self.V.copy()])
-
-    @property
-    def n_components(self) -> int:
-        return self.V.shape[2]
-
-
-class DgState1D(_TensorState1D):
-    """Per-cell modal blocks: coeffs[i, n, comp], basis endpoint-normalized;
-    ``coeffs`` is V itself."""
-
-    def __init__(self, grid: Grid1D, K: int, coeffs: np.ndarray):
-        self.grid, self.K, self.V = grid, K, coeffs
-
-    coeffs = property(lambda self: self.V)
-
-
-class AfState1D(_TensorState1D):
-    """Cell blocks V[i, p, comp] of the periodic 1-d AF dofs: p = 0 is the
-    point value at the cell's left interface, shared with cell i-1 (cell
-    n-1's right interface wraps to cell 0's), and p = 1..K the moments.
-    The fields are views of V: point_values[i, comp] and moments[i, k,
-    comp], the k-th weighted cell integral.  The constructor packs the
-    fields into a new V.
-    """
-
-    def __init__(self, grid: Grid1D, K: int, point_values, moments):
-        self.grid, self.K = grid, K
-        self.V = np.empty((len(point_values), K + 1,
-                           np.shape(point_values)[1]))
-        self.V[:, 0], self.V[:, 1:] = point_values, moments
-
-    point_values = property(lambda self: self.V[:, 0])
-    moments = property(lambda self: self.V[:, 1:])
-
-
-class _TensorState2D:
-    """A 2-d state stored as one tensor U[i, a, j, b]: cell i, x-dof a,
-    cell j, y-dof b.  The family fields are views of U, built on first
-    access.  The constructors pack the fields into a new contiguous U;
-    ``from_tensor`` and ``with_arrays`` wrap a given tensor (or a view,
-    such as the transpose of cell-major blocks) without copying."""
-
-    @classmethod
-    def from_tensor(cls, grid: Grid2D, K: int, U: np.ndarray,
-                    periodic: bool = True):
-        state = object.__new__(cls)
-        state.grid, state.K, state.U, state.periodic = grid, K, U, periodic
-        return state
-
-    def with_arrays(self, arrays):
-        return self.from_tensor(self.grid, self.K, arrays[0], self.periodic)
+    def with_tensor(self, U: np.ndarray):
+        return self.from_tensor(self.grid, self.K, U)
 
     def arrays(self):
         return [self.U]
 
     def copy(self):
-        return self.with_arrays([self.U.copy()])
+        return self.with_tensor(self.U.copy())
+
+    @property
+    def n_components(self) -> int:
+        """A 1-d state's component count; 2-d states are scalar."""
+        return self.U.shape[2] if self.U.ndim == 3 else 1
 
 
-class DgState2D(_TensorState2D):
+class DgState1D(_TensorState):
+    """Per-cell modal blocks: coeffs[i, n, comp], basis endpoint-normalized;
+    ``coeffs`` is U itself."""
+
+    coeffs = property(lambda self: self.U)
+
+
+class AfState1D(_TensorState):
+    """Cell blocks U[i, p, comp] of the periodic 1-d AF dofs: p = 0 is the
+    point value at the cell's left interface, shared with cell i-1 (cell
+    n-1's right interface wraps to cell 0's), and p = 1..K the moments.
+    The fields are views of U: point_values[i, comp] and moments[i, k,
+    comp], the k-th weighted cell integral.  The constructor packs the
+    fields into a new U.
+    """
+
+    def __init__(self, grid: Grid1D, K: int, point_values, moments):
+        super().__init__(grid, K, np.empty((len(point_values), K + 1,
+                                            np.shape(point_values)[1])))
+        self.U[:, 0], self.U[:, 1:] = point_values, moments
+
+    point_values = property(lambda self: self.U[:, 0])
+    moments = property(lambda self: self.U[:, 1:])
+
+
+class DgState2D(_TensorState):
     """Tensor modal blocks: coeffs[i, j, m, n] with m the x-mode index, a
-    view of U[i, m, j, n]."""
+    view of U[i, m, j, n].  The layout does not depend on the boundary: a
+    Dirichlet run's right-hand side takes the ghost blocks beside it.  The
+    constructor packs ``coeffs`` into a new contiguous U."""
 
-    def __init__(self, grid: Grid2D, K: int, coeffs, periodic: bool = True):
+    def __init__(self, grid: Grid2D, K: int, coeffs):
         nx, ny = np.shape(coeffs)[:2]
-        self.grid, self.K, self.periodic = grid, K, periodic
-        self.U = np.empty((nx, K + 1, ny, K + 1))
+        super().__init__(grid, K, np.empty((nx, K + 1, ny, K + 1)))
         self.coeffs[...] = coeffs
 
     @cached_property
@@ -208,26 +189,31 @@ class DgState2D(_TensorState2D):
         return self.U.swapaxes(1, 2)
 
 
-class AfState2D(_TensorState2D):
+class AfState2D(_TensorState):
     """2-d AF dofs, one layout for the tensorial and the classical update.
     Per axis, index 0 of a cell's block is its lower-left point value and
     1..K its moments: block[0, 0] is the node, [0, 1:] the left-edge
     moments in y (x_edge; k=0 is the edge average), [1:, 0] the
     bottom-edge moments in x (y_edge), [1:, 1:] the tensor moments
-    (cell_moments).  A non-periodic state has n+1 cells per axis; the
-    moments of its last row and column, U[-1, 1:] and U[:, :, -1, 1:], are
-    unused slots that the fields leave out.
+    (cell_moments).  A periodic state has n cells per axis and a closed
+    (non-periodic) one n+1, one per corner: ``periodic`` reads the shape.
+    The moments of a closed state's last row and column, U[-1, 1:] and
+    U[:, :, -1, 1:], are unused slots that the fields leave out.  The
+    constructor packs the fields into a new contiguous U.
     """
 
     def __init__(self, grid: Grid2D, K: int, node_values, x_edge, y_edge,
-                 cell_moments, periodic: bool = True):
+                 cell_moments):
         nx, ny = np.shape(node_values)
-        self.grid, self.K, self.periodic = grid, K, periodic
-        # a non-periodic state's unused slots stay zero
-        self.U = np.zeros((nx, K + 1, ny, K + 1))
+        # a closed state's unused slots stay zero
+        super().__init__(grid, K, np.zeros((nx, K + 1, ny, K + 1)))
         for view, values in zip(self._fields, (node_values, x_edge, y_edge,
                                                cell_moments)):
             view[...] = values
+
+    @property
+    def periodic(self) -> bool:
+        return self.U.shape[0] == self.grid.n_cells_x
 
     @cached_property
     def _fields(self) -> tuple:
@@ -361,25 +347,17 @@ def _eval(f: Callable, x, y) -> np.ndarray:
     return np.broadcast_to(np.asarray(f(x, y), dtype=float), shape)
 
 
-def af_cell_dofs_2d(K: int, f: Callable, x0, y0, dx: float, dy: float,
-                    rule: poly.QuadratureRule | None = None,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """The (K+1, K+1) AF blocks (see ``AfState2D``) of the cells with
-    lower-left corners (x0, y0), which broadcast (a grid passes a column
-    and a row): the lower-left node, the left- and bottom-edge moments
-    ``f @ B.T`` and the tensor moments ``B @ f @ B.T``.  f is called
-    twice: on the node and edge points, and on the tensor points.
-    ``out`` may be a view of a state tensor, such as ``U.swapaxes(1, 2)``.
-    ``af_cell_projector_2d`` binds the points of a cell set that is
-    projected again and again."""
-    return af_cell_projector_2d(K, x0, y0, dx, dy, rule)(f, out)
-
-
 def af_cell_projector_2d(K: int, x0, y0, dx: float, dy: float,
                          rule: poly.QuadratureRule | None = None) -> Callable:
-    """``af_cell_dofs_2d`` of the cells (x0, y0) with f left open:
-    ``project(f, out=None)``, with the cells' points and the moment
-    weights built here, once."""
+    """``project(f, out=None)``: the (K+1, K+1) AF blocks (see
+    ``AfState2D``) of f on the cells with lower-left corners (x0, y0),
+    which broadcast (a grid passes a column and a row): the lower-left
+    node, the left- and bottom-edge moments ``f @ B.T`` and the tensor
+    moments ``B @ f @ B.T``.  The cells' points and the moment weights
+    are built here, once, for a cell set projected again and again; f is
+    called twice per projection, on the node and edge points and on the
+    tensor points.  ``out`` may be a view of a state tensor, such as
+    ``U.swapaxes(1, 2)``."""
     rule = rule or _FILL_RULE
     B = _af_moment_weights(K, rule)
     q = len(rule.nodes)
@@ -404,17 +382,10 @@ def af_cell_projector_2d(K: int, x0, y0, dx: float, dy: float,
     return project
 
 
-def dg_cell_dofs_2d(K: int, f: Callable, x0, y0, dx: float, dy: float,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """``W @ f @ W.T``: the modal blocks of the cells with lower-left
-    corners (x0, y0), as in ``af_cell_dofs_2d``; ``dg_cell_projector_2d``
-    binds the points."""
-    return dg_cell_projector_2d(K, x0, y0, dx, dy)(f, out)
-
-
 def dg_cell_projector_2d(K: int, x0, y0, dx: float, dy: float) -> Callable:
-    """``dg_cell_dofs_2d`` of the cells (x0, y0) with f left open, as in
-    ``af_cell_projector_2d``."""
+    """``project(f, out=None)``: ``W @ f @ W.T``, the modal blocks of f on
+    the cells with lower-left corners (x0, y0), with the points bound
+    once, as in ``af_cell_projector_2d``."""
     W = _dg_projection_weights(K)
     xq, yq = _points(x0, dx, _FILL_RULE.nodes), _points(y0, dy, _FILL_RULE.nodes)
     xt, yt = xq[..., :, None], yq[..., None, :]
@@ -429,21 +400,22 @@ def fill_af_2d(grid: Grid2D, K: int, init: Callable, periodic: bool = True,
     xs_if = grid.gx.interfaces(periodic)
     ys_if = grid.gy.interfaces(periodic)
     U = np.empty((len(xs_if), K + 1, len(ys_if), K + 1))
-    af_cell_dofs_2d(K, init, xs_if[:, None], ys_if[None, :], grid.dx,
-                    grid.dy, rule, out=U.swapaxes(1, 2))
+    af_cell_projector_2d(K, xs_if[:, None], ys_if[None, :], grid.dx,
+                         grid.dy, rule)(init, U.swapaxes(1, 2))
     if not periodic:
         U[-1, 1:] = 0.0
         U[:, :, -1, 1:] = 0.0
-    return AfState2D.from_tensor(grid, K, U, periodic)
+    return AfState2D.from_tensor(grid, K, U)
 
 
-def fill_dg_2d(grid: Grid2D, K: int, init: Callable,
-               periodic: bool = True) -> DgState2D:
+def fill_dg_2d(grid: Grid2D, K: int, init: Callable) -> DgState2D:
+    """The modal blocks of every cell, projected into the state tensor; a
+    Dirichlet run uses the same state (its ghost blocks lie outside)."""
     U = np.empty((grid.n_cells_x, K + 1, grid.n_cells_y, K + 1))
-    dg_cell_dofs_2d(K, init, grid.gx.interfaces()[:, None],
-                    grid.gy.interfaces()[None, :], grid.dx, grid.dy,
-                    out=U.swapaxes(1, 2))
-    return DgState2D.from_tensor(grid, K, U, periodic)
+    dg_cell_projector_2d(K, grid.gx.interfaces()[:, None],
+                         grid.gy.interfaces()[None, :], grid.dx,
+                         grid.dy)(init, U.swapaxes(1, 2))
+    return DgState2D.from_tensor(grid, K, U)
 
 
 # ---------------------------------------------------------------------------

@@ -166,10 +166,11 @@ def radau_pair(K: int) -> tuple[PolySpec, PolySpec]:
 def radau_points(K: int, side: str) -> np.ndarray:
     """Zeros of the Radau polynomial, ascending, endpoint included.
 
-    Roots are bracketed by sign changes on a 200-point scan and refined by
-    bisection to 1e-14; the known endpoint root (+1/2 for the left
-    polynomial, -1/2 for the right) is inserted exactly.  A wrong root
-    count or a residual above 1e-12 raises instead of returning silently.
+    The interior roots are the real companion-matrix roots
+    (``npp.polyroots``) away from the endpoint, polished by one Newton
+    step; the known endpoint root (+1/2 for the left polynomial, -1/2 for
+    the right) is inserted exactly.  A wrong root count or a residual
+    above 1e-12 raises instead of returning silently.
     """
     r_l, r_r = radau_pair(K)
     if side == "left":
@@ -179,29 +180,10 @@ def radau_points(K: int, side: str) -> np.ndarray:
     else:
         raise ValueError("side must be 'left' or 'right'")
 
-    roots = [endpoint]
-    xs = np.linspace(-0.5, 0.5, 201)
-    vals = p(xs)
-    for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-        if fa == 0.0 and abs(a) != 0.5:
-            roots.append(float(a))
-            continue
-        if fa * fb < 0:
-            lo, hi, flo = a, b, fa
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = p(mid)
-                if fm == 0.0 or hi - lo < 1e-14:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            root = 0.5 * (lo + hi)
-            if abs(root - endpoint) > 1e-10:
-                roots.append(float(root))
-    roots = np.array(sorted(roots))
+    z = npp.polyroots(p.coefficients)
+    z = z[(np.abs(np.imag(z)) < 1e-10) & (np.abs(z - endpoint) > 1e-10)].real
+    z = z - p(z) / p.derivative()(z)
+    roots = np.sort(np.append(z, endpoint))
     if len(roots) != K + 1:
         raise RuntimeError(
             f"root finding failed for K={K}, side={side}: "

@@ -3,7 +3,7 @@
 Schemes are stored in convex-combination (Shu-Osher) form: every stage is
 a weighted sum of earlier stages plus a scaled rhs evaluation.  States are
 the one-tensor containers of :mod:`afdg.mesh`; the integrator only needs
-their ``arrays``/``with_arrays`` pair, so the same code drives 1-d, 2-d,
+their tensor ``U`` and ``with_tensor``, so the same code drives 1-d, 2-d,
 AF and DG states.
 """
 
@@ -59,17 +59,6 @@ class RkScheme:
         return {j: s for s in range(self.stages) for j, _ in self.rhs_w[s]}
 
 
-SSPRK3 = RkScheme(
-    name="ssprk3", stages=3, order=3,
-    combo=(((0, 1.0),),
-           ((0, 0.75), (1, 0.25)),
-           ((0, 1.0 / 3.0), (2, 2.0 / 3.0))),
-    rhs_w=(((0, 1.0),),
-           ((1, 0.25),),
-           ((2, 2.0 / 3.0),)),
-    c=(0.0, 1.0, 0.5, 1.0),
-)
-
 def _derive_stage_times(combo, rhs_w) -> tuple:
     c = [0.0]
     for s in range(len(combo)):
@@ -84,6 +73,17 @@ def _scheme(name, order, combo, rhs_w) -> RkScheme:
                     combo=combo, rhs_w=rhs_w,
                     c=_derive_stage_times(combo, rhs_w))
 
+
+# three-stage third-order SSP tableau (Shu-Osher); stage times (0, 1, 1/2, 1)
+SSPRK3 = _scheme(
+    "ssprk3", 3,
+    combo=(((0, 1.0),),
+           ((0, 0.75), (1, 0.25)),
+           ((0, 1.0 / 3.0), (2, 2.0 / 3.0))),
+    rhs_w=(((0, 1.0),),
+           ((1, 0.25),),
+           ((2, 2.0 / 3.0),)),
+)
 
 # five-stage fourth-order SSP tableau (the standard optimal coefficients)
 SSPRK54 = _scheme(
@@ -117,19 +117,16 @@ def rk_step(scheme: RkScheme, rhs, state, dt: float, t: float = 0.0):
     stages, derivs = [state], {}
     for s in range(scheme.stages):
         (idx0, w0), *rest = scheme.combo[s]
-        arrays = [w0 * a for a in stages[idx0].arrays()]
+        U = w0 * stages[idx0].U
         for idx, w in rest:
-            for a, b in zip(arrays, stages[idx].arrays()):
-                a += w * b
+            U += w * stages[idx].U
         for idx, w in scheme.rhs_w[s]:
             if idx not in derivs:
-                derivs[idx] = rhs(stages[idx], t + scheme.c[idx] * dt).arrays()
+                derivs[idx] = rhs(stages[idx], t + scheme.c[idx] * dt).U
             deriv = (derivs.pop(idx) if scheme.last_read[idx] == s
                      else derivs[idx])
-            dw = dt * w
-            for a, b in zip(arrays, deriv):
-                a += dw * b
-        stages.append(state.with_arrays(arrays))
+            U += (dt * w) * deriv
+        stages.append(state.with_tensor(U))
     return stages[-1]
 
 
@@ -164,7 +161,7 @@ def integrate(state, rhs, scheme: RkScheme, dt: float, t_final: float):
         state = rk_step(scheme, rhs, state, step_dt, t)
         t += step_dt
         if (step % CHECK_EVERY == CHECK_EVERY - 1 or step == n_steps - 1) and \
-                not all(np.all(np.isfinite(a)) for a in state.arrays()):
+                not np.all(np.isfinite(state.U)):
             raise UnstableRunError(
                 f"non-finite state at t={t:.6g} (step {step + 1}); "
                 "reduce the CFL number")

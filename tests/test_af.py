@@ -148,8 +148,7 @@ def test_linearity():
     prob = advection1d(u=0.9)
     s1, s2 = smooth_state_1d(2, seed=5), smooth_state_1d(2, seed=6)
     a, b = 1.3, -0.4
-    comb = s1.with_arrays([a * x + b * y
-                           for x, y in zip(s1.arrays(), s2.arrays())])
+    comb = s1.with_tensor(a * s1.U + b * s2.U)
     d = af.af_rhs_1d(comb, prob, UP)
     d1 = af.af_rhs_1d(s1, prob, UP)
     d2 = af.af_rhs_1d(s2, prob, UP)
@@ -224,7 +223,7 @@ def test_linear_block_product_matches_reference(K, case):
 @pytest.mark.parametrize("case", LINEAR_CASES, ids=linear_case_id)
 def test_linear_update_is_one_line_apply_on_the_state(case, monkeypatch):
     """The linear derivative's tensor is ``line_apply`` of the state's own
-    V, bit for bit, and nothing is packed or split on the way."""
+    U, bit for bit, and nothing is packed or split on the way."""
     problem, flux = case
     m = problem.n_components
     rng = np.random.default_rng(7)
@@ -232,28 +231,34 @@ def test_linear_update_is_one_line_apply_on_the_state(case, monkeypatch):
                       rng.uniform(-1, 1, (12, 3, m)))
     want = mesh.line_apply(af.af_stencil_1d(3), problem.jacobian(0.0),
                            flux_partials(flux, problem, 0.0, 0.0),
-                           state.grid.dx, state.V)
+                           state.grid.dx, state.U)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the linear update concatenated arrays")
 
     monkeypatch.setattr(np, "concatenate", refuse)
     d = af.af_rhs_1d(state, problem, flux)
-    assert d.arrays() == [d.V]
-    assert d.V.tobytes() == want.tobytes()
+    assert d.arrays() == [d.U]
+    assert d.U.tobytes() == want.tobytes()
 
 
-class _TwoFields:
-    """The earlier AF 1-d storage: point values and moments apart."""
-
-    def __init__(self, arrays):
-        self.fields = list(arrays)
-
-    def arrays(self):
-        return self.fields
-
-    def with_arrays(self, arrays):
-        return _TwoFields(arrays)
+def _per_field_step(rk, rhs, fields, dt):
+    """One step of the tableau ``rk`` on the AF 1-d fields kept apart
+    (point values, moments): each stage summed field by field."""
+    stages, derivs = [fields], {}
+    for s in range(rk.stages):
+        (idx0, w0), *rest = rk.combo[s]
+        out = [w0 * a for a in stages[idx0]]
+        for idx, w in rest:
+            for a, b in zip(out, stages[idx]):
+                a += w * b
+        for idx, w in rk.rhs_w[s]:
+            if idx not in derivs:
+                derivs[idx] = rhs(stages[idx])
+            for a, b in zip(out, derivs[idx]):
+                a += (dt * w) * b
+        stages.append(out)
+    return stages[-1]
 
 
 @pytest.mark.parametrize("scheme", ["ssprk3", "ssprk54"])
@@ -272,15 +277,15 @@ def test_rk_step_sums_one_array_per_stage(scheme):
         seen.append(len(d.arrays()))
         return d
 
-    def two_field_rhs(s, t):
-        d = af.af_rhs_1d(AfState1D(state.grid, 3, *s.arrays()), problem, flux)
-        return _TwoFields([d.point_values, d.moments])
+    def two_field_rhs(fields):
+        d = af.af_rhs_1d(AfState1D(state.grid, 3, *fields), problem, flux)
+        return [d.point_values, d.moments]
 
     new = timeint.rk_step(rk, rhs, state, 0.01)
-    old = timeint.rk_step(rk, two_field_rhs, _TwoFields(
-        [state.point_values.copy(), state.moments.copy()]), 0.01)
-    assert seen == [1] * (2 * rk.stages) and new.arrays() == [new.V]
-    for got, want in zip((new.point_values, new.moments), old.arrays()):
+    old = _per_field_step(rk, two_field_rhs, [state.point_values.copy(),
+                                              state.moments.copy()], 0.01)
+    assert seen == [1] * (2 * rk.stages) and new.arrays() == [new.U]
+    for got, want in zip((new.point_values, new.moments), old):
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
@@ -384,8 +389,8 @@ def test_2d_edge_update_matches_simpson_form():
     d = af.af_rhs_2d_tensorial(state, ux, 0.0, (ux, 0.0), (0.0, 0.0))
     vals_eta = np.array([-0.5, 0.0, 0.5])
     # d/dx of the reconstruction at the right face of each cell
-    ddx = af.af_eval_2d(state, np.array([0.5]), vals_eta,
-                        dxi=1)[:, :, 0] / state.grid.dx
+    ddx = af.af_evaluator_2d(state)(np.array([0.5]), vals_eta,
+                                    dxi=1)[:, :, 0] / state.grid.dx
     simpson = (ddx[:, :, 0] + 4 * ddx[:, :, 1] + ddx[:, :, 2]) / 6.0
     want = -ux * np.roll(simpson, 1, axis=0)
     assert np.allclose(d.x_edge[:, :, 0], want, atol=1e-11)
@@ -410,7 +415,7 @@ def test_2d_global_continuity_after_rk_stage():
                                               (1.0, 0.0))
     stepped = timeint.rk_step(timeint.SSPRK3, rhs, state, 0.01)
     eta = np.linspace(-0.5, 0.5, 7)
-    vals = af.af_eval_2d(stepped, np.array([-0.5, 0.5]), eta)
+    vals = af.af_evaluator_2d(stepped)(np.array([-0.5, 0.5]), eta)
     left_of_if = np.roll(vals[:, :, 1, :], 1, axis=0)
     right_of_if = vals[:, :, 0, :]
     assert np.max(np.abs(left_of_if - right_of_if)) < 1e-13
@@ -440,7 +445,7 @@ def test_classical_center_value_recovery():
     # reproduces the stored cell average through the tensor-Simpson weights
     state = smooth_state_2d(1, seed=21)
     nodes = np.array([-0.5, 0.0, 0.5])
-    V = af.af_eval_2d(state, nodes, nodes)
+    V = af.af_evaluator_2d(state)(nodes, nodes)
     w = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
     avg = np.einsum("ijab,a,b->ij", V, w, w)
     assert np.allclose(avg, state.cell_moments[:, :, 0, 0], atol=1e-13)

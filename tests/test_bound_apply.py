@@ -123,7 +123,7 @@ def test_a_bound_rhs_is_the_reference_call_after_call(method, order):
         want = reference_kron_sum_apply(
             U, mesh.axis_stencil(blocks, cfg.ux, px, g.dx),
             mesh.axis_stencil(blocks, cfg.uy, py, g.dy))
-        assert rhs(state.with_arrays([U]), t).U.tobytes() == want.tobytes()
+        assert rhs(state.with_tensor(U), t).U.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
@@ -133,7 +133,7 @@ def test_successive_rhs_calls_return_distinct_arrays(method, order,
     _, state, rhs = bound_rhs(method, order, boundary)
     first = rhs(state, 0.0).U
     kept = first.copy()
-    other = state.with_arrays([state.U * 0.5 + 1.0])
+    other = state.with_tensor(state.U * 0.5 + 1.0)
     second = rhs(other, 0.01).U
     assert not np.shares_memory(first, second)
     assert first.tobytes() == kept.tobytes()

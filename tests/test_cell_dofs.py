@@ -1,7 +1,8 @@
 """The sum-factorised cell projections behind the fills and the ghost ring.
 
 ``loop_fill_*`` are the per-mode quadrature loops that the fills in
-``afdg.mesh`` used before ``af_cell_dofs_2d``/``dg_cell_dofs_2d``, and
+``afdg.mesh`` used before the cell projectors (``af_cell_projector_2d``/
+``dg_cell_projector_2d``), and
 ``strip_pad_2d`` the ghost ring assembled from four non-periodic strip
 fills that the padded Dirichlet path used before its one projection call.
 They are kept here as an independent reference; the ring reads and
@@ -70,11 +71,10 @@ def loop_fill_af_2d(grid, K, init, periodic=True, rule=None):
     for m in range(K):
         for n in range(K):
             cell_moments[:, :, m, n] = np.einsum("ijab,a,b->ij", fq, bws[m], bws[n])
-    return AfState2D(grid, K, node_values, x_edge, y_edge, cell_moments,
-                     periodic)
+    return AfState2D(grid, K, node_values, x_edge, y_edge, cell_moments)
 
 
-def loop_fill_dg_2d(grid, K, init, periodic=True):
+def loop_fill_dg_2d(grid, K, init):
     nodes = _FILL_RULE.nodes
     xq = grid.gx.centers()[:, None, None, None] + grid.dx * nodes[None, None, :, None]
     yq = grid.gy.centers()[None, :, None, None] + grid.dy * nodes[None, None, None, :]
@@ -84,7 +84,7 @@ def loop_fill_dg_2d(grid, K, init, periodic=True):
     for m in range(K + 1):
         for n in range(K + 1):
             coeffs[:, :, m, n] = np.einsum("ijab,a,b->ij", fq, w[m], w[n])
-    return DgState2D(grid, K, coeffs, periodic)
+    return DgState2D(grid, K, coeffs)
 
 
 def fields(state):
@@ -162,11 +162,14 @@ def assert_close(new, ref):
 def test_2d_fills_match_loop_reference(K, grid, periodic, data):
     g = GRIDS[grid]
     f, f_ref = DATA[data]
-    assert_close(mesh.fill_dg_2d(g, K, f, periodic).arrays(),
-                 loop_fill_dg_2d(g, K, f_ref, periodic).arrays())
+    # a DG state's layout does not depend on the boundary
+    assert_close(mesh.fill_dg_2d(g, K, f).arrays(),
+                 loop_fill_dg_2d(g, K, f_ref).arrays())
     catalog = dg.quad_rule_for_order("af", K + 2)
     for rule in (None, catalog):
-        assert_close(mesh.fill_af_2d(g, K, f, periodic, rule).arrays(),
+        state = mesh.fill_af_2d(g, K, f, periodic, rule)
+        assert state.periodic is periodic
+        assert_close(state.arrays(),
                      loop_fill_af_2d(g, K, f_ref, periodic, rule).arrays())
 
 
@@ -208,16 +211,16 @@ def test_cell_dofs_broadcast_over_any_cell_set():
     i, j = np.array([0, 6, 3, 2]), np.array([4, 0, 2, 2])
     x0, y0 = g.x_min + i * g.dx, g.y_min + j * g.dy
     for cell_dofs, grid_state in (
-            (mesh.af_cell_dofs_2d(3, f, x0, y0, g.dx, g.dy),
+            (mesh.af_cell_projector_2d(3, x0, y0, g.dx, g.dy)(f),
              mesh.fill_af_2d(g, 3, f)),
-            (mesh.dg_cell_dofs_2d(3, f, x0, y0, g.dx, g.dy),
+            (mesh.dg_cell_projector_2d(3, x0, y0, g.dx, g.dy)(f),
              mesh.fill_dg_2d(g, 3, f))):
         assert_close([cell_dofs], [grid_state.U.swapaxes(1, 2)[i, j]])
 
 
 FAMILIES = {
     "af": lambda g, K, f: loop_fill_af_2d(g, K, f, periodic=False),
-    "dg": lambda g, K, f: loop_fill_dg_2d(g, K, f, periodic=False),
+    "dg": loop_fill_dg_2d,
 }
 
 

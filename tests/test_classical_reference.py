@@ -30,8 +30,7 @@ def _tensorial_to_classical(state: AfState2D) -> AfState2D:
     x_mid = simpson_midpoint(state.x_edge[..., 0], N, np.roll(N, -1, axis=1))
     y_mid = simpson_midpoint(state.y_edge[..., 0], N, np.roll(N, -1, axis=0))
     return AfState2D(state.grid, 1, N.copy(), x_mid[..., None],
-                     y_mid[..., None], state.cell_moments[:, :, :1, :1].copy(),
-                     state.periodic)
+                     y_mid[..., None], state.cell_moments[:, :, :1, :1].copy())
 
 
 def _dof_tensor_2d(state: AfState2D) -> np.ndarray:
@@ -133,7 +132,7 @@ def reference_af_rhs_2d_classical(state: AfState2D, ux: float,
              + uy * (np.roll(ey_avg, -1, axis=1) - ey_avg) / dy)
 
     return AfState2D(state.grid, 1, dN, dEx[..., None], dEy[..., None],
-                     davg[..., None, None], state.periodic)
+                     davg[..., None, None])
 
 
 def reference_derivative(state: AfState2D, ux: float, uy: float) -> dict:

@@ -267,8 +267,7 @@ def einsum_map_dg_to_af_2d(state, alpha, beta, check_consistency=True,
     cell_moments = np.einsum("km,ln,ijmn->ijkl",
                              T, T, c)
 
-    out = AfState2D(state.grid, K, nodes, x_edge, y_edge, cell_moments,
-                    state.periodic)
+    out = AfState2D(state.grid, K, nodes, x_edge, y_edge, cell_moments)
     if check_consistency:
         res = equiv.corner_consistency_residual(state, alpha, beta, nodes,
                                                 (qhat_x, qhat_y))
@@ -383,15 +382,6 @@ def test_map_stencil_is_cached_and_read_only(K):
     assert not np.any(T[:, 2 * (K + 1):])
 
 
-def test_map_2d_refuses_a_non_periodic_state():
-    """A non-periodic AF state has n+1 cells per axis; the map's n x n
-    periodic tensor would be mislabeled as one."""
-    state = random_dg_2d(seed=27)
-    state = DgState2D.from_tensor(state.grid, 1, state.U, periodic=False)
-    with pytest.raises(ValueError, match="periodic"):
-        equiv.map_dg_to_af_2d(state, (1.0, 0.0), (1.0, 0.0))
-
-
 def test_map_2d_constant():
     state = mesh.fill_dg_2d(Grid2D.square(4), 1, lambda x, y: 0.4 * np.ones_like(x))
     mapped = equiv.map_dg_to_af_2d(state, (0.8, 0.2), (0.6, 0.4))
@@ -421,12 +411,12 @@ def test_reconstruct_2d_matches_af_reconstruction():
     mapped = equiv.map_dg_to_af_2d(state, (0.8, 0.2), (0.6, 0.4))
     xi = np.linspace(-0.5, 0.5, 9)
     built = rec.evaluate(xi, xi)
-    direct = af.af_eval_2d(mapped, xi, xi)
+    direct = af.af_evaluator_2d(mapped)(xi, xi)
     assert np.max(np.abs(built - direct)) <= 1e-12
     # and so do their first derivatives in xi and in eta
     for dxi, deta in ((1, 0), (0, 1)):
         built = rec.evaluate(xi, xi, dxi=dxi, deta=deta)
-        direct = af.af_eval_2d(mapped, xi, xi, dxi=dxi, deta=deta)
+        direct = af.af_evaluator_2d(mapped)(xi, xi, dxi=dxi, deta=deta)
         assert np.max(np.abs(built - direct)) <= 1e-12 * np.max(np.abs(built))
 
 
@@ -536,7 +526,8 @@ def test_lemma_checks_detect_perturbation(block):
         bad_corners[2, 3, 1, 1] += 0.1
         bad = equiv.TensorReconstruction2D(state, rec.qhat_x, rec.qhat_y,
                                            bad_corners)
-        gap = np.max(np.abs(bad.evaluate(xi, xi) - af.af_eval_2d(mapped, xi, xi)))
+        gap = np.max(np.abs(bad.evaluate(xi, xi)
+                            - af.af_evaluator_2d(mapped)(xi, xi)))
         assert gap > 1e-3
 
 
@@ -599,7 +590,7 @@ def test_dg_equals_af_at_crossing_points_2d():
     basis = dg.dg_basis(1)
     pz = np.array([p(zeros) for p in basis.phi])
     raw = np.einsum("ijmn,ma,nb->ijab", state.coeffs, pz, pz)
-    rec = af.af_eval_2d(mapped, zeros, zeros)
+    rec = af.af_evaluator_2d(mapped)(zeros, zeros)
     assert np.max(np.abs(raw - rec)) <= 1e-13
 
 

@@ -2,7 +2,8 @@
 basis, K and derivative order (``af.basis_table``, ``dg.phi_table``,
 ``equiv._psi``), evaluated with ``npp.polyval``.  The references are the
 per-``PolySpec`` evaluations the tables replace, and the three-operand
-einsum ``af_eval_2d`` contracted with before its two matrix products.
+einsum the 2-d AF evaluation (``af_evaluator_2d``) contracted with before
+its two matrix products.
 """
 
 import numpy as np
@@ -69,7 +70,7 @@ def test_af_eval_2d_matches_the_einsum(K, dxi, deta):
     want = np.einsum("ijpq,pa,qb->ijab", af._dof_tensor_2d(state),
                      polyspec_values(funcs, xi, dxi),
                      polyspec_values(funcs, eta, deta))
-    got = af.af_eval_2d(state, xi, eta, dxi=dxi, deta=deta)
+    got = af.af_evaluator_2d(state)(xi, eta, dxi=dxi, deta=deta)
     assert got.shape == want.shape == (n, n + 1, 5, 3)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -99,8 +100,8 @@ def test_warm_evaluations_build_and_differentiate_no_polyspec(monkeypatch):
     fx, fy = NumericalFluxSpec.alpha(0.8, 0.2), NumericalFluxSpec.upwind()
     lf = NumericalFluxSpec.lax_friedrichs(5.0)
     runs = {
-        "af_eval_2d": lambda: af.af_eval_2d(af_state, np.array([0.0, 0.5]),
-                                            np.array([0.0, 0.5]), dxi=1),
+        "af_evaluator_2d": lambda: af.af_evaluator_2d(af_state)(
+            np.array([0.0, 0.5]), np.array([0.0, 0.5]), dxi=1),
         "lemma_checks": lambda: equiv.lemma_checks(dg_2d, 1.1, 0.9, fx, fy),
         "dg_rhs_1d": lambda: dg.dg_rhs_1d(dg_1d, burgers(), lf),
         "project_flux_F": lambda: equiv.project_flux_F(dg_1d, burgers(), lf),

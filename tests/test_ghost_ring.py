@@ -85,7 +85,7 @@ def _ghost_cells(nx, ny, slots, sides):
 
 GRID = Grid2D(0.0, 1.0, 5, 0.0, 1.5, 6)
 FILLS = {"af": lambda g, K, f: mesh.fill_af_2d(g, K, f, periodic=False),
-         "dg": lambda g, K, f: mesh.fill_dg_2d(g, K, f, periodic=False)}
+         "dg": mesh.fill_dg_2d}
 REFERENCE = {"af": reference_af_cell_dofs_2d, "dg": reference_dg_cell_dofs_2d}
 SIDE_SETS = [("x_lo", "y_lo"), ("x_hi", "y_lo"), ("y_hi",), driver._SIDES]
 
@@ -213,12 +213,12 @@ def test_af_cell_dofs_evaluates_twice_with_the_four_evaluation_bytes(
     exact = gauss_exact(0.3, -0.2)
     calls = []
     f = functools.partial(counting(exact, calls), 0.07)
-    got = mesh.af_cell_dofs_2d(K, f, x0, y0, h, h, rule)
+    got = mesh.af_cell_projector_2d(K, x0, y0, h, h, rule)(f)
     assert len(calls) == 2
     want = reference_af_cell_dofs_2d(K, functools.partial(exact, 0.07), x0,
                                      y0, h, h, rule)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    got_dg = mesh.dg_cell_dofs_2d(K, f, x0, y0, h, h)
+    got_dg = mesh.dg_cell_projector_2d(K, x0, y0, h, h)(f)
     want_dg = reference_dg_cell_dofs_2d(K, functools.partial(exact, 0.07),
                                         x0, y0, h, h)
     assert got_dg.tobytes() == want_dg.tobytes()

@@ -15,7 +15,7 @@ SPEEDS = [(1.0, 0.6), (-0.7, 1.0), (1.0, -1.3), (-1.0, -0.5), (0.0, 1.0),
           (1.0, 0.0)]
 FLUXES = ["upwind", "alpha", "central", "lax_friedrichs"]
 FILLS = {"af": lambda g, K, f: mesh.fill_af_2d(g, K, f, periodic=False),
-         "dg": lambda g, K, f: mesh.fill_dg_2d(g, K, f, periodic=False)}
+         "dg": mesh.fill_dg_2d}
 
 
 def random_case(family, K, ux, uy, flux_name, seed=0):

@@ -9,7 +9,6 @@ the periodic right-hand side runs on the whole.  They handle a state as
 the list of cell-first family fields the states stored then (``Fields``).
 """
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +26,6 @@ class Fields:
 
     grid: Grid2D
     fields: list
-    periodic: bool = True
 
     def arrays(self):
         return self.fields
@@ -70,7 +68,7 @@ def _pad_2d(state, project, exact, t: float):
     for a, r, s in zip(padded, ghosts, arrays):
         a[ring] = r
         a[1:1 + s.shape[0], 1:1 + s.shape[1]] = s
-    return replace(state, grid=gpad, periodic=True).with_arrays(padded)
+    return replace(state, grid=gpad).with_arrays(padded)
 
 
 def _slice_pad(dpad, state):
@@ -90,7 +88,7 @@ def padded_rhs(state, op, project, exact, t):
     else:
         split = lambda b: [b]
         wrap = lambda f: DgState2D(f.grid, state.K, *f.arrays())
-    legacy = Fields(state.grid, fields(state), state.periodic)
+    legacy = Fields(state.grid, fields(state))
     pad = _pad_2d(legacy, lambda *args: split(project(*args)), exact, t)
     dpad = Fields(pad.grid, fields(op(wrap(pad))))
     return _slice_pad(dpad, legacy).arrays()
@@ -114,11 +112,11 @@ def dirichlet_case(family, K, ux, uy, flux, seed=0):
     if family == "af":
         state = mesh.fill_af_2d(GRID, K, f, False)
     else:
-        state = mesh.fill_dg_2d(GRID, K, f, False)
+        state = mesh.fill_dg_2d(GRID, K, f)
     # the state differs from the exact data, so its dofs and the ghost
     # blocks are told apart
     noise = np.random.default_rng(seed).uniform(-0.1, 0.1, state.U.shape)
-    return cfg, exact, state.with_arrays([state.U + noise])
+    return cfg, exact, state.with_tensor(state.U + noise)
 
 
 @pytest.mark.parametrize("flux", ["upwind", "alpha"])
@@ -131,10 +129,10 @@ def test_dirichlet_rhs_matches_padded_reference(family, K, ux, uy, flux):
     px, py = spec.advection_partials(ux), spec.advection_partials(uy)
     if family == "af":
         op = lambda s: af.af_rhs_2d_tensorial(s, ux, uy, px, py)
-        project = functools.partial(mesh.af_cell_dofs_2d, K)
+        project = lambda f, *cells: mesh.af_cell_projector_2d(K, *cells)(f)
     else:
         op = lambda s: dg.dg_rhs_2d(s, ux, uy, px, py)
-        project = functools.partial(mesh.dg_cell_dofs_2d, K)
+        project = lambda f, *cells: mesh.dg_cell_projector_2d(K, *cells)(f)
     want = padded_rhs(state, op, project, exact, T)
     rhs = driver.make_rhs(cfg, driver.make_problem(cfg), spec)
     got = fields(rhs(state.copy(), T))
@@ -168,7 +166,7 @@ def layouts(K=2, nx=4, ny=3):
                                     r(nx, ny, K), r(nx, ny, K, K))),
         "af_dirichlet": (AfState2D, (g, K, r(nx + 1, ny + 1),
                                      r(nx + 1, ny, K), r(nx, ny + 1, K),
-                                     r(nx, ny, K, K), False)),
+                                     r(nx, ny, K, K))),
         "classical": (AfState2D, (g, 1, r(nx, ny), r(nx, ny, 1),
                                   r(nx, ny, 1), r(nx, ny, 1, 1))),
         "dg": (DgState2D, (g, K, r(nx, ny, K + 1, K + 1))),
@@ -210,12 +208,15 @@ def test_fields_are_views_of_one_tensor(layout):
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_with_arrays_does_not_copy(layout):
+    """``with_tensor`` wraps the given tensor as it is; ``copy`` copies."""
     state, _ = build(layout)
     U = np.ones_like(state.U)
-    new = state.with_arrays([U])
+    new = state.with_tensor(U)
     assert new.U is U
-    assert (type(new), new.grid, new.K, new.periodic) == \
-        (type(state), state.grid, state.K, state.periodic)
+    assert (type(new), new.grid, new.K) == (type(state), state.grid, state.K)
+    # an AF state reads its boundary from the tensor's shape
+    if type(state) is AfState2D:
+        assert new.periodic is state.periodic is (layout != "af_dirichlet")
     assert all(np.shares_memory(f, U) for f in fields(new))
     copy = state.copy()
     assert np.array_equal(copy.U, state.U)

@@ -127,23 +127,24 @@ def test_fill_af_2d_duality_roundtrip():
     init = lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.2
     for K in (1, 2):
         state = mesh.fill_af_2d(grid, K, init)
-        corners = af.af_eval_2d(state, np.array([-0.5]), np.array([-0.5]))
+        evaluate = af.af_evaluator_2d(state)
+        corners = evaluate(np.array([-0.5]), np.array([-0.5]))
         assert np.allclose(corners[:, :, 0, 0], state.node_values, atol=1e-12)
         rule = poly.gauss_legendre_rule(10)
-        vals = af.af_eval_2d(state, np.array([0.5]), rule.nodes)
+        vals = evaluate(np.array([0.5]), rule.nodes)
         for k in range(K):
             w = (k + 1) * poly.moment_weight(k)(rule.nodes) * rule.weights
             got = np.einsum("ijb,b->ij", vals[:, :, 0, :], w)
             want = np.roll(state.x_edge[:, :, k], -1, axis=0)
             assert np.allclose(got, want, atol=1e-12)
         # the reconstruction reproduces the cell average
-        vals = af.af_eval_2d(state, rule.nodes, rule.nodes)
+        vals = evaluate(rule.nodes, rule.nodes)
         mean = np.einsum("ijab,a,b->ij", vals, rule.weights, rule.weights)
         assert np.allclose(mean, state.cell_moments[:, :, 0, 0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# 1-d states: one cell-block tensor V[i, p, c]
+# states: one cell-block tensor U, U[i, p, c] in 1-d
 
 
 def _states_1d():
@@ -152,13 +153,26 @@ def _states_1d():
     return mesh.fill_af_1d(grid, 3, f, 2), mesh.fill_dg_1d(grid, 3, f, 2)
 
 
+GRID_2D = Grid2D(0.0, 1.0, 4, 0.0, 1.5, 3)
+
+
+def _states():
+    """One state of each type; the AF 2-d state periodic and closed."""
+    af_1d, dg_1d = _states_1d()
+    f = lambda x, y: np.sin(3 * x) * np.cos(y)
+    return {"af": af_1d, "dg": dg_1d,
+            "af_2d": mesh.fill_af_2d(GRID_2D, 2, f),
+            "af_2d_closed": mesh.fill_af_2d(GRID_2D, 2, f, periodic=False),
+            "dg_2d": mesh.fill_dg_2d(GRID_2D, 2, f)}
+
+
 def test_af_1d_fields_are_views_of_the_cell_blocks():
     state, _ = _states_1d()
-    assert state.V.shape == (5, 4, 2)
-    assert state.arrays() == [state.V]
-    for field, rows in ((state.point_values, state.V[:, 0]),
-                        (state.moments, state.V[:, 1:])):
-        assert np.shares_memory(field, state.V)
+    assert state.U.shape == (5, 4, 2)
+    assert state.arrays() == [state.U]
+    for field, rows in ((state.point_values, state.U[:, 0]),
+                        (state.moments, state.U[:, 1:])):
+        assert np.shares_memory(field, state.U)
         assert np.array_equal(field, rows)
 
 
@@ -166,27 +180,60 @@ def test_af_1d_constructor_packs_the_fields():
     rng = np.random.default_rng(3)
     pts, mom = rng.standard_normal((6, 2)), rng.standard_normal((6, 2, 2))
     state = mesh.AfState1D(Grid1D(0, 1, 6), 2, pts, mom)
-    assert not np.shares_memory(state.V, pts)
-    assert state.V.flags.c_contiguous
+    assert not np.shares_memory(state.U, pts)
+    assert state.U.flags.c_contiguous
     assert np.array_equal(state.point_values, pts)
     assert np.array_equal(state.moments, mom)
     assert state.n_components == 2
 
 
-@pytest.mark.parametrize("which", [0, 1], ids=["af", "dg"])
+@pytest.mark.parametrize("which", ["af", "dg", "af_2d", "af_2d_closed",
+                                   "dg_2d"])
 def test_1d_states_wrap_without_copying_and_copy_on_request(which):
-    state = _states_1d()[which]
-    assert not hasattr(state, "periodic")
-    V = np.zeros_like(state.V)
-    for other in (state.with_arrays([V]),
-                  type(state).from_tensor(state.grid, state.K, V)):
-        assert type(other) is type(state) and other.arrays()[0] is V
+    """Every state type wraps a given tensor as it is and copies only on
+    request; only an AF 2-d state has a boundary flag."""
+    state = _states()[which]
+    assert hasattr(state, "periodic") == (which in ("af_2d", "af_2d_closed"))
+    U = np.zeros_like(state.U)
+    for other in (state.with_tensor(U),
+                  type(state).from_tensor(state.grid, state.K, U)):
+        assert type(other) is type(state) and other.arrays()[0] is U
+        assert other.U is U
         assert (other.grid, other.K) == (state.grid, state.K)
     dup = state.copy()
-    assert not np.shares_memory(dup.V, state.V)
-    assert np.array_equal(dup.V, state.V)
-    if which:
-        assert state.coeffs is state.V
+    assert type(dup) is type(state)
+    assert not np.shares_memory(dup.U, state.U)
+    assert np.array_equal(dup.U, state.U)
+    if which == "dg":
+        assert state.coeffs is state.U
+
+
+def test_2d_boundary_is_read_from_the_af_tensor_shape():
+    """A DG 2-d state has one layout for both boundaries and no flag; an
+    AF 2-d state's ``periodic`` follows its tensor's shape (n rows
+    periodic, n + 1 closed) and cannot be set."""
+    states = _states()
+    f = lambda x, y: x + y
+    assert not hasattr(states["dg_2d"], "periodic")
+    with pytest.raises(TypeError):
+        mesh.fill_dg_2d(GRID_2D, 2, f, False)
+    with pytest.raises(TypeError):
+        mesh.DgState2D(GRID_2D, 2, states["dg_2d"].coeffs, False)
+    for name, periodic in (("af_2d", True), ("af_2d_closed", False)):
+        state = states[name]
+        assert state.periodic is periodic
+        assert state.U.shape[0] == GRID_2D.n_cells_x + (not periodic)
+        assert state.U.shape[2] == GRID_2D.n_cells_y + (not periodic)
+        with pytest.raises(AttributeError):
+            state.periodic = not periodic
+        assert state.periodic is periodic
+        other = states["af_2d_closed" if periodic else "af_2d"]
+        assert state.with_tensor(other.U).periodic is not periodic
+        # the constructor reads the shape of the fields it packs
+        again = mesh.AfState2D(GRID_2D, 2, state.node_values, state.x_edge,
+                               state.y_edge, state.cell_moments)
+        assert again.periodic is periodic
+        assert again.U.tobytes() == state.U.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def map_blocks(K, flux, problem, n=5):
     for j, coeffs in unit_columns(K, m, n):
         mapped = equiv.map_dg_to_af_1d(
             DgState1D(Grid1D(0.0, 1.0, n), K, coeffs), flux, problem)
-        U = mapped.V.reshape(n, size)
+        U = mapped.U.reshape(n, size)
         T0[:, j], Tm1[:, j] = U[2], U[3]
         # the map is local: a mode reaches its own cell and the next one
         assert not np.any(np.delete(U, [2, 3], axis=0))
@@ -85,7 +85,7 @@ def rhs_block_rows(K, problem, flux, n=5):
     for j, V in unit_columns(K, m, n):
         d_dg = dg.dg_rhs_1d(DgState1D(grid, K, V), problem, flux).coeffs
         d_af = af.af_rhs_1d(AfState1D.from_tensor(grid, K, V), problem,
-                            flux).V
+                            flux).U
         for rows_f, d in zip(rows, (d_dg, d_af)):
             d = d.reshape(n, size)
             rows_f[:, j], rows_f[:, size + j] = d[3], d[2]

@@ -194,6 +194,22 @@ def test_radau_points_root_property(K, side):
     assert np.min(np.abs(pts - endpoint)) == 0.0
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_radau_points_are_newton_polished(K, side):
+    """The companion-matrix roots plus one Newton step sit within roundoff
+    of a zero: a residual below 1e-14 at every K up to 7 (the earlier
+    bisection to 1e-14 in x left residuals up to 7e-14), and a second
+    Newton step moves no root by more than 1e-15."""
+    r_l, r_r = poly.radau_pair(K)
+    p = r_l if side == "left" else r_r
+    pts = poly.radau_points(K, side)
+    assert len(pts) == K + 1
+    assert np.max(np.abs(p(pts))) <= 1e-14
+    step = p(pts) / p.derivative()(pts)
+    assert np.max(np.abs(step)) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # moment dual basis
 

@@ -11,19 +11,19 @@ from afdg.problems import NumericalFluxSpec, advection1d
 
 
 class ScalarState:
-    """Minimal state wrapper so the integrator can drive plain ODEs."""
+    """Minimal state wrapper so the integrator can drive plain ODEs: its
+    tensor U is the solution vector y."""
 
     def __init__(self, y):
-        self.y = np.atleast_1d(np.asarray(y, dtype=float))
+        self.U = np.atleast_1d(np.asarray(y, dtype=float))
 
-    def arrays(self):
-        return [self.y]
+    y = property(lambda self: self.U)
 
-    def with_arrays(self, arrays):
-        return ScalarState(arrays[0])
+    def with_tensor(self, U):
+        return ScalarState(U)
 
     def copy(self):
-        return ScalarState(self.y.copy())
+        return ScalarState(self.U.copy())
 
 
 def test_rk_step_zero_dt_is_identity():
@@ -133,16 +133,13 @@ def reference_rk_step(scheme, rhs, state, dt: float, t: float = 0.0):
     stages = [state]
     for s in range(scheme.stages):
         (idx0, w0), *rest = scheme.combo[s]
-        arrays = [w0 * a for a in stages[idx0].arrays()]
+        U = w0 * stages[idx0].U
         for idx, w in rest:
-            for a, b in zip(arrays, stages[idx].arrays()):
-                a += w * b
+            U += w * stages[idx].U
         for idx, w in scheme.rhs_w[s]:
             deriv = rhs(stages[idx], t + scheme.c[idx] * dt)
-            dw = dt * w
-            for a, b in zip(arrays, deriv.arrays()):
-                a += dw * b
-        stages.append(state.with_arrays(arrays))
+            U += (dt * w) * deriv.U
+        stages.append(state.with_tensor(U))
     return stages[-1]
 
 
