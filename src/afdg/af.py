@@ -276,10 +276,10 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     binds them once per run (``driver.make_rhs``); None builds them.
 
     A non-periodic state needs ``ghosts``, the blocks of the cells one
-    beyond its tensor (see ``kron_sum_apply``), and its unused slots must
-    hold the data of the cells they belong to, because the point updates
-    of the right and top boundary dofs read them with the partial d_R.
-    The derivative is zero in those slots.
+    beyond its tensor, followed by the cells of its unused slots where the
+    partial d_R reads them, for the point updates of the right and top
+    boundary dofs (see ``kron_sum_apply``).  The derivative is zero in
+    those slots.
     """
     if not state.periodic and ghosts is None:
         raise ValueError("a non-periodic state needs ghost blocks")

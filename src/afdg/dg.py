@@ -41,9 +41,8 @@ from .problems import (NumericalFluxSpec, ProblemSpec, flux_partials,
 
 __all__ = [
     "DgBasis", "dg_basis", "dg_rhs_1d", "dg_stencil_1d", "dg_rhs_2d",
-    "trace_values_1d", "interface_traces_1d",
-    "RieszEndpointFunctionals", "riesz_endpoint_functionals",
-    "quad_rule_for_order", "phi_table",
+    "trace_values_1d", "interface_traces_1d", "quad_rule_for_order",
+    "phi_table",
 ]
 
 
@@ -197,37 +196,6 @@ def _poly_derivative_modal(mono: np.ndarray, K: int) -> np.ndarray:
     """d/dxi of per-cell monomial blocks, re-expanded in the modal basis."""
     dmono = mono[:, 1:, :] * np.arange(1, mono.shape[1])[None, :, None]
     return np.einsum("nm,imc->inc", monomial_to_modal(K), dmono)
-
-
-# ---------------------------------------------------------------------------
-# Riesz endpoint functionals
-
-
-@dataclass(frozen=True)
-class RieszEndpointFunctionals:
-    """Polynomials v_L, v_R in P^K whose cell-mean pairing evaluates the
-    endpoint: (1/dx) integral v_R p dx = p(+dx/2) for every p in P^K."""
-
-    K: int
-    v_L: poly.PolySpec
-    v_R: poly.PolySpec
-    weights_left: np.ndarray    # pairing against modal coefficients
-    weights_right: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def riesz_endpoint_functionals(K: int) -> RieszEndpointFunctionals:
-    if K < 1:
-        raise ValueError("Riesz endpoint functionals need K >= 1")
-    basis = dg_basis(K)
-    v_r = poly.PolySpec(np.zeros(K + 1))
-    v_l = poly.PolySpec(np.zeros(K + 1))
-    for n in range(K + 1):
-        v_r = v_r + basis.phi[n].scaled(basis.value_right[n] / basis.mass[n])
-        v_l = v_l + basis.phi[n].scaled(basis.value_left[n] / basis.mass[n])
-    w_r = np.array([(v_r * p).cell_integral() for p in basis.phi])
-    w_l = np.array([(v_l * p).cell_integral() for p in basis.phi])
-    return RieszEndpointFunctionals(K, v_l, v_r, w_l, w_r)
 
 
 # ---------------------------------------------------------------------------

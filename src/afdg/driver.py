@@ -349,8 +349,9 @@ class _GhostRing:
     ``mesh.af_cell_projector_2d`` or ``dg_cell_projector_2d``, and every
     other block is zero.  With its high side, the same projection gives the
     cells of an AF state's unused slots on that axis (see ``AfState2D``),
-    which its boundary point updates read; every call writes them into the
-    state.
+    which its boundary point updates read: the ring returns them after the
+    four ghost blocks, (x_slot, y_slot), None where not projected.  It
+    reads its state's shape and writes nothing into it.
 
     The first call binds the ring's points, weights and block offsets to
     its state's family, grid and shape; a state that differs in one of them
@@ -407,11 +408,8 @@ class _GhostRing:
             if len(self._kept) == 2:
                 del self._kept[next(iter(self._kept))]
             self._kept[t] = got
-        if "x_slot" in got:
-            state.U[-1, 1:] = got["x_slot"][:, 1:].swapaxes(0, 1)
-        if "y_slot" in got:
-            state.U[:, :, -1, 1:] = got["y_slot"][:, :, 1:]
-        return tuple(got.get(side, self._zero[side[0]]) for side in _SIDES)
+        return (*(got.get(side, self._zero[side[0]]) for side in _SIDES),
+                got.get("x_slot"), got.get("y_slot"))
 
 
 def ghost_sides(cfg: RunConfig, flux: NumericalFluxSpec) -> tuple:

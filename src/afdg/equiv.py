@@ -10,7 +10,8 @@ family by family,
       right-hand side: for linear problems the map of the DG derivative
       (1-d and 2-d alike); for nonlinear ones moments via modal transfer
       and interface values via the flux-partial chain rule on trace
-      derivatives extracted with the Riesz endpoint functionals, and
+      derivatives, the DG end values (``DgBasis.ends``) of the modal
+      derivative, and
   (b) the native AF right-hand side evaluated on the mapped state,
 
 each family pair one row (1-d) or one field (2-d) of the two AF states.
@@ -116,8 +117,8 @@ def dg_induced_af_derivative_1d(state: DgState1D, problem: ProblemSpec,
     The map is linear for a linear problem, so the derivatives are the
     map of the DG derivative, as in 2-d.  Otherwise moments transfer
     modally and interface values follow the chain rule through the
-    numerical flux, with the trace time derivatives extracted by the
-    Riesz endpoint functionals.
+    numerical flux, with the trace time derivatives the end values of the
+    modal derivative (``DgBasis.ends``).
     """
     dstate = dg.dg_rhs_1d(state, problem, flux, assembly="weak")
     if problem.linear:
@@ -127,9 +128,9 @@ def dg_induced_af_derivative_1d(state: DgState1D, problem: ProblemSpec,
     np.einsum("kn,inc->ikc", moment_transfer_matrix(state.K), dc,
               out=U[:, 1:])
 
-    riesz = dg.riesz_endpoint_functionals(state.K)
-    dq_plus = np.einsum("inc,n->ic", dc, riesz.weights_right)
-    dq_minus = np.einsum("inc,n->ic", dc, riesz.weights_left)
+    value_left, value_right = dg.dg_basis(state.K).ends
+    dq_plus = np.einsum("inc,n->ic", dc, value_right)
+    dq_minus = np.einsum("inc,n->ic", dc, value_left)
     dql = roll_cells(dq_plus, 1)               # d/dt q_{a-1}^+
     dqr = dq_minus                             # d/dt q_a^-
 

@@ -13,20 +13,19 @@ right-hand side calls once and keeps (``driver.make_rhs``).
 States are plain value containers around one tensor U of cell blocks
 (``_TensorState``): the time loop sums and wraps tensors
 (``with_tensor``), and right-hand-side evaluation treats states as
-immutable, with one exception: a Dirichlet AF right-hand side writes the
-exact data into its input's unused slots (``driver._GhostRing``), so a
-stage's states are summed before its right-hand side runs.  Interface
-point values are stored once per interface (sharedness is structural).
-A 2-d state is one tensor U[i, a, j, b] (cell i, x-dof a, cell j, y-dof
-b) whose family fields are views: cell (i, j) owns the block
-U[i, :, j, :]; an AF state's edge fields always hold edge moments.
-``af_cell_projector_2d`` and ``dg_cell_projector_2d`` bind the points of
-any set of cells and project data onto their blocks, for the 2-d fills
-and the Dirichlet ghost ring alike, and ``kron_sum_apply`` takes the
-ghost blocks in place of its periodic wrap.  A 1-d state is one tensor
-U[i, p, c] (cell i, dof p, component c) on a periodic grid: an AF
-state's point values and moments are the views U[:, 0] and U[:, 1:],
-the cell blocks that ``line_apply`` and the DG-to-AF map act on.
+immutable.  Interface point values are stored once per interface
+(sharedness is structural).  A 2-d state is one tensor U[i, a, j, b]
+(cell i, x-dof a, cell j, y-dof b) whose family fields are views: cell
+(i, j) owns the block U[i, :, j, :]; an AF state's edge fields always
+hold edge moments.  ``af_cell_projector_2d`` and ``dg_cell_projector_2d``
+bind the points of any set of cells and project data onto their blocks,
+for the 2-d fills and the Dirichlet ghost ring alike, and
+``kron_sum_apply`` takes the ghost blocks in place of its periodic wrap
+(and a closed AF state's slot cells in place of its unused slots).  A
+1-d state is one tensor U[i, p, c] (cell i, dof p, component c) on a
+periodic grid: an AF state's point values and moments are the views
+U[:, 0] and U[:, 1:], the cell blocks that ``line_apply`` and the
+DG-to-AF map act on.
 """
 
 from __future__ import annotations
@@ -198,14 +197,13 @@ class AfState2D(_TensorState):
     (cell_moments).  A periodic state has n cells per axis and a closed
     (non-periodic) one n+1, one per corner: ``periodic`` reads the shape.
     The moments of a closed state's last row and column, U[-1, 1:] and
-    U[:, :, -1, 1:], are unused slots that the fields leave out.  The
-    constructor packs the fields into a new contiguous U.
+    U[:, :, -1, 1:], are unused slots that the fields leave out; they stay
+    zero.  The constructor packs the fields into a new contiguous U.
     """
 
     def __init__(self, grid: Grid2D, K: int, node_values, x_edge, y_edge,
                  cell_moments):
         nx, ny = np.shape(node_values)
-        # a closed state's unused slots stay zero
         super().__init__(grid, K, np.zeros((nx, K + 1, ny, K + 1)))
         for view, values in zip(self._fields, (node_values, x_edge, y_edge,
                                                cell_moments)):
@@ -478,14 +476,23 @@ def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
     beyond the tensor on each side, (x_lo, x_hi, y_lo, y_hi), as per-cell
     (m, m) blocks like ``U.swapaxes(1, 2)``'s: x_lo[j] is cell (-1, j) and
     x_hi[j] cell (nx, j), y_lo[i] is cell (i, -1) and y_hi[i] cell (i, ny).
+    Two more blocks, (x_slot, y_slot), may follow, cells (nx-1, j) and (i,
+    ny-1), or None: their dofs 1.. stand in for the tensor's along that
+    axis (a closed AF state's unused slots), in the neighbour copy of that
+    axis' apply, so U itself is never written.  The result in those slots
+    is then not the operator's; a closed AF rhs zeroes it.
     """
     U = np.ascontiguousarray(U)       # one copy for a non-contiguous view
-    x = y = (None, None)
+    x = y = ()
     if ghosts is not None:
         # a ghost block row is (a, j, b) for the x-apply, as U[i] is, and
         # (b, i, a) for the y-apply, as the transposed U[j] is
-        x = [g if g is None else g.swapaxes(0, 1) for g in ghosts[:2]]
-        y = [g if g is None else g.transpose(2, 0, 1) for g in ghosts[2:]]
+        x_lo, x_hi, y_lo, y_hi, *slots = ghosts
+        x_slot, y_slot = slots or (None, None)
+        x = [g if g is None else g.swapaxes(0, 1)
+             for g in (x_lo, x_hi, x_slot)]
+        y = [g if g is None else g.transpose(2, 0, 1)
+             for g in (y_lo, y_hi, y_slot)]
     out = np.zeros_like(U) if sx is None else _axis_apply(U, sx, *x)
     if sy is not None:
         out += _transposed(_axis_apply(_transposed(U), sy, *y))
@@ -505,14 +512,15 @@ def _transposed(U: np.ndarray) -> np.ndarray:
     return U.transpose(2, 3, 0, 1)
 
 
-def _axis_apply(U: np.ndarray, s: np.ndarray, lo=None,
-                hi=None) -> np.ndarray:
+def _axis_apply(U: np.ndarray, s: np.ndarray, lo=None, hi=None,
+                slot=None) -> np.ndarray:
     """The stencil s along the leading axis of the tensor U[i, a, ...],
     as one matmul against the stacked neighbours, which are one gather of
     the cached row index (it reads a transposed view in place); ``lo``
-    and ``hi`` are the ghost cells' blocks, shaped like U[0]."""
+    and ``hi`` are the ghost cells' blocks, shaped like U[0], and
+    ``slot``'s dofs 1.. stand in for U[-1]'s."""
     n, m = U.shape[:2]
-    W = _with_neighbours(U.reshape(n, m, -1), lo, hi)
+    W = _with_neighbours(U.reshape(n, m, -1), lo, hi, slot)
     return np.matmul(s, W).reshape(U.shape)
 
 
@@ -528,11 +536,13 @@ def roll_cells(a: np.ndarray, shift: int, axis: int = 0) -> np.ndarray:
                            a[lead + (slice(None, -shift),)]), axis=axis)
 
 
-def _with_neighbours(V: np.ndarray, lo=None, hi=None) -> np.ndarray:
+def _with_neighbours(V: np.ndarray, lo=None, hi=None,
+                     slot=None) -> np.ndarray:
     """[V_{i-1}; V_i; V_{i+1}] along the leading axis, stacked on the
     second (which grows from m to 3m), as one gather of the cached row
     index; ``lo`` and ``hi`` are V_{-1} and V_n, the periodic wrap when
-    None."""
+    None.  ``slot``, shaped like V[0], gives V_{n-1}[1:] in the ghost
+    path's copy of V."""
     if (lo is None) != (hi is None):
         raise ValueError("ghost blocks come in pairs: lo and hi, or neither")
     shape = list(V.shape)
@@ -540,6 +550,8 @@ def _with_neighbours(V: np.ndarray, lo=None, hi=None) -> np.ndarray:
     if lo is not None:
         ghost = (1,) + V.shape[1:]
         V = np.concatenate((V, np.reshape(lo, ghost), np.reshape(hi, ghost)))
+        if slot is not None:
+            V[shape[0] - 1, 1:] = np.reshape(slot, V.shape[1:])[1:]
     idx = _neighbour_index(shape[0], lo is not None)
     return V.take(idx, axis=0).reshape(shape)
 

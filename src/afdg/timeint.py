@@ -111,9 +111,7 @@ def rk_step(scheme: RkScheme, rhs, state, dt: float, t: float = 0.0):
 
     Each stage's derivative is evaluated once and kept only until the last
     stage that reads it (in SSPRK(5,4), L(u_3) serves stages 4 and 5;
-    ``RkScheme.last_read``).  A stage sums its states before it evaluates
-    a derivative, because a Dirichlet AF rhs writes its state's unused
-    slots (``AfState2D``)."""
+    ``RkScheme.last_read``)."""
     stages, derivs = [state], {}
     for s in range(scheme.stages):
         (idx0, w0), *rest = scheme.combo[s]

@@ -152,3 +152,17 @@ def planted_cost_slope(grids, cfl: float = 0.25, work_per_cell: int = 60,
     xs = np.log([t[0] for t in taus])
     ys = np.log([t[1] for t in taus])
     return float(np.polyfit(xs, ys, 1)[0])
+
+
+def with_slots(U, x_slot, y_slot):
+    """A copy of a closed 2-d state tensor U[i, a, j, b] with the dofs 1..
+    of the slot blocks, cells (nx-1, j) and (i, ny-1), written into its
+    unused slots, x first, then y, as a Dirichlet AF rhs wrote them into
+    its state before its ghost ring returned them with the ghost blocks;
+    a None slot is left as it is."""
+    U = U.copy()
+    if x_slot is not None:
+        U[-1, 1:] = x_slot[:, 1:].swapaxes(0, 1)
+    if y_slot is not None:
+        U[:, :, -1, 1:] = y_slot[:, :, 1:]
+    return U

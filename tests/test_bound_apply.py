@@ -5,7 +5,10 @@
 rhs bound its stencils (``mesh.axis_stencils`` in ``driver.make_rhs``),
 kept verbatim as an independent reference: a gather of a cached (n, 3)
 row index into a contiguous 3x neighbour stack.  The apply, and a bound
-rhs call after call, must give the same bytes.
+rhs call after call, must give the same bytes.  The apply's slot blocks
+(a closed AF state's unused slots) must give the bytes of the reference
+applied to a copy of the tensor with the slots written in, outside the
+slots themselves.
 """
 
 from dataclasses import replace
@@ -16,6 +19,7 @@ import pytest
 
 from afdg import af, dg, driver, mesh, timeint
 from afdg.driver import RunConfig
+from helpers import with_slots
 
 
 def reference_kron_sum_apply(U, sx, sy, ghosts=None):
@@ -66,12 +70,21 @@ def _neighbour_index(n, ghosts):
 
 
 def operands(nx, ny, m, seed):
-    """A tensor U[i, a, j, b], two stencils and the four ghost sides."""
+    """A tensor U[i, a, j, b], two stencils, the four ghost sides and the
+    two slot blocks, cells (nx-1, j) and (i, ny-1)."""
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((nx, m, ny, m))
     sx, sy = rng.standard_normal((2, m, 3 * m))
     ghosts = tuple(rng.standard_normal((k, m, m)) for k in (ny, ny, nx, nx))
-    return U, sx, sy, ghosts
+    slots = tuple(rng.standard_normal((k, m, m)) for k in (ny, nx))
+    return U, sx, sy, ghosts, slots
+
+
+def without_slots(U):
+    """U with its slot entries zeroed, as a closed AF rhs zeroes them."""
+    U[-1, 1:] = 0.0
+    U[:, :, -1, 1:] = 0.0
+    return U
 
 
 LAYOUTS = {
@@ -84,24 +97,36 @@ LAYOUTS = {
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-@pytest.mark.parametrize("ghosted", [False, True])
+@pytest.mark.parametrize("ghosted", [False, True, "slots"])
 @pytest.mark.parametrize("nx,ny", [(4, 3), (3, 5), (1, 2)])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_apply_is_the_gather_reference(m, nx, ny, ghosted, layout):
-    """Both axes and each alone, with and without ghost blocks, on C,
-    Fortran and transposed layouts of the same values."""
-    U, sx, sy, ghosts = operands(nx, ny, m, seed=10 * nx + ny + m)
+    """Both axes and each alone, with and without ghost blocks, and with
+    the slot blocks after them, on C, Fortran and transposed layouts of the
+    same values."""
+    U, sx, sy, ghosts, slots = operands(nx, ny, m, seed=10 * nx + ny + m)
     ghosts = ghosts if ghosted else None
     view = LAYOUTS[layout](U)
+    kept = U.copy()
     for stencils in ((sx, sy), (sx, None), (None, sy)):
-        want = reference_kron_sum_apply(U, *stencils, ghosts)
-        got = mesh.kron_sum_apply(view, *stencils, ghosts)
+        if ghosted == "slots":
+            # the slots stand in for U's only along their own axis, so the
+            # two results agree everywhere but in the slots
+            want = without_slots(reference_kron_sum_apply(
+                with_slots(U, *slots), *stencils, ghosts))
+            got = without_slots(mesh.kron_sum_apply(view, *stencils,
+                                                    ghosts + slots))
+        else:
+            want = reference_kron_sum_apply(U, *stencils, ghosts)
+            got = mesh.kron_sum_apply(view, *stencils, ghosts)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert view.tobytes() == LAYOUTS[layout](kept).tobytes()
 
 
-def bound_rhs(method, order, boundary="periodic", n=8):
-    cfg = RunConfig(method=method, order=order, problem="advection2d",
-                    ux=1.0, uy=-0.5, init="sine", boundary=boundary)
+def bound_rhs(method, order, boundary="periodic", n=8, **settings):
+    cfg = RunConfig(**{**dict(method=method, order=order,
+                              problem="advection2d", ux=1.0, uy=-0.5,
+                              init="sine", boundary=boundary), **settings})
     problem = driver.make_problem(cfg)
     state = driver.build_state(cfg, n)
     flux = driver.make_flux(cfg, problem, state.U)
@@ -126,15 +151,34 @@ def test_a_bound_rhs_is_the_reference_call_after_call(method, order):
         assert rhs(state.with_tensor(U), t).U.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
-@pytest.mark.parametrize("method,order", [("af", 4), ("dg", 3)])
+# upwind reads one ghost side per axis (x_lo, y_hi), the alpha weights all
+# four, and a zero-speed Lax-Friedrichs x axis both of its sides
+FLUXES = {"upwind": {},
+          "alpha": dict(flux="alpha", alpha_plus=0.7, beta_plus=0.7),
+          "lax_friedrichs": dict(flux="lax_friedrichs", ux=0.0)}
+
+
+@pytest.mark.parametrize("method,order,boundary,flux", [
+    pytest.param(method, order, boundary, flux,
+                 id="-".join((method, str(order), boundary)
+                             + ((flux,) if flux != "upwind" else ())))
+    for flux in FLUXES for boundary in ("periodic", "dirichlet")
+    for method, order in (("af", 3), ("af", 4), ("af", 5), ("dg", 3),
+                          ("dg", 4))])
 def test_successive_rhs_calls_return_distinct_arrays(method, order,
-                                                     boundary):
-    _, state, rhs = bound_rhs(method, order, boundary)
+                                                     boundary, flux):
+    """Every rhs ``make_rhs`` returns is a pure function of its state: it
+    leaves its input unchanged, and a second call leaves the first call's
+    result unchanged."""
+    _, state, rhs = bound_rhs(method, order, boundary, **FLUXES[flux])
+    before = state.U.tobytes()
     first = rhs(state, 0.0).U
+    assert state.U.tobytes() == before
     kept = first.copy()
     other = state.with_tensor(state.U * 0.5 + 1.0)
+    other_before = other.U.tobytes()
     second = rhs(other, 0.01).U
+    assert other.U.tobytes() == other_before
     assert not np.shares_memory(first, second)
     assert first.tobytes() == kept.tobytes()
     assert second.tobytes() != kept.tobytes()

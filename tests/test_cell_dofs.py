@@ -18,6 +18,7 @@ from afdg.driver import RunConfig
 from afdg.mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid1D,
                        Grid2D, _FILL_RULE, _af_moment_weights,
                        _as_components, _dg_projection_weights)
+from helpers import with_slots
 
 
 def loop_fill_af_1d(grid, K, init, n_components=1, rule=None):
@@ -234,18 +235,22 @@ def test_ghost_ring_matches_strip_reference(family, K, grid, data):
     exact = _exact(data)
     state = loop_fill(g, K, lambda x, y: exact(0.0, x, y))
     nx, _, ny, _ = state.U.shape
-    x_lo, x_hi, y_lo, y_hi = driver._GhostRing(exact)(state, 0.02)
+    kept = state.U.copy()
+    ring = driver._GhostRing(exact)(state, 0.02)
+    x_lo, x_hi, y_lo, y_hi, x_slot, y_slot = ring
+    assert np.array_equal(state.U, kept)
     ref = as_blocks(strip_pad_2d(
         state, lambda gs, f: loop_fill(gs, K, f), exact, 0.02))
     assert_close([x_lo, y_lo], [ref[0, 1:1 + ny], ref[1:1 + nx, 0]])
     if family == "dg":
+        assert x_slot is None and y_slot is None
         assert_close([x_hi, y_hi], [ref[nx + 1, 1:1 + ny],
                                     ref[1:1 + nx, ny + 1]])
     else:
         # an AF tensor's last row and column are the strips' right and top
-        # cells, and its ghost blocks lie one cell beyond them
+        # cells (its slot blocks), and its ghost blocks lie one cell beyond
         assert x_hi.shape == (ny, K + 1, K + 1)
         assert y_hi.shape == (nx, K + 1, K + 1)
-        V = state.U.swapaxes(1, 2)
+        V = with_slots(state.U, x_slot, y_slot).swapaxes(1, 2)
         assert_close([V[-1, :, 1:], V[:, -1, :, 1:]],
                      [ref[nx, 1:1 + ny, 1:], ref[1:1 + nx, ny, :, 1:]])

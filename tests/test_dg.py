@@ -300,49 +300,77 @@ def test_nonlinear_quadrature_rule_consistency():
 
 
 # ---------------------------------------------------------------------------
-# Riesz endpoint functionals
+# Riesz endpoint functionals: the representers v_L, v_R, built here from
+# the DG basis, pair against the modes exactly as ``DgBasis.ends`` does
+
+
+def riesz_representers(K):
+    """(v_L, v_R) in P^K whose cell-mean pairing evaluates the endpoint:
+    (1/dx) integral v_R p dx = p(+dx/2) for every p in P^K."""
+    basis = dg.dg_basis(K)
+    v_r = poly.PolySpec(np.zeros(K + 1))
+    v_l = poly.PolySpec(np.zeros(K + 1))
+    for n in range(K + 1):
+        v_r = v_r + basis.phi[n].scaled(basis.value_right[n] / basis.mass[n])
+        v_l = v_l + basis.phi[n].scaled(basis.value_left[n] / basis.mass[n])
+    return v_l, v_r
+
+
+def riesz_weights(v, K):
+    """The pairing of v against each mode of the DG basis."""
+    return np.array([(v * p).cell_integral() for p in dg.dg_basis(K).phi])
 
 
 def test_riesz_k1_frozen():
-    r = dg.riesz_endpoint_functionals(1)
-    assert np.allclose(r.v_R.coefficients, [1.0, 6.0], atol=1e-13)
+    v_l, v_r = riesz_representers(1)
+    assert np.allclose(v_r.coefficients, [1.0, 6.0], atol=1e-13)
     xs = np.linspace(-0.5, 0.5, 9)
-    assert np.allclose(r.v_L(xs), r.v_R(-xs), atol=1e-13)
+    assert np.allclose(v_l(xs), v_r(-xs), atol=1e-13)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_riesz_reproduces_endpoint_values(K):
-    r = dg.riesz_endpoint_functionals(K)
+    v_l, v_r = riesz_representers(K)
     rng = np.random.default_rng(K)
     rule = poly.gauss_legendre_rule(12)
     for _ in range(5):
         coeffs = rng.uniform(-1, 1, K + 1)
         p = poly.PolySpec(coeffs)
-        got = float(np.dot(rule.weights, r.v_R(rule.nodes) * p(rule.nodes)))
+        got = float(np.dot(rule.weights, v_r(rule.nodes) * p(rule.nodes)))
         assert got == pytest.approx(p(0.5), abs=1e-12)
-        got_l = float(np.dot(rule.weights, r.v_L(rule.nodes) * p(rule.nodes)))
+        got_l = float(np.dot(rule.weights, v_l(rule.nodes) * p(rule.nodes)))
         assert got_l == pytest.approx(p(-0.5), abs=1e-12)
+    # the pairing weights are the end values, exactly 1 and (-1)^n
+    ends = dg.dg_basis(K).ends
+    assert np.array_equal(ends, [(-1.0) ** np.arange(K + 1),
+                                 np.ones(K + 1)])
+    assert np.allclose(riesz_weights(v_l, K), ends[0], rtol=0, atol=1e-13)
+    assert np.allclose(riesz_weights(v_r, K), ends[1], rtol=0, atol=1e-13)
 
 
 def test_riesz_k2_on_square():
-    r = dg.riesz_endpoint_functionals(2)
     basis = dg.dg_basis(2)
     # xi^2 in modal coordinates, then the functional returns 1/4
     modal = np.linalg.solve(
         np.array([[p(x) for p in basis.phi] for x in (-0.4, 0.0, 0.4)]),
         np.array([0.16, 0.0, 0.16]))
-    assert modal @ r.weights_right == pytest.approx(0.25, abs=1e-14)
+    assert modal @ riesz_weights(riesz_representers(2)[1], 2) == \
+        pytest.approx(0.25, abs=1e-14)
+    assert modal @ basis.ends[1] == pytest.approx(0.25, abs=1e-14)
 
 
 def test_riesz_extracts_trace_of_rhs():
-    # the functional applied to the rhs reproduces d/dt q^+ exactly
+    # the end values applied to the rhs reproduce d/dt q^- and d/dt q^+:
+    # the traces of the derivative, and the Riesz pairing of it
     prob = advection1d(u=1.0)
     state = random_state_1d(2, seed=12)
     d = dg.dg_rhs_1d(state, prob, UP)
-    r = dg.riesz_endpoint_functionals(2)
-    via_riesz = np.einsum("inc,n->ic", d.coeffs, r.weights_right)
-    via_trace = np.einsum("inc,n->ic", d.coeffs, dg.dg_basis(2).value_right)
-    assert np.allclose(via_riesz, via_trace, atol=1e-12)
+    via_ends = np.einsum("inc,en->eic", d.coeffs, dg.dg_basis(2).ends)
+    via_trace = dg.trace_values_1d(d)
+    assert np.allclose(via_ends, via_trace, atol=1e-12)
+    for v, via in zip(riesz_representers(2), via_ends):
+        via_riesz = np.einsum("inc,n->ic", d.coeffs, riesz_weights(v, 2))
+        assert np.allclose(via_riesz, via, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -396,12 +396,15 @@ def assert_padding_exact(fill, rhs, K):
     q0 = lambda x, y: exact(0.0, x, y)
     sp = fill(Grid2D.square(8), K, q0, True)
     sd = fill(Grid2D.square(8), K, q0, False)
-    # the ghost write keeps every state dof, boundary ones included
+    # the ring keeps every state dof, boundary ones included, and writes
+    # nothing into the state
     noisy = sd.with_tensor(sd.U + 0.1)
     kept = [a.copy() for a in fields(noisy)]
+    kept_U = noisy.U.tobytes()
     driver._GhostRing(exact)(noisy, 0.0)
     for a, b in zip(kept, fields(noisy)):
         assert np.array_equal(a, b)
+    assert noisy.U.tobytes() == kept_U
     dp = rhs(sp, None)
     dd = rhs(sd, driver._GhostRing(exact)(sd, 0.0))
     for p, d in zip(fields(dp), fields(dd)):

@@ -4,7 +4,8 @@
 per-stage ghost fill and the four-evaluation AF projection the package
 used before ``driver._GhostRing`` and ``mesh.af_cell_projector_2d``, kept
 verbatim as an independent reference: the bound ring must return the same
-ghost blocks and write the same AF slots, byte for byte, and the
+ghost blocks, and the AF slot blocks that the reference writes into its
+state, byte for byte, without writing its own state, and the
 two-evaluation projection must give the same bytes as the four-evaluation
 one.
 """
@@ -18,6 +19,7 @@ from afdg import dg, driver, mesh, timeint
 from afdg.driver import RunConfig
 from afdg.mesh import (AfState2D, Grid2D, _FILL_RULE, _af_moment_weights,
                        _dg_projection_weights)
+from helpers import with_slots
 
 
 def _points(x0, d, nodes):
@@ -114,11 +116,19 @@ def test_bound_ring_matches_the_per_stage_reference(family, K, sides):
     for seed, t in enumerate((0.0, 0.04, 0.02, 0.04)):
         state = noisy_state(family, K, seed=seed)
         want_state = state.copy()
+        kept = state.U.tobytes()
         got = ring(state, t)
         want = reference_ghosts(want_state, project, exact, t, sides)
-        for g, w in zip(got, want):
+        assert len(got) == 6
+        for g, w in zip(got[:4], want, strict=True):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
-        assert state.U.tobytes() == want_state.U.tobytes()
+        # an AF state's slot blocks come with their axis' high side; the
+        # ring writes nothing, and its slots are the reference's writes
+        assert [s is not None for s in got[4:]] == [
+            family == "af" and f"{axis}_hi" in sides for axis in "xy"]
+        assert state.U.tobytes() == kept
+        assert with_slots(state.U, *got[4:]).tobytes() == \
+            want_state.U.tobytes()
 
 
 def counting(exact, calls):
@@ -167,8 +177,11 @@ def test_reused_blocks_are_read_only(family):
     ring = driver._GhostRing(gauss_exact())
     first = ring(noisy_state(family, 2), 0.05)
     again = ring(noisy_state(family, 2, seed=1), 0.05)
-    assert all(a is b for a, b in zip(first, again))
-    for block in again:
+    assert all(a is b for a, b in zip(first, again, strict=True))
+    # an AF ring's two slot blocks are kept with its four ghost blocks
+    blocks = [b for b in again if b is not None]
+    assert len(blocks) == (6 if family == "af" else 4)
+    for block in blocks:
         assert not block.flags.writeable
         with pytest.raises(ValueError):
             block[...] = 0.0

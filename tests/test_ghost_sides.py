@@ -10,6 +10,7 @@ import pytest
 from afdg import af, dg, driver, mesh
 from afdg.driver import RunConfig
 from afdg.mesh import Grid2D
+from helpers import with_slots
 
 SPEEDS = [(1.0, 0.6), (-0.7, 1.0), (1.0, -1.3), (-1.0, -0.5), (0.0, 1.0),
           (1.0, 0.0)]
@@ -111,17 +112,23 @@ def test_ghosts_project_only_the_read_sides(family, K, sides):
             assert np.allclose(g, w, rtol=1e-14, atol=1e-15)
         else:
             assert g.shape == w.shape and not g.any()
-    # an AF state's slots (the last column's and row's moments) are
-    # written with their axis' high side only; the dofs never are
+    # neither ring writes its state
+    assert np.array_equal(state.U, before)
+    assert np.array_equal(everything.U, before)
+    # an AF state's slot blocks (for the last column's and row's moments)
+    # come with their axis' high side only; written in, they leave the
+    # dofs as they were
+    written, written_all = (with_slots(before, *got[4:]),
+                            with_slots(before, *want[4:]))
     slots = {"x_hi": (-1, slice(1, None)),
              "y_hi": (slice(None), slice(None), -1, slice(1, None))}
     unread = np.ones(state.U.shape, bool)
     for side, index in slots.items():
         if family == "af" and side in sides:
-            assert np.allclose(state.U[index], everything.U[index],
+            assert np.allclose(written[index], written_all[index],
                                rtol=1e-14, atol=1e-15)
             unread[index] = False
-    assert np.array_equal(state.U[unread], before[unread])
+    assert np.array_equal(written[unread], before[unread])
 
 
 @pytest.mark.parametrize("family,order", [("af", 3), ("af", 4), ("dg", 3)])

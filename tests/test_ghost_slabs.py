@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from afdg import af, dg, driver, mesh
+from afdg import af, dg, driver, mesh, timeint
 from afdg.driver import RunConfig
 from afdg.mesh import AfState2D, DgState2D, Grid2D
 
@@ -150,6 +150,14 @@ def test_af_dirichlet_derivative_is_zero_in_unused_slots(K, ux, uy):
     assert np.any(d.U[-1, 0]) and np.any(d.U[:, :, -1, 0])
     assert not np.any(d.U[-1, 1:])
     assert not np.any(d.U[:, :, -1, 1:])
+    # so a run keeps a state's unused slots zero, as the fill leaves them:
+    # the rhs takes the slot cells with the ghost blocks and writes none
+    # into its input
+    run = timeint.integrate(driver.build_state(cfg, 6), rhs, timeint.SSPRK3,
+                            0.01, 0.03)
+    assert np.any(run.U[-1, 0]) and np.any(run.U[:, :, -1, 0])
+    assert not np.any(run.U[-1, 1:])
+    assert not np.any(run.U[:, :, -1, 1:])
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,6 @@ def test_rk_step_equals_the_reference_bit_for_bit(method, order, rk):
     rhs = driver.make_rhs(cfg, problem,
                           driver.make_flux(cfg, problem, state.arrays()[0]))
     scheme = timeint.schemes_by_name()[rk]
-    # the RHS writes an AF state's read slots in place: one copy per side
     got, want = state.copy(), state.copy()
     for step in range(3):
         got = timeint.rk_step(scheme, rhs, got, 0.01, 0.01 * step)
