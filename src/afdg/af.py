@@ -18,7 +18,8 @@ the 1-d method, so its linear-advection update is the Kronecker sum
 A (x) I + I (x) B of 1-d operators (u S_u + d_L S_L + d_R S_R) / h in
 each axis' speed and flux partials, periodic or closed by Dirichlet ghost
 blocks.  Three blocks per K (``af_stencil_1d``, built from ``af_ops``
-alone) give them, and ``mesh.kron_sum_apply`` applies them.
+alone, each entry an exact value rounded once) give them, and
+``mesh.kron_sum_apply`` applies them.
 K = 1 reproduces the edge-average/node/cell-average updates with
 Simpson-exact edge integrals; K = 2 gives the fourth-order method.
 The classical update (point updates at the nodes and edge midpoints, the
@@ -51,13 +52,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AfOps:
-    """Precomputed 1-d stencil weights in dof order (left pt, moments, right pt)."""
+    """Precomputed 1-d stencil weights in dof order (left pt, moments,
+    right pt), each an exact value rounded once, read-only."""
 
     K: int
-    basis: poly.AfBasis
     d_plus: np.ndarray        # B_p'(+1/2)
     d_minus: np.ndarray       # B_p'(-1/2)
     mom_w: np.ndarray         # moment-update weights, shape (K, K+2)
+    w_ends: np.ndarray        # (-w_k(-1/2), w_k(+1/2)), shape (K, 2)
+    dw: np.ndarray            # ``poly.table`` of the weights' derivatives
 
     def basis_values(self, nodes: np.ndarray, d: int = 0) -> np.ndarray:
         """Row p: the d-th derivative of basis function p at ``nodes``."""
@@ -66,24 +69,24 @@ class AfOps:
 
 @lru_cache(maxsize=None)
 def basis_table(K: int, d: int) -> np.ndarray:
-    """The AF basis' ``poly.coefficient_table``, in dof order."""
-    return poly.coefficient_table(poly.moment_dual_basis(K).functions(), d)
+    """The AF basis' ``poly.table``, in dof order."""
+    return poly.table(poly.moment_dual_basis(K), d)
 
 
 @lru_cache(maxsize=None)
 def af_ops(K: int) -> AfOps:
-    basis = poly.moment_dual_basis(K)
-    vals_minus, vals_plus, d_minus, d_plus = (
-        npp.polyval(x, basis_table(K, d).T)
-        for d in (0, 1) for x in (-0.5, 0.5))
-    mom_w = np.zeros((K, K + 2))
-    for k, (bk, ak) in enumerate(zip(basis.b, basis.A)):
-        db = bk.derivative()
-        for p, f in enumerate(basis.functions()):
-            mom_w[k, p] = ak * (bk(0.5) * vals_plus[p]
-                                - bk(-0.5) * vals_minus[p]
-                                - (db * f).cell_integral())
-    return AfOps(K, basis, d_plus, d_minus, mom_w)
+    """The moment update of basis function B_p against weight w_k =
+    A_k (2 xi)^k integrates by parts: w_k B_p at the ends minus the
+    integral of w_k' B_p."""
+    B, w = poly.moment_dual_basis(K), poly.moment_weights(K)
+    dw = npp.polyder(w, axis=1)
+    (b_minus, b_plus), (w_minus, w_plus) = map(poly.end_values, (B, w))
+    d_minus, d_plus = poly.end_values(npp.polyder(B, axis=1))
+    mom_w = (np.outer(w_plus, b_plus) - np.outer(w_minus, b_minus)
+             - poly.inner(dw, B))
+    w_ends = np.stack([-w_minus, w_plus], axis=1)
+    return AfOps(K, *map(poly.rounded, (d_plus, d_minus, mom_w, w_ends)),
+                 poly.table(dw))
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +225,14 @@ def _interface_derivatives(ops, dofs, dx):
 
 def _moment_rhs_1d(state, problem, ops, dofs, dmo):
     """Moment update of a nonlinear flux, by quadrature, into ``dmo``."""
-    dx = state.grid.dx
     n_int = AF_N_INT.get(state.K + 2, 2 * state.K + 5)
     rule = poly.gauss_legendre_rule((n_int + 2) // 2)
     qvals = np.einsum("ipc,pq->iqc", dofs, ops.basis_values(rule.nodes))
-    fvals = problem.flux(qvals)
-    f_l, f_r = problem.flux(dofs[:, 0, :]), problem.flux(dofs[:, -1, :])
-    dbw = rule.weights * npp.polyval(
-        rule.nodes, poly.coefficient_table(ops.basis.b, 1).T)
-    for k, (bk, ak) in enumerate(zip(ops.basis.b, ops.basis.A)):
-        vol = np.einsum("iqc,q->ic", fvals, dbw[k])
-        dmo[:, k, :] = (ak / dx) * (vol - (bk(0.5) * f_r - bk(-0.5) * f_l))
+    vol = np.einsum("iqc,kq->ikc", problem.flux(qvals),
+                    rule.weights * npp.polyval(rule.nodes, ops.dw.T))
+    f_ends = problem.flux(dofs[:, [0, -1], :])                 # (n, 2, m)
+    np.divide(vol - np.einsum("ke,iec->ikc", ops.w_ends, f_ends),
+              state.grid.dx, out=dmo)
 
 
 # ---------------------------------------------------------------------------

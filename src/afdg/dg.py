@@ -20,9 +20,9 @@ agree to roundoff:
 The 2-d assembly is tensor-modal for linear advection: the update is the
 Kronecker sum A (x) I + I (x) B of 1-d operators (u S_u + d_L S_L +
 d_R S_R) / h in each axis' speed and flux partials, periodic or closed by
-Dirichlet ghost blocks.  Three blocks per K (``dg_stencil_1d``, built from
-the closed-form ``dg_basis`` coefficients alone, so every integral is
-exact) give them, and ``mesh.kron_sum_apply`` applies them.
+Dirichlet ghost blocks.  Three blocks per K (``dg_stencil_1d``, built
+from the exact Legendre rows alone and rounded once) give them, and
+``mesh.kron_sum_apply`` applies them.
 """
 
 from __future__ import annotations
@@ -48,32 +48,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DgBasis:
-    """Endpoint-normalized Legendre modes with precomputed couplings."""
+    """Endpoint-normalized Legendre modes (``poly.legendre``): their
+    couplings, each an exact value rounded once, read-only."""
 
     K: int
-    phi: tuple                 # PolySpec, degree n
     mass: np.ndarray           # diagonal entries of the mass matrix
     stiffness: np.ndarray      # stiffness[m, n] = integral phi_m' phi_n
     value_right: np.ndarray    # phi_n(+1/2) = 1
     value_left: np.ndarray     # phi_n(-1/2) = (-1)^n
-    ends: np.ndarray           # rows (value_left, value_right), read-only
+    ends: np.ndarray           # rows (value_left, value_right)
+
+
+@lru_cache(maxsize=None)
+def _exact_basis(K: int) -> tuple:
+    """Exact (mass, stiffness, ends) of the modes."""
+    phi = poly.legendre(K)
+    return (np.diag(poly.inner(phi, phi)),
+            poly.inner(npp.polyder(phi, axis=1), phi), poly.end_values(phi))
 
 
 @lru_cache(maxsize=None)
 def dg_basis(K: int) -> DgBasis:
-    phi = tuple(poly.legendre(n) for n in range(K + 1))
-    mass = np.array([(p * p).cell_integral() for p in phi])
-    stiff = np.array([[(pm.derivative() * pn).cell_integral() for pn in phi]
-                      for pm in phi])
-    ends = np.array([[p(x) for p in phi] for x in (-0.5, 0.5)])
-    ends.flags.writeable = False
-    return DgBasis(K, phi, mass, stiff, ends[1], ends[0], ends)
+    mass, stiff, ends = map(poly.rounded, _exact_basis(K))
+    return DgBasis(K, mass, stiff, ends[1], ends[0], ends)
 
 
 @lru_cache(maxsize=None)
 def phi_table(K: int, d: int) -> np.ndarray:
-    """The modes' ``poly.coefficient_table``."""
-    return poly.coefficient_table(dg_basis(K).phi, d)
+    """The modes' ``poly.table``."""
+    return poly.table(poly.legendre(K), d)
 
 
 def quad_rule_for_order(family: str, order: int) -> poly.QuadratureRule:
@@ -159,20 +162,20 @@ def augmented_coefficients_1d(state: DgState1D, problem: ProblemSpec,
     globally continuous; degree rises from K to K+1.
     """
     K = state.K
-    basis = dg_basis(K)
     qhat = interface_states_from_fluxes(
         interface_fluxes_1d(state, problem, flux), problem)
     q_minus, q_plus = trace_values_1d(state)
-    r_l, r_r = poly.radau_pair(K)
+    phi = phi_table(K, 0)
+    r_l, r_r = poly.table(poly.radau_pair(K))
 
     mono = np.zeros((state.grid.n_cells, K + 2, state.n_components))
     for n in range(K + 1):
         mono[:, : n + 1, :] += state.coeffs[:, n, None, :] \
-            * basis.phi[n].coefficients[None, :, None]
+            * phi[n, : n + 1][None, :, None]
     corr_r = roll_cells(qhat, -1) - q_plus           # weight on R_R
     corr_l = qhat - q_minus                          # weight on R_L
-    mono += corr_r[:, None, :] * r_r.coefficients[None, :, None]
-    mono += corr_l[:, None, :] * r_l.coefficients[None, :, None]
+    mono += corr_r[:, None, :] * r_r[None, :, None]
+    mono += corr_l[:, None, :] * r_l[None, :, None]
     return mono
 
 
@@ -188,8 +191,13 @@ def interface_states_from_fluxes(fhat: np.ndarray,
 
 @lru_cache(maxsize=None)
 def monomial_to_modal(K: int) -> np.ndarray:
-    """Exact change of basis: modal = T @ monomial on P^K (triangular solve)."""
-    return np.linalg.inv(phi_table(K, 0).T)
+    """Change of basis modal = T @ monomial on P^K, read-only: by
+    orthogonality T[n, j] is the integral of phi_n xi^j divided by the
+    mass of phi_n, exact and rounded once."""
+    mass, _, _ = _exact_basis(K)
+    phi = poly.legendre(K)
+    return poly.rounded(poly.inner(phi, np.eye(K + 1, dtype=int))
+                        / mass[:, None])
 
 
 def _poly_derivative_modal(mono: np.ndarray, K: int) -> np.ndarray:
@@ -223,17 +231,15 @@ def dg_stencil_1d(K: int) -> np.ndarray:
     """Blocks (S_u, S_L, S_R) of the periodic 1-d DG operator at dx = 1,
     each a block row [L | D | R] on the modes of cells i-1, i, i+1 divided
     row-wise by the mass: the stiffness, and the traces that the interface
-    flux d_L q^+_{left} + d_R q^-_{right} weighs by d_L and by d_R.
+    flux d_L q^+_{left} + d_R q^-_{right} weighs by d_L and by d_R.  Each
+    entry is its exact value rounded once; read-only.
     """
-    b = dg_basis(K)
-    vr, vl = b.value_right, b.value_left
-    zero = np.zeros((K + 1, K + 1))
-    S = np.stack([np.hstack([zero, b.stiffness, zero]),
+    mass, stiffness, (vl, vr) = _exact_basis(K)
+    zero = np.zeros((K + 1, K + 1), dtype=int)
+    S = np.stack([np.hstack([zero, stiffness, zero]),
                   np.hstack([np.outer(vl, vr), -np.outer(vr, vr), zero]),
                   np.hstack([zero, np.outer(vl, vl), -np.outer(vr, vl)])])
-    S /= b.mass[:, None]
-    S.flags.writeable = False
-    return S
+    return poly.rounded(S / mass[:, None])
 
 
 def dg_rhs_2d(state: DgState2D, ux: float, uy: float,

@@ -16,15 +16,17 @@ family by family,
 
 each family pair one row (1-d) or one field (2-d) of the two AF states.
 Both sides are independently implemented, so machine-precision agreement
-is a strong mutual oracle.  All transfer matrices are precomputed from
-exact polynomial integrals; the only inexactness is roundoff.
+is a strong mutual oracle.  Every transfer matrix is its exact rational
+value rounded once to float64 (``poly.inner``); the rest of the gap is
+the roundoff of applying the tables to a state.
 
 The 2-d identity checks (``lemma_checks``) hold the corrected DG field
 q + r^x + r^y + corners as one coefficient block per cell over the 1-d
 basis (phi_0..phi_K, R_L, R_R) in each axis (``TensorReconstruction2D``).
 Every end value they take is one product with ``DgBasis.ends``.
 Evaluating it reads only DG and Radau data (``dg.dg_basis``,
-``poly.radau_pair``), never the AF operators it is compared against.
+``poly.legendre``, ``poly.radau_pair``), never the AF operators it is
+compared against.
 """
 
 from __future__ import annotations
@@ -53,15 +55,9 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def moment_transfer_matrix(K: int) -> np.ndarray:
-    """T[k, n] = A_k * integral of (2 xi)^k phi_n over the cell (exact)."""
-    basis = dg.dg_basis(K)
-    T = np.zeros((K, K + 1))
-    for k in range(K):
-        a_k = poly.moment_normalization(k)
-        w = poly.moment_weight(k)
-        for n in range(K + 1):
-            T[k, n] = a_k * (w * basis.phi[n]).cell_integral()
-    return T
+    """T[k, n] = A_k * integral of (2 xi)^k phi_n over the cell, exact and
+    rounded once, read-only."""
+    return poly.rounded(poly.inner(poly.moment_weights(K), poly.legendre(K)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +218,9 @@ def corner_consistency_residual(state: DgState2D, alpha, beta,
 
 @lru_cache(maxsize=None)
 def _psi(K: int, d: int) -> np.ndarray:
-    """``poly.coefficient_table`` of psi = (phi_0..phi_K, R_L, R_R)."""
-    psi = (*dg.dg_basis(K).phi, *poly.radau_pair(K))
-    return poly.coefficient_table(psi, d)
+    """``poly.table`` of psi = (phi_0..phi_K, R_L, R_R)."""
+    phi = np.pad(poly.legendre(K), ((0, 0), (0, 1)))
+    return poly.table(np.vstack([phi, poly.radau_pair(K)]), d)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from . import poly
 
@@ -292,8 +293,7 @@ def _af_moment_weights(K: int, rule: poly.QuadratureRule) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _moment_weights(K: int, nodes: bytes, weights: bytes) -> np.ndarray:
     nodes, weights = np.frombuffer(nodes), np.frombuffer(weights)
-    w = np.array([poly.moment_normalization(k) * poly.moment_weight(k)(nodes)
-                  * weights for k in range(K)])
+    w = npp.polyval(nodes, poly.table(poly.moment_weights(K)).T) * weights
     w.flags.writeable = False
     return w
 
@@ -316,12 +316,10 @@ def fill_af_1d(grid: Grid1D, K: int, init: Callable, n_components: int = 1,
 @lru_cache(maxsize=None)
 def _dg_projection_weights(K: int) -> np.ndarray:
     """Row n: the fill rule's weights of the L2 projection onto mode n."""
-    nodes, weights = _FILL_RULE.nodes, _FILL_RULE.weights
-    rows = []
-    for n in range(K + 1):
-        phi = poly.legendre(n)
-        rows.append(phi(nodes) * weights / (phi * phi).cell_integral())
-    w = np.array(rows)
+    phi = poly.legendre(K)
+    mass = poly.rounded(np.diag(poly.inner(phi, phi)))
+    w = (npp.polyval(_FILL_RULE.nodes, poly.table(phi).T) * _FILL_RULE.weights
+         / mass[:, None])
     w.flags.writeable = False
     return w
 

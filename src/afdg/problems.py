@@ -35,7 +35,6 @@ class ProblemSpec:
     jacobian: Callable
     split: Callable                      # q -> (J_plus, J_minus)
     flux_inverse: Callable | None = None
-    inverse_domain: str = ""
     max_speed: Callable | None = None    # q -> max |eigenvalue of J|
     linear: bool = False
     advection_speed: float | None = None       # scalar advection only
@@ -46,14 +45,13 @@ class ProblemSpec:
         return self.n_components == 1
 
 
-def _scalar_problem(name, f, fprime, finv=None, domain="", linear=False,
-                    speed=None):
+def _scalar_problem(name, f, fprime, finv=None, linear=False, speed=None):
     def split(q):
         j = fprime(q)
         return np.maximum(j, 0.0), np.minimum(j, 0.0)
 
     return ProblemSpec(name=name, n_components=1, flux=f, jacobian=fprime,
-                       split=split, flux_inverse=finv, inverse_domain=domain,
+                       split=split, flux_inverse=finv,
                        max_speed=lambda q: np.max(np.abs(fprime(q))),
                        linear=linear, advection_speed=speed)
 
@@ -63,7 +61,6 @@ def advection1d(u: float = 1.0) -> ProblemSpec:
                            f=lambda q: u * q,
                            fprime=lambda q: u * np.ones_like(np.asarray(q, float)),
                            finv=(lambda y: y / u) if u != 0 else None,
-                           domain="all reals" if u != 0 else "",
                            linear=True, speed=u)
 
 
@@ -87,7 +84,7 @@ def burgers() -> ProblemSpec:
     return _scalar_problem("burgers",
                            f=lambda q: 0.5 * np.asarray(q, float) ** 2,
                            fprime=lambda q: np.asarray(q, float),
-                           finv=finv, domain="q > 0")
+                           finv=finv)
 
 
 def expflux() -> ProblemSpec:
@@ -100,7 +97,7 @@ def expflux() -> ProblemSpec:
     return _scalar_problem("expflux",
                            f=lambda q: np.exp(np.asarray(q, float)),
                            fprime=lambda q: np.exp(np.asarray(q, float)),
-                           finv=finv, domain="all reals (flux value > 0)")
+                           finv=finv)
 
 
 def acoustics2x2(c: float = 1.0) -> ProblemSpec:
@@ -118,7 +115,6 @@ def acoustics2x2(c: float = 1.0) -> ProblemSpec:
                        jacobian=lambda q: J,
                        split=lambda q: (Jp, Jm),
                        flux_inverse=lambda y: np.asarray(y, float) @ Jinv.T,
-                       inverse_domain="all states",
                        max_speed=lambda q: abs(c),
                        linear=True)
 

@@ -23,7 +23,13 @@ parent's ``src/`` and on the changed one and comparing the lines:
   show every verifier gap unchanged;
 * ``csv``      - the state, error and meta CSVs of ``afdg run`` and the
   ``afdg equiv-check`` CSV;
-* ``probe``    - the superconvergence-probe rows.
+* ``probe``    - the superconvergence-probe rows;
+* ``tables``   - the linear operator tables at K = 1..5 (``dg_basis``,
+  ``phi_table``, ``monomial_to_modal``, ``dg_stencil_1d``,
+  ``basis_table``, ``af_ops``, ``af_stencil_1d``,
+  ``moment_transfer_matrix``, ``map_stencil_1d``, ``equiv._psi`` and the
+  fills' quadrature weights), apart from the runs, so that a move of a
+  table shows on its own.
 
 The state fields are hashed by family (point values, moments, modes,
 ...), not by storage layout, so a change of layout that keeps every
@@ -39,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from afdg import cli, driver, equiv, mesh
+from afdg import af, cli, dg, driver, equiv, mesh
 from afdg.problems import NumericalFluxSpec
 
 FLUXES = (("upwind", 1.0), ("central", 0.5), ("alpha", 0.7),
@@ -213,10 +219,30 @@ def probe():
     return g
 
 
+def arrays(obj):
+    """The array fields of a table dataclass, in field order."""
+    return [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+
+
+def tables():
+    g = Group("tables")
+    for K in range(1, 6):
+        g.add(*arrays(dg.dg_basis(K)), dg.monomial_to_modal(K),
+              dg.dg_stencil_1d(K), *arrays(af.af_ops(K)),
+              af.af_stencil_1d(K), equiv.moment_transfer_matrix(K),
+              mesh._dg_projection_weights(K),
+              mesh._af_moment_weights(K, mesh._FILL_RULE))
+        for d in (0, 1, 2):
+            g.add(dg.phi_table(K, d), af.basis_table(K, d), equiv._psi(K, d))
+        for w in ((1.0, 0.0), (0.7, 0.3), (0.5, 0.5)):
+            g.add(equiv.map_stencil_1d(K, w))
+    return g
+
+
 def main():
     with np.errstate(all="ignore"):
         for make in (runs_1d, runs_2d, equivalence, controls, lemma, csvs,
-                     probe):
+                     probe, tables):
             print(make().line(), flush=True)
 
 

@@ -2,18 +2,141 @@
 
 import math
 import time
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
+from numpy.polynomial import Polynomial
 
-from afdg import af, poly
+from afdg import af, dg, poly
+
+
+# ---------------------------------------------------------------------------
+# float polynomials on the reference cell [-1/2, 1/2]: numpy's
+# ``Polynomial`` (its default domain and window make it plain monomial
+# coefficients)
+
+
+def polynomials(rows) -> list:
+    """One ``Polynomial`` per coefficient row."""
+    return [Polynomial(np.asarray(r, dtype=float)) for r in rows]
+
+
+def legendre_polys(K: int) -> list:
+    """The DG modes phi_0..phi_K, from ``dg.phi_table``."""
+    return polynomials(dg.phi_table(K, 0))
+
+
+def radau_polys(K: int) -> list:
+    """(R_L, R_R), from ``poly.radau_pair``."""
+    return polynomials(poly.radau_pair(K))
+
+
+def cell_integral(p) -> float:
+    """Integral of a polynomial (or its coefficients) over the cell, from
+    the exact moments of the monomials."""
+    c = np.asarray(getattr(p, "coef", p), dtype=float)
+    m = np.arange(len(c))
+    return float(np.dot(c, np.where(m % 2 == 0, 0.5 ** m / (m + 1), 0.0)))
 
 
 def eval_and_derivative(p, xi: float, dx: float) -> tuple:
     """Value and physical derivative (reference derivative / dx) of the
-    ``poly.PolySpec`` p at xi."""
-    return p(xi), p.derivative()(xi) / dx
+    polynomial p at xi."""
+    return p(xi), p.deriv()(xi) / dx
+
+
+# ---------------------------------------------------------------------------
+# exact oracles: polynomials as lists of Fractions, xi**j the j-th entry
+
+
+def frac_cell_integral(coeffs) -> Fraction:
+    """Exact integral of sum_j c_j xi^j over [-1/2, 1/2]."""
+    return sum((c * Fraction(1, 2 ** j) / (j + 1)
+                for j, c in enumerate(coeffs) if j % 2 == 0), Fraction(0))
+
+
+def frac_polymul(a, b) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def frac_derivative(a) -> list:
+    return [j * c for j, c in enumerate(a)][1:] or [Fraction(0)]
+
+
+def frac_value(a, x) -> Fraction:
+    return sum((c * Fraction(x) ** j for j, c in enumerate(a)), Fraction(0))
+
+
+def frac_solve(mat, rhs) -> list:
+    """Gaussian elimination over Fractions."""
+    n = len(rhs)
+    m = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        inv = Fraction(1) / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [m[r][n] for r in range(n)]
+
+
+def gram_schmidt_legendre(n) -> list:
+    """Orthogonalize monomials exactly, normalize to value 1 at xi = 1/2."""
+    basis = []
+    for d in range(n + 1):
+        mono = [Fraction(0)] * d + [Fraction(1)]
+        v = list(mono) + [Fraction(0)] * (n - d)
+        for u in basis:
+            num = frac_cell_integral(frac_polymul(mono, u))
+            den = frac_cell_integral(frac_polymul(u, u))
+            coef = num / den
+            v = [vi - coef * ui for vi, ui in zip(v, u)]
+        basis.append(v)
+    top = basis[n]
+    val = frac_value(top, Fraction(1, 2))
+    return [c / val for c in top]
+
+
+def frac_moment_weight(k) -> list:
+    """The k-th AF moment weight (k + 1) (2 xi)^k."""
+    return [Fraction(0)] * k + [Fraction((k + 1) * 2 ** k)]
+
+
+def frac_dual_basis(K) -> list:
+    """The AF basis in dof order, each function solved from its defining
+    conditions: value 1 at its own point (or moment 1 against its own
+    weight), and zero for every other point value and moment."""
+    n = K + 2
+    mono = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    functionals = ([lambda p: frac_value(p, Fraction(-1, 2))]
+                   + [lambda p, k=k: frac_cell_integral(
+                       frac_polymul(frac_moment_weight(k), p))
+                      for k in range(K)]
+                   + [lambda p: frac_value(p, Fraction(1, 2))])
+    mat = [[f(e) for e in mono] for f in functionals]
+    return [frac_solve(mat, [Fraction(int(i == p)) for i in range(n)])
+            for p in range(n)]
+
+
+def frac_radau_pair(K) -> tuple:
+    """(R_L, R_R) of degree K+1 from their defining conditions: the end
+    values and orthogonality to P^{K-1}."""
+    n = K + 2
+    mat = [[frac_value([Fraction(int(i == j)) for i in range(n)], x)
+            for j in range(n)] for x in (Fraction(-1, 2), Fraction(1, 2))]
+    mat += [[frac_cell_integral([Fraction(0)] * (m + j) + [Fraction(1)])
+             for j in range(n)] for m in range(K)]
+    zeros = [Fraction(0)] * K
+    return (frac_solve(mat, [Fraction(1), Fraction(0)] + zeros),
+            frac_solve(mat, [Fraction(0), Fraction(1)] + zeros))
 
 
 def simpson_midpoint(average, end1, end2):
@@ -62,7 +185,7 @@ def neighbour_stack(V: np.ndarray, axis: int, lo=None,
 
 
 def project(f: Callable, K: int, kind: str = "l2",
-            rule: poly.QuadratureRule | None = None) -> poly.PolySpec:
+            rule: poly.QuadratureRule | None = None) -> Polynomial:
     """Project a function onto P^K on the reference cell.
 
     ``l2`` matches moments against all of P^K; the Gauss-Radau variants
@@ -73,8 +196,8 @@ def project(f: Callable, K: int, kind: str = "l2",
     """
     if rule is None:
         rule = poly.gauss_legendre_rule(12)
-    phis = [poly.legendre(n) for n in range(K + 1)]
-    mass = np.array([p.cell_integral() for p in (q * q for q in phis)])
+    phis = legendre_polys(K)
+    mass = np.array([cell_integral(q * q) for q in phis])
     fv = np.asarray(f(rule.nodes), dtype=float)
     inner = np.array([np.dot(rule.weights, fv * p(rule.nodes)) for p in phis])
 
@@ -94,41 +217,16 @@ def project(f: Callable, K: int, kind: str = "l2",
 
     out = np.zeros(K + 1)
     for m in range(K + 1):
-        out[: m + 1] += coeffs_modal[m] * phis[m].coefficients
-    return poly.PolySpec(out)
-
-
-def radau_left_via_system(K: int) -> poly.PolySpec:
-    """R_L from its defining conditions as one linear solve, the
-    construction ``poly.radau_pair``'s Legendre half-difference is checked
-    against."""
-    n = K + 2
-    mat = np.zeros((n, n))
-    rhs = np.zeros(n)
-    xi_pow = lambda xi: xi ** np.arange(n)
-    mat[0] = xi_pow(0.5)          # R_L(1/2) = 0
-    mat[1] = xi_pow(-0.5)         # R_L(-1/2) = 1
-    rhs[1] = 1.0
-    for m in range(K):            # orthogonality against (2 xi)^m
-        w = poly.moment_weight(m)
-        mat[2 + m] = [poly.cell_integral(npp.polymul(w.coefficients,
-                                                     np.eye(n)[j]))
-                      for j in range(n)]
-    return poly.PolySpec(np.linalg.solve(mat, rhs))
+        out += coeffs_modal[m] * phis[m].coef
+    return Polynomial(out)
 
 
 def af_reconstruct(state, cell: int) -> list:
-    """Cell polynomial(s) of an ``AfState1D``, one ``poly.PolySpec`` per
+    """Cell polynomial(s) of an ``AfState1D``, one ``Polynomial`` per
     component."""
-    ops = af.af_ops(state.K)
     dofs = af.cell_dof_tensor_1d(state)[cell]          # (K+2, m)
-    out = []
-    for c in range(state.n_components):
-        coeffs = np.zeros(state.K + 2)
-        for p, f in enumerate(ops.basis.functions()):
-            coeffs += dofs[p, c] * f.coefficients
-        out.append(poly.PolySpec(coeffs))
-    return out
+    return [Polynomial(dofs[:, c] @ af.basis_table(state.K, 0))
+            for c in range(state.n_components)]
 
 
 def planted_cost_slope(grids, cfl: float = 0.25, work_per_cell: int = 60,

@@ -12,6 +12,7 @@ first, as the states stored them then.
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
 from afdg import dg, driver, mesh, poly
 from afdg.driver import RunConfig
@@ -30,7 +31,7 @@ def loop_fill_af_1d(grid, K, init, n_components=1, rule=None):
     fq = _as_components(init(xq), n_components)  # (n_cells, 12, m)
     moments = np.empty((grid.n_cells, K, n_components))
     for k in range(K):
-        bw = poly.moment_normalization(k) * poly.moment_weight(k)(nodes) * weights
+        bw = (k + 1) * (2 * nodes) ** k * weights
         moments[:, k, :] = np.tensordot(fq, bw, axes=(1, 0))
     return AfState1D(grid, K, pts, moments)
 
@@ -54,8 +55,7 @@ def loop_fill_af_2d(grid, K, init, periodic=True, rule=None):
 
     node_values = np.asarray(init(xs_if[:, None], ys_if[None, :]), dtype=float)
 
-    bws = [poly.moment_normalization(k) * poly.moment_weight(k)(nodes) * weights
-           for k in range(K)]
+    bws = [(k + 1) * (2 * nodes) ** k * weights for k in range(K)]
 
     fx = init(xs_if[:, None, None], yc[None, :, None] + grid.dy * nodes[None, None, :])
     x_edge = np.stack([np.tensordot(fx, bw, axes=(2, 0)) for bw in bws], axis=-1)
@@ -192,10 +192,12 @@ def test_af_moment_weights_are_one_read_only_table_per_rule(K):
     for rule in (_FILL_RULE, dg.quad_rule_for_order("af", K + 2),
                  poly.gauss_legendre_rule(5)):
         B = _af_moment_weights(K, rule)
-        want = np.array([poly.moment_normalization(k)
-                         * poly.moment_weight(k)(rule.nodes) * rule.weights
-                         for k in range(K)])
+        # the rows of the weights (k + 1) (2 xi)^k, evaluated by Horner
+        rows = np.diag((np.arange(K) + 1) * 2.0 ** np.arange(K))
+        want = npp.polyval(rule.nodes, rows.T) * rule.weights
         assert B.shape == want.shape and B.tobytes() == want.tobytes()
+        assert np.allclose(B, [(k + 1) * (2 * rule.nodes) ** k * rule.weights
+                               for k in range(K)], rtol=1e-15, atol=0)
         assert not B.flags.writeable
         # a rule is unhashable; an equal one built anew shares the table
         again = poly.QuadratureRule(rule.nodes.copy(), rule.weights.copy(),

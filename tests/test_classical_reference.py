@@ -14,9 +14,10 @@ family.
 
 import numpy as np
 import pytest
-from helpers import simpson_midpoint
+from helpers import cell_integral, simpson_midpoint
+from numpy.polynomial import Polynomial
 
-from afdg import af, poly
+from afdg import af
 from afdg.mesh import AfState2D, Grid2D, fill_af_2d, simpson_edge_average
 
 
@@ -57,10 +58,10 @@ def _lagrange_quadratic():
     """1-d quadratic Lagrange basis on {-1/2, 0, 1/2} plus mean weights."""
     global _LAGR
     if _LAGR is None:
-        l_l = poly.PolySpec([0.0, -1.0, 2.0])
-        l_0 = poly.PolySpec([1.0, 0.0, -4.0])
-        l_r = poly.PolySpec([0.0, 1.0, 2.0])
-        w = np.array([p.cell_integral() for p in (l_l, l_0, l_r)])
+        l_l = Polynomial([0.0, -1.0, 2.0])
+        l_0 = Polynomial([1.0, 0.0, -4.0])
+        l_r = Polynomial([0.0, 1.0, 2.0])
+        w = np.array([cell_integral(p) for p in (l_l, l_0, l_r)])
         _LAGR = ((l_l, l_0, l_r), w)
     return _LAGR
 
@@ -89,8 +90,8 @@ def _classical_derivatives(V, dx, dy, xi, eta):
     (basis, _) = _lagrange_quadratic()
     bx = np.array([p(xi) for p in basis])
     by = np.array([p(eta) for p in basis])
-    dbx = np.array([p.derivative()(xi) for p in basis])
-    dby = np.array([p.derivative()(eta) for p in basis])
+    dbx = np.array([p.deriv()(xi) for p in basis])
+    dby = np.array([p.deriv()(eta) for p in basis])
     ddx = np.einsum("ijab,a,b->ij", V, dbx, by) / dx
     ddy = np.einsum("ijab,a,b->ij", V, bx, dby) / dy
     return ddx, ddy

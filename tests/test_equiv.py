@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import block_circulant
+from helpers import block_circulant, legendre_polys, polynomials
 
 from afdg import af, dg, equiv, mesh, poly
 from afdg.equiv import EquivSetting, verify_equivalence
@@ -60,11 +60,11 @@ def test_moment_transfer_matrix_exactness():
     rule = poly.gauss_legendre_rule(12)
     for K in (1, 2, 3, 4):
         T = equiv.moment_transfer_matrix(K)
-        basis = dg.dg_basis(K)
+        phi = legendre_polys(K)
         for k in range(K):
             for n in range(K + 1):
-                w = (k + 1) * poly.moment_weight(k)(rule.nodes)
-                want = float(np.dot(rule.weights, w * basis.phi[n](rule.nodes)))
+                w = (k + 1) * (2 * rule.nodes) ** k
+                want = float(np.dot(rule.weights, w * phi[n](rule.nodes)))
                 assert T[k, n] == pytest.approx(want, abs=1e-14)
 
 
@@ -113,9 +113,8 @@ def test_augmented_equals_raw_dg_at_radau_zeros():
     state = random_dg_1d(K, seed=5)
     mono = dg.augmented_coefficients_1d(state, prob, UP)
     zeros = poly.radau_points(K, "left")
-    basis = dg.dg_basis(K)
     raw = np.einsum("inc,nq->iqc", state.coeffs,
-                    np.array([p(zeros) for p in basis.phi]))
+                    np.array([p(zeros) for p in legendre_polys(K)]))
     powers = np.array([zeros ** j for j in range(K + 2)])
     aug = np.einsum("ipc,pq->iqc", mono, powers)
     assert np.max(np.abs(raw - aug)) < 1e-13
@@ -587,8 +586,7 @@ def test_dg_equals_af_at_crossing_points_2d():
     state = random_dg_2d(n=8, seed=23)
     mapped = equiv.map_dg_to_af_2d(state, (1.0, 0.0), (1.0, 0.0))
     zeros = poly.radau_points(1, "left")
-    basis = dg.dg_basis(1)
-    pz = np.array([p(zeros) for p in basis.phi])
+    pz = np.array([p(zeros) for p in legendre_polys(1)])
     raw = np.einsum("ijmn,ma,nb->ijab", state.coeffs, pz, pz)
     rec = af.af_evaluator_2d(mapped)(zeros, zeros)
     assert np.max(np.abs(raw - rec)) <= 1e-13
@@ -610,12 +608,10 @@ def test_flux_projection_bracket_identity_k1():
     bracket = (6.0 * fbar - 4.0 * fhat_r - 2.0 * fhat_l) / dx
 
     # oracle: assemble F as a polynomial and differentiate at the face
-    basis = af.af_ops(1).basis
+    r_l, s_0, r_r = polynomials(poly.moment_dual_basis(1))
     for i in (0, 3, 5):
-        F = poly.PolySpec(fhat_l[i] * basis.R_L.coefficients
-                          + fbar[i] * basis.S[0].coefficients
-                          + fhat_r[i] * basis.R_R.coefficients)
-        dF_plus = F.derivative()(0.5) / dx
+        F = fhat_l[i] * r_l + fbar[i] * s_0 + fhat_r[i] * r_r
+        dF_plus = F.deriv()(0.5) / dx
         assert bracket[i] == pytest.approx(-dF_plus, rel=1e-12)
 
 

@@ -9,6 +9,7 @@ as an independent reference for ``TensorReconstruction2D.evaluate``.
 
 import numpy as np
 import pytest
+from helpers import legendre_polys, radau_polys
 
 from afdg import dg, equiv, poly
 from afdg.mesh import DgState2D, Grid2D
@@ -18,9 +19,10 @@ def reference_evaluate(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Values on the tensor grid xi x eta, shape (nx, ny, nxi, neta)."""
     st = self.state
     basis = dg.dg_basis(st.K)
-    r_l, r_r = poly.radau_pair(st.K)
-    phx = np.array([p(xi) for p in basis.phi])       # (K+1, nxi)
-    phy = np.array([p(eta) for p in basis.phi])
+    r_l, r_r = radau_polys(st.K)
+    phi = legendre_polys(st.K)
+    phx = np.array([p(xi) for p in phi])             # (K+1, nxi)
+    phy = np.array([p(eta) for p in phi])
     rlx, rrx = r_l(xi), r_r(xi)
     rly, rry = r_l(eta), r_r(eta)
 
@@ -49,9 +51,10 @@ def reference_evaluate(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
 def _q_plus_rx(state, rec, xi, eta_val):
     basis = dg.dg_basis(state.K)
-    r_l, r_r = poly.radau_pair(state.K)
-    phx = np.array([p(xi) for p in basis.phi])
-    phy = np.array([p(eta_val) for p in basis.phi])
+    r_l, r_r = radau_polys(state.K)
+    phi = legendre_polys(state.K)
+    phx = np.array([p(xi) for p in phi])
+    phy = np.array([p(eta_val) for p in phi])
     q = np.einsum("ijmn,ma,n->ija", state.coeffs, phx, phy)
     tr_r = np.einsum("ijmn,m,n->ij", state.coeffs, basis.value_right, phy)
     tr_l = np.einsum("ijmn,m,n->ij", state.coeffs, basis.value_left, phy)
@@ -64,9 +67,10 @@ def _q_plus_rx(state, rec, xi, eta_val):
 
 def _q_plus_ry(state, rec, xi_val, eta):
     basis = dg.dg_basis(state.K)
-    r_l, r_r = poly.radau_pair(state.K)
-    phx = np.array([p(xi_val) for p in basis.phi])
-    phy = np.array([p(eta) for p in basis.phi])
+    r_l, r_r = radau_polys(state.K)
+    phi = legendre_polys(state.K)
+    phx = np.array([p(xi_val) for p in phi])
+    phy = np.array([p(eta) for p in phi])
     q = np.einsum("ijmn,m,nb->ijb", state.coeffs, phx, phy)
     tr_t = np.einsum("ijmn,m,n->ij", state.coeffs, phx, basis.value_right)
     tr_b = np.einsum("ijmn,m,n->ij", state.coeffs, phx, basis.value_left)
@@ -80,16 +84,17 @@ def _q_plus_ry(state, rec, xi_val, eta):
 def _dx_q_plus_rx(state, rec, xi_val, rule):
     """d/dxi of (q + r^x) at xi_val, sampled at the rule's eta nodes."""
     basis = dg.dg_basis(state.K)
-    r_l, r_r = poly.radau_pair(state.K)
-    dphx = np.array([p.derivative()(xi_val) for p in basis.phi])
-    phy = np.array([p(rule.nodes) for p in basis.phi])
+    r_l, r_r = radau_polys(state.K)
+    phi = legendre_polys(state.K)
+    dphx = np.array([p.deriv()(xi_val) for p in phi])
+    phy = np.array([p(rule.nodes) for p in phi])
     dq = np.einsum("ijmn,m,nb->ijb", state.coeffs, dphx, phy)
     tr_r = np.einsum("ijmn,m,nb->ijb", state.coeffs, basis.value_right, phy)
     tr_l = np.einsum("ijmn,m,nb->ijb", state.coeffs, basis.value_left, phy)
     qx_r = np.einsum("ajn,nb->ajb", np.roll(rec.qhat_x, -1, axis=0), phy)
     qx_l = np.einsum("ajn,nb->ajb", rec.qhat_x, phy)
-    dq += (qx_r - tr_r) * r_r.derivative()(xi_val)
-    dq += (qx_l - tr_l) * r_l.derivative()(xi_val)
+    dq += (qx_r - tr_r) * r_r.deriv()(xi_val)
+    dq += (qx_l - tr_l) * r_l.deriv()(xi_val)
     return dq
 
 
@@ -100,16 +105,17 @@ def _dx_q_plus_rx_at(state, rec, xi_val, eta_val):
 
 def _dy_q_plus_ry_at(state, rec, xi_val, eta_val):
     basis = dg.dg_basis(state.K)
-    r_l, r_r = poly.radau_pair(state.K)
-    phx = np.array([p(xi_val) for p in basis.phi])
-    dphy = np.array([p.derivative()(eta_val) for p in basis.phi])
+    r_l, r_r = radau_polys(state.K)
+    phi = legendre_polys(state.K)
+    phx = np.array([p(xi_val) for p in phi])
+    dphy = np.array([p.deriv()(eta_val) for p in phi])
     dq = np.einsum("ijmn,m,n->ij", state.coeffs, phx, dphy)
     tr_t = np.einsum("ijmn,m,n->ij", state.coeffs, phx, basis.value_right)
     tr_b = np.einsum("ijmn,m,n->ij", state.coeffs, phx, basis.value_left)
     qy_t = np.einsum("ibm,m->ib", np.roll(rec.qhat_y, -1, axis=1), phx)
     qy_b = np.einsum("ibm,m->ib", rec.qhat_y, phx)
-    dq += (qy_t - tr_t) * r_r.derivative()(eta_val)
-    dq += (qy_b - tr_b) * r_l.derivative()(eta_val)
+    dq += (qy_t - tr_t) * r_r.deriv()(eta_val)
+    dq += (qy_b - tr_b) * r_l.deriv()(eta_val)
     return dq
 
 

@@ -4,63 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import eval_and_derivative, project, radau_left_via_system
+from helpers import (cell_integral, eval_and_derivative, frac_dual_basis,
+                     frac_radau_pair, frac_solve, gram_schmidt_legendre,
+                     polynomials, project, radau_polys)
+from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as npp
 
 from afdg import poly
 
 
 # ---------------------------------------------------------------------------
 # independent oracles (exact rational arithmetic)
-
-def _frac_cell_integral(coeffs):
-    """Exact integral of sum_j c_j xi^j over [-1/2, 1/2] with Fractions."""
-    total = Fraction(0)
-    for j, c in enumerate(coeffs):
-        if j % 2 == 0:
-            total += c * Fraction(1, 2 ** j) / (j + 1)
-    return total
-
-
-def _frac_polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def gram_schmidt_legendre(n):
-    """Orthogonalize monomials exactly, normalize to value 1 at xi = 1/2."""
-    basis = []
-    for d in range(n + 1):
-        mono = [Fraction(0)] * d + [Fraction(1)]
-        v = list(mono) + [Fraction(0)] * (n - d)
-        for u in basis:
-            num = _frac_cell_integral(_frac_polymul(mono, u))
-            den = _frac_cell_integral(_frac_polymul(u, u))
-            coef = num / den
-            v = [vi - coef * ui for vi, ui in zip(v, u)]
-        basis.append(v)
-    top = basis[n]
-    val = sum(c * Fraction(1, 2 ** j) for j, c in enumerate(top))
-    return [c / val for c in top]
-
-
-def _frac_solve(mat, rhs):
-    """Gaussian elimination over Fractions."""
-    n = len(rhs)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
 
 def radau_left_oracle_k1():
     """Solve the 3x3 defining system for R_L at K=1 exactly."""
@@ -70,46 +24,49 @@ def radau_left_oracle_k1():
         [Fraction(1), Fraction(-1, 2), Fraction(1, 4)],
         [Fraction(1), Fraction(0), Fraction(1, 12)],
     ]
-    return _frac_solve(mat, [Fraction(0), Fraction(1), Fraction(0)])
+    return frac_solve(mat, [Fraction(0), Fraction(1), Fraction(0)])
 
 
 # ---------------------------------------------------------------------------
 # legendre
 
 def test_legendre_constant_is_one():
-    assert np.allclose(poly.legendre(0).coefficients, [1.0])
+    assert np.array_equal(poly.legendre(0), [[1]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_legendre_matches_gram_schmidt_oracle(n):
-    expect = [float(c) for c in gram_schmidt_legendre(n)]
-    got = poly.legendre(n).coefficients
-    assert np.allclose(got, expect, atol=1e-14)
+    """Exact: the rows are Fractions equal to the Gram-Schmidt oracle."""
+    got = poly.legendre(n)
+    assert got.dtype == object and not got.flags.writeable
+    assert list(got[n]) == gram_schmidt_legendre(n)
 
 
 def test_legendre_frozen_low_orders():
-    assert np.allclose(poly.legendre(1).coefficients, [0.0, 2.0])
-    assert np.allclose(poly.legendre(2).coefficients, [-0.5, 0.0, 6.0])
+    assert list(poly.legendre(2)[1]) == [0, 2, 0]
+    assert list(poly.legendre(2)[2]) == [Fraction(-1, 2), 0, 6]
 
 
 def test_legendre_endpoint_normalization():
-    for n in range(7):
-        assert poly.legendre(n)(0.5) == pytest.approx(1.0, abs=1e-14)
+    assert all(v == 1 for v in poly.end_values(poly.legendre(7))[1])
+
+
+def test_legendre_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        poly.legendre(-1)
 
 
 # ---------------------------------------------------------------------------
 # radau pair and points
 
 def test_radau_k1_matches_linear_system_oracle():
-    expect = [float(c) for c in radau_left_oracle_k1()]
     r_l, _ = poly.radau_pair(1)
-    assert np.allclose(r_l.coefficients, expect, atol=1e-14)
-    assert np.allclose(r_l.coefficients, [-0.25, -1.0, 3.0])
+    assert list(r_l) == radau_left_oracle_k1() == [Fraction(-1, 4), -1, 3]
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
 def test_radau_reflection_and_endpoints(K):
-    r_l, r_r = poly.radau_pair(K)
+    r_l, r_r = radau_polys(K)
     xs = np.linspace(-0.5, 0.5, 33)
     assert np.allclose(r_r(xs), r_l(-xs), atol=1e-13)
     assert r_l(-0.5) == pytest.approx(1.0, abs=1e-13)
@@ -120,19 +77,21 @@ def test_radau_reflection_and_endpoints(K):
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
 def test_radau_orthogonality(K):
-    r_l, r_r = poly.radau_pair(K)
+    r_l, r_r = radau_polys(K)
     for m in range(K):
-        mono = poly.PolySpec(np.eye(m + 1)[m])
-        assert abs((mono * r_l).cell_integral()) < 1e-12
-        assert abs((mono * r_r).cell_integral()) < 1e-12
+        mono = Polynomial(np.eye(m + 1)[m])
+        assert abs(cell_integral(mono * r_l)) < 1e-12
+        assert abs(cell_integral(mono * r_r)) < 1e-12
+    # and exactly
+    R = poly.radau_pair(K)
+    assert not np.any(poly.inner(np.eye(K, dtype=int), R))
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
 def test_radau_construction_cross_check(K):
-    r_l, _ = poly.radau_pair(K)
-    r_l_sys = radau_left_via_system(K)
-    scale = max(1.0, np.max(np.abs(r_l.coefficients)))
-    assert np.max(np.abs(r_l.coefficients - r_l_sys.coefficients)) <= 1e-13 * scale
+    """The Legendre half-sum/difference is, exactly, the solve of the
+    defining conditions (end values, orthogonality to P^{K-1})."""
+    assert [list(r) for r in poly.radau_pair(K)] == list(frac_radau_pair(K))
 
 
 def test_radau_rejects_k0():
@@ -144,10 +103,10 @@ def test_radau_pair_is_cached_and_read_only():
     """One shared pair per K, so its coefficients must not be writable;
     K = 0 still raises on every call."""
     assert poly.radau_pair(2) is poly.radau_pair(2)
+    assert not poly.radau_pair(2).flags.writeable
     for p in poly.radau_pair(2):
-        assert not p.coefficients.flags.writeable
         with pytest.raises(ValueError):
-            p.coefficients[0] = 1.0
+            p[0] = 1
     for _ in range(2):
         with pytest.raises(ValueError):
             poly.radau_pair(0)
@@ -162,7 +121,7 @@ def test_radau_points_k1():
 
 
 def test_radau_points_k2_bisection_oracle():
-    r_l, _ = poly.radau_pair(2)
+    r_l, _ = radau_polys(2)
     got = poly.radau_points(2, "left")
     assert len(got) == 3
     # independent scan-and-bisect on a finer grid
@@ -185,7 +144,7 @@ def test_radau_points_k2_bisection_oracle():
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_radau_points_root_property(K, side):
-    r_l, r_r = poly.radau_pair(K)
+    r_l, r_r = radau_polys(K)
     p = r_l if side == "left" else r_r
     pts = poly.radau_points(K, side)
     assert np.max(np.abs(p(pts))) <= 1e-12
@@ -201,12 +160,12 @@ def test_radau_points_are_newton_polished(K, side):
     of a zero: a residual below 1e-14 at every K up to 7 (the earlier
     bisection to 1e-14 in x left residuals up to 7e-14), and a second
     Newton step moves no root by more than 1e-15."""
-    r_l, r_r = poly.radau_pair(K)
+    r_l, r_r = radau_polys(K)
     p = r_l if side == "left" else r_r
     pts = poly.radau_points(K, side)
     assert len(pts) == K + 1
     assert np.max(np.abs(p(pts))) <= 1e-14
-    step = p(pts) / p.derivative()(pts)
+    step = p(pts) / p.deriv()(pts)
     assert np.max(np.abs(step)) <= 1e-15
 
 
@@ -215,41 +174,54 @@ def test_radau_points_are_newton_polished(K, side):
 
 def test_dual_basis_k1_frozen():
     basis = poly.moment_dual_basis(1)
-    assert np.allclose(basis.S[0].coefficients, [1.5, 0.0, -6.0], atol=1e-13)
+    assert list(basis[1]) == [Fraction(3, 2), 0, -6]
 
 
 def test_dual_basis_partition_of_unity_k1():
-    basis = poly.moment_dual_basis(1)
+    r_l, s_0, r_r = polynomials(poly.moment_dual_basis(1))
     xs = np.linspace(-0.5, 0.5, 50)
-    total = basis.R_L(xs) + basis.R_R(xs) + basis.S[0](xs)
+    total = r_l(xs) + r_r(xs) + s_0(xs)
     assert np.max(np.abs(total - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
 def test_dual_basis_partition_of_unity(K):
+    """Exactly: the dofs of the constant one are 1 at both points and,
+    for the moments, 1 for even k and 0 for odd."""
     basis = poly.moment_dual_basis(K)
+    constant_moments = poly.inner(poly.moment_weights(K), np.ones((1, 1),
+                                                                  dtype=int))
+    assert list(constant_moments[:, 0]) == [1 - k % 2 for k in range(K)]
+    dofs = np.concatenate([[1], constant_moments[:, 0], [1]])
+    assert list(dofs @ basis) == [1] + [0] * (K + 1)
     xs = np.linspace(-0.5, 0.5, 50)
-    total = basis.R_L(xs) + basis.R_R(xs)
-    for k in range(K):
-        total = total + basis.constant_moments[k] * basis.S[k](xs)
+    total = npp.polyval(xs, poly.table(basis).T).T @ dofs.astype(float)
     assert np.max(np.abs(total - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
 def test_dual_basis_duality_and_endpoints(K):
+    """Exact duality, with the Radau pair as the end rows, and the rows
+    equal to the test's own solve of the defining conditions."""
     basis = poly.moment_dual_basis(K)
-    for k, s in enumerate(basis.S):
-        assert abs(s(0.5)) < 1e-12 and abs(s(-0.5)) < 1e-12
-        for m in range(K):
-            want = 1.0 if m == k else 0.0
-            got = basis.A[m] * (basis.b[m] * s).cell_integral()
-            assert got == pytest.approx(want, abs=1e-12)
+    assert basis.dtype == object and not basis.flags.writeable
+    assert [list(b) for b in basis] == frac_dual_basis(K)
+    left, right = poly.end_values(basis)
+    moments = poly.inner(poly.moment_weights(K), basis)
+    assert np.array_equal(np.vstack([left, moments, right]),
+                          np.eye(K + 2, dtype=int))
+    assert np.array_equal(basis[[0, -1]], poly.radau_pair(K))
 
 
 def test_dual_basis_k2_duality_example():
     basis = poly.moment_dual_basis(2)
-    got = basis.A[1] * (basis.b[1] * basis.S[0]).cell_integral()
-    assert got == pytest.approx(0.0, abs=1e-13)
+    got = poly.inner(poly.moment_weights(2), basis)[1, 1]
+    assert got == 0
+
+
+def test_dual_basis_rejects_k0():
+    with pytest.raises(ValueError):
+        poly.moment_dual_basis(0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +260,7 @@ def test_gauss_rule_exactness_and_normalization(n):
     rule = poly.gauss_legendre_rule(n)
     assert np.sum(rule.weights) == pytest.approx(1.0, abs=1e-14)
     for m in range(rule.exactness_degree + 1):
-        exact = poly.cell_integral(np.eye(m + 1)[m])
+        exact = cell_integral(np.eye(m + 1)[m])
         got = float(np.dot(rule.weights, rule.nodes ** m))
         assert got == pytest.approx(exact, abs=1e-14)
 
@@ -333,9 +305,8 @@ def test_project_sin_against_quadrature_oracle():
     rule = poly.gauss_legendre_rule(50)
     xs = np.linspace(-0.5, 0.5, 11)
     approx = np.zeros_like(xs)
-    for m in range(K + 1):
-        phi = poly.legendre(m)
-        mass = (phi * phi).cell_integral()
+    for phi in polynomials(poly.legendre(K)):
+        mass = cell_integral(phi * phi)
         coef = np.dot(rule.weights, np.sin(rule.nodes) * phi(rule.nodes)) / mass
         approx += coef * phi(xs)
     assert np.allclose(p(xs), approx, atol=1e-12)
@@ -354,15 +325,15 @@ def test_gauss_radau_projection_integral_property():
         f = lambda xi: np.polynomial.polynomial.polyval(xi, c)
         p = project(f, K, "gauss_radau_right",
                          rule=poly.gauss_legendre_rule(12))
-        exact = poly.cell_integral(c)
-        assert p.cell_integral() == pytest.approx(exact, abs=1e-12)
+        exact = cell_integral(c)
+        assert cell_integral(p) == pytest.approx(exact, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # evaluation helper
 
 def test_eval_and_derivative_radau_k1():
-    r_l, _ = poly.radau_pair(1)
+    r_l, _ = radau_polys(1)
     val, der = eval_and_derivative(r_l, 0.5, 1.0)
     assert val == pytest.approx(0.0, abs=1e-14)
     assert der == pytest.approx(2.0, abs=1e-14)
@@ -372,7 +343,7 @@ def test_eval_and_derivative_radau_k1():
 
 
 def test_eval_and_derivative_dx_scaling():
-    p = poly.PolySpec([0.3, -1.2, 2.0, 0.7])
+    p = Polynomial([0.3, -1.2, 2.0, 0.7])
     _, d1 = eval_and_derivative(p, 0.17, 1.0)
     _, d2 = eval_and_derivative(p, 0.17, 2.0)
     assert d2 == pytest.approx(d1 / 2.0, rel=1e-15)
