@@ -223,13 +223,22 @@ def _interface_derivatives(ops, dofs, dx):
     return roll_cells(d_plus, 1), d_minus
 
 
+@lru_cache(maxsize=None)
+def _moment_quadrature(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The basis at the nodes of the nonlinear moment update's rule, which
+    K fixes, and the rule's weights times the moment weights' derivatives
+    there; read-only."""
+    rule = poly.gauss_legendre_rule((AF_N_INT.get(K + 2, 2 * K + 5) + 2) // 2)
+    b, dw = (npp.polyval(rule.nodes, C.T) for C in (basis_table(K, 0),
+                                                    af_ops(K).dw))
+    return poly.frozen(b), poly.frozen(rule.weights * dw)
+
+
 def _moment_rhs_1d(state, problem, ops, dofs, dmo):
     """Moment update of a nonlinear flux, by quadrature, into ``dmo``."""
-    n_int = AF_N_INT.get(state.K + 2, 2 * state.K + 5)
-    rule = poly.gauss_legendre_rule((n_int + 2) // 2)
-    qvals = np.einsum("ipc,pq->iqc", dofs, ops.basis_values(rule.nodes))
-    vol = np.einsum("iqc,kq->ikc", problem.flux(qvals),
-                    rule.weights * npp.polyval(rule.nodes, ops.dw.T))
+    b, w_dw = _moment_quadrature(state.K)
+    vol = np.einsum("iqc,kq->ikc",
+                    problem.flux(np.einsum("ipc,pq->iqc", dofs, b)), w_dw)
     f_ends = problem.flux(dofs[:, [0, -1], :])                 # (n, 2, m)
     np.divide(vol - np.einsum("ke,iec->ikc", ops.w_ends, f_ends),
               state.grid.dx, out=dmo)
@@ -254,8 +263,7 @@ def af_stencil_1d(K: int) -> np.ndarray:
     S[0, 1:, m:2 * m + 1] = -ops.mom_w
     S[1, 0, :m + 1] = -ops.d_plus
     S[2, 0, m:2 * m + 1] = -ops.d_minus
-    S.flags.writeable = False
-    return S
+    return poly.frozen(S)
 
 
 def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,

@@ -42,7 +42,7 @@ from .problems import (NumericalFluxSpec, ProblemSpec, flux_partials,
 __all__ = [
     "DgBasis", "dg_basis", "dg_rhs_1d", "dg_stencil_1d", "dg_rhs_2d",
     "trace_values_1d", "interface_traces_1d", "quad_rule_for_order",
-    "phi_table",
+    "phi_table", "catalog_phi_values",
 ]
 
 
@@ -84,6 +84,18 @@ def quad_rule_for_order(family: str, order: int) -> poly.QuadratureRule:
     table = DG_N_INT if family == "dg" else AF_N_INT
     n_int = table[order]
     return poly.gauss_legendre_rule((n_int + 2) // 2)
+
+
+def _phi_values(K: int, rule: poly.QuadratureRule) -> tuple:
+    """The rule and, row n of each, phi_n and phi_n' at its nodes."""
+    return rule, *(npp.polyval(rule.nodes, phi_table(K, d).T) for d in (0, 1))
+
+
+@lru_cache(maxsize=None)
+def catalog_phi_values(K: int) -> tuple:
+    """``_phi_values`` at the catalog rule of DG order K + 1, read-only."""
+    rule, phi, dphi = _phi_values(K, quad_rule_for_order("dg", K + 1))
+    return rule, poly.frozen(phi), poly.frozen(dphi)
 
 
 def trace_values_1d(state: DgState1D) -> tuple[np.ndarray, np.ndarray]:
@@ -142,9 +154,8 @@ def dg_rhs_1d(state: DgState1D, problem: ProblemSpec,
     basis = dg_basis(state.K)
     fhat = interface_fluxes_1d(state, problem, flux)          # (n, m)
     fhat_r = roll_cells(fhat, -1)                             # at x_{i+1/2}
-    rule = quad or quad_rule_for_order("dg", state.K + 1)
-    phi = npp.polyval(rule.nodes, phi_table(state.K, 0).T)
-    dphi = npp.polyval(rule.nodes, phi_table(state.K, 1).T)
+    rule, phi, dphi = (_phi_values(state.K, quad) if quad
+                       else catalog_phi_values(state.K))
     fvals = problem.flux(np.einsum("inc,nq->iqc", state.coeffs, phi))
     vol = np.einsum("iqc,mq,q->imc", fvals, dphi, rule.weights)
     numer = (vol
@@ -256,8 +267,9 @@ def dg_rhs_2d(state: DgState2D, ux: float, uy: float,
     ``mesh.axis_stencils`` on the state's grid, as a time loop binds them
     once per run (``driver.make_rhs``); None builds them.  The state's
     layout does not depend on the boundary: ``ghosts``, the modal blocks
-    of the cells one beyond it on each side, close a Dirichlet run, and
-    None wraps periodically.  Nonlinear problems are out of scope here.
+    of the cells one beyond it on each side and two None slot blocks
+    (``kron_sum_apply``'s six), close a Dirichlet run, and None wraps
+    periodically.  Nonlinear problems are out of scope here.
     """
     sx, sy = stencils or axis_stencils(dg_stencil_1d(state.K), state.grid,
                                        ux, uy, partials_x, partials_y)

@@ -216,12 +216,6 @@ _REFUSALS = [
     ("order", _RUNS, _in_catalog,
      lambda c: f"is not in the catalog of method {c.method!r} (outside it a "
      "DG run needs cfl_override)"),
-    ("order", _SUPER, lambda c: c.k is not None or c.K == 1
-     or not c.problem.endswith("2d"),
-     "must give K = 1 for the 2-d crossing-point probe"),
-    ("k", _SUPER, lambda c: c.k is None or c.K == 1
-     or not c.problem.endswith("2d"),
-     "must give K = 1 for the 2-d crossing-point probe"),
     ("grids", ("convergence",), lambda c: len(c.grids) >= 2,
      "needs at least two grids for a convergence study"),
     ("grids", ("convergence",),
@@ -392,9 +386,8 @@ class _GhostRing:
                                   g.y_min + j * g.dy, g.dx, g.dy)
         self._offsets = np.cumsum([len(cells[n][0])
                                    for n in self._names])[:-1]
-        self._zero = {"x": np.zeros((ny, m, m)), "y": np.zeros((nx, m, m))}
-        for zero in self._zero.values():
-            zero.flags.writeable = False
+        self._zero = {"x": poly.frozen(np.zeros((ny, m, m))),
+                      "y": poly.frozen(np.zeros((nx, m, m)))}
         self._bound, self._kept = (type(state), g, state.U.shape), {}
 
     def __call__(self, state, t: float) -> tuple:
@@ -402,8 +395,8 @@ class _GhostRing:
             self._bind(state)
         got = self._kept.get(t)
         if got is None:
-            blocks = self._project(lambda x, y: self.exact(t, x, y))
-            blocks.flags.writeable = False
+            blocks = poly.frozen(self._project(
+                lambda x, y: self.exact(t, x, y)))
             got = dict(zip(self._names, np.split(blocks, self._offsets)))
             if len(self._kept) == 2:
                 del self._kept[next(iter(self._kept))]
@@ -657,18 +650,17 @@ def run_superconvergence_probe(cfg: RunConfig):
             errs["cell_averages"].append(float(np.sqrt(np.mean(
                 (state.coeffs[:, 0, :] - exact_state.coeffs[:, 0, :]) ** 2))))
     else:
-        cross_x = poly.radau_points(1, "left" if cfg.ux > 0 else "right")
-        cross_y = poly.radau_points(1, "left" if cfg.uy > 0 else "right")
+        cross_x = poly.radau_points(cfg.K, "left" if cfg.ux > 0 else "right")
+        cross_y = poly.radau_points(cfg.K, "left" if cfg.uy > 0 else "right")
+        px = npp.polyval(cross_x, dg.phi_table(cfg.K, 0).T)
+        py = npp.polyval(cross_y, dg.phi_table(cfg.K, 0).T)
         errs = {"crossing_points": []}
         for n in cfg.grids:
-            res = run_simulation(cfg, n)
-            state = res.state
-            px = npp.polyval(cross_x, dg.phi_table(1, 0).T)
-            py = npp.polyval(cross_y, dg.phi_table(1, 0).T)
+            state = run_simulation(cfg, n).state
             vals = np.einsum("ijmn,ma,nb->ijab", state.coeffs, px, py)
             g = state.grid
-            xs = g.gx.centers()[:, None, None, None] + g.dx * cross_x[None, None, :, None]
-            ys = g.gy.centers()[None, :, None, None] + g.dy * cross_y[None, None, None, :]
+            xs = (g.gx.centers()[:, None] + g.dx * cross_x)[:, None, :, None]
+            ys = (g.gy.centers()[:, None] + g.dy * cross_y)[None, :, None, :]
             errs["crossing_points"].append(float(np.sqrt(np.mean(
                 (vals - exact(cfg.t_final, xs, ys)) ** 2))))
     return [row for name, es in errs.items()

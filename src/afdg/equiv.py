@@ -88,7 +88,7 @@ def project_flux_F(state: DgState1D, problem: ProblemSpec,
     if not problem.is_scalar:
         raise ValueError("flux projection is defined for scalar problems")
     K = state.K
-    rule = dg.quad_rule_for_order("dg", K + 1)
+    rule, phi_vals, _ = dg.catalog_phi_values(K)
     q_l, q_r = dg.interface_traces_1d(state)
     fhat = numerical_flux(flux, problem, q_l, q_r)               # (n_if, 1)
 
@@ -97,7 +97,6 @@ def project_flux_F(state: DgState1D, problem: ProblemSpec,
     dfdqr = np.asarray(dr)[:, 0]
     A = np.asarray(problem.jacobian(invert_flux(problem, fhat)))[:, 0]
 
-    phi_vals = npp.polyval(rule.nodes, dg.phi_table(K, 0).T)     # (K+1, nq)
     qvals = np.einsum("inc,nq->iqc", state.coeffs, phi_vals)
     fvals = problem.flux(qvals)                                  # (n, nq, 1)
     moments = np.einsum("kq,iqc->ikc", _af_moment_weights(K, rule), fvals)
@@ -139,7 +138,7 @@ def dg_induced_af_derivative_1d(state: DgState1D, problem: ProblemSpec,
 
 
 # ---------------------------------------------------------------------------
-# 2-d mapping (K = 1 identification), reconstruction, induced derivatives
+# 2-d mapping, reconstruction, induced derivatives
 
 
 @lru_cache(maxsize=256)
@@ -156,8 +155,7 @@ def map_stencil_1d(K: int, weights: tuple[float, float]) -> np.ndarray:
     T[0, :K + 1] = w_plus * b.value_right
     T[0, K + 1:2 * K + 2] = w_minus * b.value_left
     T[1:, K + 1:2 * K + 2] = moment_transfer_matrix(K)
-    T.flags.writeable = False
-    return T
+    return poly.frozen(T)
 
 
 def map_dg_to_af_2d(state: DgState2D, alpha: tuple[float, float],
@@ -175,9 +173,8 @@ def map_dg_to_af_2d(state: DgState2D, alpha: tuple[float, float],
     evaluating a corner through the weighted edge traces of
     ``dg.qhat_interfaces_2d`` must agree with the mapped node (consistency
     of the corner definition); a violation is an internal error.  The
-    identification is stated for K = 1; the tensor form extends it
-    verbatim to K >= 2 and the verifier confirms the update equations
-    still agree (an open question answered numerically).
+    same tensor form serves every K >= 1, and ``lemma_checks`` checks its
+    reconstruction and update identities at each.
     ``check_consistency=False`` skips that check.
     """
     if state.K < 1:
@@ -276,8 +273,6 @@ def reconstruct_af_2d_from_dg(state: DgState2D, alpha, beta
     """Build q + r^x + r^y plus the four corner constants per cell: at its
     corner (sx, sy) (1: right/top), cell (i, j)'s own value plus the mapped
     node at (i+sx, j+sy) minus the end values there of the two qhat."""
-    if state.K != 1:
-        raise ValueError("the 2-d reconstruction identity is built for K = 1")
     ends = dg.dg_basis(state.K).ends
     qhat_x, qhat_y = dg.qhat_interfaces_2d(state, alpha, beta)
     mapped = map_dg_to_af_2d(state, alpha, beta, check_consistency=False)
@@ -317,8 +312,6 @@ def lemma_checks(state: DgState2D, ux: float, uy: float,
     roundoff for the equivalence theorem to hold.  A Lax-Friedrichs axis
     of zero speed is refused, as in the verifier.
     """
-    if state.K != 1:
-        raise ValueError("identity checks are built for K = 1")
     _refuse_zero_speed_lax_friedrichs((flux_x.kind, flux_y.kind), ux, uy)
     alpha, beta = flux_x.advection_weights(ux), flux_y.advection_weights(uy)
     scale = max(1e-300, float(np.max(np.abs(state.coeffs))))
@@ -338,8 +331,9 @@ def lemma_checks(state: DgState2D, ux: float, uy: float,
     direct = af_evaluate(xi, xi)
     res["reconstruction_match"] = float(np.max(np.abs(built - direct))) / scale
 
-    # average match: cell mean of the corrected field equals the DG mean
-    rule = poly.gauss_legendre_rule(3)
+    # average match: cell mean of the corrected field equals the DG mean;
+    # K + 2 Gauss points integrate its degree K + 1 per axis exactly
+    rule = poly.gauss_legendre_rule(state.K + 2)
     built_q = rec.evaluate(rule.nodes, rule.nodes)
     mean_built = rule.weights @ built_q @ rule.weights
     res["average_match"] = float(
@@ -425,7 +419,7 @@ def _update_identity_residuals(state, rec, dc, ux, uy, alpha, beta):
 def _x_edge_identity(rec, dc, ux, uy, a_w, b_w) -> float:
     state = rec.state
     ends = dg.dg_basis(state.K).ends
-    rule = poly.gauss_legendre_rule(3)
+    rule = poly.gauss_legendre_rule(state.K + 2)
     dx, dy = state.grid.dx, state.grid.dy
     dtr = dc[:, :, :, 0] @ ends.T
     lhs = a_w * dtr[..., 1] + b_w * roll_cells(dtr[..., 0], -1)

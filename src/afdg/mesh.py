@@ -293,9 +293,8 @@ def _af_moment_weights(K: int, rule: poly.QuadratureRule) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _moment_weights(K: int, nodes: bytes, weights: bytes) -> np.ndarray:
     nodes, weights = np.frombuffer(nodes), np.frombuffer(weights)
-    w = npp.polyval(nodes, poly.table(poly.moment_weights(K)).T) * weights
-    w.flags.writeable = False
-    return w
+    return poly.frozen(
+        npp.polyval(nodes, poly.table(poly.moment_weights(K)).T) * weights)
 
 
 def fill_af_1d(grid: Grid1D, K: int, init: Callable, n_components: int = 1,
@@ -318,10 +317,8 @@ def _dg_projection_weights(K: int) -> np.ndarray:
     """Row n: the fill rule's weights of the L2 projection onto mode n."""
     phi = poly.legendre(K)
     mass = poly.rounded(np.diag(poly.inner(phi, phi)))
-    w = (npp.polyval(_FILL_RULE.nodes, poly.table(phi).T) * _FILL_RULE.weights
-         / mass[:, None])
-    w.flags.writeable = False
-    return w
+    return poly.frozen(npp.polyval(_FILL_RULE.nodes, poly.table(phi).T)
+                       * _FILL_RULE.weights / mass[:, None])
 
 
 def fill_dg_1d(grid: Grid1D, K: int, init: Callable,
@@ -470,23 +467,23 @@ def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
     y-apply's gather reads the transposed view in place, its one copy.
     ``None`` skips the axis.
 
-    The neighbours wrap periodically unless ``ghosts`` gives the cells one
-    beyond the tensor on each side, (x_lo, x_hi, y_lo, y_hi), as per-cell
-    (m, m) blocks like ``U.swapaxes(1, 2)``'s: x_lo[j] is cell (-1, j) and
-    x_hi[j] cell (nx, j), y_lo[i] is cell (i, -1) and y_hi[i] cell (i, ny).
-    Two more blocks, (x_slot, y_slot), may follow, cells (nx-1, j) and (i,
-    ny-1), or None: their dofs 1.. stand in for the tensor's along that
-    axis (a closed AF state's unused slots), in the neighbour copy of that
-    axis' apply, so U itself is never written.  The result in those slots
-    is then not the operator's; a closed AF rhs zeroes it.
+    The neighbours wrap periodically unless ``ghosts`` gives six blocks
+    (x_lo, x_hi, y_lo, y_hi, x_slot, y_slot).  The first four are the
+    cells one beyond the tensor on each side, as per-cell (m, m) blocks
+    like ``U.swapaxes(1, 2)``'s: x_lo[j] is cell (-1, j) and x_hi[j] cell
+    (nx, j), y_lo[i] is cell (i, -1) and y_hi[i] cell (i, ny).  The slot
+    blocks are cells (nx-1, j) and (i, ny-1), or None; their dofs 1..
+    stand in for the tensor's along that axis (a closed AF state's unused
+    slots), in the neighbour copy of that axis' apply, so U itself is
+    never written.  The result in those slots is then not the operator's;
+    a closed AF rhs zeroes it.
     """
     U = np.ascontiguousarray(U)       # one copy for a non-contiguous view
     x = y = ()
     if ghosts is not None:
         # a ghost block row is (a, j, b) for the x-apply, as U[i] is, and
         # (b, i, a) for the y-apply, as the transposed U[j] is
-        x_lo, x_hi, y_lo, y_hi, *slots = ghosts
-        x_slot, y_slot = slots or (None, None)
+        x_lo, x_hi, y_lo, y_hi, x_slot, y_slot = ghosts
         x = [g if g is None else g.swapaxes(0, 1)
              for g in (x_lo, x_hi, x_slot)]
         y = [g if g is None else g.transpose(2, 0, 1)
@@ -563,8 +560,7 @@ def _neighbour_index(n: int, ghosts: bool) -> np.ndarray:
         idx[0, 0], idx[-1, 2] = n, n + 1
     else:
         idx %= n
-    idx.flags.writeable = False
-    return idx
+    return poly.frozen(idx)
 
 
 # ---------------------------------------------------------------------------

@@ -42,22 +42,25 @@ __all__ = [
     "rounded",
     "table",
     "gauss_legendre_rule",
+    "frozen",
 ]
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.flags.writeable = False
+    return a
 
 
 def _exact(a) -> np.ndarray:
     """A read-only object array of Fractions."""
-    out = np.vectorize(Fraction, otypes=[object])(a)
-    out.flags.writeable = False
-    return out
+    return frozen(np.vectorize(Fraction, otypes=[object])(a))
 
 
 def rounded(a) -> np.ndarray:
     """Exact entries rounded once to float64 (``float`` of a Fraction is
     correctly rounded), read-only."""
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
+    return frozen(np.array(a, dtype=float))
 
 
 def table(rows, d: int = 0) -> np.ndarray:
@@ -70,9 +73,7 @@ def table(rows, d: int = 0) -> np.ndarray:
 def _cell_moments(a: int, b: int) -> np.ndarray:
     """M[i, j]: the integral of xi**(i+j) over [-1/2, 1/2]."""
     s = np.add.outer(np.arange(a), np.arange(b))
-    M = _exact(1 - s % 2) / _exact(2 ** s * (s + 1))
-    M.flags.writeable = False
-    return M
+    return frozen(_exact(1 - s % 2) / _exact(2 ** s * (s + 1)))
 
 
 def inner(P, Q) -> np.ndarray:
@@ -132,8 +133,7 @@ def legendre(K: int) -> np.ndarray:
     for n in range(1, K + 1):
         L[n] = (Fraction(2 * n - 1, n) * 2 * np.roll(L[n - 1], 1)
                 - (Fraction(n - 1, n) * L[n - 2] if n > 1 else 0))
-    L.flags.writeable = False
-    return L
+    return frozen(L)
 
 
 @lru_cache(maxsize=None)
@@ -148,9 +148,8 @@ def radau_pair(K: int) -> np.ndarray:
     if K < 1:
         raise ValueError("Radau pair requires K >= 1")
     L = legendre(K + 1)
-    R = np.stack([(-1) ** (K + 1) * (L[K + 1] - L[K]), L[K + 1] + L[K]]) / 2
-    R.flags.writeable = False
-    return R
+    return frozen(np.stack([(-1) ** (K + 1) * (L[K + 1] - L[K]),
+                            L[K + 1] + L[K]]) / 2)
 
 
 def radau_points(K: int, side: str) -> np.ndarray:
@@ -201,6 +200,4 @@ def moment_dual_basis(K: int) -> np.ndarray:
     mono = _exact(np.eye(K + 2, dtype=int))
     left, right = end_values(mono)
     F = np.vstack([left, inner(moment_weights(K), mono), right])
-    B = _inverse(F.T)
-    B.flags.writeable = False
-    return B
+    return frozen(_inverse(F.T))

@@ -20,7 +20,7 @@ COMMANDS = ("run", "convergence", "superconvergence", "bench", "equiv-check",
 BASE = {
     "run": ["grids=8"],
     "convergence": ["grids=8,16"],
-    "superconvergence": ["grids=8,16", "order=2"],
+    "superconvergence": ["grids=8,16"],
     "bench": ["grids=8,16,32"],
     "equiv-check": ["grids=8"],
     "dof-table": [],

@@ -346,14 +346,18 @@ def test_qhat_2d_matches_einsum_reference(K, alpha, beta):
 
 @pytest.mark.parametrize("alpha,beta", MAP_WEIGHTS)
 def test_reconstruction_corners_match_four_formula_reference(alpha, beta):
-    """The reconstruction is built for K = 1."""
-    state = DgState2D(Grid2D(0, 1, 7, 0, 1.5, 5), 1,
-                      np.random.default_rng(29).uniform(-1, 1, (7, 5, 2, 2)))
-    rec = equiv.reconstruct_af_2d_from_dg(state, alpha, beta)
-    want = four_formula_corners(state, rec.qhat_x, rec.qhat_y,
-                                rec.mapped.node_values)
-    assert np.max(np.abs(rec.corners - want)) <= \
-        1e-15 * np.max(np.abs(state.coeffs))
+    for K in (1, 2, 3):
+        state = DgState2D(Grid2D(0, 1, 7, 0, 1.5, 5), K,
+                          np.random.default_rng(29).uniform(
+                              -1, 1, (7, 5, K + 1, K + 1)))
+        rec = equiv.reconstruct_af_2d_from_dg(state, alpha, beta)
+        want = four_formula_corners(state, rec.qhat_x, rec.qhat_y,
+                                    rec.mapped.node_values)
+        # the two summation orders part by roundoff that grows with the
+        # terms of a corner sum, like K^2 (3.6e-15 at K = 2, 7.1e-15 at
+        # K = 3 over 40 seeds); K = 1 keeps its bound
+        assert np.max(np.abs(rec.corners - want)) <= \
+            1e-15 * K ** 2 * np.max(np.abs(state.coeffs)), K
 
 
 @pytest.mark.parametrize("alpha,beta", MAP_WEIGHTS)
@@ -425,13 +429,20 @@ def test_reconstruct_2d_constant_corrections_vanish():
     assert np.max(np.abs(rec.corners)) < 1e-13
 
 
+def lemma_grid(K):
+    """12 cells a side at K = 1, 8 above: the update identities' roundoff
+    grows like n (9.1e-13 at K = 3 on 12^2, 3.7e-13 on 8^2)."""
+    return 12 if K == 1 else 8
+
+
 def test_lemma_checks_pass_on_random_state():
-    state = random_dg_2d(n=12, seed=19)
     fx = NumericalFluxSpec.alpha(0.8, 0.2)
     fy = NumericalFluxSpec.alpha(0.6, 0.4)
-    res = equiv.lemma_checks(state, 1.1, 0.9, fx, fy)
-    for name, val in res.items():
-        assert val <= 1e-12, f"{name}: {val:.3e}"
+    for K in (1, 2, 3):
+        state = random_dg_2d(K=K, n=lemma_grid(K), seed=19)
+        res = equiv.lemma_checks(state, 1.1, 0.9, fx, fy)
+        for name, val in res.items():
+            assert val <= 1e-12, f"K = {K}, {name}: {val:.3e}"
 
 
 def test_lemma_checks_map_and_qhat_once_per_orientation(monkeypatch):
@@ -469,9 +480,11 @@ def test_lemma_checks_refuse_zero_speed_lax_friedrichs(ux, uy, axis):
 
 def test_lemma_checks_hold_for_lax_friedrichs_at_nonzero_speeds():
     lf = NumericalFluxSpec.lax_friedrichs(1.1)
-    res = equiv.lemma_checks(random_dg_2d(n=12, seed=3), 1.0, -0.5, lf, lf)
-    for name, val in res.items():
-        assert val <= 1e-12, f"{name}: {val:.3e}"
+    for K in (1, 2, 3):
+        res = equiv.lemma_checks(random_dg_2d(K=K, n=lemma_grid(K), seed=3),
+                                 1.0, -0.5, lf, lf)
+        for name, val in res.items():
+            assert val <= 1e-12, f"K = {K}, {name}: {val:.3e}"
 
 
 def test_reconstruction_keeps_its_mapped_state_and_qhat():
@@ -583,13 +596,18 @@ def test_2d_classical_negative_control():
 
 
 def test_dg_equals_af_at_crossing_points_2d():
-    state = random_dg_2d(n=8, seed=23)
-    mapped = equiv.map_dg_to_af_2d(state, (1.0, 0.0), (1.0, 0.0))
-    zeros = poly.radau_points(1, "left")
-    pz = np.array([p(zeros) for p in legendre_polys(1)])
-    raw = np.einsum("ijmn,ma,nb->ijab", state.coeffs, pz, pz)
-    rec = af.af_evaluator_2d(mapped)(zeros, zeros)
-    assert np.max(np.abs(raw - rec)) <= 1e-13
+    """A one-sided map takes its traces from the side where the Radau
+    polynomial of ``side`` vanishes, so at the tensor Radau zeros of every
+    K the mapped AF reconstruction equals the DG polynomial."""
+    for K in (1, 2, 3, 4):
+        state = random_dg_2d(K=K, n=8, seed=23)
+        for weights, side in (((1.0, 0.0), "left"), ((0.0, 1.0), "right")):
+            mapped = equiv.map_dg_to_af_2d(state, weights, weights)
+            zeros = poly.radau_points(K, side)
+            pz = np.array([p(zeros) for p in legendre_polys(K)])
+            raw = np.einsum("ijmn,ma,nb->ijab", state.coeffs, pz, pz)
+            rec = af.af_evaluator_2d(mapped)(zeros, zeros)
+            assert np.max(np.abs(raw - rec)) <= 1e-13, (K, side)
 
 
 def test_flux_projection_bracket_identity_k1():
@@ -625,12 +643,6 @@ def test_2d_equivalence_extends_beyond_k1(K):
                      problem_params={"ux": 1.0, "uy": 1.0}, tolerance=1e-11)
     report = verify_equivalence(s)
     assert report.passed, [(f.family, f.relative) for f in report.families]
-
-
-def test_reconstruct_2d_still_requires_k1():
-    state = random_dg_2d(K=2, n=6, seed=31)
-    with pytest.raises(ValueError):
-        equiv.reconstruct_af_2d_from_dg(state, (1.0, 0.0), (1.0, 0.0))
 
 
 @pytest.mark.parametrize("seed", range(10))

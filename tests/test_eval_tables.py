@@ -74,8 +74,10 @@ CONSTRUCTORS = ("_exact", "_inverse", "inner", "end_values", "rounded", "table")
 
 def test_warm_evaluations_build_no_table(monkeypatch):
     """A second call of each evaluation calls none of ``poly``'s exact
-    table constructors: every table it reads is cached."""
-    calls = dict.fromkeys(CONSTRUCTORS, 0)
+    table constructors: every table it reads is cached.  The nonlinear 1-d
+    updates, whose quadrature rule K fixes, also evaluate no table
+    (``npp.polyval``): they read its values at the rule's nodes cached."""
+    calls = dict.fromkeys(CONSTRUCTORS + ("polyval",), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -85,6 +87,7 @@ def test_warm_evaluations_build_no_table(monkeypatch):
 
     for name in CONSTRUCTORS:
         monkeypatch.setattr(poly, name, counted(name, getattr(poly, name)))
+    monkeypatch.setattr(npp, "polyval", counted("polyval", npp.polyval))
     rng = np.random.default_rng(2)
     af_state = AfState2D(Grid2D.square(8), 1, rng.uniform(-1, 1, (8, 8)),
                          rng.uniform(-1, 1, (8, 8, 1)),
@@ -104,11 +107,13 @@ def test_warm_evaluations_build_no_table(monkeypatch):
         "project_flux_F": lambda: equiv.project_flux_F(dg_1d, burgers(), lf),
         "af_rhs_1d": lambda: af.af_rhs_1d(af_1d, burgers(), lf),
     }
+    evaluating = {"af_evaluator_2d", "lemma_checks"}
     for name, run in runs.items():
         run()
-        calls.update(dict.fromkeys(CONSTRUCTORS, 0))
+        calls.update(dict.fromkeys(calls, 0))
         run()
-        assert not any(calls.values()), (name, calls)
+        assert not any(calls[c] for c in CONSTRUCTORS), (name, calls)
+        assert (calls["polyval"] > 0) == (name in evaluating), (name, calls)
     # the counter sees a cold build
     af.af_ops.cache_clear()
     af.af_ops(3)

@@ -33,10 +33,13 @@ def random_case(family, K, ux, uy, flux_name, seed=0):
     ghosts = tuple(rng.standard_normal((n, m, m)) for n in (ny, ny, nx, nx))
     flux = driver.make_flux(cfg, driver.make_problem(cfg), state.U)
     px, py = flux.advection_partials(ux), flux.advection_partials(uy)
+    # the four sides without slot blocks: an AF state's slots are read
+    # from its own tensor
     if family == "af":
-        op = lambda s, g: af.af_rhs_2d_tensorial(s, ux, uy, px, py, g)
+        op = lambda s, g: af.af_rhs_2d_tensorial(s, ux, uy, px, py,
+                                                 g + (None, None))
     else:
-        op = lambda s, g: dg.dg_rhs_2d(s, ux, uy, px, py, g)
+        op = lambda s, g: dg.dg_rhs_2d(s, ux, uy, px, py, g + (None, None))
     return state, ghosts, op, driver.ghost_sides(cfg, flux)
 
 

@@ -196,7 +196,7 @@ def test_kron_sum_apply_with_ghosts_is_the_dense_operator(nx, ny, m):
     Uy = np.concatenate([y_lo[:, :, None], U, y_hi[:, :, None]], axis=2)
     want = (np.kron(banded(sx, nx), np.eye(ny * m)) @ Ux.ravel()
             + np.kron(np.eye(nx * m), banded(sy, ny)) @ Uy.ravel())
-    got = kron_sum_apply(U, sx, sy, (x_lo, x_hi, y_lo, y_hi))
+    got = kron_sum_apply(U, sx, sy, (x_lo, x_hi, y_lo, y_hi, None, None))
     assert np.allclose(got, want.reshape(U.shape), atol=1e-13)
 
 
@@ -205,7 +205,7 @@ def test_kron_sum_apply_with_ghosts_is_the_dense_operator(nx, ny, m):
 def test_fortran_ordered_input_is_applied_and_left_unchanged(nx, ny, m):
     rng, sx, sy, U = operands(8, nx, ny, m)
     ghosts = tuple(rng.normal(size=(2, ny, m, m))) \
-        + tuple(rng.normal(size=(2, nx, m, m)))
+        + tuple(rng.normal(size=(2, nx, m, m))) + (None, None)
     F = np.asfortranarray(U)
     kept = F.copy(order="A")
     for apply, args in ((kron_sum_apply, (sx, sy)),

@@ -168,18 +168,13 @@ def reference(rec, parts, dxi, deta, xi, eta):
 
 
 def _reconstruction(K):
-    """K = 1 from the DG mapping; K = 2, 3 hand-built from random traces
-    and corners (the mapping is stated for K = 1).  The grids are not
-    square, so a swapped axis changes the shapes."""
+    """The reconstruction of a random DG state; the grids are not square,
+    so a swapped axis changes the shapes."""
     rng = np.random.default_rng(40 + K)
     nx, ny = 6, 5
     grid = Grid2D(0.0, 1.0, nx, 0.0, 1.0, ny)
     state = DgState2D(grid, K, rng.uniform(-1, 1, (nx, ny, K + 1, K + 1)))
-    if K == 1:
-        return equiv.reconstruct_af_2d_from_dg(state, (0.8, 0.2), (0.6, 0.4))
-    return equiv.TensorReconstruction2D(
-        state, rng.uniform(-1, 1, (nx, ny, K + 1)),
-        rng.uniform(-1, 1, (nx, ny, K + 1)), rng.uniform(-1, 1, (nx, ny, 2, 2)))
+    return equiv.reconstruct_af_2d_from_dg(state, (0.8, 0.2), (0.6, 0.4))
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])
