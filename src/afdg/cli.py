@@ -14,8 +14,7 @@ import sys
 
 import numpy as np
 
-from . import driver, equiv, timeint
-from .mesh import save_state_csv
+from . import driver, equiv, mesh, timeint
 
 
 def _load_config(args) -> driver.RunConfig:
@@ -37,6 +36,8 @@ def _load_config(args) -> driver.RunConfig:
             and os.path.isdir(os.path.dirname(cfg.out) or ".")):
         cfg.refuse("out", "must be a file path in an existing directory")
     cfg.validate(args.command)
+    if getattr(args, "variant", None) == "classical_midpoint":
+        cfg.validate(args.variant)
     return cfg
 
 
@@ -50,7 +51,7 @@ def _add_common(sub):
 
 def cmd_run(args, cfg) -> int:
     res = driver.run_simulation(cfg)
-    save_state_csv(res.state, cfg.out)
+    driver.write_csv(cfg.out, mesh.STATE_HEADER, mesh.state_rows(res.state))
     err_rows = [(name, err) for name, err in sorted(res.errors.families.items())]
     err_rows.append(("e_dofs", res.errors.e_dofs))
     driver.write_csv(cfg.out + ".errors.csv", ["family", "l2_error"], err_rows)
@@ -86,20 +87,8 @@ def _table(compute, header: list):
 
 
 def cmd_equiv_check(args, cfg) -> int:
-    dimension = 2 if cfg.problem.endswith("2d") else 1
-    if args.variant == "classical_midpoint":
-        if dimension == 1:
-            raise driver.ConfigError(f"--variant {args.variant!r} is a 2-d "
-                                     f"comparison, got problem {cfg.problem!r}")
-        k_key = "order" if cfg.k is None else "k"
-        for key, ok, why in [(k_key, cfg.K == 1, "must give K = 1"),
-                             ("flux", cfg.flux == "upwind", "must be 'upwind'"),
-                             ("ux", cfg.ux >= 0, "must be >= 0"),
-                             ("uy", cfg.uy >= 0, "must be >= 0")]:
-            if not ok:
-                cfg.refuse(key, f"{why} for the {args.variant} variant")
     setting = equiv.EquivSetting(
-        dimension=dimension, problem=cfg.problem,
+        dimension=2 if cfg.problem.endswith("2d") else 1, problem=cfg.problem,
         problem_params=driver.problem_params(cfg), flux=cfg.flux,
         alpha_plus=cfg.alpha_plus, beta_plus=cfg.beta_plus,
         K=cfg.K, n_cells=cfg.grids[0], seed=cfg.seed,

@@ -154,6 +154,10 @@ _TIMED = _RUNS + ("bench",)
 _EQUIV = ("equiv-check",)
 _ALL = _TIMED + _EQUIV
 _SUPER = ("superconvergence",)
+# the rules of ``equiv-check --variant classical_midpoint``, checked after
+# those of ``equiv-check`` (``equiv`` and ``af`` keep their own guards for
+# callers other than the command line)
+_CLASSICAL = ("classical_midpoint",)
 
 # Every refusal of a config value, in the order a command checks them:
 # (key, commands that check it, ok(config), why or why(config)).  A row
@@ -221,6 +225,14 @@ _REFUSALS = [
     ("grids", ("convergence",),
      lambda c: all(b == 2 * a for a, b in zip(c.grids, c.grids[1:])),
      "must refine by factors of 2"),
+    *((key, _CLASSICAL, ok, f"{why} for --variant classical_midpoint")
+      for key, ok, why in (
+          ("problem", lambda c: c.problem.endswith("2d"), "must be 2-d"),
+          ("order", lambda c: c.k is not None or c.K == 1, "must give K = 1"),
+          ("k", lambda c: c.k in (None, 1), "must give K = 1"),
+          ("flux", lambda c: c.flux == "upwind", "must be 'upwind'"),
+          ("ux", lambda c: c.ux >= 0, "must be >= 0"),
+          ("uy", lambda c: c.uy >= 0, "must be >= 0"))),
 ]
 
 
@@ -336,73 +348,62 @@ def axis_partials(cfg: RunConfig, flux: NumericalFluxSpec) -> tuple:
 _SIDES = ("x_lo", "x_hi", "y_lo", "y_hi")
 
 
-class _GhostRing:
-    """The ghost blocks of a 2-d Dirichlet run, ``ring(state, t)``, for
+def _ghost_ring(state, exact, sides: tuple = _SIDES):
+    """The ghost blocks of a 2-d Dirichlet run at time t, ``ring(t)``, for
     ``kron_sum_apply``: the ``sides`` the stencils read (see
     ``ghost_sides``) are projected from the exact solution at time t by one
     ``mesh.af_cell_projector_2d`` or ``dg_cell_projector_2d``, and every
     other block is zero.  With its high side, the same projection gives the
     cells of an AF state's unused slots on that axis (see ``AfState2D``),
     which its boundary point updates read: the ring returns them after the
-    four ghost blocks, (x_slot, y_slot), None where not projected.  It
-    reads its state's shape and writes nothing into it.
+    four ghost blocks, (x_slot, y_slot), None where not projected.
 
-    The first call binds the ring's points, weights and block offsets to
-    its state's family, grid and shape; a state that differs in one of them
-    rebinds.  The blocks of the last two stage times projected stay,
+    The ring's cells (the ``sides`` in order: columns -1 and nx, rows -1
+    and ny, each high side of an AF state followed by its slots, the last
+    column or row), projector, block offsets and zero blocks are bound here
+    to ``state``'s family, grid and shape; the state itself is neither kept
+    nor written.  The blocks of the last two stage times projected stay,
     read-only, and a call at one of those float times reuses them: SSPRK3's
     c = 1 stage is the next step's c = 0 stage, two calls later, so a run
     projects 1 + 2 steps times, not 3 steps.
     """
+    g = state.grid
+    nx, m, ny, _ = state.U.shape
+    rows, cols = np.arange(nx), np.arange(ny)
+    cells = {"x_lo": (np.full(ny, -1), cols),
+             "x_hi": (np.full(ny, nx), cols),
+             "y_lo": (rows, np.full(nx, -1)),
+             "y_hi": (rows, np.full(nx, ny)),
+             "x_slot": (np.full(ny, nx - 1), cols),
+             "y_slot": (rows, np.full(nx, ny - 1))}
+    af_state = isinstance(state, AfState2D)
+    names = []
+    for side in sides:
+        names.append(side)
+        if af_state and side.endswith("_hi"):
+            names.append(side[0] + "_slot")
+    i = np.concatenate([cells[n][0] for n in names] or [[]])
+    j = np.concatenate([cells[n][1] for n in names] or [[]])
+    projector = (mesh.af_cell_projector_2d if af_state
+                 else mesh.dg_cell_projector_2d)
+    project = projector(state.K, g.x_min + i * g.dx, g.y_min + j * g.dy,
+                        g.dx, g.dy)
+    offsets = np.cumsum([len(cells[n][0]) for n in names])[:-1]
+    zero = {"x": poly.frozen(np.zeros((ny, m, m))),
+            "y": poly.frozen(np.zeros((nx, m, m)))}
+    kept = {}
 
-    def __init__(self, exact, sides: tuple = _SIDES):
-        self.exact, self.sides = exact, sides
-        self._bound = None
-
-    def _bind(self, state) -> None:
-        """The projected cells: the ``sides`` in order (columns -1 and nx,
-        rows -1 and ny), each high side of an AF state followed by its
-        slots, the last column or row."""
-        g = state.grid
-        nx, m, ny, _ = state.U.shape
-        rows, cols = np.arange(nx), np.arange(ny)
-        cells = {"x_lo": (np.full(ny, -1), cols),
-                 "x_hi": (np.full(ny, nx), cols),
-                 "y_lo": (rows, np.full(nx, -1)),
-                 "y_hi": (rows, np.full(nx, ny)),
-                 "x_slot": (np.full(ny, nx - 1), cols),
-                 "y_slot": (rows, np.full(nx, ny - 1))}
-        af_state = isinstance(state, AfState2D)
-        self._names = []
-        for side in self.sides:
-            self._names.append(side)
-            if af_state and side.endswith("_hi"):
-                self._names.append(side[0] + "_slot")
-        i = np.concatenate([cells[n][0] for n in self._names] or [[]])
-        j = np.concatenate([cells[n][1] for n in self._names] or [[]])
-        projector = (mesh.af_cell_projector_2d if af_state
-                     else mesh.dg_cell_projector_2d)
-        self._project = projector(state.K, g.x_min + i * g.dx,
-                                  g.y_min + j * g.dy, g.dx, g.dy)
-        self._offsets = np.cumsum([len(cells[n][0])
-                                   for n in self._names])[:-1]
-        self._zero = {"x": poly.frozen(np.zeros((ny, m, m))),
-                      "y": poly.frozen(np.zeros((nx, m, m)))}
-        self._bound, self._kept = (type(state), g, state.U.shape), {}
-
-    def __call__(self, state, t: float) -> tuple:
-        if self._bound != (type(state), state.grid, state.U.shape):
-            self._bind(state)
-        got = self._kept.get(t)
+    def ring(t: float) -> tuple:
+        got = kept.get(t)
         if got is None:
-            blocks = poly.frozen(self._project(
-                lambda x, y: self.exact(t, x, y)))
-            got = dict(zip(self._names, np.split(blocks, self._offsets)))
-            if len(self._kept) == 2:
-                del self._kept[next(iter(self._kept))]
-            self._kept[t] = got
-        return (*(got.get(side, self._zero[side[0]]) for side in _SIDES),
+            blocks = poly.frozen(project(lambda x, y: exact(t, x, y)))
+            got = dict(zip(names, np.split(blocks, offsets)))
+            if len(kept) == 2:
+                del kept[next(iter(kept))]
+            kept[t] = got
+        return (*(got.get(side, zero[side[0]]) for side in _SIDES),
                 got.get("x_slot"), got.get("y_slot"))
+    return ring
 
 
 def ghost_sides(cfg: RunConfig, flux: NumericalFluxSpec) -> tuple:
@@ -450,24 +451,27 @@ def make_rhs(cfg: RunConfig, problem, flux: NumericalFluxSpec):
 
     A 2-d rhs binds its two axis stencils (``mesh.axis_stencils``) on its
     first call, to the state's K and grid, and again when a state of
-    another K or grid arrives.  A Dirichlet rhs also owns one
-    ``_GhostRing``, which binds to the state's grid the same way and
-    projects each distinct stage time once."""
+    another K or grid arrives.  A Dirichlet rhs builds its ``_ghost_ring``
+    in the same place, so a new grid gets a new ring, and calls it with
+    the stage time alone."""
     if cfg.problem.endswith("2d"):
         args = (cfg.ux, cfg.uy, *axis_partials(cfg, flux))
         rhs, blocks = ((dg.dg_rhs_2d, dg.dg_stencil_1d) if cfg.method == "dg"
                        else (af.af_rhs_2d_tensorial, af.af_stencil_1d))
-        ring = (_GhostRing(exact_solution(cfg), ghost_sides(cfg, flux))
-                if cfg.boundary == "dirichlet" else None)
-        bound = stencils = None
+        exact = (exact_solution(cfg) if cfg.boundary == "dirichlet"
+                 else None)
+        sides = ghost_sides(cfg, flux)
+        bound = stencils = ring = None
 
         def rhs_2d(state, t):
-            nonlocal bound, stencils
+            nonlocal bound, stencils, ring
             if bound != (state.grid, state.K):
                 bound = (state.grid, state.K)
                 stencils = mesh.axis_stencils(blocks(state.K), state.grid,
                                               *args)
-            ghosts = None if ring is None else ring(state, t)
+                if exact is not None:
+                    ring = _ghost_ring(state, exact, sides)
+            ghosts = None if ring is None else ring(t)
             return rhs(state, *args, ghosts, stencils)
         return rhs_2d
 
@@ -538,10 +542,16 @@ class BenchRecord:
     n_cells: int
     n_dofs: int
     tau: float
-    tau_per_step: float
     steps: int
     e_dofs: float
-    metric: float
+
+    @property
+    def tau_per_step(self) -> float:
+        return self.tau / self.steps
+
+    @property
+    def metric(self) -> float:
+        return self.n_dofs * self.e_dofs * self.tau
 
     def row(self):
         return (self.method, self.n_cells, self.n_dofs, self.tau,
@@ -599,12 +609,9 @@ def run_simulation(cfg: RunConfig, n: int | None = None) -> RunResult:
     exact_state = exact_state_at(cfg, n, cfg.t_final)
     errors = ErrorReport.from_states(final, exact_state)
     n_cells = n ** 2 if cfg.problem.endswith("2d") else n
-    counts = dof_counts(cfg.method, cfg.order)
     bench = BenchRecord(method=cfg.method_id(), n_cells=n_cells,
-                        n_dofs=counts.n_dofs, tau=tau,
-                        tau_per_step=tau / steps, steps=steps,
-                        e_dofs=errors.e_dofs,
-                        metric=counts.n_dofs * errors.e_dofs * tau)
+                        n_dofs=dof_counts(cfg.method, cfg.order).n_dofs,
+                        tau=tau, steps=steps, e_dofs=errors.e_dofs)
     return RunResult(final, errors, bench, ghost_sides(cfg, flux),
                      axis_partials(cfg, flux), dt, dof_norm(state0),
                      cell_mass(state0))
@@ -692,10 +699,7 @@ def run_benchmark(cfg: RunConfig, methods=None, min_time: float = 0.05,
                 reps.append(res)
                 t_acc += res.bench.tau
             tau = float(np.mean([r.bench.tau for r in reps]))
-            rec = replace(reps[-1].bench, tau=tau,
-                          tau_per_step=tau / reps[-1].bench.steps,
-                          metric=dof_counts(family, order).n_dofs
-                          * reps[-1].errors.e_dofs * tau)
+            rec = replace(reps[-1].bench, tau=tau)
             records.append(rec)
             taus.append((rec.n_cells, tau))
         xs = np.log([t[0] for t in taus])

@@ -30,7 +30,6 @@ DG-to-AF map act on.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator
@@ -49,7 +48,7 @@ __all__ = [
     "af_cell_projector_2d", "dg_cell_projector_2d",
     "axis_stencil", "axis_stencils", "line_apply", "kron_sum_apply",
     "kron_apply", "roll_cells",
-    "state_rows", "save_state_csv",
+    "STATE_HEADER", "state_rows",
 ]
 
 # Method catalog: quadrature exactness degree and CFL number per order,
@@ -564,7 +563,10 @@ def _neighbour_index(n: int, ghosts: bool) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV snapshots: one row per dof, columns (family, i, j, component, value)
+# CSV snapshots: one row per dof, with the columns of STATE_HEADER
+
+
+STATE_HEADER = ["family", "i", "j", "component", "value"]
 
 
 def state_rows(state) -> Iterator[tuple]:
@@ -595,11 +597,3 @@ def state_rows(state) -> Iterator[tuple]:
                     yield (label, i, j, 0, a[(i, j) + dof])
     else:
         raise TypeError(f"unknown state type {type(state).__name__}")
-
-
-def save_state_csv(state, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["family", "i", "j", "component", "value"])
-        for family, i, j, comp, value in state_rows(state):
-            writer.writerow([family, i, j, comp, f"{value:.17g}"])

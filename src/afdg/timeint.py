@@ -33,11 +33,22 @@ class RkScheme:
     """
 
     name: str
-    stages: int
     order: int
     combo: tuple            # per stage: tuple of (index, weight)
     rhs_w: tuple            # per stage: tuple of (index, weight)
-    c: tuple                # stage times of u_0 .. u_{stages}
+
+    @property
+    def stages(self) -> int:
+        return len(self.combo)
+
+    @cached_property
+    def c(self) -> tuple:
+        """The stage times of u_0 .. u_{stages}."""
+        c = [0.0]
+        for s in range(self.stages):
+            c.append(sum(w * c[idx] for idx, w in self.combo[s])
+                     + sum(w for _, w in self.rhs_w[s]))
+        return tuple(c)
 
     def amplification_coefficients(self) -> np.ndarray:
         """Polynomial R(z) with u+ = R(dt*lambda) u for the linear test
@@ -59,23 +70,8 @@ class RkScheme:
         return {j: s for s in range(self.stages) for j, _ in self.rhs_w[s]}
 
 
-def _derive_stage_times(combo, rhs_w) -> tuple:
-    c = [0.0]
-    for s in range(len(combo)):
-        t = sum(w * c[idx] for idx, w in combo[s]) \
-            + sum(w for _, w in rhs_w[s])
-        c.append(t)
-    return tuple(c)
-
-
-def _scheme(name, order, combo, rhs_w) -> RkScheme:
-    return RkScheme(name=name, stages=len(combo), order=order,
-                    combo=combo, rhs_w=rhs_w,
-                    c=_derive_stage_times(combo, rhs_w))
-
-
 # three-stage third-order SSP tableau (Shu-Osher); stage times (0, 1, 1/2, 1)
-SSPRK3 = _scheme(
+SSPRK3 = RkScheme(
     "ssprk3", 3,
     combo=(((0, 1.0),),
            ((0, 0.75), (1, 0.25)),
@@ -86,7 +82,7 @@ SSPRK3 = _scheme(
 )
 
 # five-stage fourth-order SSP tableau (the standard optimal coefficients)
-SSPRK54 = _scheme(
+SSPRK54 = RkScheme(
     "ssprk54", 4,
     combo=(((0, 1.0),),
            ((0, 0.444370493651235), (1, 0.555629506348765)),

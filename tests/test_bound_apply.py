@@ -225,9 +225,10 @@ def test_a_closure_rebinds_its_stencils_to_another_grid(method, order,
 
 
 def counting(fn, calls):
+    """``fn``, keeping the result of each call in ``calls``."""
     def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
+        calls.append(fn(*args, **kwargs))
+        return calls[-1]
     return counted
 
 
@@ -235,16 +236,28 @@ def counting(fn, calls):
 @pytest.mark.parametrize("method,order", [("af", 4), ("dg", 3)])
 def test_a_run_builds_its_stencils_once(method, order, boundary,
                                         monkeypatch):
-    """Two ``axis_stencil`` calls (x and y) per run, however many steps; a
-    family rhs called without stencils builds its two on every call."""
-    calls = []
+    """Two ``axis_stencil`` calls (x and y) per run, however many steps,
+    and one ``_ghost_ring`` call per Dirichlet run; the run's rhs, met by
+    another grid, makes each once more.  A family rhs called without
+    stencils builds its two on every call."""
+    calls, rings, closures = [], [], []
     monkeypatch.setattr(mesh, "axis_stencil",
                         counting(mesh.axis_stencil, calls))
+    monkeypatch.setattr(driver, "_ghost_ring",
+                        counting(driver._ghost_ring, rings))
+    monkeypatch.setattr(driver, "make_rhs",
+                        counting(driver.make_rhs, closures))
     cfg = RunConfig(method=method, order=order, problem="advection2d",
                     ux=1.0, uy=-0.5, init="sine", boundary=boundary,
                     t_final=0.05)
     res = driver.run_simulation(cfg, 8)
+    dirichlet = boundary == "dirichlet"
     assert res.bench.steps > 1 and len(calls) == 2
+    assert len(rings) == dirichlet
+    small = driver.build_state(cfg, 6)
+    for t in (0.0, 0.01):
+        closures[0](small, t)
+    assert len(calls) == 4 and len(rings) == 2 * dirichlet
     calls.clear()
     state = driver.build_state(replace(cfg, boundary="periodic"), 4)
     rhs = dg.dg_rhs_2d if method == "dg" else af.af_rhs_2d_tensorial

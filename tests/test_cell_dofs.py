@@ -238,7 +238,7 @@ def test_ghost_ring_matches_strip_reference(family, K, grid, data):
     state = loop_fill(g, K, lambda x, y: exact(0.0, x, y))
     nx, _, ny, _ = state.U.shape
     kept = state.U.copy()
-    ring = driver._GhostRing(exact)(state, 0.02)
+    ring = driver._ghost_ring(state, exact)(0.02)
     x_lo, x_hi, y_lo, y_hi, x_slot, y_slot = ring
     assert np.array_equal(state.U, kept)
     ref = as_blocks(strip_pad_2d(

@@ -1,6 +1,7 @@
 """Every config key, walked through every command that reads it.
 
-``driver._REFUSALS`` lists, row by row, the commands that check a key;
+``driver._REFUSALS`` lists, row by row, the commands that check a key
+(``classical_midpoint`` is ``equiv-check --variant classical_midpoint``);
 the command line checks ``out`` for every command.  ``BAD`` gives, for
 every key, values that no command reading it can take.  Each one must be
 refused before any time step: exit status 2, one stderr line naming the
@@ -14,7 +15,9 @@ import pytest
 from afdg import cli, driver, timeint
 
 COMMANDS = ("run", "convergence", "superconvergence", "bench", "equiv-check",
-            "dof-table")
+            "dof-table", "classical_midpoint")
+ARGV = {"classical_midpoint": ["equiv-check", "--variant",
+                               "classical_midpoint"]}
 
 # a config each command accepts; a bad value overrides its key
 BASE = {
@@ -24,6 +27,7 @@ BASE = {
     "bench": ["grids=8,16,32"],
     "equiv-check": ["grids=8"],
     "dof-table": [],
+    "classical_midpoint": ["grids=8", "problem=advection2d", "order=2"],
 }
 
 NUMBER = ["abc", "nan", "inf", "-inf", "true", "none"]
@@ -79,7 +83,7 @@ def test_bad_value_is_refused_by_key_before_any_step(key, command, tmp_path,
     monkeypatch.setattr(timeint, "rk_step", refuse)
     out = [] if key == "out" else ["--out", str(tmp_path / "out.csv")]
     for value in BAD[key]:
-        argv = [command]
+        argv = list(ARGV.get(command, [command]))
         for item in BASE[command] + [f"{key}={value.format(tmp=tmp_path)}"]:
             argv += ["--set", item]
         code = cli.main(argv + out)

@@ -86,82 +86,91 @@ def test_invalid_config_rejected_before_any_step(key, value, tmp_path,
     assert not (tmp_path / "state.csv").exists()
 
 
-@pytest.mark.parametrize("command,key,value,extra", [
-    ("run", "boundary", "bogus", []),
-    ("run", "boundary", "dirichlet", ["problem=advection1d"]),
-    ("run", "init", "foo", []),
-    ("run", "flux", "bogus", []),
-    ("run", "problem", "burgers", []),
-    ("convergence", "grids", "20,30", []),
-    ("superconvergence", "method", "af", []),
-    ("superconvergence", "flux", "central", []),
-    ("bench", "grids", "20,40", []),
-    ("equiv-check", "flux", "bogus", []),
-    ("equiv-check", "problem", "bogus", []),
-    ("equiv-check", "flux", "lax_friedrichs", ["problem=advection2d", "ux=0"]),
-    ("equiv-check", "k", "0", ["problem=advection1d"]),
-    ("equiv-check", "k", "0", ["problem=advection2d"]),
-    ("equiv-check", "order", "1", ["problem=advection1d"]),
-    ("equiv-check", "flux", "central", ["problem=acoustics2x2"]),
+# (command, key, value, extra settings, serial).  A case's id ends in its
+# row's serial, the index pytest once gave it by position and now frozen,
+# so deleting or inserting a row renames no other case; a new row takes
+# the next free serial.
+REFUSED = [
+    ("run", "boundary", "bogus", [], 0),
+    ("run", "boundary", "dirichlet", ["problem=advection1d"], 1),
+    ("run", "init", "foo", [], 2),
+    ("run", "flux", "bogus", [], 3),
+    ("run", "problem", "burgers", [], 4),
+    ("convergence", "grids", "20,30", [], 5),
+    ("superconvergence", "method", "af", [], 6),
+    ("superconvergence", "flux", "central", [], 7),
+    ("bench", "grids", "20,40", [], 8),
+    ("equiv-check", "flux", "bogus", [], 9),
+    ("equiv-check", "problem", "bogus", [], 10),
+    ("equiv-check", "flux", "lax_friedrichs", ["problem=advection2d", "ux=0"], 11),
+    ("equiv-check", "k", "0", ["problem=advection1d"], 12),
+    ("equiv-check", "k", "0", ["problem=advection2d"], 13),
+    ("equiv-check", "order", "1", ["problem=advection1d"], 14),
+    ("equiv-check", "flux", "central", ["problem=acoustics2x2"], 15),
     ("equiv-check", "order", "3",
-     ["problem=advection2d", "--variant=classical_midpoint"]),
+     ["problem=advection2d", "--variant=classical_midpoint"], 16),
     ("equiv-check", "flux", "alpha",
-     ["problem=advection2d", "k=1", "--variant=classical_midpoint"]),
+     ["problem=advection2d", "k=1", "--variant=classical_midpoint"], 17),
     ("equiv-check", "ux", "-1",
-     ["problem=advection2d", "k=1", "--variant=classical_midpoint"]),
-    ("run", "flux", "lax_friedrichs", ["ux=0", "uy=0"]),
-    ("run", "flux", "lax_friedrichs", ["problem=advection1d", "u=0"]),
+     ["problem=advection2d", "k=1", "--variant=classical_midpoint"], 18),
+    ("run", "flux", "lax_friedrichs", ["ux=0", "uy=0"], 19),
+    ("run", "flux", "lax_friedrichs", ["problem=advection1d", "u=0"], 20),
     # a run's K comes from method and order; a k that disagrees is refused
-    ("run", "k", "3", ["method=dg", "problem=advection1d"]),
-    ("run", "k", "1", ["method=af", "order=4"]),
-    ("convergence", "k", "2", ["method=dg", "order=2", "grids=8,16"]),
+    ("run", "k", "3", ["method=dg", "problem=advection1d"], 21),
+    ("run", "k", "1", ["method=af", "order=4"], 22),
+    ("convergence", "k", "2", ["method=dg", "order=2", "grids=8,16"], 23),
     # grid lists, orders and numbers no run can serve
-    ("run", "grids", "", []),
-    ("run", "grids", "0", []),
-    ("run", "grids", "-4", []),
-    ("run", "grids", "1.5", []),
-    ("run", "order", "2", ["method=af"]),
-    ("run", "order", "9", []),
-    ("run", "order", "0", ["cfl_override=0.1"]),
-    ("run", "u", "abc", ["problem=advection1d"]),
-    ("run", "c_sound", "abc", []),
-    ("equiv-check", "grids", "0", []),
-    ("equiv-check", "ux", "abc", ["problem=advection2d"]),
+    ("run", "grids", "", [], 24),
+    ("run", "grids", "0", [], 25),
+    ("run", "grids", "-4", [], 26),
+    ("run", "grids", "1.5", [], 27),
+    ("run", "order", "2", ["method=af"], 28),
+    ("run", "order", "9", [], 29),
+    ("run", "order", "0", ["cfl_override=0.1"], 30),
+    ("run", "u", "abc", ["problem=advection1d"], 31),
+    ("run", "c_sound", "abc", [], 32),
+    ("equiv-check", "grids", "0", [], 33),
+    ("equiv-check", "ux", "abc", ["problem=advection2d"], 34),
     # a seed, tolerance or k that no comparison can take
-    ("equiv-check", "seed", "abc", []),
-    ("equiv-check", "seed", "-1", []),
-    ("equiv-check", "seed", "1.5", []),
-    ("equiv-check", "tolerance", "abc", []),
-    ("equiv-check", "tolerance", "0", []),
-    ("equiv-check", "tolerance", "-1e-11", []),
-    ("equiv-check", "k", "abc", []),
-    ("equiv-check", "k", "1.5", []),
-    ("run", "seed", "abc", []),
-    ("run", "tolerance", "abc", []),
+    ("equiv-check", "seed", "abc", [], 35),
+    ("equiv-check", "seed", "-1", [], 36),
+    ("equiv-check", "seed", "1.5", [], 37),
+    ("equiv-check", "tolerance", "abc", [], 38),
+    ("equiv-check", "tolerance", "0", [], 39),
+    ("equiv-check", "tolerance", "-1e-11", [], 40),
+    ("equiv-check", "k", "abc", [], 41),
+    ("equiv-check", "k", "1.5", [], 42),
+    ("run", "seed", "abc", [], 43),
+    ("run", "tolerance", "abc", [], 44),
     # non-finite numbers, and a t_final too short for one step
-    ("run", "ux", "nan", []),
-    ("run", "u", "-inf", ["problem=advection1d"]),
-    ("run", "t_final", "inf", []),
-    ("run", "t_final", "nan", []),
-    ("run", "cfl_override", "inf", []),
-    ("run", "t_final", "1e-30", []),
-    ("run", "t_final", "1e-30", ["problem=advection1d"]),
-    ("convergence", "t_final", "1e-30", ["grids=8,16"]),
-    ("bench", "t_final", "1e-30", ["grids=8,16,32"]),
+    ("run", "ux", "nan", [], 45),
+    ("run", "u", "-inf", ["problem=advection1d"], 46),
+    ("run", "t_final", "inf", [], 47),
+    ("run", "t_final", "nan", [], 48),
+    ("run", "cfl_override", "inf", [], 49),
+    ("run", "t_final", "1e-30", [], 50),
+    ("run", "t_final", "1e-30", ["problem=advection1d"], 51),
+    ("convergence", "t_final", "1e-30", ["grids=8,16"], 52),
+    ("bench", "t_final", "1e-30", ["grids=8,16,32"], 53),
     ("equiv-check", "alpha_plus", "nan",
-     ["problem=advection2d", "k=1", "flux=alpha"]),
-    ("equiv-check", "tolerance", "inf", []),
+     ["problem=advection2d", "k=1", "flux=alpha"], 54),
+    ("equiv-check", "tolerance", "inf", [], 55),
     # keys that a command read before it checked them
-    ("superconvergence", "u", "abc", ["problem=advection1d"]),
-    ("superconvergence", "ux", "abc", []),
-    ("superconvergence", "order", "abc", []),
-    ("superconvergence", "problem", "none", []),
-    ("equiv-check", "order", "3.0", []),
-    ("equiv-check", "order", "abc", []),
-    ("equiv-check", "problem", "none", []),
-    ("run", "order", "abc", []),
-    ("convergence", "order", "abc", ["grids=8,16"]),
-])
+    ("superconvergence", "u", "abc", ["problem=advection1d"], 56),
+    ("superconvergence", "ux", "abc", [], 57),
+    ("superconvergence", "order", "abc", [], 58),
+    ("superconvergence", "problem", "none", [], 59),
+    ("equiv-check", "order", "3.0", [], 60),
+    ("equiv-check", "order", "abc", [], 61),
+    ("equiv-check", "problem", "none", [], 62),
+    ("run", "order", "abc", [], 63),
+    ("convergence", "order", "abc", ["grids=8,16"], 64),
+]
+
+
+@pytest.mark.parametrize("command,key,value,extra", [
+    pytest.param(*row[:4], id="-".join(row[:3]) + f"-extra{row[4]}")
+    for row in REFUSED])
 def test_cli_names_bad_key_before_any_step(command, key, value, extra,
                                            tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
@@ -401,12 +410,12 @@ def assert_padding_exact(fill, rhs, K):
     noisy = sd.with_tensor(sd.U + 0.1)
     kept = [a.copy() for a in fields(noisy)]
     kept_U = noisy.U.tobytes()
-    driver._GhostRing(exact)(noisy, 0.0)
+    driver._ghost_ring(noisy, exact)(0.0)
     for a, b in zip(kept, fields(noisy)):
         assert np.array_equal(a, b)
     assert noisy.U.tobytes() == kept_U
     dp = rhs(sp, None)
-    dd = rhs(sd, driver._GhostRing(exact)(sd, 0.0))
+    dd = rhs(sd, driver._ghost_ring(sd, exact)(0.0))
     for p, d in zip(fields(dp), fields(dd)):
         wrapped = np.take(np.take(p, range(d.shape[0]), 0, mode="wrap"),
                           range(d.shape[1]), 1, mode="wrap")

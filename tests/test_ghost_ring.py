@@ -2,10 +2,10 @@
 
 ``reference_ghosts`` and the ``reference_*_cell_dofs_2d`` are the
 per-stage ghost fill and the four-evaluation AF projection the package
-used before ``driver._GhostRing`` and ``mesh.af_cell_projector_2d``, kept
+used before ``driver._ghost_ring`` and ``mesh.af_cell_projector_2d``, kept
 verbatim as an independent reference: the bound ring must return the same
 ghost blocks, and the AF slot blocks that the reference writes into its
-state, byte for byte, without writing its own state, and the
+state, byte for byte, without writing the state it is bound to, and the
 two-evaluation projection must give the same bytes as the four-evaluation
 one.
 """
@@ -110,14 +110,15 @@ def gauss_exact(ux=1.0, uy=0.6):
 @pytest.mark.parametrize("family", ["af", "dg"])
 def test_bound_ring_matches_the_per_stage_reference(family, K, sides):
     exact = gauss_exact()
-    ring = driver._GhostRing(exact, sides)
+    bound = noisy_state(family, K)
+    kept = bound.U.tobytes()
+    ring = driver._ghost_ring(bound, exact, sides)
     project = functools.partial(REFERENCE[family], K)
     # SSPRK3's stage times: the step's end comes back as the next start
     for seed, t in enumerate((0.0, 0.04, 0.02, 0.04)):
         state = noisy_state(family, K, seed=seed)
         want_state = state.copy()
-        kept = state.U.tobytes()
-        got = ring(state, t)
+        got = ring(t)
         want = reference_ghosts(want_state, project, exact, t, sides)
         assert len(got) == 6
         for g, w in zip(got[:4], want, strict=True):
@@ -126,7 +127,7 @@ def test_bound_ring_matches_the_per_stage_reference(family, K, sides):
         # ring writes nothing, and its slots are the reference's writes
         assert [s is not None for s in got[4:]] == [
             family == "af" and f"{axis}_hi" in sides for axis in "xy"]
-        assert state.U.tobytes() == kept
+        assert bound.U.tobytes() == kept
         assert with_slots(state.U, *got[4:]).tobytes() == \
             want_state.U.tobytes()
 
@@ -174,9 +175,9 @@ def test_a_run_projects_each_distinct_stage_time_once(family, order, rk,
 
 @pytest.mark.parametrize("family", ["af", "dg"])
 def test_reused_blocks_are_read_only(family):
-    ring = driver._GhostRing(gauss_exact())
-    first = ring(noisy_state(family, 2), 0.05)
-    again = ring(noisy_state(family, 2, seed=1), 0.05)
+    ring = driver._ghost_ring(noisy_state(family, 2), gauss_exact())
+    first = ring(0.05)
+    again = ring(0.05)
     assert all(a is b for a, b in zip(first, again, strict=True))
     # an AF ring's two slot blocks are kept with its four ghost blocks
     blocks = [b for b in again if b is not None]

@@ -107,9 +107,9 @@ def test_ghosts_project_only_the_read_sides(family, K, sides):
     state = FILLS[family](Grid2D.square(6), K,
                           lambda x, y: exact(0.0, x, y))
     everything = state.copy()
-    want = driver._GhostRing(exact)(everything, 0.03)
+    want = driver._ghost_ring(everything, exact)(0.03)
     before = state.U.copy()
-    got = driver._GhostRing(exact, sides)(state, 0.03)
+    got = driver._ghost_ring(state, exact, sides)(0.03)
     for side, g, w in zip(driver._SIDES, got, want):
         if side in sides:
             assert np.allclose(g, w, rtol=1e-14, atol=1e-15)
@@ -145,7 +145,7 @@ def test_dirichlet_rhs_projects_the_read_sides(family, order):
     flux = driver.make_flux(cfg, problem, state.arrays()[0])
     got = driver.make_rhs(cfg, problem, flux)(state.copy(), 0.04).U
     everything = state.copy()
-    ghosts = driver._GhostRing(driver.exact_solution(cfg))(everything, 0.04)
+    ghosts = driver._ghost_ring(everything, driver.exact_solution(cfg))(0.04)
     if family == "af":
         want = af.af_rhs_2d_tensorial(everything, -1.0, 0.5, (0.0, -1.0),
                                       (0.5, 0.0), ghosts).U

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import neighbour_stack, simpson_midpoint
 
-from afdg import af, mesh, poly
+from afdg import af, driver, mesh, poly
 from afdg.mesh import Grid1D, Grid2D, dof_counts
 from afdg.problems import NumericalFluxSpec, acoustics2x2, flux_partials
 
@@ -309,7 +309,7 @@ def test_state_csv_roundtrip(tmp_path):
     grid = Grid1D(0, 1, 4)
     state = mesh.fill_af_1d(grid, 2, lambda x: np.sin(x))
     path = tmp_path / "state.csv"
-    mesh.save_state_csv(state, str(path))
+    driver.write_csv(str(path), mesh.STATE_HEADER, mesh.state_rows(state))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "family,i,j,component,value"
     n_dofs = state.point_values.size + state.moments.size
@@ -322,7 +322,7 @@ def test_state_csv_roundtrip(tmp_path):
 def test_state_csv_2d_families(tmp_path):
     state = mesh.fill_af_2d(Grid2D.square(3), 1, lambda x, y: x * y)
     path = tmp_path / "state2.csv"
-    mesh.save_state_csv(state, str(path))
+    driver.write_csv(str(path), mesh.STATE_HEADER, mesh.state_rows(state))
     text = path.read_text()
     for family in ("node_values", "x_edge_0", "y_edge_0", "moment_0_0"):
         assert family in text
