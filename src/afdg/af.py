@@ -269,8 +269,7 @@ def af_stencil_1d(K: int) -> np.ndarray:
 def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
                         partials_x: tuple[float, float],
                         partials_y: tuple[float, float],
-                        ghosts=None, stencils: tuple | None = None
-                        ) -> AfState2D:
+                        ghosts=None, apply=None) -> AfState2D:
     """Tensorial AF update for 2-d linear advection, any K >= 1.
 
     The update is the Kronecker sum A (x) I + I (x) B of the 1-d operators
@@ -279,9 +278,11 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     ``mesh.kron_sum_apply`` to the state tensor U[i, a, j, b]: per axis,
     index 0 is the point value and 1..K the moments, so point x point are
     the nodes, point x moment the x-edge moments, moment x point the y-edge
-    moments and moment x moment the cell moments.  ``stencils`` are the
-    operators' ``mesh.axis_stencils`` on the state's grid, as a time loop
-    binds them once per run (``driver.make_rhs``); None builds them.
+    moments and moment x moment the cell moments.  ``apply`` is the
+    ``mesh.kron_sum_applier`` of the operators' ``mesh.axis_stencils``,
+    bound to the state's grid and tensor, as a time loop binds it once per
+    run (``driver.make_rhs``); None builds the stencils and applies them
+    with ``mesh.kron_sum_apply``.
 
     A non-periodic state needs ``ghosts``, the blocks of the cells one
     beyond its tensor, followed by the cells of its unused slots where the
@@ -289,12 +290,16 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     boundary dofs (see ``kron_sum_apply``).  The derivative is zero in
     those slots.
     """
-    if not state.periodic and ghosts is None:
+    periodic = state.periodic
+    if not periodic and ghosts is None:
         raise ValueError("a non-periodic state needs ghost blocks")
-    sx, sy = stencils or axis_stencils(af_stencil_1d(state.K), state.grid,
-                                       ux, uy, partials_x, partials_y)
-    dU = kron_sum_apply(state.U, sx, sy, ghosts)
-    if not state.periodic:
+    if apply is None:
+        dU = kron_sum_apply(state.U, *axis_stencils(
+            af_stencil_1d(state.K), state.grid, ux, uy, partials_x,
+            partials_y), ghosts)
+    else:
+        dU = apply(state.U, ghosts)
+    if not periodic:
         dU[-1, 1:] = 0.0
         dU[:, :, -1, 1:] = 0.0
     return state.with_tensor(dU)

@@ -256,21 +256,24 @@ def dg_stencil_1d(K: int) -> np.ndarray:
 def dg_rhs_2d(state: DgState2D, ux: float, uy: float,
               partials_x: tuple[float, float],
               partials_y: tuple[float, float], ghosts=None,
-              stencils: tuple | None = None) -> DgState2D:
+              apply=None) -> DgState2D:
     """Tensor-modal update for 2-d linear advection.
 
     The update is the Kronecker sum A (x) I + I (x) B of the 1-d operators
     (u S_u + d_L S_L + d_R S_R) / h (``dg_stencil_1d``), with each axis'
     flux partials (``NumericalFluxSpec.advection_partials``), applied by
     ``mesh.kron_sum_apply`` to the state tensor U[i, m, j, n]
-    (coeffs[i, j, m, n]).  ``stencils`` are the operators'
-    ``mesh.axis_stencils`` on the state's grid, as a time loop binds them
-    once per run (``driver.make_rhs``); None builds them.  The state's
-    layout does not depend on the boundary: ``ghosts``, the modal blocks
-    of the cells one beyond it on each side and two None slot blocks
-    (``kron_sum_apply``'s six), close a Dirichlet run, and None wraps
-    periodically.  Nonlinear problems are out of scope here.
+    (coeffs[i, j, m, n]).  ``apply`` is the ``mesh.kron_sum_applier`` of
+    the operators' ``mesh.axis_stencils``, bound to the state's grid and
+    tensor, as a time loop binds it once per run (``driver.make_rhs``);
+    None builds the stencils and applies them with ``mesh.kron_sum_apply``.
+    The state's layout does not depend on the boundary: ``ghosts``, the
+    modal blocks of the cells one beyond it on each side and two None slot
+    blocks (``kron_sum_apply``'s six), close a Dirichlet run, and None
+    wraps periodically.  Nonlinear problems are out of scope here.
     """
-    sx, sy = stencils or axis_stencils(dg_stencil_1d(state.K), state.grid,
-                                       ux, uy, partials_x, partials_y)
-    return state.with_tensor(kron_sum_apply(state.U, sx, sy, ghosts))
+    if apply is None:
+        return state.with_tensor(kron_sum_apply(state.U, *axis_stencils(
+            dg_stencil_1d(state.K), state.grid, ux, uy, partials_x,
+            partials_y), ghosts))
+    return state.with_tensor(apply(state.U, ghosts))

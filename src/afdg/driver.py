@@ -449,11 +449,12 @@ def _fill(cfg: RunConfig, n: int, f, rule=None):
 def make_rhs(cfg: RunConfig, problem, flux: NumericalFluxSpec):
     """rhs(state, t) -> state-shaped derivative, honoring the boundary mode.
 
-    A 2-d rhs binds its two axis stencils (``mesh.axis_stencils``) on its
-    first call, to the state's K and grid, and again when a state of
-    another K or grid arrives.  A Dirichlet rhs builds its ``_ghost_ring``
-    in the same place, so a new grid gets a new ring, and calls it with
-    the stage time alone."""
+    A 2-d rhs binds its apply, the ``mesh.kron_sum_applier`` of its two
+    axis stencils (``mesh.axis_stencils``), on its first call, to the
+    state's K, grid and tensor, and again when a state of another K or
+    grid arrives.  A Dirichlet rhs builds its ``_ghost_ring`` in the same
+    place, so a new grid gets a new ring, and calls it with the stage time
+    alone."""
     if cfg.problem.endswith("2d"):
         args = (cfg.ux, cfg.uy, *axis_partials(cfg, flux))
         rhs, blocks = ((dg.dg_rhs_2d, dg.dg_stencil_1d) if cfg.method == "dg"
@@ -461,18 +462,17 @@ def make_rhs(cfg: RunConfig, problem, flux: NumericalFluxSpec):
         exact = (exact_solution(cfg) if cfg.boundary == "dirichlet"
                  else None)
         sides = ghost_sides(cfg, flux)
-        bound = stencils = ring = None
+        bound = apply = ring = None
 
         def rhs_2d(state, t):
-            nonlocal bound, stencils, ring
+            nonlocal bound, apply, ring
             if bound != (state.grid, state.K):
                 bound = (state.grid, state.K)
-                stencils = mesh.axis_stencils(blocks(state.K), state.grid,
-                                              *args)
+                apply = mesh.kron_sum_applier(state.U, *mesh.axis_stencils(
+                    blocks(state.K), state.grid, *args))
                 if exact is not None:
                     ring = _ghost_ring(state, exact, sides)
-            ghosts = None if ring is None else ring(t)
-            return rhs(state, *args, ghosts, stencils)
+            return rhs(state, *args, None if ring is None else ring(t), apply)
         return rhs_2d
 
     rhs = dg.dg_rhs_1d if cfg.method == "dg" else af.af_rhs_1d

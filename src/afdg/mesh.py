@@ -4,11 +4,13 @@ families: ``line_apply`` for the linear 1-d right-hand sides, the
 Kronecker sum ``kron_sum_apply`` for the 2-d ones and the Kronecker
 product ``kron_apply`` for the 2-d DG-to-AF map, T (x) T of its 1-d
 block row.  Every apply runs along the leading axis of a tensor, as one
-matmul against the stacked neighbours [V_{i-1}; V_i; V_{i+1}], built as
-one gather (``take``) of a cached (n, 3) row index, periodic or with
-ghost blocks; a y-apply is the x-apply of the transposed tensor.  A 2-d
-update's two stencils come from ``axis_stencils``, which a run's
-right-hand side calls once and keeps (``driver.make_rhs``).
+matmul against the neighbour windows [V_{i-1}; V_i; V_{i+1}], a read-only
+view of one padded copy [V_{-1}; V_0 ... V_{n-1}; V_n] of the tensor,
+periodic or with ghost blocks at its ends; a y-apply is the x-apply of
+the transposed tensor.  A 2-d update's two stencils come from
+``axis_stencils``, and ``kron_sum_applier`` binds them with the padded
+copies to a tensor's shape, which a run's right-hand side does once
+(``driver.make_rhs``).
 
 States are plain value containers around one tensor U of cell blocks
 (``_TensorState``): the time loop sums and wraps tensors
@@ -47,7 +49,7 @@ __all__ = [
     "fill_af_1d", "fill_dg_1d", "fill_af_2d", "fill_dg_2d",
     "af_cell_projector_2d", "dg_cell_projector_2d",
     "axis_stencil", "axis_stencils", "line_apply", "kron_sum_apply",
-    "kron_apply", "roll_cells",
+    "kron_sum_applier", "kron_apply", "roll_cells",
     "STATE_HEADER", "state_rows",
 ]
 
@@ -448,6 +450,7 @@ def line_apply(blocks: np.ndarray, speed, partials: tuple, h: float,
         S = axis_stencil(blocks, speed, partials, h)
         return np.zeros_like(V) if S is None else _axis_apply(V, S)
     S = sum(np.kron(b, a) for b, a in zip(blocks, (speed, *partials))) / h
+    # one GEMM over all cells: the overlapping windows are copied out
     W = _with_neighbours(V).reshape(len(V), -1)
     return (W @ S.T).reshape(V.shape)
 
@@ -462,9 +465,10 @@ def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
     one apply along the leading axis (``_axis_apply``): the x-apply on U,
     the y-apply on the transposed view U[j, b, i, a], whose result is
     added back through the transposed view.  Each is one matmul of the
-    stencil against the stacked neighbours (``_with_neighbours``); the
-    y-apply's gather reads the transposed view in place, its one copy.
-    ``None`` skips the axis.
+    stencil against the windows [U_{i-1}; U_i; U_{i+1}] of one padded
+    copy of its tensor (``_with_neighbours``); the y-apply's copy reads
+    the transposed view in place.  ``None`` skips the axis.
+    ``kron_sum_applier`` binds the same apply to a tensor shape.
 
     The neighbours wrap periodically unless ``ghosts`` gives six blocks
     (x_lo, x_hi, y_lo, y_hi, x_slot, y_slot).  The first four are the
@@ -473,11 +477,10 @@ def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
     (nx, j), y_lo[i] is cell (i, -1) and y_hi[i] cell (i, ny).  The slot
     blocks are cells (nx-1, j) and (i, ny-1), or None; their dofs 1..
     stand in for the tensor's along that axis (a closed AF state's unused
-    slots), in the neighbour copy of that axis' apply, so U itself is
-    never written.  The result in those slots is then not the operator's;
-    a closed AF rhs zeroes it.
+    slots), in the padded copy of that axis' apply, so U itself is never
+    written.  The result in those slots is then not the operator's; a
+    closed AF rhs zeroes it.
     """
-    U = np.ascontiguousarray(U)       # one copy for a non-contiguous view
     x = y = ()
     if ghosts is not None:
         # a ghost block row is (a, j, b) for the x-apply, as U[i] is, and
@@ -487,10 +490,63 @@ def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
              for g in (x_lo, x_hi, x_slot)]
         y = [g if g is None else g.transpose(2, 0, 1)
              for g in (y_lo, y_hi, y_slot)]
-    out = np.zeros_like(U) if sx is None else _axis_apply(U, sx, *x)
+    out = (np.zeros(U.shape, U.dtype) if sx is None
+           else _axis_apply(U, sx, *x))
     if sy is not None:
         out += _transposed(_axis_apply(_transposed(U), sy, *y))
     return out
+
+
+def kron_sum_applier(U: np.ndarray, sx: np.ndarray | None,
+                     sy: np.ndarray | None) -> Callable:
+    """``apply(V, ghosts=None)``: ``kron_sum_apply(V, sx, sy, ghosts)``,
+    byte for byte, for tensors V of U's shape and dtype, with the padded
+    copy of each axis, its windows and the y-apply's product bound here,
+    once; a time loop binds one per run (``driver.make_rhs``).  A call
+    refills the padded copies: the x copy as one gather of V (periodic) or
+    V's rows and the ghost blocks, the y copy as one write of V through
+    the transposed view and one copy of its two periodic ends (or the
+    ghost blocks).  It then does one matmul per axis on the windows and
+    one add, and returns a new array that shares no memory with the bound
+    ones."""
+    nx, m, ny, _ = shape = U.shape
+    pad_x = np.empty((nx + 2, m, ny, m), U.dtype)
+    pad_y = np.empty((ny + 2, m, nx, m), U.dtype)
+    win_x, win_y = _windows(pad_x), _windows(pad_y)
+    prod_y = np.empty((ny, m, nx * m), np.result_type(U, float))
+    # the y-apply's product, read as U[i, a, j, b]
+    prod_back = _transposed(prod_y.reshape(ny, m, nx, m))
+    index = _padded_index(nx)
+    body_x, body_y = pad_x[1:-1], _transposed(pad_y[1:-1])
+    # the periodic ends of the y copy, rows 0 and ny + 1, are its rows
+    # ny and 1
+    ends_y = pad_y[::ny + 1]
+    wrap_y = pad_y[ny:0:1 - ny] if ny > 1 else pad_y[1:2]
+    # where the six ghost blocks go in the padded copies, seen in the
+    # blocks' own (cell, a, b) layout, and the part of each block written
+    ends = (pad_x[0].swapaxes(0, 1), pad_x[-1].swapaxes(0, 1),
+            pad_y[0].transpose(1, 2, 0), pad_y[-1].transpose(1, 2, 0),
+            pad_x[nx].swapaxes(0, 1)[:, 1:],
+            pad_y[ny].transpose(1, 2, 0)[:, :, 1:])
+    parts = ((), (), (), (), np.s_[:, 1:], np.s_[:, :, 1:])
+
+    def apply(V: np.ndarray, ghosts=None) -> np.ndarray:
+        body_y[...] = V
+        if ghosts is None:
+            V.take(index, 0, pad_x, "clip")
+            ends_y[...] = wrap_y
+        else:
+            body_x[...] = V
+            for end, part, block in zip(ends, parts, ghosts):
+                if block is not None:
+                    end[...] = block[part]
+        out = (np.zeros(shape, V.dtype) if sx is None
+               else np.matmul(sx, win_x).reshape(shape))
+        if sy is not None:
+            np.matmul(sy, win_y, out=prod_y)
+            out += prod_back
+        return out
+    return apply
 
 
 def kron_apply(U: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
@@ -509,13 +565,11 @@ def _transposed(U: np.ndarray) -> np.ndarray:
 def _axis_apply(U: np.ndarray, s: np.ndarray, lo=None, hi=None,
                 slot=None) -> np.ndarray:
     """The stencil s along the leading axis of the tensor U[i, a, ...],
-    as one matmul against the stacked neighbours, which are one gather of
-    the cached row index (it reads a transposed view in place); ``lo``
-    and ``hi`` are the ghost cells' blocks, shaped like U[0], and
-    ``slot``'s dofs 1.. stand in for U[-1]'s."""
-    n, m = U.shape[:2]
-    W = _with_neighbours(U.reshape(n, m, -1), lo, hi, slot)
-    return np.matmul(s, W).reshape(U.shape)
+    as one matmul against the windows of one padded copy (it reads a
+    transposed view in place); ``lo`` and ``hi`` are the ghost cells'
+    blocks, shaped like U[0], and ``slot``'s dofs 1.. stand in for
+    U[-1]'s."""
+    return np.matmul(s, _with_neighbours(U, lo, hi, slot)).reshape(U.shape)
 
 
 def roll_cells(a: np.ndarray, shift: int, axis: int = 0) -> np.ndarray:
@@ -532,34 +586,40 @@ def roll_cells(a: np.ndarray, shift: int, axis: int = 0) -> np.ndarray:
 
 def _with_neighbours(V: np.ndarray, lo=None, hi=None,
                      slot=None) -> np.ndarray:
-    """[V_{i-1}; V_i; V_{i+1}] along the leading axis, stacked on the
-    second (which grows from m to 3m), as one gather of the cached row
-    index; ``lo`` and ``hi`` are V_{-1} and V_n, the periodic wrap when
-    None.  ``slot``, shaped like V[0], gives V_{n-1}[1:] in the ghost
-    path's copy of V."""
+    """[V_{i-1}; V_i; V_{i+1}] along the leading axis of V[i, a, ...], as
+    the read-only windows (n, 3m, r) of one C-contiguous padded copy
+    [V_{-1}; V_0 ... V_{n-1}; V_n]: ``lo`` and ``hi`` are V_{-1} and V_n,
+    the periodic wrap (one gather of the cached padded index) when None.
+    ``slot``, shaped like V[0], gives V_{n-1}[1:] in the copy."""
     if (lo is None) != (hi is None):
         raise ValueError("ghost blocks come in pairs: lo and hi, or neither")
-    shape = list(V.shape)
-    shape[1] *= 3
-    if lo is not None:
-        ghost = (1,) + V.shape[1:]
-        V = np.concatenate((V, np.reshape(lo, ghost), np.reshape(hi, ghost)))
-        if slot is not None:
-            V[shape[0] - 1, 1:] = np.reshape(slot, V.shape[1:])[1:]
-    idx = _neighbour_index(shape[0], lo is not None)
-    return V.take(idx, axis=0).reshape(shape)
+    n = len(V)
+    if lo is None:
+        P = V.take(_padded_index(n), axis=0)
+    else:
+        P = np.empty((n + 2,) + V.shape[1:], V.dtype)
+        P[1:-1], P[0], P[-1] = V, lo, hi
+    if slot is not None:
+        P[n, 1:] = slot[1:]
+    return _windows(P)
+
+
+def _windows(P: np.ndarray) -> np.ndarray:
+    """The read-only view (n, 3m, r) of the C-contiguous padded copy
+    P[i, a, ...] of n + 2 cells: window i is P's rows i, i+1 and i+2, the
+    cells (i-1, i, i+1), one after the other in P's memory."""
+    n, m = len(P) - 2, P.shape[1]
+    r, s = P.size // (len(P) * m), P.itemsize
+    W = np.ndarray((n, 3 * m, r), P.dtype, P, strides=(m * r * s, r * s, s))
+    W.setflags(write=False)
+    return W
 
 
 @lru_cache(maxsize=None)
-def _neighbour_index(n: int, ghosts: bool) -> np.ndarray:
-    """Read-only (n, 3) rows (i-1, i, i+1) of cell i: wrapped mod n, or
-    with ghosts pointing at rows n (cell -1) and n+1 (cell n) at the ends."""
-    idx = np.arange(n)[:, None] + np.arange(-1, 2)
-    if ghosts:
-        idx[0, 0], idx[-1, 2] = n, n + 1
-    else:
-        idx %= n
-    return poly.frozen(idx)
+def _padded_index(n: int) -> np.ndarray:
+    """Read-only rows (n-1, 0, 1, ..., n-1, 0) of the periodic padded copy
+    of n cells."""
+    return poly.frozen(np.arange(-1, n + 1) % n)
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,21 @@ class RkScheme:
         return polys[-1]
 
     @cached_property
-    def last_read(self) -> dict:
-        """The last stage that reads each derivative L(u_j), by j."""
-        return {j: s for s in range(self.stages) for j, _ in self.rhs_w[s]}
+    def plan(self) -> tuple:
+        """What ``rk_step`` does per stage: the first state term's j and
+        w (w None where the stage is the one state u_j of weight 1 and
+        starts from its derivative term), the other state terms, and the
+        derivative terms (j, w, c_j, last), ``last`` at the last stage that
+        reads L(u_j) (in SSPRK(5,4), L(u_3) serves stages 4 and 5)."""
+        last = {j: s for s in range(self.stages) for j, _ in self.rhs_w[s]}
+        plan = []
+        for s in range(self.stages):
+            (j0, w0), *rest = self.combo[s]
+            start = w0 == 1.0 and not rest and self.rhs_w[s]
+            plan.append((j0, None if start else w0,
+                         tuple(rest), tuple((j, w, self.c[j], last[j] == s)
+                                            for j, w in self.rhs_w[s])))
+        return tuple(plan)
 
 
 # three-stage third-order SSP tableau (Shu-Osher); stage times (0, 1, 1/2, 1)
@@ -105,21 +117,26 @@ def schemes_by_name() -> dict[str, RkScheme]:
 def rk_step(scheme: RkScheme, rhs, state, dt: float, t: float = 0.0):
     """One step of the tableau; at most ``stages`` intermediate states.
 
-    Each stage's derivative is evaluated once and kept only until the last
-    stage that reads it (in SSPRK(5,4), L(u_3) serves stages 4 and 5;
-    ``RkScheme.last_read``)."""
+    A stage sums its terms in the tableau's order: w u_j, then
+    (dt w) L(u_j).  A stage that is one state of weight 1 (stage 1 of
+    both schemes here) starts from its derivative term and adds the state
+    to it, which gives the same sum: u_0 + dt w L(u_0) is one product and
+    one add.  Each stage's derivative is evaluated once and kept only
+    until the last stage that reads it (``RkScheme.plan``)."""
     stages, derivs = [state], {}
-    for s in range(scheme.stages):
-        (idx0, w0), *rest = scheme.combo[s]
-        U = w0 * stages[idx0].U
-        for idx, w in rest:
-            U += w * stages[idx].U
-        for idx, w in scheme.rhs_w[s]:
-            if idx not in derivs:
-                derivs[idx] = rhs(stages[idx], t + scheme.c[idx] * dt).U
-            deriv = (derivs.pop(idx) if scheme.last_read[idx] == s
-                     else derivs[idx])
-            U += (dt * w) * deriv
+    for j0, w0, rest, terms in scheme.plan:
+        U = None if w0 is None else w0 * stages[j0].U
+        for j, w in rest:
+            U += w * stages[j].U
+        for j, w, c, last in terms:
+            if j not in derivs:
+                derivs[j] = rhs(stages[j], t + c * dt).U
+            deriv = derivs.pop(j) if last else derivs[j]
+            if U is None:
+                U = (dt * w) * deriv
+                U += stages[j0].U
+            else:
+                U += (dt * w) * deriv
         stages.append(state.with_tensor(U))
     return stages[-1]
 

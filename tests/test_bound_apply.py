@@ -1,16 +1,19 @@
-"""The 2-d stencil apply with its stencils bound once per run.
+"""The 2-d stencil apply, bound once per run with its stencils.
 
 ``reference_kron_sum_apply`` with its ``reference_axis_apply`` and
 ``reference_with_neighbours`` is the apply the package used before a 2-d
-rhs bound its stencils (``mesh.axis_stencils`` in ``driver.make_rhs``),
-kept verbatim as an independent reference: a gather of a cached (n, 3)
-row index into a contiguous 3x neighbour stack.  The apply, and a bound
-rhs call after call, must give the same bytes.  The apply's slot blocks
-(a closed AF state's unused slots) must give the bytes of the reference
-applied to a copy of the tensor with the slots written in, outside the
-slots themselves.
+rhs bound its stencils (``mesh.axis_stencils`` in ``driver.make_rhs``)
+and before the apply read the windows of a padded copy, kept verbatim as
+an independent reference: a gather of a cached (n, 3) row index into a
+contiguous 3x neighbour stack.  The apply, the bound apply
+(``mesh.kron_sum_applier``) and a bound rhs, call after call, must give
+the same bytes.  The apply's slot blocks (a closed AF state's unused
+slots) must give the bytes of the reference applied to a copy of the
+tensor with the slots written in, outside the slots themselves.
 """
 
+import inspect
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
@@ -96,6 +99,12 @@ LAYOUTS = {
 }
 
 
+def kept_arrays(apply):
+    """The arrays the closure ``apply`` keeps, by name."""
+    return {name: a for name, a in inspect.getclosurevars(apply)
+            .nonlocals.items() if isinstance(a, np.ndarray)}
+
+
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("ghosted", [False, True, "slots"])
 @pytest.mark.parametrize("nx,ny", [(4, 3), (3, 5), (1, 2)])
@@ -103,25 +112,48 @@ LAYOUTS = {
 def test_apply_is_the_gather_reference(m, nx, ny, ghosted, layout):
     """Both axes and each alone, with and without ghost blocks, and with
     the slot blocks after them, on C, Fortran and transposed layouts of the
-    same values."""
-    U, sx, sy, ghosts, slots = operands(nx, ny, m, seed=10 * nx + ny + m)
-    ghosts = ghosts if ghosted else None
-    view = LAYOUTS[layout](U)
-    kept = U.copy()
+    same values.  The y-apply's padded copy is filled from the transposed
+    view, its ghost blocks' too.  The bound apply, called on two tensors
+    with their own ghost blocks in turn, gives the reference's bytes on
+    each call, reads read-only windows and returns arrays that share no
+    memory with what it keeps."""
+    seed = 10 * nx + ny + m
+    _, sx, sy, _, _ = operands(nx, ny, m, seed)
+    calls = [(U, ghosts, slots) for U, _, _, ghosts, slots in
+             (operands(nx, ny, m, seed + k) for k in (0, 100))]
     for stencils in ((sx, sy), (sx, None), (None, sy)):
-        if ghosted == "slots":
-            # the slots stand in for U's only along their own axis, so the
-            # two results agree everywhere but in the slots
-            want = without_slots(reference_kron_sum_apply(
-                with_slots(U, *slots), *stencils, ghosts))
-            got = without_slots(mesh.kron_sum_apply(view, *stencils,
-                                                    ghosts + slots))
-        else:
-            want = reference_kron_sum_apply(U, *stencils, ghosts)
-            got = mesh.kron_sum_apply(view, *stencils,
-                                      ghosts and ghosts + (None, None))
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert view.tobytes() == LAYOUTS[layout](kept).tobytes()
+        apply = mesh.kron_sum_applier(LAYOUTS[layout](calls[0][0]),
+                                      *stencils)
+        kept = kept_arrays(apply)
+        assert not kept["win_x"].flags.writeable
+        assert not kept["win_y"].flags.writeable
+        returned = []
+        for U, ghosts, slots in calls:
+            ghosts = ghosts if ghosted else None
+            view = LAYOUTS[layout](U)
+            before = view.tobytes()
+            if ghosted == "slots":
+                # the slots stand in for U's only along their own axis, so
+                # the two results agree everywhere but in the slots
+                want = without_slots(reference_kron_sum_apply(
+                    with_slots(U, *slots), *stencils, ghosts))
+                args = ghosts + slots
+                finish = without_slots
+            else:
+                want = reference_kron_sum_apply(U, *stencils, ghosts)
+                args = ghosts and ghosts + (None, None)
+                finish = np.asarray
+            for got in (mesh.kron_sum_apply(view, *stencils, args),
+                        apply(view, args)):
+                returned.append((got, got.copy()))
+                got = finish(got.copy())
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert view.tobytes() == before
+        for got, copy in returned:
+            assert got.tobytes() == copy.tobytes()
+            assert not any(np.shares_memory(got, a) for a in kept.values())
+        assert not np.shares_memory(returned[1][0], returned[3][0])
 
 
 def bound_rhs(method, order, boundary="periodic", n=8, **settings):
@@ -237,12 +269,15 @@ def counting(fn, calls):
 def test_a_run_builds_its_stencils_once(method, order, boundary,
                                         monkeypatch):
     """Two ``axis_stencil`` calls (x and y) per run, however many steps,
-    and one ``_ghost_ring`` call per Dirichlet run; the run's rhs, met by
-    another grid, makes each once more.  A family rhs called without
-    stencils builds its two on every call."""
-    calls, rings, closures = [], [], []
+    one ``kron_sum_applier`` and one ``_ghost_ring`` call per Dirichlet
+    run; the run's rhs, met by another grid, makes each once more.  A
+    family rhs called without an apply builds its two stencils on every
+    call."""
+    calls, appliers, rings, closures = [], [], [], []
     monkeypatch.setattr(mesh, "axis_stencil",
                         counting(mesh.axis_stencil, calls))
+    monkeypatch.setattr(mesh, "kron_sum_applier",
+                        counting(mesh.kron_sum_applier, appliers))
     monkeypatch.setattr(driver, "_ghost_ring",
                         counting(driver._ghost_ring, rings))
     monkeypatch.setattr(driver, "make_rhs",
@@ -252,15 +287,35 @@ def test_a_run_builds_its_stencils_once(method, order, boundary,
                     t_final=0.05)
     res = driver.run_simulation(cfg, 8)
     dirichlet = boundary == "dirichlet"
-    assert res.bench.steps > 1 and len(calls) == 2
+    assert res.bench.steps > 1 and len(calls) == 2 and len(appliers) == 1
     assert len(rings) == dirichlet
     small = driver.build_state(cfg, 6)
     for t in (0.0, 0.01):
         closures[0](small, t)
-    assert len(calls) == 4 and len(rings) == 2 * dirichlet
+    assert len(calls) == 4 and len(appliers) == 2
+    assert len(rings) == 2 * dirichlet
     calls.clear()
     state = driver.build_state(replace(cfg, boundary="periodic"), 4)
     rhs = dg.dg_rhs_2d if method == "dg" else af.af_rhs_2d_tensorial
     for _ in range(3):
         rhs(state, 1.0, -0.5, (1.0, 0.0), (0.0, -0.5))
     assert len(calls) == 6
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("method,order", [("af", 4), ("dg", 3)])
+def test_a_warm_bound_rhs_call_allocates_about_one_state(method, order,
+                                                         boundary):
+    """After a warm-up call, an AF43 or DG33 rhs call at 40^2 allocates
+    its result and little else: the padded copies and the y-apply's
+    product are the bound apply's (at the warm-up's stage time a Dirichlet
+    ring projects nothing)."""
+    _, state, rhs = bound_rhs(method, order, boundary, n=40)
+    rhs(state, 0.0)
+    tracemalloc.start()
+    try:
+        rhs(state, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * state.U.nbytes

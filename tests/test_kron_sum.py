@@ -15,7 +15,7 @@ from afdg import af, dg
 from afdg.af import af_ops
 from afdg.dg import dg_basis, qhat_interfaces_2d
 from afdg.mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid2D,
-                       kron_apply, kron_sum_apply)
+                       kron_apply, kron_sum_apply, line_apply)
 from afdg.problems import (FLUX_NAMES, NumericalFluxSpec, advection1d,
                            flux_spec)
 
@@ -215,6 +215,40 @@ def test_fortran_ordered_input_is_applied_and_left_unchanged(nx, ny, m):
         assert got.shape == U.shape and got.flags.c_contiguous
         assert got.tobytes() == apply(U, *args).tobytes()
         assert np.array_equal(F, kept) and F.flags.f_contiguous
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.longdouble])
+def test_applies_keep_the_input_dtype(dtype):
+    """A complex or extended-precision tensor keeps its dtype through every
+    apply (float64 ghost blocks are written into its padded copies), and
+    each part of the result is the float64 apply's to 1e-15 relative (the
+    real ghost blocks scaled by c enter the real part alone)."""
+    rng, sx, sy, U = operands(9, 4, 3, 3)
+    V = rng.normal(size=U.shape)
+    # (x_lo, x_hi, y_lo, y_hi, x_slot, y_slot) on the 4 x 3 grid
+    ghosts = (*rng.normal(size=(2, 3, 3, 3)), *rng.normal(size=(2, 4, 3, 3)),
+              rng.normal(size=(3, 3, 3)), rng.normal(size=(4, 3, 3)))
+    blocks, J = af.af_stencil_1d(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+    applies = [lambda W, c: kron_sum_apply(W, sx, sy),
+               lambda W, c: kron_sum_apply(W, sx, sy,
+                                           tuple(c * g for g in ghosts)),
+               lambda W, c: kron_apply(W, sx, sy),
+               lambda W, c: line_apply(blocks, -0.7, (0.0, -0.7), 0.1,
+                                       W[:, :, 0]),
+               lambda W, c: line_apply(blocks, J, (0.5 * J, 0.5 * J), 0.1,
+                                       W[:, :, :2, 0])]
+    if dtype is np.complex128:
+        W, parts = U + 1j * V, ((np.real, U, 1.0), (np.imag, V, 0.0))
+    else:
+        W, parts = U.astype(dtype), ((np.asarray, U, 1.0),)
+    for apply in applies:
+        got = apply(W, 1.0)
+        assert got.dtype == dtype
+        for part, X, c in parts:
+            want = apply(X, c)
+            assert want.dtype == np.float64
+            gap = np.max(np.abs(part(got) - want))
+            assert gap <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("weights", [None, (0.7, 0.3), (0.5, 0.5)])

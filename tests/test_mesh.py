@@ -237,7 +237,7 @@ def test_2d_boundary_is_read_from_the_af_tensor_shape():
 
 
 # ---------------------------------------------------------------------------
-# the neighbour stack of every stencil apply
+# the neighbour windows of every stencil apply
 
 
 def _stack_operands(n, m, axis, seed):
@@ -254,28 +254,32 @@ def _stack_operands(n, m, axis, seed):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_neighbour_gather_is_the_rolled_stack(n, m, axis):
-    """The gather runs along the leading axis; the y-apply hands it the
-    transposed view V[j, b, rest] and its ghost blocks transposed alike."""
+    """The windows run along the leading axis; the y-apply hands them the
+    transposed view V[j, b, rest] and its ghost blocks transposed alike.
+    They are read-only views of one C-contiguous padded copy of n + 2
+    cells."""
     V, lo, hi = _stack_operands(n, m, axis, seed=10 * n + m)
     lead = (lambda a: a) if axis == 0 else (lambda a: a.transpose(1, 2, 0))
     for ghosts in ((), (lo, hi)):
         got = mesh._with_neighbours(lead(V), *(g if axis == 0 else g.T
                                                for g in ghosts))
         want = lead(neighbour_stack(V, axis, *ghosts))
-        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.shape == want.shape and not got.flags.writeable
+        assert got.base.flags.c_contiguous
+        assert got.base.shape == (n + 2,) + lead(V).shape[1:]
         assert got.dtype == want.dtype
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-@pytest.mark.parametrize("ghosts", [False, True])
-def test_neighbour_index_is_cached_and_read_only(ghosts):
-    idx = mesh._neighbour_index(5, ghosts)
-    assert idx is mesh._neighbour_index(5, ghosts)
-    assert idx.shape == (5, 3) and not idx.flags.writeable
+@pytest.mark.parametrize("n", [1, 5])
+def test_padded_index_is_cached_and_read_only(n):
+    idx = mesh._padded_index(n)
+    assert idx is mesh._padded_index(n)
+    assert idx.shape == (n + 2,) and not idx.flags.writeable
     with pytest.raises(ValueError):
-        idx[0, 0] = 0
-    assert idx[0, 0] == (5 if ghosts else 4)
-    assert idx[-1, 2] == (6 if ghosts else 0)
+        idx[0] = 0
+    assert idx[0] == n - 1 and idx[-1] == 0
+    assert list(idx[1:-1]) == list(range(n))
 
 
 def test_one_sided_ghost_pair_is_refused():
@@ -288,8 +292,8 @@ def test_one_sided_ghost_pair_is_refused():
 
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_two_component_line_apply_sees_the_rolled_stack(K):
-    """The acoustics2x2 stencil acts on (dof, component) pairs; the gather
-    hands its GEMM the reference stack bit for bit."""
+    """The acoustics2x2 stencil acts on (dof, component) pairs; the windows
+    hand its GEMM the reference stack bit for bit."""
     problem = acoustics2x2(1.3)
     J = problem.jacobian(0.0)
     partials = flux_partials(NumericalFluxSpec.upwind(), problem, 0.0, 0.0)
