@@ -38,7 +38,7 @@ from numpy.polynomial import polynomial as npp
 
 from . import poly
 from .mesh import (AF_N_INT, AfState1D, AfState2D, axis_stencils,
-                   kron_sum_apply, line_apply, roll_cells,
+                   kron_sum_applier, line_apply, roll_cells,
                    simpson_edge_average)
 from .problems import NumericalFluxSpec, ProblemSpec, flux_partials
 
@@ -281,8 +281,7 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     moments and moment x moment the cell moments.  ``apply`` is the
     ``mesh.kron_sum_applier`` of the operators' ``mesh.axis_stencils``,
     bound to the state's grid and tensor, as a time loop binds it once per
-    run (``driver.make_rhs``); None builds the stencils and applies them
-    with ``mesh.kron_sum_apply``.
+    run (``driver.make_rhs``); None builds both for this call.
 
     A non-periodic state needs ``ghosts``, the blocks of the cells one
     beyond its tensor, followed by the cells of its unused slots where the
@@ -293,12 +292,9 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     periodic = state.periodic
     if not periodic and ghosts is None:
         raise ValueError("a non-periodic state needs ghost blocks")
-    if apply is None:
-        dU = kron_sum_apply(state.U, *axis_stencils(
-            af_stencil_1d(state.K), state.grid, ux, uy, partials_x,
-            partials_y), ghosts)
-    else:
-        dU = apply(state.U, ghosts)
+    apply = apply or kron_sum_applier(state.U, *axis_stencils(
+        af_stencil_1d(state.K), state.grid, ux, uy, partials_x, partials_y))
+    dU = apply(state.U, ghosts)
     if not periodic:
         dU[-1, 1:] = 0.0
         dU[:, :, -1, 1:] = 0.0

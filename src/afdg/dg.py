@@ -35,7 +35,7 @@ from numpy.polynomial import polynomial as npp
 
 from . import poly
 from .mesh import (AF_N_INT, DG_N_INT, DgState1D, DgState2D, axis_stencils,
-                   kron_sum_apply, line_apply, roll_cells)
+                   kron_sum_applier, line_apply, roll_cells)
 from .problems import (NumericalFluxSpec, ProblemSpec, flux_partials,
                        invert_flux, numerical_flux)
 
@@ -266,14 +266,12 @@ def dg_rhs_2d(state: DgState2D, ux: float, uy: float,
     (coeffs[i, j, m, n]).  ``apply`` is the ``mesh.kron_sum_applier`` of
     the operators' ``mesh.axis_stencils``, bound to the state's grid and
     tensor, as a time loop binds it once per run (``driver.make_rhs``);
-    None builds the stencils and applies them with ``mesh.kron_sum_apply``.
+    None builds both for this call.
     The state's layout does not depend on the boundary: ``ghosts``, the
     modal blocks of the cells one beyond it on each side and two None slot
     blocks (``kron_sum_apply``'s six), close a Dirichlet run, and None
     wraps periodically.  Nonlinear problems are out of scope here.
     """
-    if apply is None:
-        return state.with_tensor(kron_sum_apply(state.U, *axis_stencils(
-            dg_stencil_1d(state.K), state.grid, ux, uy, partials_x,
-            partials_y), ghosts))
+    apply = apply or kron_sum_applier(state.U, *axis_stencils(
+        dg_stencil_1d(state.K), state.grid, ux, uy, partials_x, partials_y))
     return state.with_tensor(apply(state.U, ghosts))

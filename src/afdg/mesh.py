@@ -135,7 +135,11 @@ class _TensorState:
         return state
 
     def with_tensor(self, U: np.ndarray):
-        return self.from_tensor(self.grid, self.K, U)
+        # built directly: the time loop wraps every stage's sum and
+        # derivative
+        state = object.__new__(type(self))
+        state.grid, state.K, state.U = self.grid, self.K, U
+        return state
 
     def arrays(self):
         return [self.U]
@@ -457,93 +461,67 @@ def line_apply(blocks: np.ndarray, speed, partials: tuple, h: float,
 
 def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
                    sy: np.ndarray | None, ghosts=None) -> np.ndarray:
-    """Apply ``Sx (x) I + I (x) Sy`` to a tensor-product state.
+    """Apply ``Sx (x) I + I (x) Sy`` to a tensor-product state: one call
+    of a fresh ``kron_sum_applier``, which a time loop binds once per run
+    instead.
 
     U has shape (nx, m, ny, m): cell i, x-dof a, cell j, y-dof b.  A
     stencil is the (m, 3m) block row [L | D | R] of a block-circulant 1-d
     operator, out_i = L U_{i-1} + D U_i + R U_{i+1}.  Both axes run the
-    one apply along the leading axis (``_axis_apply``): the x-apply on U,
-    the y-apply on the transposed view U[j, b, i, a], whose result is
-    added back through the transposed view.  Each is one matmul of the
-    stencil against the windows [U_{i-1}; U_i; U_{i+1}] of one padded
-    copy of its tensor (``_with_neighbours``); the y-apply's copy reads
-    the transposed view in place.  ``None`` skips the axis.
-    ``kron_sum_applier`` binds the same apply to a tensor shape.
+    one apply along the leading axis: the x-apply on U, the y-apply on the
+    transposed view U[j, b, i, a], whose result is added back through the
+    transposed view.  Each is one matmul of the stencil against the
+    windows [U_{i-1}; U_i; U_{i+1}] of one padded copy of its tensor
+    (``_padded``).  ``None`` skips the axis.
 
     The neighbours wrap periodically unless ``ghosts`` gives six blocks
     (x_lo, x_hi, y_lo, y_hi, x_slot, y_slot).  The first four are the
     cells one beyond the tensor on each side, as per-cell (m, m) blocks
     like ``U.swapaxes(1, 2)``'s: x_lo[j] is cell (-1, j) and x_hi[j] cell
-    (nx, j), y_lo[i] is cell (i, -1) and y_hi[i] cell (i, ny).  The slot
-    blocks are cells (nx-1, j) and (i, ny-1), or None; their dofs 1..
-    stand in for the tensor's along that axis (a closed AF state's unused
-    slots), in the padded copy of that axis' apply, so U itself is never
-    written.  The result in those slots is then not the operator's; a
-    closed AF rhs zeroes it.
+    (nx, j), y_lo[i] is cell (i, -1) and y_hi[i] cell (i, ny); an axis
+    whose pair is None wraps.  The slot blocks are cells (nx-1, j) and
+    (i, ny-1), or None; their dofs 1.. stand in for the tensor's along
+    that axis (a closed AF state's unused slots), in the padded copy of
+    that axis' apply, so U itself is never written.  The result in those
+    slots is then not the operator's; a closed AF rhs zeroes it.
     """
-    x = y = ()
-    if ghosts is not None:
-        # a ghost block row is (a, j, b) for the x-apply, as U[i] is, and
-        # (b, i, a) for the y-apply, as the transposed U[j] is
-        x_lo, x_hi, y_lo, y_hi, x_slot, y_slot = ghosts
-        x = [g if g is None else g.swapaxes(0, 1)
-             for g in (x_lo, x_hi, x_slot)]
-        y = [g if g is None else g.transpose(2, 0, 1)
-             for g in (y_lo, y_hi, y_slot)]
-    out = (np.zeros(U.shape, U.dtype) if sx is None
-           else _axis_apply(U, sx, *x))
-    if sy is not None:
-        out += _transposed(_axis_apply(_transposed(U), sy, *y))
-    return out
+    return kron_sum_applier(U, sx, sy)(U, ghosts)
+
+
+# the six ghost blocks of a periodic call
+_NO_GHOSTS = (None,) * 6
 
 
 def kron_sum_applier(U: np.ndarray, sx: np.ndarray | None,
                      sy: np.ndarray | None) -> Callable:
-    """``apply(V, ghosts=None)``: ``kron_sum_apply(V, sx, sy, ghosts)``,
-    byte for byte, for tensors V of U's shape and dtype, with the padded
-    copy of each axis, its windows and the y-apply's product bound here,
-    once; a time loop binds one per run (``driver.make_rhs``).  A call
-    refills the padded copies: the x copy as one gather of V (periodic) or
-    V's rows and the ghost blocks, the y copy as one write of V through
-    the transposed view and one copy of its two periodic ends (or the
-    ghost blocks).  It then does one matmul per axis on the windows and
-    one add, and returns a new array that shares no memory with the bound
-    ones."""
+    """``apply(V, ghosts=None)``: ``kron_sum_apply(V, sx, sy, ghosts)``
+    for tensors V of U's shape and dtype, with what a call writes bound
+    here, once: the padded copy of each applied axis (``_padded``), in
+    U's layout for x and the transposed U[j, b, i, a]'s for y, and the
+    y-apply's product.  A call refills the copies, does one matmul per
+    applied axis and one add, and returns a new array that shares no
+    memory with the bound ones."""
     nx, m, ny, _ = shape = U.shape
-    pad_x = np.empty((nx + 2, m, ny, m), U.dtype)
-    pad_y = np.empty((ny + 2, m, nx, m), U.dtype)
-    win_x, win_y = _windows(pad_x), _windows(pad_y)
-    prod_y = np.empty((ny, m, nx * m), np.result_type(U, float))
-    # the y-apply's product, read as U[i, a, j, b]
-    prod_back = _transposed(prod_y.reshape(ny, m, nx, m))
-    index = _padded_index(nx)
-    body_x, body_y = pad_x[1:-1], _transposed(pad_y[1:-1])
-    # the periodic ends of the y copy, rows 0 and ny + 1, are its rows
-    # ny and 1
-    ends_y = pad_y[::ny + 1]
-    wrap_y = pad_y[ny:0:1 - ny] if ny > 1 else pad_y[1:2]
-    # where the six ghost blocks go in the padded copies, seen in the
-    # blocks' own (cell, a, b) layout, and the part of each block written
-    ends = (pad_x[0].swapaxes(0, 1), pad_x[-1].swapaxes(0, 1),
-            pad_y[0].transpose(1, 2, 0), pad_y[-1].transpose(1, 2, 0),
-            pad_x[nx].swapaxes(0, 1)[:, 1:],
-            pad_y[ny].transpose(1, 2, 0)[:, :, 1:])
-    parts = ((), (), (), (), np.s_[:, 1:], np.s_[:, :, 1:])
+    fill_x = fill_y = prod_y = prod_back = None
+    # a ghost block (cell, a, b) is a row (a, j, b) of the x copy, as U[i]
+    # is, and (b, i, a) of the y copy, as the transposed U[j] is
+    if sx is not None:
+        fill_x = _padded(nx, (m, ny, m), U.dtype, axes=(1, 0, 2))
+    if sy is not None:
+        fill_y = _padded(ny, (m, nx, m), U.dtype, False, axes=(2, 0, 1))
+        prod_y = np.empty((ny, m, nx * m), np.result_type(sy, U))
+        prod_back = _transposed(prod_y.reshape(ny, m, nx, m))
 
     def apply(V: np.ndarray, ghosts=None) -> np.ndarray:
-        body_y[...] = V
-        if ghosts is None:
-            V.take(index, 0, pad_x, "clip")
-            ends_y[...] = wrap_y
+        x_lo, x_hi, y_lo, y_hi, x_slot, y_slot = ghosts or _NO_GHOSTS
+        if sx is None:
+            out = np.zeros(shape, V.dtype)
         else:
-            body_x[...] = V
-            for end, part, block in zip(ends, parts, ghosts):
-                if block is not None:
-                    end[...] = block[part]
-        out = (np.zeros(shape, V.dtype) if sx is None
-               else np.matmul(sx, win_x).reshape(shape))
+            W = fill_x(V, x_lo, x_hi, x_slot)
+            out = np.matmul(sx, W).reshape(shape)
         if sy is not None:
-            np.matmul(sy, win_y, out=prod_y)
+            W = fill_y(_transposed(V), y_lo, y_hi, y_slot)
+            np.matmul(sy, W, out=prod_y)
             out += prod_back
         return out
     return apply
@@ -562,14 +540,10 @@ def _transposed(U: np.ndarray) -> np.ndarray:
     return U.transpose(2, 3, 0, 1)
 
 
-def _axis_apply(U: np.ndarray, s: np.ndarray, lo=None, hi=None,
-                slot=None) -> np.ndarray:
+def _axis_apply(U: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The stencil s along the leading axis of the tensor U[i, a, ...],
-    as one matmul against the windows of one padded copy (it reads a
-    transposed view in place); ``lo`` and ``hi`` are the ghost cells'
-    blocks, shaped like U[0], and ``slot``'s dofs 1.. stand in for
-    U[-1]'s."""
-    return np.matmul(s, _with_neighbours(U, lo, hi, slot)).reshape(U.shape)
+    periodic, as one matmul against the windows of one padded copy."""
+    return np.matmul(s, _with_neighbours(U)).reshape(U.shape)
 
 
 def roll_cells(a: np.ndarray, shift: int, axis: int = 0) -> np.ndarray:
@@ -586,22 +560,48 @@ def roll_cells(a: np.ndarray, shift: int, axis: int = 0) -> np.ndarray:
 
 def _with_neighbours(V: np.ndarray, lo=None, hi=None,
                      slot=None) -> np.ndarray:
-    """[V_{i-1}; V_i; V_{i+1}] along the leading axis of V[i, a, ...], as
-    the read-only windows (n, 3m, r) of one C-contiguous padded copy
-    [V_{-1}; V_0 ... V_{n-1}; V_n]: ``lo`` and ``hi`` are V_{-1} and V_n,
-    the periodic wrap (one gather of the cached padded index) when None.
-    ``slot``, shaped like V[0], gives V_{n-1}[1:] in the copy."""
-    if (lo is None) != (hi is None):
-        raise ValueError("ghost blocks come in pairs: lo and hi, or neither")
-    n = len(V)
-    if lo is None:
-        P = V.take(_padded_index(n), axis=0)
-    else:
-        P = np.empty((n + 2,) + V.shape[1:], V.dtype)
-        P[1:-1], P[0], P[-1] = V, lo, hi
-    if slot is not None:
-        P[n, 1:] = slot[1:]
-    return _windows(P)
+    """The windows [V_{i-1}; V_i; V_{i+1}] of V[i, a, ...] along its
+    leading axis, in a padded copy of their own (``_padded``)."""
+    return _padded(len(V), V.shape[1:], V.dtype,
+                   V.flags.c_contiguous)(V, lo, hi, slot)
+
+
+def _padded(n: int, tail: tuple, dtype, gather: bool = True,
+            axes: tuple | None = None) -> Callable:
+    """``fill(V, lo=None, hi=None, slot=None)``: the windows [V_{i-1}; V_i;
+    V_{i+1}] of V[i, a, ...], n cells of shape ``tail``, as the read-only
+    view (n, 3m, r) (``_windows``) of one C-contiguous padded copy
+    [V_{-1}; V_0 ... V_{n-1}; V_n], bound here and refilled by each call.
+    ``lo`` and ``hi`` are V_{-1} and V_n, as rows V[i] or, with ``axes``,
+    as blocks whose ``transpose(axes)`` is a row.  Without them the copy
+    wraps periodically: with ``gather``, by one gather of the cached padded
+    index, else by a write of V and one copy of the two ends (a gather
+    would first copy a non-contiguous V whole).  ``slot``'s dofs 1..
+    stand in for V_{n-1}'s."""
+    P = np.empty((n + 2,) + tail, dtype)
+    windows, body, index = _windows(P), P[1:-1], _padded_index(n)
+    # the periodic ends, rows 0 and n + 1, are rows n and 1
+    ends, wrap = P[::n + 1], P[n:0:1 - n] if n > 1 else P[1]
+
+    def fill(V: np.ndarray, lo=None, hi=None, slot=None) -> np.ndarray:
+        if lo is None and hi is None:
+            if gather:
+                V.take(index, 0, P, "clip")
+            else:
+                body[...] = V
+                ends[...] = wrap
+        elif lo is None or hi is None:
+            raise ValueError(
+                "ghost blocks come in pairs: lo and hi, or neither")
+        else:
+            body[...] = V
+            if axes is not None:
+                lo, hi = lo.transpose(axes), hi.transpose(axes)
+            P[0], P[-1] = lo, hi
+        if slot is not None:
+            P[n, 1:] = (slot if axes is None else slot.transpose(axes))[1:]
+        return windows
+    return fill
 
 
 def _windows(P: np.ndarray) -> np.ndarray:

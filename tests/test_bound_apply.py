@@ -99,10 +99,16 @@ LAYOUTS = {
 }
 
 
-def kept_arrays(apply):
-    """The arrays the closure ``apply`` keeps, by name."""
-    return {name: a for name, a in inspect.getclosurevars(apply)
-            .nonlocals.items() if isinstance(a, np.ndarray)}
+def kept_arrays(fn, prefix=""):
+    """The arrays the closure ``fn`` keeps, and those the closures it
+    keeps keep, by dotted name."""
+    kept = {}
+    for name, a in inspect.getclosurevars(fn).nonlocals.items():
+        if isinstance(a, np.ndarray):
+            kept[prefix + name] = a
+        elif inspect.isfunction(a):
+            kept.update(kept_arrays(a, f"{prefix}{name}."))
+    return kept
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -125,8 +131,9 @@ def test_apply_is_the_gather_reference(m, nx, ny, ghosted, layout):
         apply = mesh.kron_sum_applier(LAYOUTS[layout](calls[0][0]),
                                       *stencils)
         kept = kept_arrays(apply)
-        assert not kept["win_x"].flags.writeable
-        assert not kept["win_y"].flags.writeable
+        windows = [a for name, a in kept.items() if name.endswith("windows")]
+        assert len(windows) == sum(s is not None for s in stencils)
+        assert not any(w.flags.writeable for w in windows)
         returned = []
         for U, ghosts, slots in calls:
             ghosts = ghosts if ghosted else None
@@ -155,6 +162,26 @@ def test_apply_is_the_gather_reference(m, nx, ny, ghosted, layout):
             assert not any(np.shares_memory(got, a) for a in kept.values())
         assert not np.shares_memory(returned[1][0], returned[3][0])
 
+
+
+def test_an_axis_without_its_ghost_pair_wraps_and_half_a_pair_is_refused():
+    """In six ghost blocks, an axis whose pair is None wraps periodically;
+    a pair with one side None is refused, by the bound apply as by
+    ``kron_sum_apply``, and the bound apply's next call is the reference
+    again."""
+    U, sx, sy, (x_lo, x_hi, y_lo, y_hi), _ = operands(4, 3, 2, seed=7)
+    apply = mesh.kron_sum_applier(U, sx, sy)
+    unbound = lambda V, g: mesh.kron_sum_apply(V, sx, sy, g)
+    for ghosts in ((x_lo, x_hi, None, None), (None, None, y_lo, y_hi)):
+        want = reference_kron_sum_apply(U, sx, sy, ghosts)
+        for call in (apply, unbound):
+            got = call(U, ghosts + (None, None))
+            assert got.tobytes() == want.tobytes()
+    for ghosts in ((x_lo, None, y_lo, y_hi), (x_lo, x_hi, None, y_hi)):
+        for call in (apply, unbound):
+            with pytest.raises(ValueError, match="pairs"):
+                call(U, ghosts + (None, None))
+    assert apply(U).tobytes() == reference_kron_sum_apply(U, sx, sy).tobytes()
 
 def bound_rhs(method, order, boundary="periodic", n=8, **settings):
     cfg = RunConfig(**{**dict(method=method, order=order,
