@@ -158,6 +158,10 @@ _SUPER = ("superconvergence",)
 # those of ``equiv-check`` (``equiv`` and ``af`` keep their own guards for
 # callers other than the command line)
 _CLASSICAL = ("classical_midpoint",)
+# The most cells one grid of a command may have: 512^2 in 2-d.  A 2-d fill
+# evaluates its data at 144 points a cell, about 1.5 KB a cell at its peak
+# (2 KB at DG order 6), so a 512^2 fill peaks near 0.4-0.5 GB.
+MAX_CELLS = 2 ** 18
 
 # Every refusal of a config value, in the order a command checks them:
 # (key, commands that check it, ok(config), why or why(config)).  A row
@@ -202,6 +206,10 @@ _REFUSALS = [
     _one_of("problem", _TIMED, tuple(sorted(
         p for p in builtin_problems() if p.startswith("advection")))),
     _one_of("problem", _EQUIV, tuple(sorted(builtin_problems()))),
+    ("grids", _ALL, lambda c: all(
+        g ** (2 if c.problem.endswith("2d") else 1) <= MAX_CELLS
+        for g in c.grids),
+     f"must give at most {MAX_CELLS} cells a grid (512 a side in 2-d)"),
     _one_of("boundary", _TIMED, lambda c: ("periodic", "dirichlet")
             if c.problem.endswith("2d") else ("periodic",)),
     _one_of("init", _TIMED, lambda c: tuple(

@@ -10,7 +10,10 @@ periodic or with ghost blocks at its ends; a y-apply is the x-apply of
 the transposed tensor.  A 2-d update's two stencils come from
 ``axis_stencils``, and ``kron_sum_applier`` binds them with the padded
 copies to a tensor's shape, which a run's right-hand side does once
-(``driver.make_rhs``).
+(``driver.make_rhs``).  The applier runs the y half in bands of x-cells
+of at most ``_Y_BAND_BYTES`` each, so that the transposing write of its
+padded copy and the add of its product back stay in cache; the bands
+give the bytes of one.
 
 States are plain value containers around one tensor U of cell blocks
 (``_TensorState``): the time loop sums and wraps tensors
@@ -491,6 +494,16 @@ def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
 # the six ghost blocks of a periodic call
 _NO_GHOSTS = (None,) * 6
 
+# The byte budget of one y band of ``kron_sum_applier``, a slab U[i0:i1]
+# of x-cells.  A band's slab, its padded y copy, its product and its part
+# of the result are about the budget each, so 512 KiB keeps the four in
+# a 2 MiB L2.  Untiled, the y half of a 160^2 m = 3 call (1.8 MB) spent
+# most of its time in its two transposing passes, the write of the y
+# copy and the add of the product back; in 4 bands the whole call took
+# about 0.7x the time (2-vCPU Xeon VM).  256 KiB was no faster there,
+# and 512 KiB keeps an 80^2 m = 3 tensor (450 KiB) one band.
+_Y_BAND_BYTES = 512 * 1024
+
 
 def kron_sum_applier(U: np.ndarray, sx: np.ndarray | None,
                      sy: np.ndarray | None) -> Callable:
@@ -498,19 +511,44 @@ def kron_sum_applier(U: np.ndarray, sx: np.ndarray | None,
     for tensors V of U's shape and dtype, with what a call writes bound
     here, once: the padded copy of each applied axis (``_padded``), in
     U's layout for x and the transposed U[j, b, i, a]'s for y, and the
-    y-apply's product.  A call refills the copies, does one matmul per
-    applied axis and one add, and returns a new array that shares no
-    memory with the bound ones."""
+    y-apply's product.  A call refills the copies, does one matmul for x
+    and one per y band, adds each band's product back, and returns a new
+    array that shares no memory with the bound ones.
+
+    The y half runs in bands of x-cells [i0, i1), each with a padded copy
+    and a product of its own (views of one storage), so that a band's
+    transposing write and add back stay in cache (``_Y_BAND_BYTES``):
+    ``nb = ceil(U.nbytes / _Y_BAND_BYTES)`` bands (at most nx), with
+    edges round(k nx / nb).
+    The y-apply of cell i reads only cells (i, j), so a band is the
+    y-apply of its slab U[i0:i1] with its slice of the y ghost and slot
+    blocks, and each band's matmul keeps the (m, 3m) x (3m, w m) form of
+    one band's: the bands give the bytes of one.  A tensor within the
+    budget, every tensor up to 80^2 at m <= 3, is one band."""
     nx, m, ny, _ = shape = U.shape
-    fill_x = fill_y = prod_y = prod_back = None
+    fill_x, bands = None, []
     # a ghost block (cell, a, b) is a row (a, j, b) of the x copy, as U[i]
-    # is, and (b, i, a) of the y copy, as the transposed U[j] is
+    # is, and its band's cells (b, i, a) of a y band's copy, as a row j of
+    # the transposed slab U[i0:i1] is
     if sx is not None:
-        fill_x = _padded(nx, (m, ny, m), U.dtype, axes=(1, 0, 2))
+        fill_x = _padded(np.empty((nx + 2, m, ny, m), U.dtype),
+                         axes=(1, 0, 2))
     if sy is not None:
-        fill_y = _padded(ny, (m, nx, m), U.dtype, False, axes=(2, 0, 1))
-        prod_y = np.empty((ny, m, nx * m), np.result_type(sy, U))
-        prod_back = _transposed(prod_y.reshape(ny, m, nx, m))
+        # the bands run one after the other, so they share the storage of
+        # the widest band's copy and product, which stays in cache; a
+        # narrower band's are the first bytes of it
+        widest, cells_widths = _bands(nx, -(-U.nbytes // _Y_BAND_BYTES))
+        copies = np.empty((ny + 2, m, widest, m), U.dtype)
+        prods = np.empty((ny, m, widest * m), np.result_type(sy, U))
+        for cells, w in cells_widths:
+            copy, prod = copies, prods
+            if w < widest:
+                copy = copies.reshape(-1)[:copies.size // widest * w]
+                prod = prods.reshape(-1)[:prods.size // widest * w]
+                copy = copy.reshape(ny + 2, m, w, m)
+                prod = prod.reshape(ny, m, w * m)
+            bands.append((cells, _padded(copy, False, (2, 0, 1), cells),
+                          prod, _transposed(prod.reshape(ny, m, w, m))))
 
     def apply(V: np.ndarray, ghosts=None) -> np.ndarray:
         x_lo, x_hi, y_lo, y_hi, x_slot, y_slot = ghosts or _NO_GHOSTS
@@ -519,12 +557,22 @@ def kron_sum_applier(U: np.ndarray, sx: np.ndarray | None,
         else:
             W = fill_x(V, x_lo, x_hi, x_slot)
             out = np.matmul(sx, W).reshape(shape)
-        if sy is not None:
-            W = fill_y(_transposed(V), y_lo, y_hi, y_slot)
-            np.matmul(sy, W, out=prod_y)
-            out += prod_back
+        for cells, fill_y, prod, back in bands:
+            np.matmul(sy, fill_y(V, y_lo, y_hi, y_slot), out=prod)
+            band = out[cells]
+            band += back
         return out
     return apply
+
+
+@lru_cache(maxsize=None)
+def _bands(n: int, nb: int) -> tuple:
+    """(widest, ((cells, width), ...)) of min(nb, n) bands of n cells,
+    cells the slice [round(k n / nb), round((k + 1) n / nb))."""
+    nb = min(nb, n)
+    edges = [round(k * n / nb) for k in range(nb + 1)]
+    widths = [b - a for a, b in zip(edges, edges[1:])]
+    return max(widths), tuple(zip(map(slice, edges, edges[1:]), widths))
 
 
 def kron_apply(U: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
@@ -562,44 +610,62 @@ def _with_neighbours(V: np.ndarray, lo=None, hi=None,
                      slot=None) -> np.ndarray:
     """The windows [V_{i-1}; V_i; V_{i+1}] of V[i, a, ...] along its
     leading axis, in a padded copy of their own (``_padded``)."""
-    return _padded(len(V), V.shape[1:], V.dtype,
+    return _padded(np.empty((len(V) + 2,) + V.shape[1:], V.dtype),
                    V.flags.c_contiguous)(V, lo, hi, slot)
 
 
-def _padded(n: int, tail: tuple, dtype, gather: bool = True,
-            axes: tuple | None = None) -> Callable:
+def _padded(P: np.ndarray, gather: bool = True, axes: tuple | None = None,
+            cells: slice | None = None) -> Callable:
     """``fill(V, lo=None, hi=None, slot=None)``: the windows [V_{i-1}; V_i;
-    V_{i+1}] of V[i, a, ...], n cells of shape ``tail``, as the read-only
-    view (n, 3m, r) (``_windows``) of one C-contiguous padded copy
-    [V_{-1}; V_0 ... V_{n-1}; V_n], bound here and refilled by each call.
+    V_{i+1}] of V[i, a, ...], n cells, as the read-only view (n, 3m, r)
+    (``_windows``) of the C-contiguous padded copy P = [V_{-1}; V_0 ...
+    V_{n-1}; V_n] of n + 2 cells, bound here and refilled by each call.
     ``lo`` and ``hi`` are V_{-1} and V_n, as rows V[i] or, with ``axes``,
-    as blocks whose ``transpose(axes)`` is a row.  Without them the copy
-    wraps periodically: with ``gather``, by one gather of the cached padded
-    index, else by a write of V and one copy of the two ends (a gather
-    would first copy a non-contiguous V whole).  ``slot``'s dofs 1..
-    stand in for V_{n-1}'s."""
-    P = np.empty((n + 2,) + tail, dtype)
-    windows, body, index = _windows(P), P[1:-1], _padded_index(n)
-    # the periodic ends, rows 0 and n + 1, are rows n and 1
-    ends, wrap = P[::n + 1], P[n:0:1 - n] if n > 1 else P[1]
+    as blocks whose ``transpose(axes)`` is a row.  With ``cells``, P is a
+    y band's copy: V is a tensor U[i, a, j, b] in its own layout, the
+    rows are those of the transposed slab U[cells] (written through the
+    transposed view of P), and a block b's row is ``b[cells].transpose(
+    axes)``.  Without ``lo`` and ``hi`` the copy wraps periodically: with
+    ``gather``, by one gather of the cached padded index, else by a write
+    of V and a copy of each of the two ends (a gather would first copy a
+    non-contiguous V whole).  ``slot``'s dofs 1.. stand in for V_{n-1}'s."""
+    n, windows, body = len(P) - 2, _windows(P), P[1:-1]
+    if cells is not None:
+        body = _transposed(body)
+    # a gather reads the cached padded index; a write of V fills the
+    # periodic ends, rows 0 and n + 1, from rows n and 1
+    index = first = last = wrap_first = wrap_last = None
+    if gather:
+        index = _padded_index(n)
+    else:
+        first, last, wrap_first, wrap_last = P[0], P[n + 1], P[n], P[1]
 
     def fill(V: np.ndarray, lo=None, hi=None, slot=None) -> np.ndarray:
+        if cells is not None:
+            V = V[cells]
         if lo is None and hi is None:
             if gather:
                 V.take(index, 0, P, "clip")
             else:
                 body[...] = V
-                ends[...] = wrap
+                first[...] = wrap_first
+                last[...] = wrap_last
         elif lo is None or hi is None:
             raise ValueError(
                 "ghost blocks come in pairs: lo and hi, or neither")
         else:
-            body[...] = V
+            if cells is not None:
+                lo, hi = lo[cells], hi[cells]
             if axes is not None:
                 lo, hi = lo.transpose(axes), hi.transpose(axes)
+            body[...] = V
             P[0], P[-1] = lo, hi
         if slot is not None:
-            P[n, 1:] = (slot if axes is None else slot.transpose(axes))[1:]
+            if cells is not None:
+                slot = slot[cells]
+            if axes is not None:
+                slot = slot.transpose(axes)
+            P[n, 1:] = slot[1:]
         return windows
     return fill
 
@@ -610,7 +676,8 @@ def _windows(P: np.ndarray) -> np.ndarray:
     cells (i-1, i, i+1), one after the other in P's memory."""
     n, m = len(P) - 2, P.shape[1]
     r, s = P.size // (len(P) * m), P.itemsize
-    W = np.ndarray((n, 3 * m, r), P.dtype, P, strides=(m * r * s, r * s, s))
+    # positional: keyword arguments cost np.ndarray about 0.4 us a view
+    W = np.ndarray((n, 3 * m, r), P.dtype, P, 0, (m * r * s, r * s, s))
     W.setflags(write=False)
     return W
 

@@ -100,15 +100,84 @@ LAYOUTS = {
 
 
 def kept_arrays(fn, prefix=""):
-    """The arrays the closure ``fn`` keeps, and those the closures it
-    keeps keep, by dotted name."""
+    """The arrays the closure ``fn`` keeps, directly or in the lists and
+    tuples it keeps, and those the closures it keeps keep, by dotted
+    name."""
     kept = {}
     for name, a in inspect.getclosurevars(fn).nonlocals.items():
-        if isinstance(a, np.ndarray):
-            kept[prefix + name] = a
-        elif inspect.isfunction(a):
-            kept.update(kept_arrays(a, f"{prefix}{name}."))
+        kept.update(_kept(a, prefix + name))
     return kept
+
+
+def _kept(a, name):
+    if isinstance(a, np.ndarray):
+        return {name: a}
+    if inspect.isfunction(a):
+        return kept_arrays(a, name + ".")
+    kept = {}
+    if isinstance(a, (list, tuple)):
+        for k, item in enumerate(a):
+            kept.update(_kept(item, f"{name}[{k}]"))
+    return kept
+
+
+def kept_windows(apply, prefix=""):
+    """The window views an applier keeps, one per band and applied axis,
+    those whose name starts with ``prefix``."""
+    return [a for name, a in kept_arrays(apply).items()
+            if name.startswith(prefix) and name.endswith("windows")]
+
+
+def assert_reference_calls(apply, stencils, calls, ghosted, layout):
+    """Each call of ``apply`` and of ``kron_sum_apply``, on ``layout`` of
+    each tensor of ``calls`` with its ghost and slot blocks as ``ghosted``
+    asks, gives the reference's bytes and leaves its input as it was;
+    the results, in call order."""
+    returned = []
+    for U, ghosts, slots in calls:
+        ghosts = ghosts if ghosted else None
+        view = LAYOUTS[layout](U)
+        before = view.tobytes()
+        if ghosted == "slots":
+            # the slots stand in for U's only along their own axis, so
+            # the two results agree everywhere but in the slots
+            want = without_slots(reference_kron_sum_apply(
+                with_slots(U, *slots), *stencils, ghosts))
+            args = ghosts + slots
+            finish = without_slots
+        else:
+            want = reference_kron_sum_apply(U, *stencils, ghosts)
+            args = ghosts and ghosts + (None, None)
+            finish = np.asarray
+        for got in (mesh.kron_sum_apply(view, *stencils, args),
+                    apply(view, args)):
+            returned.append((got, got.copy()))
+            got = finish(got.copy())
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert value_bytes(got) == value_bytes(want)
+        assert view.tobytes() == before
+    return returned
+
+
+def value_bytes(a):
+    """The bytes of the values of ``a``: those of an x87 long double
+    without the padding after its 80 bits, which no arithmetic writes."""
+    if a.dtype != np.longdouble:
+        return a.tobytes()
+    f = np.finfo(a.dtype)
+    used = -(-(1 + f.nexp + f.nmant) // 8)
+    bytes_ = np.ascontiguousarray(a).view(np.uint8)
+    return bytes_.reshape(a.shape + (a.itemsize,))[..., :used].tobytes()
+
+
+def assert_nothing_kept_returned(apply, returned):
+    """The results are as they were returned, and none shares memory with
+    what ``apply`` keeps or with another call's result."""
+    kept = kept_arrays(apply).values()
+    for got, copy in returned:
+        assert got.tobytes() == copy.tobytes()
+        assert not any(np.shares_memory(got, a) for a in kept)
+    assert not np.shares_memory(returned[1][0], returned[3][0])
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -130,38 +199,56 @@ def test_apply_is_the_gather_reference(m, nx, ny, ghosted, layout):
     for stencils in ((sx, sy), (sx, None), (None, sy)):
         apply = mesh.kron_sum_applier(LAYOUTS[layout](calls[0][0]),
                                       *stencils)
-        kept = kept_arrays(apply)
-        windows = [a for name, a in kept.items() if name.endswith("windows")]
+        windows = kept_windows(apply)
         assert len(windows) == sum(s is not None for s in stencils)
         assert not any(w.flags.writeable for w in windows)
-        returned = []
-        for U, ghosts, slots in calls:
-            ghosts = ghosts if ghosted else None
-            view = LAYOUTS[layout](U)
-            before = view.tobytes()
-            if ghosted == "slots":
-                # the slots stand in for U's only along their own axis, so
-                # the two results agree everywhere but in the slots
-                want = without_slots(reference_kron_sum_apply(
-                    with_slots(U, *slots), *stencils, ghosts))
-                args = ghosts + slots
-                finish = without_slots
-            else:
-                want = reference_kron_sum_apply(U, *stencils, ghosts)
-                args = ghosts and ghosts + (None, None)
-                finish = np.asarray
-            for got in (mesh.kron_sum_apply(view, *stencils, args),
-                        apply(view, args)):
-                returned.append((got, got.copy()))
-                got = finish(got.copy())
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-            assert view.tobytes() == before
-        for got, copy in returned:
-            assert got.tobytes() == copy.tobytes()
-            assert not any(np.shares_memory(got, a) for a in kept.values())
-        assert not np.shares_memory(returned[1][0], returned[3][0])
+        returned = assert_reference_calls(apply, stencils, calls, ghosted,
+                                          layout)
+        assert_nothing_kept_returned(apply, returned)
 
+
+# the y bands of nx = 5 x-cells at each forced band count: one, an even
+# and an uneven split
+BANDS = {1: [5], 2: [2, 3], 3: [2, 1, 2]}
+DTYPES = ["float64", "complex128", "longdouble"]
+
+
+def typed(a, dtype):
+    """``a`` as ``dtype``; a complex one gets an imaginary part of its
+    own."""
+    if np.issubdtype(dtype, np.complexfloating):
+        return a + 1j * np.flip(a)
+    return a.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("ghosted", [False, True, "slots"])
+@pytest.mark.parametrize("nb", sorted(BANDS))
+def test_y_bands_give_the_bytes_of_one_band(nb, ghosted, layout, dtype,
+                                            monkeypatch):
+    """With the y band budget forced down, the applier runs its y half in
+    ``nb`` bands of x-cells, each with its own read-only window view, and
+    still gives the reference's bytes, periodic, with ghost blocks and
+    with slot blocks, on every layout and dtype."""
+    m, nx, ny = 3, 5, 4
+    _, sx, sy, _, _ = operands(nx, ny, m, nb)
+    calls = [(typed(U, dtype), tuple(typed(g, dtype) for g in ghosts),
+              tuple(typed(s, dtype) for s in slots))
+             for U, _, _, ghosts, slots in
+             (operands(nx, ny, m, nb + k) for k in (10, 20))]
+    U = LAYOUTS[layout](calls[0][0])
+    monkeypatch.setattr(mesh, "_Y_BAND_BYTES", -(-U.nbytes // nb))
+    for stencils in ((sx, sy), (None, sy)):
+        apply = mesh.kron_sum_applier(U, *stencils)
+        y_windows = kept_windows(apply, "bands")
+        assert len(kept_windows(apply)) == len(y_windows) + 1 - (
+            stencils[0] is None)
+        assert [w.shape[-1] // m for w in y_windows] == BANDS[nb]
+        assert not any(w.flags.writeable for w in y_windows)
+        returned = assert_reference_calls(apply, stencils, calls, ghosted,
+                                          layout)
+        assert_nothing_kept_returned(apply, returned)
 
 
 def test_an_axis_without_its_ghost_pair_wraps_and_half_a_pair_is_refused():
@@ -346,3 +433,25 @@ def test_a_warm_bound_rhs_call_allocates_about_one_state(method, order,
     finally:
         tracemalloc.stop()
     assert peak <= 2 * state.U.nbytes
+
+
+@pytest.mark.parametrize("nb", [2, 5])
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("method,order", [("af", 4), ("dg", 3)])
+def test_a_run_in_y_bands_ends_in_the_bytes_of_one_band(method, order,
+                                                        boundary, nb,
+                                                        monkeypatch):
+    """Three steps on 12^2 with the y half of every rhs call in ``nb``
+    bands end in the final state of the same run in one band."""
+    cfg = RunConfig(method=method, order=order, problem="advection2d",
+                    ux=1.0, uy=-0.5, init="sine", boundary=boundary)
+    cfg.t_final = 3 * driver.default_dt(cfg, 1 / 12)
+    one = driver.run_simulation(cfg, 12)
+    U = one.state.U
+    bands = []
+    monkeypatch.setattr(mesh, "_bands", counting(mesh._bands, bands))
+    monkeypatch.setattr(mesh, "_Y_BAND_BYTES", -(-U.nbytes // nb))
+    banded = driver.run_simulation(cfg, 12)
+    assert one.bench.steps == banded.bench.steps == 3
+    assert [len(cells) for _, cells in bands] == [nb]
+    assert banded.state.U.tobytes() == U.tobytes()

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,10 @@ REFUSED = [
     ("equiv-check", "problem", "none", [], 62),
     ("run", "order", "abc", [], 63),
     ("convergence", "order", "abc", ["grids=8,16"], 64),
+    # a grid beyond driver.MAX_CELLS
+    ("run", "grids", "3000", [], 65),
+    ("run", "grids", "262145", ["problem=advection1d"], 66),
+    ("equiv-check", "grids", "513", ["problem=advection2d"], 67),
 ]
 
 
@@ -185,6 +190,36 @@ def test_cli_names_bad_key_before_any_step(command, key, value, extra,
     assert code == 2
     assert err.count("\n") == 1 and f"config key '{key}'" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("problem,side", [("advection2d", 512),
+                                          ("advection1d", 2 ** 18)])
+def test_the_cell_bound_admits_its_largest_grid_only(problem, side):
+    """``MAX_CELLS`` is 512^2 cells: a 2-d grid of 512 a side and a 1-d
+    grid of 2^18 cells pass, one cell more a side is refused."""
+    assert driver.MAX_CELLS == 512 ** 2
+    RunConfig(problem=problem, grids=(8, side)).validate("run")
+    with pytest.raises(driver.ConfigError, match="config key 'grids'"):
+        RunConfig(problem=problem, grids=(8, side + 1)).validate("run")
+
+
+def test_a_grid_beyond_the_cell_bound_exits_2_before_any_allocation(
+        tmp_path, capsys):
+    """``run --set grids=3000`` (9.66 GiB for one fill's points) ends in
+    one line naming ``grids`` and exit status 2, having allocated next to
+    nothing."""
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", "--set", "grids=3000",
+                         "--out", str(tmp_path / "out.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "config key 'grids'" in err
+    assert peak < 2 ** 20
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_superconvergence_names_a_bad_k_before_its_k_rule(tmp_path, capsys):
