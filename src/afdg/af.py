@@ -19,7 +19,7 @@ A (x) I + I (x) B of 1-d operators (u S_u + d_L S_L + d_R S_R) / h in
 each axis' speed and flux partials, periodic or closed by Dirichlet ghost
 blocks.  Three blocks per K (``af_stencil_1d``, built from ``af_ops``
 alone, each entry an exact value rounded once) give them, and
-``mesh.kron_sum_apply`` applies them.
+``mesh.kron_sum_applier`` applies them.
 K = 1 reproduces the edge-average/node/cell-average updates with
 Simpson-exact edge integrals; K = 2 gives the fourth-order method.
 The classical update (point updates at the nodes and edge midpoints, the
@@ -275,7 +275,7 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     The update is the Kronecker sum A (x) I + I (x) B of the 1-d operators
     (u S_u + d_L S_L + d_R S_R) / h (``af_stencil_1d``), with each axis'
     flux partials (``NumericalFluxSpec.advection_partials``), applied by
-    ``mesh.kron_sum_apply`` to the state tensor U[i, a, j, b]: per axis,
+    ``mesh.kron_sum_applier`` to the state tensor U[i, a, j, b]: per axis,
     index 0 is the point value and 1..K the moments, so point x point are
     the nodes, point x moment the x-edge moments, moment x point the y-edge
     moments and moment x moment the cell moments.  ``apply`` is the
@@ -286,7 +286,7 @@ def af_rhs_2d_tensorial(state: AfState2D, ux: float, uy: float,
     A non-periodic state needs ``ghosts``, the blocks of the cells one
     beyond its tensor, followed by the cells of its unused slots where the
     partial d_R reads them, for the point updates of the right and top
-    boundary dofs (see ``kron_sum_apply``).  The derivative is zero in
+    boundary dofs (see ``kron_sum_applier``).  The derivative is zero in
     those slots.
     """
     periodic = state.periodic

@@ -22,7 +22,7 @@ Kronecker sum A (x) I + I (x) B of 1-d operators (u S_u + d_L S_L +
 d_R S_R) / h in each axis' speed and flux partials, periodic or closed by
 Dirichlet ghost blocks.  Three blocks per K (``dg_stencil_1d``, built
 from the exact Legendre rows alone and rounded once) give them, and
-``mesh.kron_sum_apply`` applies them.
+``mesh.kron_sum_applier`` applies them.
 """
 
 from __future__ import annotations
@@ -262,14 +262,14 @@ def dg_rhs_2d(state: DgState2D, ux: float, uy: float,
     The update is the Kronecker sum A (x) I + I (x) B of the 1-d operators
     (u S_u + d_L S_L + d_R S_R) / h (``dg_stencil_1d``), with each axis'
     flux partials (``NumericalFluxSpec.advection_partials``), applied by
-    ``mesh.kron_sum_apply`` to the state tensor U[i, m, j, n]
+    ``mesh.kron_sum_applier`` to the state tensor U[i, m, j, n]
     (coeffs[i, j, m, n]).  ``apply`` is the ``mesh.kron_sum_applier`` of
     the operators' ``mesh.axis_stencils``, bound to the state's grid and
     tensor, as a time loop binds it once per run (``driver.make_rhs``);
     None builds both for this call.
     The state's layout does not depend on the boundary: ``ghosts``, the
     modal blocks of the cells one beyond it on each side and two None slot
-    blocks (``kron_sum_apply``'s six), close a Dirichlet run, and None
+    blocks (``kron_sum_applier``'s six), close a Dirichlet run, and None
     wraps periodically.  Nonlinear problems are out of scope here.
     """
     apply = apply or kron_sum_applier(state.U, *axis_stencils(

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from . import af, dg, mesh, poly, timeint
-from .mesh import (AfState1D, AfState2D, DgState1D, DgState2D, Grid1D, Grid2D,
+from .mesh import (AfState2D, DgState1D, DgState2D, Grid1D, Grid2D,
                    dof_counts)
 from .problems import (FLUX_NAMES, NumericalFluxSpec, builtin_problems,
                        flux_spec, lax_friedrichs_speed)
@@ -139,6 +139,16 @@ def _in_catalog(c: RunConfig) -> bool:
     return True
 
 
+def _steps(c: RunConfig) -> float:
+    """The time steps of the config's finest grid, before rounding up."""
+    return c.t_final / default_dt(c, 1 / max(c.grids)) - 1e-12
+
+
+def _step_bound(c: RunConfig) -> str:
+    return (f"must give at most {MAX_STEPS} time steps a run, not "
+            f"{_steps(c):.3g} on grid {max(c.grids)}")
+
+
 def _one_of(key: str, commands: tuple, choices) -> tuple:
     """The row refusing a ``key`` outside ``choices`` (or ``choices(c)``)."""
     get = choices if callable(choices) else lambda c: choices
@@ -162,6 +172,10 @@ _CLASSICAL = ("classical_midpoint",)
 # evaluates its data at 144 points a cell, about 1.5 KB a cell at its peak
 # (2 KB at DG order 6), so a 512^2 fill peaks near 0.4-0.5 GB.
 MAX_CELLS = 2 ** 18
+# The most time steps one run may take, on the finest of its grids: a
+# config asking for more (a tiny ``cfl_override`` or a huge ``t_final``)
+# could never finish.  The longest Tier-1 run takes 2353.
+MAX_STEPS = 2 ** 20
 
 # Every refusal of a config value, in the order a command checks them:
 # (key, commands that check it, ok(config), why or why(config)).  A row
@@ -228,6 +242,10 @@ _REFUSALS = [
     ("order", _RUNS, _in_catalog,
      lambda c: f"is not in the catalog of method {c.method!r} (outside it a "
      "DG run needs cfl_override)"),
+    # the step bound names the override when it sets dt, else t_final
+    ("cfl_override", _RUNS,
+     lambda c: c.cfl_override is None or _steps(c) <= MAX_STEPS, _step_bound),
+    ("t_final", _RUNS, lambda c: _steps(c) <= MAX_STEPS, _step_bound),
     ("grids", ("convergence",), lambda c: len(c.grids) >= 2,
      "needs at least two grids for a convergence study"),
     ("grids", ("convergence",),
@@ -358,7 +376,7 @@ _SIDES = ("x_lo", "x_hi", "y_lo", "y_hi")
 
 def _ghost_ring(state, exact, sides: tuple = _SIDES):
     """The ghost blocks of a 2-d Dirichlet run at time t, ``ring(t)``, for
-    ``kron_sum_apply``: the ``sides`` the stencils read (see
+    ``mesh.kron_sum_applier``: the ``sides`` the stencils read (see
     ``ghost_sides``) are projected from the exact solution at time t by one
     ``mesh.af_cell_projector_2d`` or ``dg_cell_projector_2d``, and every
     other block is zero.  With its high side, the same projection gives the
@@ -501,33 +519,18 @@ class ErrorReport:
         diff = state.with_tensor(state.U - exact_state.U)
         # the fields are views of the state tensor: sum in their own order
         fams = {name: float(np.sqrt(np.mean(np.ravel(d) ** 2)))
-                for name, d in _families(diff)}
+                for name, d in diff.families}
         return cls(families=fams, e_dofs=max(fams.values()))
-
-
-def _families(state):
-    if isinstance(state, (DgState1D, DgState2D)):
-        yield "modal", state.coeffs
-    elif isinstance(state, AfState1D):
-        yield "point_values", state.point_values
-        yield "moments", state.moments
-    elif isinstance(state, AfState2D):
-        yield "node_values", state.node_values
-        yield "x_edge", state.x_edge
-        yield "y_edge", state.y_edge
-        yield "moments", state.cell_moments
-    else:
-        raise TypeError(type(state).__name__)
 
 
 def dof_norm(state) -> float:
     """The L2 norm of all dof fields of a state."""
-    return math.sqrt(sum(float(np.sum(d * d)) for _, d in _families(state)))
+    return math.sqrt(sum(float(np.sum(d * d)) for _, d in state.families))
 
 
 def cell_mass(state) -> float:
     """Sum of cell average times cell volume: DG mode 0, AF moment 0."""
-    fams = dict(_families(state))
+    fams = dict(state.families)
     c = fams.get("modal", fams.get("moments"))
     g = state.grid
     if isinstance(state, (DgState2D, AfState2D)):
@@ -583,16 +586,24 @@ class RunResult:
 
 
 def default_dt(cfg: RunConfig, dx: float) -> float:
-    """CFL-coupled step size.
+    """CFL-coupled step size: dt = C_CFL * dx with ``cfl_override`` or the
+    catalog CFL number of the method and order, ValueError outside it.
 
     2-d tensorial AF shares its spectrum with the DG method one degree
     lower (they are the same method up to a dof mapping), so its step
     limit is the DG catalog value at order K+1; the larger catalog CFL of
     the AF column belongs to the reduced-dof variant we do not evolve.
     """
-    if cfg.method == "af" and cfg.problem.endswith("2d"):
-        return timeint.dt_from_cfl("dg", cfg.K + 1, dx, cfg.cfl_override)
-    return timeint.dt_from_cfl(cfg.method, cfg.order, dx, cfg.cfl_override)
+    if cfg.cfl_override is not None:
+        return cfg.cfl_override * dx
+    family, order = cfg.method, cfg.order
+    if family == "af" and cfg.problem.endswith("2d"):
+        family, order = "dg", cfg.K + 1
+    table = {"af": mesh.AF_CFL, "dg": mesh.DG_CFL}.get(family, {})
+    if order not in table:
+        raise ValueError(f"no catalog CFL for {family} order {order}; "
+                         "pass an override")
+    return table[order] * dx
 
 
 def run_simulation(cfg: RunConfig, n: int | None = None) -> RunResult:

@@ -1,7 +1,7 @@
 """Cartesian grids, dof containers for AF and DG, dof bookkeeping, the
 per-family cell projections, and the stencil applies shared by both
 families: ``line_apply`` for the linear 1-d right-hand sides, the
-Kronecker sum ``kron_sum_apply`` for the 2-d ones and the Kronecker
+Kronecker sum ``kron_sum_applier`` for the 2-d ones and the Kronecker
 product ``kron_apply`` for the 2-d DG-to-AF map, T (x) T of its 1-d
 block row.  Every apply runs along the leading axis of a tensor, as one
 matmul against the neighbour windows [V_{i-1}; V_i; V_{i+1}], a read-only
@@ -24,8 +24,8 @@ immutable.  Interface point values are stored once per interface
 (i, j) owns the block U[i, :, j, :]; an AF state's edge fields always
 hold edge moments.  ``af_cell_projector_2d`` and ``dg_cell_projector_2d``
 bind the points of any set of cells and project data onto their blocks,
-for the 2-d fills and the Dirichlet ghost ring alike, and
-``kron_sum_apply`` takes the ghost blocks in place of its periodic wrap
+for the 2-d fills and the Dirichlet ghost ring alike, and the apply of
+``kron_sum_applier`` takes the ghost blocks in place of its periodic wrap
 (and a closed AF state's slot cells in place of its unused slots).  A
 1-d state is one tensor U[i, p, c] (cell i, dof p, component c) on a
 periodic grid: an AF state's point values and moments are the views
@@ -51,8 +51,8 @@ __all__ = [
     "simpson_edge_average",
     "fill_af_1d", "fill_dg_1d", "fill_af_2d", "fill_dg_2d",
     "af_cell_projector_2d", "dg_cell_projector_2d",
-    "axis_stencil", "axis_stencils", "line_apply", "kron_sum_apply",
-    "kron_sum_applier", "kron_apply", "roll_cells",
+    "axis_stencil", "axis_stencils", "line_apply", "kron_sum_applier",
+    "kron_apply", "roll_cells",
     "STATE_HEADER", "state_rows",
 ]
 
@@ -126,7 +126,9 @@ class _TensorState:
     (cell i, dof p, component c), U[i, a, j, b] in 2-d (cell i, x-dof a,
     cell j, y-dof b).  ``from_tensor`` and ``with_tensor`` wrap a given
     tensor (or a view, such as the transpose of cell-major blocks) without
-    copying; ``copy`` copies it.  The family fields are views of U."""
+    copying; ``copy`` copies it.  The family fields are views of U, and
+    ``families`` names them: the (name, view) pairs that error measurement
+    reads, in the order of the errors CSV."""
 
     def __init__(self, grid, K: int, U: np.ndarray):
         self.grid, self.K, self.U = grid, K, U
@@ -161,6 +163,7 @@ class DgState1D(_TensorState):
     ``coeffs`` is U itself."""
 
     coeffs = property(lambda self: self.U)
+    families = property(lambda self: (("modal", self.coeffs),))
 
 
 class AfState1D(_TensorState):
@@ -179,6 +182,8 @@ class AfState1D(_TensorState):
 
     point_values = property(lambda self: self.U[:, 0])
     moments = property(lambda self: self.U[:, 1:])
+    families = property(lambda self: (("point_values", self.point_values),
+                                      ("moments", self.moments)))
 
 
 class DgState2D(_TensorState):
@@ -195,6 +200,8 @@ class DgState2D(_TensorState):
     @cached_property
     def coeffs(self) -> np.ndarray:
         return self.U.swapaxes(1, 2)
+
+    families = property(lambda self: (("modal", self.coeffs),))
 
 
 class AfState2D(_TensorState):
@@ -234,6 +241,8 @@ class AfState2D(_TensorState):
     x_edge = property(lambda self: self._fields[1])
     y_edge = property(lambda self: self._fields[2])
     cell_moments = property(lambda self: self._fields[3])
+    families = property(lambda self: tuple(zip(
+        ("node_values", "x_edge", "y_edge", "moments"), self._fields)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +448,7 @@ def axis_stencils(blocks: np.ndarray, grid: Grid2D, ux: float, uy: float,
                   partials_x: tuple, partials_y: tuple) -> tuple:
     """The (x, y) pair of ``axis_stencil`` of a family's blocks on a 2-d
     grid, from each axis' speed, flux partials and cell width: the
-    stencils ``kron_sum_apply`` takes, which a time loop binds once per
+    stencils ``kron_sum_applier`` takes, which a time loop binds once per
     run (``driver.make_rhs``)."""
     return (axis_stencil(blocks, ux, partials_x, grid.dx),
             axis_stencil(blocks, uy, partials_y, grid.dy))
@@ -462,35 +471,6 @@ def line_apply(blocks: np.ndarray, speed, partials: tuple, h: float,
     return (W @ S.T).reshape(V.shape)
 
 
-def kron_sum_apply(U: np.ndarray, sx: np.ndarray | None,
-                   sy: np.ndarray | None, ghosts=None) -> np.ndarray:
-    """Apply ``Sx (x) I + I (x) Sy`` to a tensor-product state: one call
-    of a fresh ``kron_sum_applier``, which a time loop binds once per run
-    instead.
-
-    U has shape (nx, m, ny, m): cell i, x-dof a, cell j, y-dof b.  A
-    stencil is the (m, 3m) block row [L | D | R] of a block-circulant 1-d
-    operator, out_i = L U_{i-1} + D U_i + R U_{i+1}.  Both axes run the
-    one apply along the leading axis: the x-apply on U, the y-apply on the
-    transposed view U[j, b, i, a], whose result is added back through the
-    transposed view.  Each is one matmul of the stencil against the
-    windows [U_{i-1}; U_i; U_{i+1}] of one padded copy of its tensor
-    (``_padded``).  ``None`` skips the axis.
-
-    The neighbours wrap periodically unless ``ghosts`` gives six blocks
-    (x_lo, x_hi, y_lo, y_hi, x_slot, y_slot).  The first four are the
-    cells one beyond the tensor on each side, as per-cell (m, m) blocks
-    like ``U.swapaxes(1, 2)``'s: x_lo[j] is cell (-1, j) and x_hi[j] cell
-    (nx, j), y_lo[i] is cell (i, -1) and y_hi[i] cell (i, ny); an axis
-    whose pair is None wraps.  The slot blocks are cells (nx-1, j) and
-    (i, ny-1), or None; their dofs 1.. stand in for the tensor's along
-    that axis (a closed AF state's unused slots), in the padded copy of
-    that axis' apply, so U itself is never written.  The result in those
-    slots is then not the operator's; a closed AF rhs zeroes it.
-    """
-    return kron_sum_applier(U, sx, sy)(U, ghosts)
-
-
 # the six ghost blocks of a periodic call
 _NO_GHOSTS = (None,) * 6
 
@@ -507,48 +487,61 @@ _Y_BAND_BYTES = 512 * 1024
 
 def kron_sum_applier(U: np.ndarray, sx: np.ndarray | None,
                      sy: np.ndarray | None) -> Callable:
-    """``apply(V, ghosts=None)``: ``kron_sum_apply(V, sx, sy, ghosts)``
-    for tensors V of U's shape and dtype, with what a call writes bound
-    here, once: the padded copy of each applied axis (``_padded``), in
-    U's layout for x and the transposed U[j, b, i, a]'s for y, and the
-    y-apply's product.  A call refills the copies, does one matmul for x
-    and one per y band, adds each band's product back, and returns a new
-    array that shares no memory with the bound ones.
+    """``apply(V, ghosts=None)``: ``Sx (x) I + I (x) Sy`` applied to
+    tensor-product states V of U's shape and dtype, with what a call
+    writes bound here, once, as a time loop binds it once per run.
+
+    U has shape (nx, m, ny, m): cell i, x-dof a, cell j, y-dof b.  A
+    stencil is the (m, 3m) block row [L | D | R] of a block-circulant 1-d
+    operator, out_i = L U_{i-1} + D U_i + R U_{i+1}.  Both axes run the
+    one apply along the leading axis: the x-apply on V, the y-apply on the
+    transposed view V[j, b, i, a], whose result is added back through the
+    transposed view.  Each is one matmul of the stencil against the
+    windows [V_{i-1}; V_i; V_{i+1}] of one padded copy of its tensor
+    (``_padded``).  ``None`` skips the axis.  The bound arrays are the
+    padded copy of each applied axis, in U's layout for x and the
+    transposed U[j, b, i, a]'s for y, and the y-apply's product.  A call
+    refills the copies, does one matmul for x and one per y band, adds
+    each band's product back, and returns a new array that shares no
+    memory with the bound ones.
+
+    The neighbours wrap periodically unless ``ghosts`` gives six blocks
+    (x_lo, x_hi, y_lo, y_hi, x_slot, y_slot).  The first four are the
+    cells one beyond the tensor on each side, as per-cell (m, m) blocks
+    like ``U.swapaxes(1, 2)``'s: x_lo[j] is cell (-1, j) and x_hi[j] cell
+    (nx, j), y_lo[i] is cell (i, -1) and y_hi[i] cell (i, ny); an axis
+    whose pair is None wraps, and a pair with one side None is refused.
+    The slot blocks are cells (nx-1, j) and (i, ny-1), or None; their dofs
+    1.. stand in for the tensor's along that axis (a closed AF state's
+    unused slots), in the padded copy of that axis' apply, so V itself is
+    never written.  The result in those slots is then not the operator's;
+    a closed AF rhs zeroes it.
 
     The y half runs in bands of x-cells [i0, i1), each with a padded copy
-    and a product of its own (views of one storage), so that a band's
-    transposing write and add back stay in cache (``_Y_BAND_BYTES``):
-    ``nb = ceil(U.nbytes / _Y_BAND_BYTES)`` bands (at most nx), with
-    edges round(k nx / nb).
+    and a product of its own, so that a band's transposing write and add
+    back stay in cache (``_Y_BAND_BYTES``): ``nb = ceil(U.nbytes /
+    _Y_BAND_BYTES)`` bands (at most nx), with edges round(k nx / nb).
     The y-apply of cell i reads only cells (i, j), so a band is the
-    y-apply of its slab U[i0:i1] with its slice of the y ghost and slot
+    y-apply of its slab V[i0:i1] with its slice of the y ghost and slot
     blocks, and each band's matmul keeps the (m, 3m) x (3m, w m) form of
     one band's: the bands give the bytes of one.  A tensor within the
     budget, every tensor up to 80^2 at m <= 3, is one band."""
     nx, m, ny, _ = shape = U.shape
     fill_x, bands = None, []
-    # a ghost block (cell, a, b) is a row (a, j, b) of the x copy, as U[i]
-    # is, and its band's cells (b, i, a) of a y band's copy, as a row j of
-    # the transposed slab U[i0:i1] is
     if sx is not None:
-        fill_x = _padded(np.empty((nx + 2, m, ny, m), U.dtype),
-                         axes=(1, 0, 2))
+        fill_x = _padded(np.empty((nx + 2, m, ny, m), U.dtype))
     if sy is not None:
-        # the bands run one after the other, so they share the storage of
-        # the widest band's copy and product, which stays in cache; a
-        # narrower band's are the first bytes of it
+        # the bands run one after the other, so they share one buffer for
+        # their copies and one for their products, the widest band's size,
+        # which stay in cache; each band's are the first bytes of them
         widest, cells_widths = _bands(nx, -(-U.nbytes // _Y_BAND_BYTES))
-        copies = np.empty((ny + 2, m, widest, m), U.dtype)
-        prods = np.empty((ny, m, widest * m), np.result_type(sy, U))
+        copies = np.empty((ny + 2) * m * widest * m, U.dtype)
+        prods = np.empty(ny * m * widest * m, np.result_type(sy, U))
         for cells, w in cells_widths:
-            copy, prod = copies, prods
-            if w < widest:
-                copy = copies.reshape(-1)[:copies.size // widest * w]
-                prod = prods.reshape(-1)[:prods.size // widest * w]
-                copy = copy.reshape(ny + 2, m, w, m)
-                prod = prod.reshape(ny, m, w * m)
-            bands.append((cells, _padded(copy, False, (2, 0, 1), cells),
-                          prod, _transposed(prod.reshape(ny, m, w, m))))
+            copy = copies[:(ny + 2) * m * w * m].reshape(ny + 2, m, w, m)
+            prod = prods[:ny * m * w * m].reshape(ny, m, w * m)
+            bands.append((cells, _padded(copy, False, cells), prod,
+                          _transposed(prod.reshape(ny, m, w, m))))
 
     def apply(V: np.ndarray, ghosts=None) -> np.ndarray:
         x_lo, x_hi, y_lo, y_hi, x_slot, y_slot = ghosts or _NO_GHOSTS
@@ -578,7 +571,7 @@ def _bands(n: int, nb: int) -> tuple:
 def kron_apply(U: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
     """Apply ``Sx (x) Sy`` = (Sx (x) I)(I (x) Sy) to a periodic
     tensor-product state U[i, a, j, b], with stencils as in
-    ``kron_sum_apply``: the y-apply on the transposed view of U, then the
+    ``kron_sum_applier``: the y-apply on the transposed view of U, then the
     x-apply on the transposed view of its result."""
     return _axis_apply(_transposed(_axis_apply(_transposed(U), sy)), sx)
 
@@ -606,32 +599,38 @@ def roll_cells(a: np.ndarray, shift: int, axis: int = 0) -> np.ndarray:
                            a[lead + (slice(None, -shift),)]), axis=axis)
 
 
-def _with_neighbours(V: np.ndarray, lo=None, hi=None,
-                     slot=None) -> np.ndarray:
-    """The windows [V_{i-1}; V_i; V_{i+1}] of V[i, a, ...] along its
-    leading axis, in a padded copy of their own (``_padded``)."""
+def _with_neighbours(V: np.ndarray) -> np.ndarray:
+    """The periodic windows [V_{i-1}; V_i; V_{i+1}] of V[i, a, ...] along
+    its leading axis, in a padded copy of their own (``_padded``)."""
     return _padded(np.empty((len(V) + 2,) + V.shape[1:], V.dtype),
-                   V.flags.c_contiguous)(V, lo, hi, slot)
+                   V.flags.c_contiguous)(V)
 
 
-def _padded(P: np.ndarray, gather: bool = True, axes: tuple | None = None,
+def _padded(P: np.ndarray, gather: bool = True,
             cells: slice | None = None) -> Callable:
     """``fill(V, lo=None, hi=None, slot=None)``: the windows [V_{i-1}; V_i;
     V_{i+1}] of V[i, a, ...], n cells, as the read-only view (n, 3m, r)
     (``_windows``) of the C-contiguous padded copy P = [V_{-1}; V_0 ...
     V_{n-1}; V_n] of n + 2 cells, bound here and refilled by each call.
-    ``lo`` and ``hi`` are V_{-1} and V_n, as rows V[i] or, with ``axes``,
-    as blocks whose ``transpose(axes)`` is a row.  With ``cells``, P is a
-    y band's copy: V is a tensor U[i, a, j, b] in its own layout, the
-    rows are those of the transposed slab U[cells] (written through the
-    transposed view of P), and a block b's row is ``b[cells].transpose(
-    axes)``.  Without ``lo`` and ``hi`` the copy wraps periodically: with
+    Without ``cells``, P is an x copy: V's rows are its cells V[i], and
+    ``lo`` and ``hi``, V_{-1} and V_n, are per-cell blocks b whose
+    ``transpose(1, 0, 2)`` is a row.  With ``cells``, P is a y band's
+    copy: V is a tensor U[i, a, j, b] in its own layout, the rows are
+    those of the transposed slab U[cells] (written through the transposed
+    view of P), and a block b's row is ``b[cells].transpose(2, 0, 1)``.
+    Without ``lo`` and ``hi`` the copy wraps periodically: with
     ``gather``, by one gather of the cached padded index, else by a write
     of V and a copy of each of the two ends (a gather would first copy a
     non-contiguous V whole).  ``slot``'s dofs 1.. stand in for V_{n-1}'s."""
     n, windows, body = len(P) - 2, _windows(P), P[1:-1]
-    if cells is not None:
+    # a ghost block (cell, a, b) is a row (a, j, b) of an x copy, as U[i]
+    # is, and its band's cells (b, i, a) of a y band's copy, as a row j of
+    # the transposed slab U[cells] is
+    if cells is None:
+        row = lambda b: b.transpose(1, 0, 2)
+    else:
         body = _transposed(body)
+        row = lambda b: b[cells].transpose(2, 0, 1)
     # a gather reads the cached padded index; a write of V fills the
     # periodic ends, rows 0 and n + 1, from rows n and 1
     index = first = last = wrap_first = wrap_last = None
@@ -654,18 +653,10 @@ def _padded(P: np.ndarray, gather: bool = True, axes: tuple | None = None,
             raise ValueError(
                 "ghost blocks come in pairs: lo and hi, or neither")
         else:
-            if cells is not None:
-                lo, hi = lo[cells], hi[cells]
-            if axes is not None:
-                lo, hi = lo.transpose(axes), hi.transpose(axes)
             body[...] = V
-            P[0], P[-1] = lo, hi
+            P[0], P[-1] = row(lo), row(hi)
         if slot is not None:
-            if cells is not None:
-                slot = slot[cells]
-            if axes is not None:
-                slot = slot.transpose(axes)
-            P[n, 1:] = slot[1:]
+            P[n, 1:] = row(slot)[1:]
         return windows
     return fill
 

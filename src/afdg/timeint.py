@@ -1,4 +1,4 @@
-"""Strong-stability-preserving Runge-Kutta integrators and CFL step control.
+"""Strong-stability-preserving Runge-Kutta integrators.
 
 Schemes are stored in convex-combination (Shu-Osher) form: every stage is
 a weighted sum of earlier stages plus a scaled rhs evaluation.  States are
@@ -14,10 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import AF_CFL, DG_CFL
-
-__all__ = ["RkScheme", "SSPRK3", "SSPRK54", "rk_step", "dt_from_cfl",
-           "integrate", "UnstableRunError", "schemes_by_name"]
+__all__ = ["RkScheme", "SSPRK3", "SSPRK54", "rk_step", "integrate",
+           "UnstableRunError", "schemes_by_name"]
 
 CHECK_EVERY = 20     # steps between the finite-state checks of ``integrate``
 
@@ -139,18 +137,6 @@ def rk_step(scheme: RkScheme, rhs, state, dt: float, t: float = 0.0):
                 U += (dt * w) * deriv
         stages.append(state.with_tensor(U))
     return stages[-1]
-
-
-def dt_from_cfl(family: str, order: int, dx: float,
-                override: float | None = None) -> float:
-    """dt = C_CFL * dx with the catalog CFL number, or an explicit override."""
-    if override is not None:
-        return override * dx
-    table = {"af": AF_CFL, "dg": DG_CFL}.get(family)
-    if table is None or order not in table:
-        raise ValueError(f"no catalog CFL for {family} order {order}; "
-                         "pass an override")
-    return table[order] * dx
 
 
 class UnstableRunError(RuntimeError):

@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from afdg import af, dg, poly
+from afdg import af, dg, mesh, poly
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +166,17 @@ def block_circulant(S: np.ndarray, n: int) -> np.ndarray:
     return A
 
 
-def neighbour_stack(V: np.ndarray, axis: int, lo=None,
-                    hi=None) -> np.ndarray:
-    """[V_{i-1}; V_i; V_{i+1}] along ``axis``, stacked on the axis after it,
-    from ``np.roll`` shifts: the reference for ``mesh._with_neighbours``.
-    ``lo`` and ``hi`` (V without ``axis``) replace the wrapped V_{-1} and
-    V_n."""
+def neighbour_stack(V: np.ndarray, axis: int) -> np.ndarray:
+    """[V_{i-1}; V_i; V_{i+1}] along ``axis``, periodic, stacked on the
+    axis after it, from ``np.roll`` shifts: the reference for
+    ``mesh._with_neighbours``."""
     left, right = np.roll(V, 1, axis=axis), np.roll(V, -1, axis=axis)
-    if lo is not None:
-        n = V.shape[axis]
-        ghost = V.shape[:axis] + (1,) + V.shape[axis + 1:]
-        body = [slice(None)] * V.ndim
-        body[axis] = slice(0, n - 1)
-        left = np.concatenate((np.reshape(lo, ghost), V[tuple(body)]), axis)
-        body[axis] = slice(1, n)
-        right = np.concatenate((V[tuple(body)], np.reshape(hi, ghost)), axis)
     return np.concatenate((left, V, right), axis=axis + 1)
+
+
+def fresh_kron_sum_apply(U, sx, sy, ghosts=None):
+    """One call of a fresh ``mesh.kron_sum_applier``."""
+    return mesh.kron_sum_applier(U, sx, sy)(U, ghosts)
 
 
 def project(f: Callable, K: int, kind: str = "l2",

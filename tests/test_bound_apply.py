@@ -5,9 +5,9 @@
 rhs bound its stencils (``mesh.axis_stencils`` in ``driver.make_rhs``)
 and before the apply read the windows of a padded copy, kept verbatim as
 an independent reference: a gather of a cached (n, 3) row index into a
-contiguous 3x neighbour stack.  The apply, the bound apply
-(``mesh.kron_sum_applier``) and a bound rhs, call after call, must give
-the same bytes.  The apply's slot blocks (a closed AF state's unused
+contiguous 3x neighbour stack.  One call of a fresh applier
+(``mesh.kron_sum_applier``), the bound apply called again and again and
+a bound rhs, call after call, must give the same bytes.  The apply's slot blocks (a closed AF state's unused
 slots) must give the bytes of the reference applied to a copy of the
 tensor with the slots written in, outside the slots themselves.
 """
@@ -22,7 +22,7 @@ import pytest
 
 from afdg import af, dg, driver, mesh, timeint
 from afdg.driver import RunConfig
-from helpers import with_slots
+from helpers import fresh_kron_sum_apply, with_slots
 
 
 def reference_kron_sum_apply(U, sx, sy, ghosts=None):
@@ -129,7 +129,7 @@ def kept_windows(apply, prefix=""):
 
 
 def assert_reference_calls(apply, stencils, calls, ghosted, layout):
-    """Each call of ``apply`` and of ``kron_sum_apply``, on ``layout`` of
+    """Each call of ``apply`` and of a fresh applier, on ``layout`` of
     each tensor of ``calls`` with its ghost and slot blocks as ``ghosted``
     asks, gives the reference's bytes and leaves its input as it was;
     the results, in call order."""
@@ -149,7 +149,7 @@ def assert_reference_calls(apply, stencils, calls, ghosted, layout):
             want = reference_kron_sum_apply(U, *stencils, ghosts)
             args = ghosts and ghosts + (None, None)
             finish = np.asarray
-        for got in (mesh.kron_sum_apply(view, *stencils, args),
+        for got in (fresh_kron_sum_apply(view, *stencils, args),
                     apply(view, args)):
             returned.append((got, got.copy()))
             got = finish(got.copy())
@@ -253,12 +253,12 @@ def test_y_bands_give_the_bytes_of_one_band(nb, ghosted, layout, dtype,
 
 def test_an_axis_without_its_ghost_pair_wraps_and_half_a_pair_is_refused():
     """In six ghost blocks, an axis whose pair is None wraps periodically;
-    a pair with one side None is refused, by the bound apply as by
-    ``kron_sum_apply``, and the bound apply's next call is the reference
-    again."""
+    a pair with one side None is refused, by the bound apply as by a
+    fresh applier's one call, and the bound apply's next call is the
+    reference again."""
     U, sx, sy, (x_lo, x_hi, y_lo, y_hi), _ = operands(4, 3, 2, seed=7)
     apply = mesh.kron_sum_applier(U, sx, sy)
-    unbound = lambda V, g: mesh.kron_sum_apply(V, sx, sy, g)
+    unbound = lambda V, g: fresh_kron_sum_apply(V, sx, sy, g)
     for ghosts in ((x_lo, x_hi, None, None), (None, None, y_lo, y_hi)):
         want = reference_kron_sum_apply(U, sx, sy, ghosts)
         for call in (apply, unbound):

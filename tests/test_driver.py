@@ -222,6 +222,41 @@ def test_a_grid_beyond_the_cell_bound_exits_2_before_any_allocation(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("key,value", [("cfl_override", "1e-30"),
+                                       ("t_final", "1e30")])
+def test_a_run_that_could_never_finish_exits_2_before_integrating(
+        key, value, tmp_path, capsys, monkeypatch):
+    """A tiny ``cfl_override`` or a huge ``t_final`` asks the default grids
+    for about 1e30 time steps: one line naming the key and exit status 2,
+    and ``integrate`` is never called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate was called")
+
+    monkeypatch.setattr(timeint, "integrate", refuse)
+    code = cli.main(["run", "--set", f"{key}={value}",
+                     "--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and f"config key '{key}'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("override", [None, 1.0])
+def test_the_step_bound_admits_its_longest_run_only(override):
+    """``MAX_STEPS`` time steps on the finest grid pass, one more is
+    refused, naming ``cfl_override`` when it sets the step, else
+    ``t_final``."""
+    assert driver.MAX_STEPS == 2 ** 20
+    cfg = RunConfig(method="dg", order=2, grids=(1, 2),
+                    cfl_override=override)
+    dt = driver.default_dt(cfg, 1 / 2)
+    key = "t_final" if override is None else "cfl_override"
+    dataclasses.replace(cfg, t_final=driver.MAX_STEPS * dt).validate("run")
+    with pytest.raises(driver.ConfigError, match=f"config key '{key}'"):
+        dataclasses.replace(
+            cfg, t_final=(driver.MAX_STEPS + 1) * dt).validate("run")
+
+
 def test_superconvergence_names_a_bad_k_before_its_k_rule(tmp_path, capsys):
     code = cli.main(["superconvergence", "--set", "grids=8", "--set", "k=abc",
                      "--out", str(tmp_path / "out.csv")])

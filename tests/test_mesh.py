@@ -240,35 +240,23 @@ def test_2d_boundary_is_read_from_the_af_tensor_shape():
 # the neighbour windows of every stencil apply
 
 
-def _stack_operands(n, m, axis, seed):
-    """A state V with n cells along ``axis`` and the ghost blocks of the
-    stencil applies: V[i, a, rest] (x-apply) or V[rest, j, b] (y-apply)."""
-    rng = np.random.default_rng(seed)
-    shape = (n, m, 5 * m) if axis == 0 else (7 * m, n, m)
-    ghost = shape[:axis] + shape[axis + 1:]
-    return (rng.standard_normal(shape), rng.standard_normal(ghost),
-            rng.standard_normal(ghost))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 16])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_neighbour_gather_is_the_rolled_stack(n, m, axis):
-    """The windows run along the leading axis; the y-apply hands them the
-    transposed view V[j, b, rest] and its ghost blocks transposed alike.
-    They are read-only views of one C-contiguous padded copy of n + 2
-    cells."""
-    V, lo, hi = _stack_operands(n, m, axis, seed=10 * n + m)
+    """The periodic windows run along the leading axis; the y-apply hands
+    them the transposed view V[j, b, rest] of a state V[rest, j, b].  They
+    are read-only views of one C-contiguous padded copy of n + 2 cells."""
+    rng = np.random.default_rng(10 * n + m)
+    V = rng.standard_normal((n, m, 5 * m) if axis == 0 else (7 * m, n, m))
     lead = (lambda a: a) if axis == 0 else (lambda a: a.transpose(1, 2, 0))
-    for ghosts in ((), (lo, hi)):
-        got = mesh._with_neighbours(lead(V), *(g if axis == 0 else g.T
-                                               for g in ghosts))
-        want = lead(neighbour_stack(V, axis, *ghosts))
-        assert got.shape == want.shape and not got.flags.writeable
-        assert got.base.flags.c_contiguous
-        assert got.base.shape == (n + 2,) + lead(V).shape[1:]
-        assert got.dtype == want.dtype
-        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    got = mesh._with_neighbours(lead(V))
+    want = lead(neighbour_stack(V, axis))
+    assert got.shape == want.shape and not got.flags.writeable
+    assert got.base.flags.c_contiguous
+    assert got.base.shape == (n + 2,) + lead(V).shape[1:]
+    assert got.dtype == want.dtype
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 5])
@@ -280,14 +268,6 @@ def test_padded_index_is_cached_and_read_only(n):
         idx[0] = 0
     assert idx[0] == n - 1 and idx[-1] == 0
     assert list(idx[1:-1]) == list(range(n))
-
-
-def test_one_sided_ghost_pair_is_refused():
-    V, lo, hi = _stack_operands(4, 2, 0, seed=3)
-    with pytest.raises(ValueError, match="pairs"):
-        mesh._with_neighbours(V, lo, None)
-    with pytest.raises(ValueError, match="pairs"):
-        mesh._with_neighbours(V, None, hi)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])

@@ -1,4 +1,4 @@
-"""SSP Runge-Kutta schemes and CFL step control."""
+"""SSP Runge-Kutta schemes and the CFL step size of a run."""
 
 import math
 
@@ -87,25 +87,32 @@ def test_integrate_detects_blowup():
 
 
 # ---------------------------------------------------------------------------
-# CFL catalog
+# the dt from the CFL catalog, ``driver.default_dt``
+
+
+def run_1d(method, order, **settings):
+    return driver.RunConfig(method=method, order=order,
+                            problem="advection1d", **settings)
 
 
 def test_dt_from_cfl_af3():
-    assert timeint.dt_from_cfl("af", 3, 0.0125) == pytest.approx(0.003375)
+    assert driver.default_dt(run_1d("af", 3), 0.0125) == \
+        pytest.approx(0.003375)
 
 
 def test_dt_from_cfl_dg4():
-    assert timeint.dt_from_cfl("dg", 4, 0.0125) == pytest.approx(0.000625)
+    assert driver.default_dt(run_1d("dg", 4), 0.0125) == \
+        pytest.approx(0.000625)
 
 
 def test_dt_from_cfl_override():
-    assert timeint.dt_from_cfl("dg", 4, 0.0125, override=0.1) == \
+    assert driver.default_dt(run_1d("dg", 4, cfl_override=0.1), 0.0125) == \
         pytest.approx(0.00125)
 
 
 def test_dt_from_cfl_unknown_method():
     with pytest.raises(ValueError):
-        timeint.dt_from_cfl("af", 9, 0.1)
+        driver.default_dt(run_1d("af", 9), 0.1)
 
 
 def test_linear_stability_sanity_dg_k1():
@@ -115,7 +122,7 @@ def test_linear_stability_sanity_dg_k1():
     state = mesh.DgState1D(grid, 1, rng.uniform(-1, 1, (32, 2, 1)))
     prob = advection1d(u=1.0)
     flux = NumericalFluxSpec.upwind()
-    dt = timeint.dt_from_cfl("dg", 2, grid.dx)
+    dt = driver.default_dt(run_1d("dg", 2), grid.dx)
     init_max = np.max(np.abs(state.coeffs))
     s = state
     for _ in range(int(10 / grid.dx)):
