@@ -139,9 +139,10 @@ def _in_catalog(c: RunConfig) -> bool:
     return True
 
 
-def _steps(c: RunConfig) -> float:
-    """The time steps of the config's finest grid, before rounding up."""
-    return c.t_final / default_dt(c, 1 / max(c.grids)) - 1e-12
+def _steps(c: RunConfig, n: int | None = None) -> float:
+    """The time steps of grid n, by default the config's finest, before
+    rounding up."""
+    return c.t_final / default_dt(c, 1 / (n or max(c.grids))) - 1e-12
 
 
 def _step_bound(c: RunConfig) -> str:
@@ -246,6 +247,10 @@ _REFUSALS = [
     ("cfl_override", _RUNS,
      lambda c: c.cfl_override is None or _steps(c) <= MAX_STEPS, _step_bound),
     ("t_final", _RUNS, lambda c: _steps(c) <= MAX_STEPS, _step_bound),
+    # the coarsest grid takes the fewest steps
+    ("t_final", _RUNS, lambda c: _steps(c, min(c.grids)) > 0,
+     lambda c: "must give at least one time step of "
+     f"{default_dt(c, 1 / min(c.grids)):.3g}"),
     ("grids", ("convergence",), lambda c: len(c.grids) >= 2,
      "needs at least two grids for a convergence study"),
     ("grids", ("convergence",),
@@ -607,8 +612,10 @@ def default_dt(cfg: RunConfig, dx: float) -> float:
 
 
 def run_simulation(cfg: RunConfig, n: int | None = None) -> RunResult:
-    """Integrate one grid to t_final; timing excludes setup and errors."""
-    cfg.validate("run")
+    """Integrate one grid, n or else the config's first, to t_final;
+    timing excludes setup and errors.  The config is validated on the grid
+    it runs."""
+    (replace(cfg, grids=(n,)) if n else cfg).validate("run")
     n = n or cfg.grids[0]
     problem = make_problem(cfg)
     state0 = build_state(cfg, n)
@@ -618,8 +625,6 @@ def run_simulation(cfg: RunConfig, n: int | None = None) -> RunResult:
     dx = state0.grid.dx
     dt = default_dt(cfg, dx)
     steps = int(np.ceil(cfg.t_final / dt - 1e-12))
-    if steps < 1:
-        cfg.refuse("t_final", f"must give at least one time step of {dt:.3g}")
 
     t0 = time.perf_counter()
     final = timeint.integrate(state0.copy(), rhs, scheme, dt, cfg.t_final)

@@ -257,6 +257,55 @@ def test_the_step_bound_admits_its_longest_run_only(override):
             cfg, t_final=(driver.MAX_STEPS + 1) * dt).validate("run")
 
 
+def no_integrate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the time loop was reached")
+
+    monkeypatch.setattr(timeint, "integrate", refuse)
+
+
+def test_run_simulation_checks_the_grid_it_runs(monkeypatch):
+    """A grid given to ``run_simulation`` is validated in place of the
+    config's: 10^5 a side is refused, naming ``grids``, before anything
+    of its 10^10 cells is allocated or stepped."""
+    no_integrate(monkeypatch)
+    cfg = RunConfig(problem="advection2d", grids=(20,), cfl_override=1e-3)
+    cfg.validate("run")
+    tracemalloc.start()
+    try:
+        with pytest.raises(driver.ConfigError, match="config key 'grids'"):
+            driver.run_simulation(cfg, 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_run_simulation_refuses_too_many_steps_on_its_grid(monkeypatch):
+    """An in-bounds grid that needs more than ``MAX_STEPS`` steps is
+    refused naming the override that sets its step, though the config's
+    own grid passes."""
+    no_integrate(monkeypatch)
+    cfg = RunConfig(problem="advection2d", grids=(20,), cfl_override=1e-5)
+    n = 500
+    assert driver._steps(cfg) <= driver.MAX_STEPS < driver._steps(cfg, n)
+    with pytest.raises(driver.ConfigError,
+                       match="config key 'cfl_override'"):
+        driver.run_simulation(cfg, n)
+
+
+def test_a_run_of_no_time_step_is_refused_before_the_time_loop(monkeypatch):
+    """The refusal of a t_final below one step reads the coarsest grid,
+    the one with the largest step, and comes from ``validate``."""
+    no_integrate(monkeypatch)
+    cfg = RunConfig(problem="advection2d", grids=(8, 16), t_final=1e-16)
+    with pytest.raises(driver.ConfigError,
+                       match="config key 't_final' must give at least one"):
+        cfg.validate("run")
+    with pytest.raises(driver.ConfigError, match="config key 't_final'"):
+        driver.run_simulation(cfg, 16)
+
+
 def test_superconvergence_names_a_bad_k_before_its_k_rule(tmp_path, capsys):
     code = cli.main(["superconvergence", "--set", "grids=8", "--set", "k=abc",
                      "--out", str(tmp_path / "out.csv")])

@@ -1,6 +1,7 @@
 """SSP Runge-Kutta schemes and the CFL step size of a run."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,21 +165,127 @@ def test_rk_step_evaluates_each_stage_once(scheme, calls):
     assert times == [2.0 + 0.1 * c for c in scheme.c[:calls]]
 
 
+def bound_run(method, order, rk, boundary="dirichlet", n=8):
+    """A 2-d state, its bound rhs and the scheme of one run."""
+    cfg = driver.RunConfig(method=method, order=order, rk=rk,
+                           problem="advection2d", ux=1.0, uy=-0.5,
+                           init="sine", boundary=boundary)
+    state = driver.build_state(cfg, n)
+    problem = driver.make_problem(cfg)
+    rhs = driver.make_rhs(cfg, problem,
+                          driver.make_flux(cfg, problem, state.arrays()[0]))
+    return state, rhs, timeint.schemes_by_name()[rk]
+
+
+def assert_steps_are_the_reference(scheme, rhs, state, dt=0.01):
+    got, want = state.copy(), state.copy()
+    for step in range(3):
+        got = timeint.rk_step(scheme, rhs, got, dt, dt * step)
+        want = reference_rk_step(scheme, rhs, want, dt, dt * step)
+    assert got.U.tobytes() == want.U.tobytes()
+    assert not np.array_equal(got.U, state.U)
+
+
 @pytest.mark.parametrize("method,order,rk", [("af", 4, "ssprk54"),
                                              ("dg", 3, "ssprk54"),
                                              ("dg", 4, "ssprk3")])
 def test_rk_step_equals_the_reference_bit_for_bit(method, order, rk):
-    cfg = driver.RunConfig(method=method, order=order, rk=rk,
-                           problem="advection2d", ux=1.0, uy=-0.5,
-                           init="sine", boundary="dirichlet")
-    state = driver.build_state(cfg, 8)
-    problem = driver.make_problem(cfg)
-    rhs = driver.make_rhs(cfg, problem,
-                          driver.make_flux(cfg, problem, state.arrays()[0]))
+    assert_steps_are_the_reference(*reversed(bound_run(method, order, rk)))
+
+
+def in_bands(U, nb, monkeypatch) -> list:
+    """Force the stage band budget down to ``nb`` bands of U's leading
+    axis (None: one band a row); returns the list that collects the band
+    widths of every step."""
+    widths = []
+
+    def bands(n, k):
+        widest, cells = mesh._bands(n, k)
+        widths.append([w for _, w in cells])
+        return widest, cells
+
+    monkeypatch.setattr(mesh, "_Y_BAND_BYTES", -(-U.nbytes // (nb or len(U))))
+    monkeypatch.setattr(timeint, "_bands", bands)
+    return widths
+
+
+@pytest.mark.parametrize("nb", [1, 2, 3, None])
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("rk", ["ssprk3", "ssprk54"])
+@pytest.mark.parametrize("method,order", [("af", 4), ("dg", 3)])
+def test_rk_step_in_bands_equals_the_reference_bit_for_bit(
+        method, order, rk, boundary, nb, monkeypatch):
+    """The stage sums give the reference's bytes in 1, 2, 3 and one band
+    a row of an 8^2 state (9 rows for a closed AF state)."""
+    state, rhs, scheme = bound_run(method, order, rk, boundary)
+    widths = in_bands(state.U, nb, monkeypatch)
+    assert_steps_are_the_reference(scheme, rhs, state)
+    assert len(widths) == 3 and len(widths[0]) == (nb or len(state.U))
+    assert sum(widths[0]) == len(state.U)
+
+
+@pytest.mark.parametrize("nb", [1, 2, 3, None])
+@pytest.mark.parametrize("rk", ["ssprk3", "ssprk54"])
+def test_1d_and_scalar_steps_in_bands_equal_the_reference(rk, nb,
+                                                          monkeypatch):
+    """A 1-d DG state runs in bands of cells; a one-row ODE state is one
+    band whatever the budget."""
     scheme = timeint.schemes_by_name()[rk]
-    got, want = state.copy(), state.copy()
-    for step in range(3):
-        got = timeint.rk_step(scheme, rhs, got, 0.01, 0.01 * step)
-        want = reference_rk_step(scheme, rhs, want, 0.01, 0.01 * step)
-    assert np.array_equal(got.U, want.U)
-    assert not np.array_equal(got.U, state.U)
+    rng = np.random.default_rng(7)
+    grid = Grid1D(0.0, 1.0, 12)
+    state = mesh.DgState1D(grid, 2, rng.uniform(-1, 1, (12, 3, 1)))
+    prob, flux = advection1d(u=-0.6), NumericalFluxSpec.upwind()
+    widths = in_bands(state.U, nb, monkeypatch)
+    assert_steps_are_the_reference(
+        scheme, lambda s, t: dg.dg_rhs_1d(s, prob, flux), state)
+    assert len(widths[0]) == (nb or 12)
+
+    row = ScalarState([0.5])
+    widths = in_bands(row.U, 4, monkeypatch)
+    assert_steps_are_the_reference(
+        scheme, lambda s, t: ScalarState(s.y ** 2 - t), row, dt=0.1)
+    assert widths[0] == [1]
+
+
+def read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("nb", [1, 3])
+@pytest.mark.parametrize("rk", ["ssprk3", "ssprk54"])
+@pytest.mark.parametrize("method,order", [("af", 4), ("dg", 3)])
+def test_rk_step_writes_neither_its_input_nor_a_derivative(
+        method, order, rk, nb, monkeypatch):
+    """With the input tensor and every rhs result read-only, a step still
+    runs and gives the reference's bytes: it sums into arrays it owns."""
+    state, rhs, scheme = bound_run(method, order, rk, "periodic")
+    in_bands(state.U, nb, monkeypatch)
+
+    def frozen_rhs(s, t):
+        d = rhs(s, t)
+        read_only(d.U)
+        return d
+
+    frozen = state.with_tensor(read_only(state.U.copy()))
+    got = timeint.rk_step(scheme, frozen_rhs, frozen, 0.01, 0.02)
+    want = reference_rk_step(scheme, rhs, state.copy(), 0.01, 0.02)
+    assert got.U.tobytes() == want.U.tobytes()
+    assert frozen.U.tobytes() == state.U.tobytes()
+
+
+def test_a_warm_step_in_bands_allocates_at_most_3_5_states(monkeypatch):
+    """A warm 48^2 SSPRK3 step in 4 bands holds one stage array, the rhs's
+    result and temporaries, and one band of scratch: its traced peak is
+    at most 3.5x the state."""
+    state, rhs, scheme = bound_run("af", 4, "ssprk3", "periodic", n=48)
+    widths = in_bands(state.U, 4, monkeypatch)
+    warm = timeint.rk_step(scheme, rhs, state, 1e-4)
+    assert widths == [[12] * 4]
+    tracemalloc.start()
+    try:
+        timeint.rk_step(scheme, rhs, warm, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * state.U.nbytes
