@@ -86,16 +86,13 @@ def quad_rule_for_order(family: str, order: int) -> poly.QuadratureRule:
     return poly.gauss_legendre_rule((n_int + 2) // 2)
 
 
-def _phi_values(K: int, rule: poly.QuadratureRule) -> tuple:
-    """The rule and, row n of each, phi_n and phi_n' at its nodes."""
-    return rule, *(npp.polyval(rule.nodes, phi_table(K, d).T) for d in (0, 1))
-
-
 @lru_cache(maxsize=None)
 def catalog_phi_values(K: int) -> tuple:
-    """``_phi_values`` at the catalog rule of DG order K + 1, read-only."""
-    rule, phi, dphi = _phi_values(K, quad_rule_for_order("dg", K + 1))
-    return rule, poly.frozen(phi), poly.frozen(dphi)
+    """The catalog rule of DG order K + 1 and, row n of each, phi_n and
+    phi_n' at its nodes, read-only."""
+    rule = quad_rule_for_order("dg", K + 1)
+    return rule, *(poly.frozen(npp.polyval(rule.nodes, phi_table(K, d).T))
+                   for d in (0, 1))
 
 
 def trace_values_1d(state: DgState1D) -> tuple[np.ndarray, np.ndarray]:
@@ -123,16 +120,14 @@ def interface_fluxes_1d(state: DgState1D, problem: ProblemSpec,
 
 
 def dg_rhs_1d(state: DgState1D, problem: ProblemSpec,
-              flux: NumericalFluxSpec, quad: poly.QuadratureRule | None = None,
-              assembly: str = "weak") -> DgState1D:
+              flux: NumericalFluxSpec, assembly: str = "weak") -> DgState1D:
     """Semi-discrete time derivative of the modal coefficients.
 
     The weak form of a linear problem, scalar or system, is the block row
     (u S_u + d_L S_L + d_R S_R) / h of ``dg_stencil_1d`` applied to each
     cell and its two neighbours (``mesh.line_apply``), with the Jacobian u
     and the flux partials (d_L, d_R), matrices for a system.  Nonlinear
-    fluxes are integrated with the catalog rule for the method's order
-    (override with ``quad``).
+    fluxes are integrated with the catalog rule for the method's order.
     """
     if assembly == "weak" and problem.linear:
         # a linear problem's Jacobian and flux partials are constant
@@ -154,8 +149,7 @@ def dg_rhs_1d(state: DgState1D, problem: ProblemSpec,
     basis = dg_basis(state.K)
     fhat = interface_fluxes_1d(state, problem, flux)          # (n, m)
     fhat_r = roll_cells(fhat, -1)                             # at x_{i+1/2}
-    rule, phi, dphi = (_phi_values(state.K, quad) if quad
-                       else catalog_phi_values(state.K))
+    rule, phi, dphi = catalog_phi_values(state.K)
     fvals = problem.flux(np.einsum("inc,nq->iqc", state.coeffs, phi))
     vol = np.einsum("iqc,mq,q->imc", fvals, dphi, rule.weights)
     numer = (vol

@@ -140,9 +140,9 @@ def _in_catalog(c: RunConfig) -> bool:
 
 
 def _steps(c: RunConfig, n: int | None = None) -> float:
-    """The time steps of grid n, by default the config's finest, before
-    rounding up."""
-    return c.t_final / default_dt(c, 1 / (n or max(c.grids))) - 1e-12
+    """The time steps of grid n, by default the config's finest."""
+    return timeint.step_count(c.t_final,
+                              default_dt(c, 1 / (n or max(c.grids))))
 
 
 def _step_bound(c: RunConfig) -> str:
@@ -624,10 +624,10 @@ def run_simulation(cfg: RunConfig, n: int | None = None) -> RunResult:
     scheme = timeint.schemes_by_name()[cfg.rk]
     dx = state0.grid.dx
     dt = default_dt(cfg, dx)
-    steps = int(np.ceil(cfg.t_final / dt - 1e-12))
+    steps = int(timeint.step_count(cfg.t_final, dt))
 
     t0 = time.perf_counter()
-    final = timeint.integrate(state0.copy(), rhs, scheme, dt, cfg.t_final)
+    final = timeint.integrate(state0, rhs, scheme, dt, cfg.t_final)
     tau = time.perf_counter() - t0
 
     exact_state = exact_state_at(cfg, n, cfg.t_final)

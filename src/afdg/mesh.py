@@ -6,8 +6,9 @@ product ``kron_apply`` for the 2-d DG-to-AF map, T (x) T of its 1-d
 block row.  Every apply runs along the leading axis of a tensor, as one
 matmul against the neighbour windows [V_{i-1}; V_i; V_{i+1}], a read-only
 view of one padded copy [V_{-1}; V_0 ... V_{n-1}; V_n] of the tensor,
-periodic or with ghost blocks at its ends; a y-apply is the x-apply of
-the transposed tensor.  A 2-d update's two stencils come from
+filled by one write of the tensor and one of each end row, periodic or
+with ghost blocks at its ends; a y-apply is the x-apply of the
+transposed tensor.  A 2-d update's two stencils come from
 ``axis_stencils``, and ``kron_sum_applier`` binds them with the padded
 copies to a tensor's shape, which a run's right-hand side does once
 (``driver.make_rhs``).  The applier runs the y half in bands of x-cells
@@ -540,7 +541,7 @@ def kron_sum_applier(U: np.ndarray, sx: np.ndarray | None,
         for cells, w in cells_widths:
             copy = copies[:(ny + 2) * m * w * m].reshape(ny + 2, m, w, m)
             prod = prods[:ny * m * w * m].reshape(ny, m, w * m)
-            bands.append((cells, _padded(copy, False, cells), prod,
+            bands.append((cells, _padded(copy, cells), prod,
                           _transposed(prod.reshape(ny, m, w, m))))
 
     def apply(V: np.ndarray, ghosts=None) -> np.ndarray:
@@ -602,26 +603,23 @@ def roll_cells(a: np.ndarray, shift: int, axis: int = 0) -> np.ndarray:
 def _with_neighbours(V: np.ndarray) -> np.ndarray:
     """The periodic windows [V_{i-1}; V_i; V_{i+1}] of V[i, a, ...] along
     its leading axis, in a padded copy of their own (``_padded``)."""
-    return _padded(np.empty((len(V) + 2,) + V.shape[1:], V.dtype),
-                   V.flags.c_contiguous)(V)
+    return _padded(np.empty((len(V) + 2,) + V.shape[1:], V.dtype))(V)
 
 
-def _padded(P: np.ndarray, gather: bool = True,
-            cells: slice | None = None) -> Callable:
+def _padded(P: np.ndarray, cells: slice | None = None) -> Callable:
     """``fill(V, lo=None, hi=None, slot=None)``: the windows [V_{i-1}; V_i;
     V_{i+1}] of V[i, a, ...], n cells, as the read-only view (n, 3m, r)
     (``_windows``) of the C-contiguous padded copy P = [V_{-1}; V_0 ...
-    V_{n-1}; V_n] of n + 2 cells, bound here and refilled by each call.
-    Without ``cells``, P is an x copy: V's rows are its cells V[i], and
-    ``lo`` and ``hi``, V_{-1} and V_n, are per-cell blocks b whose
-    ``transpose(1, 0, 2)`` is a row.  With ``cells``, P is a y band's
-    copy: V is a tensor U[i, a, j, b] in its own layout, the rows are
-    those of the transposed slab U[cells] (written through the transposed
-    view of P), and a block b's row is ``b[cells].transpose(2, 0, 1)``.
-    Without ``lo`` and ``hi`` the copy wraps periodically: with
-    ``gather``, by one gather of the cached padded index, else by a write
-    of V and a copy of each of the two ends (a gather would first copy a
-    non-contiguous V whole).  ``slot``'s dofs 1.. stand in for V_{n-1}'s."""
+    V_{n-1}; V_n] of n + 2 cells, bound here and refilled by each call:
+    one write of V into P's body and one of each end row.  Without
+    ``cells``, P is an x copy: V's rows are its cells V[i], and ``lo`` and
+    ``hi``, V_{-1} and V_n, are per-cell blocks b whose ``transpose(1, 0,
+    2)`` is a row.  With ``cells``, P is a y band's copy: V is a tensor
+    U[i, a, j, b] in its own layout, the rows are those of the transposed
+    slab U[cells] (written through the transposed view of P), and a block
+    b's row is ``b[cells].transpose(2, 0, 1)``.  Without ``lo`` and ``hi``
+    the copy wraps periodically: its end rows are copies of rows n and 1.
+    ``slot``'s dofs 1.. stand in for V_{n-1}'s."""
     n, windows, body = len(P) - 2, _windows(P), P[1:-1]
     # a ghost block (cell, a, b) is a row (a, j, b) of an x copy, as U[i]
     # is, and its band's cells (b, i, a) of a y band's copy, as a row j of
@@ -631,30 +629,18 @@ def _padded(P: np.ndarray, gather: bool = True,
     else:
         body = _transposed(body)
         row = lambda b: b[cells].transpose(2, 0, 1)
-    # a gather reads the cached padded index; a write of V fills the
-    # periodic ends, rows 0 and n + 1, from rows n and 1
-    index = first = last = wrap_first = wrap_last = None
-    if gather:
-        index = _padded_index(n)
-    else:
-        first, last, wrap_first, wrap_last = P[0], P[n + 1], P[n], P[1]
+    first, last, wrap_first, wrap_last = P[0], P[n + 1], P[n], P[1]
 
     def fill(V: np.ndarray, lo=None, hi=None, slot=None) -> np.ndarray:
-        if cells is not None:
-            V = V[cells]
-        if lo is None and hi is None:
-            if gather:
-                V.take(index, 0, P, "clip")
-            else:
-                body[...] = V
-                first[...] = wrap_first
-                last[...] = wrap_last
-        elif lo is None or hi is None:
+        if (lo is None) != (hi is None):
             raise ValueError(
                 "ghost blocks come in pairs: lo and hi, or neither")
+        body[...] = V if cells is None else V[cells]
+        if lo is None:
+            first[...] = wrap_first
+            last[...] = wrap_last
         else:
-            body[...] = V
-            P[0], P[-1] = row(lo), row(hi)
+            first[...], last[...] = row(lo), row(hi)
         if slot is not None:
             P[n, 1:] = row(slot)[1:]
         return windows
@@ -671,13 +657,6 @@ def _windows(P: np.ndarray) -> np.ndarray:
     W = np.ndarray((n, 3 * m, r), P.dtype, P, 0, (m * r * s, r * s, s))
     W.setflags(write=False)
     return W
-
-
-@lru_cache(maxsize=None)
-def _padded_index(n: int) -> np.ndarray:
-    """Read-only rows (n-1, 0, 1, ..., n-1, 0) of the periodic padded copy
-    of n cells."""
-    return poly.frozen(np.arange(-1, n + 1) % n)
 
 
 # ---------------------------------------------------------------------------

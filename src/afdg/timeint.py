@@ -29,7 +29,7 @@ from .mesh import _bands
 from .poly import frozen
 
 __all__ = ["RkScheme", "SSPRK3", "SSPRK54", "rk_step", "integrate",
-           "UnstableRunError", "schemes_by_name"]
+           "step_count", "UnstableRunError", "schemes_by_name"]
 
 CHECK_EVERY = 20     # steps between the finite-state checks of ``integrate``
 
@@ -222,6 +222,14 @@ class UnstableRunError(RuntimeError):
     pass
 
 
+@np.errstate(divide="ignore", over="ignore")
+def step_count(t_final: float, dt: float) -> float:
+    """The steps of ``integrate`` from 0 to t_final, the last one clipped,
+    as a float: a count too large for an int (inf, also where dt
+    underflows to 0) can still be bounded."""
+    return float(np.ceil(np.divide(t_final, dt) - 1e-12))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(state, rhs, scheme: RkScheme, dt: float, t_final: float):
     """March from t = 0 to t_final, clipping the last step to land exactly.
@@ -230,7 +238,7 @@ def integrate(state, rhs, scheme: RkScheme, dt: float, t_final: float):
     instability shows up this way, and unwarned: the check, every
     ``CHECK_EVERY`` steps and after the last, reports it).
     """
-    n_steps = int(np.ceil(t_final / dt - 1e-12))
+    n_steps = int(step_count(t_final, dt))
     t = 0.0
     for step in range(n_steps):
         step_dt = min(dt, t_final - t)

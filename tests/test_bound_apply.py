@@ -182,16 +182,18 @@ def assert_nothing_kept_returned(apply, returned):
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("ghosted", [False, True, "slots"])
-@pytest.mark.parametrize("nx,ny", [(4, 3), (3, 5), (1, 2)])
+@pytest.mark.parametrize("nx,ny", [(4, 3), (3, 5), (1, 2), (2, 1)])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_apply_is_the_gather_reference(m, nx, ny, ghosted, layout):
     """Both axes and each alone, with and without ghost blocks, and with
     the slot blocks after them, on C, Fortran and transposed layouts of the
     same values.  The y-apply's padded copy is filled from the transposed
-    view, its ghost blocks' too.  The bound apply, called on two tensors
-    with their own ghost blocks in turn, gives the reference's bytes on
-    each call, reads read-only windows and returns arrays that share no
-    memory with what it keeps."""
+    view, its ghost blocks' too.  With one or two cells on an axis, the
+    end rows of its periodic copy alias body rows: at n = 1 both copy the
+    one cell, at n = 2 each copies the body row beside the other end.  The
+    bound apply, called on two tensors with their own ghost blocks in
+    turn, gives the reference's bytes on each call, reads read-only
+    windows and returns arrays that share no memory with what it keeps."""
     seed = 10 * nx + ny + m
     _, sx, sy, _, _ = operands(nx, ny, m, seed)
     calls = [(U, ghosts, slots) for U, _, _, ghosts, slots in
@@ -441,17 +443,23 @@ def test_a_warm_bound_rhs_call_allocates_about_one_state(method, order,
 def test_a_run_in_y_bands_ends_in_the_bytes_of_one_band(method, order,
                                                         boundary, nb,
                                                         monkeypatch):
-    """Three steps on 12^2 with the y half of every rhs call in ``nb``
-    bands end in the final state of the same run in one band."""
+    """Three steps on 12^2 with the y half of every rhs call and every
+    stage sum in ``nb`` bands end in the final state of the same run in
+    one band.  The applier makes its bands once a run (``mesh._bands``),
+    the step once a step (``timeint``'s own binding of ``_bands``), and
+    each gives ``nb`` bands."""
     cfg = RunConfig(method=method, order=order, problem="advection2d",
                     ux=1.0, uy=-0.5, init="sine", boundary=boundary)
     cfg.t_final = 3 * driver.default_dt(cfg, 1 / 12)
     one = driver.run_simulation(cfg, 12)
     U = one.state.U
-    bands = []
-    monkeypatch.setattr(mesh, "_bands", counting(mesh._bands, bands))
+    applier_bands, step_bands = [], []
+    monkeypatch.setattr(mesh, "_bands", counting(mesh._bands, applier_bands))
+    monkeypatch.setattr(timeint, "_bands",
+                        counting(timeint._bands, step_bands))
     monkeypatch.setattr(mesh, "_Y_BAND_BYTES", -(-U.nbytes // nb))
     banded = driver.run_simulation(cfg, 12)
     assert one.bench.steps == banded.bench.steps == 3
-    assert [len(cells) for _, cells in bands] == [nb]
+    assert [len(cells) for _, cells in applier_bands] == [nb]
+    assert [len(cells) for _, cells in step_bands] == [nb] * 3
     assert banded.state.U.tobytes() == U.tobytes()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from helpers import cell_integral, legendre_polys
 from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as npp
 
 from afdg import dg, mesh, poly
 from afdg.mesh import DgState1D, DgState2D, Grid1D, Grid2D
@@ -288,16 +289,22 @@ def test_linearity_of_rhs():
     assert np.max(np.abs(d - d_lin)) <= 1e-12 * np.max(np.abs(d))
 
 
-def test_nonlinear_quadrature_rule_consistency():
+def test_nonlinear_quadrature_rule_consistency(monkeypatch):
     # richer quadrature does not change the result for polynomial flux
-    # of degree 2 once the rule is exact for the integrand
+    # of degree 2 once the rule is exact for the integrand: the catalog
+    # rule's result is a 9-point rule's
     prob = burgers()
     rng = np.random.default_rng(6)
     state = DgState1D(Grid1D(0, 1, 8), 2, rng.uniform(0.5, 2.0, (8, 3, 1)))
-    d1 = dg.dg_rhs_1d(state, prob, NumericalFluxSpec.lax_friedrichs(3.0),
-                      quad=poly.gauss_legendre_rule(4)).coeffs
-    d2 = dg.dg_rhs_1d(state, prob, NumericalFluxSpec.lax_friedrichs(3.0),
-                      quad=poly.gauss_legendre_rule(9)).coeffs
+    flux = NumericalFluxSpec.lax_friedrichs(3.0)
+    d1 = dg.dg_rhs_1d(state, prob, flux).coeffs
+    rule = poly.gauss_legendre_rule(9)
+    phis = [npp.polyval(rule.nodes, dg.phi_table(2, d).T) for d in (0, 1)]
+    read = []
+    monkeypatch.setattr(dg, "catalog_phi_values",
+                        lambda K: read.append(K) or (rule, *phis))
+    d2 = dg.dg_rhs_1d(state, prob, flux).coeffs
+    assert read == [2]
     assert np.max(np.abs(d1 - d2)) < 1e-12 * np.max(np.abs(d1))
 
 

@@ -222,19 +222,27 @@ def test_a_grid_beyond_the_cell_bound_exits_2_before_any_allocation(
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("key,value", [("cfl_override", "1e-30"),
-                                       ("t_final", "1e30")])
+@pytest.mark.parametrize("key,value,others", [
+    pytest.param("cfl_override", "1e-30", (), id="cfl_override-1e-30"),
+    pytest.param("t_final", "1e30", (), id="t_final-1e30"),
+    # dt = cfl_override dx underflows to 0: no ZeroDivisionError
+    pytest.param("cfl_override", "5e-324", (), id="cfl_override-5e-324"),
+    # t_final / dt overflows to inf: still the refusal, no OverflowError
+    pytest.param("cfl_override", "1e-300",
+                 ("problem=advection2d", "t_final=1e300"),
+                 id="cfl_override-1e-300-t_final-1e300")])
 def test_a_run_that_could_never_finish_exits_2_before_integrating(
-        key, value, tmp_path, capsys, monkeypatch):
+        key, value, others, tmp_path, capsys, monkeypatch):
     """A tiny ``cfl_override`` or a huge ``t_final`` asks the default grids
-    for about 1e30 time steps: one line naming the key and exit status 2,
-    and ``integrate`` is never called."""
+    for about 1e30 time steps, or more than a float holds, as does a step
+    that underflows to 0: one line naming the key and exit status 2, and
+    ``integrate`` is never called."""
     def refuse(*args, **kwargs):
         raise AssertionError("integrate was called")
 
     monkeypatch.setattr(timeint, "integrate", refuse)
-    code = cli.main(["run", "--set", f"{key}={value}",
-                     "--out", str(tmp_path / "out.csv")])
+    settings = [a for kv in (*others, f"{key}={value}") for a in ("--set", kv)]
+    code = cli.main(["run", *settings, "--out", str(tmp_path / "out.csv")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and f"config key '{key}'" in err
@@ -255,6 +263,35 @@ def test_the_step_bound_admits_its_longest_run_only(override):
     with pytest.raises(driver.ConfigError, match=f"config key '{key}'"):
         dataclasses.replace(
             cfg, t_final=(driver.MAX_STEPS + 1) * dt).validate("run")
+
+
+@pytest.mark.parametrize("method,order", [("af", 4), ("dg", 3)])
+@pytest.mark.parametrize("problem,boundary", [
+    ("advection1d", "periodic"), ("advection2d", "periodic"),
+    ("advection2d", "dirichlet")])
+def test_a_run_never_writes_its_initial_state(method, order, problem,
+                                              boundary, monkeypatch):
+    """The time loop starts from the initial state itself, not a copy:
+    with ``build_state`` giving a read-only tensor, a run completes, and
+    its initial norm and mass are those of a fresh state."""
+    cfg = RunConfig(method=method, order=order, problem=problem,
+                    boundary=boundary, ux=1.0, uy=-0.5, init="sine",
+                    grids=(8,), t_final=0.1)
+    build = driver.build_state
+    states = []
+
+    def read_only(*args):
+        states.append(build(*args))
+        states[-1].U.setflags(write=False)
+        return states[-1]
+
+    monkeypatch.setattr(driver, "build_state", read_only)
+    res = driver.run_simulation(cfg)
+    fresh = build(cfg, 8)
+    assert len(states) == 1 and res.bench.steps >= 2
+    assert states[0].U.tobytes() == fresh.U.tobytes()
+    assert res.norm0 == driver.dof_norm(fresh)
+    assert res.mass0 == driver.cell_mass(fresh)
 
 
 def no_integrate(monkeypatch):

@@ -259,17 +259,6 @@ def test_neighbour_gather_is_the_rolled_stack(n, m, axis):
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 5])
-def test_padded_index_is_cached_and_read_only(n):
-    idx = mesh._padded_index(n)
-    assert idx is mesh._padded_index(n)
-    assert idx.shape == (n + 2,) and not idx.flags.writeable
-    with pytest.raises(ValueError):
-        idx[0] = 0
-    assert idx[0] == n - 1 and idx[-1] == 0
-    assert list(idx[1:-1]) == list(range(n))
-
-
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_two_component_line_apply_sees_the_rolled_stack(K):
     """The acoustics2x2 stencil acts on (dof, component) pairs; the windows
